@@ -20,6 +20,7 @@ type seg = {
   mutable s_state : seg_state;
   mutable s_kind : kind;
   mutable s_residents : extent list;
+  mutable s_freed : int;  (* undo position of the clean that freed it *)
 }
 
 type pnode = {
@@ -29,7 +30,15 @@ type pnode = {
   p_kind : kind;
 }
 
-type open_seg = { mutable o_seg : int; mutable o_fill : int; o_buf : bytes }
+(* [o_mark] is the undo position at which the operation that wrote the
+   segment's first record (or, in the normal log, a delete) began; -1
+   while there is none. *)
+type open_seg = {
+  mutable o_seg : int;
+  mutable o_fill : int;
+  o_buf : bytes;
+  mutable o_mark : int;
+}
 
 type t = {
   engine : Sim.Engine.t;
@@ -45,47 +54,97 @@ type t = {
   continuous : open_seg;
   mutable garbage_created : int;
   mutable meta_writes : int;
-  mutable shadow : shadow option;  (* recovery point, refreshed at seals *)
+  (* The undo log: the inverse of every change to the mapping state,
+     newest first.  The oldest entry kept has position [undo_base]; the
+     next change recorded gets [undo_base + undo_len]. *)
+  mutable undo : (unit -> unit) list;
+  mutable undo_len : int;
+  mutable undo_base : int;
+  mutable op_start : int;  (* position where the latest operation began *)
   m_sealed : Sim.Metrics.counter;
   m_bytes_appended : Sim.Metrics.counter;
   m_meta_writes : Sim.Metrics.counter;
   m_garbage_bytes : Sim.Metrics.counter;
 }
 
-(* A consistent copy of the mapping state, as reconstructible from the
-   sealed log.  Extents are shared between pnodes and segment resident
-   lists, so the copy preserves that sharing. *)
-and shadow = {
-  sh_segs : (int * seg) list;
-  sh_files : (fid * pnode) list;
-  sh_next_seg : int;
-  sh_free : int list;
-  sh_next_fid : int;
-  sh_live_garbage : int;
-}
-
 let meta_bytes = 64
+
+let position t = t.undo_base + t.undo_len
+
+let record t undo =
+  t.undo <- undo :: t.undo;
+  t.undo_len <- t.undo_len + 1
+
+let begin_op t = t.op_start <- position t
+
+(* The latest operation boundary before which every record sits in a
+   sealed segment. *)
+let recovery_point t =
+  let earliest os acc =
+    if os.o_mark >= 0 then Stdlib.min os.o_mark acc else acc
+  in
+  earliest t.normal (earliest t.continuous (position t))
+
+(* No change before this position can be rolled back any more: the
+   recovery point, but never past the start of the operation in
+   progress. *)
+let durable t = Stdlib.min (recovery_point t) t.op_start
+
+(* Drop the inverses older than position [r].  The list is cut only when
+   that frees at least half of it, so trimming costs O(1) per change. *)
+let forget_before t r =
+  let keep = position t - r in
+  if 2 * keep <= t.undo_len then begin
+    let rec take n acc = function
+      | u :: rest when n > 0 -> take (n - 1) (u :: acc) rest
+      | _ -> List.rev acc
+    in
+    t.undo <- take keep [] t.undo;
+    t.undo_len <- keep;
+    t.undo_base <- r
+  end
 
 let seg_record t id =
   match Hashtbl.find_opt t.segs id with
   | Some s -> s
   | None ->
-      let s = { s_live = 0; s_state = Free; s_kind = Normal; s_residents = [] } in
+      let s =
+        {
+          s_live = 0;
+          s_state = Free;
+          s_kind = Normal;
+          s_residents = [];
+          s_freed = -1;
+        }
+      in
       Hashtbl.replace t.segs id s;
       s
 
+(* The first free segment whose clean can no longer be rolled back:
+   rolling a clean back needs the segment's old contents on disk, so a
+   segment freed after [durable] is not written again until then. *)
+let rec take_free t durable = function
+  | [] -> None
+  | id :: rest when (seg_record t id).s_freed < durable -> Some (id, rest)
+  | id :: rest ->
+      Option.map (fun (x, rest) -> (x, id :: rest)) (take_free t durable rest)
+
 let allocate_segment t knd =
+  let free_list = t.free_list and next_seg = t.next_seg in
   let id =
-    match t.free_list with
-    | id :: rest ->
+    match take_free t (durable t) free_list with
+    | Some (id, rest) ->
         t.free_list <- rest;
         id
-    | [] ->
-        let id = t.next_seg in
-        t.next_seg <- t.next_seg + 1;
-        id
+    | None ->
+        t.next_seg <- next_seg + 1;
+        next_seg
   in
   let s = seg_record t id in
+  record t (fun () ->
+      t.free_list <- free_list;
+      t.next_seg <- next_seg;
+      s.s_state <- Free);
   s.s_state <- Open;
   s.s_kind <- knd;
   s.s_live <- 0;
@@ -97,7 +156,12 @@ let create engine ~raid () =
   let mk_open knd =
     (* placeholder; real segment assigned below *)
     ignore knd;
-    { o_seg = -1; o_fill = 0; o_buf = Bytes.make seg_bytes '\000' }
+    {
+      o_seg = -1;
+      o_fill = 0;
+      o_buf = Bytes.make seg_bytes '\000';
+      o_mark = -1;
+    }
   in
   let metrics = Sim.Engine.metrics engine in
   let t =
@@ -115,7 +179,10 @@ let create engine ~raid () =
       continuous = mk_open Continuous;
       garbage_created = 0;
       meta_writes = 0;
-      shadow = None;
+      undo = [];
+      undo_len = 0;
+      undo_base = 0;
+      op_start = 0;
       m_sealed =
         Sim.Metrics.counter metrics ~sub:Sim.Subsystem.Pfs
           ~help:"log segments sealed and written to the array"
@@ -135,6 +202,8 @@ let create engine ~raid () =
   in
   t.normal.o_seg <- allocate_segment t Normal;
   t.continuous.o_seg <- allocate_segment t Continuous;
+  (* The empty log is the first recovery point. *)
+  forget_before t (position t);
   t
 
 let engine t = t.engine
@@ -177,60 +246,6 @@ let joiner k =
   let release () = finish (Ok ()) in
   (spawn, finish, release)
 
-let copy_state t =
-  let xmap = Hashtbl.create 256 in
-  let copy_extent x =
-    match Hashtbl.find_opt xmap x with
-    | Some x' -> x'
-    | None ->
-        let x' =
-          {
-            x_fid = x.x_fid;
-            x_foff = x.x_foff;
-            x_seg = x.x_seg;
-            x_soff = x.x_soff;
-            x_len = x.x_len;
-            x_dead = x.x_dead;
-          }
-        in
-        Hashtbl.add xmap x x';
-        x'
-  in
-  let sh_segs =
-    Hashtbl.fold
-      (fun id s acc ->
-        ( id,
-          {
-            s_live = s.s_live;
-            s_state = s.s_state;
-            s_kind = s.s_kind;
-            s_residents = List.map copy_extent s.s_residents;
-          } )
-        :: acc)
-      t.segs []
-  in
-  let sh_files =
-    Hashtbl.fold
-      (fun fid p acc ->
-        ( fid,
-          {
-            p_size = p.p_size;
-            p_extents = List.map copy_extent p.p_extents;
-            p_meta = Option.map copy_extent p.p_meta;
-            p_kind = p.p_kind;
-          } )
-        :: acc)
-      t.files []
-  in
-  {
-    sh_segs;
-    sh_files;
-    sh_next_seg = t.next_seg;
-    sh_free = t.free_list;
-    sh_next_fid = t.next_fid;
-    sh_live_garbage = Garbage.count t.garbage;
-  }
-
 let seal ?(flow = Sim.Trace.no_flow) t os ~spawn ~finish =
   let id = os.o_seg in
   let s = seg_record t id in
@@ -252,11 +267,31 @@ let seal ?(flow = Sim.Trace.no_flow) t os ~spawn ~finish =
   spawn ();
   Raid.write_segment t.raid ~seg:id ?data ~flow (fun r ->
       finish (r :> (unit, error) result));
+  (* A seal is never rolled back.  With this segment's records on disk,
+     only the other open segment and the operation in progress hold the
+     recovery point back. *)
+  os.o_mark <- -1;
+  forget_before t (durable t);
   os.o_seg <- allocate_segment t s.s_kind;
   os.o_fill <- 0;
-  Bytes.fill os.o_buf 0 t.seg_bytes '\000';
-  (* Everything up to this seal is now reconstructible from disk. *)
-  t.shadow <- Some (copy_state t)
+  Bytes.fill os.o_buf 0 t.seg_bytes '\000'
+
+(* Add [x] to a segment's residents, with [live] more live bytes. *)
+let add_resident t s x ~live =
+  let residents = s.s_residents and old_live = s.s_live in
+  record t (fun () ->
+      s.s_residents <- residents;
+      s.s_live <- old_live);
+  s.s_residents <- x :: residents;
+  s.s_live <- old_live + live
+
+(* Record how to restore [p]'s mapping; call before changing it. *)
+let save_pnode t p =
+  let size = p.p_size and extents = p.p_extents and meta = p.p_meta in
+  record t (fun () ->
+      p.p_size <- size;
+      p.p_extents <- extents;
+      p.p_meta <- meta)
 
 (* Append raw bytes to the open segment of [knd]; returns the extents
    created (most recent first).  May seal one or more segments. *)
@@ -281,9 +316,8 @@ let append_raw t knd ~fid ~foff ?data ?(dataoff = 0)
         x_dead = false;
       }
     in
-    let s = seg_record t os.o_seg in
-    s.s_residents <- x :: s.s_residents;
-    s.s_live <- s.s_live + n;
+    add_resident t (seg_record t os.o_seg) x ~live:n;
+    if os.o_mark < 0 then os.o_mark <- t.op_start;
     Sim.Metrics.incr t.m_bytes_appended ~by:n;
     os.o_fill <- os.o_fill + n;
     if os.o_fill = t.seg_bytes then seal ~flow t os ~spawn ~finish;
@@ -292,12 +326,17 @@ let append_raw t knd ~fid ~foff ?data ?(dataoff = 0)
   done;
   !created
 
-(* Kill an extent: live accounting, garbage entry (over the sub-range
-   [from, from+len) of the extent), and the dead flag.  The caller
+(* Kill an extent: the dead flag, live accounting, and a garbage entry
+   over the sub-range [from, from+len) of the extent.  The caller
    removes it from the pnode. *)
 let kill_range t x ~from ~len =
   let s = seg_record t x.x_seg in
-  s.s_live <- s.s_live - len;
+  let dead = x.x_dead and live = s.s_live in
+  record t (fun () ->
+      x.x_dead <- dead;
+      s.s_live <- live);
+  x.x_dead <- true;
+  s.s_live <- live - len;
   emit_garbage t ~seg:x.x_seg ~off:(x.x_soff + from) ~len
 
 (* Remove [lo, hi) from the pnode's mapping, creating garbage; kept
@@ -314,8 +353,7 @@ let punch t p ~lo ~hi =
         x_dead = false;
       }
     in
-    let s = seg_record t x.x_seg in
-    s.s_residents <- piece :: s.s_residents;
+    add_resident t (seg_record t x.x_seg) piece ~live:0;
     piece
   in
   let process x =
@@ -323,7 +361,6 @@ let punch t p ~lo ~hi =
     if x_end <= lo || x.x_foff >= hi then [ x ]
     else begin
       let olo = Stdlib.max lo x.x_foff and ohi = Stdlib.min hi x_end in
-      x.x_dead <- true;
       kill_range t x ~from:(olo - x.x_foff) ~len:(ohi - olo);
       (* Surviving live bytes move to the kept pieces. *)
       let pieces = ref [] in
@@ -342,9 +379,7 @@ let punch t p ~lo ~hi =
 
 let append_meta ?(flow = Sim.Trace.no_flow) t fid p ~spawn ~finish =
   (match p.p_meta with
-  | Some m when not m.x_dead ->
-      m.x_dead <- true;
-      kill_range t m ~from:0 ~len:m.x_len
+  | Some m when not m.x_dead -> kill_range t m ~from:0 ~len:m.x_len
   | Some _ | None -> ());
   let created =
     append_raw t Normal ~fid:(-1 - fid) ~foff:0 ~flow ~len:meta_bytes ~spawn
@@ -357,8 +392,12 @@ let append_meta ?(flow = Sim.Trace.no_flow) t fid p ~spawn ~finish =
   | ms -> p.p_meta <- (match ms with m :: _ -> Some m | [] -> None)
 
 let create_file t ?(kind = Normal) () =
+  begin_op t;
   let fid = t.next_fid in
-  t.next_fid <- t.next_fid + 1;
+  record t (fun () ->
+      t.next_fid <- fid;
+      Hashtbl.remove t.files fid);
+  t.next_fid <- fid + 1;
   let p = { p_size = 0; p_extents = []; p_meta = None; p_kind = kind } in
   Hashtbl.replace t.files fid p;
   (* The pnode itself is data in the log. *)
@@ -387,6 +426,8 @@ let write t fid ~off ?data ?(flow = Sim.Trace.no_flow) ~len k =
   | None -> k (Error `No_such_file)
   | Some p ->
       flow_step t flow "pfs.log";
+      begin_op t;
+      save_pnode t p;
       let spawn, finish, release = joiner k in
       punch t p ~lo:off ~hi:(off + len);
       let created =
@@ -431,19 +472,19 @@ let delete t fid ~k =
   match Hashtbl.find_opt t.files fid with
   | None -> k (Error `No_such_file)
   | Some p ->
+      begin_op t;
       List.iter
-        (fun x ->
-          if not x.x_dead then begin
-            x.x_dead <- true;
-            kill_range t x ~from:0 ~len:x.x_len
-          end)
+        (fun x -> if not x.x_dead then kill_range t x ~from:0 ~len:x.x_len)
         p.p_extents;
       (match p.p_meta with
-      | Some m when not m.x_dead ->
-          m.x_dead <- true;
-          kill_range t m ~from:0 ~len:m.x_len
+      | Some m when not m.x_dead -> kill_range t m ~from:0 ~len:m.x_len
       | Some _ | None -> ());
+      record t (fun () -> Hashtbl.replace t.files fid p);
       Hashtbl.remove t.files fid;
+      (* A delete appends nothing, but counts as a normal-log record: a
+         crash rolls it back until the normal segment seals or a
+         checkpoint is taken. *)
+      if t.normal.o_mark < 0 then t.normal.o_mark <- t.op_start;
       k (Ok ())
 
 let read_flow t fid ~off ~len ~flow ~k =
@@ -503,6 +544,7 @@ let read t fid ~off ~len ~k =
   read_flow t fid ~off ~len ~flow:Sim.Trace.no_flow ~k
 
 let sync t ~k =
+  begin_op t;
   let spawn, finish, release = joiner k in
   if t.normal.o_fill > 0 then seal t t.normal ~spawn ~finish;
   if t.continuous.o_fill > 0 then seal t t.continuous ~spawn ~finish;
@@ -525,6 +567,7 @@ let clean_segment t id ~k =
       match r with
       | Error `Lost -> k (Error `Lost)
       | Ok segdata ->
+          begin_op t;
           let moved = ref 0 in
           let spawn, finish, release =
             joiner (fun r ->
@@ -533,6 +576,8 @@ let clean_segment t id ~k =
                 | Error e -> k (Error e))
           in
           let move x =
+            let dead = x.x_dead in
+            record t (fun () -> x.x_dead <- dead);
             x.x_dead <- true;
             if x.x_fid < 0 then begin
               (* A pnode record: re-append it for its owner, if the
@@ -540,6 +585,7 @@ let clean_segment t id ~k =
               let owner = -1 - x.x_fid in
               match Hashtbl.find_opt t.files owner with
               | Some p ->
+                  save_pnode t p;
                   let created =
                     append_raw t Normal ~fid:x.x_fid ~foff:0 ~len:x.x_len
                       ~spawn ~finish ()
@@ -554,6 +600,7 @@ let clean_segment t id ~k =
               match Hashtbl.find_opt t.files x.x_fid with
               | None -> ()
               | Some p ->
+                  save_pnode t p;
                   let data =
                     match segdata with
                     | Some bytes -> Some bytes
@@ -581,10 +628,19 @@ let clean_segment t id ~k =
           in
           List.iter move residents;
           (* The whole segment is now reusable. *)
+          let live = s.s_live and residents = s.s_residents
+          and freed = s.s_freed and free_list = t.free_list in
+          s.s_freed <- position t;
+          record t (fun () ->
+              s.s_state <- Sealed;
+              s.s_live <- live;
+              s.s_residents <- residents;
+              s.s_freed <- freed;
+              t.free_list <- free_list);
           s.s_state <- Free;
           s.s_live <- 0;
           s.s_residents <- [];
-          t.free_list <- id :: t.free_list;
+          t.free_list <- id :: free_list;
           release ())
 
 let checkpoint t ~k =
@@ -592,50 +648,46 @@ let checkpoint t ~k =
       match r with
       | Error _ as e -> k e
       | Ok () ->
-          t.shadow <- Some (copy_state t);
           (* one checkpoint-region write: a pnode-map-sized extent *)
           Raid.read_extent t.raid ~seg:0 ~off:0 ~len:0 ~k:(fun _ ->
-              k (Ok ())))
+              k (Ok ())));
+  (* The segments are sealed and the checkpoint region records the pnode
+     map, deletes included: nothing before this point rolls back. *)
+  t.normal.o_mark <- -1;
+  forget_before t (position t)
 
 let crash_and_recover t ~k =
   (* Volatile losses: open segment contents... *)
   let lost = t.normal.o_fill + t.continuous.o_fill in
-  (match t.shadow with
-  | None ->
-      (* Nothing ever sealed: back to an empty file system. *)
-      Hashtbl.reset t.segs;
-      Hashtbl.reset t.files;
-      t.next_seg <- 0;
-      t.free_list <- [];
-      t.next_fid <- 1
-  | Some sh ->
-      Hashtbl.reset t.segs;
-      List.iter (fun (id, s) -> Hashtbl.replace t.segs id s) sh.sh_segs;
-      Hashtbl.reset t.files;
-      List.iter (fun (fid, p) -> Hashtbl.replace t.files fid p) sh.sh_files;
-      t.next_seg <- sh.sh_next_seg;
-      t.free_list <- sh.sh_free;
-      t.next_fid <- sh.sh_next_fid);
-  (* The open segments' buffered bytes are gone; their segments were
-     never sealed, so recycle them and reopen fresh ones. *)
-  Hashtbl.iter
-    (fun id s ->
+  (* ...and every change since the recovery point, newest first. *)
+  let r = recovery_point t in
+  let rec roll_back () =
+    match t.undo with
+    | u :: rest when position t > r ->
+        t.undo <- rest;
+        t.undo_len <- t.undo_len - 1;
+        u ();
+        roll_back ()
+    | _ -> ()
+  in
+  roll_back ();
+  begin_op t;
+  (* The open segments' buffered bytes are gone.  Recycle those still
+     open (a rolled-back one is free already), then open fresh ones. *)
+  List.iter
+    (fun os ->
+      let s = seg_record t os.o_seg in
       if s.s_state = Open then begin
         s.s_state <- Free;
-        s.s_live <- 0;
-        s.s_residents <- [];
-        t.free_list <- id :: t.free_list
-      end)
-    t.segs;
+        t.free_list <- os.o_seg :: t.free_list
+      end;
+      os.o_fill <- 0;
+      os.o_mark <- -1;
+      Bytes.fill os.o_buf 0 t.seg_bytes '\000')
+    [ t.continuous; t.normal ];
   t.normal.o_seg <- allocate_segment t Normal;
-  t.normal.o_fill <- 0;
-  Bytes.fill t.normal.o_buf 0 t.seg_bytes '\000';
   t.continuous.o_seg <- allocate_segment t Continuous;
-  t.continuous.o_fill <- 0;
-  Bytes.fill t.continuous.o_buf 0 t.seg_bytes '\000';
-  (* The restored records are live again; re-snapshot so a second
-     crash does not resurrect state mutated since this recovery. *)
-  t.shadow <- Some (copy_state t);
+  forget_before t (position t);
   (* Recovery I/O: read the checkpoint region (modelled as one segment
      read) before answering. *)
   Raid.read_segment t.raid ~seg:0 ~k:(fun _ -> k ~lost_bytes:lost)

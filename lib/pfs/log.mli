@@ -91,24 +91,35 @@ val sync : t -> k:((unit, error) result -> unit) -> unit
 
 (** {1 Checkpoint and crash recovery}
 
-    The on-disk state is consistent up to the last sealed segment:
-    sealing writes the segment (with its summary) and every metadata
-    update travels through the log as a pnode append.  Recovery
-    restores the state as of the last seal or explicit checkpoint —
-    whatever sat only in the open segment buffers is lost, which is
-    precisely the window the client agent's buffering (and the UPS)
-    exists to cover. *)
+    Sealing writes a segment to the array, and every metadata update
+    travels through the log as a pnode append.  A crash recovers the
+    state at the {e recovery point}: the latest boundary between two
+    operations ({!create_file}, {!write}, {!delete}, {!sync},
+    {!checkpoint}, or the move of one segment by {!clean_segment})
+    before which every record sits in a sealed segment.  Whatever sat
+    only in the open segment buffers is lost, and with it every
+    operation from the one that wrote the oldest such record onwards,
+    even where part of that operation was sealed: recovery never shows
+    half an operation.  That window is precisely what the client
+    agent's buffering (and the UPS) exists to cover.
+
+    A delete appends nothing, but counts as a record in the normal log:
+    a crash rolls it back until the normal segment next seals or a
+    checkpoint is taken.  The log keeps the inverse of every change
+    made since the recovery point, so a seal costs time in proportion
+    to those changes, not to the size of the file system. *)
 
 val checkpoint : t -> k:((unit, error) result -> unit) -> unit
-(** Seal the open segments and record a recovery point (one extra
-    checkpoint-region write). *)
+(** Seal the open segments and write the checkpoint region (one extra
+    I/O).  The region records the pnode map, so every operation before
+    the checkpoint survives a crash, deletes included. *)
 
 val crash_and_recover : t -> k:(lost_bytes:int -> unit) -> unit
-(** Lose the volatile state (open segment buffers and metadata changes
-    since the last seal/checkpoint), then rebuild from the checkpoint
-    plus roll-forward; [k] reports how many buffered bytes vanished.
-    Note the LFS quirk: a delete performed after the last seal is also
-    rolled back — the file returns. *)
+(** Lose the open segment buffers, roll the mapping back to the
+    recovery point and open empty segments; [k] reports how many
+    buffered bytes vanished.  Note the LFS quirk: a delete performed
+    after the last seal is also rolled back — the file returns.  A fid
+    whose create was rolled back is issued again. *)
 
 (** {1 Segment bookkeeping (used by the cleaners)} *)
 
@@ -124,7 +135,9 @@ val segment_sealed : t -> int -> bool
 val clean_segment : t -> int -> k:((int, error) result -> unit) -> unit
 (** Move every live byte of a sealed segment to the head of the log and
     free it.  Returns the number of bytes moved.  Cleaning a segment
-    that is open or already free is an error ([Invalid_argument]). *)
+    that is open or already free is an error ([Invalid_argument]).
+    The freed segment is not written again while a crash could still
+    roll the move back, since that needs its old contents. *)
 
 (** {1 Extent map (used by the replication directory)} *)
 

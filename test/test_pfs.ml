@@ -390,6 +390,27 @@ let log_tests =
         (* Reuse means the table barely grows. *)
         Alcotest.(check bool) "reused free segments" true
           (Pfs.Log.total_segments log <= segs_before + 1));
+    Alcotest.test_case "write+sync cost per file stays flat as files grow"
+      `Quick (fun () ->
+        (* Minor-heap words per file to create [n] files, write 16 KB to
+           each and sync: a cost that grows with the file system (a copy
+           of the mapping at every seal) shows up as growth here. *)
+        let words_per_file n =
+          let e, _, log = rig ~store_data:false () in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to n do
+            let fid = Pfs.Log.create_file log () in
+            Pfs.Log.write log fid ~off:0 ~len:16_384 (fun _ -> ())
+          done;
+          Pfs.Log.sync log ~k:(fun _ -> ());
+          Sim.Engine.run e;
+          (Gc.minor_words () -. w0) /. Float.of_int n
+        in
+        let small = words_per_file 256 and big = words_per_file 4096 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f -> %.0f words per file" small big)
+          true
+          (big <= 1.25 *. small));
   ]
 
 let garbage_tests =
@@ -900,99 +921,142 @@ let extension_tests =
           (Pfs.Log.peek log fid ~off:0 ~len:100 = None));
   ]
 
-(* Model-based property test: arbitrary write/overwrite/delete/sync/
-   clean sequences must leave every surviving file byte-identical to a
-   plain in-memory reference. *)
+(* Model-based property test: arbitrary create/write/delete/sync/clean/
+   checkpoint/crash sequences.  Between crashes every surviving file
+   must be byte-identical to a plain in-memory reference; a crash must
+   bring back the reference as it stood at one operation boundary at or
+   after the last checkpoint or crash, and the log must keep working. *)
 
 type model_op =
+  | M_create of int * bool  (* file slot, continuous *)
   | M_write of int * int * int  (* file slot, offset, length *)
   | M_delete of int
   | M_sync
   | M_clean
+  | M_checkpoint
+  | M_crash
+
+let show_model_op = function
+  | M_create (f, c) ->
+      Printf.sprintf "create %d%s" f (if c then " continuous" else "")
+  | M_write (f, off, len) -> Printf.sprintf "write %d %d %d" f off len
+  | M_delete f -> Printf.sprintf "delete %d" f
+  | M_sync -> "sync"
+  | M_clean -> "clean"
+  | M_checkpoint -> "checkpoint"
+  | M_crash -> "crash"
 
 let model_op_gen =
   QCheck2.Gen.(
     frequency
       [
+        ( 2,
+          map2 (fun f c -> M_create (f, c)) (int_range 0 3)
+            (frequency [ (3, return false); (1, return true) ]) );
         (6, map3 (fun f off len -> M_write (f, off, len))
               (int_range 0 3) (int_range 0 20_000) (int_range 1 9_000));
         (1, map (fun f -> M_delete f) (int_range 0 3));
         (1, return M_sync);
         (1, return M_clean);
+        (1, return M_checkpoint);
+        (1, return M_crash);
       ])
 
 let run_model_ops ops =
   let e = Sim.Engine.create () in
   let raid = Pfs.Raid.create e ~store_data:true ~segment_bytes:16_384 () in
   let log = Pfs.Log.create e ~raid () in
-  let fids = Array.make 4 None in
-  let model : bytes option array = Array.make 4 None in
+  (* Per slot: the file's fid and its bytes. *)
+  let model : (int * bytes) option array = Array.make 4 None in
+  let issued = ref [] in
+  let ok = ref true in
+  let check_write r = if r <> Ok () then ok := false in
+  let reads_back fid data =
+    let got = ref None in
+    Pfs.Log.read log fid ~off:0 ~len:(Bytes.length data)
+      ~k:(fun r -> got := Some r);
+    Sim.Engine.run e;
+    !got = Some (Ok (Some data))
+  in
+  (* The log holds exactly the files of [state], with their bytes; every
+     other fid ever issued is absent. *)
+  let matches state =
+    let live = List.filter_map (Option.map fst) (Array.to_list state) in
+    Array.for_all
+      (function
+        | None -> true
+        | Some (fid, data) ->
+            Pfs.Log.file_exists log fid
+            && Pfs.Log.file_size log fid = Bytes.length data
+            && reads_back fid data)
+      state
+    && List.for_all
+         (fun fid -> List.mem fid live || not (Pfs.Log.file_exists log fid))
+         !issued
+  in
   let tag = ref 0 in
   let apply = function
-    | M_write (slot, off, len) ->
-        incr tag;
-        let fid =
-          match fids.(slot) with
-          | Some fid -> fid
-          | None ->
-              let fid = Pfs.Log.create_file log () in
-              fids.(slot) <- Some fid;
-              model.(slot) <- Some Bytes.empty;
-              fid
-        in
-        let data = pattern len !tag in
-        Pfs.Log.write log fid ~off ~data ~len (fun r ->
-            match r with
-            | Ok () -> ()
-            | Error _ -> Alcotest.fail "model write failed");
-        let old = match model.(slot) with Some b -> b | None -> Bytes.empty in
-        let size = Stdlib.max (Bytes.length old) (off + len) in
-        let next = Bytes.make size '\000' in
-        Bytes.blit old 0 next 0 (Bytes.length old);
-        Bytes.blit data 0 next off len;
-        model.(slot) <- Some next
-    | M_delete slot -> begin
-        match fids.(slot) with
+    | M_create (slot, continuous) ->
+        if model.(slot) = None then begin
+          let kind =
+            if continuous then Pfs.Log.Continuous else Pfs.Log.Normal
+          in
+          let fid = Pfs.Log.create_file log ~kind () in
+          issued := fid :: !issued;
+          model.(slot) <- Some (fid, Bytes.empty)
+        end
+    | M_write (slot, off, len) -> (
+        match model.(slot) with
         | None -> ()
-        | Some fid ->
-            Pfs.Log.delete log fid ~k:(fun _ -> ());
-            fids.(slot) <- None;
-            model.(slot) <- None
-      end
+        | Some (fid, old) ->
+            incr tag;
+            let data = pattern len !tag in
+            Pfs.Log.write log fid ~off ~data ~len check_write;
+            let size = Stdlib.max (Bytes.length old) (off + len) in
+            let next = Bytes.make size '\000' in
+            Bytes.blit old 0 next 0 (Bytes.length old);
+            Bytes.blit data 0 next off len;
+            model.(slot) <- Some (fid, next))
+    | M_delete slot -> (
+        match model.(slot) with
+        | None -> ()
+        | Some (fid, _) ->
+            Pfs.Log.delete log fid ~k:check_write;
+            model.(slot) <- None)
     | M_sync -> Pfs.Log.sync log ~k:(fun _ -> ())
     | M_clean ->
         Pfs.Log.sync log ~k:(fun _ -> ());
         Sim.Engine.run e;
         Pfs.Cleaner.run log (fun _ -> ())
+    | M_checkpoint -> Pfs.Log.checkpoint log ~k:(fun _ -> ())
+    | M_crash -> Pfs.Log.crash_and_recover log ~k:(fun ~lost_bytes:_ -> ())
   in
-  List.iter
-    (fun op ->
-      apply op;
-      Sim.Engine.run e)
-    ops;
-  (* Verify every surviving file against the reference. *)
-  let ok = ref true in
-  Array.iteri
-    (fun slot fid ->
-      match (fid, model.(slot)) with
-      | Some fid, Some expected when Bytes.length expected > 0 ->
-          let got = ref None in
-          Pfs.Log.read log fid ~off:0 ~len:(Bytes.length expected)
-            ~k:(fun r -> got := Some r);
-          Sim.Engine.run e;
-          (match !got with
-          | Some (Ok (Some b)) -> if not (Bytes.equal b expected) then ok := false
-          | _ -> ok := false)
-      | _ -> ())
-    fids;
-  !ok
+  (* [boundaries]: the reference at every operation boundary since the
+     last checkpoint or crash, newest first. *)
+  let rec go boundaries = function
+    | [] -> !ok && matches model
+    | op :: rest -> (
+        apply op;
+        Sim.Engine.run e;
+        match op with
+        | M_checkpoint -> go [ Array.copy model ] rest
+        | M_crash -> (
+            match List.find_opt matches boundaries with
+            | Some state ->
+                Array.blit state 0 model 0 (Array.length model);
+                go [ state ] rest
+            | None -> false)
+        | _ -> go (Array.copy model :: boundaries) rest)
+  in
+  go [ Array.copy model ] ops
 
 let model_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"log matches a reference model under churn"
-         ~count:40
-         QCheck2.Gen.(list_size (int_range 5 40) model_op_gen)
+         ~count:200
+         ~print:(fun ops -> String.concat "; " (List.map show_model_op ops))
+         QCheck2.Gen.(list_size (int_range 5 60) model_op_gen)
          run_model_ops);
   ]
 
@@ -1078,6 +1142,27 @@ let recovery_tests =
         Sim.Engine.run e;
         Alcotest.(check bytes) "latest sealed state" (pattern 1_000 9)
           (read_back e log a ~off:0 ~len:1_000));
+    Alcotest.test_case "a seal inside an overwrite does not tear the file"
+      `Quick (fun () ->
+        let e, _, log = rig ~segment_bytes:16_384 () in
+        let f = Pfs.Log.create_file log () in
+        write_ok e log f ~off:0 (pattern 1_000 1);
+        Pfs.Log.sync log ~k:(fun _ -> ());
+        Sim.Engine.run e;
+        let g = Pfs.Log.create_file log () in
+        write_ok e log g ~off:0 (pattern 15_256 2);
+        (* Two 64 B pnodes and G's data leave 1000 B in the open segment:
+           F's new bytes fill it exactly, so it seals in the middle of
+           the overwrite, after F's old extent is punched. *)
+        write_ok e log f ~off:0 (pattern 1_000 3);
+        Pfs.Log.crash_and_recover log ~k:(fun ~lost_bytes:_ -> ());
+        Sim.Engine.run e;
+        Alcotest.(check bytes) "F reads its synced bytes" (pattern 1_000 1)
+          (read_back e log f ~off:0 ~len:1_000);
+        Alcotest.(check bool) "G exists" true (Pfs.Log.file_exists log g);
+        Alcotest.(check bool) "G is sealed" true (Pfs.Log.file_sealed log g);
+        Alcotest.(check bytes) "G reads back" (pattern 15_256 2)
+          (read_back e log g ~off:0 ~len:15_256));
   ]
 
 let () =
