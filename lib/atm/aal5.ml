@@ -5,14 +5,17 @@ let frame_cells len =
 
 (* Build the CPCS-PDU for a payload: payload, zero padding, and the
    8-byte trailer (UU=0, CPI=0, length, CRC).  The CRC covers the PDU
-   with the CRC field itself zeroed, which is how we verify it too. *)
+   with the CRC field itself zeroed, which is how we verify it too.
+   Only the bytes after the payload are zero-filled: the payload blit
+   overwrites the rest. *)
 let build_pdu payload =
   let len = Bytes.length payload in
   if len > 0xffff then invalid_arg "Aal5.segment: payload too long";
   let ncells = frame_cells len in
   let pdu_len = ncells * Cell.payload_bytes in
-  let pdu = Bytes.make pdu_len '\000' in
+  let pdu = Bytes.create pdu_len in
   Bytes.blit payload 0 pdu 0 len;
+  Bytes.fill pdu len (pdu_len - len) '\000';
   Util.put_u16 pdu (pdu_len - 6) len;
   let crc = Crc32.digest pdu ~pos:0 ~len:(pdu_len - 4) in
   Util.put_u32 pdu (pdu_len - 4) crc;

@@ -102,11 +102,14 @@ let send_paced t payload =
            Net.send_frame ?flow t.vc payload))
 
 (* Pixel content: a deterministic pattern so that tests can check what
-   the display renders without shipping real video. *)
+   the display renders without shipping real video.  The range is
+   checked once, so the per-byte loop needs no bounds checks. *)
 let fill_tile_data t buf ~row ~first_tile ~count =
-  for i = 0 to (count * t.bytes_per_tile) - 1 do
-    Bytes.set buf i
-      (Char.chr ((row + first_tile + i + t.frame) land 0xff))
+  let n = count * t.bytes_per_tile in
+  if n > Bytes.length buf then invalid_arg "Camera.fill_tile_data: buffer too short";
+  let base = row + first_tile + t.frame in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set buf i (Char.unsafe_chr ((base + i) land 0xff))
   done
 
 let packets_of_row t ~row ~captured_at =

@@ -99,33 +99,32 @@ let on_blit t f = t.on_blit <- Some f
 (* A pixel may be painted when unowned, owned by this window, or owned
    by a window that is now stacked below this one.  Occluded pixels are
    counted but not painted; since video repaints every frame, a raised
-   window repairs itself within one frame time. *)
-let may_paint t w ~vci ~idx =
-  let owner = t.owners.(idx) in
-  if owner = -1 || owner = vci then true
-  else
-    match Hashtbl.find_opt t.windows owner with
-    | Some other -> other.wz <= w.wz
-    | None -> true
+   window repairs itself within one frame time.  [blit_tile] tests the
+   first two cases inline and asks [may_paint_over] only about a pixel
+   that another window owns. *)
+let may_paint_over t w ~owner =
+  match Hashtbl.find_opt t.windows owner with
+  | Some other -> other.wz <= w.wz
+  | None -> true
 
 let blit_tile t w ~vci ~sx ~sy data off =
   (* Copy an 8x8 tile whose top-left lands at screen (sx, sy); the
-     caller has already checked the window clip. *)
+     caller has already checked the window clip.  Each tile line is
+     clipped once against the screen and the source data, so the pixel
+     loop indexes without bounds checks. *)
+  let x0 = Int.max 0 (-sx) and x1 = Int.min Tile.size (t.screen_w - sx) in
   for line = 0 to Tile.size - 1 do
-    let y = sy + line in
-    if y >= 0 && y < t.screen_h then
-      for px = 0 to Tile.size - 1 do
-        let x = sx + px in
-        if x >= 0 && x < t.screen_w && off + (line * Tile.size) + px < Bytes.length data
-        then begin
-          let idx = (y * t.screen_w) + x in
-          if may_paint t w ~vci ~idx then begin
-            t.owners.(idx) <- vci;
-            Bytes.set t.framebuffer idx
-              (Bytes.get data (off + (line * Tile.size) + px))
-          end
-          else w.occluded_px <- w.occluded_px + 1
+    let y = sy + line and src = off + (line * Tile.size) in
+    let x_end = Int.min x1 (Bytes.length data - src) in
+    if y >= 0 && y < t.screen_h && src >= 0 then
+      for px = x0 to x_end - 1 do
+        let idx = (y * t.screen_w) + sx + px in
+        let owner = Array.unsafe_get t.owners idx in
+        if owner = -1 || owner = vci || may_paint_over t w ~owner then begin
+          Array.unsafe_set t.owners idx vci;
+          Bytes.unsafe_set t.framebuffer idx (Bytes.unsafe_get data (src + px))
         end
+        else w.occluded_px <- w.occluded_px + 1
       done
   done
 

@@ -311,7 +311,10 @@ and fire t ot =
 
 (* Process committed cells whose virtual offer has passed [w]: apply
    the per-cell counters and hand maximal contiguous delivered runs to
-   the receiver as zero-copy sub-trains. *)
+   the receiver as zero-copy sub-trains.  A run's busy time is booked
+   once, before the receiver sees the run, so a read from inside the
+   receiver counts every cell delivered so far, as the per-cell path
+   would. *)
 and process_upto t ot w =
   let i = ref ot.ot_done in
   let run0 = ref (-1) in
@@ -319,12 +322,14 @@ and process_upto t ot w =
     let first = !run0 in
     run0 := -1;
     let count = last - first + 1 in
+    t.busy <- Sim.Time.add t.busy (Sim.Time.mul t.cell_time count);
     let sub = Train.sub ot.ot_train ~first ~count in
     match t.rx_train with
     | Some (Stream f) ->
-        let arrivals =
-          Array.init count (fun k -> ot.ot_starts.(first + k) + ot.ot_lat)
-        in
+        let arrivals = Array.make count 0 in
+        for k = 0 to count - 1 do
+          arrivals.(k) <- ot.ot_starts.(first + k) + ot.ot_lat
+        done;
         f sub ~arrivals_ns:arrivals
     | Some (Frame_end f) -> f sub
     | None ->
@@ -340,7 +345,6 @@ and process_upto t ot w =
       let qd_us = Sim.Time.to_us_f (Sim.Time.ns (s - ot.ot_offers.(!i))) in
       Sim.Metrics.observe t.m_queue_delay qd_us;
       Sim.Metrics.sample t.m_queue_delay_win qd_us;
-      t.busy <- Sim.Time.add t.busy t.cell_time;
       if !run0 < 0 then run0 := !i
     end
     else begin
@@ -394,7 +398,7 @@ let send_train ?(priority = false) ?offers_ns t train =
       if priority then begin
         let rf = ref (Sim.Time.to_ns t.res_next_free) in
         for i = base to base + n - 1 do
-          let s = Stdlib.max offers.(i) !rf + ctn in
+          let s = Int.max offers.(i) !rf + ctn in
           starts.(i) <- s;
           rf := s + ctn
         done;
@@ -407,7 +411,7 @@ let send_train ?(priority = false) ?offers_ns t train =
           let o = offers.(i) in
           let depth = if !nf <= o then 0 else (!nf - o + ctn - 1) / ctn in
           if depth < t.queue_cells then begin
-            let s = Stdlib.max (Stdlib.max o !nf) rf in
+            let s = Int.max (Int.max o !nf) rf in
             starts.(i) <- s;
             nf := s + ctn
           end

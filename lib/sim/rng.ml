@@ -6,24 +6,37 @@ type zipf_cache = { zn : int; zs : float; cdf : float array }
    rebuild an O(n) table on every call. *)
 let zipf_cache_slots = 8
 
-type t = { mutable state : int64; mutable zipf : zipf_cache list }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer rather than in
+   a mutable [int64] field, which would point to a fresh boxed int64 on
+   every draw.  With [int64] and [mix64] inlined, a draw that ends in an
+   [int] ([int], [bool], [shuffle]) allocates nothing. *)
+type t = { state : bytes; mutable zipf : zipf_cache list }
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ?(seed = 0x5DEECE66DL) () = { state = seed; zipf = [] }
+let of_state state =
+  let b = Bytes.create 8 in
+  set64u b 0 state;
+  { state = b; zipf = [] }
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create ?(seed = 0x5DEECE66DL) () = of_state seed
+
+let[@inline] int64 t =
+  let s = Int64.add (get64u t.state 0) golden_gamma in
+  set64u t.state 0 s;
+  mix64 s
 
 let split t =
   let seed = int64 t in
-  { state = mix64 seed; zipf = [] }
+  of_state (mix64 seed)
 
 let float t =
   (* 53 random bits scaled to [0,1) *)

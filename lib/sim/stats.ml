@@ -1,65 +1,80 @@
 module Summary = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable total : float;
-  }
+  (* The five running floats live in a [floatarray], not in mutable
+     float fields: in a record that also holds the int count, each float
+     field is a pointer to a boxed float, so every [add] would allocate
+     three fresh boxes.  A flat-float-array store is a plain unboxed
+     write, which keeps [add] allocation-free. *)
+  type t = { mutable n : int; f : floatarray }
 
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. Float.of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.total <- t.total +. x
+  let mean_ = 0
+  let m2_ = 1
+  let min_ = 2
+  let max_ = 3
+  let total_ = 4
 
   let clear t =
     t.n <- 0;
-    t.mean <- 0.0;
-    t.m2 <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity;
-    t.total <- 0.0
+    let f = t.f in
+    Float.Array.unsafe_set f mean_ 0.0;
+    Float.Array.unsafe_set f m2_ 0.0;
+    Float.Array.unsafe_set f min_ infinity;
+    Float.Array.unsafe_set f max_ neg_infinity;
+    Float.Array.unsafe_set f total_ 0.0
+
+  let create () =
+    let t = { n = 0; f = Float.Array.create 5 } in
+    clear t;
+    t
+
+  let add t x =
+    let f = t.f in
+    t.n <- t.n + 1;
+    let mean = Float.Array.unsafe_get f mean_ in
+    let delta = x -. mean in
+    let mean = mean +. (delta /. Float.of_int t.n) in
+    Float.Array.unsafe_set f mean_ mean;
+    Float.Array.unsafe_set f m2_
+      (Float.Array.unsafe_get f m2_ +. (delta *. (x -. mean)));
+    if x < Float.Array.unsafe_get f min_ then Float.Array.unsafe_set f min_ x;
+    if x > Float.Array.unsafe_get f max_ then Float.Array.unsafe_set f max_ x;
+    Float.Array.unsafe_set f total_ (Float.Array.unsafe_get f total_ +. x)
 
   let count t = t.n
-  let mean t = t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. Float.of_int (t.n - 1)
+  let mean t = Float.Array.get t.f mean_
+  let m2 t = Float.Array.get t.f m2_
+
+  let variance t =
+    if t.n < 2 then 0.0 else m2 t /. Float.of_int (t.n - 1)
+
   let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-  let total t = t.total
+  let min t = Float.Array.get t.f min_
+  let max t = Float.Array.get t.f max_
+  let total t = Float.Array.get t.f total_
+  let copy t = { n = t.n; f = Float.Array.copy t.f }
 
   let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
+    if a.n = 0 then copy b
+    else if b.n = 0 then copy a
     else begin
       let n = a.n + b.n in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. Float.of_int b.n /. Float.of_int n) in
+      let delta = mean b -. mean a in
+      let mean = mean a +. (delta *. Float.of_int b.n /. Float.of_int n) in
       let m2 =
-        a.m2 +. b.m2
+        m2 a +. m2 b
         +. (delta *. delta *. Float.of_int a.n *. Float.of_int b.n /. Float.of_int n)
       in
-      {
-        n;
-        mean;
-        m2;
-        min = Stdlib.min a.min b.min;
-        max = Stdlib.max a.max b.max;
-        total = a.total +. b.total;
-      }
+      let f = Float.Array.create 5 in
+      Float.Array.set f mean_ mean;
+      Float.Array.set f m2_ m2;
+      Float.Array.set f min_ (Stdlib.min (min a) (min b));
+      Float.Array.set f max_ (Stdlib.max (max a) (max b));
+      Float.Array.set f total_ (total a +. total b);
+      { n; f }
     end
 
   let pp fmt t =
-    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n t.mean
-      (stddev t) t.min t.max
+    Format.fprintf fmt "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.n (mean t)
+      (stddev t) (min t) (max t)
 end
 
 module Samples = struct

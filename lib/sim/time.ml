@@ -10,8 +10,8 @@ let add = Int64.add
 let sub = Int64.sub
 let mul t n = Int64.mul t (Int64.of_int n)
 let div t n = Int64.div t (Int64.of_int n)
-let min = Stdlib.min
-let max = Stdlib.max
+let min a b = if Int64.compare a b <= 0 then a else b
+let max a b = if Int64.compare a b >= 0 then a else b
 let compare = Int64.compare
 let ( < ) a b = Int64.compare a b < 0
 let ( <= ) a b = Int64.compare a b <= 0

@@ -3,6 +3,18 @@
 let ms = Sim.Time.ms
 let us = Sim.Time.us
 
+(* The textbook CRC-32, one byte per step and one bit per inner step:
+   the oracle for the sliced kernel in [Atm.Crc32]. *)
+let crc_reference b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
 let crc_tests =
   [
     Alcotest.test_case "known vector" `Quick (fun () ->
@@ -21,6 +33,27 @@ let crc_tests =
            let byte = i / 8 and bit = i mod 8 in
            Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
            Atm.Crc32.digest_bytes b <> original));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"digest equals the byte-at-a-time reference at every alignment"
+         ~count:200
+         QCheck2.Gen.(
+           int_range 0 4096 >>= fun len ->
+           map (fun s -> (len, s)) (string_size ~gen:char (return (len + 15))))
+         (fun (len, s) ->
+           let b = Bytes.of_string s in
+           List.for_all
+             (fun pos ->
+               Atm.Crc32.digest b ~pos ~len = crc_reference b ~pos ~len)
+             (List.init 16 Fun.id)));
+    Alcotest.test_case "largest AAL5 payload matches the reference" `Quick
+      (fun () ->
+        let b =
+          Bytes.init 65_535 (fun i -> Char.chr (((i * 7919) lxor (i lsr 8)) land 0xff))
+        in
+        Alcotest.(check int) "crc"
+          (crc_reference b ~pos:0 ~len:65_535)
+          (Atm.Crc32.digest_bytes b));
   ]
 
 let util_tests =
@@ -743,6 +776,163 @@ let stacking_tests =
           (Atm.Display.screen_byte d ~x:3 ~y:3));
   ]
 
+(* Oracle for the display's line-clipped blit: a model screen painted
+   pixel by pixel, with every bounds and ownership check made per
+   pixel.  Window stacking is read from the display under test, so the
+   two share one z-order. *)
+type model_screen = {
+  ms_w : int;
+  ms_h : int;
+  ms_fb : Bytes.t;
+  ms_owners : int array;
+  ms_occluded : (int, int) Hashtbl.t;
+}
+
+let model_may_paint d m ~vci ~idx =
+  let owner = m.ms_owners.(idx) in
+  if owner = -1 || owner = vci then true
+  else
+    match Atm.Display.z_order d ~vci:owner with
+    | z -> z <= Atm.Display.z_order d ~vci
+    | exception Invalid_argument _ -> true
+
+let model_blit_tile d m ~vci ~sx ~sy data off =
+  for line = 0 to Atm.Tile.size - 1 do
+    let y = sy + line in
+    if y >= 0 && y < m.ms_h then
+      for px = 0 to Atm.Tile.size - 1 do
+        let x = sx + px in
+        if x >= 0 && x < m.ms_w
+           && off + (line * Atm.Tile.size) + px < Bytes.length data
+        then begin
+          let idx = (y * m.ms_w) + x in
+          if model_may_paint d m ~vci ~idx then begin
+            m.ms_owners.(idx) <- vci;
+            Bytes.set m.ms_fb idx
+              (Bytes.get data (off + (line * Atm.Tile.size) + px))
+          end
+          else
+            Hashtbl.replace m.ms_occluded vci
+              (1 + Option.value ~default:0 (Hashtbl.find_opt m.ms_occluded vci))
+        end
+      done
+  done
+
+(* [Display.render]'s window clip, then the model blit. *)
+let model_render d m ~vci ~wx ~wy ~ww ~wh (p : Atm.Tile.packet) =
+  for i = 0 to p.count - 1 do
+    let tile_px = (p.x + i) * Atm.Tile.size and tile_py = p.y * Atm.Tile.size in
+    if
+      tile_px + Atm.Tile.size <= ww
+      && tile_py + Atm.Tile.size <= wh
+      && tile_px >= 0 && tile_py >= 0
+      && p.bytes_per_tile = Atm.Tile.raw_bytes
+    then
+      model_blit_tile d m ~vci ~sx:(wx + tile_px) ~sy:(wy + tile_py) p.data
+        (i * p.bytes_per_tile)
+  done
+
+let blit_differential_tests =
+  [
+    Alcotest.test_case "line-clipped blit equals the per-pixel reference" `Quick
+      (fun () ->
+        let sw = 64 and sh = 48 in
+        let e = Sim.Engine.create () in
+        let d = Atm.Display.create e ~screen_width:sw ~screen_height:sh () in
+        let m =
+          {
+            ms_w = sw;
+            ms_h = sh;
+            ms_fb = Bytes.make (sw * sh) '\000';
+            ms_owners = Array.make (sw * sh) (-1);
+            ms_occluded = Hashtbl.create 2;
+          }
+        in
+        (* Window 1 hangs off the top-left corner, window 2 off the
+           bottom-right; neither offset is a multiple of the tile size,
+           so edge tiles are cut mid-line.  They overlap in the middle,
+           where a title bar painted by the window manager also sits. *)
+        let windows = [ (1, (-13, -10, 48, 40)); (2, (27, 19, 48, 40)) ] in
+        List.iter
+          (fun (vci, (x, y, width, height)) ->
+            Atm.Display.add_window d ~vci ~x ~y ~width ~height)
+          windows;
+        Atm.Display.decorate d ~x:20 ~y:22 ~width:30 ~height:3 ~value:0xEE;
+        for dy = 0 to 2 do
+          for dx = 0 to 29 do
+            let idx = ((22 + dy) * sw) + 20 + dx in
+            m.ms_owners.(idx) <- -2;
+            Bytes.set m.ms_fb idx '\xEE'
+          done
+        done;
+        let paint frame (vci, (wx, wy, ww, wh)) =
+          (* One packet per tile row, one tile wider than the window so
+             the window clip drops the last tile. *)
+          for row = 0 to (wh / Atm.Tile.size) - 1 do
+            let count = (ww / Atm.Tile.size) + 1 in
+            let data =
+              Bytes.init (count * Atm.Tile.raw_bytes) (fun i ->
+                  Char.chr (((vci * 97) + (frame * 31) + (row * 7) + i) land 0xff))
+            in
+            let p =
+              {
+                Atm.Tile.x = 0;
+                y = row;
+                frame;
+                count;
+                bytes_per_tile = Atm.Tile.raw_bytes;
+                captured_at = Sim.Time.zero;
+                data;
+              }
+            in
+            List.iter (Atm.Display.cell_rx d)
+              (Atm.Aal5.segment ~vci (Atm.Tile.marshal p));
+            model_render d m ~vci ~wx ~wy ~ww ~wh p
+          done
+        in
+        let restack =
+          [|
+            (fun () -> ());
+            (fun () -> Atm.Display.raise_window d ~vci:1);
+            (fun () -> Atm.Display.lower_window d ~vci:1);
+            (fun () -> Atm.Display.raise_window d ~vci:1);
+            (fun () -> Atm.Display.lower_window d ~vci:2);
+            (fun () -> Atm.Display.raise_window d ~vci:2);
+          |]
+        in
+        Array.iteri
+          (fun frame change ->
+            change ();
+            let order = if frame mod 2 = 0 then windows else List.rev windows in
+            List.iter (paint frame) order;
+            for y = 0 to sh - 1 do
+              for x = 0 to sw - 1 do
+                let want = Char.code (Bytes.get m.ms_fb ((y * sw) + x)) in
+                let got = Atm.Display.screen_byte d ~x ~y in
+                if got <> want then
+                  Alcotest.failf "frame %d: pixel (%d,%d) is %d, reference %d"
+                    frame x y got want
+              done
+            done;
+            List.iter
+              (fun (vci, _) ->
+                Alcotest.(check int)
+                  (Printf.sprintf "frame %d: pixels occluded on %d" frame vci)
+                  (Option.value ~default:0 (Hashtbl.find_opt m.ms_occluded vci))
+                  (Atm.Display.pixels_occluded d ~vci))
+              windows)
+          restack;
+        (* The scenario is not vacuous: both windows lost pixels to each
+           other at some point. *)
+        List.iter
+          (fun (vci, _) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "window %d was occluded" vci)
+              true
+              (Atm.Display.pixels_occluded d ~vci > 0))
+          windows);
+  ]
+
 let conservation_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -792,5 +982,6 @@ let () =
       ("traffic", traffic_tests);
       ("reservation", reservation_tests);
       ("stacking", stacking_tests);
+      ("blit", blit_differential_tests);
       ("conservation", conservation_tests);
     ]

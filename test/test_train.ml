@@ -154,6 +154,43 @@ let link_tests =
         per_cell_sent := (fun (_, s, _) -> s) a;
         Alcotest.(check bool) "identical" true (a = b);
         Alcotest.(check int) "overflow happened" 4 !per_cell_sent);
+    Alcotest.test_case "a cell-hop costs at most 6 minor words" `Quick
+      (fun () ->
+        (* Fifty 32 KB frames host -> switch -> host.  The train path
+           books every cell's counters and queue-delay sample, so a
+           boxed value per cell (a float, an int64, a closure) shows up
+           here at once; the PDU buffers themselves are major-heap
+           allocations and do not count. *)
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+        let net = Atm.Net.create e in
+        Atm.Net.set_train_path net true;
+        let a = Atm.Net.add_host net ~name:"a" in
+        let b = Atm.Net.add_host net ~name:"b" in
+        let s = Atm.Net.add_switch net ~name:"s" ~ports:2 in
+        let frame_bytes = 32 * 1024 and frames = 50 in
+        let cells = Atm.Aal5.frame_cells frame_bytes in
+        Atm.Net.connect net ~queue_cells:(cells + 64) a s;
+        Atm.Net.connect net ~queue_cells:(cells + 64) s b;
+        let received = ref 0 in
+        let rx, rx_train =
+          Atm.Net.frame_rx_pair ~rx:(fun _ -> incr received) ()
+        in
+        let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx ~rx_train in
+        let payload = Bytes.make frame_bytes 'x' in
+        let period = Sim.Time.ns ((cells * 4240) + 20_000) in
+        let w0 = Gc.minor_words () in
+        for i = 0 to frames - 1 do
+          ignore
+            (Sim.Engine.schedule e ~delay:(Sim.Time.mul period i) (fun () ->
+                 Atm.Net.send_frame vc payload))
+        done;
+        Sim.Engine.run e;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "every frame arrived" frames !received;
+        let per_hop = words /. Float.of_int (frames * cells * 2) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.1f minor words per cell-hop" per_hop)
+          true (per_hop <= 6.0));
   ]
 
 (* {1 The differential property}
