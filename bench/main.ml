@@ -647,7 +647,9 @@ let atm_mode_json ~frames ~cells total_ns =
     ]
 
 let run_atm_bench ~smoke path =
-  Format.printf "@.Part 5: ATM cell-train fast-path benchmark@.@.";
+  Format.printf
+    "@.Part 5: ATM cell-train fast-path benchmark (CRC-32 kernel: %s)@.@."
+    Atm.Crc32.kernel;
   let target_cells = if smoke then 60_000 else 400_000 in
   let rows =
     List.map
@@ -1294,6 +1296,7 @@ let () =
         ( "mode",
           Sim.Json.String
             (if smoke then "smoke" else if quick then "quick" else "full") );
+        ("crc32_kernel", Sim.Json.String Atm.Crc32.kernel);
         ("experiments", Sim.Json.List experiments);
         ("microbenchmarks", Sim.Json.List micro);
         ("metrics", Sim.Metrics.snapshot Sim.Metrics.default);

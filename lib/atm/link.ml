@@ -309,40 +309,41 @@ and fire t ot =
     t.opens <- List.filter (fun o -> o != ot) t.opens
   else reschedule t ot
 
+(* Hand the delivered cells [first..last] of a window to the receiver
+   as one zero-copy sub-train.  The run's busy time is booked once,
+   before the receiver sees the run, so a read from inside the receiver
+   counts every cell delivered so far, as the per-cell path would. *)
+and deliver_run t ot first last =
+  let count = last - first + 1 in
+  t.busy <- Sim.Time.add t.busy (Sim.Time.mul t.cell_time count);
+  let sub = Train.sub ot.ot_train ~first ~count in
+  match t.rx_train with
+  | Some (Stream f) ->
+      let arrivals = Array.make count 0 in
+      for k = 0 to count - 1 do
+        arrivals.(k) <- ot.ot_starts.(first + k) + ot.ot_lat
+      done;
+      f sub ~arrivals_ns:arrivals
+  | Some (Frame_end f) -> f sub
+  | None ->
+      for k = 0 to count - 1 do
+        t.rx (Train.cell sub k)
+      done
+
 (* Process committed cells whose virtual offer has passed [w]: apply
-   the per-cell counters and hand maximal contiguous delivered runs to
-   the receiver as zero-copy sub-trains.  A run's busy time is booked
-   once, before the receiver sees the run, so a read from inside the
-   receiver counts every cell delivered so far, as the per-cell path
-   would. *)
+   the per-cell counters and deliver maximal contiguous runs.  The
+   queue-delay sample is [Float.of_int ns /. 1e3], the same IEEE
+   operations as [Sim.Time.to_us_f], and stays an unboxed float through
+   the inlined instruments. *)
 and process_upto t ot w =
   let i = ref ot.ot_done in
   let run0 = ref (-1) in
-  let flush_run last =
-    let first = !run0 in
-    run0 := -1;
-    let count = last - first + 1 in
-    t.busy <- Sim.Time.add t.busy (Sim.Time.mul t.cell_time count);
-    let sub = Train.sub ot.ot_train ~first ~count in
-    match t.rx_train with
-    | Some (Stream f) ->
-        let arrivals = Array.make count 0 in
-        for k = 0 to count - 1 do
-          arrivals.(k) <- ot.ot_starts.(first + k) + ot.ot_lat
-        done;
-        f sub ~arrivals_ns:arrivals
-    | Some (Frame_end f) -> f sub
-    | None ->
-        for k = 0 to count - 1 do
-          t.rx (Train.cell sub k)
-        done
-  in
   while !i < ot.ot_n && ot.ot_offers.(!i) <= w do
     let s = ot.ot_starts.(!i) in
     if s >= 0 then begin
       t.sent <- t.sent + 1;
       Sim.Metrics.incr t.m_sent;
-      let qd_us = Sim.Time.to_us_f (Sim.Time.ns (s - ot.ot_offers.(!i))) in
+      let qd_us = Float.of_int (s - ot.ot_offers.(!i)) /. 1e3 in
       Sim.Metrics.observe t.m_queue_delay qd_us;
       Sim.Metrics.sample t.m_queue_delay_win qd_us;
       if !run0 < 0 then run0 := !i
@@ -350,11 +351,15 @@ and process_upto t ot w =
     else begin
       t.dropped <- t.dropped + 1;
       Sim.Metrics.incr t.m_dropped;
-      if !run0 >= 0 then flush_run (!i - 1)
+      if !run0 >= 0 then begin
+        let first = !run0 in
+        run0 := -1;
+        deliver_run t ot first (!i - 1)
+      end
     end;
     incr i
   done;
-  if !run0 >= 0 then flush_run (!i - 1);
+  if !run0 >= 0 then deliver_run t ot !run0 (!i - 1);
   ot.ot_done <- !i
 
 let send_train ?(priority = false) ?offers_ns t train =

@@ -182,7 +182,7 @@ let cell g = g.g_cell
    cheap enough to leave in every hot loop (CI gates it via
    BENCH_monitor.json).  The enabled path fans the sample out to every
    attached sink. *)
-let sample o v =
+let[@inline] sample o v =
   if o.o_on then begin
     o.o_count <- o.o_count + 1;
     let sinks = o.o_sinks in
@@ -202,7 +202,7 @@ let detach_sinks o =
 let sample_count o = o.o_count
 let enabled o = o.o_on
 
-let observe d x =
+let[@inline] observe d x =
   Stats.Summary.add d.d_summary x;
   match d.d_store with
   | Exact s -> Stats.Samples.add s x

@@ -43,7 +43,7 @@ let float t =
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let int t bound =
+let[@inline] int t bound =
   assert (bound > 0);
   let r = Int64.to_int (int64 t) land max_int in
   r mod bound

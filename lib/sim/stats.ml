@@ -26,7 +26,7 @@ module Summary = struct
     clear t;
     t
 
-  let add t x =
+  let[@inline] add t x =
     let f = t.f in
     t.n <- t.n + 1;
     let mean = Float.Array.unsafe_get f mean_ in
@@ -179,7 +179,7 @@ module Reservoir = struct
 
   let capacity t = Array.length t.data
 
-  let add t x =
+  let[@inline] add t x =
     t.seen <- t.seen + 1;
     let cap = Array.length t.data in
     if t.stored < cap then begin

@@ -4,7 +4,7 @@ let ms = Sim.Time.ms
 let us = Sim.Time.us
 
 (* The textbook CRC-32, one byte per step and one bit per inner step:
-   the oracle for the sliced kernel in [Atm.Crc32]. *)
+   the oracle for the folding and table kernels behind [Atm.Crc32]. *)
 let crc_reference b ~pos ~len =
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
@@ -54,6 +54,36 @@ let crc_tests =
         Alcotest.(check int) "crc"
           (crc_reference b ~pos:0 ~len:65_535)
           (Atm.Crc32.digest_bytes b));
+    Alcotest.test_case "a range whose end overflows is rejected" `Quick
+      (fun () ->
+        (* [pos + len] wraps to a negative int here; the check must not
+           let the kernel read past the buffer. *)
+        match Atm.Crc32.digest (Bytes.make 16 'a') ~pos:1 ~len:max_int with
+        | exception Invalid_argument _ -> ()
+        | crc -> Alcotest.failf "digest returned %#x" crc);
+    Alcotest.test_case "fold boundaries match the reference" `Quick (fun () ->
+        (* Every length 0-256 at every pos 0-15 crosses the 64-byte
+           entry to the fold, each 16-byte single fold and every 0-15
+           byte tail; then every AAL5 CRC length (48k - 4 bytes) up to
+           64 cells, plus the two largest frame sizes. *)
+        let b =
+          Bytes.init ((48 * 1366) + 16) (fun i ->
+              Char.chr (((i * 7919) lxor (i lsr 5)) land 0xff))
+        in
+        let check ~pos ~len =
+          Alcotest.(check int)
+            (Printf.sprintf "pos %d len %d" pos len)
+            (crc_reference b ~pos ~len)
+            (Atm.Crc32.digest b ~pos ~len)
+        in
+        for len = 0 to 256 do
+          for pos = 0 to 15 do
+            check ~pos ~len
+          done
+        done;
+        List.iter
+          (fun k -> check ~pos:0 ~len:((48 * k) - 4))
+          (List.init 64 succ @ [ 683; 1366 ]));
   ]
 
 let util_tests =
