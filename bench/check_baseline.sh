@@ -8,7 +8,7 @@
 #   engine.schedule_fire.ops_per_sec>=0.7x
 #       relative gate: the 'x' suffix multiplies the BASELINE's value
 #       at the same path (here: fail under 70% of baseline throughput)
-#   heap[depth=100000].speedup>=1.5
+#   frames[frame_bytes=65535].speedup>=3.0
 #       absolute gate, with a [key=value] selector picking one element
 #       out of a JSON list
 #   frames[@frame_bytes].train.cells_per_sec>=0.7x

@@ -34,16 +34,6 @@ let op_engine () =
   done;
   Sim.Engine.run e
 
-let op_heap () =
-  let h = Sim.Heap.create () in
-  for i = 1 to 1000 do
-    Sim.Heap.push h ~key:(Int64.of_int (i * 7919 mod 1000)) ~seq:i ()
-  done;
-  let rec drain () =
-    match Sim.Heap.pop h with Some _ -> drain () | None -> ()
-  in
-  drain ()
-
 let op_rng =
   let rng = Sim.Rng.create () in
   fun () -> ignore (Sim.Rng.int64 rng)
@@ -183,7 +173,6 @@ let ops : (string * (unit -> unit)) list =
     ("bulk: chunk 64KB to MTU", op_bulk_chunking);
     ("vnode: path lookup depth 3", op_vnode_lookup);
     ("engine: 1k timer events", op_engine);
-    ("heap: 1k push+pop", op_heap);
     ("rng: int64", op_rng);
     ("crc32: 1KB", op_crc);
     ("aal5: segment+reassemble 1KB", op_aal5);
@@ -343,7 +332,7 @@ let throughput_json ~ops total_ns =
 let engine_events = 1_000_000
 
 (* Schedule [engine_events] one-shot events (fanned over 1000 distinct
-   instants so the heap sees real depth) and run them all. *)
+   instants so the queue sees real depth) and run them all. *)
 let bench_schedule_fire () =
   let nop () = () in
   let total =
@@ -392,123 +381,70 @@ let bench_dist_observe ~exact =
   ( (if exact then "dist_observe_exact" else "dist_observe_reservoir"),
     Sim.Json.Obj (throughput_json ~ops total) )
 
-(* Steady-state heap churn at a fixed queue depth: prefill [depth]
-   entries, then time push+pop pairs.  Run for both the live 4-ary
-   parallel-array heap and the preserved pre-PR boxed binary heap.
-   The 1e6 row is the massive-N regime where the calendar queue is
-   expected to overtake the heap. *)
-let heap_depths = [ 1_000; 10_000; 100_000; 1_000_000 ]
-let heap_pairs = 200_000
+(* [live] events that reschedule themselves on firing, with
+   nanosecond-granularity delays over a ~1ms window from a
+   preallocated table (so the call sites box no Int64 either): a
+   population that stays at [live] and dispersed in time, the way a
+   simulation's timers are, rather than flooding a handful of
+   instants. *)
+let spread_delay i = Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF))
 
-let mix i = (i * 2654435761) land 0xFFFFFF
-
-let bench_heap_at_depth depth =
-  let live =
-    best_of_3_timed (fun () ->
-        let h = Sim.Heap.create () in
-        for i = 1 to depth do
-          Sim.Heap.push h ~key:(Int64.of_int (mix i)) ~seq:i ()
-        done;
-        let t0 = now_ns () in
-        for i = 1 to heap_pairs do
-          Sim.Heap.push h ~key:(Int64.of_int (mix (depth + i))) ~seq:(depth + i) ();
-          ignore (Sim.Heap.pop h)
-        done;
-        Int64.sub (now_ns ()) t0)
-  in
-  let ref_ =
-    best_of_3_timed (fun () ->
-        let h = Binheap_ref.create () in
-        for i = 1 to depth do
-          Binheap_ref.push h ~key:(Int64.of_int (mix i)) ~seq:i ()
-        done;
-        let t0 = now_ns () in
-        for i = 1 to heap_pairs do
-          Binheap_ref.push h ~key:(Int64.of_int (mix (depth + i))) ~seq:(depth + i) ();
-          ignore (Binheap_ref.pop h)
-        done;
-        Int64.sub (now_ns ()) t0)
-  in
-  let ops = 2 * heap_pairs in
-  let per_op ns = ns /. Float.of_int ops in
-  ( depth,
-    per_op live,
-    per_op ref_,
-    Sim.Json.Obj
-      [
-        ("depth", Sim.Json.Int depth);
-        ("ops", Sim.Json.Int ops);
-        ("ns_per_op", Sim.Json.Float (per_op live));
-        ("binheap_ref_ns_per_op", Sim.Json.Float (per_op ref_));
-        ("speedup", Sim.Json.Float (per_op ref_ /. per_op live));
-      ] )
-
-(* The same churn pattern through the calendar queue, reported against
-   the live heap's figure at the same depth: the crossover where O(1)
-   bucket access beats the heap's O(log n) sift is what justifies the
-   engine's [`Auto] migration. *)
-let bench_calendar_at_depth (depth, heap_ns_per_op) =
-  let total =
-    best_of_3_timed (fun () ->
-        let c = Sim.Calendar.create () in
-        for i = 1 to depth do
-          Sim.Calendar.push_ns c ~key:(mix i) ~seq:i i
-        done;
-        let t0 = now_ns () in
-        for i = 1 to heap_pairs do
-          Sim.Calendar.push_ns c ~key:(mix (depth + i)) ~seq:(depth + i) i;
-          ignore (Sim.Calendar.pop_min c)
-        done;
-        Int64.sub (now_ns ()) t0)
-  in
-  let ops = 2 * heap_pairs in
-  let per_op = total /. Float.of_int ops in
-  ( depth,
-    per_op,
-    heap_ns_per_op,
-    Sim.Json.Obj
-      [
-        ("depth", Sim.Json.Int depth);
-        ("ops", Sim.Json.Int ops);
-        ("ns_per_op", Sim.Json.Float per_op);
-        ("heap_ns_per_op", Sim.Json.Float heap_ns_per_op);
-        ("speedup_vs_heap", Sim.Json.Float (heap_ns_per_op /. per_op));
-      ] )
-
-(* Schedule+fire at one million live events with zero minor-heap
-   allocation per event — the arena engine's acceptance test.  The
-   engine runs on the calendar queue, events self-reschedule from a
-   preallocated delay table (so the call sites box no Int64 either),
-   and the measured window's [Gc.minor_words] delta must stay at the
-   noise floor: one boxed word per event would read as
-   minor_words_per_op >= 1, against a gate of 0.001. *)
-let bench_steady_state () =
-  let live = 1_000_000 in
-  let measured = 2_000_000 in
+let self_rescheduling live =
   let e =
-    Sim.Engine.create ~queue:`Calendar ~metrics:(Sim.Metrics.create ())
+    Sim.Engine.create ~metrics:(Sim.Metrics.create ())
       ~trace:(Sim.Trace.create ~enabled:false ()) ()
   in
-  (* Nanosecond-granularity delays over a ~1ms window keep the million
-     live events dispersed (~1 per calendar bucket) instead of flooding
-     a handful of instants. *)
-  let delays =
-    Array.init 1024 (fun i -> Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF)))
-  in
+  let delays = Array.init 1024 spread_delay in
   let k = ref 0 in
   let rec self () =
     k := (!k + 1) land 1023;
     ignore (Sim.Engine.schedule e ~delay:delays.(!k) self)
   in
   for i = 1 to live do
-    ignore
-      (Sim.Engine.schedule e
-         ~delay:(Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF)))
-         self)
+    ignore (Sim.Engine.schedule e ~delay:(spread_delay i) self)
   done;
   (* Settle: arena capacity and calendar geometry reach their fixed
-     point before the measured window opens. *)
+     point before a measured window opens. *)
   Sim.Engine.run e ~max_events:300_000;
+  e
+
+(* Engine cost per event at the queue depths simulations run at: a
+   few timers, the thousands of live events of the full-size
+   experiments, and the city-scale regime. *)
+let queue_depths = [ 16; 1_000; 100_000; 1_000_000 ]
+let depth_events = 300_000
+
+(* Timed over three consecutive windows of one engine (best of
+   three): filling a fresh million-event engine per repetition churns
+   hundreds of MB of large blocks, and that churn slowed the parts
+   that run after this one. *)
+let bench_depth_on e live =
+  let window () =
+    let t0 = now_ns () in
+    Sim.Engine.run e ~max_events:depth_events;
+    Int64.to_float (Int64.sub (now_ns ()) t0)
+  in
+  let a = window () in
+  let b = window () in
+  let c = window () in
+  let total = Float.min a (Float.min b c) in
+  let per_op = total /. Float.of_int depth_events in
+  ( live,
+    per_op,
+    Sim.Json.Obj
+      [
+        ("live_events", Sim.Json.Int live);
+        ("ops", Sim.Json.Int depth_events);
+        ("ns_per_op", Sim.Json.Float per_op);
+      ] )
+
+(* Schedule+fire at one million live events with zero minor-heap
+   allocation per event — the arena engine's acceptance test.  The
+   measured window's [Gc.minor_words] delta must stay at the noise
+   floor: one boxed word per event would read as minor_words_per_op
+   >= 1, against a gate of 0.001. *)
+let bench_steady_state e ~live =
+  let measured = 2_000_000 in
   Gc.compact ();
   let w0 = Gc.minor_words () in
   let t0 = now_ns () in
@@ -532,17 +468,21 @@ let bench_steady_state () =
 
 let run_engine_bench path =
   Format.printf "@.Part 4: engine/metrics hot-path benchmark@.@.";
-  let engine_parts =
-    [ bench_schedule_fire (); bench_schedule_cancel (); bench_steady_state () ]
-  in
+  let engine_parts = [ bench_schedule_fire (); bench_schedule_cancel () ] in
   let metric_parts =
     [ bench_dist_observe ~exact:false; bench_dist_observe ~exact:true ]
   in
-  let heap_rows = List.map bench_heap_at_depth heap_depths in
-  let cal_rows =
+  (* The million-event engine serves both the steady-state check and
+     the deepest row, so the part fills it once. *)
+  let deepest = List.fold_left Stdlib.max 0 queue_depths in
+  let big = self_rescheduling deepest in
+  let engine_parts = engine_parts @ [ bench_steady_state big ~live:deepest ] in
+  let depth_rows =
     List.map
-      (fun (depth, live, _, _) -> bench_calendar_at_depth (depth, live))
-      heap_rows
+      (fun live ->
+        let e = if live = deepest then big else self_rescheduling live in
+        bench_depth_on e live)
+      queue_depths
   in
   List.iter
     (fun (name, j) ->
@@ -554,26 +494,16 @@ let run_engine_bench path =
       | _ -> ())
     (engine_parts @ metric_parts);
   List.iter
-    (fun (depth, live, ref_, _) ->
-      Printf.printf "heap push+pop @ depth %-7d %10.1f ns/op (binary ref %.1f, %.2fx)\n"
-        depth live ref_ (ref_ /. live))
-    heap_rows;
-  List.iter
-    (fun (depth, cal, heap_ns, _) ->
-      Printf.printf
-        "calendar push+pop @ depth %-7d %10.1f ns/op (4-ary heap %.1f, %.2fx)\n"
-        depth cal heap_ns (heap_ns /. cal))
-    cal_rows;
+    (fun (live, ns, _) ->
+      Printf.printf "engine @ %-7d live events %10.1f ns/event\n" live ns)
+    depth_rows;
   let json =
     Sim.Json.Obj
       [
-        ("schema", Sim.Json.String "pegasus-engine-bench/2");
+        ("schema", Sim.Json.String "pegasus-engine-bench/3");
         ("engine", Sim.Json.Obj engine_parts);
         ("metrics", Sim.Json.Obj metric_parts);
-        ( "heap",
-          Sim.Json.List (List.map (fun (_, _, _, j) -> j) heap_rows) );
-        ( "calendar",
-          Sim.Json.List (List.map (fun (_, _, _, j) -> j) cal_rows) );
+        ("depth", Sim.Json.List (List.map (fun (_, _, j) -> j) depth_rows));
       ]
   in
   Sim.Json.to_file path json;

@@ -1,22 +1,20 @@
-(** Calendar queue keyed by [(int, int)]: O(1) amortized push and
-    pop-min for massive event populations.
+(** Calendar queue keyed by [(int, int)]: the engine's event queue,
+    with O(1) amortized push and pop-min from a handful of live
+    entries to millions.
 
     The primary key is a timestamp in integer nanoseconds; the
     secondary key is an insertion sequence number, so entries with
-    equal keys pop in FIFO order — the same total order as
-    {!Heap}, which the engine's differential property test enforces.
-    Values are plain [int]s (the engine stores arena slot indexes).
+    equal keys pop in FIFO order.  Values are plain [int]s (the engine
+    stores arena slot indexes).
 
-    Entries live in a pooled free list of parallel [int array]s and
-    buckets are chains through the pool, so steady-state push/pop
-    performs no allocation.  Geometry (bucket count and width) is a
-    pure function of the queue contents, so behaviour replays
-    identically across runs.
-
-    Use {!Heap} for modest populations: a calendar queue's advantage
-    only shows once the heap's O(log n) depth dominates, and a flood
-    of same-key entries degrades a calendar bucket to a linear
-    scan. *)
+    Entries live in a pooled free list of [int]s and buckets are
+    chains through the pool, so steady-state push/pop performs no
+    allocation.  Geometry (bucket count and width) is recomputed from
+    the live keys and the gaps between recent pops whenever the
+    population doubles or collapses, or scanning (empty laps, long
+    chains) costs too much per pop.  It is a pure function of the
+    operation sequence, so behaviour replays identically across runs,
+    and it never changes which entry a pop returns. *)
 
 type t
 
@@ -24,10 +22,13 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
+val max_key : int
+(** The largest key {!push_ns} accepts: 2^61, ~73 years of simulated
+    nanoseconds. *)
+
 val push_ns : t -> key:int -> seq:int -> int -> unit
 (** [push_ns t ~key ~seq v] inserts [v].  Raises [Invalid_argument]
-    when [key] is negative or beyond 2^61 (~73 years of simulated
-    nanoseconds). *)
+    when [key] is negative or beyond {!max_key}. *)
 
 val min_key_ns : t -> int
 (** Key of the minimum entry, or [max_int] when empty.  Never
@@ -46,3 +47,8 @@ val pop_ns : t -> (int * int * int) option
     used by tests; allocates the returned tuple. *)
 
 val clear : t -> unit
+
+val work : t -> int
+(** Buckets visited, chain entries walked and entries sorted by every
+    search for the minimum so far: the queue's own cost count, which
+    tests bound per pop. *)

@@ -24,14 +24,10 @@
      through the gauge's flat float cell rather than boxed-float
      written on every one.
 
-   The queue itself is either the 4-ary {!Heap} (default: best cache
-   behaviour at modest populations) or the O(1)-amortized {!Calendar}
-   queue (wins once the heap's O(log n) depth dominates, around a few
-   hundred thousand live events).  [`Auto] starts on the heap and
-   migrates once if the live population crosses {!migrate_threshold}.
-   Both structures extract the exact [(key, seq)] minimum, so event
-   order — and therefore every experiment table — is invariant under
-   the queue choice and the migration point. *)
+   The queue is a {!Calendar} queue, which sizes its buckets from the
+   traffic and extracts the exact [(key, seq)] minimum, so event order
+   — and therefore every experiment table — depends only on the
+   schedule, never on the queue's geometry. *)
 
 (* Arena slot word layout: bits 0-1 state, bit 2 daemon flag, bits 3+
    a 31-bit generation counter. *)
@@ -47,13 +43,9 @@ let max_slots = 1 lsl slot_bits
 
 type event_id = int
 
-type queue = Qheap of int Heap.t | Qcal of Calendar.t
-
 type t = {
   mutable clock_ns : int;
-  mutable q : queue;
-  auto : bool;  (* [`Auto]: migrate heap -> calendar past the threshold *)
-  mutable migrated : bool;
+  q : Calendar.t;
   mutable next_id : int;
   mutable live : int;
   mutable live_user : int;
@@ -77,29 +69,16 @@ type t = {
 (* Power-of-two-minus-one: sample the gauge every 256 transitions. *)
 let depth_sample_mask = 255
 
-(* Past this many live events the heap walks >= 4 levels per
-   operation and the calendar queue's O(1) bucket access wins. *)
-let migrate_threshold = 32768
-
 let dummy_fn () = ()
 
-let create ?(queue = `Auto) ?(trace = Trace.default)
-    ?(metrics = Metrics.default) () =
-  let q, auto =
-    match queue with
-    | `Auto -> (Qheap (Heap.create ()), true)
-    | `Heap -> (Qheap (Heap.create ()), false)
-    | `Calendar -> (Qcal (Calendar.create ()), false)
-  in
+let create ?(trace = Trace.default) ?(metrics = Metrics.default) () =
   let m_queue_depth =
     Metrics.gauge metrics ~sub:Subsystem.Sim
       ~help:"scheduled, uncancelled events (sampled)" "engine.queue_depth"
   in
   {
     clock_ns = 0;
-    q;
-    auto;
-    migrated = false;
+    q = Calendar.create ();
     next_id = 0;
     live = 0;
     live_user = 0;
@@ -174,40 +153,6 @@ let free_slot t slot w =
   t.free_top <- t.free_top + 1
 
 (* ------------------------------------------------------------------ *)
-(* Queue dispatch. *)
-
-let q_push t ~key ~seq v =
-  match t.q with
-  | Qheap h -> Heap.push_ns h ~key ~seq v
-  | Qcal c -> Calendar.push_ns c ~key ~seq v
-
-let q_min_key t =
-  match t.q with
-  | Qheap h -> Heap.min_key_ns h
-  | Qcal c -> Calendar.min_key_ns c
-
-let q_pop_min t =
-  match t.q with Qheap h -> Heap.pop_min h | Qcal c -> Calendar.pop_min c
-
-(* One-way heap -> calendar migration: drain in [(key, seq)] order and
-   re-insert, so the extraction order — and every table downstream —
-   is unchanged by where the migration lands. *)
-let maybe_migrate t =
-  if t.auto && (not t.migrated) && t.live > migrate_threshold then begin
-    match t.q with
-    | Qcal _ -> t.migrated <- true
-    | Qheap h ->
-        let cal = Calendar.create () in
-        while not (Heap.is_empty h) do
-          let k = Heap.min_key_ns h and s = Heap.min_seq_ns h in
-          let v = Heap.pop_min h in
-          Calendar.push_ns cal ~key:k ~seq:s v
-        done;
-        t.q <- Qcal cal;
-        t.migrated <- true
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Scheduling. *)
 
 let schedule_ns ~daemon t ~at_ns f =
@@ -215,6 +160,10 @@ let schedule_ns ~daemon t ~at_ns f =
     invalid_arg
       (Format.asprintf "Engine.schedule_at: %a is before now (%a)" Time.pp
          (Time.ns at_ns) Time.pp (Time.ns t.clock_ns));
+  if at_ns > Calendar.max_key then
+    invalid_arg
+      (Format.asprintf "Engine.schedule_at: %a is beyond the 2^61 ns horizon"
+         Time.pp (Time.ns at_ns));
   let slot = alloc_slot t in
   let w = t.a_word.(slot) in
   (* [w] is a freed word: state 0, daemon clear, generation intact. *)
@@ -223,10 +172,9 @@ let schedule_ns ~daemon t ~at_ns f =
   t.a_fn.(slot) <- f;
   let seq = t.next_id in
   t.next_id <- t.next_id + 1;
-  q_push t ~key:at_ns ~seq slot;
+  Calendar.push_ns t.q ~key:at_ns ~seq slot;
   t.live <- t.live + 1;
   if not daemon then t.live_user <- t.live_user + 1;
-  maybe_migrate t;
   sample_depth t;
   ((w asr gen_shift) lsl slot_bits) lor slot
 
@@ -259,10 +207,10 @@ let cancel t h =
 let pending t = t.live
 let pending_user t = t.live_user
 
-let next_at_ns t = q_min_key t
+let next_at_ns t = Calendar.min_key_ns t.q
 
 let next_at t =
-  let k = q_min_key t in
+  let k = Calendar.min_key_ns t.q in
   if k = max_int then None else Some (Time.ns k)
 
 (* ------------------------------------------------------------------ *)
@@ -275,8 +223,8 @@ let next_at t =
    bounded arena; the callback itself was read out first.  Returns
    [true] when the callback actually ran. *)
 let exec_min t =
-  let at = q_min_key t in
-  let slot = q_pop_min t in
+  let at = Calendar.min_key_ns t.q in
+  let slot = Calendar.pop_min t.q in
   t.clock_ns <- at;
   let w = t.a_word.(slot) in
   let fn = t.a_fn.(slot) in
@@ -292,7 +240,7 @@ let exec_min t =
   else false
 
 let step t =
-  if q_min_key t = max_int then false
+  if Calendar.min_key_ns t.q = max_int then false
   else begin
     ignore (exec_min t);
     true
@@ -311,7 +259,7 @@ let run_ns t ~until_ns ~has_until ~max_ev =
          remain. *)
     else if (not has_until) && t.live_user = 0 then continue := false
     else begin
-      let at = q_min_key t in
+      let at = Calendar.min_key_ns t.q in
       if at = max_int then continue := false
       else if has_until && at > until_ns then continue := false
       else if exec_min t then incr fired
@@ -321,7 +269,7 @@ let run_ns t ~until_ns ~has_until ~max_ev =
   (* Advance the clock to [until] only when the run stopped for lack
      of earlier events, not when it was cut short by [max_ev]. *)
   if has_until && t.clock_ns < until_ns then begin
-    let nk = q_min_key t in
+    let nk = Calendar.min_key_ns t.q in
     if nk > until_ns then t.clock_ns <- until_ns
   end
 

@@ -22,19 +22,9 @@ type event_id
     reuse fails {!cancel} harmlessly — no lookup tables sit on the
     event hot path, and handles never keep callbacks alive. *)
 
-val create :
-  ?queue:[ `Auto | `Heap | `Calendar ] ->
-  ?trace:Trace.t ->
-  ?metrics:Metrics.t ->
-  unit ->
-  t
-(** [queue] selects the priority queue implementation: [`Heap] (4-ary
-    implicit heap — the reference structure, best at modest
-    populations), [`Calendar] (calendar queue, O(1) amortized — wins
-    for massive-N regimes), or [`Auto] (default: start on the heap,
-    migrate once to a calendar queue if the live population crosses
-    32768).  Both extract the exact [(time, seq)] minimum, so results
-    are byte-identical whichever is picked.
+val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
+(** A fresh engine at time zero, its events held in a {!Calendar}
+    queue.
 
     [trace] and [metrics] default to the process-wide {!Trace.default}
     and {!Metrics.default}; pass fresh instances for isolated runs
@@ -55,9 +45,11 @@ val metrics : t -> Metrics.t
 
 val schedule_at : ?daemon:bool -> t -> at:Time.t -> (unit -> unit) -> event_id
 (** Schedule a callback at an absolute time.  Raises [Invalid_argument]
-    if [at] is in the past.  A [daemon] event (default false) fires
-    normally but does not keep an unbounded {!run} alive — use it for
-    periodic background services. *)
+    if [at] is in the past or beyond {!Calendar.max_key} (2^61 ns,
+    about 73 years of simulated time); nothing is scheduled then.  A
+    [daemon] event (default false) fires normally but does not keep an
+    unbounded {!run} alive — use it for periodic background
+    services. *)
 
 val schedule : ?daemon:bool -> t -> delay:Time.t -> (unit -> unit) -> event_id
 (** Schedule a callback [delay] from now.  A zero delay runs after all

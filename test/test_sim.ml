@@ -24,8 +24,8 @@ let time_tests =
         Alcotest.(check string) "ms" "3.000ms" (s (Sim.Time.ms 3)));
   ]
 
-(* Reference model for the heap property tests: a list kept sorted by
-   (key, seq), popped from the front. *)
+(* Reference model for the queue property tests: a list kept sorted
+   by (key, seq), popped from the front. *)
 let model_insert (k, s, v) model =
   let rec go = function
     | [] -> [ (k, s, v) ]
@@ -35,113 +35,116 @@ let model_insert (k, s, v) model =
   in
   go model
 
+(* Schedule [n] events at [at_us i] whose callbacks each hold the ref
+   watched by [weak.(i)]: the engine keeps a callback (and so the ref)
+   reachable exactly while the event is pending.  Kept out of line so
+   no stack slot of the caller still holds a ref when it collects. *)
+let[@inline never] schedule_watched e weak ~at_us n =
+  for i = 0 to n - 1 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    ignore
+      (Sim.Engine.schedule e
+         ~delay:(Sim.Time.us (at_us i))
+         (fun () -> ignore (Sys.opaque_identity v)))
+  done
+
+(* The event queue's ordering and retention contract, on the calendar
+   queue and through the engine; the group keeps the name of the queue
+   it first covered, so the printed test names stay stable. *)
 let heap_tests =
   [
     Alcotest.test_case "pop order is (key, seq)" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        Sim.Heap.push h ~key:5L ~seq:0 "a";
-        Sim.Heap.push h ~key:3L ~seq:1 "b";
-        Sim.Heap.push h ~key:3L ~seq:2 "c";
-        Sim.Heap.push h ~key:1L ~seq:3 "d";
+        let c = Sim.Calendar.create () in
+        Sim.Calendar.push_ns c ~key:5 ~seq:0 1;
+        Sim.Calendar.push_ns c ~key:3 ~seq:1 2;
+        Sim.Calendar.push_ns c ~key:3 ~seq:2 3;
+        Sim.Calendar.push_ns c ~key:1 ~seq:3 4;
         let pop () =
-          match Sim.Heap.pop h with
+          match Sim.Calendar.pop_ns c with
           | Some (_, _, v) -> v
           | None -> Alcotest.fail "empty"
         in
-        Alcotest.(check string) "1st" "d" (pop ());
-        Alcotest.(check string) "2nd" "b" (pop ());
-        Alcotest.(check string) "3rd" "c" (pop ());
-        Alcotest.(check string) "4th" "a" (pop ());
-        Alcotest.(check bool) "empty" true (Sim.Heap.is_empty h));
+        Alcotest.(check int) "1st" 4 (pop ());
+        Alcotest.(check int) "2nd" 2 (pop ());
+        Alcotest.(check int) "3rd" 3 (pop ());
+        Alcotest.(check int) "4th" 1 (pop ());
+        Alcotest.(check bool) "empty" true (Sim.Calendar.is_empty c));
     Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        Sim.Heap.push h ~key:7L ~seq:0 ();
-        Alcotest.(check bool) "peek" true (Sim.Heap.peek h <> None);
-        Alcotest.(check int) "len" 1 (Sim.Heap.length h));
+        let c = Sim.Calendar.create () in
+        Sim.Calendar.push_ns c ~key:7 ~seq:0 0;
+        Alcotest.(check int) "peek" 7 (Sim.Calendar.min_key_ns c);
+        Alcotest.(check int) "len" 1 (Sim.Calendar.length c));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"pops in nondecreasing key order" ~count:200
          QCheck2.Gen.(list (int_range 0 1000))
          (fun keys ->
-           let h = Sim.Heap.create () in
-           List.iteri
-             (fun i k -> Sim.Heap.push h ~key:(Int64.of_int k) ~seq:i ())
-             keys;
+           let c = Sim.Calendar.create () in
+           List.iteri (fun i k -> Sim.Calendar.push_ns c ~key:k ~seq:i i) keys;
            let rec drain last =
-             match Sim.Heap.pop h with
+             match Sim.Calendar.pop_ns c with
              | None -> true
-             | Some (k, _, ()) -> k >= last && drain k
+             | Some (k, _, _) -> k >= last && drain k
            in
-           drain Int64.min_int));
+           drain min_int));
     Alcotest.test_case "popped values are not retained" `Quick (fun () ->
-        (* A vacated slot left pointing at its entry is a space leak:
-           drain the heap, collect, and check through weak pointers
-           that every popped value is gone while the heap itself is
-           still live. *)
-        let h = Sim.Heap.create () in
+        (* A fired event's arena slot must drop its callback: run every
+           event, collect, and check through weak pointers that each
+           callback's captured ref is gone while the engine is live. *)
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
         let n = 100 in
         let weak = Weak.create n in
-        for i = 0 to n - 1 do
-          let v = ref i in
-          Weak.set weak i (Some v);
-          Sim.Heap.push h ~key:(Int64.of_int (i * 37 mod 50)) ~seq:i v
-        done;
-        let rec drain () =
-          match Sim.Heap.pop h with Some _ -> drain () | None -> ()
-        in
-        drain ();
+        schedule_watched e weak ~at_us:(fun i -> 1 + (i * 37 mod 50)) n;
+        Sim.Engine.run e;
         Gc.full_major ();
         let live = ref 0 in
         for i = 0 to n - 1 do
           if Weak.check weak i then incr live
         done;
-        Alcotest.(check int) "all popped values collected" 0 !live;
-        Sim.Heap.push h ~key:0L ~seq:0 (ref 0);
-        Alcotest.(check int) "heap still usable" 1 (Sim.Heap.length h));
+        Alcotest.(check int) "all fired callbacks collected" 0 !live;
+        ignore (Sim.Engine.schedule e ~delay:(Sim.Time.us 1) (fun () -> ()));
+        Alcotest.(check int) "engine still usable" 1 (Sim.Engine.pending e));
     Alcotest.test_case "half-drained heap retains only its contents" `Quick
       (fun () ->
-        let h = Sim.Heap.create () in
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
         let n = 100 in
         let weak = Weak.create n in
-        for i = 0 to n - 1 do
-          let v = ref i in
-          Weak.set weak i (Some v);
-          Sim.Heap.push h ~key:(Int64.of_int i) ~seq:i v
-        done;
-        (* Keys are sorted, so the first half is popped exactly. *)
-        for _ = 1 to n / 2 do
-          ignore (Sim.Heap.pop h)
-        done;
+        schedule_watched e weak ~at_us:(fun i -> i + 1) n;
+        (* Times are distinct and ascending, so exactly the first half
+           fires. *)
+        Sim.Engine.run e ~max_events:(n / 2);
         Gc.full_major ();
         for i = 0 to (n / 2) - 1 do
           if Weak.check weak i then
-            Alcotest.failf "popped value %d still retained" i
+            Alcotest.failf "fired callback %d still retained" i
         done;
         for i = n / 2 to n - 1 do
           if not (Weak.check weak i) then
-            Alcotest.failf "unpopped value %d was collected" i
+            Alcotest.failf "pending callback %d was collected" i
         done;
-        (* Referencing [h] here keeps the heap itself live across the
-           collection above, so only genuinely popped entries can die. *)
-        Alcotest.(check int) "heap keeps the rest" (n / 2) (Sim.Heap.length h));
+        (* Referencing [e] here keeps the engine itself live across the
+           collection above, so only fired callbacks can die. *)
+        Alcotest.(check int) "engine keeps the rest" (n / 2)
+          (Sim.Engine.pending e));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
          ~name:"interleaved push/pop agrees with a sorted-list model" ~count:300
          (* [Some k] pushes with key [k]; [None] pops. *)
          QCheck2.Gen.(list (option (int_range 0 50)))
          (fun ops ->
-           let h = Sim.Heap.create () in
+           let c = Sim.Calendar.create () in
            let model = ref [] in
            let seq = ref 0 in
            List.for_all
              (fun op ->
                match op with
                | Some k ->
-                   Sim.Heap.push h ~key:(Int64.of_int k) ~seq:!seq !seq;
-                   model := model_insert (Int64.of_int k, !seq, !seq) !model;
+                   Sim.Calendar.push_ns c ~key:k ~seq:!seq !seq;
+                   model := model_insert (k, !seq, !seq) !model;
                    incr seq;
-                   Sim.Heap.length h = List.length !model
+                   Sim.Calendar.length c = List.length !model
                | None -> (
-                   match (Sim.Heap.pop h, !model) with
+                   match (Sim.Calendar.pop_ns c, !model) with
                    | None, [] -> true
                    | Some got, m :: rest ->
                        model := rest;
@@ -151,52 +154,85 @@ let heap_tests =
            && (* drain: the tail must still agree *)
            List.for_all
              (fun m ->
-               match Sim.Heap.pop h with Some got -> got = m | None -> false)
+               match Sim.Calendar.pop_ns c with
+               | Some got -> got = m
+               | None -> false)
              !model
-           && Sim.Heap.is_empty h));
+           && Sim.Calendar.is_empty c));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"equal keys pop in seq (FIFO) order" ~count:100
          QCheck2.Gen.(int_range 1 64)
          (fun n ->
-           let h = Sim.Heap.create () in
-           (* Insert seqs in a scrambled but deterministic order. *)
+           (* [n] events share one instant; fillers scheduled between
+              them land before and after it.  The shared instant must
+              fire in scheduling order. *)
+           let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+           let log = ref [] in
            for i = 0 to n - 1 do
-             let s = i * 17 mod n in
-             Sim.Heap.push h ~key:7L ~seq:s s
+             ignore
+               (Sim.Engine.schedule_at e ~at:(Sim.Time.us 32) (fun () ->
+                    log := i :: !log));
+             ignore
+               (Sim.Engine.schedule e
+                  ~delay:(Sim.Time.us (1 + (i * 17 mod 64)))
+                  (fun () -> ()))
            done;
-           (* Duplicate seqs from the mod-scramble make FIFO ambiguous;
-              only check when all n seqs are distinct (gcd (17, n) = 1). *)
-           n mod 17 = 0
-           ||
-           let popped = ref [] in
-           let rec drain () =
-             match Sim.Heap.pop h with
-             | None -> ()
-             | Some (_, s, _) ->
-                 popped := s :: !popped;
-                 drain ()
-           in
-           drain ();
-           List.rev !popped = List.init n Fun.id));
+           Sim.Engine.run e;
+           List.rev !log = List.init n Fun.id));
     Alcotest.test_case "clear empties and the heap stays usable" `Quick
       (fun () ->
-        let h = Sim.Heap.create () in
+        let c = Sim.Calendar.create () in
         for i = 1 to 10 do
-          Sim.Heap.push h ~key:(Int64.of_int i) ~seq:i i
+          Sim.Calendar.push_ns c ~key:i ~seq:i i
         done;
-        Sim.Heap.clear h;
-        Alcotest.(check int) "empty" 0 (Sim.Heap.length h);
-        Alcotest.(check bool) "pop none" true (Sim.Heap.pop h = None);
-        Sim.Heap.push h ~key:3L ~seq:0 42;
-        (match Sim.Heap.pop h with
-        | Some (3L, 0, 42) -> ()
-        | _ -> Alcotest.fail "heap unusable after clear"));
+        Sim.Calendar.clear c;
+        Alcotest.(check int) "empty" 0 (Sim.Calendar.length c);
+        Alcotest.(check bool) "pop none" true (Sim.Calendar.pop_ns c = None);
+        Sim.Calendar.push_ns c ~key:3 ~seq:0 42;
+        match Sim.Calendar.pop_ns c with
+        | Some (3, 0, 42) -> ()
+        | _ -> Alcotest.fail "queue unusable after clear");
     Alcotest.test_case "out-of-range key is rejected" `Quick (fun () ->
-        let h = Sim.Heap.create () in
-        Alcotest.check_raises "max_int64"
-          (Invalid_argument "Heap.push: key exceeds native int range")
-          (fun () -> Sim.Heap.push h ~key:Int64.max_int ~seq:0 ()));
+        (* The engine checks the queue's 2^61 ns bound before it takes
+           an arena slot, so a rejected call leaks nothing. *)
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+        ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 1) (fun () -> ()));
+        let at = Sim.Time.ns ((1 lsl 61) + (1 lsl 60)) in
+        Alcotest.check_raises "beyond 2^61 ns"
+          (Invalid_argument
+             (Format.asprintf
+                "Engine.schedule_at: %a is beyond the 2^61 ns horizon"
+                Sim.Time.pp at))
+          (fun () -> ignore (Sim.Engine.schedule_at e ~at (fun () -> ())));
+        Alcotest.(check int) "pending unchanged" 1 (Sim.Engine.pending e);
+        let fired = ref 0 in
+        for i = 1 to 20 do
+          ignore
+            (Sim.Engine.schedule e ~delay:(Sim.Time.us i) (fun () ->
+                 incr fired))
+        done;
+        Sim.Engine.run e;
+        Alcotest.(check int) "later events fire" 20 !fired;
+        Alcotest.(check int) "nothing left" 0 (Sim.Engine.pending e));
   ]
+
+(* Drive a calendar as a simulation drives its queue: pop the minimum
+   and push its value back [delay v] later under a fresh seq, [pops]
+   times, checking every pop against the sorted-list model.  Returns
+   the queue's work per pop over the pops after the first [warmup]. *)
+let churn_against_model c model ~seq ~delay ~warmup ~pops =
+  let w0 = ref 0 in
+  for i = 1 to pops do
+    if i = warmup + 1 then w0 := Sim.Calendar.work c;
+    match (Sim.Calendar.pop_ns c, !model) with
+    | Some ((k, _, v) as got), m :: rest when got = m ->
+        let k' = k + delay v in
+        Sim.Calendar.push_ns c ~key:k' ~seq:!seq v;
+        model := model_insert (k', !seq, v) rest;
+        incr seq
+    | _ -> Alcotest.failf "pop %d disagrees with the model" i
+  done;
+  Float.of_int (Sim.Calendar.work c - !w0) /. Float.of_int (pops - warmup)
 
 let calendar_tests =
   [
@@ -256,46 +292,43 @@ let calendar_tests =
         Alcotest.(check int) "all out" n !popped);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make
-         ~name:"differential: interleaved push/pop agrees with the heap"
+         ~name:"differential: interleaved push/pop agrees with a sorted-list model"
          ~count:300
-         (* [Some k] pushes with key [k] into both structures; [None]
-            pops both and compares.  Key range is narrow enough to
-            collide and wide enough to spread across buckets. *)
+         (* [Some k] pushes with key [k] into the queue and the model;
+            [None] pops both and compares.  Key range is narrow enough
+            to collide and wide enough to spread across buckets. *)
          QCheck2.Gen.(list (option (int_range 0 5000)))
          (fun ops ->
            let c = Sim.Calendar.create () in
-           let h = Sim.Heap.create () in
+           let model = ref [] in
            let seq = ref 0 in
            List.for_all
              (fun op ->
                match op with
                | Some k ->
                    Sim.Calendar.push_ns c ~key:k ~seq:!seq !seq;
-                   Sim.Heap.push h ~key:(Int64.of_int k) ~seq:!seq !seq;
+                   model := model_insert (k, !seq, !seq) !model;
                    incr seq;
-                   Sim.Calendar.length c = Sim.Heap.length h
+                   Sim.Calendar.length c = List.length !model
                    && Sim.Calendar.min_key_ns c
-                      = Int64.to_int
-                          (match Sim.Heap.peek h with
-                          | Some (k, _, _) -> k
-                          | None -> Int64.of_int max_int)
+                      = (match !model with (k, _, _) :: _ -> k | [] -> max_int)
                | None -> (
-                   match (Sim.Calendar.pop_ns c, Sim.Heap.pop h) with
-                   | None, None -> true
-                   | Some (ck, cs, cv), Some (hk, hs, hv) ->
-                       ck = Int64.to_int hk && cs = hs && cv = hv
-                   | Some _, None | None, Some _ -> false))
+                   match (Sim.Calendar.pop_ns c, !model) with
+                   | None, [] -> true
+                   | Some got, m :: rest ->
+                       model := rest;
+                       got = m
+                   | Some _, [] | None, _ :: _ -> false))
              ops
            &&
-           (* Drain both: the tails must agree entry for entry. *)
-           let rec drain () =
-             match (Sim.Calendar.pop_ns c, Sim.Heap.pop h) with
-             | None, None -> true
-             | Some (ck, cs, cv), Some (hk, hs, hv) ->
-                 ck = Int64.to_int hk && cs = hs && cv = hv && drain ()
-             | Some _, None | None, Some _ -> false
-           in
-           drain ()));
+           (* Drain: the tail must agree entry for entry. *)
+           List.for_all
+             (fun m ->
+               match Sim.Calendar.pop_ns c with
+               | Some got -> got = m
+               | None -> false)
+             !model
+           && Sim.Calendar.is_empty c));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"equal keys pop in seq (FIFO) order" ~count:100
          QCheck2.Gen.(int_range 1 64)
@@ -399,6 +432,55 @@ let calendar_tests =
         match Sim.Calendar.pop_ns c with
         | Some (3, 0, 42) -> ()
         | _ -> Alcotest.fail "calendar unusable after clear");
+    Alcotest.test_case "a dense front behind far-future entries stays cheap"
+      `Quick (fun () ->
+        (* A few timers ~17 minutes out and a thousand events that keep
+           rescheduling within a microsecond.  A width fitted to the
+           far timers would pile the whole front into one bucket and
+           re-sort it every few pops; the queue must notice the work
+           and narrow its buckets. *)
+        let c = Sim.Calendar.create () and model = ref [] and seq = ref 0 in
+        let push k v =
+          Sim.Calendar.push_ns c ~key:k ~seq:!seq v;
+          model := model_insert (k, !seq, v) !model;
+          incr seq
+        in
+        for i = 1 to 8 do
+          push (1_000_000_000_000 + i) (-i)
+        done;
+        for i = 0 to 999 do
+          push (1 + (i * 7919 mod 1000)) i
+        done;
+        let per_pop =
+          churn_against_model c model ~seq
+            ~delay:(fun v -> 1 + (v * 7919 mod 997))
+            ~warmup:5_000 ~pops:25_000
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "work per pop %.1f <= 8" per_pop)
+          true (per_pop <= 8.0);
+        Alcotest.(check int) "far timers still queued" 1008
+          (Sim.Calendar.length c));
+    Alcotest.test_case "a sparse population spread over 1 ms stays cheap"
+      `Quick (fun () ->
+        (* Sixteen entries rescheduling up to a millisecond ahead: far
+           sparser than the seed bucket width, so a queue that never
+           re-measures walks empty buckets on every pop. *)
+        let c = Sim.Calendar.create () and model = ref [] and seq = ref 0 in
+        let delay v = 1 + (v * 2654435761 land 0xFFFFF) in
+        for v = 0 to 15 do
+          Sim.Calendar.push_ns c ~key:(delay v) ~seq:!seq v;
+          model := model_insert (delay v, !seq, v) !model;
+          incr seq
+        done;
+        let per_pop =
+          churn_against_model c model ~seq
+            ~delay:(fun v -> delay (v + !seq))
+            ~warmup:1_000 ~pops:20_000
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "work per pop %.1f <= 8" per_pop)
+          true (per_pop <= 8.0));
   ]
 
 let fault_tests =
@@ -691,42 +773,33 @@ let engine_tests =
         Alcotest.(check (float 1e-9)) "run still flushes" 0.0
           (Sim.Metrics.get depth));
     Alcotest.test_case "queue modes fire in identical order" `Quick (fun () ->
-        (* The same scenario — scrambled delays, same-instant ties,
-           mid-run cancellations, enough live events to push [`Auto]
-           past its migration threshold — must produce the same event
-           order on the heap, on the calendar queue, and across the
-           auto migration. *)
-        let scenario queue =
-          let e =
-            Sim.Engine.create ~queue ~metrics:(Sim.Metrics.create ()) ()
-          in
-          let log = ref [] in
-          let ids = Array.make 40_000 None in
-          for i = 0 to 39_999 do
-            let d = 1 + (i * 2654435761 land 0xFFFF) in
-            ids.(i) <-
-              Some
-                (Sim.Engine.schedule e ~delay:(Sim.Time.us d) (fun () ->
-                     log := i :: !log))
-          done;
-          for i = 0 to 39_999 do
-            if i mod 7 = 0 then
-              match ids.(i) with
-              | Some id -> ignore (Sim.Engine.cancel e id)
-              | None -> ()
-          done;
-          Sim.Engine.run e;
-          (List.rev !log, Sim.Engine.now e)
+        (* Scrambled delays, same-instant ties and mid-run
+           cancellations over 40 000 events, enough to drive the queue
+           through many resizes: the events must fire in exactly the
+           order of their sorted (delay, index) pairs. *)
+        let n = 40_000 in
+        let delay i = 1 + (i * 2654435761 land 0xFFFF) in
+        let e = Sim.Engine.create ~metrics:(Sim.Metrics.create ()) () in
+        let log = ref [] in
+        let ids =
+          Array.init n (fun i ->
+              Sim.Engine.schedule e ~delay:(Sim.Time.us (delay i)) (fun () ->
+                  log := i :: !log))
         in
-        let heap = scenario `Heap in
-        let cal = scenario `Calendar in
-        let auto = scenario `Auto in
-        Alcotest.(check bool) "calendar = heap" true (cal = heap);
-        Alcotest.(check bool) "auto = heap" true (auto = heap);
-        Alcotest.(check int)
-          "log covers the uncancelled events"
-          (40_000 - ((39_999 / 7) + 1))
-          (List.length (fst heap)));
+        Array.iteri
+          (fun i id -> if i mod 7 = 0 then ignore (Sim.Engine.cancel e id))
+          ids;
+        Sim.Engine.run e;
+        let expected =
+          List.init n (fun i -> (delay i, i))
+          |> List.filter (fun (_, i) -> i mod 7 <> 0)
+          |> List.sort compare
+        in
+        Alcotest.(check (list int))
+          "firing order" (List.map snd expected) (List.rev !log);
+        Alcotest.(check int64) "clock at the last event"
+          (Sim.Time.us (fst (List.nth expected (List.length expected - 1))))
+          (Sim.Engine.now e));
   ]
 
 let rng_tests =
