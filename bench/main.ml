@@ -1,9 +1,10 @@
 (* The benchmark harness, in three parts.
 
-   Part 1 regenerates every table of the paper reproduction (E1..E13
-   plus the A1 ablation): these are simulation experiments, so the
-   numbers that matter are the *simulated* metrics inside each table;
-   each runs once in quick mode (pass --full for full-size parameters).
+   Part 1 regenerates every table of the experiment registry (E1..E15,
+   the A1 ablation and the PAR fabric) on one run context: these are
+   simulation experiments, so the numbers that matter are the
+   *simulated* metrics inside each table; each runs once in quick mode
+   (pass --full for full-size parameters).
 
    Part 2 is a Bechamel microbenchmark suite over the substrate's hot
    operations (event queue, CRC, AAL5, switching, scheduling decisions,
@@ -88,7 +89,7 @@ let op_select =
   fun () -> ignore (policy.Nemesis.Policy.select ~domains ~now:(Sim.Time.ms 5))
 
 let op_resolve =
-  let ns = Naming.Namespace.create () in
+  let ns = Naming.Namespace.create (Sim.Metrics.create ()) in
   Naming.Namespace.bind ns ~path:"a/b/c/obj"
     (Naming.Maillon.of_iface ~reference:"o" (Naming.Maillon.iface []));
   fun () -> ignore (Naming.Namespace.resolve ns "a/b/c/obj")
@@ -268,11 +269,11 @@ let json_of_samples name s =
       ("p99", p 99.0);
     ]
 
-let run_experiments ~quick ~domains fmt =
+let run_experiments ~quick ctx fmt =
   List.map
     (fun e ->
       let t0 = now_ns () in
-      let table = e.Experiments.Registry.e_run ~quick ~domains in
+      let table = e.Experiments.Registry.e_run ~quick ctx in
       let wall_ms =
         Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6
       in
@@ -337,10 +338,7 @@ let bench_schedule_fire () =
   let nop () = () in
   let total =
     best_of_3 (fun () ->
-        let e =
-          Sim.Engine.create ~metrics:(Sim.Metrics.create ())
-            ~trace:(Sim.Trace.create ~enabled:false ()) ()
-        in
+        let e = Sim.Engine.create () in
         for i = 1 to engine_events do
           ignore (Sim.Engine.schedule e ~delay:(Sim.Time.us (i mod 1000)) nop)
         done;
@@ -354,10 +352,7 @@ let bench_schedule_cancel () =
   let nop () = () in
   let total =
     best_of_3 (fun () ->
-        let e =
-          Sim.Engine.create ~metrics:(Sim.Metrics.create ())
-            ~trace:(Sim.Trace.create ~enabled:false ()) ()
-        in
+        let e = Sim.Engine.create () in
         let ids =
           Array.init engine_events (fun i ->
               Sim.Engine.schedule e ~delay:(Sim.Time.us (i mod 1000)) nop)
@@ -390,10 +385,7 @@ let bench_dist_observe ~exact =
 let spread_delay i = Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF))
 
 let self_rescheduling live =
-  let e =
-    Sim.Engine.create ~metrics:(Sim.Metrics.create ())
-      ~trace:(Sim.Trace.create ~enabled:false ()) ()
-  in
+  let e = Sim.Engine.create () in
   let delays = Array.init 1024 spread_delay in
   let k = ref 0 in
   let rec self () =
@@ -523,10 +515,7 @@ let run_engine_bench path =
 let atm_frame_sizes = [ 1_024; 8_192; 65_535 (* AAL5 max *) ]
 
 let atm_run ~trains ~frame_bytes ~frames () =
-  let e =
-    Sim.Engine.create ~metrics:(Sim.Metrics.create ())
-      ~trace:(Sim.Trace.create ~enabled:false ()) ()
-  in
+  let e = Sim.Engine.create () in
   let net = Atm.Net.create e in
   Atm.Net.set_train_path net trains;
   let a = Atm.Net.add_host net ~name:"a" in
@@ -767,7 +756,8 @@ let run_parallel_bench ~smoke ~domains path =
     let out = ref None in
     let wall_ns =
       best_of_3_par (fun () ->
-          out := Some (Experiments.Fabric.execute ~domains p))
+          out :=
+            Some (Experiments.Fabric.execute (Sim.Ctx.create ~domains ()) p))
     in
     let o = match !out with Some o -> o | None -> assert false in
     (match !reference with
@@ -801,7 +791,7 @@ let run_parallel_bench ~smoke ~domains path =
   in
   let base_ns, base_json = run_at 1 in
   let rows, speedup =
-    if Sim.Par.available && domains > 1 then begin
+    if domains > 1 then begin
       let par_ns, par_json = run_at domains in
       ([ base_json; par_json ], base_ns /. par_ns)
     end
@@ -814,7 +804,6 @@ let run_parallel_bench ~smoke ~domains path =
       [
         ("schema", Sim.Json.String "pegasus-parallel-bench/1");
         ("mode", Sim.Json.String (if smoke then "smoke" else "full"));
-        ("domains_available", Sim.Json.Bool Sim.Par.available);
         ("cores", Sim.Json.Int (Sim.Par.recommended_workers ()));
         ("domains", Sim.Json.Int domains);
         ("sites", Sim.Json.Int p.Experiments.Fabric.sites);
@@ -950,7 +939,9 @@ let run_vod_bench ~smoke ~domains path =
   let rows = ref [||] in
   let wall_ns =
     best_of_3 (fun () ->
-        rows := Experiments.E15_vodscale.results ~quick:smoke ~domains ())
+        rows :=
+          Experiments.E15_vodscale.results ~quick:smoke
+            (Sim.Ctx.create ~domains ()))
   in
   let rows = !rows in
   let rows_per_sec = Float.of_int (Array.length rows) /. (wall_ns /. 1e9) in
@@ -1047,11 +1038,6 @@ let run_vod_bench ~smoke ~domains path =
 
 let monitor_sample_ops = 1_000_000
 
-let monitor_engine () =
-  Sim.Engine.create
-    ~trace:(Sim.Trace.create ~enabled:false ())
-    ~metrics:(Sim.Metrics.create ()) ()
-
 let bench_sample_disabled () =
   let reg = Sim.Metrics.create () in
   let o = Sim.Metrics.observer reg ~sub:Sim.Subsystem.Atm "bench.win_us" in
@@ -1065,7 +1051,7 @@ let bench_sample_disabled () =
     Sim.Json.Obj (throughput_json ~ops:monitor_sample_ops total) )
 
 let bench_sample_monitored () =
-  let e = monitor_engine () in
+  let e = Sim.Engine.create () in
   let o =
     Sim.Metrics.observer (Sim.Engine.metrics e) ~sub:Sim.Subsystem.Atm
       "bench.win_us"
@@ -1090,7 +1076,7 @@ let bench_window_roll () =
   let rolls_seen = ref 0 in
   let total =
     best_of_3_timed (fun () ->
-        let e = monitor_engine () in
+        let e = Sim.Engine.create () in
         let m = Sim.Monitor.create e in
         for i = 1 to monitor_windows do
           Sim.Monitor.register m
@@ -1210,7 +1196,8 @@ let () =
   Format.printf "Pegasus/Nemesis reproduction — benchmark harness@.";
   Format.printf "Part 1: paper-claim tables (%s parameters)@.@."
     (if quick then "quick; pass --full for full-size" else "full-size");
-  let experiments = run_experiments ~quick ~domains Format.std_formatter in
+  let ctx = Sim.Ctx.create ~domains () in
+  let experiments = run_experiments ~quick ctx Format.std_formatter in
   if not smoke then begin
     Format.printf "@.Part 2: substrate microbenchmarks (host CPU time)@.@.";
     run_microbenches ()
@@ -1229,7 +1216,7 @@ let () =
         ("crc32_kernel", Sim.Json.String Atm.Crc32.kernel);
         ("experiments", Sim.Json.List experiments);
         ("microbenchmarks", Sim.Json.List micro);
-        ("metrics", Sim.Metrics.snapshot Sim.Metrics.default);
+        ("metrics", Sim.Metrics.snapshot (Sim.Ctx.metrics ctx));
       ]
   in
   Sim.Json.to_file json_out results;

@@ -1,4 +1,11 @@
-(* Command-line driver: list and run the paper-claim experiments. *)
+(* Command-line front end: list and run the experiments, audit a
+   flow-traced scenario, report a monitored scenario's health.
+
+   Every command that runs a simulation builds one run context
+   (Sim.Ctx) from the shared --domains/--trace-out/--metrics-out
+   options.  Everything the run does records into that context's trace
+   and registry, parallel rows and shards included (they merge back in
+   a fixed order), and the dumps are written from it after the run. *)
 
 open Cmdliner
 
@@ -6,40 +13,78 @@ let quick_arg =
   let doc = "Run with reduced parameters (seconds instead of minutes)." in
   Arg.(value & flag & info [ "quick"; "q" ] ~doc)
 
-(* The observability flags below are shared by every subcommand that
-   runs a simulation (run, audit, health, parallel, cityscale,
-   vodscale); they export the process-default trace sink and metrics
-   registry after the run, so sharded rigs whose shards carry private
-   registries contribute only what they route through the defaults. *)
+type run_opts = {
+  domains : int;
+  trace_out : string option;
+  metrics_out : string option;
+}
 
-let trace_out_arg =
-  let doc =
-    "Record a typed event trace of the run and write it to $(docv) in \
-     Chrome trace_event JSON (open in about:tracing or \
-     https://ui.perfetto.dev).  Use a .jsonl suffix for line-oriented \
-     JSONL instead."
+let run_opts =
+  let domains =
+    let doc =
+      "Worker domains for parallelisable work.  Results, and the \
+       $(b,--metrics-out) and $(b,--trace-out) dumps, are byte-identical \
+       at every value: the domain count buys wall-clock speed, never \
+       different answers."
+    in
+    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let metrics_out_arg =
-  let doc =
-    "Write a JSON snapshot of the metrics registry (counters, gauges, \
-     latency distributions with p50/p95/p99) to $(docv) after the run."
+  let trace_out =
+    let doc =
+      "Record a typed event trace of the run and write it to $(docv) in \
+       Chrome trace_event JSON (open in about:tracing or \
+       https://ui.perfetto.dev).  Use a .jsonl suffix for line-oriented \
+       JSONL instead."
+    in
+    Arg.(
+      value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let domains_arg =
-  let doc =
-    "Worker domains for parallelisable work (OCaml 5 only; silently 1 \
-     on 4.14).  Results are byte-identical at every value — the domain \
-     count buys wall-clock speed, never different answers."
+  let metrics_out =
+    let doc =
+      "Write a JSON snapshot of the run's metrics registry (counters, \
+       gauges, latency distributions with p50/p95/p99) to $(docv) after \
+       the run."
+    in
+    Arg.(
+      value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
   in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+  Term.(
+    const (fun domains trace_out metrics_out ->
+        { domains; trace_out; metrics_out })
+    $ domains $ trace_out $ metrics_out)
 
-let check_domains domains k =
-  if domains < 1 then
-    `Error (false, Printf.sprintf "--domains %d: must be >= 1" domains)
-  else k ()
+(* Run [f] on a fresh context, then write the dumps [o] asks for.
+   [trace] replaces the default sink, which records only under
+   --trace-out. *)
+let with_ctx ?trace o f =
+  if o.domains < 1 then
+    `Error (false, Printf.sprintf "--domains %d: must be >= 1" o.domains)
+  else begin
+    let trace =
+      match trace with
+      | Some tr -> tr
+      | None ->
+          Sim.Trace.create ~unbounded:true ~enabled:(o.trace_out <> None) ()
+    in
+    let ctx = Sim.Ctx.create ~domains:o.domains ~trace () in
+    let result = f ctx in
+    try
+      (match o.trace_out with
+      | Some path ->
+          if Filename.check_suffix path ".jsonl" then
+            Sim.Trace.write_jsonl trace path
+          else Sim.Trace.write_chrome trace path;
+          Format.eprintf "wrote %d trace events to %s (%d dropped)@."
+            (Sim.Trace.length trace) path (Sim.Trace.dropped trace)
+      | None -> ());
+      (match o.metrics_out with
+      | Some path ->
+          Sim.Metrics.write (Sim.Ctx.metrics ctx) path;
+          Format.eprintf "wrote metrics snapshot to %s@." path
+      | None -> ());
+      result
+    with Sys_error msg -> `Error (false, msg)
+  end
 
 let list_cmd =
   let run () =
@@ -52,65 +97,41 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the available experiments.")
     Term.(const run $ const ())
 
-let with_observability ~trace_out ~metrics_out f =
-  let tr = Sim.Trace.default in
-  (match trace_out with
-  | Some _ ->
-      (* Full-fidelity capture for export: no ring, count every event. *)
-      Sim.Trace.set_capacity tr None;
-      Sim.Trace.enable tr true
-  | None -> ());
-  let result = f () in
-  try
-    (match trace_out with
-    | Some path ->
-        if Filename.check_suffix path ".jsonl" then
-          Sim.Trace.write_jsonl tr path
-        else Sim.Trace.write_chrome tr path;
-        Format.eprintf "wrote %d trace events to %s (%d dropped)@."
-          (Sim.Trace.length tr) path (Sim.Trace.dropped tr)
-    | None -> ());
-    (match metrics_out with
-    | Some path ->
-        Sim.Metrics.write Sim.Metrics.default path;
-        Format.eprintf "wrote metrics snapshot to %s@." path
-    | None -> ());
-    result
-  with Sys_error msg -> `Error (false, msg)
-
 let run_cmd =
   let ids =
-    let doc = "Experiment ids to run (e.g. E1 E9); omit for all." in
+    let doc = "Experiment ids to run (e.g. E1 E9 PAR); omit for all." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run quick trace_out metrics_out domains ids =
-    check_domains domains @@ fun () ->
-    with_observability ~trace_out ~metrics_out (fun () ->
-        match ids with
-        | [] ->
-            Experiments.Registry.run_all ~quick ~domains Format.std_formatter;
-            `Ok ()
-        | ids ->
-            let rec go = function
-              | [] -> `Ok ()
-              | id :: rest -> begin
-                  match Experiments.Registry.find id with
-                  | Some e ->
-                      Format.printf "%a@.@." Experiments.Table.pp
-                        (e.Experiments.Registry.e_run ~quick ~domains);
-                      go rest
-                  | None -> `Error (false, "unknown experiment " ^ id)
-                end
-            in
-            go ids)
+  let run quick o ids =
+    let ids =
+      if ids = [] then
+        List.map (fun e -> e.Experiments.Registry.e_id) Experiments.Registry.all
+      else ids
+    in
+    with_ctx o (fun ctx ->
+        let rec go = function
+          | [] -> `Ok ()
+          | id :: rest -> begin
+              match Experiments.Registry.find id with
+              | Some e ->
+                  Format.printf "%a@.@." Experiments.Table.pp
+                    (e.Experiments.Registry.e_run ~quick ctx);
+                  go rest
+              | None -> `Error (false, "unknown experiment " ^ id)
+            end
+        in
+        go ids)
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Run experiments and print their tables (all when no id given).")
-    Term.(
-      ret
-        (const run $ quick_arg $ trace_out_arg $ metrics_out_arg $ domains_arg
-       $ ids))
+       ~doc:
+         "Run experiments and print their tables (all when no id given).  \
+          E13, E14, E15 and PAR (the sharded multi-site fabric) spread \
+          their independent rows or shards over $(b,--domains) OCaml \
+          domains.")
+    Term.(ret (const run $ quick_arg $ run_opts $ ids))
+
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 
 let audit_cmd =
   let scenario_arg =
@@ -130,10 +151,6 @@ let audit_cmd =
     in
     Arg.(value & pos 0 (enum scenarios) `Video & info [] ~docv:"SCENARIO" ~doc)
   in
-  let json_arg =
-    let doc = "Emit the report as JSON instead of a table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let deadline_arg =
     let doc =
       "Per-flow end-to-end deadline in microseconds: completed flows \
@@ -145,55 +162,35 @@ let audit_cmd =
       & opt (some int) None
       & info [ "deadline-us" ] ~docv:"MICROSECONDS" ~doc)
   in
-  let duration_arg =
-    let doc = "Simulated run length in milliseconds." in
-    Arg.(value & opt int 400 & info [ "duration-ms" ] ~docv:"MS" ~doc)
-  in
-  let run scenario json deadline_us duration_ms domains trace_out =
-    check_domains domains @@ fun () ->
-    (* The audit rigs are single-shard worlds: any domain count yields
-       the same report (the CI determinism job diffs this). *)
-    let tr = Sim.Trace.default in
-    (* Flow-only capture: unbounded (the audit needs every flow event),
-       without per-cell detail, so the train fast path stays intact and
-       short runs stay cheap. *)
-    Sim.Trace.set_capacity tr None;
-    Sim.Trace.enable tr true;
-    Sim.Trace.set_flows tr true;
-    Sim.Trace.set_cell_detail tr false;
-    let duration = Sim.Time.ms duration_ms in
-    let e = Sim.Engine.create () in
-    (match scenario with
-    | `Video -> Experiments.Audit_scenarios.video ~duration e
-    | `Av -> Experiments.Audit_scenarios.av ~duration e
-    | `Pfs -> Experiments.Audit_scenarios.pfs ~duration e
-    | `Video_pfs -> Experiments.Audit_scenarios.video_pfs ~duration e);
-    let deadline_ns = Option.map (fun us -> us * 1_000) deadline_us in
-    let report = Sim.Audit.of_trace ?deadline_ns tr in
-    try
-      (match trace_out with
-      | Some path ->
-          if Filename.check_suffix path ".jsonl" then
-            Sim.Trace.write_jsonl tr path
-          else Sim.Trace.write_chrome tr path;
-          Format.eprintf "wrote %d trace events to %s (%d dropped)@."
-            (Sim.Trace.length tr) path (Sim.Trace.dropped tr)
-      | None -> ());
-      if json then print_string (Sim.Json.to_string (Sim.Audit.to_json report))
-      else Format.printf "%a" Sim.Audit.pp report;
-      `Ok ()
-    with Sys_error msg -> `Error (false, msg)
+  let run scenario json deadline_us o =
+    (* The audit needs every flow event, whatever --trace-out says. *)
+    let tr = Sim.Trace.create () in
+    Sim.Audit.capture tr;
+    with_ctx ~trace:tr o (fun ctx ->
+        let e = Sim.Ctx.engine ctx in
+        (match scenario with
+        | `Video -> Experiments.Audit_scenarios.video e
+        | `Av -> Experiments.Audit_scenarios.av e
+        | `Pfs -> Experiments.Audit_scenarios.pfs e
+        | `Video_pfs -> Experiments.Audit_scenarios.video_pfs e);
+        let deadline_ns = Option.map (fun us -> us * 1_000) deadline_us in
+        let report = Sim.Audit.of_trace ?deadline_ns tr in
+        if json then
+          print_string (Sim.Json.to_string (Sim.Audit.to_json report))
+        else Format.printf "%a" Sim.Audit.pp report;
+        `Ok ())
   in
   Cmd.v
     (Cmd.info "audit"
        ~doc:
-         "Run a flow-traced scenario and print its per-stream QoS audit \
-          (stage latency breakdown, end-to-end latency, jitter, deadline \
-          misses, critical path).")
+         "Run a flow-traced scenario for 400 ms of simulated time and print \
+          its per-stream QoS audit (stage latency breakdown, end-to-end \
+          latency, jitter, deadline misses, critical path).")
     Term.(
       ret
-        (const run $ scenario_arg $ json_arg $ deadline_arg $ duration_arg
-       $ domains_arg $ trace_out_arg))
+        (const run $ scenario_arg
+        $ json_arg ~doc:"Emit the report as JSON instead of a table."
+        $ deadline_arg $ run_opts))
 
 let health_cmd =
   let scenario_arg =
@@ -211,30 +208,13 @@ let health_cmd =
     in
     Arg.(value & pos 0 (enum scenarios) "video" & info [] ~docv:"SCENARIO" ~doc)
   in
-  let json_arg =
-    let doc =
-      "Emit the health report as $(b,pegasus-health/1) JSON instead of a \
-       table."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let duration_arg =
-    let doc =
-      "Simulated run length in milliseconds (default per scenario)."
-    in
-    Arg.(value & opt (some int) None & info [ "duration-ms" ] ~docv:"MS" ~doc)
-  in
-  let run scenario json duration_ms domains trace_out metrics_out =
-    check_domains domains @@ fun () ->
+  let run scenario json o =
     (* SLO evaluation runs inside the simulation: the report — including
        every alert transition instant — is byte-identical across runs
        and, for the sharded fabric scenario, across --domains values
        (the CI determinism job diffs both). *)
-    with_observability ~trace_out ~metrics_out (fun () ->
-        let duration = Option.map Sim.Time.ms duration_ms in
-        let report =
-          Experiments.Health_scenarios.run ?duration ~domains scenario
-        in
+    with_ctx o (fun ctx ->
+        let report = Experiments.Health_scenarios.run ctx scenario in
         if json then
           print_string (Sim.Json.to_string (Sim.Monitor.to_json report))
         else Format.printf "%a" Sim.Monitor.pp report;
@@ -249,94 +229,14 @@ let health_cmd =
           history with simulated timestamps.")
     Term.(
       ret
-        (const run $ scenario_arg $ json_arg $ duration_arg $ domains_arg
-       $ trace_out_arg $ metrics_out_arg))
-
-let parallel_cmd =
-  let sites_arg =
-    let doc = "Number of sites (= shards) in the fabric." in
-    Arg.(value & opt (some int) None & info [ "sites" ] ~docv:"N" ~doc)
-  in
-  let seed_arg =
-    let doc = "Seed for the deterministic source phases." in
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let run quick domains sites seed trace_out metrics_out =
-    check_domains domains @@ fun () ->
-    match sites with
-    | Some s when s < 1 ->
-        `Error (false, Printf.sprintf "--sites %d: must be >= 1" s)
-    | _ ->
-        with_observability ~trace_out ~metrics_out (fun () ->
-            Format.printf "%a@." Experiments.Table.pp
-              (Experiments.Fabric.run ~quick ~domains ?sites ?seed ());
-            `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "parallel"
-       ~doc:
-         "Run the sharded multi-site fabric (conservative parallel \
-          simulation over OCaml domains) and print its table.  The table \
-          is byte-identical at every $(b,--domains) value; the CI \
-          determinism job diffs it across 1, 2 and 4.")
-    Term.(
-      ret
-        (const run $ quick_arg $ domains_arg $ sites_arg $ seed_arg
-       $ trace_out_arg $ metrics_out_arg))
-
-let cityscale_cmd =
-  let seed_arg =
-    let doc = "Seed for the deterministic contract arrival pattern." in
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
-  let run quick domains seed trace_out metrics_out =
-    check_domains domains @@ fun () ->
-    with_observability ~trace_out ~metrics_out (fun () ->
-        Format.printf "%a@." Experiments.Table.pp
-          (Experiments.E14_cityscale.run ~quick ~domains ?seed ());
-        `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "cityscale"
-       ~doc:
-         "Run the city-scale admission sweep (experiment E14): a Clos \
-          fabric takes 10 to 10,000 offered stream contracts through the \
-          network QoS manager and reports accept/degrade/reject rates, \
-          per-class jitter and video fairness.  The table is \
-          byte-identical at every $(b,--domains) value.")
-    Term.(
-      ret
-        (const run $ quick_arg $ domains_arg $ seed_arg $ trace_out_arg
-       $ metrics_out_arg))
-
-let vodscale_cmd =
-  let run quick domains trace_out metrics_out =
-    check_domains domains @@ fun () ->
-    with_observability ~trace_out ~metrics_out (fun () ->
-        Format.printf "%a@." Experiments.Table.pp
-          (Experiments.E15_vodscale.run ~quick ~domains ());
-        `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "vodscale"
-       ~doc:
-         "Run the VOD flash-crowd sweep (experiment E15): a sharded file \
-          service under Zipf read traffic with a scripted popularity flip, \
-          comparing static placement, per-server caching and \
-          popularity-aware replication on flash-window throughput and \
-          p50/p95/p99 read tails.  The table is byte-identical at every \
-          $(b,--domains) value.")
-    Term.(
-      ret
-        (const run $ quick_arg $ domains_arg $ trace_out_arg $ metrics_out_arg))
+        (const run $ scenario_arg
+        $ json_arg
+            ~doc:
+              "Emit the health report as $(b,pegasus-health/1) JSON \
+               instead of a table."
+        $ run_opts))
 
 let () =
   let doc = "Pegasus/Nemesis reproduction: experiments driver." in
   let info = Cmd.info "pegasus_cli" ~version:"1.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd; run_cmd; audit_cmd; health_cmd; parallel_cmd;
-            cityscale_cmd; vodscale_cmd;
-          ]))
+  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; audit_cmd; health_cmd ]))

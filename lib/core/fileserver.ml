@@ -68,7 +68,7 @@ let create site ~name ?(segment_bytes = 1 lsl 20) ?(store_data = false)
   let log = Pfs.Log.create engine ~raid () in
   let streams = Pfs.Stream.create engine ~log () in
   let wserver = Pfs.Client_agent.Server.create engine ~log ~write_delay () in
-  let ns = Naming.Namespace.create ~name () in
+  let ns = Naming.Namespace.create ~name (Sim.Engine.metrics engine) in
   let t =
     {
       fs_name = name;

@@ -12,7 +12,8 @@ let create ?(backbone_ports = 32) engine =
     engine;
     net;
     backbone;
-    directory = Naming.Namespace.create ~name:"site" ();
+    directory =
+      Naming.Namespace.create ~name:"site" (Sim.Engine.metrics engine);
   }
 
 let engine t = t.engine

@@ -45,7 +45,7 @@ let create site ~name ?(cameras = 1) ?(display = true) ?(audio = true)
   let audio = if audio then Some (attach (name ^ ".dsp")) else None in
   let kernel = Nemesis.Kernel.create engine ~policy () in
   let qos = Nemesis.Qos.create kernel () in
-  let ns = Naming.Namespace.create ~name () in
+  let ns = Naming.Namespace.create ~name (Sim.Engine.metrics engine) in
   (* Local names are the shortest: devices appear right under /dev. *)
   Array.iteri
     (fun i host ->

@@ -3,8 +3,8 @@
    (tiny) guaranteed shares ask for extra time.  The slack policy
    decides how the remaining ~60% is divided. *)
 
-let scenario ~slack ~duration =
-  let e = Sim.Engine.create () in
+let scenario ctx ~slack ~duration =
+  let e = Sim.Ctx.engine ctx in
   let k =
     Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ~slack ()) ()
   in
@@ -55,10 +55,10 @@ let scenario ~slack ~duration =
    100.0 *. Sim.Time.to_sec_f (Nemesis.Kernel.idle_time k)
    /. Sim.Time.to_sec_f duration)
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.sec 2 else Sim.Time.sec 10 in
   let row label slack =
-    let batch_pcts, rt_pct, rt_misses, idle = scenario ~slack ~duration in
+    let batch_pcts, rt_pct, rt_misses, idle = scenario ctx ~slack ~duration in
     [
       label;
       (match batch_pcts with

@@ -5,17 +5,16 @@
    write mix; "video-pfs" runs the video rig and the file service on
    one engine — the CI smoke scenario. *)
 
-let default_duration = Sim.Time.ms 400
-
-let video ?duration e = E01_tile_latency.audit_scenario ?duration e
-let av ?duration e = E02_bandwidth_jitter.audit_scenario ?duration e
+let duration = Sim.Time.ms 400
+let video = E01_tile_latency.audit_scenario
+let av = E02_bandwidth_jitter.audit_scenario
 
 (* File service: one workstation client calling the "pfs" RPC interface
    (8 KB calls against one file, enough writes to seal 64 KB segments so
    the RAID and disk stages appear in the report), plus a client agent
    fed by the Baker file-lifetime mix, with the server's write delay
    shortened so buffered writes reach the disk inside the run. *)
-let setup_pfs e ~duration =
+let setup_pfs e =
   let site = Pegasus.Site.create e in
   let ws = Pegasus.Workstation.create site ~name:"client" () in
   let fs =
@@ -69,11 +68,11 @@ let setup_pfs e ~duration =
   in
   Workloads.Baker.start baker
 
-let pfs ?(duration = default_duration) e =
-  setup_pfs e ~duration;
+let pfs e =
+  setup_pfs e;
   Sim.Engine.run e ~until:duration
 
-let video_pfs ?(duration = default_duration) e =
-  setup_pfs e ~duration;
+let video_pfs e =
+  setup_pfs e;
   (* The E1 scenario runs the engine, driving the file traffic too. *)
-  E01_tile_latency.audit_scenario ~duration e
+  E01_tile_latency.audit_scenario e

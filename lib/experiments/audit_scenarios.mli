@@ -2,19 +2,19 @@
     executed with flow tracing enabled ({!Sim.Trace.set_flows}), after
     which {!Sim.Audit.of_trace} turns the recorded flow events into a
     per-stream QoS report.  Each takes the engine to build on and runs
-    it for [duration] (default 400 ms). *)
+    it for 400 ms. *)
 
-val video : ?duration:Sim.Time.t -> Sim.Engine.t -> unit
+val video : Sim.Engine.t -> unit
 (** The E1 tile-latency rig: raw tile-row video, camera → switch →
     display. *)
 
-val av : ?duration:Sim.Time.t -> Sim.Engine.t -> unit
+val av : Sim.Engine.t -> unit
 (** The E2 loaded-path rig: JPEG video sharing a switch with bursty
     cross traffic. *)
 
-val pfs : ?duration:Sim.Time.t -> Sim.Engine.t -> unit
+val pfs : Sim.Engine.t -> unit
 (** The Pegasus file service: RPC reads/writes sealing log segments,
     plus a Baker-mix client-agent write load. *)
 
-val video_pfs : ?duration:Sim.Time.t -> Sim.Engine.t -> unit
+val video_pfs : Sim.Engine.t -> unit
 (** {!video} and {!pfs} on one engine — the CI audit smoke scenario. *)

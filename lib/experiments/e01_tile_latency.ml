@@ -18,8 +18,8 @@ let rig e ~release ~mode =
   let camera = Atm.Camera.create e ~vc ~width ~height ~fps:25 ~mode ~release () in
   (display, vci, camera)
 
-let measure ~release ~mode ~duration =
-  let e = Sim.Engine.create () in
+let measure ctx ~release ~mode ~duration =
+  let e = Sim.Ctx.engine ctx in
   let display, vci, camera = rig e ~release ~mode in
   Atm.Camera.start camera;
   Sim.Engine.run e ~until:duration;
@@ -28,12 +28,12 @@ let measure ~release ~mode ~duration =
     Sim.Stats.Samples.percentile samples 99.0,
     Atm.Display.frames_completed display ~vci )
 
-let audit_scenario ?(duration = Sim.Time.ms 400) e =
+let audit_scenario e =
   let _display, _vci, camera = rig e ~release:`Tile_row ~mode:Atm.Camera.Raw in
   Atm.Camera.start camera;
-  Sim.Engine.run e ~until:duration
+  Sim.Engine.run e ~until:(Sim.Time.ms 400)
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.ms 400 else Sim.Time.sec 2 in
   let cases =
     [
@@ -46,7 +46,7 @@ let run ?(quick = false) () =
   let rows =
     List.map
       (fun (label, release, mode) ->
-        let p50, p99, frames = measure ~release ~mode ~duration in
+        let p50, p99, frames = measure ctx ~release ~mode ~duration in
         [
           label;
           Table.cell_time_us p50;

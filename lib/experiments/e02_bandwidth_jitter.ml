@@ -2,8 +2,8 @@
    Part 2: audio jitter and dropouts with and without bursty cross
    traffic sharing the path, for two play-out buffer sizes. *)
 
-let video_rate mode =
-  let e = Sim.Engine.create () in
+let video_rate ctx mode =
+  let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
   let a = Atm.Net.add_host net ~name:"a" in
   let b = Atm.Net.add_host net ~name:"b" in
@@ -15,8 +15,8 @@ let video_rate mode =
   in
   Atm.Camera.data_rate_bps camera /. 8.0 /. 1e6
 
-let audio_run ?reserve_bps ~loaded ~playout ~duration () =
-  let e = Sim.Engine.create () in
+let audio_run ctx ?reserve_bps ~loaded ~playout ~duration () =
+  let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
   let sw = Atm.Net.add_switch net ~name:"sw" ~ports:4 in
   let a = Atm.Net.add_host net ~name:"a" in
@@ -48,7 +48,7 @@ let audio_run ?reserve_bps ~loaded ~playout ~duration () =
     Atm.Audio.Sink.late_cells sink,
     Atm.Audio.Sink.cells_received sink )
 
-let audit_scenario ?(duration = Sim.Time.ms 400) e =
+let audit_scenario e =
   (* The loaded-path topology of the audio rows, with the traced video
      stream standing where the audio source did: one switch shared with
      bursty 300 Mbit/s-peak cross traffic, so the audit's jitter and
@@ -80,16 +80,16 @@ let audit_scenario ?(duration = Sim.Time.ms 400) e =
   in
   Atm.Traffic.start cross;
   Atm.Camera.start camera;
-  Sim.Engine.run e ~until:duration;
+  Sim.Engine.run e ~until:(Sim.Time.ms 400);
   Atm.Traffic.stop cross
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.ms 300 else Sim.Time.sec 2 in
-  let raw = video_rate Atm.Camera.Raw in
-  let jpeg = video_rate (Atm.Camera.Jpeg { ratio = 8.0 }) in
+  let raw = video_rate ctx Atm.Camera.Raw in
+  let jpeg = video_rate ctx (Atm.Camera.Jpeg { ratio = 8.0 }) in
   let audio_row ?reserve_bps label ~loaded ~playout =
     let jitter, late, received =
-      audio_run ?reserve_bps ~loaded ~playout ~duration ()
+      audio_run ctx ?reserve_bps ~loaded ~playout ~duration ()
     in
     [
       label;

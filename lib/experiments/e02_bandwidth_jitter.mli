@@ -5,10 +5,10 @@
     modest bandwidth requirements compared to video, but is much more
     susceptible to jitter." *)
 
-val run : ?quick:bool -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t
 
-val audit_scenario : ?duration:Sim.Time.t -> Sim.Engine.t -> unit
+val audit_scenario : Sim.Engine.t -> unit
 (** The loaded-path rig behind the bursty-load rows, with a JPEG video
     stream in the audio source's place, run on the given engine for
-    [duration] (default 400 ms) — the [pegasus_cli audit av] scenario,
+    400 ms — the [pegasus_cli audit av] scenario,
     whose jitter figures complement this experiment's table. *)

@@ -13,8 +13,8 @@ let periodic k d ~period ~work ~label =
            ~created:now ());
       true)
 
-let scenario ~policy ~duration =
-  let e = Sim.Engine.create () in
+let scenario ctx ~policy ~duration =
+  let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy () in
   let video =
     Nemesis.Domain.create ~name:"video" ~period:(Sim.Time.ms 40)
@@ -69,7 +69,7 @@ let scenario ~policy ~duration =
   in
   (miss_pct video, miss_pct audio, batch_ms /. Sim.Time.to_ms_f duration *. 100.0)
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.sec 2 else Sim.Time.sec 10 in
   let policies =
     [
@@ -82,7 +82,7 @@ let run ?(quick = false) () =
   let rows =
     List.map
       (fun (label, policy) ->
-        let video, audio, batch = scenario ~policy ~duration in
+        let video, audio, batch = scenario ctx ~policy ~duration in
         [
           label;
           Printf.sprintf "%.1f%%" video;
@@ -112,9 +112,9 @@ let run ?(quick = false) () =
 
 (* The QoS manager at work: one adaptive application watches its grant
    as competitors come and go. *)
-let run_qos ?(quick = false) () =
+let run_qos ?(quick = false) ctx =
   let scale = if quick then 1 else 4 in
-  let e = Sim.Engine.create () in
+  let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ()) () in
   let mk name =
     let d = Nemesis.Domain.create ~name ~period:(Sim.Time.ms 40) () in

@@ -5,8 +5,8 @@
    resumed where it was preempted, like a suspended Unix process, so
    the urgent thread waits behind the decode. *)
 
-let scenario ~mode ~urgent_period ~duration =
-  let e = Sim.Engine.create () in
+let scenario ctx ~mode ~urgent_period ~duration =
+  let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ()) () in
   let app =
     Nemesis.Domain.create ~name:"app" ~mode ~period:(Sim.Time.ms 10)
@@ -48,11 +48,11 @@ let scenario ~mode ~urgent_period ~duration =
   in
   (misses, urgent_count, p95, Nemesis.Domain.activations app)
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.sec 2 else Sim.Time.sec 10 in
   let case label mode =
     let misses, count, p95, activations =
-      scenario ~mode ~urgent_period:(Sim.Time.ms 25) ~duration
+      scenario ctx ~mode ~urgent_period:(Sim.Time.ms 25) ~duration
     in
     [
       label;

@@ -5,4 +5,4 @@
     information, together with the current time, to make more informed
     decisions about the fate of the threads which it controls." *)
 
-val run : ?quick:bool -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

@@ -15,8 +15,8 @@ let job e ?deadline ?on_complete ~label ~work () =
   Nemesis.Job.make ~label ~work ?deadline ?on_complete
     ~created:(Sim.Engine.now e) ()
 
-let pingpong ~mode ~rounds =
-  let e = Sim.Engine.create () in
+let pingpong ctx ~mode ~rounds =
+  let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ()) () in
   let client =
     Nemesis.Domain.create ~name:"client" ~period:(Sim.Time.ms 10)
@@ -76,8 +76,8 @@ let pingpong ~mode ~rounds =
   Sim.Engine.run e ~until:(Sim.Time.sec 30);
   latency
 
-let demux ~mode ~packets ~receivers =
-  let e = Sim.Engine.create () in
+let demux ctx ~mode ~packets ~receivers =
+  let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ()) () in
   let demux_dom =
     Nemesis.Domain.create ~name:"demux" ~period:(Sim.Time.ms 10)
@@ -133,13 +133,17 @@ let demux ~mode ~packets ~receivers =
     Nemesis.Kernel.context_switches k,
     !processed )
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let rounds = if quick then 50 else 400 in
   let packets = if quick then 200 else 2000 in
-  let lat_sync = pingpong ~mode:`Sync ~rounds in
-  let lat_async = pingpong ~mode:`Async ~rounds in
-  let d_sync, sw_sync, done_sync = demux ~mode:`Sync ~packets ~receivers:4 in
-  let d_async, sw_async, done_async = demux ~mode:`Async ~packets ~receivers:4 in
+  let lat_sync = pingpong ctx ~mode:`Sync ~rounds in
+  let lat_async = pingpong ctx ~mode:`Async ~rounds in
+  let d_sync, sw_sync, done_sync =
+    demux ctx ~mode:`Sync ~packets ~receivers:4
+  in
+  let d_async, sw_async, done_async =
+    demux ctx ~mode:`Async ~packets ~receivers:4
+  in
   let lat_row label samples =
     [
       "client/server RTT (" ^ label ^ ")";

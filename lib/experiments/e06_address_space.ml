@@ -4,8 +4,8 @@
    - address reuse: collisions among hashed 32-bit image bases;
    - image load cost with and without a relocation-cache hit. *)
 
-let pingpong_throughput ~ctx_cost ~duration =
-  let e = Sim.Engine.create () in
+let pingpong_throughput ctx ~ctx_cost ~duration =
+  let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ())
       ~ctx_switch_cost:ctx_cost ()
   in
@@ -42,12 +42,12 @@ let pingpong_throughput ~ctx_cost ~duration =
   Sim.Engine.run e ~until:duration;
   Float.of_int !interactions /. Sim.Time.to_sec_f duration
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.ms 500 else Sim.Time.sec 5 in
   let flush_cost = Nemesis.Vm.switch_cost ~aliases:true () in
   let no_flush_cost = Nemesis.Vm.switch_cost ~aliases:false () in
-  let thr_flush = pingpong_throughput ~ctx_cost:flush_cost ~duration in
-  let thr_clean = pingpong_throughput ~ctx_cost:no_flush_cost ~duration in
+  let thr_flush = pingpong_throughput ctx ~ctx_cost:flush_cost ~duration in
+  let thr_clean = pingpong_throughput ctx ~ctx_cost:no_flush_cost ~duration in
   let rng = Sim.Rng.create ~seed:2024L () in
   let collisions n = Nemesis.Vm.reuse_collisions rng ~images:n in
   let birthday n = Float.of_int n *. Float.of_int n /. 2.0 /. 4294967296.0 in

@@ -2,8 +2,8 @@
    figure is measured live on the simulated ATM network so that the
    Remote relation uses an honest round-trip time. *)
 
-let measured_rpc_rtt () =
-  let e = Sim.Engine.create () in
+let measured_rpc_rtt ctx =
+  let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
   let sw = Atm.Net.add_switch net ~name:"sw" ~ports:4 in
   let a = Atm.Net.add_host net ~name:"a" in
@@ -31,8 +31,8 @@ let measured_rpc_rtt () =
 
 (* Measure the protected call live: a client domain invoking a server
    domain through the shared-memory queue + sync event pair. *)
-let measured_protected_call () =
-  let e = Sim.Engine.create () in
+let measured_protected_call ctx =
+  let e = Sim.Ctx.engine ctx in
   let k =
     Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ())
       ~ctx_switch_cost:(Sim.Time.us 2) ()
@@ -77,14 +77,15 @@ let resolution_cost ns path =
   | Ok r -> Sim.Time.to_us_f r.Naming.Namespace.cost
   | Error _ -> Float.nan
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   ignore quick;
-  let rtt = measured_rpc_rtt () in
+  let rtt = measured_rpc_rtt ctx in
   (* A local namespace, a same-machine service, and two remote hops. *)
-  let local = Naming.Namespace.create ~name:"local" () in
-  let machine_svc = Naming.Namespace.create ~name:"machine" () in
-  let remote_fs = Naming.Namespace.create ~name:"fs" () in
-  let far = Naming.Namespace.create ~name:"far" () in
+  let ns name = Naming.Namespace.create ~name (Sim.Ctx.metrics ctx) in
+  let local = ns "local" in
+  let machine_svc = ns "machine" in
+  let remote_fs = ns "fs" in
+  let far = ns "far" in
   Naming.Namespace.bind local ~path:"obj" (obj "local-shallow");
   Naming.Namespace.bind local ~path:"a/b/c/obj" (obj "local-deep");
   Naming.Namespace.bind machine_svc ~path:"obj" (obj "svc-obj");
@@ -132,7 +133,7 @@ let run ?(quick = false) () =
       [
         "invoke, same machine";
         "protected call (measured IPC)";
-        Table.cell_time_us (measured_protected_call ());
+        Table.cell_time_us (measured_protected_call ctx);
       ];
       [
         "invoke, remote";

@@ -6,8 +6,8 @@
    - the same array serving a client across the 100 Mbit/s ATM network:
      the network becomes the bottleneck at ~10 MB/s. *)
 
-let single_disk_rate ~unit_bytes ~ops =
-  let e = Sim.Engine.create () in
+let single_disk_rate ctx ~unit_bytes ~ops =
+  let e = Sim.Ctx.engine ctx in
   let d = Pfs.Disk.create e ~name:"d" () in
   for i = 0 to ops - 1 do
     let off =
@@ -22,8 +22,8 @@ let single_disk_rate ~unit_bytes ~ops =
   let overhead = Sim.Time.to_sec_f (Pfs.Disk.seek_time d) /. busy *. 100.0 in
   (rate, overhead)
 
-let striped_rate ~data_disks ~segments =
-  let e = Sim.Engine.create () in
+let striped_rate ctx ~data_disks ~segments =
+  let e = Sim.Ctx.engine ctx in
   let raid = Pfs.Raid.create e ~data_disks ~segment_bytes:1_048_576 () in
   let t0 = Sim.Engine.now e in
   let finished = ref Sim.Time.zero in
@@ -41,8 +41,8 @@ let striped_rate ~data_disks ~segments =
 
 (* Stream segments from the array to a client over one 100 Mbit/s
    link: read segment n+1 while shipping segment n. *)
-let networked_rate ~segments =
-  let e = Sim.Engine.create () in
+let networked_rate ctx ~segments =
+  let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
   let server = Atm.Net.add_host net ~name:"pfs" in
   let client = Atm.Net.add_host net ~name:"ws" in
@@ -88,13 +88,13 @@ let networked_rate ~segments =
   Sim.Engine.run e;
   Float.of_int !received /. Sim.Time.to_sec_f !finished /. 1e6
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let ops = if quick then 10 else 40 in
   let segments = if quick then 8 else 40 in
   let unit_rows =
     List.map
       (fun unit_bytes ->
-        let rate, overhead = single_disk_rate ~unit_bytes ~ops in
+        let rate, overhead = single_disk_rate ctx ~unit_bytes ~ops in
         [
           Printf.sprintf "1 disk, %dKB units" (unit_bytes / 1024);
           Printf.sprintf "%.2f MB/s" rate;
@@ -107,7 +107,7 @@ let run ?(quick = false) () =
       (fun n ->
         [
           Printf.sprintf "%d-wide stripe + parity, 1MB segments" n;
-          Printf.sprintf "%.2f MB/s" (striped_rate ~data_disks:n ~segments);
+          Printf.sprintf "%.2f MB/s" (striped_rate ctx ~data_disks:n ~segments);
           "-";
         ])
       [ 1; 2; 4 ]
@@ -115,7 +115,7 @@ let run ?(quick = false) () =
   let net_row =
     [
       "4-wide stripe read over 100 Mbit/s ATM";
-      Printf.sprintf "%.2f MB/s" (networked_rate ~segments);
+      Printf.sprintf "%.2f MB/s" (networked_rate ctx ~segments);
       "-";
     ]
   in

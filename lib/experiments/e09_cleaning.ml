@@ -33,22 +33,22 @@ let clean which log k =
   | `Pegasus -> Pfs.Cleaner.run log k
   | `Sprite -> Pfs.Cleaner_sprite.run log k
 
-let measure which ~files =
-  let e = Sim.Engine.create () in
+let measure ctx which ~files =
+  let e = Sim.Ctx.engine ctx in
   let log = build_fs e ~files in
   let out = ref None in
   clean which log (fun s -> out := Some s);
   Sim.Engine.run e;
   match !out with Some s -> (s, Pfs.Log.total_segments log) | None -> assert false
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let sizes = if quick then [ 64; 256 ] else [ 64; 256; 1024; 4096 ] in
   let rows =
     List.concat_map
       (fun files ->
         let mb = files * file_bytes / 1_048_576 in
         let row which label =
-          let s, total = measure which ~files in
+          let s, total = measure ctx which ~files in
           [
             Printf.sprintf "%4d MB (%d segs)" mb total;
             label;

@@ -6,4 +6,4 @@
     algorithm whose complexity only depends on the number of segments
     to be cleaned and the amount of 'garbage'." *)
 
-val run : ?quick:bool -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

@@ -3,8 +3,8 @@
    client agent's copies).  Measure disk writes, cancelled writes, and
    the garbage the log accrues. *)
 
-let scenario ~write_delay ~duration =
-  let e = Sim.Engine.create () in
+let scenario ctx ~write_delay ~duration =
+  let e = Sim.Ctx.engine ctx in
   let raid = Pfs.Raid.create e ~segment_bytes:262_144 () in
   let log = Pfs.Log.create e ~raid () in
   let server = Pfs.Client_agent.Server.create e ~log ~write_delay () in
@@ -39,11 +39,11 @@ let scenario ~write_delay ~duration =
     Pfs.Log.garbage_bytes_created log,
     Workloads.Baker.short_lived_fraction gen )
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let duration = if quick then Sim.Time.sec 120 else Sim.Time.sec 600 in
   let row label ~write_delay =
     let received, to_disk, cancelled, garbage, _short =
-      scenario ~write_delay ~duration
+      scenario ctx ~write_delay ~duration
     in
     [
       label;

@@ -5,4 +5,4 @@
     the log is reasonably stable, so garbage is created at a much
     lower rate." *)
 
-val run : ?quick:bool -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

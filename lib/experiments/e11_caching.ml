@@ -28,7 +28,7 @@ let hit_rate hits misses =
   let total = hits + misses in
   if total = 0 then 0.0 else 100.0 *. Float.of_int hits /. Float.of_int total
 
-let run ?(quick = false) () =
+let run ?(quick = false) (_ : Sim.Ctx.t) =
   let n = if quick then zipf_accesses / 10 else zipf_accesses in
   let video_blocks = 512 * 1024 * 1024 / block_bytes in
   let video_blocks = if quick then video_blocks / 4 else video_blocks in

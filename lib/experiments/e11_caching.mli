@@ -5,4 +5,4 @@
     cache, so, by the time a user has seen ... a video to the end, the
     beginning has already been evicted from the (LRU) cache." *)
 
-val run : ?quick:bool -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

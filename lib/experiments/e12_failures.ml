@@ -9,8 +9,8 @@ type failure =
   | Client_crash
   | Power_cut of { ups : bool; nvram : bool }
 
-let scenario ~failure ~writes =
-  let e = Sim.Engine.create () in
+let scenario ctx ~failure ~writes =
+  let e = Sim.Ctx.engine ctx in
   let raid = Pfs.Raid.create e ~segment_bytes:262_144 () in
   let log = Pfs.Log.create e ~raid () in
   let ups, nvram =
@@ -57,10 +57,10 @@ let scenario ~failure ~writes =
   Sim.Engine.run e ~until:(Sim.Time.sec 120);
   Pfs.Client_agent.audit server
 
-let run ?(quick = false) () =
+let run ?(quick = false) ctx =
   let writes = if quick then 20 else 100 in
   let row label failure =
-    let a = scenario ~failure ~writes in
+    let a = scenario ctx ~failure ~writes in
     [
       label;
       string_of_int a.Pfs.Client_agent.acknowledged;

@@ -16,28 +16,15 @@
    through parity, with two down they are lost.
 
    Each row is an independent closed world (its own engine, network,
-   fault plan and seeds), so the ten rows are also the registry's
-   show-piece for {!Sim.Par.map}: with [~domains:n] they run on [n]
-   OCaml domains.  Parallel rows must not share the process-default
-   trace and metrics sinks, so they get private ones — which is also
-   why the table is identical either way: no row reads those sinks. *)
+   fault plan and seeds), so the ten rows run through {!Sim.Ctx.map}:
+   each on a child of the run's context, over as many OCaml domains as
+   the context allows, merged back in row order. *)
 
 let tile_bytes = 8192
 let frame_gap = Sim.Time.ms 40  (* 25 fps *)
 
-(* [iso] rows run on worker domains: give them private trace/metrics
-   sinks instead of the process-wide defaults.  Tracing is off in both
-   cases, so results cannot differ (see lib/atm/link.mli on why an
-   enabled trace would matter). *)
-let mk_engine ~iso () =
-  if iso then
-    Sim.Engine.create
-      ~trace:(Sim.Trace.create ~enabled:false ())
-      ~metrics:(Sim.Metrics.create ()) ()
-  else Sim.Engine.create ()
-
-let video_run ~iso ~loss ~with_outages ~frames () =
-  let e = mk_engine ~iso () in
+let video_run ctx ~loss ~with_outages ~frames =
+  let e = Sim.Ctx.engine ctx in
   let fault = Sim.Fault.create ~seed:0x13AB1EL e in
   let net = Atm.Net.create e in
   let sw = Atm.Net.add_switch net ~name:"sw" ~ports:4 in
@@ -67,8 +54,8 @@ let video_run ~iso ~loss ~with_outages ~frames () =
   Sim.Engine.run e;
   (!delivered, frames, Atm.Net.total_cells_lost net)
 
-let rpc_run ~iso ~loss ~with_outage ~calls () =
-  let e = mk_engine ~iso () in
+let rpc_run ctx ~loss ~with_outage ~calls =
+  let e = Sim.Ctx.engine ctx in
   let fault = Sim.Fault.create ~seed:0x13FA11L e in
   let net = Atm.Net.create e in
   let ch = Atm.Net.add_host net ~name:"client" in
@@ -100,8 +87,8 @@ let rpc_run ~iso ~loss ~with_outage ~calls () =
 
 type raid_fault = Raid_none | Raid_one_window | Raid_two_down
 
-let raid_run ~iso ~fault_kind ~segments () =
-  let e = mk_engine ~iso () in
+let raid_run ctx ~fault_kind ~segments =
+  let e = Sim.Ctx.engine ctx in
   let raid = Pfs.Raid.create e ~store_data:true ~segment_bytes:65_536 () in
   let pattern seg = Bytes.make 65_536 (Char.chr (Char.code 'a' + (seg mod 26))) in
   for seg = 0 to segments - 1 do
@@ -133,16 +120,14 @@ let raid_run ~iso ~fault_kind ~segments () =
   Sim.Engine.run e;
   (!ok, segments, Pfs.Raid.degraded_reads raid)
 
-let run ?(quick = false) ?(domains = 1) () =
-  let workers = if Sim.Par.available then max 1 domains else 1 in
-  let iso = workers > 1 in
+let run ?(quick = false) ctx =
   let frames = if quick then 25 else 75 in
   let calls = if quick then 100 else 300 in
   let segments = if quick then 32 else 96 in
   let ratio a b = Table.cell_f (float_of_int a /. float_of_int b) in
-  let video_row label ~loss ~with_outages =
+  let video_row label ~loss ~with_outages ctx =
     let delivered, sent, cells_lost =
-      video_run ~iso ~loss ~with_outages ~frames ()
+      video_run ctx ~loss ~with_outages ~frames
     in
     [
       "video 25fps 8KB tiles";
@@ -152,8 +137,8 @@ let run ?(quick = false) ?(domains = 1) () =
       Printf.sprintf "%d cells lost" cells_lost;
     ]
   in
-  let rpc_row label ~loss ~with_outage =
-    let ok, sent, retrans = rpc_run ~iso ~loss ~with_outage ~calls () in
+  let rpc_row label ~loss ~with_outage ctx =
+    let ok, sent, retrans = rpc_run ctx ~loss ~with_outage ~calls in
     [
       "rpc echo, 8 tries";
       label;
@@ -162,8 +147,8 @@ let run ?(quick = false) ?(domains = 1) () =
       Printf.sprintf "%d retransmissions" retrans;
     ]
   in
-  let raid_row label fault_kind =
-    let ok, total, degraded = raid_run ~iso ~fault_kind ~segments () in
+  let raid_row label fault_kind ctx =
+    let ok, total, degraded = raid_run ctx ~fault_kind ~segments in
     [
       "raid 4+1 read sweep";
       label;
@@ -193,22 +178,17 @@ let run ?(quick = false) ?(domains = 1) () =
          (degraded), bit-identical to the written data.";
       ]
     (Array.to_list
-       (Sim.Par.map ~workers
+       (Sim.Ctx.map ctx
           [|
-            (fun () -> video_row "none" ~loss:0.0 ~with_outages:false);
-            (fun () ->
-              video_row "cell loss p=0.001" ~loss:0.001 ~with_outages:false);
-            (fun () ->
-              video_row "cell loss p=0.01" ~loss:0.01 ~with_outages:false);
-            (fun () ->
-              video_row "cell loss p=0.05" ~loss:0.05 ~with_outages:false);
-            (fun () ->
-              video_row "loss p=0.01 + link outages" ~loss:0.01
-                ~with_outages:true);
-            (fun () -> rpc_row "cell loss p=0.01" ~loss:0.01 ~with_outage:false);
-            (fun () ->
-              rpc_row "loss p=0.05 + 40ms outage" ~loss:0.05 ~with_outage:true);
-            (fun () -> raid_row "none" Raid_none);
-            (fun () -> raid_row "1 disk down mid-sweep" Raid_one_window);
-            (fun () -> raid_row "2 disks down mid-sweep" Raid_two_down);
+            video_row "none" ~loss:0.0 ~with_outages:false;
+            video_row "cell loss p=0.001" ~loss:0.001 ~with_outages:false;
+            video_row "cell loss p=0.01" ~loss:0.01 ~with_outages:false;
+            video_row "cell loss p=0.05" ~loss:0.05 ~with_outages:false;
+            video_row "loss p=0.01 + link outages" ~loss:0.01
+              ~with_outages:true;
+            rpc_row "cell loss p=0.01" ~loss:0.01 ~with_outage:false;
+            rpc_row "loss p=0.05 + 40ms outage" ~loss:0.05 ~with_outage:true;
+            raid_row "none" Raid_none;
+            raid_row "1 disk down mid-sweep" Raid_one_window;
+            raid_row "2 disks down mid-sweep" Raid_two_down;
           |]))

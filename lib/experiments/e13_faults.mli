@@ -8,9 +8,10 @@
     disk failure; only two failures lose data).  Fixed seeds make two
     runs of the experiment byte-identical.
 
-    The ten rows are independent closed worlds, so [domains] runs them
-    on that many OCaml domains through {!Sim.Par.map} — the table is
-    byte-identical at every domain count (and [domains] is silently 1
-    on OCaml 4.14). *)
+    The ten rows are independent closed worlds, so they run through
+    {!Sim.Ctx.map} on as many OCaml domains as the context allows, each
+    recording into a child context merged back in row order: the table
+    and everything the context records are byte-identical at every
+    domain count. *)
 
-val run : ?quick:bool -> ?domains:int -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

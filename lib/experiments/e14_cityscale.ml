@@ -18,9 +18,9 @@
    streams' delivered frames (1.0 when every sampled video stream got
    the same service; lower when degradation split the class).
 
-   Each sweep row is an independent closed world with private trace
-   and metrics sinks, so the rows fan out over OCaml domains through
-   {!Sim.Par.map} with byte-identical output at every domain count.
+   Each sweep row is an independent closed world on its own child of
+   the run's context, so the rows fan out over OCaml domains through
+   {!Sim.Ctx.map} with byte-identical output at every domain count.
 
    This sweep only works because signalling is leak-free: a rejected
    request must leave no reservation, route or VCI behind (see the
@@ -66,17 +66,16 @@ type row_result = {
   rr_video_fairness : float option;
 }
 
-let row ~quick ~seed ~offered () =
-  let tr = Sim.Trace.create ~unbounded:true ~enabled:true () in
-  Sim.Trace.set_flows tr true;
-  Sim.Trace.set_cell_detail tr false;
-  let e = Sim.Engine.create ~trace:tr ~metrics:(Sim.Metrics.create ()) () in
+let row ~quick ~offered ctx =
+  let tr = Sim.Ctx.trace ctx in
+  Sim.Audit.capture tr;
+  let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
   let fabric = Atm.Net.clos net ~spines ~leaves ~hosts_per_leaf () in
   let hosts = fabric.Atm.Net.cl_hosts in
   let nh = Array.length hosts in
   let qm = Atm.Qos_mgr.create ~path_attempts:spines net () in
-  let rng = Sim.Rng.create ~seed:(Int64.of_int (0xE14000 + (seed * 8191) + offered)) () in
+  let rng = Sim.Rng.create ~seed:(Int64.of_int (0xE15FFF + offered)) () in
   (* Admission wave.  Every request gets a replaceable delivery sink so
      the contracts picked for the traffic phase can be wired up after
      admission decides which ones exist. *)
@@ -248,12 +247,11 @@ let render r =
     (match r.rr_video_fairness with Some f -> Table.cell_f f | None -> "-");
   ]
 
-let run ?(quick = false) ?(domains = 1) ?(seed = 1) () =
-  let workers = if Sim.Par.available then Stdlib.max 1 domains else 1 in
+let run ?(quick = false) ctx =
   let loads = [| 10; 100; 1_000; 10_000 |] in
   let rows =
-    Sim.Par.map ~workers
-      (Array.map (fun offered () -> render (row ~quick ~seed ~offered ())) loads)
+    Sim.Ctx.map ctx
+      (Array.map (fun offered ctx -> render (row ~quick ~offered ctx)) loads)
   in
   Table.make ~id:"E14"
     ~title:"City-scale fabric: contract admission from 10 to 10k streams"

@@ -7,8 +7,9 @@
     A deterministic sample of survivors carries flow-traced traffic so
     {!Sim.Audit} yields per-class jitter and a Jain fairness index.
 
-    The sweep rows are independent closed worlds: [domains] fans them
-    over OCaml domains through {!Sim.Par.map} with byte-identical
-    output at every domain count. *)
+    The sweep rows are independent closed worlds: {!Sim.Ctx.map} fans
+    them over the context's OCaml domains, each recording into its own
+    child context, with byte-identical output — table, metrics and
+    trace — at every domain count. *)
 
-val run : ?quick:bool -> ?domains:int -> ?seed:int -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

@@ -31,9 +31,9 @@
    p50/p95/p99 separately — the flash numbers are where replication
    must re-converge after the flip invalidates its replica set.
 
-   Each (clients, placement) row is an independent closed world with
-   private trace and metrics sinks; rows fan out over OCaml domains
-   through {!Sim.Par.map} byte-identically at any domain count. *)
+   Each (clients, placement) row is an independent closed world on its
+   own child of the run's context; rows fan out over OCaml domains
+   through {!Sim.Ctx.map} byte-identically at any domain count. *)
 
 let servers = 4
 let files = 32
@@ -75,11 +75,10 @@ type row_result = {
   rr_drops : int;
 }
 
-let row ~quick ~clients ~mode () =
-  let tr = Sim.Trace.create ~unbounded:true ~enabled:true () in
-  Sim.Trace.set_flows tr true;
-  Sim.Trace.set_cell_detail tr false;
-  let e = Sim.Engine.create ~trace:tr ~metrics:(Sim.Metrics.create ()) () in
+let row ~quick ~clients ~mode ctx =
+  let tr = Sim.Ctx.trace ctx in
+  Sim.Audit.capture tr;
+  let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
   let sw = Atm.Net.add_switch net ~name:"sw" ~ports:(servers + clients) in
   let srv =
@@ -318,8 +317,7 @@ let render r =
 
 let client_counts ~quick = if quick then [| 8; 64 |] else [| 8; 24; 64 |]
 
-let results ?(quick = false) ?(domains = 1) () =
-  let workers = if Sim.Par.available then Stdlib.max 1 domains else 1 in
+let results ?(quick = false) ctx =
   let cases =
     Array.concat
       (Array.to_list
@@ -330,11 +328,11 @@ let results ?(quick = false) ?(domains = 1) () =
                 [| Static; Cache_only; Replicate |])
             (client_counts ~quick)))
   in
-  Sim.Par.map ~workers
-    (Array.map (fun (clients, mode) () -> row ~quick ~clients ~mode ()) cases)
+  Sim.Ctx.map ctx
+    (Array.map (fun (clients, mode) -> row ~quick ~clients ~mode) cases)
 
-let run ?(quick = false) ?(domains = 1) () =
-  let rows = results ~quick ~domains () in
+let run ?(quick = false) ctx =
+  let rows = results ~quick ctx in
   Table.make ~id:"E15"
     ~title:"VOD flash crowd: popularity-aware replication vs static placement"
     ~claim:

@@ -10,8 +10,9 @@
     ({!Sim.Audit} over causal flows).
 
     The (clients, placement) rows are independent closed worlds:
-    [domains] fans them over OCaml domains through {!Sim.Par.map} with
-    byte-identical output at every domain count. *)
+    {!Sim.Ctx.map} fans them over the context's OCaml domains, each
+    recording into its own child context, with byte-identical output —
+    table, metrics and trace — at every domain count. *)
 
 type mode = Static | Cache_only | Replicate
 
@@ -27,8 +28,8 @@ type row_result = {
   rr_drops : int;
 }
 
-val results : ?quick:bool -> ?domains:int -> unit -> row_result array
+val results : ?quick:bool -> Sim.Ctx.t -> row_result array
 (** The raw sweep, in row order (clients major, placement minor) —
     what the benchmark harness consumes. *)
 
-val run : ?quick:bool -> ?domains:int -> unit -> Table.t
+val run : ?quick:bool -> Sim.Ctx.t -> Table.t

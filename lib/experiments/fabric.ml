@@ -70,11 +70,7 @@ let fold_digest d ~ns ~stream ~origin =
 (* The blueprint: the whole fabric as one (never-run) net, used to
    derive the partition and its lookahead. *)
 let blueprint p =
-  let e =
-    Sim.Engine.create
-      ~trace:(Sim.Trace.create ~enabled:false ())
-      ~metrics:(Sim.Metrics.create ()) ()
-  in
+  let e = Sim.Engine.create () in
   let net = Atm.Net.create e in
   let sws =
     Array.init p.sites (fun i ->
@@ -103,10 +99,10 @@ let blueprint p =
   in
   (assign, lookahead)
 
-let execute ?(domains = 1) p =
+let execute ctx p =
   if p.sites < 1 then invalid_arg "Fabric: sites < 1";
   let _assign, lookahead = blueprint p in
-  let shard = Sim.Shard.create ~lookahead ~shards:p.sites () in
+  let shard = Sim.Shard.create ~lookahead ~shards:p.sites ctx in
   let states = Array.init p.sites (fun _ -> { s_local = 0; s_remote = 0; s_digest = 0 }) in
   let period_ns = 1_000_000_000 / p.fps in
   let payload = Bytes.make p.frame_bytes 'x' in
@@ -186,7 +182,7 @@ let execute ?(domains = 1) p =
           ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns phase) tick))
         vcs)
     sites_built;
-  Sim.Shard.run ~domains ~until:p.duration shard;
+  Sim.Shard.run ~until:p.duration shard;
   {
     p;
     local_frames = Array.map (fun s -> s.s_local) states;
@@ -198,11 +194,10 @@ let execute ?(domains = 1) p =
     lookahead = Sim.Shard.lookahead shard;
   }
 
-let run ?(quick = false) ?(domains = 1) ?sites ?seed () =
+let run ?(quick = false) ?seed ctx =
   let p = default_params ~quick in
-  let p = match sites with Some s -> { p with sites = s } | None -> p in
   let p = match seed with Some s -> { p with seed = s } | None -> p in
-  let o = execute ~domains p in
+  let o = execute ctx p in
   let rows =
     List.init p.sites (fun i ->
         [

@@ -1,5 +1,5 @@
 (** Sharded multi-site fabric — the conservative-parallel-simulation
-    showcase rig behind [pegasus_cli parallel] and the BENCH_parallel
+    showcase rig behind [pegasus_cli run PAR] and the BENCH_parallel
     benchmark.
 
     [sites] campus networks (switch + camera/display/gateway hosts, 10
@@ -36,11 +36,13 @@ type outcome = {
   lookahead : Sim.Time.t;
 }
 
-val execute : ?domains:int -> params -> outcome
-(** Build and run the fabric on [domains] workers (default 1).  The
-    outcome is independent of [domains]; only wall-clock time varies. *)
+val execute : Sim.Ctx.t -> params -> outcome
+(** Build and run the fabric on the context's domain budget, one shard
+    per site on a child of the context.  The outcome, and what the
+    context records, are independent of the domain count; only
+    wall-clock time varies. *)
 
-val run :
-  ?quick:bool -> ?domains:int -> ?sites:int -> ?seed:int -> unit -> Table.t
-(** The CLI entry: run with default parameters and render the result
-    (per-site frame counts and digests, epoch/message statistics). *)
+val run : ?quick:bool -> ?seed:int -> Sim.Ctx.t -> Table.t
+(** The registry's [PAR] entry: run with default parameters ([seed]
+    overrides the source phases' seed) and render the result (per-site
+    frame counts and digests, epoch/message statistics). *)

@@ -23,7 +23,7 @@
    health report twice (and across domain counts for "fabric") and
    diffs the bytes. *)
 
-let default_duration = Sim.Time.ms 400
+let video_duration = Sim.Time.ms 400
 
 (* ------------------------------------------------------------------ *)
 (* Shared video rig: E1's camera -> Fairisle switch -> display window,
@@ -86,16 +86,16 @@ let video_slos m e =
     (Sim.Monitor.gauge_level
        (Sim.Metrics.gauge reg ~sub:Sim.Subsystem.Sim "engine.queue_depth"))
 
-let video ?(duration = default_duration) () =
-  let e = Sim.Engine.create () in
+let video ctx =
+  let e = Sim.Ctx.engine ctx in
   let _net = video_rig e in
   let m = Sim.Monitor.create ~name:"video" e in
   video_slos m e;
-  Sim.Engine.run e ~until:duration;
+  Sim.Engine.run e ~until:video_duration;
   Sim.Monitor.report ~name:"video" [ m ]
 
-let congest ?(duration = default_duration) () =
-  let e = Sim.Engine.create () in
+let congest ctx =
+  let e = Sim.Ctx.engine ctx in
   let net = video_rig e in
   let m = Sim.Monitor.create ~name:"congest" e in
   video_slos m e;
@@ -111,7 +111,7 @@ let congest ?(duration = default_duration) () =
   ignore
     (Sim.Engine.schedule_at e ~at:(Sim.Time.ms 220) (fun () ->
          Atm.Net.clear_faults net));
-  Sim.Engine.run e ~until:duration;
+  Sim.Engine.run e ~until:video_duration;
   Sim.Monitor.report ~name:"congest" [ m ]
 
 (* ------------------------------------------------------------------ *)
@@ -123,8 +123,9 @@ let congest ?(duration = default_duration) () =
    retransmission of a call issued during the loss episode lands about
    80 ms after the episode ends; 600 ms leaves the slow window room to
    drain and the storm objective to resolve. *)
-let pfs ?(duration = Sim.Time.ms 600) () =
-  let e = Sim.Engine.create () in
+let pfs ctx =
+  let duration = Sim.Time.ms 600 in
+  let e = Sim.Ctx.engine ctx in
   let site = Pegasus.Site.create e in
   let ws = Pegasus.Workstation.create site ~name:"client" () in
   let fs =
@@ -240,13 +241,14 @@ let pfs ?(duration = Sim.Time.ms 600) () =
    epoch boundaries, and {!Sim.Shard} flushes sampled gauges at every
    barrier, so the merged report is byte-identical at --domains 1/2/4. *)
 
-let fabric ?(duration = Sim.Time.ms 130) ?(domains = 1) () =
+let fabric ctx =
+  let duration = Sim.Time.ms 130 in
   let sites = 4 in
   let streams_per_site = 8 in
   let frame_bytes = 8_192 in
   let fps = 100 in
   let trunk_prop = Sim.Time.ms 2 in
-  let shard = Sim.Shard.create ~lookahead:trunk_prop ~shards:sites () in
+  let shard = Sim.Shard.create ~lookahead:trunk_prop ~shards:sites ctx in
   let payload = Bytes.make frame_bytes 'x' in
   let period_ns = 1_000_000_000 / fps in
   let ingress = Array.make sites None in
@@ -351,17 +353,17 @@ let fabric ?(duration = Sim.Time.ms 130) ?(domains = 1) () =
    ignore
      (Sim.Engine.schedule_at e0 ~at:(Sim.Time.ms 70) (fun () ->
           Atm.Net.clear_faults net0)));
-  Sim.Shard.run ~domains ~until:duration shard;
+  Sim.Shard.run ~until:duration shard;
   Sim.Monitor.report ~name:"fabric" (Array.to_list monitors)
 
 (* ------------------------------------------------------------------ *)
 
 let names = [ "video"; "congest"; "pfs"; "fabric" ]
 
-let run ?duration ?domains name =
+let run ctx name =
   match name with
-  | "video" -> video ?duration ()
-  | "congest" -> congest ?duration ()
-  | "pfs" -> pfs ?duration ()
-  | "fabric" -> fabric ?duration ?domains ()
+  | "video" -> video ctx
+  | "congest" -> congest ctx
+  | "pfs" -> pfs ctx
+  | "fabric" -> fabric ctx
   | _ -> invalid_arg ("Health_scenarios.run: unknown scenario " ^ name)

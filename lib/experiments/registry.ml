@@ -1,18 +1,10 @@
 type entry = {
   e_id : string;
   e_title : string;
-  e_run : quick:bool -> domains:int -> Table.t;
+  e_run : ?quick:bool -> Sim.Ctx.t -> Table.t;
 }
 
-(* Most experiments are inherently sequential stories; their runners
-   ignore [domains].  Experiments whose rows are independent worlds use
-   [entry_par] and fan the rows out over domains (E13 today). *)
-let entry e_id e_title (run : ?quick:bool -> unit -> Table.t) =
-  { e_id; e_title; e_run = (fun ~quick ~domains:_ -> run ~quick ()) }
-
-let entry_par e_id e_title (run : ?quick:bool -> ?domains:int -> unit -> Table.t)
-    =
-  { e_id; e_title; e_run = (fun ~quick ~domains -> run ~quick ~domains ()) }
+let entry e_id e_title e_run = { e_id; e_title; e_run }
 
 let all =
   [
@@ -34,21 +26,17 @@ let all =
       E10_delayed_writes.run;
     entry "E11" "LRU caching: files win, streams lose" E11_caching.run;
     entry "E12" "Acknowledged data across injected failures" E12_failures.run;
-    entry_par "E13" "Graceful degradation under injected faults" E13_faults.run;
-    entry_par "E14" "City-scale fabric: contract admission from 10 to 10k streams"
-      (fun ?quick ?domains () -> E14_cityscale.run ?quick ?domains ());
-    entry_par "E15" "VOD flash crowd: popularity-aware replication vs static placement"
-      (fun ?quick ?domains () -> E15_vodscale.run ?quick ?domains ());
+    entry "E13" "Graceful degradation under injected faults" E13_faults.run;
+    entry "E14" "City-scale fabric: contract admission from 10 to 10k streams"
+      E14_cityscale.run;
+    entry "E15"
+      "VOD flash crowd: popularity-aware replication vs static placement"
+      E15_vodscale.run;
     entry "A1" "Ablation: sharing out the slack" A1_slack.run;
+    entry "PAR" "Sharded fabric: conservative parallel simulation"
+      (fun ?quick ctx -> Fabric.run ?quick ctx);
   ]
 
 let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> String.lowercase_ascii e.e_id = id) all
-
-let run_all ?(quick = false) ?(domains = 1) fmt =
-  List.iter
-    (fun e ->
-      let table = e.e_run ~quick ~domains in
-      Format.fprintf fmt "%a@.@." Table.pp table)
-    all

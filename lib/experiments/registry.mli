@@ -4,17 +4,17 @@
 type entry = {
   e_id : string;
   e_title : string;
-  e_run : quick:bool -> domains:int -> Table.t;
-      (** [domains] is a parallelism budget, never a result parameter:
-          every runner produces a byte-identical table at every value
-          (most ignore it; E13 fans its independent rows out over that
-          many OCaml domains). *)
+  e_run : ?quick:bool -> Sim.Ctx.t -> Table.t;
+      (** Runs the experiment on the given context: every engine it
+          builds records into the context's trace and registry.  The
+          context's domain count is a parallelism budget, never a
+          result parameter: the table and everything the context
+          records are byte-identical at every value (E13–E15 and PAR
+          fan their independent rows or shards out over that many
+          OCaml domains). *)
 }
 
 val all : entry list
 
 val find : string -> entry option
 (** Case-insensitive lookup by id ("e1", "E3b", ...). *)
-
-val run_all : ?quick:bool -> ?domains:int -> Format.formatter -> unit
-(** Run every experiment and print its table. *)

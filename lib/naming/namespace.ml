@@ -7,7 +7,14 @@ and dir = (string, entry) Hashtbl.t
 
 and mount = { target : t; via : Relation.t }
 
-and t = { ns_name : string; root : dir; mutable n_lookups : int }
+and t = {
+  ns_name : string;
+  root : dir;
+  mutable n_lookups : int;
+  m_resolutions : Sim.Metrics.counter;
+  m_resolve_errors : Sim.Metrics.counter;
+  m_resolve_cost : Sim.Metrics.dist;
+}
 
 type resolution = {
   maillon : Maillon.t;
@@ -29,23 +36,23 @@ let pp_error fmt = function
 (* Cost of walking one component within a local directory. *)
 let component_cost = Sim.Time.ns 200
 
-(* Namespaces are passive structures with no engine handle, so they
-   report into the process-wide default registry. *)
-let m_resolutions =
-  Sim.Metrics.counter Sim.Metrics.default ~sub:Sim.Subsystem.Naming
-    ~help:"successful path resolutions" "namespace.resolutions"
-
-let m_resolve_errors =
-  Sim.Metrics.counter Sim.Metrics.default ~sub:Sim.Subsystem.Naming
-    ~help:"failed path resolutions" "namespace.resolve_errors"
-
-let m_resolve_cost =
-  Sim.Metrics.dist Sim.Metrics.default ~sub:Sim.Subsystem.Naming
-    ~help:"modelled cost of successful resolutions in us"
-    "namespace.resolve_cost_us"
-
-let create ?(name = "ns") () =
-  { ns_name = name; root = Hashtbl.create 16; n_lookups = 0 }
+let create ?(name = "ns") metrics =
+  let sub = Sim.Subsystem.Naming in
+  {
+    ns_name = name;
+    root = Hashtbl.create 16;
+    n_lookups = 0;
+    m_resolutions =
+      Sim.Metrics.counter metrics ~sub ~help:"successful path resolutions"
+        "namespace.resolutions";
+    m_resolve_errors =
+      Sim.Metrics.counter metrics ~sub ~help:"failed path resolutions"
+        "namespace.resolve_errors";
+    m_resolve_cost =
+      Sim.Metrics.dist metrics ~sub
+        ~help:"modelled cost of successful resolutions in us"
+        "namespace.resolve_cost_us";
+  }
 
 let name t = t.ns_name
 
@@ -132,9 +139,9 @@ let resolve t path =
   in
   (match result with
   | Ok r ->
-      Sim.Metrics.incr m_resolutions;
-      Sim.Metrics.observe m_resolve_cost (Sim.Time.to_us_f r.cost)
-  | Error _ -> Sim.Metrics.incr m_resolve_errors);
+      Sim.Metrics.incr t.m_resolutions;
+      Sim.Metrics.observe t.m_resolve_cost (Sim.Time.to_us_f r.cost)
+  | Error _ -> Sim.Metrics.incr t.m_resolve_errors);
   result
 
 let readdir t path =
@@ -158,6 +165,7 @@ let rec copy_dir dir =
     dir;
   d
 
-let fork t ~name = { ns_name = name; root = copy_dir t.root; n_lookups = 0 }
+let fork t ~name =
+  { t with ns_name = name; root = copy_dir t.root; n_lookups = 0 }
 
 let lookups t = t.n_lookups

@@ -29,7 +29,11 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val create : ?name:string -> unit -> t
+val create : ?name:string -> Sim.Metrics.t -> t
+(** An empty name space counting its resolutions into the given
+    registry ([naming/namespace.*]); {!fork}ed children count into the
+    same one. *)
+
 val name : t -> string
 
 val bind : t -> path:string -> Maillon.t -> unit

@@ -15,7 +15,6 @@ type sched_state = {
 }
 
 type t = {
-  id : int;
   name : string;
   mode : mode;
   params : params;
@@ -33,13 +32,9 @@ type t = {
   response : Sim.Stats.Samples.t;
 }
 
-let next_id = ref 0
-
 let create ~name ?(mode = Informed) ?(period = Sim.Time.ms 40)
     ?(slice = Sim.Time.ms 4) ?(extra = true) ?(priority = 0) () =
-  incr next_id;
   {
-    id = !next_id;
     name;
     mode;
     params = { period; slice; extra; priority };
@@ -63,7 +58,6 @@ let create ~name ?(mode = Informed) ?(period = Sim.Time.ms 40)
     response = Sim.Stats.Samples.create ();
   }
 
-let id t = t.id
 let name t = t.name
 let mode t = t.mode
 let params t = t.params

@@ -50,7 +50,6 @@ val create :
 (** Defaults: [Informed], 40 ms period, 4 ms slice, [extra] = true,
     priority 0. *)
 
-val id : t -> int
 val name : t -> string
 val mode : t -> mode
 val params : t -> params

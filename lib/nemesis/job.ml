@@ -1,5 +1,4 @@
 type t = {
-  id : int;
   label : string;
   work : Sim.Time.t;
   deadline : Sim.Time.t option;
@@ -9,13 +8,9 @@ type t = {
   on_complete : (unit -> unit) option;
 }
 
-let next_id = ref 0
-
 let make ?(label = "") ?deadline ?on_complete ?(flow = Sim.Trace.no_flow) ~work
     ~created () =
-  incr next_id;
   {
-    id = !next_id;
     label;
     work;
     deadline;

@@ -8,7 +8,6 @@
     further jobs, etc. *)
 
 type t = {
-  id : int;
   label : string;
   work : Sim.Time.t;  (** total CPU needed *)
   deadline : Sim.Time.t option;  (** absolute; [None] = best effort *)

@@ -45,7 +45,9 @@ val edf : ?quantum:Sim.Time.t -> unit -> t
     unpredictably under overload. *)
 
 val fixed_priority : ?quantum:Sim.Time.t -> unit -> t
-(** Highest static priority wins; ties broken by domain id. *)
+(** Highest static priority wins; among equal priorities, the domain
+    listed first in [domains] (the kernel lists them in the order they
+    were added). *)
 
 val round_robin : ?quantum:Sim.Time.t -> unit -> t
 (** Equal turns in become-runnable order. *)

@@ -67,6 +67,12 @@ let arg_stream args =
 
 let ns ev = Time.to_ns ev.Trace.ev_ts
 
+let capture tr =
+  Trace.set_capacity tr None;
+  Trace.enable tr true;
+  Trace.set_flows tr true;
+  Trace.set_cell_detail tr false
+
 let build ?deadline_ns events =
   (* Group flow events by id, preserving trace (time) order. *)
   let flows : (int, acc) Hashtbl.t = Hashtbl.create 256 in

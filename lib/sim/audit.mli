@@ -52,6 +52,11 @@ type report = {
   rp_deadline_ns : int option;
 }
 
+val capture : Trace.t -> unit
+(** Make a sink record what {!of_trace} needs: enabled and unbounded
+    (restarting it empty), flow recording on, per-cell detail off so
+    the ATM train fast path stays on. *)
+
 val build : ?deadline_ns:int -> Trace.event list -> report
 (** Build a report from raw events (oldest first, as {!Trace.events}
     returns them).  When [deadline_ns] is given, completed flows whose

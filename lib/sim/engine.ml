@@ -71,7 +71,8 @@ let depth_sample_mask = 255
 
 let dummy_fn () = ()
 
-let create ?(trace = Trace.default) ?(metrics = Metrics.default) () =
+let create ?(trace = Trace.create ~enabled:false ())
+    ?(metrics = Metrics.create ()) () =
   let m_queue_depth =
     Metrics.gauge metrics ~sub:Subsystem.Sim
       ~help:"scheduled, uncancelled events (sampled)" "engine.queue_depth"

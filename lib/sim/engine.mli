@@ -10,8 +10,11 @@
     property [bench/main.ml]'s [engine.steady_state] benchmark asserts
     with a [Gc.minor_words] delta.
 
-    A callback may schedule further events and cancel pending ones, but
-    must not call {!run} reentrantly. *)
+    An engine holds no process-wide state: it records into the trace
+    and registry it was created with, so engines built on different
+    contexts ({!Ctx}) may run at once on different domains.  A callback
+    may schedule further events and cancel pending ones, but must not
+    call {!run} reentrantly. *)
 
 type t
 
@@ -26,9 +29,11 @@ val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
 (** A fresh engine at time zero, its events held in a {!Calendar}
     queue.
 
-    [trace] and [metrics] default to the process-wide {!Trace.default}
-    and {!Metrics.default}; pass fresh instances for isolated runs
-    (tests).  The engine registers its own metrics
+    The engine records into [trace] and [metrics], which belong to the
+    caller — normally a run's {!Ctx} (see {!Ctx.engine}).  Without
+    them it gets a fresh disabled trace and a fresh registry of its
+    own, so an engine never shares state it was not handed.  The
+    engine registers its own metrics
     ([sim/engine.events_fired], [sim/engine.events_cancelled],
     [sim/engine.queue_depth]) into the registry.  The queue-depth gauge
     is sampled every few hundred schedule/cancel/fire transitions and

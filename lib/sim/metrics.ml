@@ -30,7 +30,7 @@ type dist = {
   d_sub : Subsystem.t;
   d_name : string;
   d_help : string;
-  d_summary : Stats.Summary.t;
+  mutable d_summary : Stats.Summary.t;  (* replaced by {!merge} *)
   d_store : dist_store;
 }
 
@@ -61,8 +61,6 @@ type t = { tbl : (string * string, metric) Hashtbl.t; exact_dists : bool }
 
 let create ?(exact_dists = false) () =
   { tbl = Hashtbl.create 64; exact_dists }
-
-let default = create ()
 
 (* Zero every registered metric in place.  Handles alias the registry
    entries, so handles obtained before the reset keep working and their
@@ -214,6 +212,33 @@ let dist_percentile d q =
   match d.d_store with
   | Exact s -> Stats.Samples.percentile s q
   | Sampled r -> Stats.Reservoir.percentile r q
+
+(* ------------------------------------------------------------------ *)
+(* Merging a child registry into its parent. *)
+
+let merge_metric into m =
+  match m with
+  | Counter c ->
+      incr ~by:c.c_value (counter into ~sub:c.c_sub ~help:c.c_help c.c_name)
+  | Gauge g -> set (gauge into ~sub:g.g_sub ~help:g.g_help g.g_name) (get g)
+  | Obs o ->
+      let p = observer into ~sub:o.o_sub ~help:o.o_help o.o_name in
+      p.o_count <- p.o_count + o.o_count;
+      (* A sequential run would have attached the sink here. *)
+      if o.o_on then p.o_on <- true
+  | Dist d -> (
+      let p = dist into ~sub:d.d_sub ~help:d.d_help d.d_name in
+      p.d_summary <- Stats.Summary.merge p.d_summary d.d_summary;
+      match (p.d_store, d.d_store) with
+      | Exact ps, Exact ds ->
+          Array.iter (Stats.Samples.add ps) (Stats.Samples.to_array ds)
+      | Sampled pr, Sampled dr -> Stats.Reservoir.merge ~into:pr dr
+      | Exact _, Sampled _ | Sampled _, Exact _ ->
+          invalid_arg
+            (Printf.sprintf "Metrics.merge: %s/%s mixes exact and sampled dists"
+               (Subsystem.to_string d.d_sub) d.d_name))
+
+let merge ~into src = Hashtbl.iter (fun _ m -> merge_metric into m) src.tbl
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots. *)

@@ -20,9 +20,13 @@
     (exact percentiles, O(n) memory) — intended for tests and
     regression baselines.
 
-    A snapshot of the whole registry dumps as deterministic JSON
-    (sorted by subsystem then name), which is what
-    [pegasus_cli --metrics-out] and the benchmark harness emit. *)
+    A registry belongs to whoever created it — normally a run's {!Ctx},
+    which hands it to every engine the run builds; there is no
+    process-wide one.  Parallel pieces of a run count into registries
+    of their own and {!merge} back in a fixed order.  A snapshot of the
+    whole registry dumps as deterministic JSON (sorted by subsystem
+    then name), which is what [pegasus_cli --metrics-out] and the
+    benchmark harness emit. *)
 
 type t
 
@@ -43,10 +47,6 @@ val create : ?exact_dists:bool -> unit -> t
 (** [exact_dists] (default [false]) makes every dist registered in
     this registry store all observations exactly instead of reservoir-
     sampling them. *)
-
-val default : t
-(** Process-wide registry used by {!Engine.create} when none is
-    supplied (reservoir-backed dists). *)
 
 val reset : t -> unit
 (** Zero every registered metric in place: counters to 0, gauges to
@@ -100,6 +100,20 @@ val sample_count : observer -> int
 (** Samples delivered while enabled (dropped samples are not counted). *)
 
 val enabled : observer -> bool
+
+(** {1 Merging} *)
+
+val merge : into:t -> t -> unit
+(** Fold every metric of [src] into the metric of the same kind and
+    [(subsystem, name)] in [into], registering it there first when
+    absent.  Counters add; a gauge takes [src]'s value (the last writer
+    wins, as in a sequential run into one registry); observers add
+    their sample counts and are enabled if [src]'s was; a dist merges its {!Stats.Summary} (count, min
+    and max exact) and its percentile store — exact stores
+    concatenate, reservoirs merge by {!Stats.Reservoir.merge}.  Merging
+    the same sources in the same order gives byte-identical snapshots.
+    Raises [Invalid_argument] on a kind mismatch, or when one side
+    keeps exact dists and the other sampled ones. *)
 
 (** {1 Snapshots} *)
 

@@ -1,10 +1,7 @@
-(* OCaml 5 implementation of the Par interface: real domains and a
-   sense-reversing barrier.  Selected by a rule in lib/sim/dune; the
-   4.14 build gets par_ocaml4.ml instead. *)
+(* Real domains and a phase-counting barrier. *)
 
 exception Barrier_poisoned
 
-let available = true
 let recommended_workers () = Domain.recommended_domain_count ()
 
 (* Classic phase-counting barrier.  [poisoned] releases blocked waiters

@@ -1,22 +1,12 @@
-(** Domain-parallel execution shim.
+(** Domain-parallel execution.
 
-    On OCaml 5 this wraps [Domain]: {!run} spawns real domains and
-    {!available} is [true].  On OCaml 4.14 (still in the CI matrix) a
-    sequential fallback is selected at build time (see the rules in
-    [lib/sim/dune]): {!available} is [false], {!run} with one worker
-    executes inline, and asking for more than one worker is an error —
-    callers such as {!Shard.run} clamp their worker count with
-    {!available} so the same code builds and runs everywhere.
-
-    Everything here is deliberately oblivious to simulation state: it
-    only knows how to run workers and make them meet at a barrier.
-    Determinism is the caller's job (see {!Shard}). *)
-
-val available : bool
-(** [true] when real domains can be spawned (OCaml >= 5). *)
+    A thin layer over [Domain]: run workers, make them meet at a
+    barrier, map tasks.  Everything here is deliberately oblivious to
+    simulation state; determinism is the caller's job (see {!Shard} and
+    {!Ctx.map}). *)
 
 val recommended_workers : unit -> int
-(** [Domain.recommended_domain_count ()] on OCaml 5; [1] on 4.14. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val run : workers:int -> (worker:int -> sync:(unit -> unit) -> unit) -> unit
 (** [run ~workers f] executes [f ~worker ~sync] once per worker, with
@@ -28,8 +18,7 @@ val run : workers:int -> (worker:int -> sync:(unit -> unit) -> unit) -> unit
     exception) and the first worker's exception is re-raised after all
     domains are joined.
 
-    Raises [Invalid_argument] if [workers < 1], or if [workers > 1] and
-    [available] is [false]. *)
+    Raises [Invalid_argument] if [workers < 1]. *)
 
 exception Barrier_poisoned
 (** Raised from [sync] in surviving workers after another worker died. *)
@@ -39,5 +28,4 @@ val map : workers:int -> (unit -> 'a) array -> 'a array
     input order.  Task [i] runs on worker [i mod workers], so the
     assignment — and, for tasks free of shared state, the result — is
     independent of the worker count.  Exceptions are re-raised on the
-    caller, lowest task index first.  [workers] is clamped to
-    [1] when {!available} is [false]. *)
+    caller, lowest task index first. *)

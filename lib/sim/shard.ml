@@ -24,9 +24,11 @@
    Shards are distributed over domains statically ([shard mod workers]),
    and nothing in the epoch protocol depends on the worker count, so
    results are byte-identical at --domains 1, 2 and 4 — the property CI
-   enforces.  Worker 0 is the calling domain; with one worker (or on
-   OCaml 4.14, where {!Par.available} is false) the same epoch loop runs
-   sequentially.
+   enforces.  Worker 0 is the calling domain; with one worker the same
+   epoch loop runs sequentially.  Each shard records into its own child
+   of the run's context, and the children merge back in shard order
+   when the run ends, so what the context records does not depend on
+   the worker count either.
 
    Mailboxes are plain SPSC rings: pushes happen strictly before the
    epoch barrier and drains strictly after it, and the barrier publishes
@@ -35,6 +37,8 @@
 type msg = { msg_at : int; msg_seq : int; msg_fn : unit -> unit }
 
 type t = {
+  ctx : Ctx.t;
+  kids : Ctx.t array;  (* one child context per shard *)
   engines : Engine.t array;
   lookahead : Time.t;
   lookahead_ns : int;
@@ -46,18 +50,20 @@ type t = {
   user_live : int array;
   delivered : int array;  (* cross-shard messages scheduled, per dst *)
   mutable epochs : int;
-  mutable running : bool;
+  mutable ran : bool;
 }
 
 let no_event = max_int
 
-let make ~lookahead engines =
-  if Array.length engines = 0 then invalid_arg "Shard: no shards";
+let create ?(lookahead = Time.us 1) ~shards:n ctx =
+  if n < 1 then invalid_arg "Shard.create: shards < 1";
   if Time.(lookahead <= Time.zero) then
     invalid_arg "Shard: lookahead must be positive";
-  let n = Array.length engines in
+  let kids = Array.init n (fun _ -> Ctx.child ctx) in
   {
-    engines;
+    ctx;
+    kids;
+    engines = Array.map Ctx.engine kids;
     lookahead;
     lookahead_ns = Time.to_ns lookahead;
     boxes =
@@ -67,21 +73,8 @@ let make ~lookahead engines =
     user_live = Array.make n 0;
     delivered = Array.make n 0;
     epochs = 0;
-    running = false;
+    ran = false;
   }
-
-let create ?(lookahead = Time.us 1) ~shards () =
-  if shards < 1 then invalid_arg "Shard.create: shards < 1";
-  let engines =
-    Array.init shards (fun _ ->
-        Engine.create
-          ~trace:(Trace.create ~enabled:false ())
-          ~metrics:(Metrics.create ()) ())
-  in
-  make ~lookahead engines
-
-let of_engines ?(lookahead = Time.us 1) engines =
-  make ~lookahead (Array.copy engines)
 
 let shards t = Array.length t.engines
 let lookahead t = t.lookahead
@@ -111,8 +104,9 @@ let post t ~src ~dst ~at fn =
   Mailbox.push t.boxes.(src).(dst) { msg_at = Time.to_ns at; msg_seq = seq; msg_fn = fn }
 
 (* Drain every inbox of shard [dst] and schedule the messages in
-   deterministic (timestamp, source, sequence) order.  Runs on the
-   worker that owns [dst], strictly after the epoch barrier. *)
+   deterministic (timestamp, source, sequence) order, recording each
+   delivery on [dst]'s trace.  Runs on the worker that owns [dst],
+   strictly after the epoch barrier. *)
 let drain_nonempty t dst =
   let n = Array.length t.engines in
   let acc = ref [] in
@@ -135,9 +129,15 @@ let drain_nonempty t dst =
         else compare q1 q2)
       !acc
   in
+  let e = t.engines.(dst) in
+  let tr = Engine.trace e in
   List.iter
-    (fun (at_ns, _, _, fn) ->
-      ignore (Engine.schedule_at t.engines.(dst) ~at:(Time.ns at_ns) fn))
+    (fun (at_ns, src, _, fn) ->
+      if Trace.enabled tr then
+        Trace.instant tr ~ts:(Time.ns at_ns) ~sub:Subsystem.Sim ~cat:"shard"
+          ~args:[ ("src", Trace.Int src) ]
+          "shard.deliver";
+      ignore (Engine.schedule_at e ~at:(Time.ns at_ns) fn))
     msgs;
   t.delivered.(dst) <- t.delivered.(dst) + List.length msgs
 
@@ -174,65 +174,63 @@ let run_single t ?until () =
   in
   go ()
 
-let run ?(domains = 1) ?until t =
-  if domains < 1 then invalid_arg "Shard.run: domains < 1";
-  if t.running then invalid_arg "Shard.run: already running";
-  t.running <- true;
-  Fun.protect
-    ~finally:(fun () -> t.running <- false)
-    (fun () ->
-      let n = Array.length t.engines in
-      if n = 1 then run_single t ?until ()
-      else begin
-        let workers =
-          if Par.available then Stdlib.max 1 (Stdlib.min domains n) else 1
-        in
-        let until_ns = Option.map Time.to_ns until in
-        (* Messages posted during setup enter the first epoch. *)
-        for d = 0 to n - 1 do
-          drain t d;
-          publish t d
-        done;
-        Par.run ~workers (fun ~worker ~sync ->
-            let continue = ref true in
-            while !continue do
-              (* Every worker computes the epoch identically from the
-                 state published at the last barrier. *)
-              let t_min = Array.fold_left Stdlib.min no_event t.next_at_ns in
-              let finished =
-                match until_ns with
-                | Some u -> t_min > u
-                | None ->
-                    t_min = no_event
-                    || Array.fold_left ( + ) 0 t.user_live = 0
-              in
-              if finished then continue := false
-              else begin
-                if worker = 0 then t.epochs <- t.epochs + 1;
-                let horizon =
-                  let h = t_min + t.lookahead_ns in
-                  match until_ns with
-                  | Some u -> Stdlib.min h (u + 1)
-                  | None -> h
-                in
-                let s = ref worker in
-                while !s < n do
-                  Engine.run_until_ns t.engines.(!s) (horizon - 1);
-                  s := !s + workers
-                done;
-                sync ();
-                let s = ref worker in
-                while !s < n do
-                  drain t !s;
-                  publish t !s;
-                  s := !s + workers
-                done;
-                sync ()
-              end
-            done);
-        (* Leave every clock where Engine.run ~until would: advanced to
-           [until] even when a shard ran out of events early. *)
-        match until with
-        | Some u -> Array.iter (fun e -> Engine.run e ~until:u) t.engines
-        | None -> ()
-      end)
+let run_epochs ?until t =
+  let n = Array.length t.engines in
+  if n = 1 then run_single t ?until ()
+  else begin
+    let workers = Stdlib.min (Ctx.domains t.ctx) n in
+    let until_ns = Option.map Time.to_ns until in
+    (* Messages posted during setup enter the first epoch. *)
+    for d = 0 to n - 1 do
+      drain t d;
+      publish t d
+    done;
+    Par.run ~workers (fun ~worker ~sync ->
+        let continue = ref true in
+        while !continue do
+          (* Every worker computes the epoch identically from the
+             state published at the last barrier. *)
+          let t_min = Array.fold_left Stdlib.min no_event t.next_at_ns in
+          let finished =
+            match until_ns with
+            | Some u -> t_min > u
+            | None ->
+                t_min = no_event
+                || Array.fold_left ( + ) 0 t.user_live = 0
+          in
+          if finished then continue := false
+          else begin
+            if worker = 0 then t.epochs <- t.epochs + 1;
+            let horizon =
+              let h = t_min + t.lookahead_ns in
+              match until_ns with
+              | Some u -> Stdlib.min h (u + 1)
+              | None -> h
+            in
+            let s = ref worker in
+            while !s < n do
+              Engine.run_until_ns t.engines.(!s) (horizon - 1);
+              s := !s + workers
+            done;
+            sync ();
+            let s = ref worker in
+            while !s < n do
+              drain t !s;
+              publish t !s;
+              s := !s + workers
+            done;
+            sync ()
+          end
+        done);
+    (* Leave every clock where Engine.run ~until would: advanced to
+       [until] even when a shard ran out of events early. *)
+    match until with
+    | Some u -> Array.iter (fun e -> Engine.run e ~until:u) t.engines
+    | None -> ()
+  end
+
+let run ?until t =
+  if t.ran then invalid_arg "Shard.run: a shard set runs once";
+  t.ran <- true;
+  run_epochs ?until t;
+  Array.iter (Ctx.merge ~into:t.ctx) t.kids

@@ -1,7 +1,10 @@
 (** Conservative parallel simulation over engine shards.
 
     A sharded simulation partitions its model into [n] shards, each
-    owning a private {!Engine.t} (heap, clock, trace, metrics).  Within
+    owning a private {!Engine.t} (heap, clock) that records into its own
+    child of the run's context ({!Ctx.child}): shards share no trace or
+    registry while they run, and merge into the run's context in shard
+    order when it ends.  Within
     a shard, components schedule on the shard's engine exactly as in a
     sequential simulation; interactions that cross shards go through
     {!post}, which carries a callback to another shard's engine through
@@ -17,25 +20,19 @@
     instant it has already passed.
 
     Same-instant cross-shard ties are broken by [(source shard,
-    sequence)], so the whole simulation is a pure function of its
-    inputs: results are byte-identical whatever [domains] count
-    {!run} is given — on OCaml 4.14, where real domains do not exist,
-    the identical epoch loop simply runs sequentially. *)
+    sequence)], so the whole simulation — results, merged metrics and
+    merged trace — is a pure function of its inputs, byte-identical
+    whatever domain budget the context carries. *)
 
 type t
 
-val create : ?lookahead:Time.t -> shards:int -> unit -> t
-(** [shards] fresh engines, each with its own disabled trace and private
-    metrics registry so shards share no mutable state.  [lookahead]
-    (default 1 us) must be positive; it is the floor every {!post}
-    must respect, so it must not exceed the true minimum cross-shard
-    latency of the model.  Raises [Invalid_argument] on [shards < 1] or
-    a non-positive lookahead. *)
-
-val of_engines : ?lookahead:Time.t -> Engine.t array -> t
-(** Wrap existing engines (e.g. a single-engine scenario in a 1-shard
-    runner).  The engines must not be shared between shards or driven
-    concurrently by anything else. *)
+val create : ?lookahead:Time.t -> shards:int -> Ctx.t -> t
+(** [shards] fresh engines, each on its own {!Ctx.child} of the given
+    context, so shards share no mutable state.  [lookahead] (default
+    1 us) must be positive; it is the floor every {!post} must respect,
+    so it must not exceed the true minimum cross-shard latency of the
+    model.  Raises [Invalid_argument] on [shards < 1] or a non-positive
+    lookahead. *)
 
 val shards : t -> int
 val lookahead : t -> Time.t
@@ -50,17 +47,21 @@ val post : t -> src:int -> dst:int -> at:Time.t -> (unit -> unit) -> unit
     [at >= now(src) + lookahead] — the conservative contract.
     Messages never outrun the lookahead horizon, so the callback is
     scheduled before [dst] reaches [at]; ties at one instant order by
-    [(src, posting sequence)] after all local events already queued. *)
+    [(src, posting sequence)] after all local events already queued.
+    While [dst]'s trace is enabled, each delivery records a
+    ["shard.deliver"] instant there at [at]. *)
 
-val run : ?domains:int -> ?until:Time.t -> t -> unit
-(** Run the sharded simulation on [domains] workers (default 1; clamped
-    to the shard count, and to 1 when {!Par.available} is false).
-    Without [until], runs until no shard has non-daemon work left —
-    like {!Engine.run}, though daemon events may additionally fire up
-    to the final epoch horizon.  With [until], runs every event with
-    timestamp [<= until] and leaves every shard clock at exactly
-    [until].  The [domains] count affects wall-clock speed only, never
-    results.  Not reentrant. *)
+val run : ?until:Time.t -> t -> unit
+(** Run the sharded simulation on the context's domain budget
+    ({!Ctx.domains}, clamped to the shard count).  Without [until],
+    runs until no shard has non-daemon work left — like {!Engine.run},
+    though daemon events may additionally fire up to the final epoch
+    horizon.  With [until], runs every event with timestamp
+    [<= until] and leaves every shard clock at exactly [until].  The
+    domain count affects wall-clock speed only, never results.  When
+    the run ends, every shard's context merges into the one given to
+    {!create}, in shard order ({!Ctx.merge}).  A shard set runs once:
+    a second call raises [Invalid_argument]. *)
 
 (** {1 Introspection} *)
 

@@ -228,6 +228,38 @@ module Reservoir = struct
     view.(lo) +. (frac *. (view.(hi) -. view.(lo)))
 
   let to_array t = Array.sub t.data 0 t.stored
+
+  (* Keep [m] of the first [n] values of [a], chosen by a partial
+     Fisher-Yates shuffle: they end up in [a.(0 .. m-1)]. *)
+  let choose rng a ~n ~m =
+    for i = 0 to m - 1 do
+      let j = i + Rng.int rng (n - i) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done
+
+  let merge ~into src =
+    let cap = Array.length into.data in
+    let seen = into.seen + src.seen in
+    if into.stored + src.stored <= cap then begin
+      Array.blit src.data 0 into.data into.stored src.stored;
+      into.stored <- into.stored + src.stored
+    end
+    else begin
+      (* Each side's share of the slots follows the observations it
+         stands for; the values filling them are drawn with [into]'s own
+         generator. *)
+      let k = ((src.seen * cap) + (seen / 2)) / seen in
+      let k = Stdlib.max (cap - into.stored) (Stdlib.min src.stored k) in
+      choose into.rng into.data ~n:into.stored ~m:(cap - k);
+      let picked = Array.sub src.data 0 src.stored in
+      choose into.rng picked ~n:src.stored ~m:k;
+      Array.blit picked 0 into.data (cap - k) k;
+      into.stored <- cap
+    end;
+    into.seen <- seen;
+    into.sorted <- false
 end
 
 module Histogram = struct

@@ -95,6 +95,15 @@ module Reservoir : sig
 
   val to_array : t -> float array
   (** The retained sample, in insertion/replacement order. *)
+
+  val merge : into:t -> t -> unit
+  (** Fold [src] into [into] as if [into] had also seen [src]'s
+      observations.  While the two retained samples fit [into]'s
+      capacity they are concatenated, so percentiles stay exact.
+      Beyond it, each side fills a share of the slots proportional to
+      the observations it has seen, with values drawn by [into]'s own
+      generator: the result is a deterministic function of the two
+      reservoirs and the order of merges. *)
 end
 
 (** Fixed-width bucket histogram over [\[0, width * buckets)]; values

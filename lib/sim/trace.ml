@@ -61,8 +61,6 @@ let create ?(capacity = 4096) ?(unbounded = false) ?(enabled = true) () =
     dropped = 0;
   }
 
-let default = create ~enabled:false ()
-
 let refresh t =
   t.f_on <- t.enabled && t.flows;
   t.c_on <- t.enabled && t.cells
@@ -197,6 +195,14 @@ let span_end t ~ts ?(args = []) span =
         ~sub:s.sp_sub ~cat:s.sp_cat ~flow:s.sp_flow ~args:(s.sp_args @ args)
         s.sp_name
 
+let like t =
+  let l =
+    create ?capacity:t.cap ~unbounded:(t.cap = None) ~enabled:t.enabled ()
+  in
+  set_flows l t.flows;
+  set_cell_detail l t.cells;
+  l
+
 let events t =
   let result = ref [] in
   let len = Array.length t.entries in
@@ -211,6 +217,19 @@ let events t =
     | None -> ()
   done;
   !result
+
+(* Replaying [src] through [push] keeps [into]'s ring semantics: a
+   bounded parent retains the newest events and counts the rest as
+   dropped. *)
+let merge ~into src =
+  let shift = into.next_flow - 1 in
+  List.iter
+    (fun e ->
+      push into
+        (if e.ev_flow < 0 then e else { e with ev_flow = e.ev_flow + shift }))
+    (events src);
+  into.dropped <- into.dropped + src.dropped;
+  into.next_flow <- into.next_flow + src.next_flow - 1
 
 (* ------------------------------------------------------------------ *)
 (* Legacy string API: a thin shim over the typed sink, kept so call

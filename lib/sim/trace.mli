@@ -5,7 +5,9 @@
     export the result.  The sink is a bounded ring by default — the
     oldest events are dropped (and counted) once at capacity — or
     unbounded for full-fidelity export.  Disabled traces cost one
-    branch per record.
+    branch per record.  A sink belongs to whoever created it —
+    normally a run's {!Ctx}, which hands it to every engine the run
+    builds; there is no process-wide one.
 
     {b Causal flows.}  A flow is a single request travelling through
     the system — one video frame from camera to display, one RPC from
@@ -55,10 +57,10 @@ val create : ?capacity:int -> ?unbounded:bool -> ?enabled:bool -> unit -> t
     when [unbounded] is set.  Flow recording starts off; cell detail
     starts on. *)
 
-val default : t
-(** Process-wide sink used by {!Engine.create} when none is supplied.
-    Disabled until a driver (e.g. [pegasus_cli --trace-out]) turns it
-    on. *)
+val like : t -> t
+(** A fresh, empty sink with [t]'s settings: enabled or not, ring
+    capacity or unbounded, flow recording and cell detail.  Its flow
+    ids start at 1. *)
 
 val enable : t -> bool -> unit
 val enabled : t -> bool
@@ -189,6 +191,14 @@ val length : t -> int
 val dropped : t -> int
 (** Events lost to ring wraparound since creation (or the last
     {!clear}/{!set_capacity}). *)
+
+val merge : into:t -> t -> unit
+(** Append [src]'s retained events to [into], as if they had been
+    recorded there after everything [into] already holds.  Flow ids
+    are shifted past the ones [into] has allocated and [into]'s flow
+    counter moves past [src]'s, so ids stay unique; [src]'s drop count
+    adds to [into]'s.  Events pass through [into]'s ring and are kept
+    only while [into] is enabled. *)
 
 (** {1 Legacy string API}
 

@@ -341,16 +341,25 @@ let model_tests =
   ]
 
 (* The E15 rows are independent worlds fanned over domains; any domain
-   count must produce the same numbers. *)
+   count must produce the same numbers, and record the same metrics
+   into the run's context. *)
 let e15_tests =
   [
     Alcotest.test_case "E15 results identical across domains 1/2/4" `Slow
       (fun () ->
-        let r1 = Experiments.E15_vodscale.results ~quick:true ~domains:1 () in
-        let r2 = Experiments.E15_vodscale.results ~quick:true ~domains:2 () in
-        let r4 = Experiments.E15_vodscale.results ~quick:true ~domains:4 () in
+        let snapshot reg = Sim.Json.to_string (Sim.Metrics.snapshot reg) in
+        let at domains =
+          let ctx = Sim.Ctx.create ~domains () in
+          let rows = Experiments.E15_vodscale.results ~quick:true ctx in
+          (rows, snapshot (Sim.Ctx.metrics ctx))
+        in
+        let r1, m1 = at 1 and r2, m2 = at 2 and r4, m4 = at 4 in
         Alcotest.(check bool) "domains 1 = 2" true (r1 = r2);
-        Alcotest.(check bool) "domains 1 = 4" true (r1 = r4));
+        Alcotest.(check bool) "domains 1 = 4" true (r1 = r4);
+        Alcotest.(check bool) "metrics recorded" true
+          (m1 <> snapshot (Sim.Metrics.create ()));
+        Alcotest.(check string) "metrics, domains 1 = 2" m1 m2;
+        Alcotest.(check string) "metrics, domains 1 = 4" m1 m4);
   ]
 
 let () =

@@ -5,7 +5,8 @@ let tables =
   lazy
     (List.map
        (fun e ->
-         (e.Experiments.Registry.e_id, e.Experiments.Registry.e_run ~quick:true ~domains:1))
+         ( e.Experiments.Registry.e_id,
+           e.Experiments.Registry.e_run ~quick:true (Sim.Ctx.create ()) ))
        Experiments.Registry.all)
 
 let table id =
@@ -35,6 +36,19 @@ let time_us s =
   else if String.ends_with ~suffix:"s" s && not (String.ends_with ~suffix:"us" s)
   then v *. 1.0e6
   else v
+
+(* What a run leaves behind on its context: the rendered table, the
+   registry snapshot, and the number of trace events. *)
+let observe run ctx =
+  let table = Format.asprintf "%a" Experiments.Table.pp (run ctx) in
+  ( table,
+    Sim.Json.to_string (Sim.Metrics.snapshot (Sim.Ctx.metrics ctx)),
+    Sim.Trace.length (Sim.Ctx.trace ctx) )
+
+let snapshot_entries ctx =
+  match Sim.Metrics.snapshot (Sim.Ctx.metrics ctx) with
+  | Sim.Json.Obj [ ("metrics", Sim.Json.List l) ] -> List.length l
+  | _ -> Alcotest.fail "unexpected snapshot shape"
 
 let structure_tests =
   [
@@ -161,7 +175,9 @@ let shape_tests =
         Alcotest.(check bool) "two disks down lose segments" true (r 9 < 1.0));
     Alcotest.test_case "E13: two runs are byte-identical" `Quick (fun () ->
         let t = table "E13" in
-        let again = Experiments.E13_faults.run ~quick:true () in
+        let again =
+          Experiments.E13_faults.run ~quick:true (Sim.Ctx.create ())
+        in
         Alcotest.(check bool) "identical rows" true
           (t.Experiments.Table.rows = again.Experiments.Table.rows));
     Alcotest.test_case "A1: guarantees hold under every slack policy" `Quick
@@ -175,6 +191,64 @@ let shape_tests =
         (* no-slack idles; the others do not *)
         Alcotest.(check bool) "none idles" true (number (cell t ~row:2 ~col:4) > 30.0);
         Alcotest.(check bool) "rr busy" true (number (cell t ~row:0 ~col:4) < 5.0));
+    Alcotest.test_case "E7 and E13 at once on two domains" `Quick (fun () ->
+        (* Two different experiments in one process at the same time,
+           each on its own context: any state they shared — a global
+           registry, an id counter — would make them differ from the
+           same runs made one after the other. *)
+        let runs =
+          [|
+            Experiments.E07_naming.run ~quick:true;
+            Experiments.E13_faults.run ~quick:true;
+          |]
+        in
+        let on_own_ctx run () =
+          let ctx = Sim.Ctx.create () in
+          (observe run ctx, ctx)
+        in
+        let one_by_one = Array.map (fun run -> on_own_ctx run ()) runs in
+        let at_once = Sim.Par.map ~workers:2 (Array.map on_own_ctx runs) in
+        Array.iteri
+          (fun i ((table, snap, _), _) ->
+            let (table', snap', _), _ = at_once.(i) in
+            Alcotest.(check string) "same table" table table';
+            Alcotest.(check string) "same metrics snapshot" snap snap')
+          one_by_one;
+        let _, e7_ctx = at_once.(0) in
+        Alcotest.(check int) "E7 counts its resolutions" 5
+          (Sim.Metrics.value
+             (Sim.Metrics.counter (Sim.Ctx.metrics e7_ctx)
+                ~sub:Sim.Subsystem.Naming "namespace.resolutions")));
+    Alcotest.test_case "E13, E14 record the same at domains 1/2/4" `Quick
+      (fun () ->
+        List.iter
+          (fun (id, run) ->
+            let at domains =
+              let ctx =
+                Sim.Ctx.create ~domains
+                  ~trace:(Sim.Trace.create ~unbounded:true ())
+                  ()
+              in
+              let seen = observe run ctx in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s snapshot non-empty at %d" id domains)
+                true
+                (snapshot_entries ctx > 0);
+              seen
+            in
+            let table, snap, events = at 1 in
+            List.iter
+              (fun domains ->
+                let table', snap', events' = at domains in
+                let what = Printf.sprintf "%s at domains %d" id domains in
+                Alcotest.(check string) (what ^ ": table") table table';
+                Alcotest.(check string) (what ^ ": metrics") snap snap';
+                Alcotest.(check int) (what ^ ": trace events") events events')
+              [ 2; 4 ])
+          [
+            ("E13", Experiments.E13_faults.run ~quick:true);
+            ("E14", Experiments.E14_cityscale.run ~quick:true);
+          ]);
   ]
 
 let () =

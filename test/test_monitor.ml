@@ -213,7 +213,9 @@ let lifecycle_tests =
    however epochs are spread over domains.  Each shard counts pings the
    other shard posts across the barrier. *)
 let shard_rig ~domains =
-  let shard = Sim.Shard.create ~lookahead:(ms 5) ~shards:2 () in
+  let shard =
+    Sim.Shard.create ~lookahead:(ms 5) ~shards:2 (Sim.Ctx.create ~domains ())
+  in
   let monitors =
     Array.init 2 (fun i ->
         let e = Sim.Shard.engine shard i in
@@ -254,11 +256,12 @@ let shard_rig ~domains =
       in
       tick (ms 1))
     monitors;
-  Sim.Shard.run ~domains ~until:(ms 60) shard;
+  Sim.Shard.run ~until:(ms 60) shard;
   Sim.Monitor.report ~name:"shards"
     (Array.to_list (Array.map fst monitors))
 
 let render report = Format.asprintf "%a" Sim.Monitor.pp report
+let snapshot reg = Sim.Json.to_string (Sim.Metrics.snapshot reg)
 
 let shard_tests =
   [
@@ -277,15 +280,16 @@ let shard_tests =
         Alcotest.(check string) "json" j1 j2);
     Alcotest.test_case "fabric health scenario is domain-independent"
       `Quick (fun () ->
-        let r1 =
-          render (Experiments.Health_scenarios.fabric ~duration:(ms 60) ())
+        let at domains =
+          let ctx = Sim.Ctx.create ~domains () in
+          let report = render (Experiments.Health_scenarios.fabric ctx) in
+          (report, snapshot (Sim.Ctx.metrics ctx))
         in
-        let r2 =
-          render
-            (Experiments.Health_scenarios.fabric ~duration:(ms 60) ~domains:2
-               ())
-        in
-        Alcotest.(check string) "domains 1 = 2" r1 r2);
+        let r1, m1 = at 1 and r2, m2 = at 2 in
+        Alcotest.(check string) "domains 1 = 2" r1 r2;
+        Alcotest.(check bool) "metrics recorded" true
+          (m1 <> snapshot (Sim.Metrics.create ()));
+        Alcotest.(check string) "metrics, domains 1 = 2" m1 m2);
   ]
 
 (* {1 Registry dump order} *)

@@ -1,5 +1,7 @@
 (* Tests for naming: namespaces, mounts, maillons, clerks. *)
 
+let namespace ?name () = Naming.Namespace.create ?name (Sim.Metrics.create ())
+
 let obj name =
   Naming.Maillon.of_iface ~reference:name
     (Naming.Maillon.iface
@@ -17,17 +19,17 @@ let check_resolves ns path expected =
 let namespace_tests =
   [
     Alcotest.test_case "bind then resolve is identity" `Quick (fun () ->
-        let ns = Naming.Namespace.create () in
+        let ns = namespace () in
         Naming.Namespace.bind ns ~path:"dev/camera" (obj "cam0");
         let r = check_resolves ns "dev/camera" "cam0" in
         Alcotest.(check int) "two components" 2 r.Naming.Namespace.components;
         Alcotest.(check int) "no mounts" 0 r.Naming.Namespace.mounts_crossed);
     Alcotest.test_case "leading slash is tolerated" `Quick (fun () ->
-        let ns = Naming.Namespace.create () in
+        let ns = namespace () in
         Naming.Namespace.bind ns ~path:"svc/fs" (obj "pfs");
         ignore (check_resolves ns "/svc/fs" "pfs"));
     Alcotest.test_case "resolution cost grows with depth" `Quick (fun () ->
-        let ns = Naming.Namespace.create () in
+        let ns = namespace () in
         Naming.Namespace.bind ns ~path:"a" (obj "shallow");
         Naming.Namespace.bind ns ~path:"x/y/z/w/deep" (obj "deep");
         let shallow = check_resolves ns "a" "shallow" in
@@ -36,7 +38,7 @@ let namespace_tests =
           Sim.Time.(shallow.Naming.Namespace.cost < deep.Naming.Namespace.cost));
     Alcotest.test_case "missing names report the failing component" `Quick
       (fun () ->
-        let ns = Naming.Namespace.create () in
+        let ns = namespace () in
         Naming.Namespace.bind ns ~path:"a/b" (obj "x");
         (match Naming.Namespace.resolve ns "a/zzz" with
         | Error (Naming.Namespace.Not_found_at "zzz") -> ()
@@ -46,8 +48,8 @@ let namespace_tests =
         | _ -> Alcotest.fail "expected Not_a_directory b");
     Alcotest.test_case "mounted namespaces resolve transparently" `Quick
       (fun () ->
-        let local = Naming.Namespace.create ~name:"local" () in
-        let fileserver = Naming.Namespace.create ~name:"pfs" () in
+        let local = namespace ~name:"local" () in
+        let fileserver = namespace ~name:"pfs" () in
         Naming.Namespace.bind fileserver ~path:"media/film" (obj "film1");
         Naming.Namespace.mount local ~path:"fs" ~target:fileserver
           ~via:(Naming.Relation.Remote (Sim.Time.us 500));
@@ -57,8 +59,8 @@ let namespace_tests =
           Sim.Time.(r.Naming.Namespace.cost > Sim.Time.us 500));
     Alcotest.test_case "local names are cheaper than mounted ones" `Quick
       (fun () ->
-        let local = Naming.Namespace.create () in
-        let remote = Naming.Namespace.create () in
+        let local = namespace () in
+        let remote = namespace () in
         Naming.Namespace.bind local ~path:"obj" (obj "here");
         Naming.Namespace.bind remote ~path:"obj" (obj "there");
         Naming.Namespace.mount local ~path:"far" ~target:remote
@@ -70,9 +72,9 @@ let namespace_tests =
             Sim.Time.mul here.Naming.Namespace.cost 10
             < there.Naming.Namespace.cost));
     Alcotest.test_case "mounts chain across two hops" `Quick (fun () ->
-        let a = Naming.Namespace.create ~name:"a" () in
-        let b = Naming.Namespace.create ~name:"b" () in
-        let c = Naming.Namespace.create ~name:"c" () in
+        let a = namespace ~name:"a" () in
+        let b = namespace ~name:"b" () in
+        let c = namespace ~name:"c" () in
         Naming.Namespace.bind c ~path:"leaf" (obj "end");
         Naming.Namespace.mount b ~path:"next" ~target:c
           ~via:Naming.Relation.Same_machine;
@@ -81,8 +83,8 @@ let namespace_tests =
         let r = check_resolves a "next/next/leaf" "end" in
         Alcotest.(check int) "two mounts" 2 r.Naming.Namespace.mounts_crossed);
     Alcotest.test_case "mount cycles are detected" `Quick (fun () ->
-        let a = Naming.Namespace.create ~name:"a" () in
-        let b = Naming.Namespace.create ~name:"b" () in
+        let a = namespace ~name:"a" () in
+        let b = namespace ~name:"b" () in
         Naming.Namespace.mount a ~path:"b" ~target:b ~via:Naming.Relation.Same_domain;
         Naming.Namespace.mount b ~path:"a" ~target:a ~via:Naming.Relation.Same_domain;
         match Naming.Namespace.resolve a "b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/x" with
@@ -90,7 +92,7 @@ let namespace_tests =
         | Error e -> Alcotest.failf "unexpected error %a" Naming.Namespace.pp_error e
         | Ok _ -> Alcotest.fail "expected cycle detection");
     Alcotest.test_case "readdir lists local entries" `Quick (fun () ->
-        let ns = Naming.Namespace.create () in
+        let ns = namespace () in
         Naming.Namespace.bind ns ~path:"dev/camera" (obj "c");
         Naming.Namespace.bind ns ~path:"dev/audio" (obj "a");
         Naming.Namespace.mkdir ns ~path:"dev/empty";
@@ -99,7 +101,7 @@ let namespace_tests =
             Alcotest.(check (list string)) "names" [ "audio"; "camera"; "empty" ] names
         | Error _ -> Alcotest.fail "readdir failed"));
     Alcotest.test_case "a forked namespace is independent" `Quick (fun () ->
-        let parent = Naming.Namespace.create ~name:"parent" () in
+        let parent = namespace ~name:"parent" () in
         Naming.Namespace.bind parent ~path:"shared/svc" (obj "svc");
         let child = Naming.Namespace.fork parent ~name:"child" in
         ignore (check_resolves child "shared/svc" "svc");
@@ -109,8 +111,8 @@ let namespace_tests =
         | Error (Naming.Namespace.Not_found_at _) -> ()
         | _ -> Alcotest.fail "child bind leaked into parent");
     Alcotest.test_case "unmount detaches the remote tree" `Quick (fun () ->
-        let local = Naming.Namespace.create () in
-        let remote = Naming.Namespace.create () in
+        let local = namespace () in
+        let remote = namespace () in
         Naming.Namespace.bind remote ~path:"x" (obj "x");
         Naming.Namespace.mount local ~path:"r" ~target:remote
           ~via:Naming.Relation.Same_domain;
@@ -123,10 +125,10 @@ let namespace_tests =
       (fun () ->
         (* Two processes agree by convention on a "global" subtree; the
            same object is reachable in both, under the same name. *)
-        let universe = Naming.Namespace.create ~name:"universe" () in
+        let universe = namespace ~name:"universe" () in
         Naming.Namespace.bind universe ~path:"org/pegasus/fs" (obj "pfs");
-        let p1 = Naming.Namespace.create ~name:"p1" () in
-        let p2 = Naming.Namespace.create ~name:"p2" () in
+        let p1 = namespace ~name:"p1" () in
+        let p2 = namespace ~name:"p2" () in
         Naming.Namespace.mount p1 ~path:"global" ~target:universe
           ~via:(Naming.Relation.Remote (Sim.Time.ms 2));
         Naming.Namespace.mount p2 ~path:"global" ~target:universe
@@ -287,7 +289,7 @@ let property_tests =
              (string_size ~gen:(char_range 'a' 'z') (int_range 1 8)))
          (fun segments ->
            let path = String.concat "/" segments in
-           let ns = Naming.Namespace.create () in
+           let ns = namespace () in
            Naming.Namespace.bind ns ~path
              (Naming.Maillon.of_iface ~reference:path (Naming.Maillon.iface []));
            match Naming.Namespace.resolve ns path with
@@ -299,7 +301,7 @@ let property_tests =
       (QCheck2.Test.make ~name:"resolution cost is monotone in depth" ~count:50
          QCheck2.Gen.(int_range 1 10)
          (fun depth ->
-           let ns = Naming.Namespace.create () in
+           let ns = namespace () in
            let path d = String.concat "/" (List.init d (Printf.sprintf "c%d")) in
            Naming.Namespace.bind ns ~path:(path depth)
              (Naming.Maillon.of_iface ~reference:"deep" (Naming.Maillon.iface []));

@@ -228,6 +228,23 @@ let baseline_tests =
              (List.filter
                 (fun ev -> ev.Sim.Trace.ev_name = "cpu.run")
                 (Sim.Trace.events trace))));
+    Alcotest.test_case "fixed priority breaks ties by list order" `Quick
+      (fun () ->
+        let e = Sim.Engine.create () in
+        let policy = Nemesis.Policy.fixed_priority () in
+        let ready name =
+          let d = Nemesis.Domain.create ~name ~priority:5 () in
+          Nemesis.Domain.add_job d (job e ~work:(ms 1));
+          d
+        in
+        let a = ready "a" and b = ready "b" in
+        let pick domains =
+          match policy.Nemesis.Policy.select ~domains ~now:Sim.Time.zero with
+          | Some d -> Nemesis.Domain.name d.Nemesis.Policy.domain
+          | None -> Alcotest.fail "nothing selected"
+        in
+        Alcotest.(check string) "a listed first" "a" (pick [ a; b ]);
+        Alcotest.(check string) "b listed first" "b" (pick [ b; a ]));
   ]
 
 let event_tests =

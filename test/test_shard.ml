@@ -69,13 +69,13 @@ let par_tests =
   [
     Alcotest.test_case "map returns results in input order" `Quick (fun () ->
         let tasks = Array.init 13 (fun i () -> i * i) in
-        let workers = if Sim.Par.available then 4 else 1 in
+        let workers = 4 in
         let out = Sim.Par.map ~workers tasks in
         Array.iteri
           (fun i v -> Alcotest.(check int) "slot" (i * i) v)
           out);
     Alcotest.test_case "map with more workers than tasks" `Quick (fun () ->
-        let workers = if Sim.Par.available then 8 else 1 in
+        let workers = 8 in
         let out = Sim.Par.map ~workers [| (fun () -> "a"); (fun () -> "b") |] in
         Alcotest.(check (array string)) "results" [| "a"; "b" |] out);
     Alcotest.test_case "map re-raises the lowest failing task" `Quick (fun () ->
@@ -86,7 +86,7 @@ let par_tests =
             (fun () -> failwith "task-2");
           |]
         in
-        let workers = if Sim.Par.available then 2 else 1 in
+        let workers = 2 in
         match Sim.Par.map ~workers tasks with
         | _ -> Alcotest.fail "expected an exception"
         | exception Failure m -> Alcotest.(check string) "which" "task-1" m);
@@ -98,7 +98,9 @@ let shard_unit_tests =
   [
     Alcotest.test_case "post below the lookahead horizon is refused" `Quick
       (fun () ->
-        let t = Sim.Shard.create ~lookahead:(ms 1) ~shards:2 () in
+        let t =
+          Sim.Shard.create ~lookahead:(ms 1) ~shards:2 (Sim.Ctx.create ())
+        in
         match Sim.Shard.post t ~src:0 ~dst:1 ~at:(us 999) (fun () -> ()) with
         | () -> Alcotest.fail "post under the horizon must raise"
         | exception Invalid_argument _ -> ());
@@ -109,7 +111,7 @@ let shard_unit_tests =
            epoch at exactly that instant — neither early (conservatism)
            nor lost (the off-by-one this test pins down). *)
         let lookahead = ms 1 in
-        let t = Sim.Shard.create ~lookahead ~shards:2 () in
+        let t = Sim.Shard.create ~lookahead ~shards:2 (Sim.Ctx.create ()) in
         let log = ref [] in
         let e0 = Sim.Shard.engine t 0 and e1 = Sim.Shard.engine t 1 in
         ignore
@@ -134,7 +136,7 @@ let shard_unit_tests =
     Alcotest.test_case "same-instant messages order by (src, seq)" `Quick
       (fun () ->
         let lookahead = ms 1 in
-        let t = Sim.Shard.create ~lookahead ~shards:3 () in
+        let t = Sim.Shard.create ~lookahead ~shards:3 (Sim.Ctx.create ()) in
         let log = ref [] in
         let arrive tag () = log := tag :: !log in
         (* Shards 1 and 2 each post two messages to shard 0 for the same
@@ -156,7 +158,9 @@ let shard_unit_tests =
           "delivery order" [ "1a"; "1b"; "2a"; "2b" ] (List.rev !log));
     Alcotest.test_case "until is inclusive and aligns every clock" `Quick
       (fun () ->
-        let t = Sim.Shard.create ~lookahead:(us 10) ~shards:2 () in
+        let t =
+          Sim.Shard.create ~lookahead:(us 10) ~shards:2 (Sim.Ctx.create ())
+        in
         let hits = ref 0 in
         let e0 = Sim.Shard.engine t 0 in
         ignore (Sim.Engine.schedule e0 ~delay:(ms 5) (fun () -> incr hits));
@@ -191,7 +195,7 @@ let shard_unit_tests =
         in
         workload plain log_plain;
         Sim.Engine.run plain;
-        let t = Sim.Shard.create ~shards:1 () in
+        let t = Sim.Shard.create ~shards:1 (Sim.Ctx.create ()) in
         let log_shard = ref [] in
         workload (Sim.Shard.engine t 0) log_shard;
         Sim.Shard.run t;
@@ -200,7 +204,9 @@ let shard_unit_tests =
         Alcotest.(check int) "no barrier epochs" 0 (Sim.Shard.epochs t));
     Alcotest.test_case "self-post on a single shard still works" `Quick
       (fun () ->
-        let t = Sim.Shard.create ~lookahead:(us 5) ~shards:1 () in
+        let t =
+          Sim.Shard.create ~lookahead:(us 5) ~shards:1 (Sim.Ctx.create ())
+        in
         let got = ref (-1) in
         let e = Sim.Shard.engine t 0 in
         ignore
@@ -214,26 +220,34 @@ let shard_unit_tests =
 (* {1 The differential property: domain count never shows} *)
 
 let render t = Format.asprintf "%a" Experiments.Table.pp t
+let snapshot reg = Sim.Json.to_string (Sim.Metrics.snapshot reg)
 
 let differential_tests =
-  let domain_counts = if Sim.Par.available then [ 1; 2; 4 ] else [ 1 ] in
+  let domain_counts = [ 1; 2; 4 ] in
   [
     Alcotest.test_case "fabric is byte-identical across domain counts"
       `Quick (fun () ->
         List.iter
           (fun seed ->
-            let tables =
+            let runs =
               List.map
                 (fun domains ->
-                  render (Experiments.Fabric.run ~quick:true ~domains ~seed ()))
+                  let ctx = Sim.Ctx.create ~domains () in
+                  let table =
+                    render (Experiments.Fabric.run ~quick:true ~seed ctx)
+                  in
+                  let snap = snapshot (Sim.Ctx.metrics ctx) in
+                  Alcotest.(check bool) "metrics recorded" true
+                    (snap <> snapshot (Sim.Metrics.create ()));
+                  (table, snap))
                 domain_counts
             in
-            match tables with
+            match runs with
             | [] -> assert false
             | reference :: rest ->
                 List.iteri
                   (fun i t ->
-                    Alcotest.(check string)
+                    Alcotest.(check (pair string string))
                       (Printf.sprintf "seed %d, domains %d vs 1" seed
                          (List.nth domain_counts (i + 1)))
                       reference t)
@@ -241,7 +255,7 @@ let differential_tests =
           [ 1; 2; 3 ]);
     Alcotest.test_case "fabric actually crossed shards" `Quick (fun () ->
         let o =
-          Experiments.Fabric.execute
+          Experiments.Fabric.execute (Sim.Ctx.create ())
             (Experiments.Fabric.default_params ~quick:true)
         in
         Alcotest.(check bool) "epochs" true (o.epochs > 1);

@@ -1343,6 +1343,32 @@ let trace_tests =
         Sim.Trace.enable tr false;
         Alcotest.(check bool) "flows_on tracks enable" false
           (Sim.Trace.flows_on tr));
+    Alcotest.test_case "merge appends and shifts flow ids past the parent's"
+      `Quick (fun () ->
+        let sink () =
+          let tr = Sim.Trace.create ~unbounded:true () in
+          Sim.Trace.set_flows tr true;
+          tr
+        in
+        let start tr name =
+          let flow = Sim.Trace.alloc_flow tr in
+          Sim.Trace.flow_start tr ~ts:Sim.Time.zero ~sub:Sim.Subsystem.Atm
+            ~flow name
+        in
+        let parent = sink () and child = Sim.Trace.like (sink ()) in
+        start parent "p1";
+        start child "c1";
+        start child "c2";
+        Sim.Trace.record child Sim.Time.zero "no flow";
+        Sim.Trace.merge ~into:parent child;
+        Alcotest.(check (list (pair string int)))
+          "events and flow ids"
+          [ ("p1", 1); ("c1", 2); ("c2", 3); ("no flow", Sim.Trace.no_flow) ]
+          (List.map
+             (fun ev -> (ev.Sim.Trace.ev_name, ev.Sim.Trace.ev_flow))
+             (Sim.Trace.events parent));
+        Alcotest.(check int) "next id follows the merged ones" 4
+          (Sim.Trace.alloc_flow parent));
   ]
 
 (* Minimal substring check, enough to validate exported JSON content
@@ -1610,6 +1636,19 @@ let audit_tests =
           (contains j1 "\"schema\":\"pegasus-audit/1\""));
   ]
 
+(* One field of the named metric in a registry snapshot. *)
+let snapshot_field m ~name field =
+  match Sim.Metrics.snapshot m with
+  | Sim.Json.Obj [ ("metrics", Sim.Json.List l) ] ->
+      List.find_map
+        (function
+          | Sim.Json.Obj fs
+            when List.assoc_opt "name" fs = Some (Sim.Json.String name) ->
+              Option.map Sim.Json.to_string (List.assoc_opt field fs)
+          | _ -> None)
+        l
+  | _ -> Alcotest.fail "unexpected snapshot shape"
+
 let metrics_tests =
   [
     Alcotest.test_case "counters, gauges and dists update through handles"
@@ -1759,6 +1798,94 @@ let metrics_tests =
         Alcotest.(check string) "byte-identical snapshots"
           (Sim.Json.to_string (Sim.Metrics.snapshot bounded))
           (Sim.Json.to_string (Sim.Metrics.snapshot bounded2)));
+    Alcotest.test_case "merge adds counters, keeps the last gauge" `Quick
+      (fun () ->
+        (* Each child attaches a sink to its "delay" observer, as a
+           health monitor does to a shard's registry. *)
+        let watch m xs =
+          let o = Sim.Metrics.observer m ~sub:Sim.Subsystem.Atm "delay" in
+          Sim.Metrics.attach_sink o ignore;
+          List.iter (Sim.Metrics.sample o) xs
+        in
+        let child ~cells ~depth xs =
+          let m = Sim.Metrics.create () in
+          Sim.Metrics.incr ~by:cells
+            (Sim.Metrics.counter m ~sub:Sim.Subsystem.Atm "cells");
+          Sim.Metrics.set
+            (Sim.Metrics.gauge m ~sub:Sim.Subsystem.Sim "depth")
+            depth;
+          let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
+          List.iter (Sim.Metrics.observe d) xs;
+          watch m xs;
+          m
+        in
+        let xs1 = List.init 10 (fun i -> Float.of_int (i + 1)) in
+        let xs2 = List.init 11 (fun i -> Float.of_int (100 + i)) in
+        let parent = Sim.Metrics.create () in
+        Sim.Metrics.merge ~into:parent (child ~cells:3 ~depth:1.5 xs1);
+        Sim.Metrics.merge ~into:parent (child ~cells:4 ~depth:2.5 xs2);
+        Alcotest.(check int) "counters add" 7
+          (Sim.Metrics.value
+             (Sim.Metrics.counter parent ~sub:Sim.Subsystem.Atm "cells"));
+        Alcotest.(check (float 0.0)) "the last gauge wins" 2.5
+          (Sim.Metrics.get
+             (Sim.Metrics.gauge parent ~sub:Sim.Subsystem.Sim "depth"));
+        (* Both stores fit the reservoir, so the merged dist equals one
+           fed the whole stream in order: count, bounds and
+           percentiles. *)
+        let whole = Sim.Metrics.create () in
+        let d = Sim.Metrics.dist whole ~sub:Sim.Subsystem.Rpc "lat" in
+        List.iter (Sim.Metrics.observe d) (xs1 @ xs2);
+        List.iter
+          (fun field ->
+            Alcotest.(check (option string)) field
+              (snapshot_field whole ~name:"lat" field)
+              (snapshot_field parent ~name:"lat" field))
+          [ "count"; "min"; "max"; "p50"; "p95"; "p99" ];
+        (* The observer reads as one watched in a single registry:
+           enabled, with both streams' samples. *)
+        watch whole (xs1 @ xs2);
+        List.iter
+          (fun field ->
+            Alcotest.(check (option string)) ("delay " ^ field)
+              (snapshot_field whole ~name:"delay" field)
+              (snapshot_field parent ~name:"delay" field))
+          [ "enabled"; "samples" ];
+        Alcotest.(check (option string)) "the sink saw both streams"
+          (Some "21")
+          (snapshot_field parent ~name:"delay" "samples"));
+    Alcotest.test_case "merge past the reservoir is exact and repeatable"
+      `Quick (fun () ->
+        let stream seed =
+          let rng = Sim.Rng.create ~seed () in
+          List.init 3_000 (fun _ -> Float.of_int (Sim.Rng.int rng 100_000))
+        in
+        let streams = List.map stream [ 1L; 2L; 3L ] in
+        let merged () =
+          let parent = Sim.Metrics.create () in
+          List.iter
+            (fun xs ->
+              let m = Sim.Metrics.create () in
+              let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
+              List.iter (Sim.Metrics.observe d) xs;
+              Sim.Metrics.merge ~into:parent m)
+            streams;
+          parent
+        in
+        let a = merged () and b = merged () in
+        Alcotest.(check string) "same children, same order, same bytes"
+          (Sim.Json.to_string (Sim.Metrics.snapshot a))
+          (Sim.Json.to_string (Sim.Metrics.snapshot b));
+        let all = List.concat streams in
+        let show x = Sim.Json.to_string (Sim.Json.Float x) in
+        Alcotest.(check (option string)) "count" (Some "9000")
+          (snapshot_field a ~name:"lat" "count");
+        Alcotest.(check (option string)) "min"
+          (Some (show (List.fold_left Float.min infinity all)))
+          (snapshot_field a ~name:"lat" "min");
+        Alcotest.(check (option string)) "max"
+          (Some (show (List.fold_left Float.max neg_infinity all)))
+          (snapshot_field a ~name:"lat" "max"));
   ]
 
 let daemon_tests =
