@@ -7,7 +7,10 @@
     the CRC gives us exactly that.
 
     Segmentation is zero-copy: the PDU is built once and cells (or one
-    {!Train.t}) are views into it. *)
+    {!Train.t}) are views into it.  A PDU is immutable once built: no
+    one writes it after framing, so every frame of one payload can
+    share one ({!Framer}), and a receiver checks a frame that arrives
+    whole in place on it. *)
 
 val trailer_bytes : int
 
@@ -22,6 +25,25 @@ val segment : vci:int -> ?flow:int -> bytes -> Cell.t list
 
 val segment_train : vci:int -> ?flow:int -> bytes -> Train.t
 (** The same PDU as one train (the fast path). *)
+
+(** Framing once per payload.  A framer remembers the PDUs it built
+    for the three payload buffers it used most recently (matched by
+    identity), so a sender that resends a buffer builds its PDU once. *)
+module Framer : sig
+  type t
+
+  val create : unit -> t
+
+  val pdu : t -> bytes -> bytes
+  (** [pdu t payload] is a PDU byte-identical to the one {!segment}
+      would build for [payload] now.  The PDU kept for [payload] is
+      reused only after checking it: the payload bytes, the zero
+      padding, the length field and the CRC recorded when it was built.
+      A payload changed since, or a PDU written by someone else, gets a
+      fresh PDU; an old one is never rewritten, since frames of it may
+      still be in flight.  Raises [Invalid_argument] on payloads longer
+      than 65535 bytes. *)
+end
 
 type error =
   | Crc_mismatch
@@ -46,7 +68,9 @@ module Reassembler : sig
       cells in order; the list is almost always empty (mid-frame) or a
       singleton (the window completes a frame), but the overflow path
       can emit [Error Too_long] followed by the result of whatever
-      accumulates afterwards. *)
+      accumulates afterwards.  A window that ends a frame while nothing
+      is pending is checked in place on the train's PDU, with no blit:
+      the payload the receiver gets is the one copy made. *)
 
   val pending_cells : t -> int
 

@@ -25,6 +25,7 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
@@ -180,4 +181,21 @@ intnat pegasus_crc32(value buf, intnat pos, intnat len)
 value pegasus_crc32_byte(value buf, value pos, value len)
 {
   return Val_long(pegasus_crc32(buf, Long_val(pos), Long_val(len)));
+}
+
+/* Byte-range equality for the AAL5 framer's reuse check (Aal5.Framer).
+   The OCaml caller has checked that both ranges lie inside their
+   buffers. */
+value pegasus_bytes_equal(value a, intnat apos, value b, intnat bpos,
+                          intnat len)
+{
+  return Val_bool(memcmp(Bytes_val(a) + apos, Bytes_val(b) + bpos,
+                         (size_t)len) == 0);
+}
+
+value pegasus_bytes_equal_byte(value a, value apos, value b, value bpos,
+                               value len)
+{
+  return pegasus_bytes_equal(a, Long_val(apos), b, Long_val(bpos),
+                             Long_val(len));
 }

@@ -17,12 +17,16 @@ type train_rx =
    Counters and metrics are applied when cells are *processed* (at
    delivery events); the public accessors add the correction for cells
    whose virtual offer has passed but whose processing event has not
-   fired yet, so reads always match the per-cell path. *)
+   fired yet, so reads always match the per-cell path.
+
+   The two arrays come from the link's pool and may be longer than
+   [ot_cap]; only [0, ot_n) is ever read. *)
 type otrain = {
   mutable ot_train : Train.t;  (* extended in place by continuation merges *)
   ot_prio : bool;
   ot_offers : int array;  (* virtual offer instants, absolute ns *)
   ot_starts : int array;  (* start slots, ns; -1 = dropped at the queue *)
+  ot_cap : int;  (* cells the window may grow to by continuation merges *)
   ot_h0 : int;  (* the class horizon before this commit, ns *)
   ot_lat : int;  (* cell_time + prop + extra_prop at commit, ns *)
   mutable ot_n : int;  (* cells still owned (splits truncate this) *)
@@ -51,6 +55,7 @@ type t = {
   mutable extra_prop : Sim.Time.t;  (* fault injection: latency spike *)
   mutable busy : Sim.Time.t;
   mutable opens : otrain list;  (* open train windows, oldest first *)
+  mutable spare : (int array * int array) list;  (* pooled window arrays *)
   mutable pending_reoffers : int;  (* split cells awaiting per-cell re-offer *)
   m_sent : Sim.Metrics.counter;
   m_dropped : Sim.Metrics.counter;
@@ -84,6 +89,7 @@ let create engine ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)
     extra_prop = Sim.Time.zero;
     busy = Sim.Time.zero;
     opens = [];
+    spare = [];
     pending_reoffers = 0;
     m_sent =
       Sim.Metrics.counter metrics ~sub:Sim.Subsystem.Atm
@@ -159,6 +165,40 @@ let lose t cell ~why =
       ~cat:"fault"
       ~args:[ ("vci", Sim.Trace.Int cell.Cell.vci) ]
       why
+
+(* Window arrays come from a per-link pool.  A window takes the
+   smallest spare pair that holds [cap] cells.  When none does it takes
+   a new pair and drops one spare that is too small, so a link never
+   holds more pairs than it has had windows open at once. *)
+let no_pair = ([||], [||])
+
+let rec best_fit cap best = function
+  | [] -> best
+  | ((o, _) as p) :: rest ->
+      let fits =
+        Array.length o >= cap
+        && (best == no_pair || Array.length o < Array.length (fst best))
+      in
+      best_fit cap (if fits then p else best) rest
+
+let rec without p = function
+  | [] -> []
+  | q :: rest -> if q == p then rest else q :: without p rest
+
+let take_arrays t cap =
+  let p = best_fit cap no_pair t.spare in
+  if p != no_pair then begin
+    t.spare <- without p t.spare;
+    p
+  end
+  else begin
+    (match t.spare with _ :: rest -> t.spare <- rest | [] -> ());
+    (Array.make cap 0, Array.make cap (-1))
+  end
+
+(* A window that has left [opens] for good hands its arrays back; no
+   event or closure reads them afterwards. *)
+let retire t ot = t.spare <- (ot.ot_offers, ot.ot_starts) :: t.spare
 
 let cancel_ev t ot =
   match ot.ot_ev with
@@ -285,7 +325,11 @@ and flush ?boundary_ns t =
       | [] -> ()
       | cut ->
           List.iter
-            (fun ot -> if ot.ot_done >= ot.ot_n then cancel_ev t ot)
+            (fun ot ->
+              if ot.ot_done >= ot.ot_n then begin
+                cancel_ev t ot;
+                retire t ot
+              end)
             cut;
           t.opens <- List.filter (fun ot -> ot.ot_done < ot.ot_n) t.opens;
           List.iter (fun ot -> if ot.ot_done < ot.ot_n then reschedule t ot) cut
@@ -305,8 +349,10 @@ and reschedule t ot =
 
 and fire t ot =
   process_upto t ot (now_ns t);
-  if ot.ot_done >= ot.ot_n then
-    t.opens <- List.filter (fun o -> o != ot) t.opens
+  if ot.ot_done >= ot.ot_n then begin
+    t.opens <- List.filter (fun o -> o != ot) t.opens;
+    retire t ot
+  end
   else reschedule t ot
 
 (* Hand the delivered cells [first..last] of a window to the receiver
@@ -420,22 +466,26 @@ let send_train ?(priority = false) ?offers_ns t train =
             starts.(i) <- s;
             nf := s + ctn
           end
+          else starts.(i) <- -1
         done;
         t.next_free <- Sim.Time.ns !nf
       end
     in
     let continuation =
-      (* A chunk continuing the newest open window's PDU (switches hand
-         a frame over in wire-rate chunks): extend that window in place
-         rather than opening — and scheduling an event for — a new one. *)
+      (* A chunk continuing the newest open window's frame (switches
+         hand a frame over in wire-rate chunks): extend that window in
+         place rather than opening — and scheduling an event for — a new
+         one.  The key is the frame, not its buffer: every frame of one
+         payload shares a PDU, and a frame whose tail [flush] re-offered
+         must not absorb the next frame's chunk at the same offset. *)
       match last_open t.opens with
       | Some ot
         when ot.ot_prio = priority
              && ot.ot_lat = lat
-             && ot.ot_train.Train.buf == train.Train.buf
+             && ot.ot_train.Train.frame == train.Train.frame
              && ot.ot_train.Train.vci = train.Train.vci
              && ot.ot_train.Train.first + ot.ot_n = train.Train.first
-             && ot.ot_n + n <= Array.length ot.ot_offers
+             && ot.ot_n + n <= ot.ot_cap
              && (ot.ot_n = 0 || first_offer >= ot.ot_offers.(ot.ot_n - 1)) ->
           Some ot
       | _ -> None
@@ -447,31 +497,20 @@ let send_train ?(priority = false) ?offers_ns t train =
         | Some o -> Array.blit o 0 ot.ot_offers base n
         | None -> Array.fill ot.ot_offers base n now);
         analyze ot.ot_offers ot.ot_starts base;
-        ot.ot_train <-
-          {
-            Train.vci = train.Train.vci;
-            flow = train.Train.flow;
-            buf = train.Train.buf;
-            first = ot.ot_train.Train.first;
-            count = base + n;
-            total = train.Train.total;
-          };
+        ot.ot_train <- { ot.ot_train with Train.count = base + n };
         ot.ot_n <- base + n;
         reschedule t ot
     | None ->
         let h0 =
           Sim.Time.to_ns (if priority then t.res_next_free else t.next_free)
         in
-        (* Room for the PDU's remaining cells, so continuation chunks
+        (* Room for the frame's remaining cells, so continuation chunks
            append without reallocating. *)
-        let cap =
-          Stdlib.max n (train.Train.total - train.Train.first)
-        in
-        let offers = Array.make cap 0 in
+        let cap = Stdlib.max n (Train.total train - Train.first train) in
+        let offers, starts = take_arrays t cap in
         (match offers_ns with
         | Some o -> Array.blit o 0 offers 0 n
         | None -> Array.fill offers 0 n now);
-        let starts = Array.make cap (-1) in
         analyze offers starts 0;
         let ot =
           {
@@ -479,6 +518,7 @@ let send_train ?(priority = false) ?offers_ns t train =
             ot_prio = priority;
             ot_offers = offers;
             ot_starts = starts;
+            ot_cap = cap;
             ot_h0 = h0;
             ot_lat = lat;
             ot_n = n;

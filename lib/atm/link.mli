@@ -47,11 +47,21 @@ val send_train : ?priority:bool -> ?offers_ns:int array -> t -> Train.t -> unit
     slots, queue-overflow drops, counters and delivery instants are
     computed analytically against the same transmitter horizons the
     per-cell path uses, so the result is byte-identical by
-    construction.  When per-cell fidelity is genuinely required — the
-    link is down, a loss stream is active, or tracing is enabled — the
-    train transparently falls back to per-cell [send]s at the virtual
-    offer instants; interference arriving mid-window splits the
-    un-offered remainder back to the per-cell path. *)
+    construction (one known exception, same-instant ties between VCs,
+    is described in DESIGN.md §7).  When per-cell fidelity is genuinely required — the
+    link is down, a loss stream is active, cell-detail tracing is on
+    (flow-only tracing is not enough), or cells an earlier split
+    re-offered are still pending — the train transparently falls back
+    to per-cell [send]s at the virtual offer instants; interference
+    arriving mid-window splits the un-offered remainder back to the
+    per-cell path.
+
+    A committed window keeps each cell's offer and start instants in
+    two arrays drawn from a per-link pool; they return to it when the
+    window completes or a split empties it, so a link holds at most as
+    many pairs as it has had windows open at once.  A chunk that
+    continues the newest open window of the same frame (one
+    {!Train.frame}, not merely the same PDU) extends it in place. *)
 
 val reserve : t -> bps:int -> bool
 (** Admission control: reserve bandwidth for a VC crossing this link;

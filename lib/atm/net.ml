@@ -46,6 +46,7 @@ type t = {
   mutable all_links : Link.t list;
   mutable all_switches : Switch.t list;
   mutable use_trains : bool;
+  framer : Aal5.Framer.t;  (* the PDUs [send_frame] built lately *)
 }
 
 let create ?(vci_limit = 65_535) engine =
@@ -60,6 +61,7 @@ let create ?(vci_limit = 65_535) engine =
     all_links = [];
     all_switches = [];
     use_trains = true;
+    framer = Aal5.Framer.create ();
   }
 
 let set_train_path t on = t.use_trains <- on
@@ -446,12 +448,14 @@ let send vc (cell : Cell.t) =
 
 let send_frame ?flow vc payload =
   let priority = vc.reserved <> None in
-  if vc.vc_net.use_trains then
-    Link.send_train ~priority vc.first_link
-      (Aal5.segment_train ~vci:vc.src_vci ?flow payload)
+  let train =
+    Train.make ~vci:vc.src_vci ?flow (Aal5.Framer.pdu vc.vc_net.framer payload)
+  in
+  if vc.vc_net.use_trains then Link.send_train ~priority vc.first_link train
   else
-    List.iter (fun cell -> Link.send ~priority vc.first_link cell)
-      (Aal5.segment ~vci:vc.src_vci ?flow payload)
+    for i = 0 to Train.count train - 1 do
+      Link.send ~priority vc.first_link (Train.cell train i)
+    done
 
 let vc_hops vc = vc.hops
 let vc_bandwidth_bps vc = Link.bandwidth_bps vc.first_link

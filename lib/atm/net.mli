@@ -91,7 +91,12 @@ val send_frame : ?flow:int -> vc -> bytes -> unit
     {!Train.t} on the fast path (the default), or cell by cell when the
     train path is disabled with {!set_train_path}.  [flow] is stamped
     on every cell of the frame; it is simulation metadata (no wire
-    bytes), so traced and untraced runs are timing-identical. *)
+    bytes), so traced and untraced runs are timing-identical.
+
+    Each payload buffer is framed once: the net keeps the PDUs it built
+    for the payload buffers it sent most recently ({!Aal5.Framer}) and
+    sends a resent buffer's PDU again once it has checked that the PDU
+    still matches the payload.  The table belongs to this net alone. *)
 
 val set_train_path : t -> bool -> unit
 (** Toggle the cell-train fast path (default [true]).  Off, every frame

@@ -173,11 +173,11 @@ let input_train t in_port (train : Train.t) ~arrivals_ns =
       if
         Train.contains_last train
         && Sim.Trace.flows_on tr
-        && train.Train.flow >= 0
+        && Train.flow train >= 0
       then
         Sim.Trace.flow_step tr
           ~ts:(Sim.Time.ns arrivals_ns.(n - 1))
-          ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:train.Train.flow
+          ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train)
           ("sw:" ^ t.name);
       train.Train.vci <- out_vci;
       let fabric = Sim.Time.to_ns t.fabric_delay in
