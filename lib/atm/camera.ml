@@ -102,14 +102,20 @@ let send_paced t payload =
            Net.send_frame ?flow t.vc payload))
 
 (* Pixel content: a deterministic pattern so that tests can check what
-   the display renders without shipping real video.  The range is
-   checked once, so the per-byte loop needs no bounds checks. *)
+   the display renders without shipping real video.  Byte [i] of a
+   packet is [(base + i) land 0xff]; any run of up to 256 such bytes is
+   a slice of [pattern] starting at [(base + i) land 0xff]. *)
+let pattern = String.init 512 (fun i -> Char.chr (i land 0xff))
+
 let fill_tile_data t buf ~row ~first_tile ~count =
   let n = count * t.bytes_per_tile in
   if n > Bytes.length buf then invalid_arg "Camera.fill_tile_data: buffer too short";
   let base = row + first_tile + t.frame in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set buf i (Char.unsafe_chr ((base + i) land 0xff))
+  let i = ref 0 in
+  while !i < n do
+    let len = Int.min 256 (n - !i) in
+    Bytes.blit_string pattern ((base + !i) land 0xff) buf !i len;
+    i := !i + len
   done
 
 let packets_of_row t ~row ~captured_at =

@@ -11,6 +11,12 @@ type window = {
   mutable occluded_px : int;
   mutable frames_done : int;
   mutable current_frame : int;
+  mutable verified : Bytes.t;
+      (* one byte per tile of the (ww/8) x (wh/8) grid, row-major; non-zero
+         means that at [verified_epoch] all 64 pixels under the tile
+         belong to this window *)
+  mutable verified_epoch : int;
+  mutable checked : int;  (* tiles painted by the per-pixel loop *)
 }
 
 type t = {
@@ -20,6 +26,8 @@ type t = {
   framebuffer : bytes;
   owners : int array;  (* per-pixel VCI of the window that painted it *)
   windows : (int, window) Hashtbl.t;
+  mutable epoch : int;
+      (* moves whenever a pixel changes hands, voiding every verified tile *)
   mutable next_z : int;
   mutable faulty : int;
   mutable on_blit : (vci:int -> Tile.packet -> unit) option;
@@ -34,6 +42,7 @@ let create engine ?(screen_width = 1280) ?(screen_height = 1024) () =
     framebuffer = Bytes.make (screen_width * screen_height) '\000';
     owners = Array.make (screen_width * screen_height) (-1);
     windows = Hashtbl.create 16;
+    epoch = 0;
     next_z = 0;
     faulty = 0;
     on_blit = None;
@@ -44,6 +53,13 @@ let create engine ?(screen_width = 1280) ?(screen_height = 1024) () =
         ~help:"windowed capture-to-blit staging latency samples (us)"
         "display.staging_win_us";
   }
+
+(* Windows of any size, even empty or negative, get a map: only tiles
+   that pass [render]'s clip index it. *)
+let tile_map ~width ~height =
+  Bytes.make
+    (Int.max 0 (width / Tile.size) * Int.max 0 (height / Tile.size))
+    '\000'
 
 let add_window t ~vci ~x ~y ~width ~height =
   t.next_z <- t.next_z + 1;
@@ -61,6 +77,9 @@ let add_window t ~vci ~x ~y ~width ~height =
       occluded_px = 0;
       frames_done = 0;
       current_frame = -1;
+      verified = tile_map ~width ~height;
+      verified_epoch = t.epoch;
+      checked = 0;
     }
 
 let window t vci =
@@ -71,12 +90,14 @@ let window t vci =
 let move_window t ~vci ~x ~y =
   let w = window t vci in
   w.wx <- x;
-  w.wy <- y
+  w.wy <- y;
+  Bytes.fill w.verified 0 (Bytes.length w.verified) '\000'
 
 let resize_window t ~vci ~width ~height =
   let w = window t vci in
   w.ww <- width;
-  w.wh <- height
+  w.wh <- height;
+  w.verified <- tile_map ~width ~height
 
 let remove_window t ~vci = Hashtbl.remove t.windows vci
 
@@ -101,11 +122,16 @@ let on_blit t f = t.on_blit <- Some f
    counted but not painted; since video repaints every frame, a raised
    window repairs itself within one frame time.  [blit_tile] tests the
    first two cases inline and asks [may_paint_over] only about a pixel
-   that another window owns. *)
+   that another window owns; a yes hands the pixel over, so it moves
+   the epoch. *)
 let may_paint_over t w ~owner =
-  match Hashtbl.find_opt t.windows owner with
-  | Some other -> other.wz <= w.wz
-  | None -> true
+  let yes =
+    match Hashtbl.find_opt t.windows owner with
+    | Some other -> other.wz <= w.wz
+    | None -> true
+  in
+  if yes then t.epoch <- t.epoch + 1;
+  yes
 
 let blit_tile t w ~vci ~sx ~sy data off =
   (* Copy an 8x8 tile whose top-left lands at screen (sx, sy); the
@@ -128,6 +154,50 @@ let blit_tile t w ~vci ~sx ~sy data off =
       done
   done
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* A tile line is 8 one-byte pixels, one 64-bit word.  The accesses are
+   unchecked: the caller has checked that the tile lies wholly on screen
+   and in [data]. *)
+let copy_tile t ~sx ~sy data off =
+  let dst = (sy * t.screen_w) + sx in
+  for line = 0 to Tile.size - 1 do
+    set64u t.framebuffer
+      (dst + (line * t.screen_w))
+      (get64u data (off + (line * Tile.size)))
+  done
+
+(* Paint tile number [tile] of [w]'s grid.  A tile is verified when all
+   64 of its pixels belong to [w] at the current epoch: the per-pixel
+   loop would then paint every pixel and change no owner, and a word
+   copy does the same.  Owners change only through a hand-over or
+   [decorate], which move the epoch; a tile's screen position changes
+   only through [move_window] and [resize_window], which clear the map.
+   A tile whose own loop moved the epoch stays unmarked: at the epoch
+   the map is stamped with, it was not yet wholly [w]'s. *)
+let paint_tile t w ~vci ~tile ~sx ~sy data off =
+  if w.verified_epoch <> t.epoch then begin
+    Bytes.fill w.verified 0 (Bytes.length w.verified) '\000';
+    w.verified_epoch <- t.epoch
+  end;
+  let whole =
+    sx >= 0 && sy >= 0
+    && sx + Tile.size <= t.screen_w
+    && sy + Tile.size <= t.screen_h
+    && off >= 0
+    && off + Tile.raw_bytes <= Bytes.length data
+  in
+  if whole && Bytes.get w.verified tile <> '\000' then
+    copy_tile t ~sx ~sy data off
+  else begin
+    let epoch = t.epoch and occluded = w.occluded_px in
+    w.checked <- w.checked + 1;
+    blit_tile t w ~vci ~sx ~sy data off;
+    if whole && t.epoch = epoch && w.occluded_px = occluded then
+      Bytes.set w.verified tile '\001'
+  end
+
 let render t vci w (p : Tile.packet) =
   let now = Sim.Engine.now t.engine in
   let staging_us = Sim.Time.to_us_f (Sim.Time.sub now p.captured_at) in
@@ -149,7 +219,9 @@ let render t vci w (p : Tile.packet) =
       (* Raw tiles carry 64 bytes of pixels; compressed tiles are
          expanded notionally (we blit what data there is). *)
       if p.bytes_per_tile = Tile.raw_bytes then
-        blit_tile t w ~vci ~sx:(w.wx + tile_px) ~sy:(w.wy + tile_py) p.data
+        paint_tile t w ~vci
+          ~tile:((p.y * (w.ww / Tile.size)) + p.x + i)
+          ~sx:(w.wx + tile_px) ~sy:(w.wy + tile_py) p.data
           (i * p.bytes_per_tile)
     end
     else w.clipped <- w.clipped + 1
@@ -201,6 +273,7 @@ let train_rx t (train : Train.t) =
    pixel, for title bars and borders; what it paints is owned by VCI
    -2, which any window may later paint over. *)
 let decorate t ~x ~y ~width ~height ~value =
+  t.epoch <- t.epoch + 1;
   for dy = 0 to height - 1 do
     let py = y + dy in
     if py >= 0 && py < t.screen_h then
@@ -217,6 +290,7 @@ let decorate t ~x ~y ~width ~height ~value =
 let tiles_blitted t ~vci = (window t vci).blitted
 let tiles_clipped t ~vci = (window t vci).clipped
 let pixels_occluded t ~vci = (window t vci).occluded_px
+let tiles_checked t ~vci = (window t vci).checked
 let frames_completed t ~vci = (window t vci).frames_done
 let faulty_frames t = t.faulty
 let staging_latency_us t ~vci = (window t vci).latency_us

@@ -9,7 +9,26 @@
 
     Tiles essentially being fixed-size bit-blits, video and graphics
     are unified: anything that can emit tile packets can paint a
-    window. *)
+    window.
+
+    {b Ownership.}  Every pixel records the VCI of the window that last
+    painted it ([-1] before any, [-2] for {!decorate}).  A window may
+    paint a pixel that is unowned, its own, painted by {!decorate},
+    owned by a window stacked at or below it, or owned by a VCI that
+    has no window; any other pixel is occluded: counted, not painted.
+    Pixels of a removed window keep its VCI, so a window later added on
+    that VCI owns them at once.
+
+    {b Verified tiles.}  The display keeps an ownership epoch that
+    moves whenever a pixel passes from one owner to another and on
+    every {!decorate}.  A raw tile painted pixel by pixel, wholly on
+    screen, with nothing occluded and the epoch unmoved, is marked
+    verified in its window until the epoch next moves or the window is
+    moved or resized.  A verified tile is repainted as eight word
+    copies, with no ownership check: every pixel under it is the
+    window's own, so the per-pixel rule would paint all 64 and change
+    no owner.  Framebuffer, owners and counters are exactly those of
+    the per-pixel rule. *)
 
 type t
 
@@ -64,6 +83,10 @@ val tiles_clipped : t -> vci:int -> int
 
 val pixels_occluded : t -> vci:int -> int
 (** Pixels withheld because a higher window owned them. *)
+
+val tiles_checked : t -> vci:int -> int
+(** Raw tiles painted through the per-pixel ownership check, rather
+    than copied whole as verified tiles.  Not a {!Sim.Metrics} entry. *)
 
 val frames_completed : t -> vci:int -> int
 (** Frames for which every expected tile arrived (detected by frame

@@ -373,17 +373,17 @@ let tile_tests =
   ]
 
 (* Camera wired to display across the star network. *)
-let video_rig ?mode ?release () =
+let video_rig ?mode ?release ?(width = 64) ?(height = 48) () =
   let e, net, a, b = star_net () in
   let display = Atm.Display.create e () in
   let vc =
     Atm.Net.open_vc net ~src:a ~dst:b ~rx:(fun c -> Atm.Display.cell_rx display c)
   in
   let camera =
-    Atm.Camera.create e ~vc ~width:64 ~height:48 ~fps:25 ?mode ?release ()
+    Atm.Camera.create e ~vc ~width ~height ~fps:25 ?mode ?release ()
   in
   Atm.Display.add_window display ~vci:(Atm.Net.vc_dst_vci vc) ~x:100 ~y:50
-    ~width:64 ~height:48;
+    ~width ~height;
   (e, net, camera, display, Atm.Net.vc_dst_vci vc)
 
 let camera_display_tests =
@@ -468,6 +468,33 @@ let camera_display_tests =
         Atm.Camera.start camera;
         Sim.Engine.run e ~until:(ms 130);
         Alcotest.(check (list int)) "frames" [ 0; 1; 2 ] (List.rev !frames));
+    Alcotest.test_case "camera pixel bytes follow the tile pattern" `Quick
+      (fun () ->
+        (* 16 tiles a row: a 14-tile packet (896 raw bytes, the pattern
+           wraps three times) and a 2-tile one. *)
+        List.iter
+          (fun (name, mode) ->
+            let e, _, camera, display, _ =
+              video_rig ~mode ~width:128 ~height:48 ()
+            in
+            let packets = ref 0 in
+            Atm.Display.on_blit display (fun ~vci:_ (p : Atm.Tile.packet) ->
+                if p.frame < 3 then begin
+                  incr packets;
+                  Bytes.iteri
+                    (fun i c ->
+                      let want = (p.y + p.x + p.frame + i) land 0xff in
+                      if Char.code c <> want then
+                        Alcotest.failf
+                          "%s frame %d row %d tile %d: byte %d is %d, want %d"
+                          name p.frame p.y p.x i (Char.code c) want)
+                    p.data
+                end);
+            Atm.Camera.start camera;
+            Sim.Engine.run e ~until:(ms 130);
+            Alcotest.(check int) (name ^ ": packets of frames 0-2") (3 * 6 * 2)
+              !packets)
+          [ ("raw", Atm.Camera.Raw); ("jpeg", Atm.Camera.Jpeg { ratio = 8.0 }) ]);
   ]
 
 let audio_tests =
@@ -862,6 +889,72 @@ let model_render d m ~vci ~wx ~wy ~ww ~wh (p : Atm.Tile.packet) =
         (i * p.bytes_per_tile)
   done
 
+let model_create ~sw ~sh =
+  {
+    ms_w = sw;
+    ms_h = sh;
+    ms_fb = Bytes.make (sw * sh) '\000';
+    ms_owners = Array.make (sw * sh) (-1);
+    ms_occluded = Hashtbl.create 4;
+  }
+
+(* [Display.decorate] on the model. *)
+let model_decorate m ~x ~y ~width ~height ~value =
+  for py = Int.max 0 y to Int.min m.ms_h (y + height) - 1 do
+    for px = Int.max 0 x to Int.min m.ms_w (x + width) - 1 do
+      let idx = (py * m.ms_w) + px in
+      m.ms_owners.(idx) <- -2;
+      Bytes.set m.ms_fb idx (Char.chr (value land 0xff))
+    done
+  done
+
+(* Every pixel of the screen, and each listed window's occluded count,
+   against the model. *)
+let check_model d m ~what vcis =
+  for y = 0 to m.ms_h - 1 do
+    for x = 0 to m.ms_w - 1 do
+      let want = Char.code (Bytes.get m.ms_fb ((y * m.ms_w) + x)) in
+      let got = Atm.Display.screen_byte d ~x ~y in
+      if got <> want then
+        Alcotest.failf "%s: pixel (%d,%d) is %d, reference %d" what x y got
+          want
+    done
+  done;
+  List.iter
+    (fun vci ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: pixels occluded on %d" what vci)
+        (Option.value ~default:0 (Hashtbl.find_opt m.ms_occluded vci))
+        (Atm.Display.pixels_occluded d ~vci))
+    vcis
+
+(* One frame of a window at (wx, wy), clipped to ww x wh: one packet per
+   tile row, one tile wider than the window so the window clip drops the
+   last tile.  The bytes depend on the frame, so a stale copy shows.
+   Each packet goes to the display and to the model. *)
+let paint_window d m ~frame (vci, (wx, wy, ww, wh)) =
+  for row = 0 to (wh / Atm.Tile.size) - 1 do
+    let count = (ww / Atm.Tile.size) + 1 in
+    let data =
+      Bytes.init (count * Atm.Tile.raw_bytes) (fun i ->
+          Char.chr (((vci * 97) + (frame * 31) + (row * 7) + i) land 0xff))
+    in
+    let p =
+      {
+        Atm.Tile.x = 0;
+        y = row;
+        frame;
+        count;
+        bytes_per_tile = Atm.Tile.raw_bytes;
+        captured_at = Sim.Time.zero;
+        data;
+      }
+    in
+    List.iter (Atm.Display.cell_rx d)
+      (Atm.Aal5.segment ~vci (Atm.Tile.marshal p));
+    model_render d m ~vci ~wx ~wy ~ww ~wh p
+  done
+
 let blit_differential_tests =
   [
     Alcotest.test_case "line-clipped blit equals the per-pixel reference" `Quick
@@ -869,15 +962,7 @@ let blit_differential_tests =
         let sw = 64 and sh = 48 in
         let e = Sim.Engine.create () in
         let d = Atm.Display.create e ~screen_width:sw ~screen_height:sh () in
-        let m =
-          {
-            ms_w = sw;
-            ms_h = sh;
-            ms_fb = Bytes.make (sw * sh) '\000';
-            ms_owners = Array.make (sw * sh) (-1);
-            ms_occluded = Hashtbl.create 2;
-          }
-        in
+        let m = model_create ~sw ~sh in
         (* Window 1 hangs off the top-left corner, window 2 off the
            bottom-right; neither offset is a multiple of the tile size,
            so edge tiles are cut mid-line.  They overlap in the middle,
@@ -888,38 +973,7 @@ let blit_differential_tests =
             Atm.Display.add_window d ~vci ~x ~y ~width ~height)
           windows;
         Atm.Display.decorate d ~x:20 ~y:22 ~width:30 ~height:3 ~value:0xEE;
-        for dy = 0 to 2 do
-          for dx = 0 to 29 do
-            let idx = ((22 + dy) * sw) + 20 + dx in
-            m.ms_owners.(idx) <- -2;
-            Bytes.set m.ms_fb idx '\xEE'
-          done
-        done;
-        let paint frame (vci, (wx, wy, ww, wh)) =
-          (* One packet per tile row, one tile wider than the window so
-             the window clip drops the last tile. *)
-          for row = 0 to (wh / Atm.Tile.size) - 1 do
-            let count = (ww / Atm.Tile.size) + 1 in
-            let data =
-              Bytes.init (count * Atm.Tile.raw_bytes) (fun i ->
-                  Char.chr (((vci * 97) + (frame * 31) + (row * 7) + i) land 0xff))
-            in
-            let p =
-              {
-                Atm.Tile.x = 0;
-                y = row;
-                frame;
-                count;
-                bytes_per_tile = Atm.Tile.raw_bytes;
-                captured_at = Sim.Time.zero;
-                data;
-              }
-            in
-            List.iter (Atm.Display.cell_rx d)
-              (Atm.Aal5.segment ~vci (Atm.Tile.marshal p));
-            model_render d m ~vci ~wx ~wy ~ww ~wh p
-          done
-        in
+        model_decorate m ~x:20 ~y:22 ~width:30 ~height:3 ~value:0xEE;
         let restack =
           [|
             (fun () -> ());
@@ -934,23 +988,10 @@ let blit_differential_tests =
           (fun frame change ->
             change ();
             let order = if frame mod 2 = 0 then windows else List.rev windows in
-            List.iter (paint frame) order;
-            for y = 0 to sh - 1 do
-              for x = 0 to sw - 1 do
-                let want = Char.code (Bytes.get m.ms_fb ((y * sw) + x)) in
-                let got = Atm.Display.screen_byte d ~x ~y in
-                if got <> want then
-                  Alcotest.failf "frame %d: pixel (%d,%d) is %d, reference %d"
-                    frame x y got want
-              done
-            done;
-            List.iter
-              (fun (vci, _) ->
-                Alcotest.(check int)
-                  (Printf.sprintf "frame %d: pixels occluded on %d" frame vci)
-                  (Option.value ~default:0 (Hashtbl.find_opt m.ms_occluded vci))
-                  (Atm.Display.pixels_occluded d ~vci))
-              windows)
+            List.iter (paint_window d m ~frame) order;
+            check_model d m
+              ~what:(Printf.sprintf "frame %d" frame)
+              (List.map fst windows))
           restack;
         (* The scenario is not vacuous: both windows lost pixels to each
            other at some point. *)
@@ -961,6 +1002,171 @@ let blit_differential_tests =
               true
               (Atm.Display.pixels_occluded d ~vci > 0))
           windows);
+    Alcotest.test_case "verified-tile copies equal the per-pixel reference"
+      `Quick (fun () ->
+        let sw = 96 and sh = 64 in
+        let e = Sim.Engine.create () in
+        let d = Atm.Display.create e ~screen_width:sw ~screen_height:sh () in
+        let m = model_create ~sw ~sh in
+        let wm = Pegasus.Wm.create d in
+        let windows = Hashtbl.create 4 in
+        let place vci g = Hashtbl.replace windows vci g in
+        (* Window 1 hangs off the left and top edges, window 2 off the
+           right and bottom; window 3, managed by [Wm] with its title
+           bar above it, lies wholly on screen, overlaps both, and is
+           not a whole number of tiles wide. *)
+        List.iter
+          (fun (vci, ((x, y, width, height) as g)) ->
+            Atm.Display.add_window d ~vci ~x ~y ~width ~height;
+            place vci g)
+          [ (1, (-13, -10, 48, 40)); (2, (67, 35, 48, 40)) ];
+        let w3 =
+          Pegasus.Wm.manage wm ~vci:3 ~title:"three" ~x:28 ~y:24 ~width:44
+            ~height:26
+        in
+        (* [Wm] just drew window 3's title bar [width] wide; the model
+           paints the same rectangle in the colour read back. *)
+        let title_bar width =
+          let y = 24 - Pegasus.Wm.title_bar_height in
+          model_decorate m ~x:28 ~y ~width ~height:Pegasus.Wm.title_bar_height
+            ~value:(Atm.Display.screen_byte d ~x:28 ~y)
+        in
+        place 3 (28, 24, 44, 26);
+        title_bar 44;
+        let move vci ~x ~y =
+          Atm.Display.move_window d ~vci ~x ~y;
+          let _, _, ww, wh = Hashtbl.find windows vci in
+          place vci (x, y, ww, wh)
+        and resize vci ~width ~height =
+          Atm.Display.resize_window d ~vci ~width ~height;
+          let wx, wy, _, _ = Hashtbl.find windows vci in
+          place vci (wx, wy, width, height)
+        in
+        let events =
+          [
+            ("nothing", fun () -> ());
+            ("move 1", fun () -> move 1 ~x:(-5) ~y:(-3));
+            ("move 2 under 3", fun () -> move 2 ~x:60 ~y:30);
+            ("shrink 1", fun () -> resize 1 ~width:21 ~height:19);
+            ("grow 1", fun () -> resize 1 ~width:56 ~height:44);
+            ( "iconize 3",
+              fun () ->
+                Pegasus.Wm.iconize wm w3;
+                place 3 (28, 24, 16, 16);
+                title_bar 16 );
+            ( "restore 3",
+              fun () ->
+                Pegasus.Wm.restore wm w3;
+                place 3 (28, 24, 44, 26);
+                title_bar 44 );
+            ( "decorate",
+              fun () ->
+                Atm.Display.decorate d ~x:4 ~y:18 ~width:80 ~height:20
+                  ~value:0x5A;
+                model_decorate m ~x:4 ~y:18 ~width:80 ~height:20 ~value:0x5A
+            );
+            ( "remove 2",
+              fun () ->
+                Atm.Display.remove_window d ~vci:2;
+                Hashtbl.remove windows 2 );
+            ( "add 2",
+              fun () ->
+                Atm.Display.add_window d ~vci:2 ~x:52 ~y:27 ~width:40
+                  ~height:32;
+                place 2 (52, 27, 40, 32);
+                Hashtbl.remove m.ms_occluded 2 );
+            ("lower 3", fun () -> Atm.Display.lower_window d ~vci:3);
+            ("raise 1", fun () -> Atm.Display.raise_window d ~vci:1);
+            ("lower 1", fun () -> Atm.Display.lower_window d ~vci:1);
+            ("raise 3", fun () -> Atm.Display.raise_window d ~vci:3);
+            (* Window 2's grid loses a column, so its tile numbers
+               shift: tile (0, 1), under window 3, takes the number
+               that tile (4, 0), which was verified, had. *)
+            ("shrink 2", fun () -> resize 2 ~width:32 ~height:32);
+            ("grow 2", fun () -> resize 2 ~width:40 ~height:32);
+          ]
+        in
+        let frame = ref 0 in
+        List.iter
+          (fun (event, change) ->
+            change ();
+            (* Steady frames after the event, alternating paint order. *)
+            for _ = 1 to 3 do
+              let order =
+                List.sort compare (List.of_seq (Hashtbl.to_seq windows))
+              in
+              let order = if !frame mod 2 = 0 then order else List.rev order in
+              List.iter (paint_window d m ~frame:!frame) order;
+              check_model d m
+                ~what:(Printf.sprintf "frame %d after %s" !frame event)
+                (List.map fst order);
+              incr frame
+            done)
+          events;
+        (* Not vacuous: every window copied some tiles whole. *)
+        Hashtbl.iter
+          (fun vci _ ->
+            Alcotest.(check bool)
+              (Printf.sprintf "window %d copied tiles" vci)
+              true
+              (Atm.Display.tiles_checked d ~vci
+              < Atm.Display.tiles_blitted d ~vci))
+          windows);
+    Alcotest.test_case "steady-state tiles skip the ownership check" `Quick
+      (fun () ->
+        let e = Sim.Engine.create () in
+        let d = Atm.Display.create e ~screen_width:128 ~screen_height:96 () in
+        let m = model_create ~sw:128 ~sh:96 in
+        (* Two disjoint 4x4-tile windows. *)
+        let windows = Hashtbl.create 4 in
+        let add vci ((x, y, width, height) as g) =
+          Atm.Display.add_window d ~vci ~x ~y ~width ~height;
+          Hashtbl.replace windows vci g
+        in
+        add 1 (8, 16, 32, 32);
+        add 2 (72, 16, 32, 32);
+        let frame = ref 0 in
+        let checked vci = Atm.Display.tiles_checked d ~vci in
+        (* Paint every window once, check the screen against the model,
+           and return the tiles each window checked. *)
+        let step () =
+          let vcis =
+            List.sort compare (List.of_seq (Hashtbl.to_seq_keys windows))
+          in
+          let before = List.map checked vcis in
+          List.iter
+            (fun vci ->
+              paint_window d m ~frame:!frame (vci, Hashtbl.find windows vci))
+            vcis;
+          check_model d m ~what:(Printf.sprintf "frame %d" !frame) vcis;
+          incr frame;
+          List.map2 (fun vci b -> checked vci - b) vcis before
+        in
+        let expect what want =
+          Alcotest.(check (list int)) what want (step ())
+        in
+        expect "frame 1: every raw tile" [ 16; 16 ];
+        expect "frame 2" [ 0; 0 ];
+        expect "frame 3" [ 0; 0 ];
+        expect "frame 4" [ 0; 0 ];
+        Atm.Display.move_window d ~vci:1 ~x:8 ~y:56;
+        Hashtbl.replace windows 1 (8, 56, 32, 32);
+        expect "moved window" [ 16; 0 ];
+        expect "after the move" [ 0; 0 ];
+        (* A title bar above the windows: no tile pixel changes hands,
+           yet every verified tile is voided. *)
+        Atm.Display.decorate d ~x:8 ~y:4 ~width:96 ~height:12 ~value:0xDD;
+        model_decorate m ~x:8 ~y:4 ~width:96 ~height:12 ~value:0xDD;
+        expect "decorated" [ 16; 16 ];
+        expect "after the decoration" [ 0; 0 ];
+        (* Window 3, newer and so on top, covers 6 of window 1's tiles
+           in part. *)
+        add 3 (16, 40, 32, 32);
+        ignore (step ());
+        ignore (step ());
+        for _ = 1 to 3 do
+          expect "overlapped: only window 1's covered tiles" [ 6; 0; 0 ]
+        done);
   ]
 
 let conservation_tests =
