@@ -42,6 +42,7 @@ type t = {
   prop : Sim.Time.t;
   prop_ns : int;
   queue_cells : int;
+  q_lim : int;  (* a best-effort cell is queued iff horizon - offer <= q_lim *)
   rx : Cell.t -> unit;
   rx_train : train_rx option;
   mutable next_free : Sim.Time.t;  (* when the transmitter goes idle *)
@@ -66,16 +67,22 @@ type t = {
 
 let create engine ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)
     ?(queue_cells = 256) ~rx ?rx_train () =
+  if queue_cells < 1 then invalid_arg "Link.create: queue_cells < 1";
   let metrics = Sim.Engine.metrics engine in
   let cell_time = Cell.tx_time ~bandwidth_bps in
+  let cell_time_ns = Sim.Time.to_ns cell_time in
   {
     engine;
     bandwidth_bps;
     cell_time;
-    cell_time_ns = Sim.Time.to_ns cell_time;
+    cell_time_ns;
     prop;
     prop_ns = Sim.Time.to_ns prop;
     queue_cells;
+    (* The queue holds [ceil ((horizon - offer) / cell_time)] cells, and
+       that is below [queue_cells] exactly when [horizon - offer <=
+       (queue_cells - 1) * cell_time]: one compare, no division. *)
+    q_lim = (queue_cells - 1) * cell_time_ns;
     rx;
     rx_train;
     next_free = Sim.Time.zero;
@@ -234,11 +241,21 @@ let next_event_ns t ot =
   if !found >= 0 then ot.ot_starts.(!found) + ot.ot_lat
   else ot.ot_offers.(ot.ot_n - 1)
 
+(* A queue-delay sample: the dist takes integer ns; the windowed
+   observer's µs float is only computed when a sink wants it. *)
+let[@inline] book_delay t qd_ns =
+  Sim.Metrics.observe t.m_queue_delay qd_ns;
+  if Sim.Metrics.enabled t.m_queue_delay_win then
+    Sim.Metrics.sample t.m_queue_delay_win (Float.of_int qd_ns /. 1e3)
+
 let rec send ?(priority = false) t cell =
   if t.opens <> [] then flush t;
   let now = Sim.Engine.now t.engine in
+  let now_ns = Sim.Time.to_ns now in
   if t.is_down then lose t cell ~why:"cell_lost_link_down"
-  else if (not priority) && queue_depth t >= t.queue_cells then begin
+  else if
+    (not priority) && virtual_horizon t ~prio:false now_ns - now_ns > t.q_lim
+  then begin
     t.dropped <- t.dropped + 1;
     Sim.Metrics.incr t.m_dropped;
     let tr = Sim.Engine.trace t.engine in
@@ -258,9 +275,7 @@ let rec send ?(priority = false) t cell =
     if priority then t.res_next_free <- tx_end else t.next_free <- tx_end;
     t.sent <- t.sent + 1;
     Sim.Metrics.incr t.m_sent;
-    let qd_us = Sim.Time.to_us_f (Sim.Time.sub start now) in
-    Sim.Metrics.observe t.m_queue_delay qd_us;
-    Sim.Metrics.sample t.m_queue_delay_win qd_us;
+    book_delay t (Sim.Time.to_ns (Sim.Time.sub start now));
     t.busy <- Sim.Time.add t.busy t.cell_time;
     (* Injected wire loss: the cell still occupies line time, it just
        never arrives.  Physical loss does not respect reservations. *)
@@ -347,13 +362,18 @@ and reschedule t ot =
            ot.ot_ev <- None;
            fire t ot))
 
+(* A receiver that re-entered the link during [process_upto] may have
+   closed the window already ([flush] retires a window it empties), or
+   given it a new event. *)
 and fire t ot =
   process_upto t ot (now_ns t);
-  if ot.ot_done >= ot.ot_n then begin
-    t.opens <- List.filter (fun o -> o != ot) t.opens;
-    retire t ot
-  end
-  else reschedule t ot
+  if List.memq ot t.opens then
+    if ot.ot_done >= ot.ot_n then begin
+      cancel_ev t ot;
+      t.opens <- List.filter (fun o -> o != ot) t.opens;
+      retire t ot
+    end
+    else reschedule t ot
 
 (* Hand the delivered cells [first..last] of a window to the receiver
    as one zero-copy sub-train.  The run's busy time is booked once,
@@ -376,37 +396,54 @@ and deliver_run t ot first last =
         t.rx (Train.cell sub k)
       done
 
-(* Process committed cells whose virtual offer has passed [w]: apply
-   the per-cell counters and deliver maximal contiguous runs.  The
-   queue-delay sample is [Float.of_int ns /. 1e3], the same IEEE
-   operations as [Sim.Time.to_us_f], and stays an unboxed float through
-   the inlined instruments. *)
+(* Process committed cells whose virtual offer has passed [w], one
+   maximal run at a time: a run of sent cells books its queue delays,
+   then its counters once, and is delivered as one sub-train; a run of
+   dropped cells books its counters once.  [ot_done] moves past a run
+   before the receiver sees it, so [pending_counts] does not count the
+   run a second time for a receiver that reads the counters.  A
+   receiver may re-enter the link and truncate the window ([flush]),
+   so [ot_n] is read afresh after every run. *)
 and process_upto t ot w =
+  let offers = ot.ot_offers and starts = ot.ot_starts in
   let i = ref ot.ot_done in
-  let run0 = ref (-1) in
-  while !i < ot.ot_n && ot.ot_offers.(!i) <= w do
-    let s = ot.ot_starts.(!i) in
-    if s >= 0 then begin
-      t.sent <- t.sent + 1;
-      Sim.Metrics.incr t.m_sent;
-      let qd_us = Float.of_int (s - ot.ot_offers.(!i)) /. 1e3 in
-      Sim.Metrics.observe t.m_queue_delay qd_us;
-      Sim.Metrics.sample t.m_queue_delay_win qd_us;
-      if !run0 < 0 then run0 := !i
+  while !i < ot.ot_n && offers.(!i) <= w do
+    let first = !i in
+    if starts.(first) >= 0 then begin
+      while !i < ot.ot_n && offers.(!i) <= w && starts.(!i) >= 0 do
+        book_delay t (starts.(!i) - offers.(!i));
+        incr i
+      done;
+      let count = !i - first in
+      t.sent <- t.sent + count;
+      Sim.Metrics.incr ~by:count t.m_sent;
+      ot.ot_done <- !i;
+      deliver_run t ot first (!i - 1)
     end
     else begin
-      t.dropped <- t.dropped + 1;
-      Sim.Metrics.incr t.m_dropped;
-      if !run0 >= 0 then begin
-        let first = !run0 in
-        run0 := -1;
-        deliver_run t ot first (!i - 1)
-      end
-    end;
-    incr i
-  done;
-  if !run0 >= 0 then deliver_run t ot !run0 (!i - 1);
-  ot.ot_done <- !i
+      while !i < ot.ot_n && offers.(!i) <= w && starts.(!i) < 0 do
+        incr i
+      done;
+      let count = !i - first in
+      t.dropped <- t.dropped + count;
+      Sim.Metrics.incr ~by:count t.m_dropped;
+      ot.ot_done <- !i
+    end
+  done
+
+(* A window's offers, [n] from [base]: plain int stores, where
+   [Array.blit] and [Array.fill] would call [caml_modify] per element on
+   these major-heap arrays. *)
+let copy_offers offers_ns ~now (dst : int array) base n =
+  match offers_ns with
+  | Some (o : int array) ->
+      for i = 0 to n - 1 do
+        dst.(base + i) <- o.(i)
+      done
+  | None ->
+      for i = base to base + n - 1 do
+        dst.(i) <- now
+      done
 
 let send_train ?(priority = false) ?offers_ns t train =
   let n = Train.count train in
@@ -458,10 +495,10 @@ let send_train ?(priority = false) ?offers_ns t train =
       else begin
         let nf = ref (Sim.Time.to_ns t.next_free) in
         let rf = Sim.Time.to_ns t.res_next_free in
+        let lim = t.q_lim in
         for i = base to base + n - 1 do
           let o = offers.(i) in
-          let depth = if !nf <= o then 0 else (!nf - o + ctn - 1) / ctn in
-          if depth < t.queue_cells then begin
+          if !nf - o <= lim then begin
             let s = Int.max (Int.max o !nf) rf in
             starts.(i) <- s;
             nf := s + ctn
@@ -493,9 +530,7 @@ let send_train ?(priority = false) ?offers_ns t train =
     match continuation with
     | Some ot ->
         let base = ot.ot_n in
-        (match offers_ns with
-        | Some o -> Array.blit o 0 ot.ot_offers base n
-        | None -> Array.fill ot.ot_offers base n now);
+        copy_offers offers_ns ~now ot.ot_offers base n;
         analyze ot.ot_offers ot.ot_starts base;
         ot.ot_train <- { ot.ot_train with Train.count = base + n };
         ot.ot_n <- base + n;
@@ -508,9 +543,7 @@ let send_train ?(priority = false) ?offers_ns t train =
            append without reallocating. *)
         let cap = Stdlib.max n (Train.total train - Train.first train) in
         let offers, starts = take_arrays t cap in
-        (match offers_ns with
-        | Some o -> Array.blit o 0 offers 0 n
-        | None -> Array.fill offers 0 n now);
+        copy_offers offers_ns ~now offers 0 n;
         analyze offers starts 0;
         let ot =
           {

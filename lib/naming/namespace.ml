@@ -140,7 +140,7 @@ let resolve t path =
   (match result with
   | Ok r ->
       Sim.Metrics.incr t.m_resolutions;
-      Sim.Metrics.observe t.m_resolve_cost (Sim.Time.to_us_f r.cost)
+      Sim.Metrics.observe t.m_resolve_cost (Sim.Time.to_ns r.cost)
   | Error _ -> Sim.Metrics.incr t.m_resolve_errors);
   result
 

@@ -214,7 +214,7 @@ and reschedule t =
       if from_slack then begin
         Sim.Metrics.incr t.m_slack_windows;
         Sim.Metrics.observe t.m_slack_window_us
-          (Sim.Time.to_us_f (Sim.Time.sub window_end at))
+          (Sim.Time.to_ns (Sim.Time.sub window_end at))
       end;
       let overhead = if same then Sim.Time.zero else t.ctx_switch_cost in
       t.last_running <- Some d;

@@ -54,7 +54,7 @@ let run log ?(min_garbage = 1) k =
       ~help:"garbage bytes recovered" "cleaner.bytes_reclaimed"
   in
   let m_duration =
-    Sim.Metrics.dist metrics ~sub:Sim.Subsystem.Pfs
+    Sim.Metrics.dist metrics ~sub:Sim.Subsystem.Pfs ~unit:Sim.Metrics.Ms
       ~help:"wall time of one cleaner pass in ms" "cleaner.pass_ms"
   in
   let m_share =
@@ -118,7 +118,7 @@ let run log ?(min_garbage = 1) k =
              Sim.Metrics.incr m_cleaned ~by:segments;
              Sim.Metrics.incr m_moved ~by:moved;
              Sim.Metrics.incr m_reclaimed ~by:reclaimable;
-             Sim.Metrics.observe m_duration (Sim.Time.to_ms_f duration);
+             Sim.Metrics.observe m_duration (Sim.Time.to_ns duration);
              let appended = Sim.Metrics.value m_appended in
              if appended > 0 then
                Sim.Metrics.set m_share

@@ -106,6 +106,7 @@ type conn = {
   m_retrans : Sim.Metrics.counter;
   m_timeouts : Sim.Metrics.counter;
   m_backoff_win : Sim.Metrics.observer;
+  m_latency : (string, Sim.Metrics.dist) Hashtbl.t;  (* by interface *)
 }
 
 let endpoint ?(reply_cache_cap = 512) net ~host =
@@ -299,6 +300,7 @@ let connect net ~client ~server ?(retransmit = Sim.Time.ms 10)
            Sim.Metrics.observer metrics ~sub:Sim.Subsystem.Rpc
              ~help:"windowed retransmission backoff samples (us)"
              "client.backoff_win_us";
+         m_latency = Hashtbl.create 4;
        })
   in
   Lazy.force conn
@@ -309,15 +311,22 @@ let call conn ~iface ~meth payload ~reply =
   let msg = { Wire.kind = Wire.Request; call_id; iface; meth; payload } in
   let frame = Wire.marshal msg in
   let engine = engine_of conn.c_client in
-  let metrics = Sim.Engine.metrics engine in
   let tr = Sim.Engine.trace engine in
   let started = Sim.Engine.now engine in
   Sim.Metrics.incr conn.m_calls;
-  (* Latency by kind: one distribution per exported interface. *)
+  (* Latency by kind: one distribution per exported interface, looked
+     up in the registry on the connection's first call to it. *)
   let m_latency =
-    Sim.Metrics.dist metrics ~sub:Sim.Subsystem.Rpc
-      ~help:"reply latency in us (per interface)"
-      ("call_latency_us." ^ iface)
+    match Hashtbl.find_opt conn.m_latency iface with
+    | Some d -> d
+    | None ->
+        let d =
+          Sim.Metrics.dist (Sim.Engine.metrics engine) ~sub:Sim.Subsystem.Rpc
+            ~help:"reply latency in us (per interface)"
+            ("call_latency_us." ^ iface)
+        in
+        Hashtbl.replace conn.m_latency iface d;
+        d
   in
   (* One causal flow per invocation, spanning the full round trip:
      request transit, server execution (with any PFS hops), reply
@@ -347,7 +356,7 @@ let call conn ~iface ~meth payload ~reply =
   let finished result =
     let now = Sim.Engine.now engine in
     (match result with
-    | Ok _ -> Sim.Metrics.observe m_latency (Sim.Time.to_us_f (Sim.Time.sub now started))
+    | Ok _ -> Sim.Metrics.observe m_latency (Sim.Time.to_ns (Sim.Time.sub now started))
     | Error Timed_out -> Sim.Metrics.incr conn.m_timeouts
     | Error _ -> ());
     let tries = match !p_cell with Some p -> p.tries | None -> 0 in

@@ -18,20 +18,36 @@ type gauge = {
   g_cell : floatarray;
 }
 
-(* A distribution's percentile store is either a bounded deterministic
-   reservoir (the default: O(capacity) memory no matter how long the
-   run) or the exact sample array (kept for tests and byte-for-byte
-   regression baselines, O(n) memory). *)
-type dist_store =
-  | Exact of Stats.Samples.t
-  | Sampled of Stats.Reservoir.t
+type time_unit = Us | Ms
 
+(* A distribution is an exact summary of integer nanoseconds that does
+   not depend on the order of its samples: the count, the sum and the
+   sum of squares (each in two ints, [hi * 2^62 + lo] with [lo] in
+   [\[0, 2^62)], so neither overflows), the min and the max, plus a
+   log-linear histogram.  Values below 128 ns get a bucket each; above
+   that, each octave [\[2^e, 2^(e+1))] splits into 64 buckets, so a
+   bucket is at most 1/64 of its lower bound wide ({!bucket}).  The
+   histogram array grows to cover the highest bucket seen.  The first
+   [d_raw_cap] samples are also kept raw, so a dist that never outgrows
+   them reports exact percentiles.  Every field an observation writes
+   is an int or an element of an int array: it stores no pointer, so it
+   needs no write barrier, and it divides nothing. *)
 type dist = {
   d_sub : Subsystem.t;
   d_name : string;
   d_help : string;
-  mutable d_summary : Stats.Summary.t;  (* replaced by {!merge} *)
-  d_store : dist_store;
+  d_unit : time_unit;
+  d_raw_cap : int;
+  mutable d_n : int;
+  mutable d_sum_hi : int;
+  mutable d_sum_lo : int;
+  mutable d_sq_hi : int;
+  mutable d_sq_lo : int;
+  mutable d_min : int;
+  mutable d_max : int;
+  mutable d_raw : int array;  (* [0, d_n) in use while [d_n <= d_raw_cap] *)
+  mutable d_sorted : bool;  (* the raw samples in use are sorted *)
+  mutable d_hist : int array;  (* counts by {!bucket} *)
 }
 
 (* A windowed observer is a sample fan-out point: components call
@@ -62,6 +78,19 @@ type t = { tbl : (string * string, metric) Hashtbl.t; exact_dists : bool }
 let create ?(exact_dists = false) () =
   { tbl = Hashtbl.create 64; exact_dists }
 
+let raw_cap = 1024
+
+let clear_dist d =
+  d.d_n <- 0;
+  d.d_sum_hi <- 0;
+  d.d_sum_lo <- 0;
+  d.d_sq_hi <- 0;
+  d.d_sq_lo <- 0;
+  d.d_min <- max_int;
+  d.d_max <- min_int;
+  d.d_sorted <- true;
+  Array.fill d.d_hist 0 (Array.length d.d_hist) 0
+
 (* Zero every registered metric in place.  Handles alias the registry
    entries, so handles obtained before the reset keep working and their
    updates stay visible in snapshots — the old behaviour (dropping the
@@ -72,11 +101,7 @@ let reset t =
       match m with
       | Counter c -> c.c_value <- 0
       | Gauge g -> Float.Array.set g.g_cell 0 0.0
-      | Dist d -> (
-          Stats.Summary.clear d.d_summary;
-          match d.d_store with
-          | Exact s -> Stats.Samples.clear s
-          | Sampled r -> Stats.Reservoir.clear r)
+      | Dist d -> clear_dist d
       | Obs o -> o.o_count <- 0)
     t.tbl
 
@@ -118,40 +143,39 @@ let gauge t ~sub ?(help = "") name =
   | Gauge g -> g
   | Counter _ | Dist _ | Obs _ -> assert false
 
-(* Each reservoir is seeded from its identity (FNV-1a over
-   "subsystem/name"), so every dist draws an independent, reproducible
-   replacement stream: snapshots are byte-identical across runs
-   regardless of registration order. *)
-let dist_seed sub name =
-  let fnv seed s =
-    String.fold_left
-      (fun h c ->
-        Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L)
-      seed s
-  in
-  fnv (fnv (fnv 0xCBF29CE484222325L sub) "/") name
+let unit_name = function Us -> "us" | Ms -> "ms"
 
-let dist t ~sub ?(help = "") name =
+let dist t ~sub ?(help = "") ?(unit = Us) name =
   match
     get_or_create t ~sub ~name ~kind:"dist" (fun () ->
-        let store =
-          if t.exact_dists then Exact (Stats.Samples.create ())
-          else
-            Sampled
-              (Stats.Reservoir.create
-                 ~seed:(dist_seed (Subsystem.to_string sub) name)
-                 ())
-        in
-        Dist
+        let d =
           {
             d_sub = sub;
             d_name = name;
             d_help = help;
-            d_summary = Stats.Summary.create ();
-            d_store = store;
-          })
+            d_unit = unit;
+            d_raw_cap = (if t.exact_dists then max_int else raw_cap);
+            d_n = 0;
+            d_sum_hi = 0;
+            d_sum_lo = 0;
+            d_sq_hi = 0;
+            d_sq_lo = 0;
+            d_min = max_int;
+            d_max = min_int;
+            d_raw = [||];
+            d_sorted = true;
+            d_hist = [||];
+          }
+        in
+        Dist d)
   with
-  | Dist d -> d
+  | Dist d ->
+      if d.d_unit <> unit then
+        invalid_arg
+          (Printf.sprintf "Metrics: %s/%s reports in %s, requested in %s"
+             (Subsystem.to_string sub) name (unit_name d.d_unit)
+             (unit_name unit));
+      d
   | Counter _ | Gauge _ | Obs _ -> assert false
 
 let observer t ~sub ?(help = "") name =
@@ -200,21 +224,242 @@ let detach_sinks o =
 let sample_count o = o.o_count
 let enabled o = o.o_on
 
+(* ------------------------------------------------------------------ *)
+(* Observing a sample. *)
+
+(* Add [v] in [\[0, 2^62)] to a two-int sum: [lo + v] wraps negative
+   exactly when it reaches 2^62, and [land max_int] then drops that
+   bit. *)
+let[@inline] add_sum d v =
+  let s = d.d_sum_lo + v in
+  if s < 0 then begin
+    d.d_sum_hi <- d.d_sum_hi + 1;
+    d.d_sum_lo <- s land max_int
+  end
+  else d.d_sum_lo <- s
+
+let[@inline] add_sq d v =
+  let s = d.d_sq_lo + v in
+  if s < 0 then begin
+    d.d_sq_hi <- d.d_sq_hi + 1;
+    d.d_sq_lo <- s land max_int
+  end
+  else d.d_sq_lo <- s
+
+(* A sample of 2^31 ns or more: its square needs two ints.  With
+   [x = a * 2^31 + b], [x^2 = a^2 * 2^62 + a * b * 2^32 + b^2]. *)
+let moments_wide d x =
+  if x < 0 then
+    invalid_arg
+      (Printf.sprintf "Metrics.observe: %s/%s: negative sample %d"
+         (Subsystem.to_string d.d_sub) d.d_name x);
+  add_sum d x;
+  let a = x lsr 31 and b = x land 0x7fff_ffff in
+  let ab = a * b in
+  d.d_sq_hi <- d.d_sq_hi + (a * a) + (ab lsr 30);
+  add_sq d ((ab land 0x3fff_ffff) lsl 32);
+  add_sq d (b * b)
+
+(* Raw samples and histogram counts live in blocks of at least 320
+   words, which OCaml allocates straight in the major heap: a dist's
+   first samples add nothing to a run's minor-heap words.  A block grows
+   by a plain int copy; [Array.blit] would call [caml_modify] per
+   element of a major-heap block. *)
+let grown (a : int array) len =
+  let b = Array.make len 0 in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set b i (Array.unsafe_get a i)
+  done;
+  b
+
+let keep_raw d x =
+  let i = d.d_n - 1 in
+  if i = Array.length d.d_raw then
+    d.d_raw <- grown d.d_raw (Int.max raw_cap (2 * i));
+  Array.unsafe_set d.d_raw i x;
+  d.d_sorted <- false
+
+let grow_hist d i =
+  d.d_hist <-
+    grown d.d_hist (Int.max (i + 1) (Int.max 320 (2 * Array.length d.d_hist)))
+
+(* The index of the highest set bit of [x > 0], by halving: branches
+   rather than a C call or a float conversion. *)
+let[@inline] msb x =
+  let x = ref x and e = ref 0 in
+  if !x lsr 32 <> 0 then begin
+    x := !x lsr 32;
+    e := 32
+  end;
+  if !x lsr 16 <> 0 then begin
+    x := !x lsr 16;
+    e := !e + 16
+  end;
+  if !x lsr 8 <> 0 then begin
+    x := !x lsr 8;
+    e := !e + 8
+  end;
+  if !x lsr 4 <> 0 then begin
+    x := !x lsr 4;
+    e := !e + 4
+  end;
+  if !x lsr 2 <> 0 then begin
+    x := !x lsr 2;
+    e := !e + 2
+  end;
+  if !x lsr 1 <> 0 then !e + 1 else !e
+
+(* The histogram bucket of [x >= 0]: [x] itself below 128, else
+   [64 * (e - 6) + x lsr (e - 6)] for [x] in [\[2^e, 2^(e+1))], the
+   top seven bits of [x].  Every int has a bucket below 3 648. *)
+let[@inline] bucket x =
+  if x < 128 then x
+  else
+    let shift = msb x - 6 in
+    (shift lsl 6) + (x lsr shift)
+
+(* The lowest value of bucket [b] and the bucket's width. *)
+let bucket_range b =
+  if b < 128 then (b, 1)
+  else
+    let shift = (b lsr 6) - 1 in
+    ((b land 63) + 64) lsl shift, 1 lsl shift
+
 let[@inline] observe d x =
-  Stats.Summary.add d.d_summary x;
-  match d.d_store with
-  | Exact s -> Stats.Samples.add s x
-  | Sampled r -> Stats.Reservoir.add r x
+  if x lsr 31 = 0 then begin
+    add_sum d x;
+    add_sq d (x * x)
+  end
+  else moments_wide d x;
+  let n = d.d_n + 1 in
+  d.d_n <- n;
+  if x < d.d_min then d.d_min <- x;
+  if x > d.d_max then d.d_max <- x;
+  if n <= d.d_raw_cap then keep_raw d x;
+  let b = bucket x in
+  if b >= Array.length d.d_hist then grow_hist d b;
+  let h = d.d_hist in
+  Array.unsafe_set h b (Array.unsafe_get h b + 1)
 
-let observed d = Stats.Summary.count d.d_summary
+let observed d = d.d_n
 
-let dist_percentile d q =
-  match d.d_store with
-  | Exact s -> Stats.Samples.percentile s q
-  | Sampled r -> Stats.Reservoir.percentile r q
+(* ------------------------------------------------------------------ *)
+(* Reading a dist, in its unit. *)
+
+let scale d = match d.d_unit with Us -> 1e3 | Ms -> 1e6
+let wide_to_float hi lo = (Float.of_int hi *. 0x1p62) +. Float.of_int lo
+
+(* Non-negative integers as little-endian arrays of 31-bit limbs: just
+   enough arithmetic for [n * sum_sq - sum^2] to come out exact. *)
+let limb = 0x7fff_ffff
+let limbs_of_wide hi lo = [| lo land limb; lo lsr 31; hi land limb; hi lsr 31 |]
+
+let limbs_mul a b =
+  let r = Array.make (Array.length a + Array.length b) 0 in
+  Array.iteri
+    (fun i x ->
+      let carry = ref 0 in
+      Array.iteri
+        (fun j y ->
+          let v = r.(i + j) + (x * y) + !carry in
+          r.(i + j) <- v land limb;
+          carry := v lsr 31)
+        b;
+      r.(i + Array.length b) <- !carry)
+    a;
+  r
+
+let limbs_sub a b =
+  let borrow = ref 0 in
+  Array.mapi
+    (fun i x ->
+      let v = x - b.(i) - !borrow in
+      borrow := if v < 0 then 1 else 0;
+      v land limb)
+    a
+
+let limbs_to_float a =
+  Array.fold_right (fun l acc -> (acc *. 0x1p31) +. Float.of_int l) a 0.0
+
+let mean d = wide_to_float d.d_sum_hi d.d_sum_lo /. Float.of_int d.d_n /. scale d
+
+(* The sample standard deviation from exact moments:
+   [(n * sum_sq - sum^2) / (n * (n - 1))] is the variance, and its
+   numerator is computed exactly, so samples that are all equal give
+   exactly 0. *)
+let stddev d =
+  let n = d.d_n in
+  if n < 2 then 0.0
+  else begin
+    let sum = limbs_of_wide d.d_sum_hi d.d_sum_lo in
+    let num =
+      limbs_sub
+        (limbs_mul (limbs_of_wide 0 n) (limbs_of_wide d.d_sq_hi d.d_sq_lo))
+        (limbs_mul sum sum)
+    in
+    sqrt (limbs_to_float num /. (Float.of_int n *. Float.of_int (n - 1)))
+    /. scale d
+  end
+
+(* The [k]th smallest sample (from 0): exact while the raw samples hold
+   them all, else the midpoint of its histogram bucket, kept within
+   [\[min, max\]]. *)
+let order_stat d k =
+  if d.d_n <= d.d_raw_cap then begin
+    if not d.d_sorted then begin
+      let used = Array.sub d.d_raw 0 d.d_n in
+      Array.sort Int.compare used;
+      Array.blit used 0 d.d_raw 0 d.d_n;
+      d.d_sorted <- true
+    end;
+    Float.of_int d.d_raw.(k)
+  end
+  else begin
+    let rec find b seen =
+      let seen = seen + d.d_hist.(b) in
+      if seen > k then b else find (b + 1) seen
+    in
+    let lo, width = bucket_range (find 0 0) in
+    let mid = Float.of_int lo +. (Float.of_int (width - 1) /. 2.0) in
+    Float.min (Float.of_int d.d_max) (Float.max (Float.of_int d.d_min) mid)
+  end
+
+(* The same interpolation as {!Stats.Samples.percentile}, over order
+   statistics in the dist's unit. *)
+let percentile d q =
+  let n = d.d_n in
+  let rank = q /. 100.0 *. Float.of_int (n - 1) in
+  let lo = Float.to_int (Float.floor rank) in
+  let hi = Stdlib.min (lo + 1) (n - 1) in
+  let frac = rank -. Float.of_int lo in
+  let at k = order_stat d k /. scale d in
+  at lo +. (frac *. (at hi -. at lo))
 
 (* ------------------------------------------------------------------ *)
 (* Merging a child registry into its parent. *)
+
+(* Every part of a dist merges by addition, min or max, so merging the
+   same children in any order gives the same dist. *)
+let merge_dist p d =
+  if p.d_raw_cap <> d.d_raw_cap then
+    invalid_arg
+      (Printf.sprintf "Metrics.merge: %s/%s mixes exact and sampled dists"
+         (Subsystem.to_string d.d_sub) d.d_name);
+  if p.d_n + d.d_n <= p.d_raw_cap then
+    for i = 0 to d.d_n - 1 do
+      p.d_n <- p.d_n + 1;
+      keep_raw p d.d_raw.(i)
+    done
+  else p.d_n <- p.d_n + d.d_n;
+  add_sum p d.d_sum_lo;
+  p.d_sum_hi <- p.d_sum_hi + d.d_sum_hi;
+  add_sq p d.d_sq_lo;
+  p.d_sq_hi <- p.d_sq_hi + d.d_sq_hi;
+  p.d_min <- Int.min p.d_min d.d_min;
+  p.d_max <- Int.max p.d_max d.d_max;
+  let len = Array.length d.d_hist in
+  if len > Array.length p.d_hist then grow_hist p (len - 1);
+  Array.iteri (fun b c -> p.d_hist.(b) <- p.d_hist.(b) + c) d.d_hist
 
 let merge_metric into m =
   match m with
@@ -226,17 +471,10 @@ let merge_metric into m =
       p.o_count <- p.o_count + o.o_count;
       (* A sequential run would have attached the sink here. *)
       if o.o_on then p.o_on <- true
-  | Dist d -> (
-      let p = dist into ~sub:d.d_sub ~help:d.d_help d.d_name in
-      p.d_summary <- Stats.Summary.merge p.d_summary d.d_summary;
-      match (p.d_store, d.d_store) with
-      | Exact ps, Exact ds ->
-          Array.iter (Stats.Samples.add ps) (Stats.Samples.to_array ds)
-      | Sampled pr, Sampled dr -> Stats.Reservoir.merge ~into:pr dr
-      | Exact _, Sampled _ | Sampled _, Exact _ ->
-          invalid_arg
-            (Printf.sprintf "Metrics.merge: %s/%s mixes exact and sampled dists"
-               (Subsystem.to_string d.d_sub) d.d_name))
+  | Dist d ->
+      merge_dist
+        (dist into ~sub:d.d_sub ~help:d.d_help ~unit:d.d_unit d.d_name)
+        d
 
 let merge ~into src = Hashtbl.iter (fun _ m -> merge_metric into m) src.tbl
 
@@ -265,17 +503,16 @@ let json_of_metric m =
         (base g.g_sub g.g_name g.g_help "gauge"
         @ [ ("value", Json.Float (Float.Array.get g.g_cell 0)) ])
   | Dist d ->
-      let n = Stats.Summary.count d.d_summary in
       let stats =
-        if n = 0 then [ ("count", Json.Int 0) ]
+        if d.d_n = 0 then [ ("count", Json.Int 0) ]
         else
-          let p q = Json.Float (dist_percentile d q) in
+          let p q = Json.Float (percentile d q) in
           [
-            ("count", Json.Int n);
-            ("mean", Json.Float (Stats.Summary.mean d.d_summary));
-            ("stddev", Json.Float (Stats.Summary.stddev d.d_summary));
-            ("min", Json.Float (Stats.Summary.min d.d_summary));
-            ("max", Json.Float (Stats.Summary.max d.d_summary));
+            ("count", Json.Int d.d_n);
+            ("mean", Json.Float (mean d));
+            ("stddev", Json.Float (stddev d));
+            ("min", Json.Float (Float.of_int d.d_min /. scale d));
+            ("max", Json.Float (Float.of_int d.d_max /. scale d));
             ("p50", p 50.0);
             ("p95", p 95.0);
             ("p99", p 99.0);
@@ -303,16 +540,12 @@ let pp fmt t =
           Format.fprintf fmt "%a/%s = %g@," Subsystem.pp g.g_sub g.g_name
             (Float.Array.get g.g_cell 0)
       | Dist d ->
-          let n = Stats.Summary.count d.d_summary in
-          if n = 0 then
+          if d.d_n = 0 then
             Format.fprintf fmt "%a/%s: empty@," Subsystem.pp d.d_sub d.d_name
           else
             Format.fprintf fmt "%a/%s: n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f@,"
-              Subsystem.pp d.d_sub d.d_name n
-              (Stats.Summary.mean d.d_summary)
-              (dist_percentile d 50.0)
-              (dist_percentile d 95.0)
-              (dist_percentile d 99.0)
+              Subsystem.pp d.d_sub d.d_name d.d_n (mean d) (percentile d 50.0)
+              (percentile d 95.0) (percentile d 99.0)
       | Obs o ->
           Format.fprintf fmt "%a/%s: observer %s samples=%d@," Subsystem.pp
             o.o_sub o.o_name

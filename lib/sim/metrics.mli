@@ -7,18 +7,20 @@
     registry stays small no matter how many switches or links a
     simulation builds.
 
-    Distributions are backed by a streaming {!Stats.Summary} (count,
-    mean, stddev, min, max — always exact) plus a percentile store
-    snapshotted as p50/p95/p99.  By default the store is a bounded
-    deterministic {!Stats.Reservoir} (1024 samples, seeded from the
-    metric's own name), so a dist observed millions of times costs
-    O(1) memory and its snapshot is still byte-reproducible across
-    runs; percentiles are exact below 1024 observations and carry the
-    sampling tolerance documented on {!Stats.Reservoir} beyond it
-    (±1.6 rank points for p50, ±0.7 for p95/p99, one sigma).  Pass
-    [~exact_dists:true] to {!create} to store every observation instead
-    (exact percentiles, O(n) memory) — intended for tests and
-    regression baselines.
+    A distribution observes durations in integer nanoseconds and
+    reports them in its {!time_unit}.  It keeps exact integer moments
+    (count, sum, sum of squares, min, max), a log-linear histogram
+    whose buckets are at most 1/64 of their lower bound wide, and the
+    first 1 024 samples raw.  Its snapshot carries count/mean/stddev/
+    min/max and p50/p95/p99.  Count, min and max are exact, and so are
+    the percentiles of a dist that has seen at most 1 024 samples.
+    Past that, each percentile interpolates between bucket midpoints
+    and is within 1/128 of the exact order statistics.  Memory is
+    bounded by the octaves of ns the samples reach (64 counts each, at
+    most 3 648 counts in all), not by their number, and nothing in a
+    dist depends on the order of its samples.  Pass [~exact_dists:true] to {!create} to keep every
+    sample raw instead (exact percentiles, O(n) memory) — intended for
+    tests and regression baselines.
 
     A registry belongs to whoever created it — normally a run's {!Ctx},
     which hands it to every engine the run builds; there is no
@@ -34,6 +36,10 @@ type counter
 type gauge
 type dist
 
+type time_unit =
+  | Us  (** microseconds *)
+  | Ms  (** milliseconds *)
+
 type observer
 (** A windowed-sample fan-out point.  Components {!sample} values on
     their hot path unconditionally; the sample is dropped (one load and
@@ -45,8 +51,8 @@ type observer
 
 val create : ?exact_dists:bool -> unit -> t
 (** [exact_dists] (default [false]) makes every dist registered in
-    this registry store all observations exactly instead of reservoir-
-    sampling them. *)
+    this registry keep all its samples raw, not only the first
+    1 024. *)
 
 val reset : t -> unit
 (** Zero every registered metric in place: counters to 0, gauges to
@@ -62,7 +68,11 @@ val reset : t -> unit
 
 val counter : t -> sub:Subsystem.t -> ?help:string -> string -> counter
 val gauge : t -> sub:Subsystem.t -> ?help:string -> string -> gauge
-val dist : t -> sub:Subsystem.t -> ?help:string -> string -> dist
+val dist :
+  t -> sub:Subsystem.t -> ?help:string -> ?unit:time_unit -> string -> dist
+(** [unit] (default [Us]) is the unit the snapshot reports in.
+    Re-registering a dist in another unit raises [Invalid_argument]. *)
+
 val observer : t -> sub:Subsystem.t -> ?help:string -> string -> observer
 
 (** {1 Updates} *)
@@ -80,7 +90,13 @@ val cell : gauge -> floatarray
     calling {!set} with a freshly computed float, which boxes the
     argument at the call boundary. *)
 
-val observe : dist -> float -> unit
+val observe : dist -> int -> unit
+(** Record a duration in ns: integer adds and compares, and no
+    division.  It allocates only while the raw samples and the
+    histogram grow, in blocks the major heap takes directly, so it adds
+    no minor-heap words.  Raises [Invalid_argument] on a negative
+    sample. *)
+
 val observed : dist -> int
 (** Number of observations recorded. *)
 
@@ -108,12 +124,12 @@ val merge : into:t -> t -> unit
     [(subsystem, name)] in [into], registering it there first when
     absent.  Counters add; a gauge takes [src]'s value (the last writer
     wins, as in a sequential run into one registry); observers add
-    their sample counts and are enabled if [src]'s was; a dist merges its {!Stats.Summary} (count, min
-    and max exact) and its percentile store — exact stores
-    concatenate, reservoirs merge by {!Stats.Reservoir.merge}.  Merging
-    the same sources in the same order gives byte-identical snapshots.
-    Raises [Invalid_argument] on a kind mismatch, or when one side
-    keeps exact dists and the other sampled ones. *)
+    their sample counts and are enabled if [src]'s was; dists add
+    their moments and histograms and take the lower min and higher
+    max, and their raw samples concatenate while the total still fits.
+    So merging the same sources in any order gives byte-identical
+    snapshots.  Raises [Invalid_argument] on a kind mismatch, or when
+    one side keeps exact dists and the other does not. *)
 
 (** {1 Snapshots} *)
 

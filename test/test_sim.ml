@@ -918,11 +918,18 @@ let words_per_call ?(n = 100_000) f =
 let sample i =
   match i land 3 with 0 -> 12.5 | 1 -> 0.25 | 2 -> 830.0 | _ -> 4.75
 
+(* The same values in ns, plus one past 2^31 ns, whose square takes the
+   dist's two-int path. *)
+let sample_ns i =
+  match i land 3 with
+  | 0 -> 12_500
+  | 1 -> 250
+  | 2 -> 830_000
+  | _ -> 3_000_000_000
+
 (* The per-cell instruments: every cell a link sends books a queue-delay
-   sample through [Metrics.observe], which feeds a [Summary] and a
-   [Reservoir] whose replacement draws come from [Rng.int].  At millions
-   of cells a run, a boxed float or int64 per call is most of the
-   simulator's garbage. *)
+   sample through [Metrics.observe].  At millions of cells a run, a
+   boxed float or int64 per call is most of the simulator's garbage. *)
 let alloc_tests =
   let zero name f =
     Alcotest.test_case (name ^ " allocates nothing") `Quick (fun () ->
@@ -945,7 +952,12 @@ let alloc_tests =
     zero "Metrics.observe"
       (let m = Sim.Metrics.create () in
        let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "alloc.guard_us" in
-       fun i -> Sim.Metrics.observe d (sample i));
+       (* Past the raw samples and with every octave seen, as on a
+          link's hot path. *)
+       for i = 1 to 2_000 do
+         Sim.Metrics.observe d (sample_ns i)
+       done;
+       fun i -> Sim.Metrics.observe d (sample_ns i));
   ]
 
 let stats_tests =
@@ -1662,7 +1674,7 @@ let metrics_tests =
         Sim.Metrics.set g 3.5;
         Alcotest.(check (float 1e-9)) "gauge" 3.5 (Sim.Metrics.get g);
         let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
-        List.iter (Sim.Metrics.observe d) [ 1.0; 2.0; 3.0 ];
+        List.iter (Sim.Metrics.observe d) [ 1_000; 2_000; 3_000 ];
         Alcotest.(check int) "dist count" 3 (Sim.Metrics.observed d));
     Alcotest.test_case "get-or-create shares the metric; mismatch raises"
       `Quick (fun () ->
@@ -1689,7 +1701,7 @@ let metrics_tests =
         Sim.Metrics.incr ~by:7 c;
         let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "delay_us" in
         for i = 1 to 100 do
-          Sim.Metrics.observe d (Float.of_int i)
+          Sim.Metrics.observe d (i * 1_000)
         done;
         let json = Sim.Json.to_string (Sim.Metrics.snapshot m) in
         List.iter
@@ -1742,7 +1754,7 @@ let metrics_tests =
         let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
         Sim.Metrics.incr ~by:9 c;
         Sim.Metrics.set g 2.5;
-        Sim.Metrics.observe d 1.0;
+        Sim.Metrics.observe d 1_000;
         Sim.Metrics.reset m;
         Alcotest.(check int) "counter zeroed" 0 (Sim.Metrics.value c);
         Alcotest.(check (float 1e-9)) "gauge zeroed" 0.0 (Sim.Metrics.get g);
@@ -1751,7 +1763,7 @@ let metrics_tests =
            future snapshots — they used to vanish because reset dropped
            the registry entries the handles aliased. *)
         Sim.Metrics.incr ~by:3 c;
-        Sim.Metrics.observe d 42.0;
+        Sim.Metrics.observe d 42_000;
         let json = Sim.Json.to_string (Sim.Metrics.snapshot m) in
         List.iter
           (fun needle ->
@@ -1765,7 +1777,7 @@ let metrics_tests =
         let db = Sim.Metrics.dist bounded ~sub:Sim.Subsystem.Rpc "lat" in
         let de = Sim.Metrics.dist exact ~sub:Sim.Subsystem.Rpc "lat" in
         for i = 1 to 50_000 do
-          let x = Float.of_int (i mod 1000) in
+          let x = i mod 1000 * 1_000 in
           Sim.Metrics.observe db x;
           Sim.Metrics.observe de x
         done;
@@ -1773,7 +1785,7 @@ let metrics_tests =
           (Sim.Metrics.observed db);
         Alcotest.(check int) "exact too" 50_000 (Sim.Metrics.observed de);
         (* The exact p50 of (i mod 1000) over 50k draws is ~499.5; the
-           reservoir must agree within its documented tolerance. *)
+           bounded dist must agree within its documented tolerance. *)
         let ps m =
           match Sim.Metrics.snapshot m with
           | Sim.Json.Obj [ ("metrics", Sim.Json.List [ Sim.Json.Obj fields ]) ]
@@ -1786,14 +1798,14 @@ let metrics_tests =
         let pe = ps exact and pb = ps bounded in
         Alcotest.(check bool) "exact p50 is exact" true
           (Float.abs (pe -. 499.5) < 1.0);
-        Alcotest.(check bool) "reservoir p50 within tolerance" true
-          (Float.abs (pb -. pe) < 65.0);
+        Alcotest.(check bool) "bounded p50 within tolerance" true
+          (Float.abs (pb -. pe) <= pe /. 128.0);
         (* Deterministic: a second bounded registry fed the same stream
            snapshots to the identical JSON. *)
         let bounded2 = Sim.Metrics.create () in
         let db2 = Sim.Metrics.dist bounded2 ~sub:Sim.Subsystem.Rpc "lat" in
         for i = 1 to 50_000 do
-          Sim.Metrics.observe db2 (Float.of_int (i mod 1000))
+          Sim.Metrics.observe db2 (i mod 1000 * 1_000)
         done;
         Alcotest.(check string) "byte-identical snapshots"
           (Sim.Json.to_string (Sim.Metrics.snapshot bounded))
@@ -1807,6 +1819,8 @@ let metrics_tests =
           Sim.Metrics.attach_sink o ignore;
           List.iter (Sim.Metrics.sample o) xs
         in
+        (* The dist takes ns; the observer's sinks see µs. *)
+        let us = List.map (fun x -> Float.of_int x /. 1e3) in
         let child ~cells ~depth xs =
           let m = Sim.Metrics.create () in
           Sim.Metrics.incr ~by:cells
@@ -1816,11 +1830,11 @@ let metrics_tests =
             depth;
           let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
           List.iter (Sim.Metrics.observe d) xs;
-          watch m xs;
+          watch m (us xs);
           m
         in
-        let xs1 = List.init 10 (fun i -> Float.of_int (i + 1)) in
-        let xs2 = List.init 11 (fun i -> Float.of_int (100 + i)) in
+        let xs1 = List.init 10 (fun i -> (i + 1) * 1_000) in
+        let xs2 = List.init 11 (fun i -> (100 + i) * 1_000) in
         let parent = Sim.Metrics.create () in
         Sim.Metrics.merge ~into:parent (child ~cells:3 ~depth:1.5 xs1);
         Sim.Metrics.merge ~into:parent (child ~cells:4 ~depth:2.5 xs2);
@@ -1830,8 +1844,8 @@ let metrics_tests =
         Alcotest.(check (float 0.0)) "the last gauge wins" 2.5
           (Sim.Metrics.get
              (Sim.Metrics.gauge parent ~sub:Sim.Subsystem.Sim "depth"));
-        (* Both stores fit the reservoir, so the merged dist equals one
-           fed the whole stream in order: count, bounds and
+        (* Both children's raw samples fit together, so the merged dist
+           equals one fed the whole stream in order: count, bounds and
            percentiles. *)
         let whole = Sim.Metrics.create () in
         let d = Sim.Metrics.dist whole ~sub:Sim.Subsystem.Rpc "lat" in
@@ -1844,7 +1858,7 @@ let metrics_tests =
           [ "count"; "min"; "max"; "p50"; "p95"; "p99" ];
         (* The observer reads as one watched in a single registry:
            enabled, with both streams' samples. *)
-        watch whole (xs1 @ xs2);
+        watch whole (us (xs1 @ xs2));
         List.iter
           (fun field ->
             Alcotest.(check (option string)) ("delay " ^ field)
@@ -1858,7 +1872,7 @@ let metrics_tests =
       `Quick (fun () ->
         let stream seed =
           let rng = Sim.Rng.create ~seed () in
-          List.init 3_000 (fun _ -> Float.of_int (Sim.Rng.int rng 100_000))
+          List.init 3_000 (fun _ -> Sim.Rng.int rng 100_000)
         in
         let streams = List.map stream [ 1L; 2L; 3L ] in
         let merged () =
@@ -1877,15 +1891,166 @@ let metrics_tests =
           (Sim.Json.to_string (Sim.Metrics.snapshot a))
           (Sim.Json.to_string (Sim.Metrics.snapshot b));
         let all = List.concat streams in
-        let show x = Sim.Json.to_string (Sim.Json.Float x) in
+        let show ns = Sim.Json.to_string (Sim.Json.Float (Float.of_int ns /. 1e3)) in
         Alcotest.(check (option string)) "count" (Some "9000")
           (snapshot_field a ~name:"lat" "count");
         Alcotest.(check (option string)) "min"
-          (Some (show (List.fold_left Float.min infinity all)))
+          (Some (show (List.fold_left Int.min max_int all)))
           (snapshot_field a ~name:"lat" "min");
         Alcotest.(check (option string)) "max"
-          (Some (show (List.fold_left Float.max neg_infinity all)))
+          (Some (show (List.fold_left Int.max min_int all)))
           (snapshot_field a ~name:"lat" "max"));
+    Alcotest.test_case "merging children in either order gives the same dist"
+      `Quick (fun () ->
+        let child seed n =
+          let rng = Sim.Rng.create ~seed () in
+          let m = Sim.Metrics.create () in
+          let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
+          for _ = 1 to n do
+            Sim.Metrics.observe d (Sim.Rng.int rng 5_000_000)
+          done;
+          m
+        in
+        let entry children =
+          let parent = Sim.Metrics.create () in
+          List.iter (fun m -> Sim.Metrics.merge ~into:parent m) children;
+          Sim.Json.to_string (Sim.Metrics.snapshot parent)
+        in
+        (* Raw samples that fit together, then a total past them. *)
+        List.iter
+          (fun sizes ->
+            let kids () = List.mapi (fun i n -> child (Int64.of_int (i + 1)) n) sizes in
+            let forward = entry (kids ()) in
+            Alcotest.(check string) "reversed" forward (entry (List.rev (kids ())));
+            Alcotest.(check string) "rotated" forward
+              (match kids () with x :: rest -> entry (rest @ [ x ]) | [] -> ""))
+          [ [ 300; 200; 100 ]; [ 3_000; 1; 700 ] ]);
+    Alcotest.test_case "a dist's reachable words stay flat from 1e3 to 1e6"
+      `Quick (fun () ->
+        let m = Sim.Metrics.create () in
+        let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "delay" in
+        (* The first thousand samples already span every octave the
+           million do. *)
+        let feed from upto =
+          for i = from to upto do
+            Sim.Metrics.observe d (i mod 1000 * 1_000)
+          done
+        in
+        feed 1 1_000;
+        let words_1e3 = Obj.reachable_words (Obj.repr d) in
+        feed 1_001 1_000_000;
+        Alcotest.(check int) "count" 1_000_000 (Sim.Metrics.observed d);
+        Alcotest.(check int) "same words at 1e6" words_1e3
+          (Obj.reachable_words (Obj.repr d));
+        Alcotest.(check bool)
+          (Printf.sprintf "%d words" words_1e3)
+          true (words_1e3 < 3_000));
+    Alcotest.test_case "up to 1 024 samples a dist reports what Samples does"
+      `Quick (fun () ->
+        let rng = Sim.Rng.create ~seed:8L () in
+        List.iter
+          (fun n ->
+            let m = Sim.Metrics.create () in
+            let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "delay" in
+            let s = Sim.Stats.Samples.create () in
+            for _ = 1 to n do
+              let ns = Sim.Rng.int rng 3_000_000 in
+              Sim.Metrics.observe d ns;
+              Sim.Stats.Samples.add s (Sim.Time.to_us_f (Sim.Time.ns ns))
+            done;
+            let show x = Some (Sim.Json.to_string (Sim.Json.Float x)) in
+            let check field want =
+              Alcotest.(check (option string))
+                (Printf.sprintf "n=%d %s" n field)
+                want
+                (snapshot_field m ~name:"delay" field)
+            in
+            check "min" (show (Sim.Stats.Samples.min s));
+            check "max" (show (Sim.Stats.Samples.max s));
+            List.iter
+              (fun q ->
+                check
+                  (Printf.sprintf "p%.0f" q)
+                  (show (Sim.Stats.Samples.percentile s q)))
+              [ 50.0; 95.0; 99.0 ])
+          [ 1; 2; 17; 1_024 ]);
+    Alcotest.test_case "past 1 024 samples a percentile is within 1/128"
+      `Quick (fun () ->
+        let bounded = Sim.Metrics.create () in
+        let exact = Sim.Metrics.create ~exact_dists:true () in
+        let db = Sim.Metrics.dist bounded ~sub:Sim.Subsystem.Atm "delay" in
+        let de = Sim.Metrics.dist exact ~sub:Sim.Subsystem.Atm "delay" in
+        let rng = Sim.Rng.create ~seed:21L () in
+        for _ = 1 to 100_000 do
+          (* Log-uniform over 1 ns .. 1 s. *)
+          let x = Sim.Rng.int rng (1 lsl (1 + Sim.Rng.int rng 30)) in
+          Sim.Metrics.observe db x;
+          Sim.Metrics.observe de x
+        done;
+        let get m field =
+          match snapshot_field m ~name:"delay" field with
+          | Some v -> Float.of_string v
+          | None -> Alcotest.fail ("no " ^ field)
+        in
+        List.iter
+          (fun field ->
+            Alcotest.(check (float 0.0)) field (get exact field) (get bounded field))
+          [ "count"; "min"; "max"; "mean"; "stddev" ];
+        List.iter
+          (fun field ->
+            let e = get exact field and b = get bounded field in
+            if Float.abs (b -. e) > e /. 128.0 then
+              Alcotest.failf "%s: %g, exact %g" field b e)
+          [ "p50"; "p95"; "p99" ]);
+    Alcotest.test_case "dist moments are exact integers" `Quick (fun () ->
+        let m = Sim.Metrics.create () in
+        let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "delay" in
+        (* Equal samples, each past 2^31 ns: their squares take two
+           ints, and the spread is exactly zero. *)
+        let wide = (1 lsl 40) + 3 in
+        for _ = 1 to 5 do
+          Sim.Metrics.observe d wide
+        done;
+        let field f = snapshot_field m ~name:"delay" f in
+        let show x = Some (Sim.Json.to_string (Sim.Json.Float x)) in
+        Alcotest.(check (option string)) "mean" (show (Float.of_int wide /. 1e3))
+          (field "mean");
+        Alcotest.(check (option string)) "stddev" (show 0.0) (field "stddev");
+        (* A stream whose squares sum past 2^62: the moments agree with
+           Welford's float recurrence to rounding. *)
+        let e = Sim.Metrics.create () in
+        let d = Sim.Metrics.dist e ~sub:Sim.Subsystem.Atm "delay" in
+        let s = Sim.Stats.Summary.create () in
+        let rng = Sim.Rng.create ~seed:5L () in
+        for _ = 1 to 50_000 do
+          let x = Sim.Rng.int rng 4_000_000_000 in
+          Sim.Metrics.observe d x;
+          Sim.Stats.Summary.add s (Float.of_int x /. 1e3)
+        done;
+        let get f =
+          match snapshot_field e ~name:"delay" f with
+          | Some v -> Float.of_string v
+          | None -> Alcotest.fail f
+        in
+        Alcotest.(check (float 1e-3)) "mean" (Sim.Stats.Summary.mean s) (get "mean");
+        Alcotest.(check (float 1e-3)) "stddev" (Sim.Stats.Summary.stddev s)
+          (get "stddev");
+        Alcotest.check_raises "negative"
+          (Invalid_argument "Metrics.observe: atm/delay: negative sample -1")
+          (fun () -> Sim.Metrics.observe d (-1));
+        Alcotest.(check int) "a refused sample is not counted" 50_000
+          (Sim.Metrics.observed d));
+    Alcotest.test_case "a dist reports in its unit" `Quick (fun () ->
+        let m = Sim.Metrics.create () in
+        let d =
+          Sim.Metrics.dist m ~sub:Sim.Subsystem.Pfs ~unit:Sim.Metrics.Ms "pass_ms"
+        in
+        Sim.Metrics.observe d 2_500_000;
+        Alcotest.(check (option string)) "p50 in ms" (Some "2.5")
+          (snapshot_field m ~name:"pass_ms" "p50");
+        Alcotest.check_raises "another unit"
+          (Invalid_argument "Metrics: pfs/pass_ms reports in ms, requested in us")
+          (fun () -> ignore (Sim.Metrics.dist m ~sub:Sim.Subsystem.Pfs "pass_ms")));
   ]
 
 let daemon_tests =

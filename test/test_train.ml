@@ -305,6 +305,137 @@ let link_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%.0f major words per frame" per_frame)
           true (per_frame <= 5000.0));
+    Alcotest.test_case "a receiver reading the counters counts each cell once"
+      `Quick (fun () ->
+        (* Two 10-cell frames offered at t=0.  When each frame arrives,
+           the per-cell path has sent all 20 cells. *)
+        let frame () = Bytes.make 440 'f' in
+        Alcotest.(check int) "10-cell frames" 10
+          (Atm.Aal5.frame_cells (Bytes.length (frame ())));
+        let reads ~trains =
+          let e = Sim.Engine.create () in
+          let link = ref None in
+          let got = ref [] in
+          let read () =
+            let l = Option.get !link in
+            got :=
+              ( Atm.Link.cells_sent l,
+                Sim.Time.to_ns (Atm.Link.busy_time l),
+                Atm.Link.utilisation l ~since:Sim.Time.zero )
+              :: !got
+          in
+          let l =
+            Atm.Link.create e
+              ~rx:(fun c -> if c.Atm.Cell.last then read ())
+              ~rx_train:(Atm.Link.Frame_end (fun _ -> read ()))
+              ()
+          in
+          link := Some l;
+          for _ = 1 to 2 do
+            if trains then Atm.Link.send_train l (Atm.Aal5.segment_train ~vci:1 (frame ()))
+            else List.iter (Atm.Link.send l) (Atm.Aal5.segment ~vci:1 (frame ()))
+          done;
+          Sim.Engine.run e;
+          List.rev !got
+        in
+        let per_cell = reads ~trains:false in
+        Alcotest.(check (list (pair int int)))
+          "per-cell reads"
+          [ (20, 84_800); (20, 84_800) ]
+          (List.map (fun (s, b, _) -> (s, b)) per_cell);
+        Alcotest.(check bool) "train reads equal per-cell reads" true
+          (reads ~trains:true = per_cell));
+    Alcotest.test_case "a one-cell queue holds one cell on both paths" `Quick
+      (fun () ->
+        (* With [queue_cells = 1] a best-effort cell is queued only when
+           the line is idle at its offer: a burst keeps its first cell,
+           cells paced a slot apart all go. *)
+        let counted ~trains ~paced =
+          let e = Sim.Engine.create () in
+          let link = Atm.Link.create e ~rx:(fun _ -> ()) ~queue_cells:1 () in
+          let frame = Bytes.make 440 'q' in
+          let offer i = if paced then i * 4240 else 0 in
+          if trains then
+            Atm.Link.send_train link
+              ~offers_ns:(Array.init 10 offer)
+              (Atm.Aal5.segment_train ~vci:1 frame)
+          else
+            List.iteri
+              (fun i c ->
+                ignore
+                  (Sim.Engine.schedule_at e ~at:(Sim.Time.ns (offer i)) (fun () ->
+                       Atm.Link.send link c)))
+              (Atm.Aal5.segment ~vci:1 frame);
+          Sim.Engine.run e;
+          (Atm.Link.cells_sent link, Atm.Link.cells_dropped link)
+        in
+        List.iter
+          (fun (paced, want) ->
+            List.iter
+              (fun trains ->
+                Alcotest.(check (pair int int))
+                  (Printf.sprintf "paced %b, trains %b" paced trains)
+                  want (counted ~trains ~paced))
+              [ false; true ])
+          [ (false, (1, 9)); (true, (10, 0)) ];
+        Alcotest.check_raises "an empty queue is refused"
+          (Invalid_argument "Link.create: queue_cells < 1") (fun () ->
+            ignore
+              (Atm.Link.create (Sim.Engine.create ()) ~rx:(fun _ -> ())
+                 ~queue_cells:0 ())));
+    Alcotest.test_case "a receiver that re-enters its link closes windows once"
+      `Quick (fun () ->
+        (* The first cell's arrival sends a cell on the same link, which
+           cuts the rest of its window back to the per-cell path and
+           empties the window.  Two windows opened later draw on the
+           link's pool at once: a window retired twice would hand both
+           of them one pair of arrays. *)
+        let run ~trains =
+          let e = Sim.Engine.create () in
+          let link = ref None in
+          let arrivals = ref [] and reentered = ref false in
+          let arrive at =
+            arrivals := at :: !arrivals;
+            if not !reentered then begin
+              reentered := true;
+              Atm.Link.send (Option.get !link) (Atm.Cell.make_blank ~vci:9 ~last:true)
+            end
+          in
+          let l =
+            Atm.Link.create e
+              ~rx:(fun _ -> arrive (Sim.Time.to_ns (Sim.Engine.now e)))
+              ~rx_train:
+                (Atm.Link.Stream (fun _ ~arrivals_ns -> Array.iter arrive arrivals_ns))
+              ()
+          in
+          link := Some l;
+          let send ~at ~gap n =
+            let offers = Array.init n (fun i -> at + (i * gap)) in
+            let train = Atm.Aal5.segment_train ~vci:1 (Bytes.make ((48 * n) - 8) 'r') in
+            if trains then Atm.Link.send_train l ~offers_ns:offers train
+            else
+              Array.iteri
+                (fun i o ->
+                  ignore
+                    (Sim.Engine.schedule_at e ~at:(Sim.Time.ns o) (fun () ->
+                         Atm.Link.send l (Atm.Train.cell train i))))
+                offers
+          in
+          send ~at:0 ~gap:10_000 40;
+          ignore
+            (Sim.Engine.schedule_at e ~at:(Sim.Time.ns 500_000) (fun () ->
+                 send ~at:500_000 ~gap:1_000 30;
+                 send ~at:530_000 ~gap:2_000 30));
+          Sim.Engine.run e;
+          ( List.sort compare !arrivals,
+            Atm.Link.cells_sent l,
+            Atm.Link.cells_dropped l )
+        in
+        let per_cell = run ~trains:false in
+        let _, sent, _ = per_cell in
+        Alcotest.(check int) "every cell sent" 101 sent;
+        Alcotest.(check bool) "train path equals per-cell path" true
+          (run ~trains:true = per_cell));
   ]
 
 (* {1 Framing once per payload} *)
@@ -518,7 +649,22 @@ type outcome = {
   switched : int list;
   errors : int;
   flow_events : (int * string * int) list;  (* ts_ns, name, flow; sorted *)
+  queue_delay : string;  (* the atm/link.queue_delay_us entry, drained *)
 }
+
+(* One metric's entry in a registry snapshot, as JSON. *)
+let metric_entry m name =
+  match Sim.Metrics.snapshot m with
+  | Sim.Json.Obj [ ("metrics", Sim.Json.List l) ] ->
+      List.find_map
+        (function
+          | Sim.Json.Obj fs as entry
+            when List.assoc_opt "name" fs = Some (Sim.Json.String name) ->
+              Some (Sim.Json.to_string entry)
+          | _ -> None)
+        l
+      |> Option.value ~default:"absent"
+  | _ -> Alcotest.fail "unexpected snapshot shape"
 
 (* With [flows] set, the run records causal flow events (flow-only
    mode: no cell detail, so the train path stays engaged) — every sent
@@ -627,20 +773,26 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
   (* Best-effort frames of random size at a jittered period. *)
   let wl_rng = Sim.Rng.split rng in
   let main_payload = source wl_rng ~max_len:6000 in
+  (* The sources stop once the compared horizon has passed. *)
+  let stopped = ref false in
   let rec main_tick () =
-    send "main" main_vc (main_payload ());
-    ignore
-      (Sim.Engine.schedule e
-         ~delay:(Sim.Time.us (100 + Sim.Rng.int wl_rng 400))
-         main_tick)
+    if not !stopped then begin
+      send "main" main_vc (main_payload ());
+      ignore
+        (Sim.Engine.schedule e
+           ~delay:(Sim.Time.us (100 + Sim.Rng.int wl_rng 400))
+           main_tick)
+    end
   in
   main_tick ();
   (* A reserved flow that lands mid-window on the shared links. *)
   let prio_rng = Sim.Rng.split rng in
   let prio_payload = source prio_rng ~max_len:400 in
   let rec prio_tick () =
-    send "prio" prio_vc (prio_payload ());
-    ignore (Sim.Engine.schedule e ~delay:(Sim.Time.us 531) prio_tick)
+    if not !stopped then begin
+      send "prio" prio_vc (prio_payload ());
+      ignore (Sim.Engine.schedule e ~delay:(Sim.Time.us 531) prio_tick)
+    end
   in
   prio_tick ();
   (* Bursty cross traffic: several frames back to back, enough to
@@ -648,13 +800,15 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
   let cross_rng = Sim.Rng.split rng in
   let cross_payload = source cross_rng ~max_len:12_000 in
   let rec cross_tick () =
-    for _ = 1 to 1 + Sim.Rng.int cross_rng 4 do
-      send "cross" cross_vc (cross_payload ())
-    done;
-    ignore
-      (Sim.Engine.schedule e
-         ~delay:(Sim.Time.us (200 + Sim.Rng.int cross_rng 700))
-         cross_tick)
+    if not !stopped then begin
+      for _ = 1 to 1 + Sim.Rng.int cross_rng 4 do
+        send "cross" cross_vc (cross_payload ())
+      done;
+      ignore
+        (Sim.Engine.schedule e
+           ~delay:(Sim.Time.us (200 + Sim.Rng.int cross_rng 700))
+           cross_tick)
+    end
   in
   cross_tick ();
   (* Fault windows: an outage on the bottleneck, then Bernoulli wire
@@ -672,7 +826,8 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
   ignore
     (Sim.Engine.schedule_at e ~at:(ms 18) (fun () -> Atm.Net.clear_faults net));
   Sim.Engine.run e ~until:(ms 25);
-  {
+  let outcome =
+    {
     frames = List.rev !frames;
     counters =
       List.map
@@ -681,6 +836,7 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
         (Atm.Net.links net);
     switched = List.map Atm.Switch.cells_switched (Atm.Net.switches net);
     errors = !errors;
+    queue_delay = "";
     flow_events =
       (* The train path commits hop steps ahead of time: record order
          differs between the two paths, and a truncated run retains a
@@ -699,6 +855,16 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
                   else Some (ts, ev.Sim.Trace.ev_name, ev.Sim.Trace.ev_flow)
               | Sim.Trace.Instant | Sim.Trace.Complete -> None)
             (Sim.Trace.events trace)));
+    }
+  in
+  (* The train path books a window's queue delays when the window is
+     processed, so compare the dists once every cell in flight has
+     landed. *)
+  stopped := true;
+  Sim.Engine.run e;
+  {
+    outcome with
+    queue_delay = metric_entry (Sim.Engine.metrics e) "link.queue_delay_us";
   }
 
 let differential_tests =
@@ -720,6 +886,9 @@ let differential_tests =
                     "seed %Ld: frame diverged: %s@%dns len=%d vs %s@%dns len=%d"
                     seed name t len name' t' len')
               slow.frames fast.frames;
+            Alcotest.(check string)
+              (Printf.sprintf "seed %Ld: queue-delay dist" seed)
+              slow.queue_delay fast.queue_delay;
             Alcotest.(check bool)
               (Printf.sprintf "seed %Ld: counters" seed)
               true (slow = fast);
