@@ -1,10 +1,10 @@
-(* The benchmark harness, in three parts.
+(* The benchmark harness, in ten parts.
 
    Part 1 regenerates every table of the experiment registry (E1..E15,
    the A1 ablation and the PAR fabric) on one run context: these are
    simulation experiments, so the numbers that matter are the
-   *simulated* metrics inside each table; each runs once in quick mode
-   (pass --full for full-size parameters).
+   *simulated* metrics inside each table; each runs once, at the size
+   EXPERIMENTS.md reports.
 
    Part 2 is a Bechamel microbenchmark suite over the substrate's hot
    operations (event queue, CRC, AAL5, switching, scheduling decisions,
@@ -15,8 +15,14 @@
    and writes machine-readable results (per-benchmark mean/p50/p95/p99
    ns/op, per-experiment wall time, and the metrics-registry snapshot)
    to BENCH_results.json so the perf trajectory across PRs is
-   comparable.  `--smoke` runs parts 1 and 3 only, with small sample
-   counts, for CI.  `--json-out FILE` overrides the output path. *)
+   comparable.  `--json-out FILE` overrides the output path.
+
+   Parts 4 to 10 each time one subsystem (engine, ATM cell trains,
+   flow-trace record sites, the sharded fabric, the city-scale fabric,
+   VOD replication, the SLO monitor) and write its own BENCH_*.json,
+   which CI gates against a committed baseline with
+   bench/check_baseline.sh.  `--smoke` skips part 2 and takes fewer
+   samples and smaller ATM and city-scale workloads, for CI. *)
 
 (* Alias the raw clock before [open Toolkit] shadows its module name
    with Bechamel's measure of the same clock. *)
@@ -269,11 +275,11 @@ let json_of_samples name s =
       ("p99", p 99.0);
     ]
 
-let run_experiments ~quick ctx fmt =
+let run_experiments ctx fmt =
   List.map
     (fun e ->
       let t0 = now_ns () in
-      let table = e.Experiments.Registry.e_run ~quick ctx in
+      let table = e.Experiments.Registry.e_run ctx in
       let wall_ms =
         Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6
       in
@@ -742,9 +748,9 @@ let best_of_3_par fn =
   let c = once () in
   Int64.to_float (Stdlib.min a (Stdlib.min b c))
 
-let run_parallel_bench ~smoke ~domains path =
+let run_parallel_bench ~domains path =
   Format.printf "@.Part 7: sharded parallel simulation benchmark@.@.";
-  let p = Experiments.Fabric.default_params ~quick:smoke in
+  let p = Experiments.Fabric.default_params in
   let reference = ref None in
   let total_frames o =
     Array.fold_left ( + ) 0 o.Experiments.Fabric.local_frames
@@ -803,7 +809,6 @@ let run_parallel_bench ~smoke ~domains path =
     Sim.Json.Obj
       [
         ("schema", Sim.Json.String "pegasus-parallel-bench/1");
-        ("mode", Sim.Json.String (if smoke then "smoke" else "full"));
         ("cores", Sim.Json.Int (Sim.Par.recommended_workers ()));
         ("domains", Sim.Json.Int domains);
         ("sites", Sim.Json.Int p.Experiments.Fabric.sites);
@@ -934,14 +939,12 @@ let run_cityscale_bench ~smoke path =
    rows/s guards the host cost of the directory hot paths (routing,
    EWMA accounting, replica serves). *)
 
-let run_vod_bench ~smoke ~domains path =
+let run_vod_bench ~domains path =
   Format.printf "@.Part 9: VOD replication benchmark@.@.";
   let rows = ref [||] in
   let wall_ns =
     best_of_3 (fun () ->
-        rows :=
-          Experiments.E15_vodscale.results ~quick:smoke
-            (Sim.Ctx.create ~domains ()))
+        rows := Experiments.E15_vodscale.results (Sim.Ctx.create ~domains ()))
   in
   let rows = !rows in
   let rows_per_sec = Float.of_int (Array.length rows) /. (wall_ns /. 1e9) in
@@ -998,7 +1001,6 @@ let run_vod_bench ~smoke ~domains path =
     Sim.Json.Obj
       [
         ("schema", Sim.Json.String "pegasus-vod-bench/1");
-        ("mode", Sim.Json.String (if smoke then "smoke" else "full"));
         ( "sweep",
           Sim.Json.Obj
             [
@@ -1144,7 +1146,6 @@ let find_arg_value flag =
 
 let () =
   let has f = Array.exists (fun a -> a = f) Sys.argv in
-  let quick = not (has "--full") in
   let smoke = has "--smoke" in
   let json_out =
     match find_arg_value "--json-out" with
@@ -1194,10 +1195,9 @@ let () =
     | None -> Stdlib.min 4 (Sim.Par.recommended_workers ())
   in
   Format.printf "Pegasus/Nemesis reproduction — benchmark harness@.";
-  Format.printf "Part 1: paper-claim tables (%s parameters)@.@."
-    (if quick then "quick; pass --full for full-size" else "full-size");
+  Format.printf "Part 1: paper-claim tables@.@.";
   let ctx = Sim.Ctx.create ~domains () in
-  let experiments = run_experiments ~quick ctx Format.std_formatter in
+  let experiments = run_experiments ctx Format.std_formatter in
   if not smoke then begin
     Format.printf "@.Part 2: substrate microbenchmarks (host CPU time)@.@.";
     run_microbenches ()
@@ -1210,9 +1210,7 @@ let () =
     Sim.Json.Obj
       [
         ("schema", Sim.Json.String "pegasus-bench/1");
-        ( "mode",
-          Sim.Json.String
-            (if smoke then "smoke" else if quick then "quick" else "full") );
+        ("mode", Sim.Json.String (if smoke then "smoke" else "full"));
         ("crc32_kernel", Sim.Json.String Atm.Crc32.kernel);
         ("experiments", Sim.Json.List experiments);
         ("microbenchmarks", Sim.Json.List micro);
@@ -1224,7 +1222,7 @@ let () =
   run_engine_bench engine_json_out;
   run_atm_bench ~smoke atm_json_out;
   run_trace_bench trace_json_out;
-  run_parallel_bench ~smoke ~domains parallel_json_out;
+  run_parallel_bench ~domains parallel_json_out;
   run_cityscale_bench ~smoke cityscale_json_out;
-  run_vod_bench ~smoke ~domains vod_json_out;
+  run_vod_bench ~domains vod_json_out;
   run_monitor_bench monitor_json_out

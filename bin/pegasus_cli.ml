@@ -9,10 +9,6 @@
 
 open Cmdliner
 
-let quick_arg =
-  let doc = "Run with reduced parameters (seconds instead of minutes)." in
-  Arg.(value & flag & info [ "quick"; "q" ] ~doc)
-
 type run_opts = {
   domains : int;
   trace_out : string option;
@@ -102,7 +98,7 @@ let run_cmd =
     let doc = "Experiment ids to run (e.g. E1 E9 PAR); omit for all." in
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run quick o ids =
+  let run o ids =
     let ids =
       if ids = [] then
         List.map (fun e -> e.Experiments.Registry.e_id) Experiments.Registry.all
@@ -115,7 +111,7 @@ let run_cmd =
               match Experiments.Registry.find id with
               | Some e ->
                   Format.printf "%a@.@." Experiments.Table.pp
-                    (e.Experiments.Registry.e_run ~quick ctx);
+                    (e.Experiments.Registry.e_run ctx);
                   go rest
               | None -> `Error (false, "unknown experiment " ^ id)
             end
@@ -129,7 +125,7 @@ let run_cmd =
           E13, E14, E15 and PAR (the sharded multi-site fabric) spread \
           their independent rows or shards over $(b,--domains) OCaml \
           domains.")
-    Term.(ret (const run $ quick_arg $ run_opts $ ids))
+    Term.(ret (const run $ run_opts $ ids))
 
 let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 

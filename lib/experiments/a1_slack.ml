@@ -55,8 +55,8 @@ let scenario ctx ~slack ~duration =
    100.0 *. Sim.Time.to_sec_f (Nemesis.Kernel.idle_time k)
    /. Sim.Time.to_sec_f duration)
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.sec 2 else Sim.Time.sec 10 in
+let run ctx =
+  let duration = Sim.Time.sec 10 in
   let row label slack =
     let batch_pcts, rt_pct, rt_misses, idle = scenario ctx ~slack ~duration in
     [

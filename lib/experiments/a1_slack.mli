@@ -5,4 +5,4 @@
     still the subject of investigation."  This ablation runs the
     candidate policies the sentence invites. *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

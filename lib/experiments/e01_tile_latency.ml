@@ -33,8 +33,8 @@ let audit_scenario e =
   Atm.Camera.start camera;
   Sim.Engine.run e ~until:(Sim.Time.ms 400)
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.ms 400 else Sim.Time.sec 2 in
+let run ctx =
+  let duration = Sim.Time.sec 2 in
   let cases =
     [
       ("tile rows, JPEG 8:1", `Tile_row, Atm.Camera.Jpeg { ratio = 8.0 });

@@ -3,7 +3,7 @@
     "The use of tiles for video reduces latency in several places from
     a 'frame time' (33 or 40 ms) to a 'tile time' (30 to 40 us)." *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t
 
 val audit_scenario : Sim.Engine.t -> unit
 (** The tile-row raw-video rig behind the table's second row, run on

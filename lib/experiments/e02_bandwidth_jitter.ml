@@ -83,8 +83,8 @@ let audit_scenario e =
   Sim.Engine.run e ~until:(Sim.Time.ms 400);
   Atm.Traffic.stop cross
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.ms 300 else Sim.Time.sec 2 in
+let run ctx =
+  let duration = Sim.Time.sec 2 in
   let raw = video_rate ctx Atm.Camera.Raw in
   let jpeg = video_rate ctx (Atm.Camera.Jpeg { ratio = 8.0 }) in
   let audio_row ?reserve_bps label ~loaded ~playout =

@@ -5,7 +5,7 @@
     modest bandwidth requirements compared to video, but is much more
     susceptible to jitter." *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t
 
 val audit_scenario : Sim.Engine.t -> unit
 (** The loaded-path rig behind the bursty-load rows, with a JPEG video

@@ -69,8 +69,8 @@ let scenario ctx ~policy ~duration =
   in
   (miss_pct video, miss_pct audio, batch_ms /. Sim.Time.to_ms_f duration *. 100.0)
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.sec 2 else Sim.Time.sec 10 in
+let run ctx =
+  let duration = Sim.Time.sec 10 in
   let policies =
     [
       ("atropos (shares+EDF)", Nemesis.Policy.atropos ());
@@ -112,8 +112,7 @@ let run ?(quick = false) ctx =
 
 (* The QoS manager at work: one adaptive application watches its grant
    as competitors come and go. *)
-let run_qos ?(quick = false) ctx =
-  let scale = if quick then 1 else 4 in
+let run_qos ctx =
   let e = Sim.Ctx.engine ctx in
   let k = Nemesis.Kernel.create e ~policy:(Nemesis.Policy.atropos ()) () in
   let mk name =
@@ -130,7 +129,7 @@ let run_qos ?(quick = false) ctx =
   Nemesis.Qos.register q ~domain:app ~want:0.6
     ~adapt:(fun ~granted -> grants := granted :: !grants)
     ();
-  let phase = Sim.Time.ms (500 * scale) in
+  let phase = Sim.Time.ms 2_000 in
   let rows = ref [] in
   let sample label =
     rows :=

@@ -6,8 +6,8 @@
     implementation uses an earliest deadline first algorithm to select
     between them."  Plus the QoS manager adapting weights above it. *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t
 
-val run_qos : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run_qos : Sim.Ctx.t -> Table.t
 (** The QoS-manager half: an application's grant over time as
     competitors arrive and leave, and its adaptation. *)

@@ -48,8 +48,8 @@ let scenario ctx ~mode ~urgent_period ~duration =
   in
   (misses, urgent_count, p95, Nemesis.Domain.activations app)
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.sec 2 else Sim.Time.sec 10 in
+let run ctx =
+  let duration = Sim.Time.sec 10 in
   let case label mode =
     let misses, count, p95, activations =
       scenario ctx ~mode ~urgent_period:(Sim.Time.ms 25) ~duration

@@ -133,9 +133,9 @@ let demux ctx ~mode ~packets ~receivers =
     Nemesis.Kernel.context_switches k,
     !processed )
 
-let run ?(quick = false) ctx =
-  let rounds = if quick then 50 else 400 in
-  let packets = if quick then 200 else 2000 in
+let run ctx =
+  let rounds = 400 in
+  let packets = 2000 in
   let lat_sync = pingpong ctx ~mode:`Sync ~rounds in
   let lat_async = pingpong ctx ~mode:`Async ~rounds in
   let d_sync, sw_sync, done_sync =

@@ -6,4 +6,4 @@
     of incoming packets may be most efficient using the asynchronous
     means." *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

@@ -42,8 +42,8 @@ let pingpong_throughput ctx ~ctx_cost ~duration =
   Sim.Engine.run e ~until:duration;
   Float.of_int !interactions /. Sim.Time.to_sec_f duration
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.ms 500 else Sim.Time.sec 5 in
+let run ctx =
+  let duration = Sim.Time.sec 5 in
   let flush_cost = Nemesis.Vm.switch_cost ~aliases:true () in
   let no_flush_cost = Nemesis.Vm.switch_cost ~aliases:false () in
   let thr_flush = pingpong_throughput ctx ~ctx_cost:flush_cost ~duration in

@@ -6,4 +6,4 @@
     amortised by "allocating the top 32 address bits of a 64 bit
     virtual address based on a 32-bit hash function of the code". *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

@@ -77,8 +77,7 @@ let resolution_cost ns path =
   | Ok r -> Sim.Time.to_us_f r.Naming.Namespace.cost
   | Error _ -> Float.nan
 
-let run ?(quick = false) ctx =
-  ignore quick;
+let run ctx =
   let rtt = measured_rpc_rtt ctx in
   (* A local namespace, a same-machine service, and two remote hops. *)
   let ns name = Naming.Namespace.create ~name (Sim.Ctx.metrics ctx) in

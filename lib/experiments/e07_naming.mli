@@ -5,4 +5,4 @@
     invocation ladder: procedure call / protected call / RPC, with the
     maillon imposing "very little overhead" in the common case. *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

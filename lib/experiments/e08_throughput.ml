@@ -88,9 +88,9 @@ let networked_rate ctx ~segments =
   Sim.Engine.run e;
   Float.of_int !received /. Sim.Time.to_sec_f !finished /. 1e6
 
-let run ?(quick = false) ctx =
-  let ops = if quick then 10 else 40 in
-  let segments = if quick then 8 else 40 in
+let run ctx =
+  let ops = 40 in
+  let segments = 40 in
   let unit_rows =
     List.map
       (fun unit_bytes ->

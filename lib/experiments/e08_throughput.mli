@@ -8,4 +8,4 @@
     test this yet, since our ATM network runs only at a mere 100
     megabits per second, just over 10 MB per second." *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

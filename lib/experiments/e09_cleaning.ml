@@ -41,8 +41,8 @@ let measure ctx which ~files =
   Sim.Engine.run e;
   match !out with Some s -> (s, Pfs.Log.total_segments log) | None -> assert false
 
-let run ?(quick = false) ctx =
-  let sizes = if quick then [ 64; 256 ] else [ 64; 256; 1024; 4096 ] in
+let run ctx =
+  let sizes = [ 64; 256; 1024; 4096 ] in
   let rows =
     List.concat_map
       (fun files ->

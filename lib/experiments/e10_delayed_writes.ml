@@ -39,8 +39,8 @@ let scenario ctx ~write_delay ~duration =
     Pfs.Log.garbage_bytes_created log,
     Workloads.Baker.short_lived_fraction gen )
 
-let run ?(quick = false) ctx =
-  let duration = if quick then Sim.Time.sec 120 else Sim.Time.sec 600 in
+let run ctx =
+  let duration = Sim.Time.sec 600 in
   let row label ~write_delay =
     let received, to_disk, cancelled, garbage, _short =
       scenario ctx ~write_delay ~duration

@@ -28,20 +28,18 @@ let hit_rate hits misses =
   let total = hits + misses in
   if total = 0 then 0.0 else 100.0 *. Float.of_int hits /. Float.of_int total
 
-let run ?(quick = false) (_ : Sim.Ctx.t) =
-  let n = if quick then zipf_accesses / 10 else zipf_accesses in
+let run (_ : Sim.Ctx.t) =
   let video_blocks = 512 * 1024 * 1024 / block_bytes in
-  let video_blocks = if quick then video_blocks / 4 else video_blocks in
   (* Scenario A: files only. *)
   let rng = Sim.Rng.create ~seed:5L () in
   let cache_a = Pfs.Cache.create ~capacity_blocks:cache_blocks () in
-  normal_traffic rng cache_a n;
+  normal_traffic rng cache_a zipf_accesses;
   let files_only = hit_rate (Pfs.Cache.hits cache_a) (Pfs.Cache.misses cache_a) in
   (* Scenario B: video through the cache, twice, interleaved with files. *)
   let rng = Sim.Rng.create ~seed:5L () in
   let cache_b = Pfs.Cache.create ~capacity_blocks:cache_blocks () in
   let video_fid = 999_999 in
-  normal_traffic rng cache_b (n / 2);
+  normal_traffic rng cache_b (zipf_accesses / 2);
   let before_hits = Pfs.Cache.hits cache_b
   and before_misses = Pfs.Cache.misses cache_b in
   video_pass cache_b ~fid:video_fid ~video_blocks;
@@ -50,7 +48,7 @@ let run ?(quick = false) (_ : Sim.Ctx.t) =
   let video_hit =
     hit_rate (mid_hits - before_hits) (mid_misses - before_misses)
   in
-  normal_traffic rng cache_b (n / 2);
+  normal_traffic rng cache_b (zipf_accesses / 2);
   let files_after_video =
     hit_rate (Pfs.Cache.hits cache_b - mid_hits)
       (Pfs.Cache.misses cache_b - mid_misses)
@@ -58,10 +56,10 @@ let run ?(quick = false) (_ : Sim.Ctx.t) =
   (* Scenario C: same mix, video bypasses the cache. *)
   let rng = Sim.Rng.create ~seed:5L () in
   let cache_c = Pfs.Cache.create ~capacity_blocks:cache_blocks () in
-  normal_traffic rng cache_c (n / 2);
+  normal_traffic rng cache_c (zipf_accesses / 2);
   (* the video is served by the continuous stack: no cache traffic *)
   let mid_hits_c = Pfs.Cache.hits cache_c and mid_misses_c = Pfs.Cache.misses cache_c in
-  normal_traffic rng cache_c (n / 2);
+  normal_traffic rng cache_c (zipf_accesses / 2);
   let files_with_bypass =
     hit_rate (Pfs.Cache.hits cache_c - mid_hits_c)
       (Pfs.Cache.misses cache_c - mid_misses_c)

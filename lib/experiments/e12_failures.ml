@@ -57,8 +57,8 @@ let scenario ctx ~failure ~writes =
   Sim.Engine.run e ~until:(Sim.Time.sec 120);
   Pfs.Client_agent.audit server
 
-let run ?(quick = false) ctx =
-  let writes = if quick then 20 else 100 in
+let run ctx =
+  let writes = 100 in
   let row label failure =
     let a = scenario ctx ~failure ~writes in
     [

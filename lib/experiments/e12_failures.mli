@@ -8,4 +8,4 @@
     battery-backed-up memory, or with an uninterruptible power
     supply." *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

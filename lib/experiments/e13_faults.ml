@@ -120,10 +120,10 @@ let raid_run ctx ~fault_kind ~segments =
   Sim.Engine.run e;
   (!ok, segments, Pfs.Raid.degraded_reads raid)
 
-let run ?(quick = false) ctx =
-  let frames = if quick then 25 else 75 in
-  let calls = if quick then 100 else 300 in
-  let segments = if quick then 32 else 96 in
+let run ctx =
+  let frames = 75 in
+  let calls = 300 in
+  let segments = 96 in
   let ratio a b = Table.cell_f (float_of_int a /. float_of_int b) in
   let video_row label ~loss ~with_outages ctx =
     let delivered, sent, cells_lost =

@@ -14,4 +14,4 @@
     and everything the context records are byte-identical at every
     domain count. *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

@@ -66,7 +66,7 @@ type row_result = {
   rr_video_fairness : float option;
 }
 
-let row ~quick ~offered ctx =
+let row ~offered ctx =
   let tr = Sim.Ctx.trace ctx in
   Sim.Audit.capture tr;
   let e = Sim.Ctx.engine ctx in
@@ -115,8 +115,8 @@ let row ~quick ~offered ctx =
      levels — up to half of it comes from contracts still degraded
      after review — so the fairness index sees the split the admission
      decisions created, not just the full-rate head of the queue. *)
-  let sample_per_class = if quick then 3 else 6 in
-  let duration = Sim.Time.ms (if quick then 150 else 400) in
+  let sample_per_class = 6 in
+  let duration = Sim.Time.ms 400 in
   let sampled =
     List.concat_map
       (fun cls ->
@@ -247,11 +247,11 @@ let render r =
     (match r.rr_video_fairness with Some f -> Table.cell_f f | None -> "-");
   ]
 
-let run ?(quick = false) ctx =
+let run ctx =
   let loads = [| 10; 100; 1_000; 10_000 |] in
   let rows =
     Sim.Ctx.map ctx
-      (Array.map (fun offered ctx -> render (row ~quick ~offered ctx)) loads)
+      (Array.map (fun offered ctx -> render (row ~offered ctx)) loads)
   in
   Table.make ~id:"E14"
     ~title:"City-scale fabric: contract admission from 10 to 10k streams"

@@ -12,4 +12,4 @@
     child context, with byte-identical output — table, metrics and
     trace — at every domain count. *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

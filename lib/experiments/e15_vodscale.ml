@@ -75,7 +75,7 @@ type row_result = {
   rr_drops : int;
 }
 
-let row ~quick ~clients ~mode ctx =
+let row ~clients ~mode ctx =
   let tr = Sim.Ctx.trace ctx in
   Sim.Audit.capture tr;
   let e = Sim.Ctx.engine ctx in
@@ -191,14 +191,14 @@ let row ~quick ~clients ~mode ctx =
   let dir =
     Pfs.Directory.create e ~logs ~transport ~config:(mode_config mode) ()
   in
-  let half = Sim.Time.ms (if quick then 750 else 2_000) in
+  let half = Sim.Time.ms 2_000 in
   let duration = Sim.Time.mul half 2 in
   (* Reads issued while a transient is still draining — the cold-start
      herd at the beginning of each half, and the stretch after the flip
      where replication is still re-converging — go to a separate
      "ramp" stream, so pre and flash percentiles measure steady state
      on both sides and the ramp is reported on its own terms. *)
-  let grace = Sim.Time.ms (if quick then 400 else 750) in
+  let grace = Sim.Time.ms 750 in
   let flash_done = ref 0 in
   (* Preload the catalogue (continuous-media segments), seal it, then
      unleash the clients. *)
@@ -315,9 +315,7 @@ let render r =
     string_of_int r.rr_drops;
   ]
 
-let client_counts ~quick = if quick then [| 8; 64 |] else [| 8; 24; 64 |]
-
-let results ?(quick = false) ctx =
+let results ctx =
   let cases =
     Array.concat
       (Array.to_list
@@ -326,13 +324,12 @@ let results ?(quick = false) ctx =
               Array.map
                 (fun mode -> (clients, mode))
                 [| Static; Cache_only; Replicate |])
-            (client_counts ~quick)))
+            [| 8; 24; 64 |]))
   in
-  Sim.Ctx.map ctx
-    (Array.map (fun (clients, mode) -> row ~quick ~clients ~mode) cases)
+  Sim.Ctx.map ctx (Array.map (fun (clients, mode) -> row ~clients ~mode) cases)
 
-let run ?(quick = false) ctx =
-  let rows = results ~quick ctx in
+let run ctx =
+  let rows = results ctx in
   Table.make ~id:"E15"
     ~title:"VOD flash crowd: popularity-aware replication vs static placement"
     ~claim:

@@ -28,8 +28,8 @@ type row_result = {
   rr_drops : int;
 }
 
-val results : ?quick:bool -> Sim.Ctx.t -> row_result array
+val results : Sim.Ctx.t -> row_result array
 (** The raw sweep, in row order (clients major, placement minor) —
     what the benchmark harness consumes. *)
 
-val run : ?quick:bool -> Sim.Ctx.t -> Table.t
+val run : Sim.Ctx.t -> Table.t

@@ -30,15 +30,15 @@ type params = {
   seed : int;
 }
 
-let default_params ~quick =
+let default_params =
   {
     sites = 8;
-    streams_per_site = (if quick then 12 else 48);
+    streams_per_site = 48;
     frame_bytes = 8_192;
-    fps = (if quick then 100 else 250);
+    fps = 250;
     cross_every = 4;
     trunk_prop = Sim.Time.ms 2;
-    duration = (if quick then Sim.Time.ms 120 else Sim.Time.ms 400);
+    duration = Sim.Time.ms 400;
     seed = 1;
   }
 
@@ -194,8 +194,8 @@ let execute ctx p =
     lookahead = Sim.Shard.lookahead shard;
   }
 
-let run ?(quick = false) ?seed ctx =
-  let p = default_params ~quick in
+let run ?seed ctx =
+  let p = default_params in
   let p = match seed with Some s -> { p with seed = s } | None -> p in
   let o = execute ctx p in
   let rows =

@@ -23,7 +23,7 @@ type params = {
   seed : int;
 }
 
-val default_params : quick:bool -> params
+val default_params : params
 
 type outcome = {
   p : params;
@@ -42,7 +42,7 @@ val execute : Sim.Ctx.t -> params -> outcome
     context records, are independent of the domain count; only
     wall-clock time varies. *)
 
-val run : ?quick:bool -> ?seed:int -> Sim.Ctx.t -> Table.t
+val run : ?seed:int -> Sim.Ctx.t -> Table.t
 (** The registry's [PAR] entry: run with default parameters ([seed]
     overrides the source phases' seed) and render the result (per-site
     frame counts and digests, epoch/message statistics). *)

@@ -1,7 +1,7 @@
 type entry = {
   e_id : string;
   e_title : string;
-  e_run : ?quick:bool -> Sim.Ctx.t -> Table.t;
+  e_run : Sim.Ctx.t -> Table.t;
 }
 
 let entry e_id e_title e_run = { e_id; e_title; e_run }
@@ -33,8 +33,7 @@ let all =
       "VOD flash crowd: popularity-aware replication vs static placement"
       E15_vodscale.run;
     entry "A1" "Ablation: sharing out the slack" A1_slack.run;
-    entry "PAR" "Sharded fabric: conservative parallel simulation"
-      (fun ?quick ctx -> Fabric.run ?quick ctx);
+    entry "PAR" "Sharded fabric: conservative parallel simulation" Fabric.run;
   ]
 
 let find id =

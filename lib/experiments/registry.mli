@@ -4,7 +4,7 @@
 type entry = {
   e_id : string;
   e_title : string;
-  e_run : ?quick:bool -> Sim.Ctx.t -> Table.t;
+  e_run : Sim.Ctx.t -> Table.t;
       (** Runs the experiment on the given context: every engine it
           builds records into the context's trace and registry.  The
           context's domain count is a parallelism budget, never a

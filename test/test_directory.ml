@@ -350,7 +350,7 @@ let e15_tests =
         let snapshot reg = Sim.Json.to_string (Sim.Metrics.snapshot reg) in
         let at domains =
           let ctx = Sim.Ctx.create ~domains () in
-          let rows = Experiments.E15_vodscale.results ~quick:true ctx in
+          let rows = Experiments.E15_vodscale.results ctx in
           (rows, snapshot (Sim.Ctx.metrics ctx))
         in
         let r1, m1 = at 1 and r2, m2 = at 2 and r4, m4 = at 4 in

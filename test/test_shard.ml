@@ -233,9 +233,7 @@ let differential_tests =
               List.map
                 (fun domains ->
                   let ctx = Sim.Ctx.create ~domains () in
-                  let table =
-                    render (Experiments.Fabric.run ~quick:true ~seed ctx)
-                  in
+                  let table = render (Experiments.Fabric.run ~seed ctx) in
                   let snap = snapshot (Sim.Ctx.metrics ctx) in
                   Alcotest.(check bool) "metrics recorded" true
                     (snap <> snapshot (Sim.Metrics.create ()));
@@ -256,7 +254,7 @@ let differential_tests =
     Alcotest.test_case "fabric actually crossed shards" `Quick (fun () ->
         let o =
           Experiments.Fabric.execute (Sim.Ctx.create ())
-            (Experiments.Fabric.default_params ~quick:true)
+            Experiments.Fabric.default_params
         in
         Alcotest.(check bool) "epochs" true (o.epochs > 1);
         Alcotest.(check bool) "messages" true (o.messages > 0);
