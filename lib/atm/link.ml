@@ -1,5 +1,5 @@
 type train_rx =
-  | Stream of (Train.t -> arrivals_ns:int array -> unit)
+  | Stream of (Train.t -> arrivals:Cell_times.t -> unit)
   | Frame_end of (Train.t -> unit)
 
 (* A committed train window.
@@ -7,30 +7,37 @@ type train_rx =
    [send_train] computes every cell's start slot analytically at commit
    time against the same horizons the per-cell path uses, then advances
    the horizon for the whole burst at once.  Cells keep a *virtual
-   offer* instant [ot_offers.(i)] — the time the per-cell path would
-   have offered them — and a start [ot_starts.(i)] (-1 when the cell
-   would have been dropped at the queue).  Nothing downstream learns of
-   a cell before its virtual offer has passed, so any interferer that
-   arrives mid-window can still split the un-offered remainder back to
-   the per-cell path and the two simulations stay byte-identical.
+   offer* instant, the time the per-cell path would have offered them,
+   and a start slot, or none when the cell would have been dropped at
+   the queue.  Nothing downstream learns of a cell before its virtual
+   offer has passed, so any interferer that arrives mid-window can still
+   split the un-offered remainder back to the per-cell path and the two
+   simulations stay byte-identical.
+
+   A window stores its cells as runs, five ints each in [ot_runs]: the
+   first offer, the offer step, the first start (-1 for a run of
+   dropped cells), the start step and the number of cells.  Cell [j] of
+   a run is offered at [offer + j * offer_step] and starts at [start + j
+   * start_step].  A frame paced at line rate keeps both steps constant,
+   so a window is usually one run, and everything below works run by
+   run and finds a cell within a run by division.
 
    Counters and metrics are applied when cells are *processed* (at
    delivery events); the public accessors add the correction for cells
    whose virtual offer has passed but whose processing event has not
-   fired yet, so reads always match the per-cell path.
-
-   The two arrays come from the link's pool and may be longer than
-   [ot_cap]; only [0, ot_n) is ever read. *)
+   fired yet, so reads always match the per-cell path. *)
 type otrain = {
   mutable ot_train : Train.t;  (* extended in place by continuation merges *)
   ot_prio : bool;
-  ot_offers : int array;  (* virtual offer instants, absolute ns *)
-  ot_starts : int array;  (* start slots, ns; -1 = dropped at the queue *)
+  mutable ot_runs : int array;  (* [0, 5 * ot_nr) in use *)
+  mutable ot_nr : int;  (* runs; their cells add up to [ot_n] *)
   ot_cap : int;  (* cells the window may grow to by continuation merges *)
   ot_h0 : int;  (* the class horizon before this commit, ns *)
   ot_lat : int;  (* cell_time + prop + extra_prop at commit, ns *)
   mutable ot_n : int;  (* cells still owned (splits truncate this) *)
   mutable ot_done : int;  (* cells already processed *)
+  mutable ot_r : int;  (* the run holding cell [ot_done] (see [sync]) *)
+  mutable ot_r0 : int;  (* the index of run [ot_r]'s first cell *)
   mutable ot_ev : Sim.Engine.event_id option;
 }
 
@@ -56,7 +63,6 @@ type t = {
   mutable extra_prop : Sim.Time.t;  (* fault injection: latency spike *)
   mutable busy : Sim.Time.t;
   mutable opens : otrain list;  (* open train windows, oldest first *)
-  mutable spare : (int array * int array) list;  (* pooled window arrays *)
   mutable pending_reoffers : int;  (* split cells awaiting per-cell re-offer *)
   m_sent : Sim.Metrics.counter;
   m_dropped : Sim.Metrics.counter;
@@ -96,7 +102,6 @@ let create engine ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)
     extra_prop = Sim.Time.zero;
     busy = Sim.Time.zero;
     opens = [];
-    spare = [];
     pending_reoffers = 0;
     m_sent =
       Sim.Metrics.counter metrics ~sub:Sim.Subsystem.Atm
@@ -126,6 +131,40 @@ let rec last_open = function
   | [ x ] -> Some x
   | _ :: r -> last_open r
 
+(* Cells [0, n) of a run from [o] at step [d] whose instant is at most
+   [x]. *)
+let[@inline] upto o d n x =
+  if o > x then 0 else if d = 0 then n else Int.min n (((x - o) / d) + 1)
+
+let last_offer ot =
+  let b = 5 * (ot.ot_nr - 1) in
+  ot.ot_runs.(b) + ((ot.ot_runs.(b + 4) - 1) * ot.ot_runs.(b + 1))
+
+(* Move the cursor on to the run holding cell [ot_done]: processing and
+   truncation can leave it at the end of a run.  With every cell done
+   it rests at [ot_nr]. *)
+let sync ot =
+  while
+    ot.ot_r < ot.ot_nr && ot.ot_done >= ot.ot_r0 + ot.ot_runs.((5 * ot.ot_r) + 4)
+  do
+    ot.ot_r0 <- ot.ot_r0 + ot.ot_runs.((5 * ot.ot_r) + 4);
+    ot.ot_r <- ot.ot_r + 1
+  done
+
+(* The end of the last sent cell of [ot] whose offer is at most [now],
+   or -1 when there is none. *)
+let last_sent_end t ot now =
+  let a = ot.ot_runs in
+  let r = ref (ot.ot_nr - 1) and found = ref (-1) in
+  while !found < 0 && !r >= 0 do
+    let b = 5 * !r in
+    let m = upto a.(b) a.(b + 1) a.(b + 4) now in
+    if m > 0 && a.(b + 2) >= 0 then
+      found := a.(b + 2) + ((m - 1) * a.(b + 3)) + t.cell_time_ns
+    else decr r
+  done;
+  !found
+
 (* The per-cell-equivalent transmitter horizon: an open train commits
    its whole burst into [next_free] at once, so while cells of open
    windows are still virtually un-offered the horizon a per-cell reader
@@ -139,18 +178,16 @@ let virtual_horizon t ~prio now =
   in
   let cls = List.filter (fun ot -> ot.ot_prio = prio) t.opens in
   match last_open cls with
-  | Some newest when newest.ot_n > 0 && newest.ot_offers.(newest.ot_n - 1) > now
-    ->
-      let rec back ot i older =
-        if i < 0 then
+  | Some newest when newest.ot_n > 0 && last_offer newest > now ->
+      let rec back ot older =
+        let h = last_sent_end t ot now in
+        if h >= 0 then h
+        else
           match last_open older with
-          | Some o -> back o (o.ot_n - 1) (List.filter (fun x -> x != o) older)
+          | Some o -> back o (List.filter (fun x -> x != o) older)
           | None -> ot.ot_h0
-        else if ot.ot_offers.(i) > now then back ot (i - 1) older
-        else if ot.ot_starts.(i) >= 0 then ot.ot_starts.(i) + t.cell_time_ns
-        else back ot (i - 1) older
       in
-      back newest (newest.ot_n - 1) (List.filter (fun x -> x != newest) cls)
+      back newest (List.filter (fun x -> x != newest) cls)
   | _ -> actual
 
 let queue_depth t =
@@ -173,46 +210,47 @@ let lose t cell ~why =
       ~args:[ ("vci", Sim.Trace.Int cell.Cell.vci) ]
       why
 
-(* Window arrays come from a per-link pool.  A window takes the
-   smallest spare pair that holds [cap] cells.  When none does it takes
-   a new pair and drops one spare that is too small, so a link never
-   holds more pairs than it has had windows open at once. *)
-let no_pair = ([||], [||])
-
-let rec best_fit cap best = function
-  | [] -> best
-  | ((o, _) as p) :: rest ->
-      let fits =
-        Array.length o >= cap
-        && (best == no_pair || Array.length o < Array.length (fst best))
-      in
-      best_fit cap (if fits then p else best) rest
-
-let rec without p = function
-  | [] -> []
-  | q :: rest -> if q == p then rest else q :: without p rest
-
-let take_arrays t cap =
-  let p = best_fit cap no_pair t.spare in
-  if p != no_pair then begin
-    t.spare <- without p t.spare;
-    p
-  end
-  else begin
-    (match t.spare with _ :: rest -> t.spare <- rest | [] -> ());
-    (Array.make cap 0, Array.make cap (-1))
-  end
-
-(* A window that has left [opens] for good hands its arrays back; no
-   event or closure reads them afterwards. *)
-let retire t ot = t.spare <- (ot.ot_offers, ot.ot_starts) :: t.spare
-
 let cancel_ev t ot =
   match ot.ot_ev with
   | Some ev ->
       ignore (Sim.Engine.cancel t.engine ev);
       ot.ot_ev <- None
   | None -> ()
+
+(* Append [n] cells offered from [o] at step [od] and starting from [s]
+   at step [sd] ([s = -1]: dropped).  Cells that carry on the last run's
+   steps extend it, so a window holds as few runs as its cells allow;
+   a one-cell run takes whatever steps join it to the next cells. *)
+let push ot o od s sd n =
+  let a = ot.ot_runs and b = 5 * (ot.ot_nr - 1) in
+  let n' = if b < 0 then 0 else a.(b + 4) in
+  let od' = if n' = 1 then o - a.(b) else if n' > 1 then a.(b + 1) else 0 in
+  let sd' = if n' = 1 then s - a.(b + 2) else if n' > 1 then a.(b + 3) else 0 in
+  if
+    n' > 0
+    && (a.(b + 2) < 0) = (s < 0)
+    && o = a.(b) + (n' * od')
+    && (n = 1 || od = od')
+    && (s < 0 || (s = a.(b + 2) + (n' * sd') && (n = 1 || sd = sd')))
+  then begin
+    a.(b + 1) <- od';
+    a.(b + 3) <- (if s < 0 then 0 else sd');
+    a.(b + 4) <- n' + n
+  end
+  else begin
+    if b + 5 = Array.length a then begin
+      let g = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 g 0 (Array.length a);
+      ot.ot_runs <- g
+    end;
+    let a = ot.ot_runs and b = b + 5 in
+    a.(b) <- o;
+    a.(b + 1) <- od;
+    a.(b + 2) <- s;
+    a.(b + 3) <- (if s < 0 then 0 else sd);
+    a.(b + 4) <- n;
+    ot.ot_nr <- ot.ot_nr + 1
+  end
 
 (* The instant of an open window's next processing event: for a
    [Stream] receiver, the arrival of the first unprocessed delivered
@@ -222,24 +260,28 @@ let cancel_ev t ot =
    endpoint.  When only dropped cells remain, their last virtual offer
    closes the window. *)
 let next_event_ns t ot =
-  let stream = match t.rx_train with Some (Stream _) -> true | _ -> false in
-  let found = ref (-1) in
-  (if stream then begin
-     let i = ref ot.ot_done in
-     while !found < 0 && !i < ot.ot_n do
-       if ot.ot_starts.(!i) >= 0 then found := !i;
-       incr i
-     done
-   end
-   else begin
-     let i = ref (ot.ot_n - 1) in
-     while !found < 0 && !i >= ot.ot_done do
-       if ot.ot_starts.(!i) >= 0 then found := !i;
-       decr i
-     done
-   end);
-  if !found >= 0 then ot.ot_starts.(!found) + ot.ot_lat
-  else ot.ot_offers.(ot.ot_n - 1)
+  sync ot;
+  let a = ot.ot_runs and found = ref (-1) in
+  (match t.rx_train with
+  | Some (Stream _) ->
+      let r = ref ot.ot_r and k = ref (ot.ot_done - ot.ot_r0) in
+      while !found < 0 && !r < ot.ot_nr do
+        let b = 5 * !r in
+        if a.(b + 2) >= 0 then found := a.(b + 2) + (!k * a.(b + 3))
+        else begin
+          incr r;
+          k := 0
+        end
+      done
+  | Some (Frame_end _) | None ->
+      let r = ref (ot.ot_nr - 1) in
+      while !found < 0 && !r >= ot.ot_r do
+        let b = 5 * !r in
+        if a.(b + 2) >= 0 then
+          found := a.(b + 2) + ((a.(b + 4) - 1) * a.(b + 3))
+        else decr r
+      done);
+  if !found >= 0 then !found + ot.ot_lat else last_offer ot
 
 (* A queue-delay sample: the dist takes integer ns; the windowed
    observer's µs float is only computed when a sink wants it. *)
@@ -247,6 +289,34 @@ let[@inline] book_delay t qd_ns =
   Sim.Metrics.observe t.m_queue_delay qd_ns;
   if Sim.Metrics.enabled t.m_queue_delay_win then
     Sim.Metrics.sample t.m_queue_delay_win (Float.of_int qd_ns /. 1e3)
+
+(* A run's queue delays, [first + j * step] ns for [count] cells: one
+   dist update for the run, and the windowed observer's samples one per
+   cell, in cell order, only when a sink wants them. *)
+let book_delays t ~first ~step ~count =
+  Sim.Metrics.observe_run t.m_queue_delay ~first ~step ~count;
+  if Sim.Metrics.enabled t.m_queue_delay_win then
+    for j = 0 to count - 1 do
+      Sim.Metrics.sample t.m_queue_delay_win
+        (Float.of_int (first + (j * step)) /. 1e3)
+    done
+
+(* The arrival instants of [count] sent cells that begin at cell [k0] of
+   run [r0] and span [pieces] runs. *)
+let arrivals ot r0 k0 pieces count =
+  let a = ot.ot_runs in
+  (* A literal is allocated inline; [Array.make] is a C call. *)
+  let out = if pieces = 1 then [| 0; 0; 0 |] else Array.make (3 * pieces) 0 in
+  let left = ref count in
+  for p = 0 to pieces - 1 do
+    let b = 5 * (r0 + p) and k = if p = 0 then k0 else 0 in
+    let m = Int.min (a.(b + 4) - k) !left in
+    out.(3 * p) <- a.(b + 2) + (k * a.(b + 3));
+    out.((3 * p) + 1) <- a.(b + 3);
+    out.((3 * p) + 2) <- m;
+    left := !left - m
+  done;
+  Cell_times.of_runs ~shift:ot.ot_lat out
 
 let rec send ?(priority = false) t cell =
   if t.opens <> [] then flush t;
@@ -290,6 +360,14 @@ let rec send ?(priority = false) t cell =
     end
   end
 
+(* Offer [cell] to the per-cell path at the instant [at] (ns). *)
+and reoffer t ~priority cell at =
+  t.pending_reoffers <- t.pending_reoffers + 1;
+  ignore
+    (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.ns at) (fun () ->
+         t.pending_reoffers <- t.pending_reoffers - 1;
+         send ~priority t cell))
+
 (* Split every open window at [boundary_ns]: cells whose virtual offer
    has passed stay committed, the remainder is cancelled — the class
    horizon rewinds to the prefix end — and re-offered through the
@@ -305,46 +383,47 @@ and flush ?boundary_ns t =
       let truncated = ref [] in
       List.iter
         (fun ot ->
-          let k = ref ot.ot_n in
-          while !k > 0 && ot.ot_offers.(!k - 1) > b do
-            decr k
+          (* Keep the cells offered by [b]: [nr] runs, the last of them
+             cut to [keep] cells. *)
+          let a = ot.ot_runs in
+          let nr = ref ot.ot_nr and n = ref ot.ot_n and keep = ref 0 in
+          while !nr > 0 && a.(5 * (!nr - 1)) > b do
+            decr nr;
+            n := !n - a.((5 * !nr) + 4)
           done;
-          if !k < ot.ot_n then begin
+          if !nr > 0 then begin
+            let rb = 5 * (!nr - 1) in
+            keep := upto a.(rb) a.(rb + 1) a.(rb + 4) b;
+            n := !n - (a.(rb + 4) - !keep)
+          end;
+          if !n < ot.ot_n then begin
             truncated := ot :: !truncated;
             let rolled = if ot.ot_prio then rolled_pr else rolled_be in
             if not !rolled then begin
               rolled := true;
-              let rec back i =
-                if i < 0 then ot.ot_h0
-                else if ot.ot_starts.(i) >= 0 then
-                  ot.ot_starts.(i) + t.cell_time_ns
-                else back (i - 1)
-              in
-              let h = Sim.Time.ns (back (!k - 1)) in
+              let h = last_sent_end t ot b in
+              let h = Sim.Time.ns (if h < 0 then ot.ot_h0 else h) in
               if ot.ot_prio then t.res_next_free <- h else t.next_free <- h
             end;
-            for i = !k to ot.ot_n - 1 do
-              let cell = Train.cell ot.ot_train i in
-              let at = Sim.Time.ns ot.ot_offers.(i) in
-              let prio = ot.ot_prio in
-              t.pending_reoffers <- t.pending_reoffers + 1;
-              ignore
-                (Sim.Engine.schedule_at t.engine ~at (fun () ->
-                     t.pending_reoffers <- t.pending_reoffers - 1;
-                     send ~priority:prio t cell))
+            let i = ref !n in
+            for r = Int.max 0 (!nr - 1) to ot.ot_nr - 1 do
+              let rb = 5 * r in
+              for j = (if r = !nr - 1 then !keep else 0) to a.(rb + 4) - 1 do
+                reoffer t ~priority:ot.ot_prio (Train.cell ot.ot_train !i)
+                  (a.(rb) + (j * a.(rb + 1)));
+                incr i
+              done
             done;
-            ot.ot_n <- !k
+            if !nr > 0 then a.((5 * (!nr - 1)) + 4) <- !keep;
+            ot.ot_nr <- !nr;
+            ot.ot_n <- !n
           end)
         opens;
       match !truncated with
       | [] -> ()
       | cut ->
           List.iter
-            (fun ot ->
-              if ot.ot_done >= ot.ot_n then begin
-                cancel_ev t ot;
-                retire t ot
-              end)
+            (fun ot -> if ot.ot_done >= ot.ot_n then cancel_ev t ot)
             cut;
           t.opens <- List.filter (fun ot -> ot.ot_done < ot.ot_n) t.opens;
           List.iter (fun ot -> if ot.ot_done < ot.ot_n then reschedule t ot) cut
@@ -363,33 +442,27 @@ and reschedule t ot =
            fire t ot))
 
 (* A receiver that re-entered the link during [process_upto] may have
-   closed the window already ([flush] retires a window it empties), or
+   closed the window already ([flush] drops a window it empties), or
    given it a new event. *)
 and fire t ot =
   process_upto t ot (now_ns t);
   if List.memq ot t.opens then
     if ot.ot_done >= ot.ot_n then begin
       cancel_ev t ot;
-      t.opens <- List.filter (fun o -> o != ot) t.opens;
-      retire t ot
+      t.opens <- List.filter (fun o -> o != ot) t.opens
     end
     else reschedule t ot
 
-(* Hand the delivered cells [first..last] of a window to the receiver
-   as one zero-copy sub-train.  The run's busy time is booked once,
-   before the receiver sees the run, so a read from inside the receiver
-   counts every cell delivered so far, as the per-cell path would. *)
-and deliver_run t ot first last =
-  let count = last - first + 1 in
+(* Hand [count] delivered cells of a window, from cell [first] (cell
+   [k0] of run [r0], over [pieces] runs), to the receiver as one
+   zero-copy sub-train.  The run's busy time is booked once, before the
+   receiver sees the run, so a read from inside the receiver counts
+   every cell delivered so far, as the per-cell path would. *)
+and deliver_run t ot first count r0 k0 pieces =
   t.busy <- Sim.Time.add t.busy (Sim.Time.mul t.cell_time count);
   let sub = Train.sub ot.ot_train ~first ~count in
   match t.rx_train with
-  | Some (Stream f) ->
-      let arrivals = Array.make count 0 in
-      for k = 0 to count - 1 do
-        arrivals.(k) <- ot.ot_starts.(first + k) + ot.ot_lat
-      done;
-      f sub ~arrivals_ns:arrivals
+  | Some (Stream f) -> f sub ~arrivals:(arrivals ot r0 k0 pieces count)
   | Some (Frame_end f) -> f sub
   | None ->
       for k = 0 to count - 1 do
@@ -397,65 +470,164 @@ and deliver_run t ot first last =
       done
 
 (* Process committed cells whose virtual offer has passed [w], one
-   maximal run at a time: a run of sent cells books its queue delays,
-   then its counters once, and is delivered as one sub-train; a run of
-   dropped cells books its counters once.  [ot_done] moves past a run
-   before the receiver sees it, so [pending_counts] does not count the
-   run a second time for a receiver that reads the counters.  A
-   receiver may re-enter the link and truncate the window ([flush]),
-   so [ot_n] is read afresh after every run. *)
+   maximal span of sent or of dropped cells at a time: a span of sent
+   cells books its queue delays run by run, then its counters once, and
+   is delivered as one sub-train; a span of dropped cells books its
+   counters once.  [ot_done] moves past a span before the receiver sees
+   it, so [pending_counts] does not count the span a second time for a
+   receiver that reads the counters.  A receiver may re-enter the link
+   and truncate the window ([flush]), so the runs are read afresh after
+   every span. *)
 and process_upto t ot w =
-  let offers = ot.ot_offers and starts = ot.ot_starts in
-  let i = ref ot.ot_done in
-  while !i < ot.ot_n && offers.(!i) <= w do
-    let first = !i in
-    if starts.(first) >= 0 then begin
-      while !i < ot.ot_n && offers.(!i) <= w && starts.(!i) >= 0 do
-        book_delay t (starts.(!i) - offers.(!i));
-        incr i
-      done;
-      let count = !i - first in
-      t.sent <- t.sent + count;
-      Sim.Metrics.incr ~by:count t.m_sent;
-      ot.ot_done <- !i;
-      deliver_run t ot first (!i - 1)
-    end
+  sync ot;
+  let go = ref true in
+  while !go && ot.ot_done < ot.ot_n do
+    let a = ot.ot_runs in
+    let r0 = ot.ot_r and k0 = ot.ot_done - ot.ot_r0 in
+    if a.(5 * r0) + (k0 * a.((5 * r0) + 1)) > w then go := false
     else begin
-      while !i < ot.ot_n && offers.(!i) <= w && starts.(!i) < 0 do
-        incr i
+      let sent = a.((5 * r0) + 2) >= 0 in
+      let first = ot.ot_done and pieces = ref 0 and more = ref true in
+      while !more && ot.ot_r < ot.ot_nr do
+        let b = 5 * ot.ot_r in
+        let k = ot.ot_done - ot.ot_r0 and len = a.(b + 4) in
+        let m =
+          if (a.(b + 2) >= 0) <> sent then 0
+          else upto (a.(b) + (k * a.(b + 1))) a.(b + 1) (len - k) w
+        in
+        if m = 0 then more := false
+        else begin
+          if sent then
+            book_delays t
+              ~first:(a.(b + 2) + (k * a.(b + 3)) - a.(b) - (k * a.(b + 1)))
+              ~step:(a.(b + 3) - a.(b + 1))
+              ~count:m;
+          incr pieces;
+          ot.ot_done <- ot.ot_done + m;
+          if k + m = len then begin
+            ot.ot_r0 <- ot.ot_r0 + len;
+            ot.ot_r <- ot.ot_r + 1
+          end
+          else more := false
+        end
       done;
-      let count = !i - first in
-      t.dropped <- t.dropped + count;
-      Sim.Metrics.incr ~by:count t.m_dropped;
-      ot.ot_done <- !i
+      let count = ot.ot_done - first in
+      if sent then begin
+        t.sent <- t.sent + count;
+        Sim.Metrics.incr ~by:count t.m_sent;
+        deliver_run t ot first count r0 k0 !pieces
+      end
+      else begin
+        t.dropped <- t.dropped + count;
+        Sim.Metrics.incr ~by:count t.m_dropped
+      end;
+      sync ot
     end
   done
 
-(* A window's offers, [n] from [base]: plain int stores, where
-   [Array.blit] and [Array.fill] would call [caml_modify] per element on
-   these major-heap arrays. *)
-let copy_offers offers_ns ~now (dst : int array) base n =
-  match offers_ns with
-  | Some (o : int array) ->
-      for i = 0 to n - 1 do
-        dst.(base + i) <- o.(i)
-      done
-  | None ->
-      for i = base to base + n - 1 do
-        dst.(i) <- now
-      done
+(* The per-cell path's start computation for [count] cells offered
+   from [o0] at step [d], appended to [ot]'s runs one branch of its
+   [max] at a time, from the class horizon given to the one returned.
+   Each branch lasts a number of cells that one division finds.
 
-let send_train ?(priority = false) ?offers_ns t train =
+   Reserved: a cell starts a cell time after [max o rf] and moves [rf]
+   a cell time past its start, so behind the horizon starts are two
+   cell times apart and the backlog [rf - o] changes by [2 ctn - d] a
+   cell; ahead of it a cell starts a cell time after its offer. *)
+let analyze_reserved t ot o0 d count rf =
+  let ctn = t.cell_time_ns in
+  let rf = ref rf and i = ref 0 in
+  while !i < count do
+    let o = o0 + (!i * d) and left = count - !i in
+    if !rf >= o then begin
+      let k =
+        if d <= 2 * ctn then left
+        else Int.min left (((!rf - o) / (d - (2 * ctn))) + 1)
+      in
+      push ot o d (!rf + ctn) (2 * ctn) k;
+      rf := !rf + (2 * ctn * k);
+      i := !i + k
+    end
+    else begin
+      let k = if d > 2 * ctn then left else 1 in
+      push ot o d (o + ctn) d k;
+      rf := o + ((k - 1) * d) + (2 * ctn);
+      i := !i + k
+    end
+  done;
+  !rf
+
+(* Best effort: a cell whose backlog [nf - o] exceeds [q_lim] is
+   dropped and leaves [nf] alone.  Otherwise it starts at [max o nf rf]
+   and moves [nf] a cell time past its start: behind the horizon starts
+   are a cell time apart and the backlog changes by [ctn - d] a cell;
+   on an idle line a cell starts at its offer.  [rf] does not move
+   here, so it can be the [max] for one cell only. *)
+let analyze_best_effort t ot o0 d count nf =
+  let ctn = t.cell_time_ns and lim = t.q_lim in
+  let rf = Sim.Time.to_ns t.res_next_free in
+  let nf = ref nf and i = ref 0 in
+  while !i < count do
+    let o = o0 + (!i * d) and left = count - !i in
+    if !nf - o > lim then begin
+      let k = if d = 0 then left else Int.min left ((!nf - lim - o + d - 1) / d) in
+      push ot o d (-1) 0 k;
+      i := !i + k
+    end
+    else if rf > o && rf > !nf then begin
+      push ot o d rf ctn 1;
+      nf := rf + ctn;
+      i := !i + 1
+    end
+    else if !nf >= o then begin
+      let backlog = !nf - o in
+      let k =
+        if d < ctn then Int.min left (((lim - backlog) / (ctn - d)) + 1)
+        else if d = ctn then left
+        else Int.min left ((backlog / (d - ctn)) + 1)
+      in
+      push ot o d !nf ctn k;
+      nf := !nf + (k * ctn);
+      i := !i + k
+    end
+    else begin
+      let k = if d >= ctn then left else 1 in
+      push ot o d o d k;
+      nf := o + ((k - 1) * d) + ctn;
+      i := !i + k
+    end
+  done;
+  !nf
+
+(* Commit [offers] (every cell offered [now] without them) against the
+   class horizon. *)
+let analyze t ot ~priority ~now offers n =
+  let step = if priority then analyze_reserved else analyze_best_effort in
+  let h =
+    ref (Sim.Time.to_ns (if priority then t.res_next_free else t.next_free))
+  in
+  (match offers with
+  | None -> h := step t ot now 0 n !h
+  | Some o ->
+      for r = 0 to Cell_times.runs o - 1 do
+        h :=
+          step t ot (Cell_times.run_first o r) (Cell_times.run_step o r)
+            (Cell_times.run_count o r) !h
+      done);
+  if priority then t.res_next_free <- Sim.Time.ns !h
+  else t.next_free <- Sim.Time.ns !h
+
+let send_train ?(priority = false) ?offers t train =
   let n = Train.count train in
-  (match offers_ns with
-  | Some o when Array.length o <> n ->
+  (match offers with
+  | Some o when Cell_times.cells o <> n ->
       invalid_arg "Link.send_train: offers length mismatch"
   | _ -> ());
   let now = now_ns t in
-  let first_offer = match offers_ns with Some o -> o.(0) | None -> now in
+  let first_offer = match offers with Some o -> Cell_times.first o | None -> now in
   if t.opens <> [] then flush ~boundary_ns:first_offer t;
   let tracing = Sim.Trace.cell_detail_on (Sim.Engine.trace t.engine) in
-  if t.is_down || t.loss <> None || tracing || t.pending_reoffers > 0 then
+  if t.is_down || t.loss <> None || tracing || t.pending_reoffers > 0 then begin
     (* Per-cell fidelity required (loss streams draw an RNG decision per
        cell in offer order; outages may lift mid-window; cell-detail
        tracing stamps per-cell instants — flow-only tracing does NOT
@@ -464,50 +636,25 @@ let send_train ?(priority = false) ?offers_ns t train =
        ties against this commit, exactly as their earlier injection
        order would under the per-cell path): run every cell through the
        per-cell path at its virtual offer instant. *)
-    for i = 0 to n - 1 do
-      let o = match offers_ns with Some ofs -> ofs.(i) | None -> now in
+    let offer i o =
       if o <= now then send ~priority t (Train.cell train i)
-      else begin
-        let cell = Train.cell train i in
-        t.pending_reoffers <- t.pending_reoffers + 1;
-        ignore
-          (Sim.Engine.schedule_at t.engine ~at:(Sim.Time.ns o) (fun () ->
-               t.pending_reoffers <- t.pending_reoffers - 1;
-               send ~priority t cell))
-      end
-    done
-  else begin
-    let ctn = t.cell_time_ns in
-    let lat = ctn + t.prop_ns + Sim.Time.to_ns t.extra_prop in
-    (* The same start computation the per-cell path makes, one cell at a
-       time, applied to [offers.(base .. base+n-1)] against the current
-       class horizons. *)
-    let analyze offers starts base =
-      if priority then begin
-        let rf = ref (Sim.Time.to_ns t.res_next_free) in
-        for i = base to base + n - 1 do
-          let s = Int.max offers.(i) !rf + ctn in
-          starts.(i) <- s;
-          rf := s + ctn
-        done;
-        t.res_next_free <- Sim.Time.ns !rf
-      end
-      else begin
-        let nf = ref (Sim.Time.to_ns t.next_free) in
-        let rf = Sim.Time.to_ns t.res_next_free in
-        let lim = t.q_lim in
-        for i = base to base + n - 1 do
-          let o = offers.(i) in
-          if !nf - o <= lim then begin
-            let s = Int.max (Int.max o !nf) rf in
-            starts.(i) <- s;
-            nf := s + ctn
-          end
-          else starts.(i) <- -1
-        done;
-        t.next_free <- Sim.Time.ns !nf
-      end
+      else reoffer t ~priority (Train.cell train i) o
     in
+    match offers with
+    | None ->
+        for i = 0 to n - 1 do
+          offer i now
+        done
+    | Some o ->
+        let i = ref 0 in
+        Cell_times.iter
+          (fun at ->
+            offer !i at;
+            incr i)
+          o
+  end
+  else begin
+    let lat = t.cell_time_ns + t.prop_ns + Sim.Time.to_ns t.extra_prop in
     let continuation =
       (* A chunk continuing the newest open window's frame (switches
          hand a frame over in wire-rate chunks): extend that window in
@@ -523,42 +670,41 @@ let send_train ?(priority = false) ?offers_ns t train =
              && ot.ot_train.Train.vci = train.Train.vci
              && ot.ot_train.Train.first + ot.ot_n = train.Train.first
              && ot.ot_n + n <= ot.ot_cap
-             && (ot.ot_n = 0 || first_offer >= ot.ot_offers.(ot.ot_n - 1)) ->
+             && (ot.ot_n = 0 || first_offer >= last_offer ot) ->
           Some ot
       | _ -> None
     in
     match continuation with
     | Some ot ->
-        let base = ot.ot_n in
-        copy_offers offers_ns ~now ot.ot_offers base n;
-        analyze ot.ot_offers ot.ot_starts base;
-        ot.ot_train <- { ot.ot_train with Train.count = base + n };
-        ot.ot_n <- base + n;
+        analyze t ot ~priority ~now offers n;
+        ot.ot_train <- { ot.ot_train with Train.count = ot.ot_n + n };
+        ot.ot_n <- ot.ot_n + n;
         reschedule t ot
     | None ->
         let h0 =
           Sim.Time.to_ns (if priority then t.res_next_free else t.next_free)
         in
-        (* Room for the frame's remaining cells, so continuation chunks
-           append without reallocating. *)
-        let cap = Stdlib.max n (Train.total train - Train.first train) in
-        let offers, starts = take_arrays t cap in
-        copy_offers offers_ns ~now offers 0 n;
-        analyze offers starts 0;
         let ot =
           {
             ot_train = train;
             ot_prio = priority;
-            ot_offers = offers;
-            ot_starts = starts;
-            ot_cap = cap;
+            (* Room for two runs, as a literal ([arrivals] says why);
+               [push] grows it. *)
+            ot_runs = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |];
+            ot_nr = 0;
+            (* Room for the frame's remaining cells, so continuation
+               chunks can extend the window. *)
+            ot_cap = Stdlib.max n (Train.total train - Train.first train);
             ot_h0 = h0;
             ot_lat = lat;
             ot_n = n;
             ot_done = 0;
+            ot_r = 0;
+            ot_r0 = 0;
             ot_ev = None;
           }
         in
+        analyze t ot ~priority ~now offers n;
         t.opens <- t.opens @ [ ot ];
         reschedule t ot
   end
@@ -588,10 +734,19 @@ let pending_counts t =
       let s = ref 0 and d = ref 0 in
       List.iter
         (fun ot ->
-          let i = ref ot.ot_done in
-          while !i < ot.ot_n && ot.ot_offers.(!i) <= now do
-            if ot.ot_starts.(!i) >= 0 then incr s else incr d;
-            incr i
+          sync ot;
+          let a = ot.ot_runs in
+          let r = ref ot.ot_r and k = ref (ot.ot_done - ot.ot_r0) in
+          while !r < ot.ot_nr do
+            let b = 5 * !r in
+            let len = a.(b + 4) in
+            let m = upto (a.(b) + (!k * a.(b + 1))) a.(b + 1) (len - !k) now in
+            if a.(b + 2) >= 0 then s := !s + m else d := !d + m;
+            if !k + m < len then r := ot.ot_nr
+            else begin
+              incr r;
+              k := 0
+            end
           done)
         opens;
       (!s, !d)

@@ -10,10 +10,10 @@
 type t
 
 type train_rx =
-  | Stream of (Train.t -> arrivals_ns:int array -> unit)
+  | Stream of (Train.t -> arrivals:Cell_times.t -> unit)
       (** a mid-path hop (switch): sub-trains are handed over as soon as
-          their cells are irrevocably committed, with each cell's
-          absolute arrival instant in ns *)
+          their cells are irrevocably committed, with the cells'
+          absolute arrival instants in ns, as runs *)
   | Frame_end of (Train.t -> unit)
       (** an endpoint (host NIC): the window is delivered once, at the
           arrival instant of its last transmitted cell — the only
@@ -37,31 +37,33 @@ val send : ?priority:bool -> t -> Cell.t -> unit
     and see at most one cell time of interference from best-effort
     traffic (non-preemptive line). *)
 
-val send_train : ?priority:bool -> ?offers_ns:int array -> t -> Train.t -> unit
+val send_train : ?priority:bool -> ?offers:Cell_times.t -> t -> Train.t -> unit
 (** The fast path: offer a whole train with one call and (usually) one
     scheduled delivery event, instead of one event per cell.
 
-    [offers_ns.(i)] is the instant the per-cell path would have offered
-    cell [i] to this link (default: every cell now).  Offers must be
-    non-decreasing and [offers_ns.(0)] must not precede now.  Start
-    slots, queue-overflow drops, counters and delivery instants are
-    computed analytically against the same transmitter horizons the
-    per-cell path uses, so the result is byte-identical by
+    [offers] gives the instants at which the per-cell path would have
+    offered the train's cells to this link (default: every cell now),
+    one per cell.  They must be non-decreasing and must not precede
+    now.  Start slots, queue-overflow drops, counters and delivery
+    instants are computed analytically against the same transmitter
+    horizons the per-cell path uses, so the result is byte-identical by
     construction (one known exception, same-instant ties between VCs,
-    is described in DESIGN.md §7).  When per-cell fidelity is genuinely required — the
-    link is down, a loss stream is active, cell-detail tracing is on
-    (flow-only tracing is not enough), or cells an earlier split
-    re-offered are still pending — the train transparently falls back
-    to per-cell [send]s at the virtual offer instants; interference
-    arriving mid-window splits the un-offered remainder back to the
-    per-cell path.
+    is described in DESIGN.md §7).  When per-cell fidelity is genuinely
+    required — the link is down, a loss stream is active, cell-detail
+    tracing is on (flow-only tracing is not enough), or cells an
+    earlier split re-offered are still pending — the train
+    transparently falls back to per-cell [send]s at the virtual offer
+    instants; interference arriving mid-window splits the un-offered
+    remainder back to the per-cell path, cell by cell.
 
-    A committed window keeps each cell's offer and start instants in
-    two arrays drawn from a per-link pool; they return to it when the
-    window completes or a split empties it, so a link holds at most as
-    many pairs as it has had windows open at once.  A chunk that
-    continues the newest open window of the same frame (one
-    {!Train.frame}, not merely the same PDU) extends it in place. *)
+    A committed window keeps its cells' offer and start instants as
+    runs of constant step, so its bookkeeping (start slots, queue-delay
+    samples, counters, splits, the instants handed to a [Stream]
+    receiver) costs O(runs), not O(cells); a frame paced at line rate is
+    one run.  A chunk that continues the newest open window of the same
+    frame (one {!Train.frame}, not merely the same PDU) extends it in
+    place.  Raises [Invalid_argument] when [offers] does not hold one
+    instant per cell. *)
 
 val reserve : t -> bps:int -> bool
 (** Admission control: reserve bandwidth for a VC crossing this link;

@@ -186,7 +186,7 @@ let rx_for t id port =
 let rx_train_for t id port =
   match t.nodes.(id).kind with
   | Switch_node sw ->
-      Link.Stream (fun train ~arrivals_ns -> Switch.input_train sw port train ~arrivals_ns)
+      Link.Stream (fun train ~arrivals -> Switch.input_train sw port train ~arrivals)
   | Host_node _ -> Link.Frame_end (fun train -> host_rx_train t id train)
 
 let connect t ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)

@@ -3,9 +3,9 @@ type port = int
 (* A burst whose counters were bumped at handover time: cells with
    arrival instants still in the future are subtracted back out by the
    accessors, so reads always match the per-cell path, which counts
-   each cell at its own arrival event.  [pa] holds per-cell instants
-   shifted by [poff] (the fabric delay once the burst is routed). *)
-type pend = { pa : int array; poff : int; pport : int; pun : bool }
+   each cell at its own arrival event.  [pa] holds the cells' arrival
+   instants at this input port. *)
+type pend = { pa : Cell_times.t; pport : int; pun : bool }
 
 type t = {
   engine : Sim.Engine.t;
@@ -106,44 +106,30 @@ let input t in_port (cell : Cell.t) =
           ignore (Sim.Engine.schedule t.engine ~delay:t.fabric_delay forward)
     end
 
-(* The train fast path: one routing lookup and one fabric-transit event
-   for a whole burst.  [arrivals_ns] (each cell's arrival at this input
-   port) becomes, shifted by the fabric delay, the virtual offer vector
-   the output link schedules against — so per-cell timing is preserved
-   exactly.  The array is consumed: it is shifted in place and handed to
-   the link. *)
 let now_ns t = Sim.Time.to_ns (Sim.Engine.now t.engine)
 
 let prune_pending t =
   let now = now_ns t in
-  t.pending <-
-    List.filter
-      (fun p -> p.pa.(Array.length p.pa - 1) - p.poff > now)
-      t.pending
+  t.pending <- List.filter (fun p -> Cell_times.last p.pa > now) t.pending
 
 (* Cells counted at handover whose arrival has not happened yet. *)
 let future_cells t pred =
   let now = now_ns t in
   List.fold_left
-    (fun acc p ->
-      if pred p then begin
-        let k = ref 0 in
-        let i = ref (Array.length p.pa - 1) in
-        while !i >= 0 && p.pa.(!i) - p.poff > now do
-          incr k;
-          decr i
-        done;
-        acc + !k
-      end
-      else acc)
+    (fun acc p -> if pred p then acc + Cell_times.count_after p.pa now else acc)
     0 t.pending
 
-let note_pending t pa poff pport pun =
+let note_pending t pa pport pun =
   prune_pending t;
-  if pa.(Array.length pa - 1) - poff > now_ns t then
-    t.pending <- { pa; poff; pport; pun } :: t.pending
+  if Cell_times.last pa > now_ns t then
+    t.pending <- { pa; pport; pun } :: t.pending
 
-let input_train t in_port (train : Train.t) ~arrivals_ns =
+(* The train fast path: one routing lookup for a whole burst, and no
+   fabric-transit event at all.  [arrivals] (each cell's arrival at this
+   input port), shifted by the fabric delay, becomes the virtual offer
+   sequence the output link schedules against — so per-cell timing is
+   preserved exactly, at a cost that follows the arrivals' runs. *)
+let input_train t in_port (train : Train.t) ~arrivals =
   let n = Train.count train in
   if in_port >= 0 && in_port < t.nports then
     t.port_cells.(in_port) <- t.port_cells.(in_port) + n;
@@ -162,7 +148,7 @@ let input_train t in_port (train : Train.t) ~arrivals_ns =
          counting the burst is all the per-cell path would have done. *)
       t.unroutable <- t.unroutable + n;
       Sim.Metrics.incr ~by:n t.m_unroutable;
-      note_pending t arrivals_ns 0 in_port true
+      note_pending t arrivals in_port true
   | Some (link, out_vci, priority) ->
       t.switched <- t.switched + n;
       Sim.Metrics.incr ~by:n t.m_switched;
@@ -176,20 +162,18 @@ let input_train t in_port (train : Train.t) ~arrivals_ns =
         && Train.flow train >= 0
       then
         Sim.Trace.flow_step tr
-          ~ts:(Sim.Time.ns arrivals_ns.(n - 1))
+          ~ts:(Sim.Time.ns (Cell_times.last arrivals))
           ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train)
           ("sw:" ^ t.name);
       train.Train.vci <- out_vci;
-      let fabric = Sim.Time.to_ns t.fabric_delay in
-      for i = 0 to n - 1 do
-        arrivals_ns.(i) <- arrivals_ns.(i) + fabric
-      done;
-      note_pending t arrivals_ns fabric in_port false;
+      note_pending t arrivals in_port false;
       (* Commit downstream immediately with the (future) fabric-shifted
          instants as virtual offers: the output link reveals each cell
          only once its offer passes, so no fabric-transit event per
          burst is needed at all. *)
-      Link.send_train ~priority ~offers_ns:arrivals_ns link train
+      Link.send_train ~priority
+        ~offers:(Cell_times.shift arrivals (Sim.Time.to_ns t.fabric_delay))
+        link train
 
 let cells_switched t =
   prune_pending t;

@@ -40,12 +40,16 @@ val route : t -> in_port:port -> in_vci:int -> (port * int) option
 val input : t -> port -> Cell.t -> unit
 (** Deliver a cell to an input port (this is the link rx callback). *)
 
-val input_train : t -> port -> Train.t -> arrivals_ns:int array -> unit
+val input_train : t -> port -> Train.t -> arrivals:Cell_times.t -> unit
 (** Deliver a train window to an input port (the link's [Stream]
-    callback): one routing lookup, one fabric-transit event for the
-    whole burst.  [arrivals_ns] gives each cell's arrival instant at
-    this port and is consumed — shifted by the fabric delay in place it
-    becomes the offer vector for the output link. *)
+    callback): one routing lookup for the whole burst, and no
+    fabric-transit event.  [arrivals] gives each cell's arrival instant
+    at this port; shifted by the fabric delay it becomes the offer
+    sequence for the output link, so the switch's cost follows the
+    number of runs in [arrivals], not of cells.  The switch keeps
+    [arrivals] while some of them lie in the future, so that
+    {!cells_switched}, {!cells_unroutable} and {!port_cells} count
+    each cell only once it has arrived. *)
 
 val cells_switched : t -> int
 val cells_unroutable : t -> int

@@ -311,12 +311,11 @@ let[@inline] msb x =
 
 (* The histogram bucket of [x >= 0]: [x] itself below 128, else
    [64 * (e - 6) + x lsr (e - 6)] for [x] in [\[2^e, 2^(e+1))], the
-   top seven bits of [x].  Every int has a bucket below 3 648. *)
-let[@inline] bucket x =
-  if x < 128 then x
-  else
-    let shift = msb x - 6 in
-    (shift lsl 6) + (x lsr shift)
+   top seven bits of [x].  Every int has a bucket below 3 648.  The
+   bucket holds the [2^sh] values that share [x lsr sh]. *)
+let[@inline] bucket_shift x = if x < 128 then 0 else msb x - 6
+let[@inline] bucket_at x sh = (sh lsl 6) + (x lsr sh)
+let[@inline] bucket x = bucket_at x (bucket_shift x)
 
 (* The lowest value of bucket [b] and the bucket's width. *)
 let bucket_range b =
@@ -325,12 +324,15 @@ let bucket_range b =
     let shift = (b lsr 6) - 1 in
     ((b land 63) + 64) lsl shift, 1 lsl shift
 
-let[@inline] observe d x =
+let[@inline] moments d x =
   if x lsr 31 = 0 then begin
     add_sum d x;
     add_sq d (x * x)
   end
-  else moments_wide d x;
+  else moments_wide d x
+
+let[@inline] observe d x =
+  moments d x;
   let n = d.d_n + 1 in
   d.d_n <- n;
   if x < d.d_min then d.d_min <- x;
@@ -340,6 +342,64 @@ let[@inline] observe d x =
   if b >= Array.length d.d_hist then grow_hist d b;
   let h = d.d_hist in
   Array.unsafe_set h b (Array.unsafe_get h b + 1)
+
+(* [count] samples [first + j * step].  The moments come in closed form
+   when every sample is below 2^31 ns, the run has at most 2^20 of them
+   and [count * max^2] fits in an int: then each total, and each of the
+   three terms of the sum of squares, lies in [\[0, 2^62)] or its
+   negation, so int arithmetic gives the totals exactly even where a
+   partial sum wraps.  [sj] and [sjj] are the sums of [j] and [j^2]. *)
+let observe_run d ~first ~step ~count =
+  if count > 0 then begin
+    let last = first + ((count - 1) * step) in
+    let lo = Int.min first last and hi = Int.max first last in
+    if lo < 0 then
+      invalid_arg
+        (Printf.sprintf "Metrics.observe_run: %s/%s: negative sample %d"
+           (Subsystem.to_string d.d_sub) d.d_name lo);
+    if count <= 1 lsl 20 && hi lsr 31 = 0 && hi * hi <= max_int / count then begin
+      let sj = count * (count - 1) / 2 in
+      let sjj = sj * ((2 * count) - 1) / 3 in
+      add_sum d ((count * first) + (step * sj));
+      add_sq d ((count * first * first) + (2 * first * step * sj) + (step * step * sjj))
+    end
+    else
+      for j = 0 to count - 1 do
+        moments d (first + (j * step))
+      done;
+    if lo < d.d_min then d.d_min <- lo;
+    if hi > d.d_max then d.d_max <- hi;
+    let j = ref 0 in
+    while !j < count && d.d_n < d.d_raw_cap do
+      d.d_n <- d.d_n + 1;
+      keep_raw d (first + (!j * step));
+      j := !j + 1
+    done;
+    d.d_n <- d.d_n + (count - !j);
+    let top = bucket hi in
+    if top >= Array.length d.d_hist then grow_hist d top;
+    let h = d.d_hist in
+    if step = 0 then begin
+      let b = bucket first in
+      h.(b) <- h.(b) + count
+    end
+    else begin
+      (* One add per bucket: the run stays [k] samples in the bucket of
+         [x], whose lowest value is [lo]. *)
+      let j = ref 0 in
+      while !j < count do
+        let x = first + (!j * step) in
+        let sh = bucket_shift x in
+        let lo = (x lsr sh) lsl sh in
+        let room = if step > 0 then lo + (1 lsl sh) - 1 - x else x - lo in
+        let stride = Int.abs step in
+        let k = if room < stride then 1 else Int.min ((room / stride) + 1) (count - !j) in
+        let b = bucket_at x sh in
+        h.(b) <- h.(b) + k;
+        j := !j + k
+      done
+    end
+  end
 
 let observed d = d.d_n
 

@@ -97,6 +97,16 @@ val observe : dist -> int -> unit
     no minor-heap words.  Raises [Invalid_argument] on a negative
     sample. *)
 
+val observe_run : dist -> first:int -> step:int -> count:int -> unit
+(** Record the [count] durations [first + j * step] ns, [j] in
+    [\[0, count)]: the same dist as [count] calls of {!observe}, in
+    O(buckets the run crosses) rather than O(count).  The sum and sum
+    of squares come in closed form, min and max from the run's ends,
+    and the histogram takes one add per bucket; samples are stored raw
+    one by one only while the dist holds fewer than its raw cap (all
+    of them with [~exact_dists:true]).  [count <= 0] records nothing.
+    Raises [Invalid_argument] when a sample would be negative. *)
+
 val observed : dist -> int
 (** Number of observations recorded. *)
 

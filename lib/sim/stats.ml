@@ -144,124 +144,6 @@ module Samples = struct
   let to_array t = Array.sub t.data 0 t.len
 end
 
-module Reservoir = struct
-  (* Algorithm R over a fixed-size buffer.  The first [capacity]
-     observations are stored verbatim (so small distributions keep
-     exact percentiles); from then on observation [i] replaces a
-     uniformly chosen slot with probability [capacity / i].  The
-     replacement stream comes from an explicit SplitMix64 generator, so
-     the retained sample — and therefore every percentile snapshot — is
-     a pure function of (seed, observation sequence). *)
-  type t = {
-    data : float array;
-    scratch : float array;
-    mutable stored : int;
-    mutable seen : int;
-    mutable sorted : bool;
-    mutable rng : Rng.t;
-    seed : int64;
-  }
-
-  let default_capacity = 1024
-
-  (* "reservo" in ASCII — an arbitrary fixed default seed. *)
-  let create ?(capacity = default_capacity) ?(seed = 0x7265736572766FL) () =
-    if capacity <= 0 then invalid_arg "Reservoir.create: capacity must be > 0";
-    {
-      data = Array.make capacity 0.0;
-      scratch = Array.make capacity 0.0;
-      stored = 0;
-      seen = 0;
-      sorted = false;
-      rng = Rng.create ~seed ();
-      seed;
-    }
-
-  let capacity t = Array.length t.data
-
-  let[@inline] add t x =
-    t.seen <- t.seen + 1;
-    let cap = Array.length t.data in
-    if t.stored < cap then begin
-      t.data.(t.stored) <- x;
-      t.stored <- t.stored + 1;
-      t.sorted <- false
-    end
-    else begin
-      let j = Rng.int t.rng t.seen in
-      if j < cap then begin
-        t.data.(j) <- x;
-        t.sorted <- false
-      end
-    end
-
-  let count t = t.seen
-  let stored t = t.stored
-
-  let clear t =
-    t.stored <- 0;
-    t.seen <- 0;
-    t.sorted <- false;
-    (* Restart the replacement stream too, so a cleared reservoir
-       replays exactly like a fresh one. *)
-    t.rng <- Rng.create ~seed:t.seed ()
-
-  (* Sorting happens in a scratch copy: [data] must keep insertion
-     order, because Algorithm R replaces by slot index. *)
-  let sorted_view t =
-    if not t.sorted then begin
-      Array.blit t.data 0 t.scratch 0 t.stored;
-      let sub = Array.sub t.scratch 0 t.stored in
-      Array.sort Float.compare sub;
-      Array.blit sub 0 t.scratch 0 t.stored;
-      t.sorted <- true
-    end;
-    t.scratch
-
-  let percentile t p =
-    if t.stored = 0 then invalid_arg "Reservoir.percentile: empty";
-    let view = sorted_view t in
-    let rank = p /. 100.0 *. Float.of_int (t.stored - 1) in
-    let lo = Float.to_int (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (t.stored - 1) in
-    let frac = rank -. Float.of_int lo in
-    view.(lo) +. (frac *. (view.(hi) -. view.(lo)))
-
-  let to_array t = Array.sub t.data 0 t.stored
-
-  (* Keep [m] of the first [n] values of [a], chosen by a partial
-     Fisher-Yates shuffle: they end up in [a.(0 .. m-1)]. *)
-  let choose rng a ~n ~m =
-    for i = 0 to m - 1 do
-      let j = i + Rng.int rng (n - i) in
-      let x = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- x
-    done
-
-  let merge ~into src =
-    let cap = Array.length into.data in
-    let seen = into.seen + src.seen in
-    if into.stored + src.stored <= cap then begin
-      Array.blit src.data 0 into.data into.stored src.stored;
-      into.stored <- into.stored + src.stored
-    end
-    else begin
-      (* Each side's share of the slots follows the observations it
-         stands for; the values filling them are drawn with [into]'s own
-         generator. *)
-      let k = ((src.seen * cap) + (seen / 2)) / seen in
-      let k = Stdlib.max (cap - into.stored) (Stdlib.min src.stored k) in
-      choose into.rng into.data ~n:into.stored ~m:(cap - k);
-      let picked = Array.sub src.data 0 src.stored in
-      choose into.rng picked ~n:src.stored ~m:k;
-      Array.blit picked 0 into.data (cap - k) k;
-      into.stored <- cap
-    end;
-    into.seen <- seen;
-    into.sorted <- false
-end
-
 module Histogram = struct
   type t = {
     width : float;

@@ -940,12 +940,6 @@ let alloc_tests =
     zero "Summary.add"
       (let s = Sim.Stats.Summary.create () in
        fun i -> Sim.Stats.Summary.add s (sample i));
-    zero "Reservoir.add past capacity"
-      (let r = Sim.Stats.Reservoir.create ~capacity:64 () in
-       for i = 1 to 64 do
-         Sim.Stats.Reservoir.add r (sample i)
-       done;
-       fun i -> Sim.Stats.Reservoir.add r (sample i));
     zero "Rng.int"
       (let r = Sim.Rng.create ~seed:7L () in
        fun i -> if Sim.Rng.int r (1 + i) < 0 then Alcotest.fail "negative draw");
@@ -1131,83 +1125,6 @@ let stats_tests =
         Alcotest.(check (list (pair string int))) "list"
           [ ("a", 5); ("b", 1) ]
           (Sim.Stats.Counter.to_list c));
-  ]
-
-let reservoir_tests =
-  [
-    Alcotest.test_case "below capacity the reservoir is exact" `Quick (fun () ->
-        let r = Sim.Stats.Reservoir.create ~capacity:128 () in
-        let s = Sim.Stats.Samples.create () in
-        for i = 1 to 100 do
-          Sim.Stats.Reservoir.add r (Float.of_int i);
-          Sim.Stats.Samples.add s (Float.of_int i)
-        done;
-        Alcotest.(check int) "count" 100 (Sim.Stats.Reservoir.count r);
-        Alcotest.(check int) "stored" 100 (Sim.Stats.Reservoir.stored r);
-        List.iter
-          (fun q ->
-            Alcotest.(check (float 1e-9))
-              (Printf.sprintf "p%.0f" q)
-              (Sim.Stats.Samples.percentile s q)
-              (Sim.Stats.Reservoir.percentile r q))
-          [ 0.0; 25.0; 50.0; 95.0; 99.0; 100.0 ]);
-    Alcotest.test_case "same seed and stream give identical reservoirs" `Quick
-      (fun () ->
-        let fill () =
-          let r = Sim.Stats.Reservoir.create ~capacity:64 ~seed:11L () in
-          for i = 1 to 10_000 do
-            Sim.Stats.Reservoir.add r (Float.of_int (i * 31 mod 997))
-          done;
-          r
-        in
-        let a = fill () and b = fill () in
-        Alcotest.(check bool) "retained samples identical" true
-          (Sim.Stats.Reservoir.to_array a = Sim.Stats.Reservoir.to_array b);
-        Alcotest.(check (float 1e-9)) "p95 identical"
-          (Sim.Stats.Reservoir.percentile a 95.0)
-          (Sim.Stats.Reservoir.percentile b 95.0));
-    Alcotest.test_case "clear replays exactly like a fresh reservoir" `Quick
-      (fun () ->
-        let r = Sim.Stats.Reservoir.create ~capacity:32 ~seed:5L () in
-        let feed () =
-          for i = 1 to 1000 do
-            Sim.Stats.Reservoir.add r (Float.of_int (i * 7 mod 101))
-          done
-        in
-        feed ();
-        let first = Sim.Stats.Reservoir.to_array r in
-        Sim.Stats.Reservoir.clear r;
-        Alcotest.(check int) "cleared" 0 (Sim.Stats.Reservoir.count r);
-        feed ();
-        Alcotest.(check bool) "identical replay" true
-          (Sim.Stats.Reservoir.to_array r = first));
-    Alcotest.test_case "percentiles stay within tolerance beyond capacity"
-      `Quick (fun () ->
-        (* 100k uniform draws into a 1024-slot reservoir: p50/p95/p99
-           must sit within a few rank points of truth.  The bound here
-           is ~4 sigma of the documented standard error, so the (fully
-           deterministic) check is far from flaky. *)
-        let r = Sim.Stats.Reservoir.create () in
-        let rng = Sim.Rng.create ~seed:99L () in
-        for _ = 1 to 100_000 do
-          Sim.Stats.Reservoir.add r (Sim.Rng.float rng *. 1000.0)
-        done;
-        Alcotest.(check int) "count tracks the stream" 100_000
-          (Sim.Stats.Reservoir.count r);
-        Alcotest.(check int) "memory bounded" 1024
-          (Sim.Stats.Reservoir.stored r);
-        let check q truth tol =
-          let got = Sim.Stats.Reservoir.percentile r q in
-          if Float.abs (got -. truth) > tol then
-            Alcotest.failf "p%.0f = %.1f, want %.1f ± %.0f" q got truth tol
-        in
-        check 50.0 500.0 65.0;
-        check 95.0 950.0 30.0;
-        check 99.0 990.0 15.0);
-    Alcotest.test_case "capacity must be positive" `Quick (fun () ->
-        Alcotest.check_raises "zero"
-          (Invalid_argument "Reservoir.create: capacity must be > 0") (fun () ->
-            ignore (Sim.Stats.Reservoir.create ~capacity:0 ())));
   ]
 
 let trace_tests =
@@ -2053,6 +1970,87 @@ let metrics_tests =
           (fun () -> ignore (Sim.Metrics.dist m ~sub:Sim.Subsystem.Pfs "pass_ms")));
   ]
 
+let dist_run_tests =
+  [
+    (* [observe_run] books a run of a link window in closed form; it
+       must leave exactly the dist that the run's samples, observed one
+       by one, leave.  Runs start from edge cases (crossing 2^31 ns or
+       bucket edges, or the 1 024 raw samples partway or at their end)
+       or at random, with a step that is negative, zero or positive.
+       Before the run the dist takes [lo] samples of 0 and [hi] of
+       2^44 ns, which moves the ranks p50/p95/p99 read to other samples
+       of the run, so that a sample booked in the wrong bucket shows;
+       the dist is also compared once merged into a parent that holds
+       samples of its own. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"observe_run equals count single observes"
+         ~count:300
+         QCheck2.Gen.(
+           let edge =
+             oneofl
+               [
+                 (* first, step, count, lo, hi *)
+                 ((1 lsl 31) - 5_000, 7, 2_000, 0, 0);
+                 ((1 lsl 31) + 5_000, -7, 2_000, 1_500, 1_500);
+                 (127, 1, 300, 400, 400);
+                 (300, -1, 300, 400, 400);
+                 ((1 lsl 20) - 100, 3, 100, 1_000, 0);
+                 ((1 lsl 20) + 100, -3, 100, 0, 1_000);
+                 (500, 0, 3_000, 0, 0);
+                 (40_000, -13, 100, 1_020, 0);
+                 (0, 4_240, 2_048, 1_023, 0);
+                 (1_000, 1, 24, 1_000, 0);
+                 (4_000, -3, 100, 924, 0);
+               ]
+           in
+           let random =
+             let* first =
+               oneof [ int_range 0 300; int_range 0 5_000_000; int_range 0 (1 lsl 40) ]
+             in
+             let* count = int_range 1 3_000 in
+             let* step =
+               oneof
+                 [
+                   return 0;
+                   int_range 1 4;
+                   int_range (-4) (-1);
+                   int_range 1 5_000;
+                   int_range (-5_000) (-1);
+                 ]
+             in
+             (* Keep every sample at least 0. *)
+             let step = Int.max step (-(first / Int.max 1 (count - 1))) in
+             let* lo = int_range 0 (2 * count) and* hi = int_range 0 (2 * count) in
+             return (first, step, count, lo, hi)
+           in
+           pair bool (oneof [ edge; random ]))
+         (fun (exact, (first, step, count, lo, hi)) ->
+           let dump f =
+             let registry () = Sim.Metrics.create ~exact_dists:exact () in
+             let m = registry () in
+             let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "run" in
+             Sim.Metrics.observe_run d ~first:0 ~step:0 ~count:lo;
+             Sim.Metrics.observe_run d ~first:(1 lsl 44) ~step:0 ~count:hi;
+             f d;
+             let parent = registry () in
+             let p = Sim.Metrics.dist parent ~sub:Sim.Subsystem.Atm "run" in
+             for i = 1 to 50 do
+               Sim.Metrics.observe p (i * 7_919 mod 300_000)
+             done;
+             Sim.Metrics.merge ~into:parent m;
+             ( Sim.Json.to_string (Sim.Metrics.snapshot m),
+               Sim.Json.to_string (Sim.Metrics.snapshot parent) )
+           in
+           let by_run = dump (fun d -> Sim.Metrics.observe_run d ~first ~step ~count) in
+           let one_by_one =
+             dump (fun d ->
+                 for j = 0 to count - 1 do
+                   Sim.Metrics.observe d (first + (j * step))
+                 done)
+           in
+           by_run = one_by_one));
+  ]
+
 let daemon_tests =
   [
     Alcotest.test_case "daemons do not keep an unbounded run alive" `Quick
@@ -2098,11 +2096,15 @@ let () =
       ("rng", rng_tests);
       ("alloc", alloc_tests);
       ("stats", stats_tests);
-      ("reservoir", reservoir_tests);
       ("trace", trace_tests);
       ("export", export_tests);
       ("audit", audit_tests);
       ("metrics", metrics_tests);
+      (* Alcotest pads the suite column to the longest suite name and
+         cuts each test name to fit the rest of the line: a suite name
+         longer than nine characters changes how every test here is
+         printed. *)
+      ("dist-runs", dist_run_tests);
       ("daemon", daemon_tests);
       ("fault", fault_tests);
     ]

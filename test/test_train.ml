@@ -264,10 +264,12 @@ let link_tests =
     Alcotest.test_case "a cell-hop costs at most 6 minor words" `Quick
       (fun () ->
         (* Fifty 32 KB frames host -> switch -> host.  The train path
-           books every cell's counters and queue-delay sample, so a
-           boxed value per cell (a float, an int64, a closure) shows up
-           here at once; the PDU buffers themselves are major-heap
-           allocations and do not count. *)
+           books every cell's counters and queue-delay sample, but a
+           frame paced at line rate is one run per hop, so what a hop
+           allocates is per window (about 0.2 words a cell-hop here, in
+           the dev profile): a boxed value per cell (a float, an int64,
+           a closure) shows up at once.  The PDU buffers themselves are
+           major-heap allocations and do not count. *)
         let e, send, cells, received = bulk_rig () in
         let frames = 50 in
         let w0 = Gc.minor_words () in
@@ -277,16 +279,17 @@ let link_tests =
         Alcotest.(check int) "every frame arrived" frames !received;
         let per_hop = words /. Float.of_int (frames * cells * 2) in
         Alcotest.(check bool)
-          (Printf.sprintf "%.1f minor words per cell-hop" per_hop)
-          true (per_hop <= 6.0));
+          (Printf.sprintf "%.1f minor words per cell-hop, at most 1" per_hop)
+          true (per_hop <= 1.0));
     Alcotest.test_case "a 32 KB frame costs at most 5 000 major words" `Quick
       (fun () ->
-        (* After a warm-up frame has built the PDU and filled the link
-           pools, a frame of the same payload allocates directly in the
-           major heap only the receiver's copy (4 098 words) and the
-           switch's arrival instants (684).  A PDU built per send or
-           window arrays taken fresh per hop each add thousands of
-           words.  [Gc.counters] reads this domain's live counters;
+        (* After a warm-up frame has built the PDU, a frame of the same
+           payload allocates directly in the major heap only the
+           receiver's copy (4 098 words): the switch gets the cells'
+           arrival instants as runs, and a window's runs are a few
+           words.  A PDU built per send, or an array of one int per
+           cell at any hop, adds hundreds to thousands of words.
+           [Gc.counters] reads this domain's live counters;
            [Gc.quick_stat]'s copy is sampled and can lag a major slice
            behind. *)
         let e, send, _cells, received = bulk_rig () in
@@ -303,8 +306,8 @@ let link_tests =
         let per_frame = (direct () -. w0) /. Float.of_int frames in
         Alcotest.(check int) "every frame arrived" (frames + 1) !received;
         Alcotest.(check bool)
-          (Printf.sprintf "%.0f major words per frame" per_frame)
-          true (per_frame <= 5000.0));
+          (Printf.sprintf "%.0f major words per frame, at most 4 300" per_frame)
+          true (per_frame <= 4300.0));
     Alcotest.test_case "a receiver reading the counters counts each cell once"
       `Quick (fun () ->
         (* Two 10-cell frames offered at t=0.  When each frame arrives,
@@ -354,10 +357,11 @@ let link_tests =
           let e = Sim.Engine.create () in
           let link = Atm.Link.create e ~rx:(fun _ -> ()) ~queue_cells:1 () in
           let frame = Bytes.make 440 'q' in
-          let offer i = if paced then i * 4240 else 0 in
+          let step = if paced then 4240 else 0 in
+          let offer i = i * step in
           if trains then
             Atm.Link.send_train link
-              ~offers_ns:(Array.init 10 offer)
+              ~offers:(Atm.Cell_times.of_runs [| 0; step; 10 |])
               (Atm.Aal5.segment_train ~vci:1 frame)
           else
             List.iteri
@@ -387,9 +391,9 @@ let link_tests =
       `Quick (fun () ->
         (* The first cell's arrival sends a cell on the same link, which
            cuts the rest of its window back to the per-cell path and
-           empties the window.  Two windows opened later draw on the
-           link's pool at once: a window retired twice would hand both
-           of them one pair of arrays. *)
+           empties the window while it is being processed.  Two windows
+           opened later are open at once; a window closed twice, or
+           processed past its cut, would show in what arrives. *)
         let run ~trains =
           let e = Sim.Engine.create () in
           let link = ref None in
@@ -405,21 +409,22 @@ let link_tests =
             Atm.Link.create e
               ~rx:(fun _ -> arrive (Sim.Time.to_ns (Sim.Engine.now e)))
               ~rx_train:
-                (Atm.Link.Stream (fun _ ~arrivals_ns -> Array.iter arrive arrivals_ns))
+                (Atm.Link.Stream (fun _ ~arrivals -> Atm.Cell_times.iter arrive arrivals))
               ()
           in
           link := Some l;
           let send ~at ~gap n =
-            let offers = Array.init n (fun i -> at + (i * gap)) in
             let train = Atm.Aal5.segment_train ~vci:1 (Bytes.make ((48 * n) - 8) 'r') in
-            if trains then Atm.Link.send_train l ~offers_ns:offers train
+            if trains then
+              Atm.Link.send_train l
+                ~offers:(Atm.Cell_times.of_runs [| at; gap; n |])
+                train
             else
-              Array.iteri
-                (fun i o ->
-                  ignore
-                    (Sim.Engine.schedule_at e ~at:(Sim.Time.ns o) (fun () ->
-                         Atm.Link.send l (Atm.Train.cell train i))))
-                offers
+              for i = 0 to n - 1 do
+                ignore
+                  (Sim.Engine.schedule_at e ~at:(Sim.Time.ns (at + (i * gap))) (fun () ->
+                       Atm.Link.send l (Atm.Train.cell train i)))
+              done
           in
           send ~at:0 ~gap:10_000 40;
           ignore
@@ -867,6 +872,93 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
     queue_delay = metric_entry (Sim.Engine.metrics e) "link.queue_delay_us";
   }
 
+(* An outcome in a canonical text form, as an MD5 hex digest. *)
+let outcome_digest o =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, t, len, crc) -> Printf.bprintf b "frame %s %d %d %d\n" name t len crc)
+    o.frames;
+  List.iter (fun (s, d, l) -> Printf.bprintf b "link %d %d %d\n" s d l) o.counters;
+  List.iter (fun n -> Printf.bprintf b "switched %d\n" n) o.switched;
+  Printf.bprintf b "errors %d\n" o.errors;
+  List.iter
+    (fun (ts, name, flow) -> Printf.bprintf b "flow %d %s %d\n" ts name flow)
+    o.flow_events;
+  Printf.bprintf b "queue_delay %s\n" o.queue_delay;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The train path's outcome digests for seeds 1-60 with fresh and with
+   resent payloads, recorded when windows stored one offer and one
+   start per cell.  They include the seeds where the train path orders
+   same-instant offers of two VCs differently from the per-cell path
+   (fresh: 2, 7, 9, 11, 12, 19, 20, 23, 25, 37, 41, 45, 49, 50, 54, 58
+   and 60; resent: 26 seeds), so a change to how windows are stored or
+   processed that moves any such tie shows up here.  A change that
+   reorders those ties on purpose re-records them. *)
+let pinned_outcomes =
+  [
+    (1, "ced521da7aaa24604ef818fe04dadd2e", "d26fec7cde647a953646b0bb256c3ef0");
+    (2, "4f7b8dce5430e76b1d31b76514a1c1d7", "561af5efafe5ead33a61d1738c277672");
+    (3, "a196dcbc3aff8797125e231953754cfb", "eba75d91535f48c06c69d3ac6f57e558");
+    (4, "f2bee735c9b3c18f005c8ca58c2f678b", "0e2bd0476a9667e73925939697f2f23a");
+    (5, "8ec2816ce59836d6a17e06ad4875d8b6", "52db3b7c9fb3332641f23d7f074288bd");
+    (6, "6e10cdc45d61590d763eeca035cd2953", "dd25ee36cceba89ac69af7295443a404");
+    (7, "f4baf167e66e8f8a1287c4642010cf7c", "b7e2383030e14ed8551d5c4e07610ceb");
+    (8, "8d7c2733388faeec48686253808e34dc", "dcdec38b3783ed7f24606be9fb848a34");
+    (9, "05d5554fae0455935e5e6f3f7e5725f1", "0efd023029db1430be773bb879503312");
+    (10, "60d45181ca8ce9bee6fc0ecdccb899d5", "1aa008abfee58edfbe51f3727e9eaf78");
+    (11, "2635e2581f224a0c0af5d6b854c296b5", "743c9736cf6dccc1aaaadc7c8a1a9ee5");
+    (12, "5fc00139a692506c63037f929b732f85", "b3f04e3760e9e31af17417c0812084e6");
+    (13, "467c56fbcaf4b6402a9b0345e639131f", "657173a2955325d7d77d8b35c08620b8");
+    (14, "5efac33e6b05eae474c37eaf1c952390", "c4142ba093584d448a620d9bf7d0fd58");
+    (15, "162d9cf0091208025bf0fa19fe68bf50", "7ea417199a8b57195d2a500a404ead0e");
+    (16, "83d42d6ff0ba12e77bd34e71327eccd8", "baa3747e3ee385772e9ed376504a1a37");
+    (17, "3e85e8825304e19dd9e280aa69e04469", "d037c523d2557e111dc7c8acdbcbc0fc");
+    (18, "cd2e26b47cb7ca12ba3587789cf08457", "48c1e6925749c0bc3313af27d68530fb");
+    (19, "4514a9d116d67f8035fed6fc66f54403", "dea53c3ae113cad67bebfbffb887a514");
+    (20, "8e044e3f65b44c64d3ea05e1009046cc", "eb276036ef2c4ad24f7e863fd1ec8880");
+    (21, "398d6dd4900eec9f51256c89ac5e1fd8", "8ca5e9fe408835984c86714326bc4e6c");
+    (22, "61509c7b0105924aef5739d6883566e4", "e5f9d5f9fea950a734e96c680af2ef17");
+    (23, "2d600490f5647f2d3cc02ae22d1418eb", "a76b864c228d5afc010fe95ca6786f3d");
+    (24, "3c914b765459bcb676b7cb0534f75ef3", "46f16b883c8d6cca2eff13489b6df1a7");
+    (25, "36a1df43fc83a7cedee6740c4ea66b80", "ab9b6fc52124c1be4d4896ca37381ad1");
+    (26, "4c3959e0e143c64931511908c5c65c4e", "182da0333d212f6c2c5f779857dff875");
+    (27, "bb0c5b90df924db40d72642a713b2657", "e4c1fc2529c384752e705ecf93b2d7fd");
+    (28, "1cd2639fac5f3405095f72dad3e54b33", "42c8dd29c88b41dffdda27eaf618e4ed");
+    (29, "59899f5cf5368e66a52489b978d74102", "80b732c4e06f82de205e09ffd5942d48");
+    (30, "d8c1455fd75ecd053fe5dfd0820c60e7", "4b5306dbfd4f0cea3a34692c02dc13f7");
+    (31, "a1f402341807a4c0f7a2128496edb8da", "b2e8103af55be29eac5bec7bfe7d7c3a");
+    (32, "b0bc7f264804e3034cef068666d41696", "ded462d45c6df5e9a1913154eb5c724a");
+    (33, "acddb4a11c88810a8b50a7a7a98360db", "ec950a757e3c1f00a125a1921cb9f048");
+    (34, "b2123f655a114019cee7a8a4fa6e3ef2", "9ccd77716b773f749a8ef77f69a37150");
+    (35, "e18c5ec1f3514e89ebd641b141cb4afd", "6c89b1f90f3d58893b21b82434c3cf52");
+    (36, "b21a1e6db115523016d5fcb1b1533368", "10c592dc03e70ad8f1be5bf7de4750f6");
+    (37, "53e453d51b90d7e695b8758048c0d206", "b92b06e56ed8d480c55ace5ead395241");
+    (38, "e1c7cc8b71e123a4af32212bd81e5361", "caa3e0574f5fb9cec047a72f632e5082");
+    (39, "8a0d7652e30a18c6c0b78e82fbe08af8", "6576b83a3267307cb67879d73cbf5d15");
+    (40, "25b11a2fb18f2e42ed3af64f8ff3baf7", "9d8f5eadc7294b180f6e498ab5ea486d");
+    (41, "fca90d32bd24d09f69ca53cfef6db7bf", "f8100548cef07ffe18c0d2f133afcb06");
+    (42, "dfcea4f89d680d239fa616d72ef45edb", "792f10058335f326af73a5771b535a15");
+    (43, "d4fd109cb79a1daf8159a928012ef39d", "cea537ce7f15f81b7406b28ce256cec2");
+    (44, "fcbbb7b31b3383cc2e169e5764fdd048", "cd58317ac977b39f6bb6dd4f2b188455");
+    (45, "1fce2ad4cff8f070cd2cf35f9894f1ab", "2cc307cb6ef5fc673ae86ff2164d2e85");
+    (46, "db069d4e3efe9501f53f9ab79a0e6878", "98a0bf34ea2831faeb3237dbd4068b27");
+    (47, "1dd9652aa39391c9e6889dc66355123d", "a40272f668b2489ec60e6b1909cfed8f");
+    (48, "fa9ce5097a995b5bf42c179c049e9cd4", "8c8153172367690f0a8ff1e68e134ad8");
+    (49, "47ffb5ebd87e9c2854b67d694e80d88d", "dd9ab1d62c77b9452e64c122b71674f7");
+    (50, "4968f8737bf72345f201a079bf993e69", "38e209a037f387e88360fdcb3024247a");
+    (51, "61cf31dc9e177714d6c47a3318a69f4b", "3f2755a484458a47e58278ecba376c41");
+    (52, "222d822dac3300e2fa2fd97ed12feaad", "28e8b9a39f22d2290fe702023fe8e610");
+    (53, "a63e48c2c83806b9f251a1b998e1f17e", "90c83e2fa4d4fb294ca6aa5fcf940560");
+    (54, "0a9ff949b2b53f636b9c17b55ac8e6a3", "439fbc48152dc4718ba245a954c93ee1");
+    (55, "d6adf8c600bd06ea8241616304386e52", "0373fbc9967f58ca340ad1e8aad2db05");
+    (56, "238b3e4c54d8903bfe71cef5b989f3d0", "1e3bf42017daa5d1ca7d0495240735ee");
+    (57, "108a2a4f29f5eb5a5d646873adbad6ae", "4d3ccfe9f4bf13b3d6216aa0650cba0b");
+    (58, "be04119c02b475345d1dcce57ec5c258", "8c372a3ff99048253f17717838b86bd8");
+    (59, "397043aa71361626a9e32e24f888f06a", "80ad3977b8772a64bbb059a24c08b78d");
+    (60, "171cb4e9a0e9f8c3fa02821da6599b36", "19ce2cc5fbf63bd251190cba8ab7094c");
+  ]
+
 let differential_tests =
   [
     Alcotest.test_case "train and per-cell runs are byte-identical" `Quick
@@ -968,6 +1060,19 @@ let differential_tests =
               && untraced.counters = fast.counters
               && untraced.switched = fast.switched))
           [ 1L; 42L; 1994L ]);
+    Alcotest.test_case "the train path's outcomes on seeds 1-60 are pinned"
+      `Quick (fun () ->
+        List.iter
+          (fun (seed, fresh, resent) ->
+            let got payloads =
+              outcome_digest
+                (run_differential ~payloads ~trains:true ~seed:(Int64.of_int seed) ())
+            in
+            Alcotest.(check string) (Printf.sprintf "seed %d, fresh" seed) fresh
+              (got Fresh);
+            Alcotest.(check string) (Printf.sprintf "seed %d, resent" seed) resent
+              (got Resent))
+          pinned_outcomes);
   ]
 
 let () =
