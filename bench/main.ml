@@ -58,7 +58,7 @@ let op_aal5 =
 
 let op_switch =
   let e = Sim.Engine.create () in
-  let sw = Atm.Switch.create e ~name:"sw" ~ports:16 () in
+  let sw = Atm.Switch.create e ~name:"sw" ~ports:16 in
   for vci = 32 to 1031 do
     Atm.Switch.add_route sw ~in_port:0 ~in_vci:vci ~out_port:1
       ~out_vci:(vci + 1000)
@@ -168,7 +168,7 @@ let op_vnode_lookup =
   let e = Sim.Engine.create () in
   let raid = Pfs.Raid.create e ~segment_bytes:65536 () in
   let log = Pfs.Log.create e ~raid () in
-  let fs = Pfs.Vnode.create e ~log () in
+  let fs = Pfs.Vnode.create e ~log in
   Pfs.Vnode.mkdir fs "a" (fun _ -> ());
   Pfs.Vnode.mkdir fs "a/b" (fun _ -> ());
   Pfs.Vnode.creat fs "a/b/f" (fun _ -> ());
@@ -831,7 +831,7 @@ let run_parallel_bench ~domains path =
 let cityscale_signalling ~cycles =
   let e = Sim.Engine.create () in
   let net = Atm.Net.create e in
-  let cl = Atm.Net.clos net ~spines:2 ~leaves:4 ~hosts_per_leaf:4 () in
+  let cl = Atm.Net.clos net ~spines:2 ~leaves:4 ~hosts_per_leaf:4 in
   let hosts = cl.Atm.Net.cl_hosts in
   let nh = Array.length hosts in
   fun () ->
@@ -847,7 +847,7 @@ let cityscale_signalling ~cycles =
 let cityscale_traffic ~offered ~duration () =
   let e = Sim.Engine.create () in
   let net = Atm.Net.create e in
-  let cl = Atm.Net.clos net ~spines:2 ~leaves:4 ~hosts_per_leaf:4 () in
+  let cl = Atm.Net.clos net ~spines:2 ~leaves:4 ~hosts_per_leaf:4 in
   let hosts = cl.Atm.Net.cl_hosts in
   let nh = Array.length hosts in
   let qm = Atm.Qos_mgr.create ~path_attempts:2 net () in

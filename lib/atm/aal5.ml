@@ -21,15 +21,11 @@ let build_pdu payload =
   Util.put_u32 pdu (pdu_len - 4) crc;
   pdu
 
-let segment ~vci ?(flow = Sim.Trace.no_flow) payload =
+let segment ~vci payload =
   let pdu = build_pdu payload in
   let ncells = Bytes.length pdu / Cell.payload_bytes in
   List.init ncells (fun i ->
-      Cell.view ~vci ~last:(i = ncells - 1) ~flow pdu
-        ~off:(i * Cell.payload_bytes))
-
-let segment_train ~vci ?(flow = Sim.Trace.no_flow) payload =
-  Train.make ~vci ~flow (build_pdu payload)
+      Cell.view ~vci ~last:(i = ncells - 1) pdu ~off:(i * Cell.payload_bytes))
 
 (* memcmp, in crc32_stubs.c beside the CRC kernel.  The range check
    in [equal_range] is the only guard on its unchecked loads. *)
@@ -122,11 +118,6 @@ module Framer = struct
 end
 
 type error = Crc_mismatch | Length_mismatch | Too_long
-
-let pp_error fmt = function
-  | Crc_mismatch -> Format.pp_print_string fmt "CRC mismatch"
-  | Length_mismatch -> Format.pp_print_string fmt "length mismatch"
-  | Too_long -> Format.pp_print_string fmt "frame too long"
 
 module Reassembler = struct
   type t = {

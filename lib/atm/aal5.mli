@@ -12,19 +12,13 @@
     share one ({!Framer}), and a receiver checks a frame that arrives
     whole in place on it. *)
 
-val trailer_bytes : int
-
 val frame_cells : int -> int
 (** [frame_cells len] is the number of cells needed for a [len]-byte
     payload. *)
 
-val segment : vci:int -> ?flow:int -> bytes -> Cell.t list
-(** Split a payload into cells — zero-copy views of one PDU buffer,
-    each carrying [flow].  Raises [Invalid_argument] on payloads longer
-    than 65535 bytes. *)
-
-val segment_train : vci:int -> ?flow:int -> bytes -> Train.t
-(** The same PDU as one train (the fast path). *)
+val segment : vci:int -> bytes -> Cell.t list
+(** Split a payload into cells — zero-copy views of one PDU buffer.
+    Raises [Invalid_argument] on payloads longer than 65535 bytes. *)
 
 (** Framing once per payload.  A framer remembers the PDUs it built
     for the three payload buffers it used most recently (matched by
@@ -49,8 +43,6 @@ type error =
   | Crc_mismatch
   | Length_mismatch
   | Too_long  (** reassembly buffer exceeded *)
-
-val pp_error : Format.formatter -> error -> unit
 
 (** Per-VC reassembler.  Feed cells in order; a result is returned on
     each end-of-frame cell. *)

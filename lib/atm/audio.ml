@@ -2,13 +2,20 @@
 let header_bytes = 14
 let samples_per_cell = (Cell.payload_bytes - header_bytes) / 2
 
+(* Hi-fi stereo, per the project's goal statement: 44.1 kHz, two
+   channels of 16-bit samples, so a cell carries [samples_per_cell / 2]
+   frames. *)
+let sample_rate = 44100
+let channels = 2
+
+let cell_period =
+  Sim.Time.of_sec_f
+    (Float.of_int (samples_per_cell / channels) /. Float.of_int sample_rate)
+
 module Source = struct
   type t = {
     engine : Sim.Engine.t;
     vc : Net.vc;
-    sample_rate : int;
-    channels : int;
-    cell_period : Sim.Time.t;
     mutable running : bool;
     mutable seq : int;
     mutable sent : int;
@@ -16,17 +23,10 @@ module Source = struct
     mutable on_mark : (seq:int -> stamp:Sim.Time.t -> unit) option;
   }
 
-  let create engine ~vc ?(sample_rate = 44100) ?(channels = 2) () =
-    let frames_per_cell = samples_per_cell / channels in
-    let cell_period =
-      Sim.Time.of_sec_f (Float.of_int frames_per_cell /. Float.of_int sample_rate)
-    in
+  let create engine ~vc () =
     {
       engine;
       vc;
-      sample_rate;
-      channels;
-      cell_period;
       running = false;
       seq = 0;
       sent = 0;
@@ -58,7 +58,8 @@ module Source = struct
       | Some _ | None -> ());
       t.seq <- t.seq + 1;
       t.sent <- t.sent + 1;
-      ignore (Sim.Engine.schedule t.engine ~delay:t.cell_period (fun () -> tick t))
+      ignore
+        (Sim.Engine.schedule t.engine ~delay:cell_period (fun () -> tick t))
     end
 
   let start t =
@@ -69,16 +70,11 @@ module Source = struct
 
   let stop t = t.running <- false
   let cells_sent t = t.sent
-  let cell_period t = t.cell_period
-
-  let data_rate_bps t =
-    Float.of_int (t.sample_rate * t.channels * 16)
 end
 
 module Sink = struct
   type t = {
     engine : Sim.Engine.t;
-    cell_period : Sim.Time.t;
     playout_delay : Sim.Time.t;
     mutable base : Sim.Time.t option;  (* play-out time of seq 0 *)
     mutable received : int;
@@ -88,15 +84,9 @@ module Sink = struct
     mutable on_playout : (seq:int -> stamp:Sim.Time.t -> unit) option;
   }
 
-  let create engine ?(sample_rate = 44100) ?(channels = 2)
-      ?(playout_delay = Sim.Time.ms 2) () =
-    let frames_per_cell = samples_per_cell / channels in
-    let cell_period =
-      Sim.Time.of_sec_f (Float.of_int frames_per_cell /. Float.of_int sample_rate)
-    in
+  let create engine ?(playout_delay = Sim.Time.ms 2) () =
     {
       engine;
-      cell_period;
       playout_delay;
       base = None;
       received = 0;
@@ -120,12 +110,12 @@ module Sink = struct
           (* First cell anchors the play-out schedule. *)
           let b =
             Sim.Time.sub (Sim.Time.add now t.playout_delay)
-              (Sim.Time.mul t.cell_period seq)
+              (Sim.Time.mul cell_period seq)
           in
           t.base <- Some b;
           b
     in
-    let play_at = Sim.Time.add base (Sim.Time.mul t.cell_period seq) in
+    let play_at = Sim.Time.add base (Sim.Time.mul cell_period seq) in
     if Sim.Time.(play_at < now) then t.late <- t.late + 1
     else
       ignore
@@ -137,7 +127,6 @@ module Sink = struct
   let cells_received t = t.received
   let late_cells t = t.late
   let lost_cells t = Stdlib.max 0 (t.highest_seq + 1 - t.received)
-  let delay_us t = t.delay_us
 
   let jitter_us t =
     let samples = Sim.Stats.Samples.to_array t.delay_us in

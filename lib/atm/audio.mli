@@ -5,18 +5,13 @@
     play-out buffer that converts the jittery arrival process back into
     an isochronous sample stream.  Audio has modest bandwidth but is
     the medium most sensitive to jitter, which is what the sink
-    measures. *)
-
-val samples_per_cell : int
-(** 16-bit samples carried per cell after the 14-byte header. *)
+    measures.  Both ends run at 44.1 kHz with 2 channels (hi-fi
+    stereo, per the project's goal statement). *)
 
 module Source : sig
   type t
 
-  val create :
-    Sim.Engine.t -> vc:Net.vc -> ?sample_rate:int -> ?channels:int -> unit -> t
-  (** Defaults: 44100 Hz, 2 channels (hi-fi stereo, per the project's
-      goal statement). *)
+  val create : Sim.Engine.t -> vc:Net.vc -> unit -> t
 
   val start : t -> unit
   val stop : t -> unit
@@ -27,16 +22,12 @@ module Source : sig
       messages. *)
 
   val cells_sent : t -> int
-  val cell_period : t -> Sim.Time.t
-  val data_rate_bps : t -> float
 end
 
 module Sink : sig
   type t
 
-  val create :
-    Sim.Engine.t -> ?sample_rate:int -> ?channels:int ->
-    ?playout_delay:Sim.Time.t -> unit -> t
+  val create : Sim.Engine.t -> ?playout_delay:Sim.Time.t -> unit -> t
   (** [playout_delay] is the target buffering between arrival of the
       first cell and the start of play-out (default 2 ms). *)
 
@@ -50,11 +41,9 @@ module Sink : sig
   val lost_cells : t -> int
   (** Sequence-number gaps. *)
 
-  val delay_us : t -> Sim.Stats.Samples.t
-  (** Network delay per cell (arrival - source stamp), microseconds. *)
-
   val jitter_us : t -> float
-  (** Standard deviation of the per-cell network delay. *)
+  (** Standard deviation of the per-cell network delay (arrival - source
+      stamp), microseconds. *)
 
   val on_playout : t -> (seq:int -> stamp:Sim.Time.t -> unit) -> unit
   (** Callback when a cell's samples are played, for synchronisation. *)

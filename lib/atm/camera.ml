@@ -19,7 +19,6 @@ type t = {
   mutable frame : int;
   mutable frames_captured : int;
   mutable packets_sent : int;
-  mutable bytes_sent : int;
   mutable on_frame : (frame:int -> captured_at:Sim.Time.t -> unit) option;
   (* send horizon for pacing: next instant the paced output is free *)
   mutable tx_free : Sim.Time.t;
@@ -55,7 +54,6 @@ let create engine ~vc ?(width = 640) ?(height = 480) ?(fps = 25) ?(mode = Raw)
     frame = 0;
     frames_captured = 0;
     packets_sent = 0;
-    bytes_sent = 0;
     on_frame = None;
     tx_free = Sim.Time.zero;
   }
@@ -78,7 +76,6 @@ let send_paced t payload =
   let at = Sim.Time.max now t.tx_free in
   t.tx_free <- Sim.Time.add at tx_time;
   t.packets_sent <- t.packets_sent + 1;
-  t.bytes_sent <- t.bytes_sent + Bytes.length payload;
   (* Each released packet is one causal flow: born when the tile row is
      released, stepped when pacing hands it to the wire.  The id rides
      the frame's cells (no wire bytes, no timing impact). *)
@@ -177,8 +174,6 @@ let start t =
   end
 
 let stop t = t.running <- false
-let running t = t.running
 let on_frame t f = t.on_frame <- Some f
 let frames_captured t = t.frames_captured
 let packets_sent t = t.packets_sent
-let bytes_sent t = t.bytes_sent

@@ -41,15 +41,12 @@ val start : t -> unit
 
 val stop : t -> unit
 
-val running : t -> bool
-
 val on_frame : t -> (frame:int -> captured_at:Sim.Time.t -> unit) -> unit
 (** Callback at each frame capture completion; the device manager uses
     it to emit synchronisation marks on the control stream. *)
 
 val frames_captured : t -> int
 val packets_sent : t -> int
-val bytes_sent : t -> int
 
 val frame_period : t -> Sim.Time.t
 

@@ -11,11 +11,6 @@ type t = {
   off : int;
 }
 
-let make ~vci ~last ?(flow = Sim.Trace.no_flow) payload =
-  if Bytes.length payload <> payload_bytes then
-    invalid_arg "Cell.make: payload must be 48 bytes";
-  { vci; last; flow; buf = payload; off = 0 }
-
 let view ~vci ~last ?(flow = Sim.Trace.no_flow) buf ~off =
   if off < 0 || off + payload_bytes > Bytes.length buf then
     invalid_arg "Cell.view: payload range out of bounds";
@@ -29,8 +24,6 @@ let make_blank ~vci ~last =
     buf = Bytes.make payload_bytes '\000';
     off = 0;
   }
-
-let payload_copy t = Bytes.sub t.buf t.off payload_bytes
 
 let tx_time ~bandwidth_bps =
   Sim.Time.of_sec_f (Float.of_int wire_bits /. Float.of_int bandwidth_bps)

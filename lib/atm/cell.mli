@@ -9,7 +9,6 @@
     zero-copy: every cell of a frame aliases one PDU buffer.  Code that
     reads or writes payload bytes must index [buf] at [off + i]. *)
 
-val header_bytes : int (* 5 *)
 val payload_bytes : int (* 48 *)
 val total_bytes : int (* 53 *)
 val wire_bits : int (* 424 *)
@@ -24,20 +23,12 @@ type t = {
   off : int;  (** start of this cell's 48 payload bytes in [buf] *)
 }
 
-val make : vci:int -> last:bool -> ?flow:int -> bytes -> t
-(** A cell owning its whole buffer ([off = 0]).  Raises
-    [Invalid_argument] if the payload is not 48 bytes. *)
-
 val view : vci:int -> last:bool -> ?flow:int -> bytes -> off:int -> t
 (** A zero-copy view of 48 bytes at [off].  Raises [Invalid_argument]
     if the range exceeds the buffer. *)
 
 val make_blank : vci:int -> last:bool -> t
 (** A cell with a zeroed payload (fresh buffer). *)
-
-val payload_copy : t -> bytes
-(** The 48 payload bytes as a fresh buffer (for tests/tools; the data
-    path never needs the copy). *)
 
 val tx_time : bandwidth_bps:int -> Sim.Time.t
 (** Serialisation time of one cell at the given link rate. *)

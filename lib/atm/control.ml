@@ -76,7 +76,6 @@ module Playback = struct
     syncs : (int, Sim.Time.t) Hashtbl.t;  (* unit -> source stamp *)
     renders : (int, Sim.Time.t) Hashtbl.t;  (* unit -> render time *)
     mutable matched : (Sim.Time.t * Sim.Time.t) list;  (* stamp, rendered *)
-    latency : Sim.Stats.Summary.t;
   }
 
   type t = {
@@ -101,7 +100,6 @@ module Playback = struct
             syncs = Hashtbl.create 64;
             renders = Hashtbl.create 64;
             matched = [];
-            latency = Sim.Stats.Summary.create ();
           }
         in
         Hashtbl.add t.streams id s;
@@ -112,9 +110,7 @@ module Playback = struct
     | Some stamp, Some rendered ->
         Hashtbl.remove s.syncs unit_id;
         Hashtbl.remove s.renders unit_id;
-        s.matched <- (stamp, rendered) :: s.matched;
-        Sim.Stats.Summary.add s.latency
-          (Sim.Time.to_us_f (Sim.Time.sub rendered stamp))
+        s.matched <- (stamp, rendered) :: s.matched
     | _ -> ()
 
   let control_rx t (cell : Cell.t) =
@@ -170,16 +166,4 @@ module Playback = struct
           sa.matched;
         result
     | _ -> result
-
-  let recommended_delay t ~stream:id =
-    let mean_of s = Sim.Stats.Summary.mean s.latency in
-    let slowest =
-      Hashtbl.fold (fun _ s acc -> Float.max acc (mean_of s)) t.streams 0.0
-    in
-    match Hashtbl.find_opt t.streams id with
-    | None -> Sim.Time.zero
-    | Some s ->
-        let gap_us = slowest -. mean_of s in
-        if gap_us <= 0.0 then Sim.Time.zero
-        else Sim.Time.of_sec_f (gap_us /. 1e6)
 end

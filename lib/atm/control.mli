@@ -36,8 +36,9 @@ module Merger : sig
   val forwarded : t -> int
 end
 
-(** Play-back controller: aligns the play-out of several streams using
-    source synchronisation marks and data-arrival events. *)
+(** Play-back controller: measures how far the play-out of several
+    streams drifts apart, from source synchronisation marks and
+    data-arrival events. *)
 module Playback : sig
   type t
 
@@ -54,8 +55,4 @@ module Playback : sig
   (** Distribution of |render-time difference| between the two streams
       for units captured at the same source instant, in microseconds.
       Empty until both streams have rendered matching units. *)
-
-  val recommended_delay : t -> stream:int -> Sim.Time.t
-  (** Extra delay the controller would insert on [stream] to align it
-      with the slowest stream seen so far. *)
 end

@@ -33,7 +33,7 @@ type otrain = {
   mutable ot_nr : int;  (* runs; their cells add up to [ot_n] *)
   ot_cap : int;  (* cells the window may grow to by continuation merges *)
   ot_h0 : int;  (* the class horizon before this commit, ns *)
-  ot_lat : int;  (* cell_time + prop + extra_prop at commit, ns *)
+  ot_lat : int;  (* cell_time + prop, ns *)
   mutable ot_n : int;  (* cells still owned (splits truncate this) *)
   mutable ot_done : int;  (* cells already processed *)
   mutable ot_r : int;  (* the run holding cell [ot_done] (see [sync]) *)
@@ -60,7 +60,6 @@ type t = {
   mutable lost : int;  (* injected: outage drops + wire loss *)
   mutable is_down : bool;  (* fault injection: link outage *)
   mutable loss : (unit -> bool) option;  (* per-cell loss decision *)
-  mutable extra_prop : Sim.Time.t;  (* fault injection: latency spike *)
   mutable busy : Sim.Time.t;
   mutable opens : otrain list;  (* open train windows, oldest first *)
   mutable pending_reoffers : int;  (* split cells awaiting per-cell re-offer *)
@@ -99,7 +98,6 @@ let create engine ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)
     lost = 0;
     is_down = false;
     loss = None;
-    extra_prop = Sim.Time.zero;
     busy = Sim.Time.zero;
     opens = [];
     pending_reoffers = 0;
@@ -355,7 +353,7 @@ let rec send ?(priority = false) t cell =
     if dropped_on_wire then lose t cell ~why:"cell_lost_on_wire"
     else begin
       let deliver () = t.rx cell in
-      let arrival = Sim.Time.add (Sim.Time.add tx_end t.prop) t.extra_prop in
+      let arrival = Sim.Time.add tx_end t.prop in
       ignore (Sim.Engine.schedule_at t.engine ~at:arrival deliver)
     end
   end
@@ -654,7 +652,7 @@ let send_train ?(priority = false) ?offers t train =
           o
   end
   else begin
-    let lat = t.cell_time_ns + t.prop_ns + Sim.Time.to_ns t.extra_prop in
+    let lat = t.cell_time_ns + t.prop_ns in
     let continuation =
       (* A chunk continuing the newest open window's frame (switches
          hand a frame over in wire-rate chunks): extend that window in
@@ -720,7 +718,6 @@ let release t ~bps = t.reserved_bps <- Stdlib.max 0 (t.reserved_bps - bps)
 let reserved_bps t = t.reserved_bps
 
 let bandwidth_bps t = t.bandwidth_bps
-let cell_time t = t.cell_time
 let prop t = t.prop
 
 (* Counter corrections: cells of open windows whose virtual offer has
@@ -764,8 +761,6 @@ let set_down t down =
   if t.opens <> [] then flush t;
   t.is_down <- down
 
-let is_down t = t.is_down
-
 let set_loss t decide =
   if t.opens <> [] then flush t;
   t.loss <- decide
@@ -777,12 +772,6 @@ let set_loss_rate t ~rng rate =
     let stream = Sim.Rng.split rng in
     t.loss <- Some (fun () -> Sim.Rng.float stream < rate)
   end
-
-let set_extra_prop t extra =
-  if t.opens <> [] then flush t;
-  t.extra_prop <- extra
-
-let extra_prop t = t.extra_prop
 
 let utilisation t ~since =
   let now = Sim.Engine.now t.engine in

@@ -73,7 +73,6 @@ val release : t -> bps:int -> unit
 val reserved_bps : t -> int
 
 val bandwidth_bps : t -> int
-val cell_time : t -> Sim.Time.t
 
 val prop : t -> Sim.Time.t
 (** Propagation delay as configured at creation.  A cell offered to the
@@ -86,12 +85,10 @@ val prop : t -> Sim.Time.t
     Hooks for {!Sim.Fault} plans.  A down link loses every cell offered
     to it; wire loss drops individual cells after transmission (the
     cell still occupies line time — physical loss does not respect
-    reservations); a latency spike adds extra propagation delay to
-    every delivery while set.  All injected losses are counted in
-    {!cells_lost} and the [atm/link.cells_lost] metric. *)
+    reservations).  All injected losses are counted in {!cells_lost}
+    and the [atm/link.cells_lost] metric. *)
 
 val set_down : t -> bool -> unit
-val is_down : t -> bool
 
 val set_loss : t -> (unit -> bool) option -> unit
 (** Install a per-cell loss decision stream (e.g. {!Sim.Fault.bernoulli});
@@ -100,12 +97,6 @@ val set_loss : t -> (unit -> bool) option -> unit
 val set_loss_rate : t -> rng:Sim.Rng.t -> float -> unit
 (** Convenience: Bernoulli loss at the given rate from a stream split
     off [rng]; a rate [<= 0] clears injection. *)
-
-val set_extra_prop : t -> Sim.Time.t -> unit
-(** Extra propagation delay while a latency spike is in effect;
-    [Sim.Time.zero] clears it. *)
-
-val extra_prop : t -> Sim.Time.t
 
 (** {1 Statistics} *)
 

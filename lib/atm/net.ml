@@ -65,7 +65,6 @@ let create ?(vci_limit = 65_535) engine =
   }
 
 let set_train_path t on = t.use_trains <- on
-let train_path t = t.use_trains
 
 let engine t = t.engine
 
@@ -85,7 +84,7 @@ let add_node t node =
   id
 
 let add_switch t ~name ~ports =
-  let sw = Switch.create t.engine ~name ~ports () in
+  let sw = Switch.create t.engine ~name ~ports in
   t.all_switches <- sw :: t.all_switches;
   add_node t
     { node_name = name; kind = Switch_node sw; edges = [||]; edge_count = 0; nic_count = 0 }
@@ -465,23 +464,6 @@ let vc_dst_vci vc = vc.dst_vci
 let vc_path_links vc = vc.path_links
 let vc_live vc = vc.live
 
-let frame_rx_pair ~rx ?(on_error = fun _ -> ()) () =
-  let reassembler = Aal5.Reassembler.create () in
-  let handle = function Ok payload -> rx payload | Error e -> on_error e in
-  let cell_fn cell =
-    match Aal5.Reassembler.push reassembler cell with
-    | None -> ()
-    | Some r -> handle r
-  in
-  let train_fn train =
-    List.iter handle (Aal5.Reassembler.push_train reassembler train)
-  in
-  (cell_fn, train_fn)
-
-let frame_rx ~rx ?on_error () = fst (frame_rx_pair ~rx ?on_error ())
-
-(* Flow-aware variant: the handler also receives the causal flow id
-   carried by the frame's cells (Sim.Trace.no_flow when untraced). *)
 let frame_rx_pair_flow ~rx ?(on_error = fun _ -> ()) () =
   let reassembler = Aal5.Reassembler.create () in
   let handle = function
@@ -498,6 +480,11 @@ let frame_rx_pair_flow ~rx ?(on_error = fun _ -> ()) () =
   in
   (cell_fn, train_fn)
 
+let frame_rx_pair ~rx ?on_error () =
+  frame_rx_pair_flow ~rx:(fun ~flow:_ payload -> rx payload) ?on_error ()
+
+let frame_rx ~rx = fst (frame_rx_pair ~rx ())
+
 (* {1 Multi-server attach and frame pipes}
 
    Helpers for rigs that hang a fleet of hosts off one switch (the
@@ -506,16 +493,16 @@ let frame_rx_pair_flow ~rx ?(on_error = fun _ -> ()) () =
    AAL5 reassembler pre-wired on both the cell path and the train fast
    path, so the caller deals in whole frames and flow ids. *)
 
-let fan ?bandwidth_bps ?prop ?queue_cells t ~switch ~prefix ~n =
+let fan ?bandwidth_bps ?queue_cells t ~switch ~prefix ~n =
   if n < 1 then invalid_arg "Net.fan: n must be >= 1";
   Array.init n (fun i ->
       let h = add_host t ~name:(Printf.sprintf "%s%d" prefix i) in
-      connect t ?bandwidth_bps ?prop ?queue_cells switch h;
+      connect t ?bandwidth_bps ?queue_cells switch h;
       h)
 
-let open_pipe ?reserve_bps ?path_sel t ~src ~dst ~rx =
+let open_pipe t ~src ~dst ~rx =
   let cell_rx, train_rx = frame_rx_pair_flow ~rx () in
-  open_vc ?reserve_bps ~rx_train:train_rx ?path_sel t ~src ~dst ~rx:cell_rx
+  open_vc ~rx_train:train_rx t ~src ~dst ~rx:cell_rx
 
 let total_cells_dropped t =
   List.fold_left (fun acc l -> acc + Link.cells_dropped l) 0 t.all_links
@@ -541,9 +528,11 @@ type clos = {
   cl_hosts : node_id array;  (* leaf-major: hosts of leaf l start at l * hosts_per_leaf *)
 }
 
-let clos ?(spine_bps = 1_000_000_000) ?(host_bps = 100_000_000)
-    ?(spine_prop = Sim.Time.us 10) ?(host_prop = Sim.Time.us 5)
-    ?(queue_cells = 256) t ~spines ~leaves ~hosts_per_leaf () =
+(* The leaf-spine trunks; host links take {!connect}'s defaults. *)
+let spine_bps = 1_000_000_000
+let spine_prop = Sim.Time.us 10
+
+let clos t ~spines ~leaves ~hosts_per_leaf =
   if spines < 1 || leaves < 1 || hosts_per_leaf < 1 then
     invalid_arg "Net.clos: spines, leaves and hosts_per_leaf must be >= 1";
   let cl_spines =
@@ -565,13 +554,10 @@ let clos ?(spine_bps = 1_000_000_000) ?(host_bps = 100_000_000)
     (fun l leaf ->
       Array.iter
         (fun spine ->
-          connect t ~bandwidth_bps:spine_bps ~prop:spine_prop ~queue_cells leaf
-            spine)
+          connect t ~bandwidth_bps:spine_bps ~prop:spine_prop leaf spine)
         cl_spines;
       for h = 0 to hosts_per_leaf - 1 do
-        connect t ~bandwidth_bps:host_bps ~prop:host_prop ~queue_cells
-          cl_hosts.((l * hosts_per_leaf) + h)
-          leaf
+        connect t cl_hosts.((l * hosts_per_leaf) + h) leaf
       done)
     cl_leaves;
   { cl_spines; cl_leaves; cl_hosts }
@@ -657,6 +643,5 @@ let clear_faults t =
   List.iter
     (fun l ->
       Link.set_down l false;
-      Link.set_loss l None;
-      Link.set_extra_prop l Sim.Time.zero)
+      Link.set_loss l None)
     t.all_links

@@ -103,8 +103,6 @@ val set_train_path : t -> bool -> unit
     moves through the per-cell path; simulation results are identical
     either way — only event counts and wall-clock speed differ. *)
 
-val train_path : t -> bool
-
 val vc_hops : vc -> int
 (** Number of links traversed. *)
 
@@ -131,35 +129,34 @@ val host_rx_capacity : t -> node_id -> int
     diagnostic for the churn tests: with VCI reuse it stays pinned
     across open/close cycles.  Raises [Invalid_argument] on a switch. *)
 
-val frame_rx : rx:(bytes -> unit) -> ?on_error:(Aal5.error -> unit) -> unit -> Cell.t -> unit
-(** Build a cell handler that reassembles AAL5 frames and passes the
-    payloads to [rx].  Frames with CRC or length errors go to
-    [on_error] (default: ignored — the paper's devices simply avoid
-    rendering faulty tiles). *)
+val frame_rx_pair_flow :
+  rx:(flow:int -> bytes -> unit) ->
+  ?on_error:(Aal5.error -> unit) ->
+  unit ->
+  (Cell.t -> unit) * (Train.t -> unit)
+(** A cell handler and a train handler sharing one AAL5 reassembler —
+    pass both to {!open_vc} so frames arriving as trains are
+    reassembled with a single blit.  [rx] receives each payload with
+    the causal flow id carried by the frame's cells
+    ({!Sim.Trace.no_flow} when the sender attached none).  Frames with
+    CRC or length errors go to [on_error] (default: ignored — the
+    paper's devices simply avoid rendering faulty tiles). *)
 
 val frame_rx_pair :
   rx:(bytes -> unit) ->
   ?on_error:(Aal5.error -> unit) ->
   unit ->
   (Cell.t -> unit) * (Train.t -> unit)
-(** Like {!frame_rx}, but returns a cell handler and a train handler
-    sharing one reassembler — pass both to {!open_vc} so frames arriving
-    as trains are reassembled with a single blit. *)
+(** {!frame_rx_pair_flow} for a receiver that ignores flow ids. *)
 
-val frame_rx_pair_flow :
-  rx:(flow:int -> bytes -> unit) ->
-  ?on_error:(Aal5.error -> unit) ->
-  unit ->
-  (Cell.t -> unit) * (Train.t -> unit)
-(** Like {!frame_rx_pair}, but [rx] also receives the causal flow id
-    carried by the frame's cells ({!Sim.Trace.no_flow} when the sender
-    attached none). *)
+val frame_rx : rx:(bytes -> unit) -> Cell.t -> unit
+(** The cell handler of a {!frame_rx_pair}, for a VC without the train
+    fast path; faulty frames are ignored. *)
 
 (** {1 Multi-server attach and frame pipes} *)
 
 val fan :
   ?bandwidth_bps:int ->
-  ?prop:Sim.Time.t ->
   ?queue_cells:int ->
   t ->
   switch:node_id ->
@@ -167,14 +164,12 @@ val fan :
   n:int ->
   node_id array
 (** Attach [n] hosts (named [prefix0], [prefix1], ...) to [switch],
-    each over its own link pair with the given characteristics — the
-    one-switch counterpart of {!clos} for server-fleet rigs.  Names
-    and attach order are deterministic.  Raises [Invalid_argument]
-    when [n < 1]. *)
+    each over its own link pair with the given characteristics and
+    {!connect}'s 5 us propagation delay — the one-switch counterpart of
+    {!clos} for server-fleet rigs.  Names and attach order are
+    deterministic.  Raises [Invalid_argument] when [n < 1]. *)
 
 val open_pipe :
-  ?reserve_bps:int ->
-  ?path_sel:int ->
   t ->
   src:node_id ->
   dst:node_id ->
@@ -198,24 +193,13 @@ type clos = {
           [l * hosts_per_leaf .. (l+1) * hosts_per_leaf - 1]. *)
 }
 
-val clos :
-  ?spine_bps:int ->
-  ?host_bps:int ->
-  ?spine_prop:Sim.Time.t ->
-  ?host_prop:Sim.Time.t ->
-  ?queue_cells:int ->
-  t ->
-  spines:int ->
-  leaves:int ->
-  hosts_per_leaf:int ->
-  unit ->
-  clos
+val clos : t -> spines:int -> leaves:int -> hosts_per_leaf:int -> clos
 (** Generate a two-tier folded Clos (leaf-spine) fabric: every leaf
-    switch connects to every spine switch over a [spine_bps] trunk
-    (default 1 Gbit/s, 10 us), and [hosts_per_leaf] hosts hang off each
-    leaf over [host_bps] links (default 100 Mbit/s, 5 us).  Construction
-    is O(V+E); names ([spine0], [leaf3], [h3.5]) and edge attach order
-    are deterministic, so paths — and therefore experiment tables — are
+    switch connects to every spine switch over a 1 Gbit/s, 10 us trunk,
+    and [hosts_per_leaf] hosts hang off each leaf over 100 Mbit/s, 5 us
+    links; every queue holds 256 cells.  Construction is O(V+E); names
+    ([spine0], [leaf3], [h3.5]) and edge attach order are
+    deterministic, so paths — and therefore experiment tables — are
     reproducible.  Host-to-host paths across leaves are 4 hops
     (host, leaf, spine, leaf, host); {!open_vc}'s [path_sel] picks among
     the [spines] equal-cost spine crossings.  Raises [Invalid_argument]
@@ -240,8 +224,8 @@ val inject_loss : t -> rng:Sim.Rng.t -> float -> unit
     seed and the link creation order).  A rate [<= 0] clears loss. *)
 
 val clear_faults : t -> unit
-(** Clear every injected fault on every link: outage flags, loss
-    streams and latency spikes. *)
+(** Clear every injected fault on every link: outage flags and loss
+    streams. *)
 
 (** {1 Statistics} *)
 

@@ -3,10 +3,10 @@
    between streams and scarce link bandwidth.  A request is admitted at
    its full rate when some path has the capacity, admitted degraded at a
    lower tier of its class ladder when only that fits, and rejected
-   when even the lowest tier fits nowhere.  A periodic (or manual)
-   review renegotiates: degraded contracts are promoted one tier
-   whenever capacity freed by departures allows, in admission order, so
-   the longest-waiting contract upgrades first.
+   when even the lowest tier fits nowhere.  A review renegotiates:
+   degraded contracts are promoted one tier whenever capacity freed by
+   departures allows, in admission order, so the longest-waiting
+   contract upgrades first.
 
    Every open attempt rides {!Net.open_vc}'s all-or-nothing signalling,
    and every upgrade rides {!Net.vc_adjust_reservation}'s all-or-nothing
@@ -25,16 +25,10 @@ let tiers = function
   | Audio -> [ 1.0; 0.5 ]
   | Rpc -> [ 1.0 ]
 
-let default_deadline = function
-  | Video -> Sim.Time.ms 40  (* one frame period at 25 fps *)
-  | Audio -> Sim.Time.ms 5
-  | Rpc -> Sim.Time.ms 100
-
 type contract = {
   c_id : int;
   c_class : stream_class;
   c_requested_bps : int;
-  c_deadline : Sim.Time.t;
   mutable c_granted_bps : int;
   mutable c_tier : int;  (* index into [tiers c_class]; 0 = full rate *)
   mutable c_vc : Net.vc option;  (* [None] once torn down *)
@@ -54,14 +48,12 @@ type t = {
   mutable n_rejected : int;
   mutable n_released : int;
   mutable n_renegotiated : int;
-  mutable n_reviews : int;
 }
 
 let tier_bps ~requested fraction =
   Stdlib.max 1 (int_of_float (Float.of_int requested *. fraction))
 
 let review t =
-  t.n_reviews <- t.n_reviews + 1;
   List.iter
     (fun c ->
       if c.c_tier > 0 then
@@ -81,32 +73,22 @@ let review t =
             end)
     (List.rev t.contracts)
 
-let create ?interval ?(path_attempts = 1) net () =
+let create ?(path_attempts = 1) net () =
   if path_attempts < 1 then invalid_arg "Qos_mgr.create: path_attempts < 1";
-  let t =
-    {
-      qm_net = net;
-      path_attempts;
-      contracts = [];
-      next_id = 0;
-      n_offered = 0;
-      n_accepted = 0;
-      n_degraded = 0;
-      n_rejected = 0;
-      n_released = 0;
-      n_renegotiated = 0;
-      n_reviews = 0;
-    }
-  in
-  (match interval with
-  | None -> ()
-  | Some period ->
-      Sim.Engine.every ~daemon:true (Net.engine net) ~period (fun () ->
-          review t;
-          true));
-  t
+  {
+    qm_net = net;
+    path_attempts;
+    contracts = [];
+    next_id = 0;
+    n_offered = 0;
+    n_accepted = 0;
+    n_degraded = 0;
+    n_rejected = 0;
+    n_released = 0;
+    n_renegotiated = 0;
+  }
 
-let request ?deadline ?rx_train t ~cls ~bps ~src ~dst ~rx () =
+let request ?rx_train t ~cls ~bps ~src ~dst ~rx () =
   if bps <= 0 then invalid_arg "Qos_mgr.request: bps <= 0";
   t.n_offered <- t.n_offered + 1;
   (* Full rate over every candidate path first, then down the ladder:
@@ -143,8 +125,6 @@ let request ?deadline ?rx_train t ~cls ~bps ~src ~dst ~rx () =
           c_id = t.next_id;
           c_class = cls;
           c_requested_bps = bps;
-          c_deadline =
-            (match deadline with Some d -> d | None -> default_deadline cls);
           c_granted_bps = granted;
           c_tier = tier;
           c_vc = Some vc;
@@ -172,21 +152,16 @@ let teardown t c =
       t.n_released <- t.n_released + 1
 
 let live t = List.rev t.contracts
-let live_count t = List.length t.contracts
 let offered t = t.n_offered
 let accepted t = t.n_accepted
 let degraded t = t.n_degraded
 let rejected t = t.n_rejected
 let released t = t.n_released
 let renegotiated t = t.n_renegotiated
-let reviews t = t.n_reviews
 
 let contract_id c = c.c_id
 let contract_class c = c.c_class
 let contract_vc c = c.c_vc
-let requested_bps c = c.c_requested_bps
 let granted_bps c = c.c_granted_bps
-let contract_tier c = c.c_tier
-let contract_deadline c = c.c_deadline
 let upgrades c = c.c_upgrades
 let is_degraded c = c.c_tier > 0

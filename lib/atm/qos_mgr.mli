@@ -22,15 +22,6 @@ type stream_class = Video | Audio | Rpc
 
 val class_name : stream_class -> string
 
-val tiers : stream_class -> float list
-(** The degradation ladder of a class as fractions of the requested
-    rate, best first: video [1, 1/2, 1/4]; audio [1, 1/2]; RPC [1]
-    (take-it-or-leave-it). *)
-
-val default_deadline : stream_class -> Sim.Time.t
-(** Per-class end-to-end deadline recorded on contracts that do not
-    override it: 40 ms video, 5 ms audio, 100 ms RPC. *)
-
 type contract
 
 type verdict =
@@ -38,15 +29,14 @@ type verdict =
   | Degraded of contract  (** admitted at a lower tier of the ladder *)
   | Rejected
 
-val create : ?interval:Sim.Time.t -> ?path_attempts:int -> Net.t -> unit -> t
-(** A manager over the given fabric.  [interval] schedules {!review} as
-    a daemon at that period (default: manual review only).
-    [path_attempts] (default 1) is how many rotated path selections each
-    admission tier tries — set it to the spine count of a Clos fabric to
-    let admission spread over every equal-cost crossing. *)
+val create : ?path_attempts:int -> Net.t -> unit -> t
+(** A manager over the given fabric; contracts are renegotiated only
+    when the caller runs {!review}.  [path_attempts] (default 1) is how
+    many rotated path selections each admission tier tries — set it to
+    the spine count of a Clos fabric to let admission spread over every
+    equal-cost crossing. *)
 
 val request :
-  ?deadline:Sim.Time.t ->
   ?rx_train:(Train.t -> unit) ->
   t ->
   cls:stream_class ->
@@ -58,8 +48,10 @@ val request :
   verdict
 (** Offer a contract: a [cls] stream from [src] to [dst] at [bps].
     Tries full rate on every candidate path, then each lower tier of
-    the ladder; the returned contract's VC is open and reserved at the
-    granted rate.  Raises [Invalid_argument] when [bps <= 0]. *)
+    the class's degradation ladder (fractions of the requested rate:
+    video 1, 1/2, 1/4; audio 1, 1/2; RPC 1, take-it-or-leave-it); the
+    returned contract's VC is open and reserved at the granted rate.
+    Raises [Invalid_argument] when [bps <= 0]. *)
 
 val teardown : t -> contract -> unit
 (** Close the contract's VC and release everything it held.
@@ -78,13 +70,7 @@ val contract_class : contract -> stream_class
 val contract_vc : contract -> Net.vc option
 (** [None] once torn down. *)
 
-val requested_bps : contract -> int
 val granted_bps : contract -> int
-
-val contract_tier : contract -> int
-(** Index into {!tiers}: 0 is full rate. *)
-
-val contract_deadline : contract -> Sim.Time.t
 
 val upgrades : contract -> int
 (** Tier promotions this contract has received from {!review}. *)
@@ -96,7 +82,6 @@ val is_degraded : contract -> bool
 val live : t -> contract list
 (** Live contracts in admission order. *)
 
-val live_count : t -> int
 val offered : t -> int
 val accepted : t -> int
 val degraded : t -> int
@@ -105,5 +90,3 @@ val released : t -> int
 
 val renegotiated : t -> int
 (** Total tier promotions across all reviews. *)
-
-val reviews : t -> int

@@ -5,36 +5,36 @@ type port = int
    accessors, so reads always match the per-cell path, which counts
    each cell at its own arrival event.  [pa] holds the cells' arrival
    instants at this input port. *)
-type pend = { pa : Cell_times.t; pport : int; pun : bool }
+type pend = { pa : Cell_times.t; pun : bool }
 
 type t = {
   engine : Sim.Engine.t;
   name : string;
   nports : int;
-  fabric_delay : Sim.Time.t;
   outputs : Link.t option array;
   table : (int * int, port * int * bool) Hashtbl.t;  (* ..., priority *)
   mutable switched : int;
   mutable unroutable : int;
   mutable pending : pend list;
-  port_cells : int array;  (* cells accepted per input port *)
   m_switched : Sim.Metrics.counter;
   m_unroutable : Sim.Metrics.counter;
 }
 
-let create engine ~name ~ports ?(fabric_delay = Sim.Time.ns 4240) () =
+(* Fabric transit: one cell time at 100 Mbit/s, matching Fairisle's
+   cell-pipelined fabric. *)
+let fabric_delay = Sim.Time.ns 4240
+
+let create engine ~name ~ports =
   let metrics = Sim.Engine.metrics engine in
   {
     engine;
     name;
     nports = ports;
-    fabric_delay;
     outputs = Array.make ports None;
     table = Hashtbl.create 64;
     switched = 0;
     unroutable = 0;
     pending = [];
-    port_cells = Array.make ports 0;
     m_switched =
       Sim.Metrics.counter metrics ~sub:Sim.Subsystem.Atm
         ~help:"cells forwarded across all switch fabrics"
@@ -45,7 +45,6 @@ let create engine ~name ~ports ?(fabric_delay = Sim.Time.ns 4240) () =
         "switch.cells_unroutable";
   }
 
-let name t = t.name
 let ports t = t.nports
 
 let attach_output t port link =
@@ -83,8 +82,6 @@ let drop_unroutable t in_port (cell : Cell.t) =
       "cell_unroutable"
 
 let input t in_port (cell : Cell.t) =
-  if in_port >= 0 && in_port < t.nports then
-    t.port_cells.(in_port) <- t.port_cells.(in_port) + 1;
   match Hashtbl.find_opt t.table (in_port, cell.vci) with
   | None -> drop_unroutable t in_port cell
   | Some (out_port, out_vci, priority) -> begin
@@ -103,7 +100,7 @@ let input t in_port (cell : Cell.t) =
               ("sw:" ^ t.name);
           cell.vci <- out_vci;
           let forward () = Link.send ~priority link cell in
-          ignore (Sim.Engine.schedule t.engine ~delay:t.fabric_delay forward)
+          ignore (Sim.Engine.schedule t.engine ~delay:fabric_delay forward)
     end
 
 let now_ns t = Sim.Time.to_ns (Sim.Engine.now t.engine)
@@ -119,10 +116,10 @@ let future_cells t pred =
     (fun acc p -> if pred p then acc + Cell_times.count_after p.pa now else acc)
     0 t.pending
 
-let note_pending t pa pport pun =
+let note_pending t pa pun =
   prune_pending t;
   if Cell_times.last pa > now_ns t then
-    t.pending <- { pa; pport; pun } :: t.pending
+    t.pending <- { pa; pun } :: t.pending
 
 (* The train fast path: one routing lookup for a whole burst, and no
    fabric-transit event at all.  [arrivals] (each cell's arrival at this
@@ -131,8 +128,6 @@ let note_pending t pa pport pun =
    preserved exactly, at a cost that follows the arrivals' runs. *)
 let input_train t in_port (train : Train.t) ~arrivals =
   let n = Train.count train in
-  if in_port >= 0 && in_port < t.nports then
-    t.port_cells.(in_port) <- t.port_cells.(in_port) + n;
   let out =
     match Hashtbl.find_opt t.table (in_port, train.Train.vci) with
     | None -> None
@@ -148,7 +143,7 @@ let input_train t in_port (train : Train.t) ~arrivals =
          counting the burst is all the per-cell path would have done. *)
       t.unroutable <- t.unroutable + n;
       Sim.Metrics.incr ~by:n t.m_unroutable;
-      note_pending t arrivals in_port true
+      note_pending t arrivals true
   | Some (link, out_vci, priority) ->
       t.switched <- t.switched + n;
       Sim.Metrics.incr ~by:n t.m_switched;
@@ -166,13 +161,13 @@ let input_train t in_port (train : Train.t) ~arrivals =
           ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train)
           ("sw:" ^ t.name);
       train.Train.vci <- out_vci;
-      note_pending t arrivals in_port false;
+      note_pending t arrivals false;
       (* Commit downstream immediately with the (future) fabric-shifted
          instants as virtual offers: the output link reveals each cell
          only once its offer passes, so no fabric-transit event per
          burst is needed at all. *)
       Link.send_train ~priority
-        ~offers:(Cell_times.shift arrivals (Sim.Time.to_ns t.fabric_delay))
+        ~offers:(Cell_times.shift arrivals (Sim.Time.to_ns fabric_delay))
         link train
 
 let cells_switched t =
@@ -182,8 +177,3 @@ let cells_switched t =
 let cells_unroutable t =
   prune_pending t;
   t.unroutable - future_cells t (fun p -> p.pun)
-
-let port_cells t port =
-  if port < 0 || port >= t.nports then invalid_arg "Switch.port_cells: bad port";
-  prune_pending t;
-  t.port_cells.(port) - future_cells t (fun p -> p.pport = port)

@@ -10,11 +10,10 @@ type t
 
 type port = int
 
-val create : Sim.Engine.t -> name:string -> ports:int -> ?fabric_delay:Sim.Time.t -> unit -> t
-(** [fabric_delay] defaults to 4.24 us — one cell time at 100 Mbit/s,
+val create : Sim.Engine.t -> name:string -> ports:int -> t
+(** The fabric transit time is 4.24 us — one cell time at 100 Mbit/s,
     matching Fairisle's cell-pipelined fabric. *)
 
-val name : t -> string
 val ports : t -> int
 
 val attach_output : t -> port -> Link.t -> unit
@@ -48,12 +47,8 @@ val input_train : t -> port -> Train.t -> arrivals:Cell_times.t -> unit
     sequence for the output link, so the switch's cost follows the
     number of runs in [arrivals], not of cells.  The switch keeps
     [arrivals] while some of them lie in the future, so that
-    {!cells_switched}, {!cells_unroutable} and {!port_cells} count
-    each cell only once it has arrived. *)
+    {!cells_switched} and {!cells_unroutable} count each cell only once
+    it has arrived. *)
 
 val cells_switched : t -> int
 val cells_unroutable : t -> int
-
-val port_cells : t -> port -> int
-(** Cells received on an input port (routable or not).  Raises
-    [Invalid_argument] on a bad port. *)

@@ -22,8 +22,6 @@ type packet = {
   data : bytes;  (** [count * bytes_per_tile] bytes of pixel data *)
 }
 
-val trailer_bytes : int
-
 val marshal : packet -> bytes
 
 val unmarshal : bytes -> packet option

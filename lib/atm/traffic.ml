@@ -1,111 +1,53 @@
-type kind =
-  | Cbr of { period : Sim.Time.t }
-  | Frames of { period : Sim.Time.t; frame_bytes : int }
-  | Poisson of { mean_gap_s : float; rng : Sim.Rng.t }
-  | On_off of {
-      peak_period : Sim.Time.t;
-      mean_on_s : float;
-      mean_off_s : float;
-      rng : Sim.Rng.t;
-      mutable on_until : Sim.Time.t;
-    }
-
 type t = {
   engine : Sim.Engine.t;
   vc : Net.vc;
-  kind : kind;
+  peak_period : Sim.Time.t;
+  mean_on_s : float;
+  mean_off_s : float;
+  rng : Sim.Rng.t;
+  mutable on_until : Sim.Time.t;
   mutable running : bool;
   mutable sent : int;
 }
-
-let cell_period_of_rate rate_bps =
-  Sim.Time.of_sec_f (Float.of_int Cell.wire_bits /. Float.of_int rate_bps)
-
-let cbr engine ~vc ~rate_bps =
-  {
-    engine;
-    vc;
-    kind = Cbr { period = cell_period_of_rate rate_bps };
-    running = false;
-    sent = 0;
-  }
-
-(* Frame-granularity CBR: whole AAL5 frames at a fixed period, the
-   arrival shape of video tiles and bulk-transfer units.  Each frame is
-   one burst at the first link — the workload the cell-train fast path
-   batches into a single event per hop. *)
-let frames engine ~vc ~frame_bytes ~period =
-  if frame_bytes < 1 then invalid_arg "Traffic.frames: frame_bytes < 1";
-  { engine; vc; kind = Frames { period; frame_bytes }; running = false; sent = 0 }
-
-let poisson engine ~vc ~rate_bps ~rng =
-  let mean_gap_s = Float.of_int Cell.wire_bits /. Float.of_int rate_bps in
-  { engine; vc; kind = Poisson { mean_gap_s; rng }; running = false; sent = 0 }
 
 let on_off engine ~vc ~peak_bps ~mean_on ~mean_off ~rng =
   {
     engine;
     vc;
-    kind =
-      On_off
-        {
-          peak_period = cell_period_of_rate peak_bps;
-          mean_on_s = Sim.Time.to_sec_f mean_on;
-          mean_off_s = Sim.Time.to_sec_f mean_off;
-          rng;
-          on_until = Sim.Time.zero;
-        };
+    peak_period =
+      Sim.Time.of_sec_f (Float.of_int Cell.wire_bits /. Float.of_int peak_bps);
+    mean_on_s = Sim.Time.to_sec_f mean_on;
+    mean_off_s = Sim.Time.to_sec_f mean_off;
+    rng;
+    on_until = Sim.Time.zero;
     running = false;
     sent = 0;
   }
 
-let emit t =
-  Net.send t.vc (Cell.make_blank ~vci:0 ~last:true);
-  t.sent <- t.sent + 1
-
 let rec tick t =
   if t.running then begin
-    match t.kind with
-    | Cbr { period } ->
-        emit t;
-        ignore (Sim.Engine.schedule t.engine ~delay:period (fun () -> tick t))
-    | Frames { period; frame_bytes } ->
-        Net.send_frame t.vc (Bytes.make frame_bytes '\000');
-        t.sent <- t.sent + Aal5.frame_cells frame_bytes;
-        ignore (Sim.Engine.schedule t.engine ~delay:period (fun () -> tick t))
-    | Poisson { mean_gap_s; rng } ->
-        emit t;
-        let gap = Sim.Rng.exponential rng ~mean:mean_gap_s in
-        ignore
-          (Sim.Engine.schedule t.engine ~delay:(Sim.Time.of_sec_f gap) (fun () ->
-               tick t))
-    | On_off o ->
-        let now = Sim.Engine.now t.engine in
-        if Sim.Time.(now < o.on_until) then begin
-          emit t;
-          ignore
-            (Sim.Engine.schedule t.engine ~delay:o.peak_period (fun () -> tick t))
-        end
-        else begin
-          (* Begin an OFF period, then a fresh ON burst. *)
-          let off = Sim.Rng.exponential o.rng ~mean:o.mean_off_s in
-          let on = Sim.Rng.exponential o.rng ~mean:o.mean_on_s in
-          let resume = Sim.Time.add now (Sim.Time.of_sec_f off) in
-          o.on_until <- Sim.Time.add resume (Sim.Time.of_sec_f on);
-          ignore
-            (Sim.Engine.schedule_at t.engine ~at:resume (fun () -> tick t))
-        end
+    let now = Sim.Engine.now t.engine in
+    if Sim.Time.(now < t.on_until) then begin
+      Net.send t.vc (Cell.make_blank ~vci:0 ~last:true);
+      t.sent <- t.sent + 1;
+      ignore
+        (Sim.Engine.schedule t.engine ~delay:t.peak_period (fun () -> tick t))
+    end
+    else begin
+      (* Begin an OFF period, then a fresh ON burst. *)
+      let off = Sim.Rng.exponential t.rng ~mean:t.mean_off_s in
+      let on = Sim.Rng.exponential t.rng ~mean:t.mean_on_s in
+      let resume = Sim.Time.add now (Sim.Time.of_sec_f off) in
+      t.on_until <- Sim.Time.add resume (Sim.Time.of_sec_f on);
+      ignore (Sim.Engine.schedule_at t.engine ~at:resume (fun () -> tick t))
+    end
   end
 
 let start t =
   if not t.running then begin
     t.running <- true;
-    (match t.kind with
-    | On_off o ->
-        let on = Sim.Rng.exponential o.rng ~mean:o.mean_on_s in
-        o.on_until <-
-          Sim.Time.add (Sim.Engine.now t.engine) (Sim.Time.of_sec_f on)
-    | Cbr _ | Frames _ | Poisson _ -> ());
+    let on = Sim.Rng.exponential t.rng ~mean:t.mean_on_s in
+    t.on_until <- Sim.Time.add (Sim.Engine.now t.engine) (Sim.Time.of_sec_f on);
     tick t
   end
 

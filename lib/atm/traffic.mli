@@ -2,17 +2,6 @@
 
 type t
 
-val cbr : Sim.Engine.t -> vc:Net.vc -> rate_bps:int -> t
-(** Constant bit rate: one cell every [wire_bits / rate_bps]. *)
-
-val frames : Sim.Engine.t -> vc:Net.vc -> frame_bytes:int -> period:Sim.Time.t -> t
-(** Whole AAL5 frames at a fixed period — the arrival shape of video
-    tiles and bulk-transfer units.  [cells_sent] counts cells, not
-    frames. *)
-
-val poisson : Sim.Engine.t -> vc:Net.vc -> rate_bps:int -> rng:Sim.Rng.t -> t
-(** Poisson cell arrivals averaging [rate_bps]. *)
-
 val on_off :
   Sim.Engine.t ->
   vc:Net.vc ->

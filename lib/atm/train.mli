@@ -44,9 +44,6 @@ val cell : t -> int -> Cell.t
 (** Cell [i] of the window as a zero-copy {!Cell.t} view carrying the
     train's current VCI. *)
 
-val is_last : t -> int -> bool
-(** Does cell [i] of the window carry the end-of-frame bit? *)
-
 val contains_last : t -> bool
 (** Does the window reach the end of the frame? *)
 

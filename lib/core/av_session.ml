@@ -13,9 +13,14 @@ type t = {
   mutable running : bool;
 }
 
-let create ~from_ ~to_ ?(camera = 0) ?(width = 320) ?(height = 240) ?(fps = 25)
-    ?(mode = Atm.Camera.Jpeg { ratio = 8.0 }) ?(release = `Tile_row)
-    ?(with_audio = true) ?(window = (64, 64)) () =
+(* The sender's first camera, at 25 fps, JPEG 8:1 and tile-row
+   release. *)
+let camera = 0
+let fps = 25
+let mode = Atm.Camera.Jpeg { ratio = 8.0 }
+
+let create ~from_ ~to_ ?(width = 320) ?(height = 240) ?(with_audio = true)
+    ?(window = (64, 64)) () =
   let site = Workstation.site from_ in
   let engine = Site.engine site in
   let net = Site.net site in
@@ -40,7 +45,10 @@ let create ~from_ ~to_ ?(camera = 0) ?(width = 320) ?(height = 240) ?(fps = 25)
   let video_vci = Atm.Net.vc_dst_vci video_vc in
   let wx, wy = window in
   Atm.Display.add_window display ~vci:video_vci ~x:wx ~y:wy ~width ~height;
-  let cam = Atm.Camera.create engine ~vc:video_vc ~width ~height ~fps ~mode ~release () in
+  let cam =
+    Atm.Camera.create engine ~vc:video_vc ~width ~height ~fps ~mode
+      ~release:`Tile_row ()
+  in
   (* Control path: per-device control streams to the sender's manager,
      merged there, one combined stream to the receiver's play-back
      controller. *)
@@ -123,7 +131,6 @@ let stop t =
     | None -> ()
   end
 
-let camera t = t.camera
 let display_vci t = t.video_vci
 
 let video_staging_latency_us t =
@@ -143,5 +150,3 @@ let audio_late_cells t =
 
 let av_sync_skew_us t =
   Atm.Control.Playback.skew_us t.playback ~a:video_stream_id ~b:audio_stream_id
-
-let playback t = t.playback

@@ -14,24 +14,20 @@ type t
 val create :
   from_:Workstation.t ->
   to_:Workstation.t ->
-  ?camera:int ->
   ?width:int ->
   ?height:int ->
-  ?fps:int ->
-  ?mode:Atm.Camera.mode ->
-  ?release:Atm.Camera.release ->
   ?with_audio:bool ->
   ?window:int * int ->
   unit ->
   t
-(** Defaults: camera 0, 320x240 at 25 fps, JPEG 8:1, tile-row release,
-    audio on, window at (64, 64).  Raises [Invalid_argument] when the
+(** Video comes from the sender's first camera at 25 fps, JPEG 8:1,
+    with tile-row release.  Defaults: 320x240, audio on, window at
+    (64, 64).  Raises [Invalid_argument] when the
     endpoints lack the needed devices. *)
 
 val start : t -> unit
 val stop : t -> unit
 
-val camera : t -> Atm.Camera.t
 val display_vci : t -> int
 (** The VCI indexing this session's window descriptor at the display. *)
 
@@ -47,5 +43,3 @@ val audio_late_cells : t -> int
 val av_sync_skew_us : t -> Sim.Stats.Samples.t
 (** |video latency − audio latency| for matching capture instants, from
     the play-back controller. *)
-
-val playback : t -> Atm.Control.Playback.t

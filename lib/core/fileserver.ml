@@ -1,9 +1,7 @@
 type t = {
-  fs_name : string;
   fs_site : Site.t;
   host : Atm.Net.node_id;
   rpc_ep : Rpc.endpoint;
-  raid : Pfs.Raid.t;
   log : Pfs.Log.t;
   streams : Pfs.Stream.t;
   wserver : Pfs.Client_agent.Server.t;
@@ -66,16 +64,14 @@ let create site ~name ?(segment_bytes = 1 lsl 20) ?(store_data = false)
   let host = Site.add_host site ~name in
   let raid = Pfs.Raid.create engine ~store_data ~segment_bytes () in
   let log = Pfs.Log.create engine ~raid () in
-  let streams = Pfs.Stream.create engine ~log () in
+  let streams = Pfs.Stream.create engine ~log in
   let wserver = Pfs.Client_agent.Server.create engine ~log ~write_delay () in
-  let ns = Naming.Namespace.create ~name (Sim.Engine.metrics engine) in
+  let ns = Naming.Namespace.create (Sim.Engine.metrics engine) in
   let t =
     {
-      fs_name = name;
       fs_site = site;
       host;
       rpc_ep = Rpc.endpoint (Site.net site) ~host;
-      raid;
       log;
       streams;
       wserver;
@@ -97,11 +93,8 @@ let create site ~name ?(segment_bytes = 1 lsl 20) ?(store_data = false)
   Site.publish site ~path:("fs/" ^ name) ctl;
   t
 
-let name t = t.fs_name
 let host t = t.host
-let rpc t = t.rpc_ep
 let log t = t.log
-let raid t = t.raid
 let streams t = t.streams
 let write_server t = t.wserver
 let namespace t = t.ns
@@ -112,7 +105,7 @@ let connect_client t ws =
       ~server:t.rpc_ep ()
   in
   let agent =
-    Pfs.Client_agent.Agent.create (Site.engine t.fs_site) ~server:t.wserver ()
+    Pfs.Client_agent.Agent.create (Site.engine t.fs_site) ~server:t.wserver
   in
   (conn, agent)
 

@@ -19,11 +19,8 @@ val create :
   t
 (** Defaults: 1 MB segments, timing-only storage, 30 s write-behind. *)
 
-val name : t -> string
 val host : t -> Atm.Net.node_id
-val rpc : t -> Rpc.endpoint
 val log : t -> Pfs.Log.t
-val raid : t -> Pfs.Raid.t
 val streams : t -> Pfs.Stream.t
 val write_server : t -> Pfs.Client_agent.Server.t
 val namespace : t -> Naming.Namespace.t

@@ -5,29 +5,26 @@ type t = {
   directory : Naming.Namespace.t;
 }
 
-let create ?(backbone_ports = 32) engine =
+let create engine =
   let net = Atm.Net.create engine in
-  let backbone = Atm.Net.add_switch net ~name:"backbone" ~ports:backbone_ports in
+  let backbone = Atm.Net.add_switch net ~name:"backbone" ~ports:32 in
   {
     engine;
     net;
     backbone;
-    directory =
-      Naming.Namespace.create ~name:"site" (Sim.Engine.metrics engine);
+    directory = Naming.Namespace.create (Sim.Engine.metrics engine);
   }
 
 let engine t = t.engine
 let net t = t.net
-let backbone t = t.backbone
-let directory t = t.directory
 
 let add_host t ~name =
   let host = Atm.Net.add_host t.net ~name in
   Atm.Net.connect t.net host t.backbone;
   host
 
-let add_switch t ~name ?(ports = 8) () =
-  let switch = Atm.Net.add_switch t.net ~name ~ports in
+let add_switch t ~name =
+  let switch = Atm.Net.add_switch t.net ~name ~ports:8 in
   Atm.Net.connect t.net switch t.backbone;
   switch
 

@@ -8,24 +8,22 @@
 
 type t
 
-val create : ?backbone_ports:int -> Sim.Engine.t -> t
-(** Default backbone: a 32-port Fairisle-style switch. *)
+val create : Sim.Engine.t -> t
+(** The backbone is a 32-port Fairisle-style switch. *)
 
 val engine : t -> Sim.Engine.t
 val net : t -> Atm.Net.t
-val backbone : t -> Atm.Net.node_id
-
-val directory : t -> Naming.Namespace.t
-(** The site-wide name tree, shared by convention. *)
 
 val add_host : t -> name:string -> Atm.Net.node_id
 (** Attach a plain host (e.g. a Unix box) to the backbone. *)
 
-val add_switch : t -> name:string -> ?ports:int -> unit -> Atm.Net.node_id
-(** Attach a subsidiary switch (a workstation's desk-area network). *)
+val add_switch : t -> name:string -> Atm.Net.node_id
+(** Attach an 8-port subsidiary switch (a workstation's desk-area
+    network). *)
 
 val publish : t -> path:string -> Naming.Maillon.t -> unit
-(** Bind an object into the site directory. *)
+(** Bind an object into the site-wide name tree. *)
 
 val mount_directory : t -> into:Naming.Namespace.t -> rtt:Sim.Time.t -> unit
-(** Mount the site directory at ["global"] in a node's namespace. *)
+(** Mount the site-wide name tree at ["global"] in a node's
+    namespace. *)

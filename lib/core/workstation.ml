@@ -1,7 +1,5 @@
 type t = {
-  ws_name : string;
   ws_site : Site.t;
-  switch : Atm.Net.node_id;
   cpu : Atm.Net.node_id;
   kernel : Nemesis.Kernel.t;
   qos : Nemesis.Qos.t;
@@ -21,11 +19,10 @@ let device_maillon ~kind ~host_name =
          ("where", fun _ -> Bytes.of_string host_name);
        ])
 
-let create site ~name ?(cameras = 1) ?(display = true) ?(audio = true)
-    ?(policy = Nemesis.Policy.atropos ()) () =
+let create site ~name ?(cameras = 1) ?(display = true) ?(audio = true) () =
   let engine = Site.engine site in
   let net = Site.net site in
-  let switch = Site.add_switch site ~name:(name ^ ".dan") () in
+  let switch = Site.add_switch site ~name:(name ^ ".dan") in
   let attach device =
     let host = Atm.Net.add_host net ~name:device in
     Atm.Net.connect net host switch;
@@ -43,9 +40,11 @@ let create site ~name ?(cameras = 1) ?(display = true) ?(audio = true)
     else (None, None)
   in
   let audio = if audio then Some (attach (name ^ ".dsp")) else None in
-  let kernel = Nemesis.Kernel.create engine ~policy () in
-  let qos = Nemesis.Qos.create kernel () in
-  let ns = Naming.Namespace.create ~name (Sim.Engine.metrics engine) in
+  let kernel =
+    Nemesis.Kernel.create engine ~policy:(Nemesis.Policy.atropos ()) ()
+  in
+  let qos = Nemesis.Qos.create kernel in
+  let ns = Naming.Namespace.create (Sim.Engine.metrics engine) in
   (* Local names are the shortest: devices appear right under /dev. *)
   Array.iteri
     (fun i host ->
@@ -69,9 +68,7 @@ let create site ~name ?(cameras = 1) ?(display = true) ?(audio = true)
     ~path:("ws/" ^ name)
     (device_maillon ~kind:"workstation" ~host_name:name);
   {
-    ws_name = name;
     ws_site = site;
-    switch;
     cpu;
     kernel;
     qos;
@@ -83,14 +80,12 @@ let create site ~name ?(cameras = 1) ?(display = true) ?(audio = true)
     audio;
   }
 
-let name t = t.ws_name
 let site t = t.ws_site
 let kernel t = t.kernel
 let qos t = t.qos
 let namespace t = t.ns
 let rpc t = t.rpc_ep
 let cpu t = t.cpu
-let dan_switch t = t.switch
 
 let camera_host t i =
   if i < 0 || i >= Array.length t.cameras then

@@ -16,12 +16,11 @@ val create :
   ?cameras:int ->
   ?display:bool ->
   ?audio:bool ->
-  ?policy:Nemesis.Policy.t ->
   unit ->
   t
-(** Defaults: 1 camera, a display, an audio node, Atropos scheduling. *)
+(** The kernel schedules with Atropos.  Defaults: 1 camera, a display,
+    an audio node. *)
 
-val name : t -> string
 val site : t -> Site.t
 val kernel : t -> Nemesis.Kernel.t
 val qos : t -> Nemesis.Qos.t
@@ -30,8 +29,6 @@ val rpc : t -> Rpc.endpoint
 
 val cpu : t -> Atm.Net.node_id
 (** The conventional host (where managers and the RPC endpoint live). *)
-
-val dan_switch : t -> Atm.Net.node_id
 
 val camera_host : t -> int -> Atm.Net.node_id
 (** The [i]th camera device node.  Raises [Invalid_argument] when the

@@ -9,12 +9,11 @@ let duration = Sim.Time.ms 400
 let video = E01_tile_latency.audit_scenario
 let av = E02_bandwidth_jitter.audit_scenario
 
-(* File service: one workstation client calling the "pfs" RPC interface
-   (8 KB calls against one file, enough writes to seal 64 KB segments so
-   the RAID and disk stages appear in the report), plus a client agent
-   fed by the Baker file-lifetime mix, with the server's write delay
+(* One workstation client calling the "pfs" RPC interface (8 KB calls
+   against one file, enough writes to seal 64 KB segments so the RAID
+   and disk stages appear in the report), with the server's write delay
    shortened so buffered writes reach the disk inside the run. *)
-let setup_pfs e =
+let pfs_client e ~until =
   let site = Pegasus.Site.create e in
   let ws = Pegasus.Workstation.create site ~name:"client" () in
   let fs =
@@ -27,7 +26,7 @@ let setup_pfs e =
   let period = Sim.Time.ms 10 in
   let rec schedule_calls i =
     let at = Sim.Time.mul period (i + 1) in
-    if Sim.Time.(at < duration) then begin
+    if Sim.Time.(at < until) then begin
       ignore
         (Sim.Engine.schedule_at e ~at (fun () ->
              if i mod 4 = 3 then
@@ -46,6 +45,12 @@ let setup_pfs e =
     end
   in
   schedule_calls 0;
+  (site, fs, agent)
+
+(* File service: the RPC client above, plus a client agent fed by the
+   Baker file-lifetime mix. *)
+let setup_pfs e =
+  let _site, fs, agent = pfs_client e ~until:duration in
   let server = Pegasus.Fileserver.write_server fs in
   let ops =
     {

@@ -18,3 +18,12 @@ val pfs : Sim.Engine.t -> unit
 
 val video_pfs : Sim.Engine.t -> unit
 (** {!video} and {!pfs} on one engine — the CI audit smoke scenario. *)
+
+val pfs_client :
+  Sim.Engine.t ->
+  until:Sim.Time.t ->
+  Pegasus.Site.t * Pegasus.Fileserver.t * Pfs.Client_agent.Agent.t
+(** The RPC half of {!pfs}: a site whose workstation calls the file
+    server's ["pfs"] interface every 10 ms until [until] (8 KB calls
+    against one file, every fourth a read).  Returns the site, the file
+    server and the workstation's client agent. *)

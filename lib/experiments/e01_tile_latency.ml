@@ -16,11 +16,11 @@ let rig e ~release ~mode =
   let width = 640 and height = 480 in
   Atm.Display.add_window display ~vci ~x:0 ~y:0 ~width ~height;
   let camera = Atm.Camera.create e ~vc ~width ~height ~fps:25 ~mode ~release () in
-  (display, vci, camera)
+  (net, display, vci, camera)
 
 let measure ctx ~release ~mode ~duration =
   let e = Sim.Ctx.engine ctx in
-  let display, vci, camera = rig e ~release ~mode in
+  let _net, display, vci, camera = rig e ~release ~mode in
   Atm.Camera.start camera;
   Sim.Engine.run e ~until:duration;
   let samples = Atm.Display.staging_latency_us display ~vci in
@@ -29,7 +29,9 @@ let measure ctx ~release ~mode ~duration =
     Atm.Display.frames_completed display ~vci )
 
 let audit_scenario e =
-  let _display, _vci, camera = rig e ~release:`Tile_row ~mode:Atm.Camera.Raw in
+  let _net, _display, _vci, camera =
+    rig e ~release:`Tile_row ~mode:Atm.Camera.Raw
+  in
   Atm.Camera.start camera;
   Sim.Engine.run e ~until:(Sim.Time.ms 400)
 

@@ -124,7 +124,7 @@ let run_qos ctx =
     d
   in
   let app = mk "editor" in
-  let q = Nemesis.Qos.create k () in
+  let q = Nemesis.Qos.create k in
   let grants = ref [] in
   Nemesis.Qos.register q ~domain:app ~want:0.6
     ~adapt:(fun ~granted -> grants := granted :: !grants)

@@ -44,8 +44,8 @@ let pingpong_throughput ctx ~ctx_cost ~duration =
 
 let run ctx =
   let duration = Sim.Time.sec 5 in
-  let flush_cost = Nemesis.Vm.switch_cost ~aliases:true () in
-  let no_flush_cost = Nemesis.Vm.switch_cost ~aliases:false () in
+  let flush_cost = Nemesis.Vm.switch_cost ~aliases:true in
+  let no_flush_cost = Nemesis.Vm.switch_cost ~aliases:false in
   let thr_flush = pingpong_throughput ctx ~ctx_cost:flush_cost ~duration in
   let thr_clean = pingpong_throughput ctx ~ctx_cost:no_flush_cost ~duration in
   let rng = Sim.Rng.create ~seed:2024L () in

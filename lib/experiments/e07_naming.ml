@@ -80,11 +80,11 @@ let resolution_cost ns path =
 let run ctx =
   let rtt = measured_rpc_rtt ctx in
   (* A local namespace, a same-machine service, and two remote hops. *)
-  let ns name = Naming.Namespace.create ~name (Sim.Ctx.metrics ctx) in
-  let local = ns "local" in
-  let machine_svc = ns "machine" in
-  let remote_fs = ns "fs" in
-  let far = ns "far" in
+  let ns () = Naming.Namespace.create (Sim.Ctx.metrics ctx) in
+  let local = ns () in
+  let machine_svc = ns () in
+  let remote_fs = ns () in
+  let far = ns () in
   Naming.Namespace.bind local ~path:"obj" (obj "local-shallow");
   Naming.Namespace.bind local ~path:"a/b/c/obj" (obj "local-deep");
   Naming.Namespace.bind machine_svc ~path:"obj" (obj "svc-obj");

@@ -8,7 +8,7 @@
 
 let single_disk_rate ctx ~unit_bytes ~ops =
   let e = Sim.Ctx.engine ctx in
-  let d = Pfs.Disk.create e ~name:"d" () in
+  let d = Pfs.Disk.create e ~name:"d" in
   for i = 0 to ops - 1 do
     let off =
       if i mod 2 = 0 then i / 2 * unit_bytes
@@ -55,8 +55,7 @@ let networked_rate ctx ~segments =
         (Atm.Net.frame_rx
            ~rx:(fun payload ->
              received := !received + Bytes.length payload;
-             finished := Sim.Engine.now e)
-           ())
+             finished := Sim.Engine.now e))
   in
   let raid = Pfs.Raid.create e ~segment_bytes:1_048_576 () in
   let chunk = 8192 in

@@ -8,7 +8,7 @@ let scenario ctx ~write_delay ~duration =
   let raid = Pfs.Raid.create e ~segment_bytes:262_144 () in
   let log = Pfs.Log.create e ~raid () in
   let server = Pfs.Client_agent.Server.create e ~log ~write_delay () in
-  let agent = Pfs.Client_agent.Agent.create e ~server () in
+  let agent = Pfs.Client_agent.Agent.create e ~server in
   let rng = Sim.Rng.create ~seed:7L () in
   let fids = Hashtbl.create 256 in
   let ops =

@@ -22,7 +22,7 @@ let scenario ctx ~failure ~writes =
     Pfs.Client_agent.Server.create e ~log ~write_delay:(Sim.Time.sec 30) ~ups
       ~nvram ()
   in
-  let agent = Pfs.Client_agent.Agent.create e ~server () in
+  let agent = Pfs.Client_agent.Agent.create e ~server in
   let fid = Pfs.Client_agent.Server.create_file server in
   for i = 0 to writes - 1 do
     ignore

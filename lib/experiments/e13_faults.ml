@@ -35,7 +35,7 @@ let video_run ctx ~loss ~with_outages ~frames =
   let delivered = ref 0 in
   let vc =
     Atm.Net.open_vc net ~src:cam ~dst:disp
-      ~rx:(Atm.Net.frame_rx ~rx:(fun _ -> incr delivered) ())
+      ~rx:(Atm.Net.frame_rx ~rx:(fun _ -> incr delivered))
   in
   if loss > 0.0 then Atm.Net.inject_loss net ~rng:(Sim.Fault.rng fault) loss;
   let span = Sim.Time.mul frame_gap (frames + 2) in

@@ -71,7 +71,7 @@ let row ~offered ctx =
   Sim.Audit.capture tr;
   let e = Sim.Ctx.engine ctx in
   let net = Atm.Net.create e in
-  let fabric = Atm.Net.clos net ~spines ~leaves ~hosts_per_leaf () in
+  let fabric = Atm.Net.clos net ~spines ~leaves ~hosts_per_leaf in
   let hosts = fabric.Atm.Net.cl_hosts in
   let nh = Array.length hosts in
   let qm = Atm.Qos_mgr.create ~path_attempts:spines net () in

@@ -26,26 +26,12 @@
 let video_duration = Sim.Time.ms 400
 
 (* ------------------------------------------------------------------ *)
-(* Shared video rig: E1's camera -> Fairisle switch -> display window,
-   returning the net so scenarios can script faults on its links. *)
+(* E1's raw tile-row rig, camera started, returning the net so
+   scenarios can script faults on its links. *)
 
 let video_rig e =
-  let net = Atm.Net.create e in
-  let sw = Atm.Net.add_switch net ~name:"dan" ~ports:4 in
-  let cam_host = Atm.Net.add_host net ~name:"cam" in
-  let disp_host = Atm.Net.add_host net ~name:"disp" in
-  Atm.Net.connect net cam_host sw;
-  Atm.Net.connect net disp_host sw;
-  let display = Atm.Display.create e () in
-  let vc =
-    Atm.Net.open_vc net ~src:cam_host ~dst:disp_host ~rx:(fun c ->
-        Atm.Display.cell_rx display c)
-  in
-  let vci = Atm.Net.vc_dst_vci vc in
-  Atm.Display.add_window display ~vci ~x:0 ~y:0 ~width:640 ~height:480;
-  let camera =
-    Atm.Camera.create e ~vc ~width:640 ~height:480 ~fps:25 ~mode:Atm.Camera.Raw
-      ~release:`Tile_row ()
+  let net, _display, _vci, camera =
+    E01_tile_latency.rig e ~release:`Tile_row ~mode:Atm.Camera.Raw
   in
   Atm.Camera.start camera;
   net
@@ -89,7 +75,7 @@ let video_slos m e =
 let video ctx =
   let e = Sim.Ctx.engine ctx in
   let _net = video_rig e in
-  let m = Sim.Monitor.create ~name:"video" e in
+  let m = Sim.Monitor.create e in
   video_slos m e;
   Sim.Engine.run e ~until:video_duration;
   Sim.Monitor.report ~name:"video" [ m ]
@@ -97,7 +83,7 @@ let video ctx =
 let congest ctx =
   let e = Sim.Ctx.engine ctx in
   let net = video_rig e in
-  let m = Sim.Monitor.create ~name:"congest" e in
+  let m = Sim.Monitor.create e in
   video_slos m e;
   (* Scripted wire-loss episode: 5% Bernoulli loss on every link from
      100 ms to 220 ms.  With 20 ms sub-windows the cell-loss objective
@@ -115,9 +101,9 @@ let congest ctx =
   Sim.Monitor.report ~name:"congest" [ m ]
 
 (* ------------------------------------------------------------------ *)
-(* File service: the audit "pfs" rig (workstation client calling the
-   file server over RPC every 10 ms) plus a replicated directory over
-   four loopback shards under a flash-crowd read load. *)
+(* File service: the audit "pfs" RPC client (a workstation calling the
+   file server every 10 ms) plus a replicated directory over four
+   loopback shards under a flash-crowd read load. *)
 
 (* RPC retries back off from 10 ms with at most 4 tries, so the last
    retransmission of a call issued during the loss episode lands about
@@ -126,36 +112,7 @@ let congest ctx =
 let pfs ctx =
   let duration = Sim.Time.ms 600 in
   let e = Sim.Ctx.engine ctx in
-  let site = Pegasus.Site.create e in
-  let ws = Pegasus.Workstation.create site ~name:"client" () in
-  let fs =
-    Pegasus.Fileserver.create site ~name:"pfs" ~segment_bytes:65536
-      ~write_delay:(Sim.Time.ms 40) ()
-  in
-  let conn, _agent = Pegasus.Fileserver.connect_client fs ws in
-  let fid = Pfs.Log.create_file (Pegasus.Fileserver.log fs) () in
-  let chunk = 8192 in
-  let period = Sim.Time.ms 10 in
-  let rec schedule_calls i =
-    let at = Sim.Time.mul period (i + 1) in
-    if Sim.Time.(at < duration) then begin
-      ignore
-        (Sim.Engine.schedule_at e ~at (fun () ->
-             if i mod 4 = 3 then
-               Rpc.call conn ~iface:"pfs" ~meth:"read"
-                 (Pegasus.Fileserver.encode_u32s [ fid; 0; chunk ])
-                 ~reply:(fun _ -> ())
-             else
-               let args =
-                 Pegasus.Fileserver.encode_u32s [ fid; i * chunk; chunk ]
-               in
-               Rpc.call conn ~iface:"pfs" ~meth:"write"
-                 (Bytes.cat args (Bytes.create chunk))
-                 ~reply:(fun _ -> ())));
-      schedule_calls (i + 1)
-    end
-  in
-  schedule_calls 0;
+  let site, _fs, _agent = Audit_scenarios.pfs_client e ~until:duration in
   (* Replicated directory on a loopback transport: preload one file,
      seal it, then read it hot enough that the review tick grows
      replicas — exercising the read-latency and copy-lag observers. *)
@@ -194,7 +151,7 @@ let pfs ctx =
   ignore
     (Sim.Engine.schedule_at e ~at:(Sim.Time.ms 280) (fun () ->
          Atm.Net.clear_faults net));
-  let m = Sim.Monitor.create ~name:"pfs" e in
+  let m = Sim.Monitor.create e in
   let reg = Sim.Engine.metrics e in
   let win = Sim.Time.ms 25 in
   Sim.Monitor.register m
@@ -309,9 +266,7 @@ let fabric ctx =
   let monitors =
     Array.mapi
       (fun i (e, _) ->
-        let m =
-          Sim.Monitor.create ~name:(Printf.sprintf "site%d" i) e
-        in
+        let m = Sim.Monitor.create e in
         let reg = Sim.Engine.metrics e in
         let atm = Sim.Subsystem.Atm in
         let win = Sim.Time.ms 10 in

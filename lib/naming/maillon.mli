@@ -27,9 +27,6 @@ val of_iface : reference:string -> iface -> t
 
 val reference : t -> string
 
-val force : t -> iface
-(** Resolve and cache the interface. *)
-
 val resolved : t -> bool
 
 val invoke : t -> meth:string -> bytes -> (bytes, error) result

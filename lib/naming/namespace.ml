@@ -8,9 +8,7 @@ and dir = (string, entry) Hashtbl.t
 and mount = { target : t; via : Relation.t }
 
 and t = {
-  ns_name : string;
   root : dir;
-  mutable n_lookups : int;
   m_resolutions : Sim.Metrics.counter;
   m_resolve_errors : Sim.Metrics.counter;
   m_resolve_cost : Sim.Metrics.dist;
@@ -36,12 +34,10 @@ let pp_error fmt = function
 (* Cost of walking one component within a local directory. *)
 let component_cost = Sim.Time.ns 200
 
-let create ?(name = "ns") metrics =
+let create metrics =
   let sub = Sim.Subsystem.Naming in
   {
-    ns_name = name;
     root = Hashtbl.create 16;
-    n_lookups = 0;
     m_resolutions =
       Sim.Metrics.counter metrics ~sub ~help:"successful path resolutions"
         "namespace.resolutions";
@@ -53,8 +49,6 @@ let create ?(name = "ns") metrics =
         ~help:"modelled cost of successful resolutions in us"
         "namespace.resolve_cost_us";
   }
-
-let name t = t.ns_name
 
 let split path =
   String.split_on_char '/' path |> List.filter (fun c -> c <> "")
@@ -107,7 +101,6 @@ let resolve t path =
       match components with
       | [] -> Error (Not_found_at path)
       | c :: rest -> begin
-          ns.n_lookups <- ns.n_lookups + 1;
           let cost = Sim.Time.add cost component_cost in
           let walked = walked + 1 in
           match Hashtbl.find_opt dir c with
@@ -165,7 +158,4 @@ let rec copy_dir dir =
     dir;
   d
 
-let fork t ~name =
-  { t with ns_name = name; root = copy_dir t.root; n_lookups = 0 }
-
-let lookups t = t.n_lookups
+let fork t = { t with root = copy_dir t.root }

@@ -29,12 +29,10 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val create : ?name:string -> Sim.Metrics.t -> t
+val create : Sim.Metrics.t -> t
 (** An empty name space counting its resolutions into the given
     registry ([naming/namespace.*]); {!fork}ed children count into the
     same one. *)
-
-val name : t -> string
 
 val bind : t -> path:string -> Maillon.t -> unit
 (** Bind an object; intermediate directories are created.  Raises
@@ -56,11 +54,7 @@ val readdir : t -> string -> (string list, error) result
 (** Names bound directly under a directory (in this namespace only —
     does not cross into mounts). *)
 
-val fork : t -> name:string -> t
+val fork : t -> t
 (** A child's name space: starts as a copy of the parent's tree
     structure, sharing the same objects and mounts (the usual
     inherit-then-customise pattern). *)
-
-val lookups : t -> int
-(** Lookup requests served by this namespace (local + on behalf of
-    mounts pointing at it). *)

@@ -10,8 +10,3 @@ let invocation_cost = function
   | Remote rtt -> Sim.Time.add procedure_call rtt
 
 let lookup_cost = invocation_cost
-
-let pp fmt = function
-  | Same_domain -> Format.pp_print_string fmt "same-domain"
-  | Same_machine -> Format.pp_print_string fmt "same-machine"
-  | Remote rtt -> Format.fprintf fmt "remote(rtt=%a)" Sim.Time.pp rtt

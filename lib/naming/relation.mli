@@ -13,23 +13,17 @@ type t =
   | Same_machine
   | Remote of Sim.Time.t  (** measured round-trip time of the RPC path *)
 
-val procedure_call : Sim.Time.t
-(** ~50 ns: an indirect call. *)
-
 val maillon_overhead : Sim.Time.t
 (** ~20 ns: the extra indirection through the maillon in the common
     (already-resolved) case. *)
 
-val protected_call : Sim.Time.t
-(** ~15 us: trap, protection-domain switch and return on a 1994 CPU. *)
-
 val invocation_cost : t -> Sim.Time.t
-(** Cost of one method invocation across the relation (procedure call
-    included, maillon overhead excluded — add it for handle-based
-    calls). *)
+(** Cost of one method invocation across the relation: ~50 ns for the
+    procedure call (an indirect call), plus ~15 us for a protected call
+    (trap, protection-domain switch and return on a 1994 CPU) or the
+    RPC round trip.  Maillon overhead is excluded — add it for
+    handle-based calls. *)
 
 val lookup_cost : t -> Sim.Time.t
 (** Cost of one name-lookup request across the relation (a lookup is
     an invocation of the remote name server). *)
-
-val pp : Format.formatter -> t -> unit

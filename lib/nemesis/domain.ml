@@ -29,7 +29,6 @@ type t = {
   mutable n_completed : int;
   mutable n_missed : int;
   act_latency : Sim.Stats.Samples.t;
-  response : Sim.Stats.Samples.t;
 }
 
 let create ~name ?(mode = Informed) ?(period = Sim.Time.ms 40)
@@ -55,11 +54,9 @@ let create ~name ?(mode = Informed) ?(period = Sim.Time.ms 40)
     n_completed = 0;
     n_missed = 0;
     act_latency = Sim.Stats.Samples.create ();
-    response = Sim.Stats.Samples.create ();
   }
 
 let name t = t.name
-let mode t = t.mode
 let params t = t.params
 let sched t = t.sched
 let add_job t job = t.jobs <- t.jobs @ [ job ]
@@ -96,7 +93,6 @@ let remove_job t job =
   | Some j when j == job -> t.current_job <- None
   | Some _ | None -> ()
 
-let job_count t = List.length t.jobs
 let has_work t = t.jobs <> []
 
 let earliest_job_deadline t =
@@ -132,10 +128,8 @@ let deadline_misses t = t.n_missed
 
 let note_job_done t (job : Job.t) ~now =
   t.n_completed <- t.n_completed + 1;
-  Sim.Stats.Samples.add t.response (Sim.Time.to_us_f (Sim.Time.sub now job.created));
   match job.deadline with
   | Some d when Sim.Time.(now > d) -> t.n_missed <- t.n_missed + 1
   | Some _ | None -> ()
 
 let activation_latency_us t = t.act_latency
-let response_time_us t = t.response

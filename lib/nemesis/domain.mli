@@ -51,7 +51,6 @@ val create :
     priority 0. *)
 
 val name : t -> string
-val mode : t -> mode
 val params : t -> params
 val sched : t -> sched_state
 
@@ -70,7 +69,6 @@ val current : t -> Job.t option
 val remove_job : t -> Job.t -> unit
 (** Also clears [current] if it was this job. *)
 
-val job_count : t -> int
 val has_work : t -> bool
 val earliest_job_deadline : t -> Sim.Time.t
 (** Over pending jobs; far future when none carry deadlines. *)
@@ -101,5 +99,3 @@ val jobs_completed : t -> int
 val deadline_misses : t -> int
 val note_job_done : t -> Job.t -> now:Sim.Time.t -> unit
 val activation_latency_us : t -> Sim.Stats.Samples.t
-val response_time_us : t -> Sim.Stats.Samples.t
-(** Job creation-to-completion times. *)

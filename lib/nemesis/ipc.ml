@@ -8,7 +8,6 @@ type server = {
   s_kernel : Kernel.t;
   s_domain : Domain.t;
   s_depth : int;
-  s_cost : Sim.Time.t;
   s_handler : meth:string -> bytes -> bytes;
   mutable s_served : int;
 }
@@ -26,12 +25,14 @@ type conn = {
 
 type error = [ `Queue_full ]
 
-let serve kernel ~domain ?(queue_depth = 16) ?(cost = Sim.Time.us 20) handler =
+(* CPU the handler job consumes per call. *)
+let serve_cost = Sim.Time.us 20
+
+let serve kernel ~domain ?(queue_depth = 16) handler =
   {
     s_kernel = kernel;
     s_domain = domain;
     s_depth = queue_depth;
-    s_cost = cost;
     s_handler = handler;
     s_served = 0;
   }
@@ -42,7 +43,7 @@ let connect kernel ~client server =
   let engine = Kernel.engine kernel in
   let to_client = ref None in
   (* Server side: each notification is one request to pull off the
-     shared queue; the handler runs as a job costing s_cost. *)
+     shared queue; the handler runs as a job costing serve_cost. *)
   let to_server =
     Kernel.channel kernel ~dst:server.s_domain ~mode:`Sync
       ~closure:(fun () ->
@@ -50,7 +51,7 @@ let connect kernel ~client server =
         | None -> None
         | Some req ->
             Some
-              (Job.make ~label:("serve " ^ req.r_meth) ~work:server.s_cost
+              (Job.make ~label:("serve " ^ req.r_meth) ~work:serve_cost
                  ~created:(Sim.Engine.now engine)
                  ~on_complete:(fun () ->
                    server.s_served <- server.s_served + 1;
@@ -97,4 +98,3 @@ let call conn ~meth payload ~reply =
   end
 
 let calls_served s = s.s_served
-let queue_depth conn = Queue.length conn.c_requests

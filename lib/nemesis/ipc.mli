@@ -18,12 +18,11 @@ val serve :
   Kernel.t ->
   domain:Domain.t ->
   ?queue_depth:int ->
-  ?cost:Sim.Time.t ->
   (meth:string -> bytes -> bytes) ->
   server
-(** Export a handler running inside [domain].  [cost] (default 20 us)
-    is the CPU the handler job consumes per call; [queue_depth]
-    (default 16) bounds the shared request queue. *)
+(** Export a handler running inside [domain].  The handler job
+    consumes 20 us of CPU per call; [queue_depth] (default 16) bounds
+    the shared request queue. *)
 
 val connect : Kernel.t -> client:Domain.t -> server -> conn
 (** Set up the shared-memory queue pair and event channels. *)
@@ -41,5 +40,3 @@ val call :
     event is delivered.  [`Queue_full] is immediate back-pressure. *)
 
 val calls_served : server -> int
-val queue_depth : conn -> int
-(** Requests currently waiting (for back-pressure tests). *)

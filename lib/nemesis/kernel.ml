@@ -81,8 +81,6 @@ let create engine ~policy ?(ctx_switch_cost = Sim.Time.us 10) () =
 
 let engine t = t.engine
 let now t = Sim.Engine.now t.engine
-let policy_name t = t.policy.Policy.policy_name
-let domains t = t.doms
 
 (* -------------------------------------------------------------- *)
 (* The scheduling machinery.  Every state change funnels through   *)
@@ -389,4 +387,3 @@ let idle_time t =
   | Some since -> Sim.Time.add t.idle_total (Sim.Time.sub (now t) since)
   | None -> t.idle_total
 
-let running t = match t.plan with Some p -> Some p.p_dom | None -> None

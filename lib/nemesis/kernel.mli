@@ -31,12 +31,9 @@ val create :
 
 val engine : t -> Sim.Engine.t
 val now : t -> Sim.Time.t
-val policy_name : t -> string
 
 val add_domain : t -> Domain.t -> unit
 (** Register a domain; its first allocation period starts now. *)
-
-val domains : t -> Domain.t list
 
 val submit : t -> Domain.t -> Job.t -> unit
 (** Hand a job to a domain's user-level scheduler (and reschedule). *)
@@ -89,5 +86,3 @@ val with_kps : t -> (unit -> 'a) -> 'a
 val context_switches : t -> int
 val idle_time : t -> Sim.Time.t
 (** Total time no domain held the processor. *)
-
-val running : t -> Domain.t option

@@ -28,7 +28,10 @@ let next_release domains =
     (fun acc d -> Sim.Time.min acc (Domain.sched d).Domain.release)
     Int64.max_int domains
 
-let atropos ?(slack_quantum = Sim.Time.ms 1) ?(slack = `Round_robin) () =
+(* How long a slack grant runs before the decision is revisited. *)
+let slack_quantum = Sim.Time.ms 1
+
+let atropos ?(slack = `Round_robin) () =
   (* Selection sequence for round-robin fairness of slack: using a
      counter rather than the clock makes ties impossible. *)
   let seq = ref 0L in
@@ -121,7 +124,7 @@ let atropos ?(slack_quantum = Sim.Time.ms 1) ?(slack = `Round_robin) () =
 (* ------------------------------------------------------------------ *)
 (* Baselines.                                                          *)
 
-let simple_policy name pick ?(quantum = Sim.Time.ms 10) () =
+let simple_policy name pick ~quantum =
   let select ~domains ~now =
     match runnable domains with
     | [] -> None
@@ -136,7 +139,7 @@ let simple_policy name pick ?(quantum = Sim.Time.ms 10) () =
     next_wake = (fun ~domains:_ ~now:_ -> None);
   }
 
-let edf ?(quantum = Sim.Time.ms 1) () =
+let edf () =
   let pick ready ~now:_ =
     List.fold_left
       (fun acc d ->
@@ -146,9 +149,9 @@ let edf ?(quantum = Sim.Time.ms 1) () =
         else acc)
       (List.hd ready) (List.tl ready)
   in
-  simple_policy "edf" pick ~quantum ()
+  simple_policy "edf" pick ~quantum:(Sim.Time.ms 1)
 
-let fixed_priority ?(quantum = Sim.Time.ms 10) () =
+let fixed_priority () =
   let pick ready ~now:_ =
     List.fold_left
       (fun acc d ->
@@ -157,9 +160,9 @@ let fixed_priority ?(quantum = Sim.Time.ms 10) () =
         else acc)
       (List.hd ready) (List.tl ready)
   in
-  simple_policy "fixed-priority" pick ~quantum ()
+  simple_policy "fixed-priority" pick ~quantum:(Sim.Time.ms 10)
 
-let round_robin ?(quantum = Sim.Time.ms 10) () =
+let round_robin () =
   let seq = ref 0L in
   let pick ready ~now:_ =
     let best =
@@ -176,4 +179,4 @@ let round_robin ?(quantum = Sim.Time.ms 10) () =
     (Domain.sched best).Domain.rr_last <- !seq;
     best
   in
-  simple_policy "round-robin" pick ~quantum ()
+  simple_policy "round-robin" pick ~quantum:(Sim.Time.ms 10)

@@ -26,28 +26,24 @@ type t = {
           (e.g. a new allocation period starts). *)
 }
 
-val atropos :
-  ?slack_quantum:Sim.Time.t ->
-  ?slack:[ `Round_robin | `Proportional | `None ] ->
-  unit ->
-  t
-(** The paper's scheduler.  [slack_quantum] (default 1 ms) bounds how
-    long a slack grant runs before the decision is revisited.  [slack]
+val atropos : ?slack:[ `Round_robin | `Proportional | `None ] -> unit -> t
+(** The paper's scheduler.  A slack grant runs at most 1 ms before the
+    decision is revisited.  [slack]
     selects the policy for sharing out remaining resources — which the
     paper leaves as "the subject of investigation"; the ablation in
     experiment A1 compares the options.  [`Round_robin] (default)
     rotates among extra-time domains, [`Proportional] weights slack by
     guaranteed share, [`None] idles once guarantees are met. *)
 
-val edf : ?quantum:Sim.Time.t -> unit -> t
+val edf : unit -> t
 (** Plain earliest-deadline-first over the domains' most urgent job
     deadlines, with no reservations: optimal when feasible, collapses
-    unpredictably under overload. *)
+    unpredictably under overload.  Decisions are revisited every 1 ms. *)
 
-val fixed_priority : ?quantum:Sim.Time.t -> unit -> t
+val fixed_priority : unit -> t
 (** Highest static priority wins; among equal priorities, the domain
     listed first in [domains] (the kernel lists them in the order they
-    were added). *)
+    were added).  Decisions are revisited every 10 ms. *)
 
-val round_robin : ?quantum:Sim.Time.t -> unit -> t
-(** Equal turns in become-runnable order. *)
+val round_robin : unit -> t
+(** Equal turns in become-runnable order, 10 ms each. *)

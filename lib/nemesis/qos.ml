@@ -7,11 +7,16 @@ type app = {
   adapt : (granted:float -> unit) option;
 }
 
+(* The review period — an order of magnitude above scheduling
+   decisions; the total CPU fraction handed out, keeping headroom for
+   the system itself; and the EWMA coefficient applied to observed
+   utilisation. *)
+let interval = Sim.Time.ms 100
+let capacity = 0.9
+let smoothing = 0.3
+
 type t = {
   kernel : Kernel.t;
-  interval : Sim.Time.t;
-  capacity : float;
-  smoothing : float;
   mutable apps : app list;
   mutable last_review : Sim.Time.t;
   mutable n_reviews : int;
@@ -43,7 +48,7 @@ let recalculate t =
       t.apps
   in
   let total = List.fold_left (fun acc (_, d) -> acc +. d) 0.0 demands in
-  let scale = if total > t.capacity then t.capacity /. total else 1.0 in
+  let scale = if total > capacity then capacity /. total else 1.0 in
   List.iter (fun (app, demand) -> apply_grant t app (demand *. scale)) demands
 
 let review t =
@@ -60,18 +65,14 @@ let review t =
         let granted_time = elapsed *. Float.max app.grant 0.001 in
         let util = Float.min 1.0 (delta /. granted_time) in
         app.ewma_util <-
-          (t.smoothing *. util) +. ((1.0 -. t.smoothing) *. app.ewma_util))
+          (smoothing *. util) +. ((1.0 -. smoothing) *. app.ewma_util))
       t.apps;
   recalculate t
 
-let create kernel ?(interval = Sim.Time.ms 100) ?(capacity = 0.9)
-    ?(smoothing = 0.3) () =
+let create kernel =
   let t =
     {
       kernel;
-      interval;
-      capacity;
-      smoothing;
       apps = [];
       last_review = Kernel.now kernel;
       n_reviews = 0;

@@ -10,18 +10,11 @@
 
 type t
 
-val create :
-  Kernel.t ->
-  ?interval:Sim.Time.t ->
-  ?capacity:float ->
-  ?smoothing:float ->
-  unit ->
-  t
-(** [interval] (default 100 ms) is the manager's review period — an
-    order of magnitude above scheduling decisions.  [capacity]
-    (default 0.9) is the total CPU fraction the manager hands out,
-    keeping headroom for the system itself.  [smoothing] (default 0.3)
-    is the EWMA coefficient applied to observed utilisation. *)
+val create : Kernel.t -> t
+(** The manager reviews every 100 ms — an order of magnitude above
+    scheduling decisions.  It hands out at most 0.9 of the CPU, keeping
+    headroom for the system itself, and smooths observed utilisation
+    with an EWMA coefficient of 0.3. *)
 
 val register :
   t ->

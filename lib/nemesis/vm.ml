@@ -2,7 +2,6 @@ type rights = { read : bool; write : bool; execute : bool }
 
 let r = { read = true; write = false; execute = false }
 let rw = { read = true; write = true; execute = false }
-let rx = { read = true; write = false; execute = true }
 
 type segment = { seg_id : int; seg_name : string; base : int64; size : int }
 
@@ -68,19 +67,16 @@ let shared_mappings space seg =
     (fun (_, sid) _ acc -> if sid = seg.seg_id then acc + 1 else acc)
     space.mappings 0
 
-type cache = { lines : int; line_fill : Sim.Time.t }
-
-let default_cache = { lines = 256; line_fill = Sim.Time.ns 200 }
-
+(* A small 1994 virtually-indexed cache: 256 lines, 200 ns per line
+   fill. *)
+let cache_lines = 256
+let line_fill = Sim.Time.ns 200
 let fixed_switch = Sim.Time.us 2
 
-let switch_cost ?(cache = default_cache) ~aliases () =
+let switch_cost ~aliases =
   if aliases then
-    Sim.Time.add fixed_switch (Sim.Time.mul cache.line_fill cache.lines)
+    Sim.Time.add fixed_switch (Sim.Time.mul line_fill cache_lines)
   else fixed_switch
-
-let hashed_base ~code_hash =
-  Int64.shift_left (Int64.logand (Int64.of_int32 code_hash) 0xffffffffL) 32
 
 let reuse_collisions rng ~images =
   let seen = Hashtbl.create images in

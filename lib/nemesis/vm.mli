@@ -20,7 +20,6 @@ type rights = { read : bool; write : bool; execute : bool }
 
 val r : rights
 val rw : rights
-val rx : rights
 
 type space
 (** One machine's shared virtual address space. *)
@@ -51,32 +50,20 @@ val shared_mappings : space -> segment -> int
 
 (** {1 Context-switch cost model} *)
 
-type cache = { lines : int; line_fill : Sim.Time.t }
-
-val default_cache : cache
-(** 256 lines, 200 ns per line fill — a small 1994 virtually-indexed
-    cache. *)
-
-val switch_cost : ?cache:cache -> aliases:bool -> unit -> Sim.Time.t
+val switch_cost : aliases:bool -> Sim.Time.t
 (** Cost of moving the CPU between protection domains.  [aliases:true]
     (separate address spaces, virtual caches) pays a full flush and
-    refill; [aliases:false] (single address space) pays only the fixed
-    register/stack switch (2 us). *)
+    refill of a small 1994 virtually-indexed cache (256 lines, 200 ns
+    per line fill); [aliases:false] (single address space) pays only the
+    fixed register/stack switch (2 us). *)
 
 (** {1 Load-time relocation and address reuse} *)
-
-val hashed_base : code_hash:int32 -> int64
-(** Allocate the top 32 address bits from a hash of the code image, so
-    a program reloads at the same address with high probability. *)
 
 val reuse_collisions : Sim.Rng.t -> images:int -> int
 (** Simulate loading [images] distinct programs with random 32-bit
     hashes; count pairwise collisions (distinct images forced to
     different addresses, i.e. relocation-cache misses). *)
 
-val relocation_cost : relocs:int -> Sim.Time.t
-(** Cost of relocating an image with [relocs] entries (100 ns each). *)
-
 val load_cost : relocs:int -> cache_hit:bool -> Sim.Time.t
 (** Image load cost: a relocation-cache hit costs a fixed 50 us map
-    operation; a miss additionally pays {!relocation_cost}. *)
+    operation; a miss additionally pays 100 ns per relocation entry. *)

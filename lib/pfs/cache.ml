@@ -106,12 +106,6 @@ let invalidate_file t ~fid =
       Hashtbl.remove t.by_fid fid
 
 let size t = Hashtbl.length t.tbl
-let capacity t = t.cap
 let hits t = t.n_hits
 let misses t = t.n_misses
 let evictions t = t.n_evictions
-
-let reset_stats t =
-  t.n_hits <- 0;
-  t.n_misses <- 0;
-  t.n_evictions <- 0

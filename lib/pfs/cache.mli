@@ -24,8 +24,6 @@ val invalidate_file : t -> fid:int -> unit
     a hot path. *)
 
 val size : t -> int
-val capacity : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
-val reset_stats : t -> unit

@@ -32,7 +32,3 @@ val clean_sequentially :
   Log.t -> int list -> k:(segments:int -> moved:int -> unit) -> unit
 (** Clean the given segments one after another (skipping any that are
     no longer sealed). *)
-
-val garbage_read_cost : entries:int -> Sim.Time.t
-(** Sequential read of 16-byte entries at the disk rate, plus an
-    n log n sort at 0.5 us per comparison-ish step. *)

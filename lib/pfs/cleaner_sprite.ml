@@ -1,4 +1,9 @@
-let run log ?(max_utilisation = 0.99) ?(per_entry_cost = Sim.Time.us 1) k =
+(* Any segment with garbage is a victim; examining one segment-table
+   entry during the scan costs 1 us. *)
+let max_utilisation = 0.99
+let per_entry_cost = Sim.Time.us 1
+
+let run log k =
   let engine = Log.engine log in
   let started = Sim.Engine.now engine in
   let total = Log.total_segments log in

@@ -7,13 +7,7 @@
     than with the amount of garbage — the scaling problem the paper's
     garbage-file design removes. *)
 
-val run :
-  Log.t ->
-  ?max_utilisation:float ->
-  ?per_entry_cost:Sim.Time.t ->
-  (Cleaner.stats -> unit) ->
-  unit
-(** Clean every sealed segment whose live fraction is at most
-    [max_utilisation] (default 0.99, i.e. any segment with garbage).
-    [per_entry_cost] (default 1 us) models examining one segment-table
-    entry during the scan. *)
+val run : Log.t -> (Cleaner.stats -> unit) -> unit
+(** Clean every sealed segment whose live fraction is at most 0.99,
+    i.e. any segment with garbage.  Examining one segment-table entry
+    during the scan costs 1 us. *)

@@ -48,7 +48,6 @@ module Server = struct
     }
 
   let create_file t = Log.create_file t.log ()
-  let crashed t = t.is_crashed
 
   let flush_write t w =
     (match w.w_flush_ev with
@@ -169,42 +168,32 @@ module Server = struct
   let writes_received t = t.received
   let disk_writes t = t.to_disk
   let writes_cancelled t = t.cancelled
-
-  let pending t =
-    List.length
-      (List.filter
-         (fun w -> w.w_server_copy && (not w.w_durable) && not w.w_cancelled)
-         t.records)
 end
 
 module Agent = struct
   type t = {
     engine : Sim.Engine.t;
     server : Server.t;
-    net_delay : Sim.Time.t;
-    retry_delay : Sim.Time.t;
-    retry_cap : Sim.Time.t;
     rng : Sim.Rng.t;
     mutable is_crashed : bool;
     mutable copies : wrec list;
-    mutable acked : int;
     mutable retries : int;
   }
 
-  let create engine ~server ?(net_delay = Sim.Time.ms 1)
-      ?(retry_delay = Sim.Time.ms 100) ?(retry_cap = Sim.Time.sec 10) ?seed ()
-      =
+  (* The one-way client-server latency, and the retry backoff: from
+     100 ms, doubling up to 10 s. *)
+  let net_delay = Sim.Time.ms 1
+  let retry_delay = Sim.Time.ms 100
+  let retry_cap = Sim.Time.sec 10
+
+  let create engine ~server =
     let t =
       {
         engine;
         server;
-        net_delay;
-        retry_delay;
-        retry_cap;
-        rng = Sim.Rng.create ?seed ();
+        rng = Sim.Rng.create ();
         is_crashed = false;
         copies = [];
-        acked = 0;
         retries = 0;
       }
     in
@@ -224,7 +213,7 @@ module Agent = struct
   let backoff t attempt =
     let shift = Stdlib.min attempt 16 in
     let base =
-      Sim.Time.min (Sim.Time.mul t.retry_delay (1 lsl shift)) t.retry_cap
+      Sim.Time.min (Sim.Time.mul retry_delay (1 lsl shift)) retry_cap
     in
     let f = Sim.Rng.uniform t.rng ~lo:0.9 ~hi:1.1 in
     Sim.Time.max (Sim.Time.ns 1)
@@ -244,10 +233,9 @@ module Agent = struct
         if Server.receive t.server w then
           (* Acknowledgement comes back one net delay later. *)
           ignore
-            (Sim.Engine.schedule t.engine ~delay:t.net_delay (fun () ->
+            (Sim.Engine.schedule t.engine ~delay:net_delay (fun () ->
                  if not w.w_acked then begin
                    w.w_acked <- true;
-                   t.acked <- t.acked + 1;
                    match ack with Some f -> f () | None -> ()
                  end))
         else begin
@@ -260,7 +248,7 @@ module Agent = struct
         end
       end
     in
-    ignore (Sim.Engine.schedule t.engine ~delay:t.net_delay (offer ~attempt:0))
+    ignore (Sim.Engine.schedule t.engine ~delay:net_delay (offer ~attempt:0))
 
   let write t ~fid ~off ~len ?ack () =
     let server = t.server in
@@ -305,7 +293,7 @@ module Agent = struct
 
   let delete t ~fid =
     ignore
-      (Sim.Engine.schedule t.engine ~delay:t.net_delay (fun () ->
+      (Sim.Engine.schedule t.engine ~delay:net_delay (fun () ->
            Server.delete_file t.server fid))
 
   let crash t =
@@ -323,13 +311,7 @@ module Agent = struct
           then send t w ~ack:None)
         t.copies
 
-  let recover t =
-    t.is_crashed <- false;
-    (* Recovery re-offers every surviving copy the server lost. *)
-    replay t
-
   let copies_held t = List.length t.copies
-  let acked_writes t = t.acked
   let retries t = t.retries
 end
 
@@ -362,7 +344,3 @@ let audit (server : Server.t) =
     recoverable = !recoverable;
     lost = !lost;
   }
-
-let pp_audit fmt a =
-  Format.fprintf fmt "acked=%d durable=%d recoverable=%d lost=%d" a.acknowledged
-    a.durable a.recoverable a.lost

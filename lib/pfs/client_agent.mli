@@ -37,11 +37,6 @@ module Server : sig
   val recover : t -> unit
   (** With [nvram], recovery flushes the preserved buffers. *)
 
-  val crashed : t -> bool
-
-  val flush_all : t -> unit
-  (** Force every pending write to the log now. *)
-
   (** {2 Statistics} *)
 
   val writes_received : t -> int
@@ -50,23 +45,17 @@ module Server : sig
 
   val writes_cancelled : t -> int
   (** Pending writes superseded by an overwrite or delete. *)
-
-  val pending : t -> int
 end
 
 (** The client-machine agent. *)
 module Agent : sig
   type t
 
-  val create :
-    Sim.Engine.t -> server:Server.t -> ?net_delay:Sim.Time.t ->
-    ?retry_delay:Sim.Time.t -> ?retry_cap:Sim.Time.t -> ?seed:int64 ->
-    unit -> t
-  (** [net_delay] (default 1 ms) is the one-way client-server latency.
-      When the server is down, the agent re-offers each unacknowledged
-      write with capped exponential backoff: starting at [retry_delay]
-      (default 100 ms), doubling up to [retry_cap] (default 10 s), with
-      ±10 % jitter drawn from a deterministic stream seeded by [seed].
+  val create : Sim.Engine.t -> server:Server.t -> t
+  (** The one-way client-server latency is 1 ms.  When the server is
+      down, the agent re-offers each unacknowledged write with capped
+      exponential backoff: starting at 100 ms, doubling up to 10 s,
+      with ±10 % jitter drawn from a deterministic stream.
       Retry events are daemons, so a server that never recovers does
       not keep a simulation run alive. *)
 
@@ -84,15 +73,11 @@ module Agent : sig
   val crash : t -> unit
   (** The agent's buffered copies are lost. *)
 
-  val recover : t -> unit
-  (** Bring the agent back and immediately {!replay} surviving copies. *)
-
   val replay : t -> unit
   (** Resend every held copy that the server no longer has (run after
       the server recovers from a crash). *)
 
   val copies_held : t -> int
-  val acked_writes : t -> int
 
   val retries : t -> int
   (** Write offers that found the server down and were rescheduled. *)
@@ -109,5 +94,3 @@ type audit = {
 }
 
 val audit : Server.t -> audit
-
-val pp_audit : Format.formatter -> audit -> unit

@@ -83,12 +83,10 @@ type t = {
   mutable n_reads : int;
   mutable n_home : int;
   mutable n_replica : int;
-  mutable n_cached : int;
   mutable n_rep_started : int;
   mutable n_rep_completed : int;
   mutable n_rep_discarded : int;
   mutable n_dropped : int;
-  mutable n_invalidations : int;
   m_reads : Sim.Metrics.counter;
   m_replica_reads : Sim.Metrics.counter;
   m_replications : Sim.Metrics.counter;
@@ -131,12 +129,10 @@ let make engine ~logs ~transport ~config =
       n_reads = 0;
       n_home = 0;
       n_replica = 0;
-      n_cached = 0;
       n_rep_started = 0;
       n_rep_completed = 0;
       n_rep_discarded = 0;
       n_dropped = 0;
-      n_invalidations = 0;
       m_reads =
         Sim.Metrics.counter metrics ~sub:Sim.Subsystem.Pfs
           ~help:"reads routed by the replication directory" "dir.reads";
@@ -158,8 +154,6 @@ let make engine ~logs ~transport ~config =
   in
   t
 
-let server_count t = Array.length t.servers
-let server_log t i = t.servers.(i).sv_log
 
 let find_file t gfid =
   match Hashtbl.find_opt t.files gfid with
@@ -233,8 +227,7 @@ let remove_replica t ~gfid ~dst =
 let invalidate_replicas t gfid fe =
   if fe.f_replicas <> [] then begin
     List.iter (fun dst -> remove_replica t ~gfid ~dst) fe.f_replicas;
-    fe.f_replicas <- [];
-    t.n_invalidations <- t.n_invalidations + 1
+    fe.f_replicas <- []
   end
 
 (* Copy the file's sealed segments onto [dst]: read each segment from
@@ -391,19 +384,6 @@ let write t gfid ~off ?data ~len k =
       | None -> ());
       Log.write home.sv_log fe.f_lfid ~off ?data ~len k
 
-let delete t gfid ~k =
-  match Hashtbl.find_opt t.files gfid with
-  | None -> k (Error `No_such_file)
-  | Some fe ->
-      fe.f_version <- fe.f_version + 1;
-      invalidate_replicas t gfid fe;
-      let home = t.servers.(fe.f_home) in
-      (match home.sv_cache with
-      | Some cache -> Cache.invalidate_file cache ~fid:gfid
-      | None -> ());
-      Hashtbl.remove t.files gfid;
-      Log.delete home.sv_log fe.f_lfid ~k
-
 let sync t ~k =
   let n = Array.length t.servers in
   let pending = ref n in
@@ -483,7 +463,6 @@ let home_read t sv fe ~gfid ~off ~len ~flow ~k =
         | `Miss -> all_hit := false
       done;
       if !all_hit then begin
-        t.n_cached <- t.n_cached + 1;
         flow_step t flow "pfs.cache";
         k (Ok (Log.peek sv.sv_log fe.f_lfid ~off ~len))
       end
@@ -554,12 +533,9 @@ let read t ?(client = 0) ?(flow = Sim.Trace.no_flow) gfid ~off ~len ~k =
 let reads_total t = t.n_reads
 let reads_home t = t.n_home
 let reads_replica t = t.n_replica
-let reads_cached t = t.n_cached
 let replications_started t = t.n_rep_started
 let replications_completed t = t.n_rep_completed
 let replications_discarded t = t.n_rep_discarded
 let replicas_dropped t = t.n_dropped
-let invalidations t = t.n_invalidations
 let server_reads t i = t.servers.(i).sv_reads
-let server_outstanding t i = t.servers.(i).sv_outstanding
 let server_replica_bytes t i = t.servers.(i).sv_replica_bytes

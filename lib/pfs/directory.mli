@@ -88,9 +88,6 @@ val create :
 (** One directory over [logs] (one per shard, at least one).  The
     review tick is a daemon: it never keeps a run alive. *)
 
-val server_count : t -> int
-val server_log : t -> int -> Log.t
-
 (** {1 Files} *)
 
 val create_file : t -> ?kind:Log.kind -> unit -> int
@@ -138,9 +135,6 @@ val read :
     (["dir.route"], the pfs stages, ["pfs.replica"] on a replica
     serve). *)
 
-val delete : t -> int -> k:((unit, Log.error) result -> unit) -> unit
-(** Delete at the home shard; drops replicas and cache blocks. *)
-
 val sync : t -> k:((unit, Log.error) result -> unit) -> unit
 (** Seal the open segments of every shard (e.g. after preloading a
     file set, so the whole corpus is replicable). *)
@@ -153,25 +147,17 @@ val reads_home : t -> int
 (** Served by the home shard's disks. *)
 
 val reads_replica : t -> int
-val reads_cached : t -> int
 val replications_started : t -> int
 val replications_completed : t -> int
 val replications_discarded : t -> int
-(** Copies abandoned because the file was rewritten or deleted mid-copy
-    (or a segment read failed). *)
+(** Copies abandoned because the file was rewritten mid-copy (or a
+    segment read failed). *)
 
 val replicas_dropped : t -> int
 (** Shrinks by cooling plus drops by write invalidation. *)
 
-val invalidations : t -> int
-(** Write/delete events that dropped at least one replica. *)
-
 val server_reads : t -> int -> int
 (** Completed reads served by shard [i]. *)
-
-val server_outstanding : t -> int -> int
-(** Reads currently routed to shard [i] (request sent, response not yet
-    delivered) — the quantity the load bias consults. *)
 
 val server_replica_bytes : t -> int -> int
 (** Bytes of replica segments currently installed on shard [i]. *)

@@ -1,58 +1,43 @@
-type params = {
-  transfer_bps : int;
-  min_seek : Sim.Time.t;
-  max_seek : Sim.Time.t;
-  half_rotation : Sim.Time.t;
-  capacity : int;
-}
-
-let default_params =
-  {
-    transfer_bps = 48_000_000;  (* 6 MB/s media rate *)
-    min_seek = Sim.Time.ms 2;
-    max_seek = Sim.Time.ms 12;
-    half_rotation = Sim.Time.us 4170;  (* 7200 rpm *)
-    capacity = 2_000_000_000;
-  }
+(* The sustained media rate (6 MB/s), track-to-track and full-stroke
+   seeks, half a turn at 7200 rpm, and the capacity in bytes. *)
+let transfer_bps = 48_000_000
+let min_seek = Sim.Time.ms 2
+let max_seek = Sim.Time.ms 12
+let half_rotation = Sim.Time.us 4170
+let capacity = 2_000_000_000
 
 type error = [ `Failed ]
 
 type t = {
   engine : Sim.Engine.t;
   disk_name : string;
-  p : params;
   mutable head : int;  (* byte position after the last operation *)
   mutable free_at : Sim.Time.t;  (* when the mechanism goes idle *)
   mutable is_failed : bool;
   mutable n_reads : int;
   mutable n_writes : int;
-  mutable rbytes : int;
   mutable wbytes : int;
   mutable busy : Sim.Time.t;
   mutable seeking : Sim.Time.t;
 }
 
-let create engine ?(params = default_params) ~name () =
+let create engine ~name =
   {
     engine;
     disk_name = name;
-    p = params;
     head = 0;
     free_at = Sim.Time.zero;
     is_failed = false;
     n_reads = 0;
     n_writes = 0;
-    rbytes = 0;
     wbytes = 0;
     busy = Sim.Time.zero;
     seeking = Sim.Time.zero;
   }
 
-let name t = t.disk_name
-let params t = t.p
 
-let transfer_time t len =
-  Sim.Time.of_sec_f (Float.of_int (len * 8) /. Float.of_int t.p.transfer_bps)
+let transfer_time len =
+  Sim.Time.of_sec_f (Float.of_int (len * 8) /. Float.of_int transfer_bps)
 
 (* Seek from the current head position: zero when perfectly
    sequential, otherwise min_seek plus a square-root profile of the
@@ -61,13 +46,11 @@ let positioning_time t ~off =
   if off = t.head then Sim.Time.zero
   else begin
     let dist = Float.of_int (abs (off - t.head)) in
-    let frac = sqrt (dist /. Float.of_int t.p.capacity) in
-    let spread =
-      Sim.Time.to_sec_f (Sim.Time.sub t.p.max_seek t.p.min_seek) *. frac
-    in
+    let frac = sqrt (dist /. Float.of_int capacity) in
+    let spread = Sim.Time.to_sec_f (Sim.Time.sub max_seek min_seek) *. frac in
     Sim.Time.add
-      (Sim.Time.add t.p.min_seek (Sim.Time.of_sec_f spread))
-      t.p.half_rotation
+      (Sim.Time.add min_seek (Sim.Time.of_sec_f spread))
+      half_rotation
   end
 
 let submit t ~flow ~off ~len ~k =
@@ -76,7 +59,7 @@ let submit t ~flow ~off ~len ~k =
     let now = Sim.Engine.now t.engine in
     let start = Sim.Time.max now t.free_at in
     let seek = positioning_time t ~off in
-    let xfer = transfer_time t len in
+    let xfer = transfer_time len in
     let finish = Sim.Time.add (Sim.Time.add start seek) xfer in
     t.free_at <- finish;
     t.head <- off + len;
@@ -96,7 +79,6 @@ let submit t ~flow ~off ~len ~k =
 
 let read_flow t ~flow ~off ~len ~k =
   t.n_reads <- t.n_reads + 1;
-  t.rbytes <- t.rbytes + len;
   submit t ~flow ~off ~len ~k
 
 let write_flow t ~flow ~off ~len ~k =
@@ -104,7 +86,6 @@ let write_flow t ~flow ~off ~len ~k =
   t.wbytes <- t.wbytes + len;
   submit t ~flow ~off ~len ~k
 
-let read t ~off ~len ~k = read_flow t ~flow:Sim.Trace.no_flow ~off ~len ~k
 let write t ~off ~len ~k = write_flow t ~flow:Sim.Trace.no_flow ~off ~len ~k
 
 let fail t = t.is_failed <- true
@@ -127,15 +108,6 @@ let fail_for t ~at ~duration =
 let head t = t.head
 let reads t = t.n_reads
 let writes t = t.n_writes
-let bytes_read t = t.rbytes
 let bytes_written t = t.wbytes
 let busy_time t = t.busy
 let seek_time t = t.seeking
-
-let reset_stats t =
-  t.n_reads <- 0;
-  t.n_writes <- 0;
-  t.rbytes <- 0;
-  t.wbytes <- 0;
-  t.busy <- Sim.Time.zero;
-  t.seeking <- Sim.Time.zero

@@ -6,34 +6,14 @@
     media rate.  The defaults are sized so that reading or writing
     whole megabyte extents keeps seek overhead under ten per cent and
     delivers at least five megabytes per second, the figures the paper
-    quotes. *)
-
-type params = {
-  transfer_bps : int;  (** sustained media rate, bits per second *)
-  min_seek : Sim.Time.t;  (** track-to-track *)
-  max_seek : Sim.Time.t;  (** full stroke *)
-  half_rotation : Sim.Time.t;
-  capacity : int;  (** bytes *)
-}
-
-val default_params : params
-(** 6 MB/s media rate, 2–12 ms seeks, 7200 rpm (4.17 ms half turn),
-    2 GB. *)
+    quotes: a 6 MB/s media rate, 2–12 ms seeks, 7200 rpm (4.17 ms half
+    turn), 2 GB. *)
 
 type t
 
 type error = [ `Failed ]
 
-val create : Sim.Engine.t -> ?params:params -> name:string -> unit -> t
-
-val name : t -> string
-val params : t -> params
-
-val read :
-  t -> off:int -> len:int -> k:((unit, error) result -> unit) -> unit
-(** Queue a read of [len] bytes at byte offset [off]; [k] runs at
-    completion time, or immediately with [Error `Failed] if the disk
-    has failed. *)
+val create : Sim.Engine.t -> name:string -> t
 
 val write :
   t -> off:int -> len:int -> k:((unit, error) result -> unit) -> unit
@@ -45,10 +25,11 @@ val read_flow :
   len:int ->
   k:((unit, error) result -> unit) ->
   unit
-(** Like {!read}, carrying a causal flow id ({!Sim.Trace.no_flow} for
-    none): when flow tracing is on ({!Sim.Trace.flows_on}), a
-    ["pfs.disk"] flow step is recorded at the operation's completion
-    instant. *)
+(** Queue a read of [len] bytes at byte offset [off], carrying a causal
+    flow id ({!Sim.Trace.no_flow} for none); [k] runs at completion
+    time, or immediately with [Error `Failed] if the disk has failed.
+    When flow tracing is on ({!Sim.Trace.flows_on}), a ["pfs.disk"]
+    flow step is recorded at the operation's completion instant. *)
 
 val write_flow :
   t ->
@@ -83,7 +64,6 @@ val head : t -> int
 
 val reads : t -> int
 val writes : t -> int
-val bytes_read : t -> int
 val bytes_written : t -> int
 val busy_time : t -> Sim.Time.t
 (** Total time servicing operations (seek + rotation + transfer). *)
@@ -91,4 +71,3 @@ val busy_time : t -> Sim.Time.t
 val seek_time : t -> Sim.Time.t
 (** The seek and rotation share of [busy_time]. *)
 
-val reset_stats : t -> unit

@@ -13,14 +13,13 @@ type t = {
   m_retried : Sim.Metrics.counter;
 }
 
-let create engine ?(data_disks = 4) ?(disk_params = Disk.default_params)
-    ?(store_data = false) ~segment_bytes () =
+let create engine ?(data_disks = 4) ?(store_data = false) ~segment_bytes () =
   if segment_bytes mod data_disks <> 0 then
     invalid_arg "Raid.create: segment size must divide by the data disks";
   let all_disks =
     Array.init (data_disks + 1) (fun i ->
         let name = if i = data_disks then "parity" else "data" ^ string_of_int i in
-        Disk.create engine ~params:disk_params ~name ())
+        Disk.create engine ~name)
   in
   let metrics = Sim.Engine.metrics engine in
   {
@@ -256,11 +255,3 @@ let degraded_reads t = t.degraded
 
 let failed_disks t =
   List.filter (fun i -> Disk.failed t.all_disks.(i)) (indices (t.n_data + 1))
-
-let total_bytes_written t =
-  Array.fold_left (fun acc d -> acc + Disk.bytes_written d) 0 t.all_disks
-
-let total_bytes_read t =
-  Array.fold_left (fun acc d -> acc + Disk.bytes_read d) 0 t.all_disks
-
-let reset_stats t = Array.iter Disk.reset_stats t.all_disks

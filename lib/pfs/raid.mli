@@ -18,13 +18,11 @@ type error = [ `Lost ]
 val create :
   Sim.Engine.t ->
   ?data_disks:int ->
-  ?disk_params:Disk.params ->
   ?store_data:bool ->
   segment_bytes:int ->
   unit ->
   t
-(** Defaults: 4 data disks + 1 parity, {!Disk.default_params},
-    [store_data] = false. *)
+(** Defaults: 4 data disks + 1 parity, [store_data] = false. *)
 
 val segment_bytes : t -> int
 
@@ -102,7 +100,3 @@ val failed_disks : t -> int list
 val degraded_reads : t -> int
 (** Segment reads served with at least one disk missing (parity
     standing in for the lost chunk). *)
-
-val total_bytes_written : t -> int
-val total_bytes_read : t -> int
-val reset_stats : t -> unit

@@ -3,25 +3,25 @@ type index = { mutable stamps : (Sim.Time.t * int) list (* newest first *) }
 type t = {
   engine : Sim.Engine.t;
   log : Log.t;
-  budget : int;
   mutable admitted : int;
   indexes : (Log.fid, index) Hashtbl.t;
 }
 
-let create engine ~log ?(budget_bps = 128_000_000) () =
+(* 128 Mbit/s = 16 MB/s, most of a 4-disk array. *)
+let budget_bps = 128_000_000
+
+let create engine ~log =
   {
     engine;
     log;
-    budget = budget_bps;
     admitted = 0;
     indexes = Hashtbl.create 16;
   }
 
 let admitted_bps t = t.admitted
-let budget_bps t = t.budget
 
 let admit t rate =
-  if t.admitted + rate > t.budget then false
+  if t.admitted + rate > budget_bps then false
   else begin
     t.admitted <- t.admitted + rate;
     true

@@ -14,12 +14,13 @@
 
 type t
 
-val create : Sim.Engine.t -> log:Log.t -> ?budget_bps:int -> unit -> t
-(** [budget_bps] (default 128 Mbit/s = 16 MB/s, most of a 4-disk
-    array) caps the sum of admitted stream rates. *)
+val create : Sim.Engine.t -> log:Log.t -> t
+
+val budget_bps : int
+(** 128 Mbit/s = 16 MB/s, most of a 4-disk array: the cap on the sum of
+    admitted stream rates. *)
 
 val admitted_bps : t -> int
-val budget_bps : t -> int
 
 (** {1 Recording} *)
 

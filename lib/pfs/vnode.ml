@@ -55,7 +55,10 @@ type t = {
 
 let block_bytes = 4096
 
-let create engine ~log ?(cache_blocks = 2048) () =
+(* The buffer cache consulted on reads: 2048 blocks = 8 MB. *)
+let cache_blocks = 2048
+
+let create engine ~log =
   let now = Sim.Engine.now engine in
   {
     engine;
@@ -279,7 +282,3 @@ let readdir t path k =
       k (Ok (Hashtbl.fold (fun name _ acc -> name :: acc) d.entries [] |> List.sort compare))
 
 let exists t path = match lookup t path with Ok _ -> true | Error _ -> false
-
-let cache_hit_rate t =
-  let h = Cache.hits t.vcache and m = Cache.misses t.vcache in
-  if h + m = 0 then 0.0 else Float.of_int h /. Float.of_int (h + m)

@@ -28,9 +28,9 @@ type attrs = {
   mtime : Sim.Time.t;
 }
 
-val create : Sim.Engine.t -> log:Log.t -> ?cache_blocks:int -> unit -> t
-(** Mount a fresh tree on the log. [cache_blocks] (default 2048 4 KB
-    blocks = 8 MB) sizes the buffer cache consulted on reads. *)
+val create : Sim.Engine.t -> log:Log.t -> t
+(** Mount a fresh tree on the log, with a buffer cache of 2048 4 KB
+    blocks (8 MB) consulted on reads. *)
 
 val log : t -> Log.t
 val cache : t -> Cache.t
@@ -65,6 +65,3 @@ val rename : t -> string -> string -> ((unit, error) result -> unit) -> unit
 val stat : t -> string -> ((attrs, error) result -> unit) -> unit
 val readdir : t -> string -> ((string list, error) result -> unit) -> unit
 val exists : t -> string -> bool
-
-val cache_hit_rate : t -> float
-(** Fraction of read blocks served from the cache. *)

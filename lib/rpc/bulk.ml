@@ -11,7 +11,6 @@ type sender = {
   s_backlog : bytes Queue.t;  (* mtu-sized chunks awaiting credit *)
   mutable s_partial : bytes option;  (* trailing short chunk *)
   mutable s_seq : int;
-  mutable s_sent_bytes : int;
   mutable s_in_flight : int;
   mutable s_done : (unit -> unit) option;
   mutable s_finished : bool;
@@ -49,7 +48,6 @@ let rec pump sender =
         let chunk = Queue.pop sender.s_backlog in
         sender.s_credits <- sender.s_credits - 1;
         sender.s_in_flight <- sender.s_in_flight + 1;
-        sender.s_sent_bytes <- sender.s_sent_bytes + Bytes.length chunk;
         let frame = data_frame ~seq:sender.s_seq chunk in
         sender.s_seq <- sender.s_seq + 1;
         (* The NIC clocks frames out at line rate, so a whole window
@@ -124,7 +122,6 @@ let establish net ~src ~dst ?(mtu = 8192) ?(window = 8)
       s_backlog = Queue.create ();
       s_partial = None;
       s_seq = 0;
-      s_sent_bytes = 0;
       s_in_flight = 0;
       s_done = None;
       s_finished = false;
@@ -188,7 +185,6 @@ let finish sender ~on_done =
   sender.s_done <- Some on_done;
   pump sender
 
-let bytes_sent sender = sender.s_sent_bytes
 let bytes_delivered receiver = receiver.r_delivered
 let frames_in_flight sender = sender.s_in_flight
 let credits_available sender = sender.s_credits

@@ -37,7 +37,6 @@ val finish : sender -> on_done:(unit -> unit) -> unit
 (** Call after the last {!send}; [on_done] fires when every queued
     byte has been delivered and consumed. *)
 
-val bytes_sent : sender -> int
 val bytes_delivered : receiver -> int
 val frames_in_flight : sender -> int
 val credits_available : sender -> int

@@ -28,15 +28,12 @@ let error_of_payload s =
     | _ -> Remote_error s
   else Remote_error s
 
-type handler = {
-  h_delay : Sim.Time.t;
-  h_fn :
-    meth:string ->
-    flow:int ->
-    bytes ->
-    reply:((bytes, string) result -> unit) ->
-    unit;
-}
+type handler =
+  meth:string ->
+  flow:int ->
+  bytes ->
+  reply:((bytes, string) result -> unit) ->
+  unit
 
 (* A hash table with FIFO eviction once it exceeds [cap].  The order
    queue may hold keys already removed from the table; they are skipped
@@ -94,8 +91,6 @@ type conn = {
   c_req_vc : Atm.Net.vc;  (* client -> server *)
   c_rep_vc : Atm.Net.vc;  (* server -> client *)
   retransmit : Sim.Time.t;
-  backoff_cap : Sim.Time.t;
-  jitter : float;
   c_rng : Sim.Rng.t;
   max_tries : int;
   mutable next_call : int;
@@ -127,20 +122,11 @@ let endpoint ?(reply_cache_cap = 512) net ~host =
         "server.duplicates";
   }
 
-let serve_flow ep ~iface f =
-  Hashtbl.replace ep.ifaces iface { h_delay = Sim.Time.zero; h_fn = f }
+let serve_flow ep ~iface f = Hashtbl.replace ep.ifaces iface f
 
-let serve_async ep ~iface f =
-  serve_flow ep ~iface (fun ~meth ~flow:_ payload ~reply -> f ~meth payload ~reply)
-
-let serve_delayed ep ~iface ~delay f =
-  Hashtbl.replace ep.ifaces iface
-    {
-      h_delay = delay;
-      h_fn = (fun ~meth ~flow:_ payload ~reply -> reply (f ~meth payload));
-    }
-
-let serve ep ~iface f = serve_delayed ep ~iface ~delay:Sim.Time.zero f
+let serve ep ~iface f =
+  serve_flow ep ~iface (fun ~meth ~flow:_ payload ~reply ->
+      reply (f ~meth payload))
 
 let engine_of ep = Atm.Net.engine ep.net
 
@@ -174,7 +160,7 @@ let execute ep ~flow (msg : Wire.msg) ~k =
           payload = Bytes.of_string ("I:" ^ msg.Wire.iface);
         }
   | Some h ->
-      h.h_fn ~meth:msg.Wire.meth ~flow msg.Wire.payload ~reply:(fun r ->
+      h ~meth:msg.Wire.meth ~flow msg.Wire.payload ~reply:(fun r ->
           k (reply_of r))
 
 (* Server side: handle an incoming request frame on a connection.
@@ -206,23 +192,14 @@ let server_rx ?(flow = Sim.Trace.no_flow) conn payload =
           Sim.Metrics.incr ep.m_dups
       | None ->
           bounded_add ep.in_progress key ();
-          let delay =
-            match Hashtbl.find_opt ep.ifaces msg.Wire.iface with
-            | Some h -> h.h_delay
-            | None -> Sim.Time.zero
-          in
-          let respond () =
-            execute ep ~flow msg ~k:(fun reply ->
-                Hashtbl.remove ep.in_progress.tbl key;
-                bounded_add ep.reply_cache key reply;
-                if Sim.Trace.flows_on tr && flow >= 0 then
-                  Sim.Trace.flow_step tr
-                    ~ts:(Sim.Engine.now (engine_of ep))
-                    ~sub:Sim.Subsystem.Rpc ~cat:"rpc" ~flow "rpc.exec";
-                Atm.Net.send_frame ?flow:fl conn.c_rep_vc (Wire.marshal reply))
-          in
-          if delay = 0L then respond ()
-          else ignore (Sim.Engine.schedule (engine_of ep) ~delay respond)
+          execute ep ~flow msg ~k:(fun reply ->
+              Hashtbl.remove ep.in_progress.tbl key;
+              bounded_add ep.reply_cache key reply;
+              if Sim.Trace.flows_on tr && flow >= 0 then
+                Sim.Trace.flow_step tr
+                  ~ts:(Sim.Engine.now (engine_of ep))
+                  ~sub:Sim.Subsystem.Rpc ~cat:"rpc" ~flow "rpc.exec";
+              Atm.Net.send_frame ?flow:fl conn.c_rep_vc (Wire.marshal reply))
     end
 
 let client_rx conn payload =
@@ -246,11 +223,13 @@ let client_rx conn payload =
           p.k result
     end
 
-let connect net ~client ~server ?(retransmit = Sim.Time.ms 10)
-    ?(backoff_cap = Sim.Time.ms 500) ?(jitter = 0.1) ?seed ?(max_tries = 4) ()
-    =
-  if jitter < 0. || jitter >= 1. then
-    invalid_arg "Rpc.connect: jitter must be in [0, 1)";
+(* Retransmission backoff: capped at 500 ms, each delay scaled by a
+   uniform factor in [1 - jitter, 1 + jitter]. *)
+let backoff_cap = Sim.Time.ms 500
+let jitter = 0.1
+
+let connect net ~client ~server ?(retransmit = Sim.Time.ms 10) ?seed
+    ?(max_tries = 4) () =
   let conn_id = server.next_conn_id in
   server.next_conn_id <- server.next_conn_id + 1;
   let rec conn =
@@ -279,8 +258,6 @@ let connect net ~client ~server ?(retransmit = Sim.Time.ms 10)
          c_req_vc = req_vc;
          c_rep_vc = rep_vc;
          retransmit;
-         backoff_cap;
-         jitter;
          c_rng = Sim.Rng.create ?seed ();
          max_tries;
          next_call = 0;
@@ -395,18 +372,14 @@ let call conn ~iface ~meth payload ~reply =
            herd of clients does not retransmit in lock-step. *)
         let shift = Stdlib.min (p.tries - 1) 16 in
         let base =
-          Sim.Time.min (Sim.Time.mul conn.retransmit (1 lsl shift))
-            conn.backoff_cap
+          Sim.Time.min (Sim.Time.mul conn.retransmit (1 lsl shift)) backoff_cap
         in
         let backoff =
-          if conn.jitter <= 0. then base
-          else
-            let f =
-              Sim.Rng.uniform conn.c_rng ~lo:(1. -. conn.jitter)
-                ~hi:(1. +. conn.jitter)
-            in
-            Sim.Time.max (Sim.Time.ns 1)
-              (Sim.Time.of_sec_f (Sim.Time.to_sec_f base *. f))
+          let f =
+            Sim.Rng.uniform conn.c_rng ~lo:(1. -. jitter) ~hi:(1. +. jitter)
+          in
+          Sim.Time.max (Sim.Time.ns 1)
+            (Sim.Time.of_sec_f (Sim.Time.to_sec_f base *. f))
         in
         if p.tries > 1 then
           Sim.Metrics.sample conn.m_backoff_win (Sim.Time.to_us_f backoff);

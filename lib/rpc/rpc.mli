@@ -39,20 +39,7 @@ val serve :
   iface:string ->
   (meth:string -> bytes -> (bytes, string) result) ->
   unit
-(** Export an interface.  The handler may also model a compute delay by
-    being registered with {!serve_delayed}. *)
-
-val serve_async :
-  endpoint ->
-  iface:string ->
-  (meth:string ->
-   bytes ->
-   reply:((bytes, string) result -> unit) ->
-   unit) ->
-  unit
-(** Like {!serve}, for handlers that complete asynchronously (e.g. a
-    file server whose reads finish when the disk does): call [reply]
-    exactly once, at any later simulated time. *)
+(** Export an interface whose handler replies at once. *)
 
 val serve_flow :
   endpoint ->
@@ -63,36 +50,27 @@ val serve_flow :
    reply:((bytes, string) result -> unit) ->
    unit) ->
   unit
-(** Like {!serve_async}, but the handler also receives the causal flow
-    id carried by the request ({!Sim.Trace.no_flow} when untraced), so
-    it can thread the flow into the subsystems it drives — the file
-    server passes it down to the PFS log, RAID and disks. *)
-
-val serve_delayed :
-  endpoint ->
-  iface:string ->
-  delay:Sim.Time.t ->
-  (meth:string -> bytes -> (bytes, string) result) ->
-  unit
-(** Like {!serve}, but replies leave [delay] after the request arrives
-    (server compute time). *)
+(** Like {!serve}, for handlers that complete asynchronously (e.g. a
+    file server whose reads finish when the disk does): call [reply]
+    exactly once, at any later simulated time.  The handler also
+    receives the causal flow id carried by the request
+    ({!Sim.Trace.no_flow} when untraced), so it can thread the flow
+    into the subsystems it drives — the file server passes it down to
+    the PFS log, RAID and disks. *)
 
 val connect :
   Atm.Net.t ->
   client:endpoint ->
   server:endpoint ->
   ?retransmit:Sim.Time.t ->
-  ?backoff_cap:Sim.Time.t ->
-  ?jitter:float ->
   ?seed:int64 ->
   ?max_tries:int ->
   unit ->
   conn
 (** Establish the VC pair.  Retransmission backs off exponentially from
-    [retransmit] (default 10 ms), capped at [backoff_cap] (default
-    500 ms), each delay scaled by a uniform factor in
-    [1 ± jitter] (default 0.1; [0] disables jitter) drawn from a
-    deterministic per-connection stream seeded by [seed].  [max_tries]
+    [retransmit] (default 10 ms), capped at 500 ms, each delay scaled by
+    a uniform factor in [1 ± 0.1] drawn from a deterministic
+    per-connection stream seeded by [seed].  [max_tries]
     (default 4) bounds the attempts before [Timed_out]. *)
 
 val call :

@@ -73,7 +73,8 @@ let capture tr =
   Trace.set_flows tr true;
   Trace.set_cell_detail tr false
 
-let build ?deadline_ns events =
+let of_trace ?deadline_ns tr =
+  let events = Trace.events tr in
   (* Group flow events by id, preserving trace (time) order. *)
   let flows : (int, acc) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
@@ -327,8 +328,6 @@ let build ?deadline_ns events =
     rp_orphan_events = !orphans;
     rp_deadline_ns = deadline_ns;
   }
-
-let of_trace ?deadline_ns tr = build ?deadline_ns (Trace.events tr)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.  Both renderers format every float through %.2f of a

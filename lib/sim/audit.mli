@@ -57,13 +57,10 @@ val capture : Trace.t -> unit
     (restarting it empty), flow recording on, per-cell detail off so
     the ATM train fast path stays on. *)
 
-val build : ?deadline_ns:int -> Trace.event list -> report
-(** Build a report from raw events (oldest first, as {!Trace.events}
-    returns them).  When [deadline_ns] is given, completed flows whose
-    end-to-end latency exceeds it count as deadline misses. *)
-
 val of_trace : ?deadline_ns:int -> Trace.t -> report
-(** [build] over the trace's retained events. *)
+(** Build a report from the trace's retained events.  When
+    [deadline_ns] is given, completed flows whose end-to-end latency
+    exceeds it count as deadline misses. *)
 
 val pp : Format.formatter -> report -> unit
 (** Fixed-width per-stream stage table, deterministic. *)

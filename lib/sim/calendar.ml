@@ -606,15 +606,6 @@ let min_seq_ns t =
     t.epool.(t.cmin_e + 1)
   end
 
-let pop_ns t =
-  if t.len = 0 then None
-  else begin
-    find_min t;
-    let k = t.epool.(t.cmin_e) and s = t.epool.(t.cmin_e + 1) in
-    let v = pop_min t in
-    Some (k, s, v)
-  end
-
 let clear t =
   t.shift <- initial_shift;
   t.mask <- initial_buckets - 1;

@@ -42,10 +42,6 @@ val pop_min : t -> int
     value.  Raises [Invalid_argument] when empty.  Never allocates in
     steady state. *)
 
-val pop_ns : t -> (int * int * int) option
-(** [(key, seq, value)] of the minimum, removed — the convenience form
-    used by tests; allocates the returned tuple. *)
-
 val clear : t -> unit
 
 val work : t -> int

@@ -210,10 +210,6 @@ let pending_user t = t.live_user
 
 let next_at_ns t = Calendar.min_key_ns t.q
 
-let next_at t =
-  let k = Calendar.min_key_ns t.q in
-  if k = max_int then None else Some (Time.ns k)
-
 (* ------------------------------------------------------------------ *)
 (* Execution. *)
 
@@ -283,11 +279,10 @@ let run ?until ?max_events t =
 let run_until_ns t until_ns =
   run_ns t ~until_ns ~has_until:true ~max_ev:max_int
 
-let every ?daemon t ~period ?start f =
+let every ?daemon t ~period f =
   if Time.(period <= Time.zero) then
     invalid_arg "Engine.every: period must be positive";
-  let first = match start with Some s -> s | None -> Time.add (now t) period in
   let rec tick () =
     if f () then ignore (schedule ?daemon t ~delay:period tick)
   in
-  ignore (schedule_at ?daemon t ~at:first tick)
+  ignore (schedule ?daemon t ~delay:period tick)

@@ -73,17 +73,13 @@ val pending : t -> int
 val pending_user : t -> int
 (** Like {!pending}, counting only non-daemon events. *)
 
-val next_at : t -> Time.t option
-(** Instant of the earliest entry still in the queue, or [None] when
-    the queue is empty.  Cancelled-but-undelivered events are included,
-    so this is a lower bound on the next instant at which anything can
-    actually fire — exactly what a conservative parallel runner needs
-    (see {!Shard}). *)
-
 val next_at_ns : t -> int
-(** {!next_at} in integer nanoseconds, [max_int] when the queue is
-    empty.  Never allocates — {!Shard}'s epoch loop publishes this
-    every epoch for every shard. *)
+(** Instant in integer nanoseconds of the earliest entry still in the
+    queue, [max_int] when the queue is empty.  Cancelled-but-undelivered
+    events are included, so this is a lower bound on the next instant
+    at which anything can actually fire — exactly what a conservative
+    parallel runner needs (see {!Shard}).  Never allocates — {!Shard}'s
+    epoch loop publishes this every epoch for every shard. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run events in timestamp order until the queue empties, simulated
@@ -110,10 +106,9 @@ val flush_gauges : t -> unit
     transitions sampling in {!step}'s loop can never leave a stale
     gauge visible across a shard boundary. *)
 
-val every :
-  ?daemon:bool -> t -> period:Time.t -> ?start:Time.t -> (unit -> bool) -> unit
-(** [every t ~period f] calls [f] periodically (first call at [start],
-    default one period from now) for as long as [f] returns [true].
+val every : ?daemon:bool -> t -> period:Time.t -> (unit -> bool) -> unit
+(** [every t ~period f] calls [f] periodically (first call one period
+    from now) for as long as [f] returns [true].
     Raises [Invalid_argument] when [period <= 0] — a non-positive
     period would reschedule at the same instant forever and livelock
     the run. *)

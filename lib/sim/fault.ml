@@ -16,9 +16,7 @@ let create ?(seed = 0x0FA17FA17L) engine =
     injected = 0;
   }
 
-let engine t = t.engine
 let rng t = t.rng
-let fork t = { t with rng = Rng.split t.rng }
 let events_injected t = t.injected
 
 let mark t name =
@@ -37,10 +35,8 @@ let bernoulli t ~p =
     fun () -> Rng.float stream < p
   end
 
-let clamp_future t at = Time.max at (Engine.now t.engine)
-
 let window t ~at ~duration ~down ~up =
-  let at = clamp_future t at in
+  let at = Time.max at (Engine.now t.engine) in
   ignore
     (Engine.schedule_at t.engine ~at (fun () ->
          mark t "window.down";
@@ -50,22 +46,11 @@ let window t ~at ~duration ~down ~up =
          mark t "window.up";
          up ()))
 
-let permanent t ~at f =
-  let at = clamp_future t at in
-  ignore
-    (Engine.schedule_at t.engine ~at (fun () ->
-         mark t "permanent.down";
-         f ()))
-
 let draw_exp t mean =
   Time.of_sec_f (Rng.exponential t.rng ~mean:(Time.to_sec_f mean))
 
-let outages t ?start ~span ~mean_up ~mean_down ~down ~up () =
-  let start =
-    match start with
-    | Some s -> clamp_future t s
-    | None -> Engine.now t.engine
-  in
+let outages t ~span ~mean_up ~mean_down ~down ~up () =
+  let start = Engine.now t.engine in
   let stop = Time.add start span in
   let rec healthy_from at =
     let fail_at = Time.add at (draw_exp t mean_up) in
@@ -82,33 +67,3 @@ let outages t ?start ~span ~mean_up ~mean_down ~down ~up () =
                     healthy_from heal_at))))
   in
   healthy_from start
-
-let latency_spikes t ?start ~span ~mean_gap ~mean_duration ~max_extra ~set
-    ~clear () =
-  let start =
-    match start with
-    | Some s -> clamp_future t s
-    | None -> Engine.now t.engine
-  in
-  let stop = Time.add start span in
-  let rec quiet_from at =
-    let spike_at = Time.add at (draw_exp t mean_gap) in
-    if Time.(spike_at < stop) then
-      ignore
-        (Engine.schedule_at t.engine ~at:spike_at (fun () ->
-             let extra =
-               Time.of_sec_f
-                 (Rng.uniform t.rng ~lo:0.0 ~hi:(Time.to_sec_f max_extra))
-             in
-             mark t "spike.set";
-             set (Time.max (Time.ns 1) extra);
-             let end_at =
-               Time.min stop (Time.add spike_at (draw_exp t mean_duration))
-             in
-             ignore
-               (Engine.schedule_at t.engine ~at:end_at (fun () ->
-                    mark t "spike.clear";
-                    clear ();
-                    quiet_from end_at))))
-  in
-  quiet_from start

@@ -1,15 +1,15 @@
 (** Deterministic fault injection.
 
     A fault plan owns a seeded RNG and schedules failure transitions
-    against an engine: one-shot failure windows, permanent failures,
-    renewal-process link outages and latency spikes, plus Bernoulli
-    decision streams for per-cell loss.  Everything is driven by the
-    plan's {!Rng}, so a run is reproducible from the seed, and two runs
-    with the same seed inject byte-identical fault sequences.
+    against an engine: one-shot failure windows and renewal-process
+    link outages, plus Bernoulli decision streams for per-cell loss.
+    Everything is driven by the plan's {!Rng}, so a run is reproducible
+    from the seed, and two runs with the same seed inject byte-identical
+    fault sequences.
 
     The plan knows nothing about the components it breaks: callers pass
-    closures ([down]/[up]/[set]/[clear]) that flip the actual switches
-    — [Atm.Link.set_down], [Pfs.Disk.fail], and so on.  Every injected
+    closures ([down]/[up]) that flip the actual switches —
+    [Atm.Link.set_down], [Pfs.Disk.fail], and so on.  Every injected
     transition is counted in the [sim/fault.events] metric and, when
     tracing is on, recorded as an instant in the [fault] category. *)
 
@@ -19,18 +19,12 @@ val create : ?seed:int64 -> Engine.t -> t
 (** A fresh plan.  The default seed is a fixed constant, so plans
     created without a seed replay the same fault sequence. *)
 
-val engine : t -> Engine.t
-
 val rng : t -> Rng.t
 (** The plan's generator — draw from it for ad-hoc decisions that must
     stay inside the plan's deterministic stream. *)
 
-val fork : t -> t
-(** A plan with an independent stream (for a different subsystem),
-    sharing the parent's engine and counters. *)
-
 val events_injected : t -> int
-(** Fault transitions fired so far (downs, ups, spike edges). *)
+(** Fault transitions fired so far (downs and ups). *)
 
 val bernoulli : t -> p:float -> unit -> bool
 (** [bernoulli t ~p] is a deterministic decision stream: each call is
@@ -43,12 +37,8 @@ val window :
 (** Scripted transient failure: [down] fires at [at] (clamped to now),
     [up] fires [duration] later. *)
 
-val permanent : t -> at:Time.t -> (unit -> unit) -> unit
-(** Scripted permanent failure: the callback fires once at [at]. *)
-
 val outages :
   t ->
-  ?start:Time.t ->
   span:Time.t ->
   mean_up:Time.t ->
   mean_down:Time.t ->
@@ -56,24 +46,7 @@ val outages :
   up:(unit -> unit) ->
   unit ->
   unit
-(** Alternating renewal process over [start, start+span): healthy
-    periods drawn exponentially with mean [mean_up], outages with mean
+(** Alternating renewal process over [now, now+span): healthy periods
+    drawn exponentially with mean [mean_up], outages with mean
     [mean_down].  The component is always left healthy ([up]) by the
     end of the span. *)
-
-val latency_spikes :
-  t ->
-  ?start:Time.t ->
-  span:Time.t ->
-  mean_gap:Time.t ->
-  mean_duration:Time.t ->
-  max_extra:Time.t ->
-  set:(Time.t -> unit) ->
-  clear:(unit -> unit) ->
-  unit ->
-  unit
-(** Episodes of added latency over [start, start+span): gaps between
-    spikes are exponential with mean [mean_gap], each spike lasts
-    exponentially with mean [mean_duration] and adds a uniform extra
-    delay in (0, max_extra] delivered through [set]; [clear] ends the
-    spike and is guaranteed to have run by the end of the span. *)

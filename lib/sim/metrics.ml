@@ -217,11 +217,6 @@ let attach_sink o f =
   o.o_sinks <- Array.append o.o_sinks [| f |];
   o.o_on <- true
 
-let detach_sinks o =
-  o.o_sinks <- [||];
-  o.o_on <- false
-
-let sample_count o = o.o_count
 let enabled o = o.o_on
 
 (* ------------------------------------------------------------------ *)
@@ -484,16 +479,8 @@ let order_stat d k =
     Float.min (Float.of_int d.d_max) (Float.max (Float.of_int d.d_min) mid)
   end
 
-(* The same interpolation as {!Stats.Samples.percentile}, over order
-   statistics in the dist's unit. *)
 let percentile d q =
-  let n = d.d_n in
-  let rank = q /. 100.0 *. Float.of_int (n - 1) in
-  let lo = Float.to_int (Float.floor rank) in
-  let hi = Stdlib.min (lo + 1) (n - 1) in
-  let frac = rank -. Float.of_int lo in
-  let at k = order_stat d k /. scale d in
-  at lo +. (frac *. (at hi -. at lo))
+  Stats.percentile ~n:d.d_n (fun k -> order_stat d k /. scale d) q
 
 (* ------------------------------------------------------------------ *)
 (* Merging a child registry into its parent. *)
@@ -588,28 +575,3 @@ let snapshot t =
   Json.Obj [ ("metrics", Json.List (List.map json_of_metric (sorted_metrics t))) ]
 
 let write t path = Json.to_file path (snapshot t)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun m ->
-      match m with
-      | Counter c ->
-          Format.fprintf fmt "%a/%s = %d@," Subsystem.pp c.c_sub c.c_name c.c_value
-      | Gauge g ->
-          Format.fprintf fmt "%a/%s = %g@," Subsystem.pp g.g_sub g.g_name
-            (Float.Array.get g.g_cell 0)
-      | Dist d ->
-          if d.d_n = 0 then
-            Format.fprintf fmt "%a/%s: empty@," Subsystem.pp d.d_sub d.d_name
-          else
-            Format.fprintf fmt "%a/%s: n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f@,"
-              Subsystem.pp d.d_sub d.d_name d.d_n (mean d) (percentile d 50.0)
-              (percentile d 95.0) (percentile d 99.0)
-      | Obs o ->
-          Format.fprintf fmt "%a/%s: observer %s samples=%d@," Subsystem.pp
-            o.o_sub o.o_name
-            (if o.o_on then "on" else "off")
-            o.o_count)
-    (sorted_metrics t);
-  Format.fprintf fmt "@]"

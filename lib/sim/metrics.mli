@@ -119,12 +119,6 @@ val attach_sink : observer -> (float -> unit) -> unit
     attached (several SLOs can watch one stream); each sample is
     delivered to all of them in attachment order. *)
 
-val detach_sinks : observer -> unit
-(** Drop every sink and disable the observer. *)
-
-val sample_count : observer -> int
-(** Samples delivered while enabled (dropped samples are not counted). *)
-
 val enabled : observer -> bool
 
 (** {1 Merging} *)
@@ -150,6 +144,3 @@ val snapshot : t -> Json.t
 
 val write : t -> string -> unit
 (** Write {!snapshot} to a file. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line-per-metric dump. *)

@@ -23,7 +23,7 @@ type source =
   | Rate of (unit -> int)
   | Ratio of { num : unit -> int; den : unit -> int }
   | Level of (unit -> float)
-  | Windowed of { obs : Metrics.observer; q : float }
+  | Windowed of Metrics.observer
 
 type state = Ok | Pending | Firing
 
@@ -76,18 +76,16 @@ type entry = {
 
 type t = {
   engine : Engine.t;
-  mon_name : string;
   mutable entries_rev : entry list;
   m_pending : Metrics.counter;
   m_firing : Metrics.counter;
   m_resolved : Metrics.counter;
 }
 
-let create ?(name = "monitor") engine =
+let create engine =
   let metrics = Engine.metrics engine in
   {
     engine;
-    mon_name = name;
     entries_rev = [];
     m_pending =
       Metrics.counter metrics ~sub:Subsystem.Sim
@@ -99,9 +97,6 @@ let create ?(name = "monitor") engine =
       Metrics.counter metrics ~sub:Subsystem.Sim
         ~help:"SLO alerts resolved" "monitor.resolved";
   }
-
-let name t = t.mon_name
-let engine t = t.engine
 
 (* {1 Source constructors} *)
 
@@ -115,18 +110,9 @@ let counter_ratio ~num ~den =
     }
 
 let gauge_level g = Level (fun () -> Metrics.get g)
-let windowed ?(q = 99.0) obs = Windowed { obs; q }
+let windowed obs = Windowed obs
 
 (* {1 Aggregation} *)
-
-(* Same interpolation as {!Stats.Samples.percentile}, over a scratch
-   array gathered from the last [j] sub-window buffers. *)
-let percentile_of sorted n q =
-  let rank = q /. 100.0 *. Float.of_int (n - 1) in
-  let lo = Float.to_int (Float.floor rank) in
-  let hi = Stdlib.min (lo + 1) (n - 1) in
-  let frac = rank -. Float.of_int lo in
-  sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
 (* Aggregate over the last [j] completed sub-windows.  [None] means the
    objective has no data for the span — treated as healthy, so an idle
@@ -156,7 +142,7 @@ let aggregate e j =
           | Slo.Above -> if v < !worst then worst := v
         done;
         Some !worst
-    | Windowed { q; _ } ->
+    | Windowed _ ->
         let total = ref 0 in
         for i = 1 to j do
           total := !total + e.win_samples.((e.head - i + k) mod k).fb_len
@@ -171,7 +157,7 @@ let aggregate e j =
             pos := !pos + b.fb_len
           done;
           Array.sort Float.compare scratch;
-          Some (percentile_of scratch !total q)
+          Some (Stats.percentile ~n:!total (Array.get scratch) 99.0)
         end
 
 (* {1 The state machine} *)
@@ -324,17 +310,10 @@ let register t slo source =
       e.prev_num <- num ();
       e.prev_den <- den ()
   | Level _ -> ()
-  | Windowed { obs; _ } ->
+  | Windowed obs ->
       Metrics.attach_sink obs (fun v -> fbuf_add e.cur v));
   t.entries_rev <- e :: t.entries_rev;
   arm t e
-
-let entries t = List.length t.entries_rev
-
-let firing_now t =
-  List.fold_left
-    (fun acc e -> if e.state = Firing then acc + 1 else acc)
-    0 t.entries_rev
 
 (* {1 Reports} *)
 

@@ -41,38 +41,32 @@ type source =
   | Level of (unit -> float)
       (** sampled once per roll; aggregated as the worst sample over
           the span (max for [Below], min for [Above]) *)
-  | Windowed of { obs : Metrics.observer; q : float }
+  | Windowed of Metrics.observer
       (** every {!Metrics.sample} lands in the current sub-window;
-          evaluated as percentile [q] over the span's samples *)
+          evaluated as the 99th percentile of the span's samples *)
 
 type state = Ok | Pending | Firing
 
 val state_string : state -> string
 
-val create : ?name:string -> Engine.t -> t
+val create : Engine.t -> t
 (** Registers [sim/monitor.pending], [sim/monitor.firing] and
     [sim/monitor.resolved] counters in the engine's registry. *)
-
-val name : t -> string
-val engine : t -> Engine.t
 
 (** {1 Source constructors} *)
 
 val counter_rate : Metrics.counter -> source
 val counter_ratio : num:Metrics.counter -> den:Metrics.counter -> source
 val gauge_level : Metrics.gauge -> source
-val windowed : ?q:float -> Metrics.observer -> source
-(** [q] defaults to 99.0.  Registering a windowed source attaches a
-    sink to the observer, enabling it. *)
+val windowed : Metrics.observer -> source
+(** Registering a windowed source attaches a sink to the observer,
+    enabling it. *)
 
 val register : t -> Slo.t -> source -> unit
 (** Bind a spec to a signal and arm its roll chain.  The first
     sub-window closes at the next absolute multiple of [slo.window];
     counter sources are baselined now, so the first window covers the
     delta since registration. *)
-
-val entries : t -> int
-val firing_now : t -> int
 
 (** {1 Reports} *)
 

@@ -48,7 +48,6 @@ let[@inline] int t bound =
   let r = Int64.to_int (int64 t) land max_int in
   r mod bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
 let exponential t ~mean =
@@ -61,10 +60,6 @@ let normal t ~mu ~sigma =
   mu +. (sigma *. z)
 
 let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
-
-let pareto t ~shape ~scale =
-  let u = 1.0 -. float t in
-  scale /. (u ** (1.0 /. shape))
 
 let zipf_cdf n s =
   let cdf = Array.make n 0.0 in

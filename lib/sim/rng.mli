@@ -22,20 +22,14 @@ val float : t -> float
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be > 0. *)
 
-val bool : t -> bool
-
 val uniform : t -> lo:float -> hi:float -> float
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed, with the given mean. *)
 
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian via Box–Muller. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
-(** [exp] of a normal draw; [mu]/[sigma] are the underlying normal's. *)
-
-val pareto : t -> shape:float -> scale:float -> float
+(** [exp] of a Gaussian draw (Box–Muller); [mu]/[sigma] are the
+    underlying normal's. *)
 
 val zipf : t -> n:int -> s:float -> int
 (** Zipf-distributed rank in [\[1, n\]] with exponent [s], by inversion

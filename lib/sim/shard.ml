@@ -76,7 +76,6 @@ let create ?(lookahead = Time.us 1) ~shards:n ctx =
     ran = false;
   }
 
-let shards t = Array.length t.engines
 let lookahead t = t.lookahead
 let engine t s = t.engines.(s)
 let epochs t = t.epochs

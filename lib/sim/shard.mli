@@ -34,7 +34,6 @@ val create : ?lookahead:Time.t -> shards:int -> Ctx.t -> t
     model.  Raises [Invalid_argument] on [shards < 1] or a non-positive
     lookahead. *)
 
-val shards : t -> int
 val lookahead : t -> Time.t
 
 val engine : t -> int -> Engine.t

@@ -1,23 +1,19 @@
 (** Online statistics for simulation measurements. *)
 
-(** Streaming summary: count, mean, variance (Welford), min, max. *)
+val percentile : n:int -> (int -> float) -> float -> float
+(** [percentile ~n at q] is the [q]th percentile, [q] in [\[0, 100\]],
+    of [n > 0] ordered values whose [k]th smallest (from 0) is [at k]:
+    rank [q / 100 * (n - 1)], interpolated linearly between the order
+    statistics either side of it.  {!Samples.percentile}, the metrics
+    dists and the SLO monitor's windows all use it. *)
+
+(** Streaming standard deviation (Welford). *)
 module Summary : sig
   type t
 
   val create : unit -> t
   val add : t -> float -> unit
-  val clear : t -> unit
-  (** Reset to the freshly-created state, in place. *)
-
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
   val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  val total : t -> float
-  val merge : t -> t -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Sample store with exact percentiles (sorts lazily on query). *)
@@ -26,9 +22,6 @@ module Samples : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val clear : t -> unit
-  (** Drop every sample, in place (capacity is retained). *)
-
   val count : t -> int
   val percentile : t -> float -> float
   (** [percentile t p] with [p] in [\[0, 100\]].  Raises [Invalid_argument]
@@ -44,33 +37,4 @@ module Samples : sig
       is a legitimate state. *)
 
   val to_array : t -> float array
-end
-
-(** Fixed-width bucket histogram over [\[0, width * buckets)]; values
-    beyond the last bucket are clamped into it.  NaN and negative
-    samples are not bucketed (they carry no position information) —
-    they are tallied in a separate out-of-range counter instead. *)
-module Histogram : sig
-  type t
-
-  val create : bucket_width:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  (** Number of bucketed (in-range) samples. *)
-
-  val out_of_range : t -> int
-  (** Number of NaN or negative samples rejected by {!add}. *)
-
-  val bucket_count : t -> int -> int
-  val pp : Format.formatter -> t -> unit
-end
-
-(** Named monotonic counters. *)
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
 end

@@ -10,8 +10,6 @@ let to_string = function
   | Other s -> s
 
 let compare a b = String.compare (to_string a) (to_string b)
-let equal a b = compare a b = 0
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* Stable lane ids for trace viewers: one "thread" per subsystem. *)
 let lane = function

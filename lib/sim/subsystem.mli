@@ -8,8 +8,6 @@ type t = Atm | Nemesis | Pfs | Rpc | Naming | Sim | Other of string
 
 val to_string : t -> string
 val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val lane : t -> int
 (** Stable small integer per subsystem, used as the [tid] lane in

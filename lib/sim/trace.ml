@@ -89,12 +89,6 @@ let alloc_flow t =
 let length t = t.count
 let dropped t = t.dropped
 
-let clear t =
-  Array.fill t.entries 0 (Array.length t.entries) None;
-  t.head <- 0;
-  t.count <- 0;
-  t.dropped <- 0
-
 (* Resizing mid-run restarts the sink: the new ring starts empty and
    the drop counter restarts at zero, so post-resize statistics are
    about the new capacity only. *)
@@ -170,8 +164,8 @@ let flow_start t ~ts ~sub ?(cat = "flow") ?(args = []) ~flow name =
 let flow_step t ~ts ~sub ?(cat = "flow") ?(args = []) ~flow name =
   flow_event t Flow_step ~ts ~sub ~cat ~flow ~args name
 
-let flow_end t ~ts ~sub ?(cat = "flow") ?(args = []) ~flow name =
-  flow_event t Flow_end ~ts ~sub ~cat ~flow ~args name
+let flow_end t ~ts ~sub ?(cat = "flow") ~flow name =
+  flow_event t Flow_end ~ts ~sub ~cat ~flow ~args:[] name
 
 let span_begin t ~ts ~sub ?(cat = "") ?(flow = no_flow) ?(args = []) name =
   if not t.enabled then Null_span
@@ -230,26 +224,6 @@ let merge ~into src =
     (events src);
   into.dropped <- into.dropped + src.dropped;
   into.next_flow <- into.next_flow + src.next_flow - 1
-
-(* ------------------------------------------------------------------ *)
-(* Legacy string API: a thin shim over the typed sink, kept so call
-   sites and tests that predate typed events continue to work. *)
-
-let record t time msg = instant t ~ts:time ~sub:Subsystem.Sim ~cat:"legacy" msg
-
-let recordf t time fmt =
-  Format.kasprintf (fun msg -> if t.enabled then record t time msg) fmt
-
-let to_list t = List.map (fun e -> (e.ev_ts, e.ev_name)) (events t)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  if t.dropped > 0 then
-    Format.fprintf fmt "(%d earlier entries dropped)@," t.dropped;
-  List.iter
-    (fun (time, msg) -> Format.fprintf fmt "%a %s@," Time.pp time msg)
-    (to_list t);
-  Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)
 (* Exporters. *)

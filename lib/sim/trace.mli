@@ -73,10 +73,6 @@ val set_capacity : t -> int option -> unit
     the next {!events} call sees only events recorded after the
     resize. *)
 
-val clear : t -> unit
-(** Drop recorded events and reset the drop counter.  Flow-id
-    allocation is {e not} reset: ids stay unique across a run. *)
-
 (** {1 Flow ids} *)
 
 val no_flow : int
@@ -133,18 +129,6 @@ val span_end : t -> ts:Time.t -> ?args:(string * arg) list -> span -> unit
 (** Record the span as a complete event with its measured duration.
     [args] are appended to the ones given at {!span_begin}. *)
 
-val complete :
-  t ->
-  ts:Time.t ->
-  dur:Time.t ->
-  sub:Subsystem.t ->
-  ?cat:string ->
-  ?flow:int ->
-  ?args:(string * arg) list ->
-  string ->
-  unit
-(** Record a span whose duration is already known. *)
-
 val flow_start :
   t ->
   ts:Time.t ->
@@ -171,14 +155,7 @@ val flow_step :
     [ts].  No-op unless {!flows_on}. *)
 
 val flow_end :
-  t ->
-  ts:Time.t ->
-  sub:Subsystem.t ->
-  ?cat:string ->
-  ?args:(string * arg) list ->
-  flow:int ->
-  string ->
-  unit
+  t -> ts:Time.t -> sub:Subsystem.t -> ?cat:string -> flow:int -> string -> unit
 (** The completion of flow [flow].  No-op unless {!flows_on}. *)
 
 (** {1 Inspection} *)
@@ -190,7 +167,7 @@ val length : t -> int
 
 val dropped : t -> int
 (** Events lost to ring wraparound since creation (or the last
-    {!clear}/{!set_capacity}). *)
+    {!set_capacity}). *)
 
 val merge : into:t -> t -> unit
 (** Append [src]'s retained events to [into], as if they had been
@@ -199,24 +176,6 @@ val merge : into:t -> t -> unit
     counter moves past [src]'s, so ids stay unique; [src]'s drop count
     adds to [into]'s.  Events pass through [into]'s ring and are kept
     only while [into] is enabled. *)
-
-(** {1 Legacy string API}
-
-    Thin shim over the typed sink: each message becomes an instant
-    event with subsystem {!Subsystem.Sim} and category ["legacy"]. *)
-
-val record : t -> Time.t -> string -> unit
-
-val recordf :
-  t -> Time.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted {!record}; the message is only built when enabled. *)
-
-val to_list : t -> (Time.t * string) list
-(** Event timestamps and names, oldest first. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints retained entries; leads with the dropped count when events
-    were lost to wraparound. *)
 
 (** {1 Export} *)
 

@@ -23,16 +23,15 @@ val create :
   rng:Sim.Rng.t ->
   ops:ops ->
   ?create_rate:float ->
-  ?p_short:float ->
   ?short_mean:Sim.Time.t ->
   ?long_mean:Sim.Time.t ->
-  ?overwrite_fraction:float ->
   ?size_median:int ->
   unit ->
   t
-(** Defaults: 2 files/s, p_short 0.7 (the Baker figure), short lives
+(** A life is short with probability 0.7 (the Baker figure), and half
+    of deaths are overwrites.  Defaults: 2 files/s, short lives
     averaging 10 s (so the short mass falls within 30 s), long lives
-    averaging 10 min, half of deaths are overwrites, 8 KB median size. *)
+    averaging 10 min, 8 KB median size. *)
 
 val start : t -> unit
 val stop : t -> unit
@@ -41,9 +40,8 @@ val stop : t -> unit
 val files_created : t -> int
 val deletes : t -> int
 val overwrites : t -> int
-val bytes_written : t -> int
 
 val short_lived_fraction : t -> float
 (** Fraction of drawn lifetimes under 30 s (counted at draw time so a
     finite run does not censor the long tail) — should come out near
-    [p_short]. *)
+    0.7. *)

@@ -9,17 +9,18 @@ type t = {
   files : int;
   chunks : int;
   read_bytes : int;
-  think_mean : float;  (* seconds *)
   zipf_s : float;
   flip_at : Sim.Time.t option;
   stop_at : Sim.Time.t option;
   mutable started : int;
-  mutable completed : int;
   mutable bytes : int;
 }
 
+(* Mean client think time between reads, in seconds. *)
+let think_mean = Sim.Time.to_sec_f (Sim.Time.ms 40)
+
 let create engine ~rng ~ops ~clients ~files ~file_bytes ?(read_bytes = 65_536)
-    ?(think_mean = Sim.Time.ms 40) ?(zipf_s = 1.1) ?flip_at ?stop_at () =
+    ?(zipf_s = 1.1) ?flip_at ?stop_at () =
   if clients < 1 then invalid_arg "Vod.create: clients must be >= 1";
   if files < 2 then invalid_arg "Vod.create: files must be >= 2";
   if read_bytes < 1 || read_bytes > file_bytes then
@@ -31,12 +32,10 @@ let create engine ~rng ~ops ~clients ~files ~file_bytes ?(read_bytes = 65_536)
     files;
     chunks = file_bytes / read_bytes;
     read_bytes;
-    think_mean = Sim.Time.to_sec_f think_mean;
     zipf_s;
     flip_at;
     stop_at;
     started = 0;
-    completed = 0;
     bytes = 0;
   }
 
@@ -51,8 +50,6 @@ let rank_to_fid t rank =
   let shift = if flipped t then t.files / 2 else 0 in
   (rank - 1 + shift) mod t.files
 
-let hot_fid t = rank_to_fid t 1
-
 let stopped t =
   match t.stop_at with
   | None -> false
@@ -61,7 +58,7 @@ let stopped t =
 let client_loop t c =
   let rng = t.client_rngs.(c) in
   let rec think () =
-    let delay = Sim.Time.of_sec_f (Sim.Rng.exponential rng ~mean:t.think_mean) in
+    let delay = Sim.Time.of_sec_f (Sim.Rng.exponential rng ~mean:think_mean) in
     ignore (Sim.Engine.schedule t.engine ~delay request)
   and request () =
     if not (stopped t) then begin
@@ -70,7 +67,6 @@ let client_loop t c =
       let off = Sim.Rng.int rng t.chunks * t.read_bytes in
       t.started <- t.started + 1;
       t.ops.op_read ~client:c ~fid ~off ~len:t.read_bytes ~k:(fun () ->
-          t.completed <- t.completed + 1;
           t.bytes <- t.bytes + t.read_bytes;
           think ())
     end
@@ -83,5 +79,4 @@ let start t =
   done
 
 let reads_started t = t.started
-let reads_done t = t.completed
 let bytes_read t = t.bytes

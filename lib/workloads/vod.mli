@@ -35,27 +35,19 @@ val create :
   files:int ->
   file_bytes:int ->
   ?read_bytes:int ->
-  ?think_mean:Sim.Time.t ->
   ?zipf_s:float ->
   ?flip_at:Sim.Time.t ->
   ?stop_at:Sim.Time.t ->
   unit ->
   t
-(** Defaults: 64 KB reads, 40 ms mean think time, Zipf exponent 1.1,
-    no flip, no stop (clients loop as long as the run is bounded by
-    the engine's [until]).  Reads are aligned to [read_bytes] chunks
+(** Clients think 40 ms on average.  Defaults: 64 KB reads, Zipf
+    exponent 1.1, no flip, no stop (clients loop as long as the run is
+    bounded by the engine's [until]).  Reads are aligned to [read_bytes] chunks
     within [file_bytes].  Raises [Invalid_argument] when the shape is
     degenerate (no clients, no files, a read larger than a file). *)
 
 val start : t -> unit
 (** Launch every client's loop (first think time starts now). *)
 
-val hot_fid : t -> int
-(** The title currently at Zipf rank 1 — before the flip, file 0;
-    after, the file half a catalogue away. *)
-
-val flipped : t -> bool
-
 val reads_started : t -> int
-val reads_done : t -> int
 val bytes_read : t -> int

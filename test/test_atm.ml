@@ -105,8 +105,10 @@ let cell_tests =
         Alcotest.(check int) "bits" 424 Atm.Cell.wire_bits);
     Alcotest.test_case "payload size is enforced" `Quick (fun () ->
         Alcotest.check_raises "short"
-          (Invalid_argument "Cell.make: payload must be 48 bytes") (fun () ->
-            ignore (Atm.Cell.make ~vci:1 ~last:false (Bytes.create 10))));
+          (Invalid_argument "Cell.view: payload range out of bounds")
+          (fun () ->
+            ignore
+              (Atm.Cell.view ~vci:1 ~last:false (Bytes.create 10) ~off:0)));
     Alcotest.test_case "tx time at 100 Mbit/s is 4.24us" `Quick (fun () ->
         Alcotest.(check int64) "4240ns" (Sim.Time.ns 4240)
           (Atm.Cell.tx_time ~bandwidth_bps:100_000_000));
@@ -174,7 +176,7 @@ let aal5_tests =
         | _ -> Alcotest.fail "expected clean reassembly");
     Alcotest.test_case "oversized frame reports Too_long" `Quick (fun () ->
         let r = Atm.Aal5.Reassembler.create ~max_frame:96 () in
-        let cell () = Atm.Cell.make ~vci:1 ~last:false (Bytes.create 48) in
+        let cell () = Atm.Cell.make_blank ~vci:1 ~last:false in
         ignore (Atm.Aal5.Reassembler.push r (cell ()));
         ignore (Atm.Aal5.Reassembler.push r (cell ()));
         match Atm.Aal5.Reassembler.push r (cell ()) with
@@ -243,7 +245,7 @@ let switch_tests =
         let out =
           Atm.Link.create e ~rx:(fun c -> got := c.Atm.Cell.vci :: !got) ()
         in
-        let sw = Atm.Switch.create e ~name:"sw" ~ports:4 () in
+        let sw = Atm.Switch.create e ~name:"sw" ~ports:4 in
         Atm.Switch.attach_output sw 1 out;
         Atm.Switch.add_route sw ~in_port:0 ~in_vci:42 ~out_port:1 ~out_vci:99;
         Atm.Switch.input sw 0 (Atm.Cell.make_blank ~vci:42 ~last:true);
@@ -252,13 +254,13 @@ let switch_tests =
         Alcotest.(check int) "switched" 1 (Atm.Switch.cells_switched sw));
     Alcotest.test_case "unroutable cells are dropped" `Quick (fun () ->
         let e = Sim.Engine.create () in
-        let sw = Atm.Switch.create e ~name:"sw" ~ports:2 () in
+        let sw = Atm.Switch.create e ~name:"sw" ~ports:2 in
         Atm.Switch.input sw 0 (Atm.Cell.make_blank ~vci:7 ~last:true);
         Sim.Engine.run e;
         Alcotest.(check int) "unroutable" 1 (Atm.Switch.cells_unroutable sw));
     Alcotest.test_case "duplicate route rejected, removal works" `Quick (fun () ->
         let e = Sim.Engine.create () in
-        let sw = Atm.Switch.create e ~name:"sw" ~ports:2 () in
+        let sw = Atm.Switch.create e ~name:"sw" ~ports:2 in
         Atm.Switch.add_route sw ~in_port:0 ~in_vci:1 ~out_port:1 ~out_vci:2;
         Alcotest.check_raises "dup" (Invalid_argument "Switch.add_route: route exists")
           (fun () ->
@@ -284,7 +286,9 @@ let net_tests =
     Alcotest.test_case "frame crosses a switched path" `Quick (fun () ->
         let e, net, a, b = star_net () in
         let got = ref None in
-        let rx = Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)) () in
+        let rx =
+          Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p))
+        in
         let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx in
         Alcotest.(check int) "two hops" 2 (Atm.Net.vc_hops vc);
         Atm.Net.send_frame vc (Bytes.of_string "over the fabric");
@@ -579,7 +583,6 @@ let control_tests =
               match Atm.Control.unmarshal p with
               | Some m -> got := m :: !got
               | None -> ())
-            ()
         in
         let out = Atm.Net.open_vc net ~src:a ~dst:b ~rx:out_rx in
         let merger = Atm.Control.Merger.create ~out () in
@@ -624,40 +627,11 @@ let control_tests =
         let skew = Atm.Control.Playback.skew_us pb ~a:1 ~b:2 in
         Alcotest.(check int) "pairs" 10 (Sim.Stats.Samples.count skew);
         Alcotest.(check (float 1.0)) "2ms skew" 2000.0
-          (Sim.Stats.Samples.percentile skew 50.0);
-        (* Aligning stream 1 (fast) requires ~2ms of delay. *)
-        let d = Atm.Control.Playback.recommended_delay pb ~stream:1 in
-        Alcotest.(check bool) "recommended ~2ms" true
-          (Sim.Time.to_ms_f d > 1.9 && Sim.Time.to_ms_f d < 2.1);
-        Alcotest.(check int64) "slow stream needs none" Sim.Time.zero
-          (Atm.Control.Playback.recommended_delay pb ~stream:2));
+          (Sim.Stats.Samples.percentile skew 50.0));
   ]
 
 let traffic_tests =
   [
-    Alcotest.test_case "CBR sends at the configured rate" `Quick (fun () ->
-        let e, net, a, b = star_net () in
-        let got = ref 0 in
-        let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx:(fun _ -> incr got) in
-        let source = Atm.Traffic.cbr e ~vc ~rate_bps:42_400_000 in
-        Atm.Traffic.start source;
-        Sim.Engine.run e ~until:(ms 10);
-        Atm.Traffic.stop source;
-        Sim.Engine.run e;
-        (* 42.4 Mbit/s = one cell per 10us = 1000 cells in 10ms *)
-        Alcotest.(check bool) "about 1000" true (!got >= 990 && !got <= 1010));
-    Alcotest.test_case "Poisson averages the configured rate" `Quick (fun () ->
-        let e, net, a, b = star_net () in
-        let got = ref 0 in
-        let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx:(fun _ -> incr got) in
-        let rng = Sim.Rng.create ~seed:1L () in
-        let source = Atm.Traffic.poisson e ~vc ~rate_bps:42_400_000 ~rng in
-        Atm.Traffic.start source;
-        Sim.Engine.run e ~until:(ms 50);
-        Atm.Traffic.stop source;
-        Sim.Engine.run e;
-        (* expectation 5000; allow generous tolerance *)
-        Alcotest.(check bool) "rate" true (!got > 4200 && !got < 5800));
     Alcotest.test_case "on/off source alternates" `Quick (fun () ->
         let e, net, a, b = star_net () in
         let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx:(fun _ -> ()) in
@@ -1185,8 +1159,7 @@ let conservation_tests =
                  (Atm.Net.frame_rx
                     ~rx:(fun p ->
                       incr received;
-                      received_bytes := !received_bytes + Bytes.length p)
-                    ())
+                      received_bytes := !received_bytes + Bytes.length p))
            in
            (* spaced 1ms apart: far below line rate, nothing may drop *)
            List.iteri

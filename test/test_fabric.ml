@@ -50,7 +50,7 @@ let rollback_tests =
         let vc =
           Atm.Net.open_vc net ~reserve_bps:10_000_000 ~src:a ~dst:b
             ~rx:
-              (Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)) ())
+              (Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)))
         in
         Alcotest.(check int) "hops" 3 (Atm.Net.vc_hops vc);
         Alcotest.(check int) "reservation held" 10_000_000
@@ -110,7 +110,7 @@ let transparency_tests =
         let vc =
           Atm.Net.open_vc net ~src:a ~dst:b
             ~rx:
-              (Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)) ())
+              (Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)))
         in
         Alcotest.(check int) "switch path, not the host shortcut" 5
           (Atm.Net.vc_hops vc);
@@ -155,7 +155,7 @@ let clos_tests =
     Alcotest.test_case "generator shape and path lengths" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let net = Atm.Net.create e in
-        let cl = Atm.Net.clos net ~spines:2 ~leaves:3 ~hosts_per_leaf:2 () in
+        let cl = Atm.Net.clos net ~spines:2 ~leaves:3 ~hosts_per_leaf:2 in
         Alcotest.(check int) "spines" 2 (Array.length cl.Atm.Net.cl_spines);
         Alcotest.(check int) "leaves" 3 (Array.length cl.Atm.Net.cl_leaves);
         Alcotest.(check int) "hosts" 6 (Array.length cl.Atm.Net.cl_hosts);
@@ -214,7 +214,7 @@ let conservation_prop =
        (fun ops ->
          let e = Sim.Engine.create () in
          let net = Atm.Net.create e in
-         let cl = Atm.Net.clos net ~spines:2 ~leaves:2 ~hosts_per_leaf:2 () in
+         let cl = Atm.Net.clos net ~spines:2 ~leaves:2 ~hosts_per_leaf:2 in
          let nh = Array.length cl.Atm.Net.cl_hosts in
          let live = ref [] in
          let consistent () =

@@ -87,7 +87,7 @@ let lifecycle_tests =
     Alcotest.test_case "pending -> firing -> resolved" `Quick (fun () ->
         let e = fresh_engine () in
         let signal = ref 0.0 in
-        let m = Sim.Monitor.create ~name:"t" e in
+        let m = Sim.Monitor.create e in
         Sim.Monitor.register m (level_slo ())
           (Sim.Monitor.Level (fun () -> !signal));
         ignore
@@ -191,7 +191,7 @@ let lifecycle_tests =
         let m = Sim.Monitor.create e in
         Sim.Monitor.register m
           (level_slo ~threshold:1000.0 ())
-          (Sim.Monitor.windowed ~q:99.0 obs);
+          (Sim.Monitor.windowed obs);
         ignore
           (Sim.Engine.schedule_at e ~at:(ms 5) (fun () ->
                for v = 1 to 100 do
@@ -221,7 +221,7 @@ let shard_rig ~domains =
         let e = Sim.Shard.engine shard i in
         let reg = Sim.Engine.metrics e in
         let pings = Sim.Metrics.counter reg ~sub:Sim.Subsystem.Sim "t.pings" in
-        let m = Sim.Monitor.create ~name:(Printf.sprintf "shard%d" i) e in
+        let m = Sim.Monitor.create e in
         Sim.Monitor.register m
           (Sim.Slo.make ~sub:Sim.Subsystem.Sim ~window:(ms 10)
              ~fast_windows:1 ~slow_windows:2 ~threshold:2000.0
@@ -282,7 +282,9 @@ let shard_tests =
       `Quick (fun () ->
         let at domains =
           let ctx = Sim.Ctx.create ~domains () in
-          let report = render (Experiments.Health_scenarios.fabric ctx) in
+          let report =
+            render (Experiments.Health_scenarios.run ctx "fabric")
+          in
           (report, snapshot (Sim.Ctx.metrics ctx))
         in
         let r1, m1 = at 1 and r2, m2 = at 2 in

@@ -1,6 +1,6 @@
 (* Tests for naming: namespaces, mounts, maillons, clerks. *)
 
-let namespace ?name () = Naming.Namespace.create ?name (Sim.Metrics.create ())
+let namespace () = Naming.Namespace.create (Sim.Metrics.create ())
 
 let obj name =
   Naming.Maillon.of_iface ~reference:name
@@ -48,8 +48,8 @@ let namespace_tests =
         | _ -> Alcotest.fail "expected Not_a_directory b");
     Alcotest.test_case "mounted namespaces resolve transparently" `Quick
       (fun () ->
-        let local = namespace ~name:"local" () in
-        let fileserver = namespace ~name:"pfs" () in
+        let local = namespace () in
+        let fileserver = namespace () in
         Naming.Namespace.bind fileserver ~path:"media/film" (obj "film1");
         Naming.Namespace.mount local ~path:"fs" ~target:fileserver
           ~via:(Naming.Relation.Remote (Sim.Time.us 500));
@@ -72,9 +72,9 @@ let namespace_tests =
             Sim.Time.mul here.Naming.Namespace.cost 10
             < there.Naming.Namespace.cost));
     Alcotest.test_case "mounts chain across two hops" `Quick (fun () ->
-        let a = namespace ~name:"a" () in
-        let b = namespace ~name:"b" () in
-        let c = namespace ~name:"c" () in
+        let a = namespace () in
+        let b = namespace () in
+        let c = namespace () in
         Naming.Namespace.bind c ~path:"leaf" (obj "end");
         Naming.Namespace.mount b ~path:"next" ~target:c
           ~via:Naming.Relation.Same_machine;
@@ -83,8 +83,8 @@ let namespace_tests =
         let r = check_resolves a "next/next/leaf" "end" in
         Alcotest.(check int) "two mounts" 2 r.Naming.Namespace.mounts_crossed);
     Alcotest.test_case "mount cycles are detected" `Quick (fun () ->
-        let a = namespace ~name:"a" () in
-        let b = namespace ~name:"b" () in
+        let a = namespace () in
+        let b = namespace () in
         Naming.Namespace.mount a ~path:"b" ~target:b ~via:Naming.Relation.Same_domain;
         Naming.Namespace.mount b ~path:"a" ~target:a ~via:Naming.Relation.Same_domain;
         match Naming.Namespace.resolve a "b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/b/a/x" with
@@ -101,9 +101,9 @@ let namespace_tests =
             Alcotest.(check (list string)) "names" [ "audio"; "camera"; "empty" ] names
         | Error _ -> Alcotest.fail "readdir failed"));
     Alcotest.test_case "a forked namespace is independent" `Quick (fun () ->
-        let parent = namespace ~name:"parent" () in
+        let parent = namespace () in
         Naming.Namespace.bind parent ~path:"shared/svc" (obj "svc");
-        let child = Naming.Namespace.fork parent ~name:"child" in
+        let child = Naming.Namespace.fork parent in
         ignore (check_resolves child "shared/svc" "svc");
         Naming.Namespace.bind child ~path:"private/thing" (obj "mine");
         ignore (check_resolves child "private/thing" "mine");
@@ -125,10 +125,10 @@ let namespace_tests =
       (fun () ->
         (* Two processes agree by convention on a "global" subtree; the
            same object is reachable in both, under the same name. *)
-        let universe = namespace ~name:"universe" () in
+        let universe = namespace () in
         Naming.Namespace.bind universe ~path:"org/pegasus/fs" (obj "pfs");
-        let p1 = namespace ~name:"p1" () in
-        let p2 = namespace ~name:"p2" () in
+        let p1 = namespace () in
+        let p2 = namespace () in
         Naming.Namespace.mount p1 ~path:"global" ~target:universe
           ~via:(Naming.Relation.Remote (Sim.Time.ms 2));
         Naming.Namespace.mount p2 ~path:"global" ~target:universe

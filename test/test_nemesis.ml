@@ -378,11 +378,14 @@ let kps_tests =
         let d = Nemesis.Domain.create ~name:"driver" () in
         Nemesis.Kernel.add_domain k d;
         let ch = Nemesis.Kernel.channel k ~dst:d ~mode:`Async () in
-        Nemesis.Kernel.with_kps k (fun () ->
-            Nemesis.Kernel.with_kps k (fun () -> Nemesis.Kernel.interrupt k ch);
-            Alcotest.(check bool) "still privileged" true
-              (Nemesis.Kernel.kps_active k);
-            Alcotest.(check int) "still deferred" 0 (Nemesis.Kernel.sent ch));
+        Nemesis.Kernel.enter_kps k;
+        Nemesis.Kernel.with_kps k (fun () -> Nemesis.Kernel.interrupt k ch);
+        Alcotest.(check bool) "still privileged" true
+          (Nemesis.Kernel.kps_active k);
+        Alcotest.(check int) "still deferred" 0 (Nemesis.Kernel.sent ch);
+        Nemesis.Kernel.exit_kps k;
+        Alcotest.(check bool) "left kernel mode" false
+          (Nemesis.Kernel.kps_active k);
         Alcotest.(check int) "delivered at outermost exit" 1
           (Nemesis.Kernel.sent ch);
         Sim.Engine.run e);
@@ -495,8 +498,8 @@ let vm_tests =
           (Nemesis.Vm.segment_base b >= a_end));
     Alcotest.test_case "alias flush dominates the context-switch cost" `Quick
       (fun () ->
-        let with_aliases = Nemesis.Vm.switch_cost ~aliases:true () in
-        let without = Nemesis.Vm.switch_cost ~aliases:false () in
+        let with_aliases = Nemesis.Vm.switch_cost ~aliases:true in
+        let without = Nemesis.Vm.switch_cost ~aliases:false in
         Alcotest.(check bool)
           (Format.asprintf "%a vs %a" Sim.Time.pp with_aliases Sim.Time.pp without)
           true
@@ -522,7 +525,7 @@ let qos_tests =
         let e, k = rig () in
         let d = Nemesis.Domain.create ~name:"app" ~period:(ms 10) () in
         Nemesis.Kernel.add_domain k d;
-        let q = Nemesis.Qos.create k () in
+        let q = Nemesis.Qos.create k in
         Nemesis.Qos.register q ~domain:d ~want:0.4 ();
         Sim.Engine.run e ~until:(ms 50);
         Alcotest.(check (float 0.01)) "granted" 0.4 (Nemesis.Qos.granted q ~domain:d);
@@ -538,7 +541,7 @@ let qos_tests =
         (* Keep both busy so utilisation stays high. *)
         Nemesis.Kernel.submit k a (job e ~work:(Sim.Time.sec 10));
         Nemesis.Kernel.submit k b (job e ~work:(Sim.Time.sec 10));
-        let q = Nemesis.Qos.create k ~capacity:0.9 () in
+        let q = Nemesis.Qos.create k in
         Nemesis.Qos.register q ~domain:a ~want:0.8 ();
         Nemesis.Qos.register q ~domain:b ~want:0.4 ();
         Sim.Engine.run e ~until:(Sim.Time.sec 1);
@@ -551,7 +554,7 @@ let qos_tests =
         let e, k = rig () in
         let idle_dom = Nemesis.Domain.create ~name:"idle" ~period:(ms 10) () in
         Nemesis.Kernel.add_domain k idle_dom;
-        let q = Nemesis.Qos.create k ~smoothing:0.5 () in
+        let q = Nemesis.Qos.create k in
         Nemesis.Qos.register q ~domain:idle_dom ~want:0.8 ();
         (* The domain never submits work, so its utilisation decays and
            the manager shrinks its grant. *)
@@ -567,7 +570,7 @@ let qos_tests =
         Nemesis.Kernel.add_domain k b;
         Nemesis.Kernel.submit k a (job e ~work:(Sim.Time.sec 10));
         Nemesis.Kernel.submit k b (job e ~work:(Sim.Time.sec 10));
-        let q = Nemesis.Qos.create k () in
+        let q = Nemesis.Qos.create k in
         let grants = ref [] in
         Nemesis.Qos.register q ~domain:a ~want:0.8
           ~adapt:(fun ~granted -> grants := granted :: !grants)
@@ -586,7 +589,7 @@ let qos_tests =
         Nemesis.Kernel.add_domain k b;
         Nemesis.Kernel.submit k a (job e ~work:(Sim.Time.sec 10));
         Nemesis.Kernel.submit k b (job e ~work:(Sim.Time.sec 10));
-        let q = Nemesis.Qos.create k ~capacity:0.9 () in
+        let q = Nemesis.Qos.create k in
         Nemesis.Qos.register q ~domain:a ~want:0.8 ();
         Nemesis.Qos.register q ~domain:b ~want:0.8 ();
         Sim.Engine.run e ~until:(ms 300);

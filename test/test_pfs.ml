@@ -36,7 +36,7 @@ let disk_tests =
   [
     Alcotest.test_case "sequential I/O avoids seeks" `Quick (fun () ->
         let e = Sim.Engine.create () in
-        let d = Pfs.Disk.create e ~name:"d" () in
+        let d = Pfs.Disk.create e ~name:"d" in
         let n = 16 in
         for i = 0 to n - 1 do
           Pfs.Disk.write d ~off:(i * 65536) ~len:65536 ~k:(fun _ -> ())
@@ -48,10 +48,11 @@ let disk_tests =
         Alcotest.(check int) "ops" n (Pfs.Disk.writes d));
     Alcotest.test_case "random I/O pays positioning" `Quick (fun () ->
         let e = Sim.Engine.create () in
-        let d = Pfs.Disk.create e ~name:"d" () in
+        let d = Pfs.Disk.create e ~name:"d" in
         for i = 0 to 15 do
           let off = (i * 7919 * 65536) mod 1_000_000_000 in
-          Pfs.Disk.read d ~off ~len:4096 ~k:(fun _ -> ())
+          Pfs.Disk.read_flow d ~flow:Sim.Trace.no_flow ~off ~len:4096
+            ~k:(fun _ -> ())
         done;
         Sim.Engine.run e;
         Alcotest.(check bool) "seeks dominate" true
@@ -59,7 +60,7 @@ let disk_tests =
     Alcotest.test_case "megabyte extents keep seek overhead under 10%" `Quick
       (fun () ->
         let e = Sim.Engine.create () in
-        let d = Pfs.Disk.create e ~name:"d" () in
+        let d = Pfs.Disk.create e ~name:"d" in
         (* Alternate between two distant regions, 1MB at a time: every
            op seeks, as when the log head and a read stream compete. *)
         for i = 0 to 19 do
@@ -85,14 +86,16 @@ let disk_tests =
           (rate >= 5.0e6));
     Alcotest.test_case "failed disks answer with errors" `Quick (fun () ->
         let e = Sim.Engine.create () in
-        let d = Pfs.Disk.create e ~name:"d" () in
+        let d = Pfs.Disk.create e ~name:"d" in
         Pfs.Disk.fail d;
         let got = ref None in
-        Pfs.Disk.read d ~off:0 ~len:100 ~k:(fun r -> got := Some r);
+        Pfs.Disk.read_flow d ~flow:Sim.Trace.no_flow ~off:0 ~len:100
+          ~k:(fun r -> got := Some r);
         Sim.Engine.run e;
         Alcotest.(check bool) "error" true (!got = Some (Error `Failed));
         Pfs.Disk.repair d;
-        Pfs.Disk.read d ~off:0 ~len:100 ~k:(fun r -> got := Some r);
+        Pfs.Disk.read_flow d ~flow:Sim.Trace.no_flow ~off:0 ~len:100
+          ~k:(fun r -> got := Some r);
         Sim.Engine.run e;
         Alcotest.(check bool) "ok after repair" true (!got = Some (Ok ())));
   ]
@@ -127,7 +130,20 @@ let raid_tests =
         (match !got with
         | Some (Ok (Some b)) -> Alcotest.(check bytes) "reconstructed" data b
         | _ -> Alcotest.fail "degraded read failed");
-        Alcotest.(check (list int)) "failed list" [ 2 ] (Pfs.Raid.failed_disks raid));
+        Alcotest.(check (list int)) "failed list" [ 2 ]
+          (Pfs.Raid.failed_disks raid);
+        (* Repaired, the disk serves its chunk again: no parity needed. *)
+        Pfs.Raid.repair_disk raid 2;
+        Alcotest.(check (list int)) "none failed" []
+          (Pfs.Raid.failed_disks raid);
+        let degraded = Pfs.Raid.degraded_reads raid in
+        Pfs.Raid.read_segment raid ~seg:0 ~k:(fun r -> got := Some r);
+        Sim.Engine.run e;
+        (match !got with
+        | Some (Ok (Some b)) -> Alcotest.(check bytes) "after repair" data b
+        | _ -> Alcotest.fail "read after repair failed");
+        Alcotest.(check int) "not degraded" degraded
+          (Pfs.Raid.degraded_reads raid));
     Alcotest.test_case "a failed parity disk does not block reads" `Quick
       (fun () ->
         let e = Sim.Engine.create () in
@@ -182,7 +198,6 @@ let raid_tests =
         let raid = Pfs.Raid.create e ~segment_bytes:1_048_576 () in
         Pfs.Raid.write_segment raid ~seg:0 (fun _ -> ());
         Sim.Engine.run e;
-        Pfs.Raid.reset_stats raid;
         (* 10 KB within the first 256 KB chunk: only disk 0 reads. *)
         Pfs.Raid.read_extent raid ~seg:0 ~off:1000 ~len:10_000 ~k:(fun _ -> ());
         Sim.Engine.run e;
@@ -616,7 +631,7 @@ let agent_rig ?write_delay ?ups () =
   let raid = Pfs.Raid.create e ~segment_bytes:seg_64k () in
   let log = Pfs.Log.create e ~raid () in
   let server = Pfs.Client_agent.Server.create e ~log ?write_delay ?ups () in
-  let agent = Pfs.Client_agent.Agent.create e ~server () in
+  let agent = Pfs.Client_agent.Agent.create e ~server in
   (e, server, agent)
 
 let agent_tests =
@@ -753,7 +768,7 @@ let stream_rig () =
   let e = Sim.Engine.create () in
   let raid = Pfs.Raid.create e ~segment_bytes:(1 lsl 20) () in
   let log = Pfs.Log.create e ~raid () in
-  let streams = Pfs.Stream.create e ~log () in
+  let streams = Pfs.Stream.create e ~log in
   (e, log, streams)
 
 let stream_tests =
@@ -761,7 +776,7 @@ let stream_tests =
     Alcotest.test_case "admission control enforces the bandwidth budget" `Quick
       (fun () ->
         let _, _, streams = stream_rig () in
-        let budget = Pfs.Stream.budget_bps streams in
+        let budget = Pfs.Stream.budget_bps in
         (match Pfs.Stream.start_recording streams ~rate_bps:(budget / 2) with
         | Ok _ -> ()
         | Error `Admission_denied -> Alcotest.fail "should admit half");
@@ -883,7 +898,7 @@ let extension_tests =
           Pfs.Client_agent.Server.create e ~log
             ~write_delay:(Sim.Time.sec 30) ~nvram:true ()
         in
-        let agent = Pfs.Client_agent.Agent.create e ~server () in
+        let agent = Pfs.Client_agent.Agent.create e ~server in
         let fid = Pfs.Client_agent.Server.create_file server in
         ignore (Pfs.Client_agent.Agent.write agent ~fid ~off:0 ~len:4096 ());
         Sim.Engine.run e ~until:(Sim.Time.sec 5);

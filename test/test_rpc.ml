@@ -12,6 +12,13 @@ let rig () =
   Atm.Net.connect net b sw;
   (e, net, Rpc.endpoint net ~host:a, Rpc.endpoint net ~host:b)
 
+(* A server whose handler replies [delay] after the request arrives
+   (server compute time). *)
+let serve_delayed e ep ~iface ~delay f =
+  Rpc.serve_flow ep ~iface (fun ~meth ~flow:_ payload ~reply ->
+      ignore
+        (Sim.Engine.schedule e ~delay (fun () -> reply (f ~meth payload))))
+
 let wire_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -99,7 +106,7 @@ let call_tests =
       `Quick (fun () ->
         let e, net, client, server = rig () in
         let executions = ref 0 in
-        Rpc.serve_delayed server ~iface:"slow" ~delay:(ms 25)
+        serve_delayed e server ~iface:"slow" ~delay:(ms 25)
           (fun ~meth:_ _ ->
             incr executions;
             Ok Bytes.empty);
@@ -116,7 +123,7 @@ let call_tests =
         let e, net, client, server = rig () in
         let executions = ref 0 in
         (* Reply just after the first retransmission fires. *)
-        Rpc.serve_delayed server ~iface:"dup" ~delay:(ms 12) (fun ~meth:_ _ ->
+        serve_delayed e server ~iface:"dup" ~delay:(ms 12) (fun ~meth:_ _ ->
             incr executions;
             Ok (Bytes.of_string "once"));
         let conn = Rpc.connect net ~client ~server ~retransmit:(ms 10) () in
@@ -128,7 +135,7 @@ let call_tests =
     Alcotest.test_case "exhausted retries time out" `Quick (fun () ->
         let e, net, client, server = rig () in
         (* Server replies far after the single try's patience. *)
-        Rpc.serve_delayed server ~iface:"dead" ~delay:(Sim.Time.sec 5)
+        serve_delayed e server ~iface:"dead" ~delay:(Sim.Time.sec 5)
           (fun ~meth:_ _ -> Ok Bytes.empty);
         let conn =
           Rpc.connect net ~client ~server ~retransmit:(ms 10) ~max_tries:1 ()

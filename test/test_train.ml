@@ -6,6 +6,11 @@
 let us = Sim.Time.us
 let ms = Sim.Time.ms
 
+(* A payload framed as one train, the way [Net.send_frame] frames it. *)
+let segment_train ~vci ?flow payload =
+  Atm.Train.make ~vci ?flow
+    (Atm.Aal5.Framer.pdu (Atm.Aal5.Framer.create ()) payload)
+
 (* {1 Zero-copy segmentation / reassembly} *)
 
 let train_aal5_tests =
@@ -13,14 +18,14 @@ let train_aal5_tests =
     Alcotest.test_case "segment_train round-trips through push_train" `Quick
       (fun () ->
         let payload = Bytes.init 1000 (fun i -> Char.chr (i land 0xff)) in
-        let train = Atm.Aal5.segment_train ~vci:7 payload in
+        let train = segment_train ~vci:7 payload in
         let r = Atm.Aal5.Reassembler.create () in
         match Atm.Aal5.Reassembler.push_train r train with
         | [ Ok b ] -> Alcotest.(check bytes) "payload" payload b
         | _ -> Alcotest.fail "expected exactly one completed frame");
     Alcotest.test_case "cells are views into one PDU buffer" `Quick (fun () ->
         let payload = Bytes.of_string "zero copy" in
-        let train = Atm.Aal5.segment_train ~vci:1 payload in
+        let train = segment_train ~vci:1 payload in
         let cells = Atm.Aal5.segment ~vci:1 payload in
         List.iteri
           (fun i (c : Atm.Cell.t) ->
@@ -40,7 +45,7 @@ let train_aal5_tests =
         let payload = Bytes.init 700 (fun i -> Char.chr ((i * 7) land 0xff)) in
         let n = Atm.Aal5.frame_cells (Bytes.length payload) in
         for split = 1 to n - 1 do
-          let train = Atm.Aal5.segment_train ~vci:3 payload in
+          let train = segment_train ~vci:3 payload in
           let head = Atm.Train.sub train ~first:0 ~count:split in
           let tail = Atm.Train.sub train ~first:split ~count:(n - split) in
           let r = Atm.Aal5.Reassembler.create () in
@@ -52,7 +57,7 @@ let train_aal5_tests =
           | _ -> Alcotest.fail "expected one frame"
         done);
     Alcotest.test_case "corrupted train reports Crc_mismatch" `Quick (fun () ->
-        let train = Atm.Aal5.segment_train ~vci:1 (Bytes.of_string "corrupt me") in
+        let train = segment_train ~vci:1 (Bytes.of_string "corrupt me") in
         Bytes.set (Atm.Train.buf train) 3 'X';
         let r = Atm.Aal5.Reassembler.create () in
         match Atm.Aal5.Reassembler.push_train r train with
@@ -91,7 +96,7 @@ let train_aal5_tests =
            the state it leaves behind must match pushing the window's
            cells one by one. *)
         let payload = Bytes.init 200 (fun i -> Char.chr ((i * 13) land 0xff)) in
-        let fresh () = Atm.Train.buf (Atm.Aal5.segment_train ~vci:1 payload) in
+        let fresh () = Atm.Train.buf (segment_train ~vci:1 payload) in
         let n = Bytes.length (fresh ()) in
         let reseal b =
           Bytes.set_int32_be b (n - 4)
@@ -111,7 +116,7 @@ let train_aal5_tests =
         (* A window that starts mid-buffer: two cells of another PDU,
            then this frame's five. *)
         let behind_another =
-          let other = Atm.Aal5.segment_train ~vci:1 (Bytes.make 50 'o') in
+          let other = segment_train ~vci:1 (Bytes.make 50 'o') in
           Bytes.cat (Atm.Train.buf other) (fresh ())
         in
         let cases =
@@ -136,7 +141,7 @@ let train_aal5_tests =
             let train =
               Atm.Train.sub whole ~first ~count:(Atm.Train.count whole - first)
             in
-            let next = Atm.Aal5.segment_train ~vci:1 ~flow:9 payload in
+            let next = segment_train ~vci:1 ~flow:9 payload in
             let by_train =
               let r = Atm.Aal5.Reassembler.create ~max_frame () in
               let res = Atm.Aal5.Reassembler.push_train r train in
@@ -213,7 +218,7 @@ let link_tests =
         let link =
           Atm.Link.create e ~rx:(fun c -> got := (Sim.Engine.now e, c) :: !got) ()
         in
-        let train = Atm.Aal5.segment_train ~vci:1 (Bytes.create 100) in
+        let train = segment_train ~vci:1 (Bytes.create 100) in
         let n = Atm.Train.count train in
         Atm.Link.send_train link train;
         Sim.Engine.run e;
@@ -251,7 +256,7 @@ let link_tests =
             (Sim.Engine.schedule_at e ~at:(Sim.Time.ns 1) (fun () ->
                  snap := Atm.Link.cells_sent link));
           let frame = Bytes.create 480 in
-          if path then Atm.Link.send_train link (Atm.Aal5.segment_train ~vci:1 frame)
+          if path then Atm.Link.send_train link (segment_train ~vci:1 frame)
           else
             List.iter (Atm.Link.send link) (Atm.Aal5.segment ~vci:1 frame);
           Sim.Engine.run e;
@@ -335,7 +340,8 @@ let link_tests =
           in
           link := Some l;
           for _ = 1 to 2 do
-            if trains then Atm.Link.send_train l (Atm.Aal5.segment_train ~vci:1 (frame ()))
+            if trains then
+              Atm.Link.send_train l (segment_train ~vci:1 (frame ()))
             else List.iter (Atm.Link.send l) (Atm.Aal5.segment ~vci:1 (frame ()))
           done;
           Sim.Engine.run e;
@@ -362,7 +368,7 @@ let link_tests =
           if trains then
             Atm.Link.send_train link
               ~offers:(Atm.Cell_times.of_runs [| 0; step; 10 |])
-              (Atm.Aal5.segment_train ~vci:1 frame)
+              (segment_train ~vci:1 frame)
           else
             List.iteri
               (fun i c ->
@@ -414,7 +420,7 @@ let link_tests =
           in
           link := Some l;
           let send ~at ~gap n =
-            let train = Atm.Aal5.segment_train ~vci:1 (Bytes.make ((48 * n) - 8) 'r') in
+            let train = segment_train ~vci:1 (Bytes.make ((48 * n) - 8) 'r') in
             if trains then
               Atm.Link.send_train l
                 ~offers:(Atm.Cell_times.of_runs [| at; gap; n |])

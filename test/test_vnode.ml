@@ -4,7 +4,7 @@ let rig () =
   let e = Sim.Engine.create () in
   let raid = Pfs.Raid.create e ~store_data:true ~segment_bytes:65536 () in
   let log = Pfs.Log.create e ~raid () in
-  let fs = Pfs.Vnode.create e ~log () in
+  let fs = Pfs.Vnode.create e ~log in
   (e, fs)
 
 let ok e what k_f =
