@@ -114,14 +114,21 @@ let op_cache =
     incr i;
     ignore (Pfs.Cache.access c ~fid:1 ~block:(!i mod 2048))
 
+(* The garbage-file half of a cleaner pass: sum the entries per
+   segment, then drop the victims' entries (here every other segment's)
+   and keep the rest. *)
 let op_garbage () =
+  let segments = 64 in
   let g = Pfs.Garbage.create () in
   for s = 1 to 1000 do
-    Pfs.Garbage.append g ~seg:s ~off:0 ~len:100
+    Pfs.Garbage.append g ~seg:(s mod segments) ~off:0 ~len:100
   done;
   Pfs.Garbage.set_marker g;
-  ignore (Pfs.Garbage.before_marker g);
-  Pfs.Garbage.truncate_to_marker g
+  let per_seg = Array.make segments 0 in
+  Pfs.Garbage.iter_before_marker g (fun e ->
+      let seg = e.Pfs.Garbage.g_seg in
+      per_seg.(seg) <- per_seg.(seg) + e.Pfs.Garbage.g_len);
+  Pfs.Garbage.truncate_to_marker g ~keep:(fun seg -> seg land 1 = 0)
 
 let op_fault () =
   let e = Sim.Engine.create () in

@@ -72,48 +72,38 @@ let run log ?(min_garbage = 1) k =
   in
   let g = Log.garbage log in
   Garbage.set_marker g;
-  let entries = Garbage.before_marker g in
-  let n_entries = List.length entries in
+  let n_entries = Garbage.count g in
   let scan_cost = garbage_read_cost ~entries:n_entries in
-  (* Group garbage by segment ("sort by segment number"). *)
-  let per_seg = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      let prev =
-        match Hashtbl.find_opt per_seg e.Garbage.g_seg with
-        | Some n -> n
-        | None -> 0
-      in
-      Hashtbl.replace per_seg e.Garbage.g_seg (prev + e.Garbage.g_len))
-    entries;
-  let victims =
-    Hashtbl.fold
-      (fun seg bytes acc ->
-        (* Only sealed segments can be cleaned; garbage sitting in an
-           open segment is collected once that segment seals. *)
-        if bytes >= min_garbage && Log.segment_sealed log seg then
-          (seg, bytes) :: acc
-        else acc)
-      per_seg []
-    |> List.sort compare
-  in
-  let reclaimable = List.fold_left (fun acc (_, b) -> acc + b) 0 victims in
+  (* Sum the garbage per segment ("sort by segment number").  Segment
+     ids are dense.  An entry may name a segment above the table when a
+     crash rolled back its opening: it is free, so never a victim. *)
+  let n_segs = Log.total_segments log in
+  let per_seg = Array.make n_segs 0 in
+  Garbage.iter_before_marker g (fun e ->
+      let seg = e.Garbage.g_seg in
+      if seg < n_segs then per_seg.(seg) <- per_seg.(seg) + e.Garbage.g_len);
+  (* Only sealed segments can be cleaned; garbage sitting in an open
+     segment is collected once that segment seals.  A segment with no
+     garbage is never a victim. *)
+  let min_garbage = Stdlib.max 1 min_garbage in
+  let victim = Array.make n_segs false in
+  let victims = ref [] and reclaimable = ref 0 in
+  for seg = n_segs - 1 downto 0 do
+    let bytes = per_seg.(seg) in
+    if bytes >= min_garbage && Log.segment_sealed log seg then begin
+      victim.(seg) <- true;
+      victims := seg :: !victims;
+      reclaimable := !reclaimable + bytes
+    end
+  done;
+  let reclaimable = !reclaimable in
   ignore
     (Sim.Engine.schedule engine ~delay:scan_cost (fun () ->
-         clean_sequentially log (List.map fst victims) ~k:(fun ~segments ~moved ->
-             (* Entries for still-open segments go back after the marker
-                so a later pass can reclaim them. *)
-             let survivors =
-               List.filter
-                 (fun e -> not (List.mem_assoc e.Garbage.g_seg victims))
-                 entries
-             in
-             Garbage.truncate_to_marker g;
-             List.iter
-               (fun e ->
-                 Garbage.append g ~seg:e.Garbage.g_seg ~off:e.Garbage.g_off
-                   ~len:e.Garbage.g_len)
-               survivors;
+         clean_sequentially log !victims ~k:(fun ~segments ~moved ->
+             (* Entries for segments left uncleaned stay for a later
+                pass. *)
+             Garbage.truncate_to_marker g ~keep:(fun seg ->
+                 seg >= n_segs || not victim.(seg));
              let duration = Sim.Time.sub (Sim.Engine.now engine) started in
              Sim.Metrics.incr m_cleaned ~by:segments;
              Sim.Metrics.incr m_moved ~by:moved;

@@ -31,7 +31,7 @@ let run log k =
                 over repeated rounds stay fair. *)
              let g = Log.garbage log in
              Garbage.set_marker g;
-             Garbage.truncate_to_marker g;
+             Garbage.truncate_to_marker g ~keep:(fun _ -> false);
              k
                {
                  Cleaner.segments_cleaned = segments;

@@ -32,18 +32,33 @@ let total_bytes t =
 
 let set_marker t = t.marker <- Some t.len
 
-let before_marker t =
+let iter_before_marker t f =
   match t.marker with
-  | None -> invalid_arg "Garbage.before_marker: no marker set"
-  | Some m -> Array.to_list (Array.sub t.entries 0 m)
+  | None -> invalid_arg "Garbage.iter_before_marker: no marker set"
+  | Some m ->
+      for i = 0 to m - 1 do
+        f t.entries.(i)
+      done
 
-let truncate_to_marker t =
+let truncate_to_marker t ~keep =
   match t.marker with
   | None -> invalid_arg "Garbage.truncate_to_marker: no marker set"
   | Some m ->
-      let rest = t.len - m in
-      Array.blit t.entries m t.entries 0 rest;
-      t.len <- rest;
+      let a = t.entries in
+      let kept = ref 0 in
+      for i = 0 to m - 1 do
+        let e = a.(i) in
+        if keep e.g_seg then begin
+          a.(!kept) <- e;
+          incr kept
+        end
+      done;
+      (* Shift the kept entries up past the ones appended since the
+         marker, which then move to the front. *)
+      let kept = !kept and fresh = Array.sub a m (t.len - m) in
+      Array.blit a 0 a (Array.length fresh) kept;
+      Array.blit fresh 0 a 0 (Array.length fresh);
+      t.len <- kept + Array.length fresh;
       t.marker <- None
 
 let file_bytes t = t.len * entry_bytes

@@ -32,22 +32,33 @@ type pnode = {
 
 (* [o_mark] is the undo position at which the operation that wrote the
    segment's first record (or, in the normal log, a delete) began; -1
-   while there is none. *)
+   while there is none.  [o_dirty] ends the prefix of [o_buf] that data
+   was copied into: past it the buffer still reads zero. *)
 type open_seg = {
   mutable o_seg : int;
   mutable o_fill : int;
   o_buf : bytes;
+  mutable o_dirty : int;
   mutable o_mark : int;
 }
+
+module Fid_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (fid : int) = fid
+end)
 
 type t = {
   engine : Sim.Engine.t;
   raid : Raid.t;
   seg_bytes : int;
-  segs : (int, seg) Hashtbl.t;
+  (* Indexed by segment id.  Ids are dense, so the table only grows;
+     every slot holds a record, free until a segment opens there. *)
+  mutable segs : seg array;
   mutable next_seg : int;
   mutable free_list : int list;
-  files : (fid, pnode) Hashtbl.t;
+  files : pnode Fid_table.t;
   mutable next_fid : int;
   garbage : Garbage.t;
   normal : open_seg;
@@ -104,21 +115,17 @@ let forget_before t r =
     t.undo_base <- r
   end
 
+let free_seg _ =
+  { s_live = 0; s_state = Free; s_kind = Normal; s_residents = []; s_freed = -1 }
+
 let seg_record t id =
-  match Hashtbl.find_opt t.segs id with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          s_live = 0;
-          s_state = Free;
-          s_kind = Normal;
-          s_residents = [];
-          s_freed = -1;
-        }
-      in
-      Hashtbl.replace t.segs id s;
-      s
+  let n = Array.length t.segs in
+  if id >= n then
+    t.segs <-
+      Array.init
+        (Stdlib.max (id + 1) (2 * n))
+        (fun i -> if i < n then t.segs.(i) else free_seg i);
+  t.segs.(id)
 
 (* The first free segment whose clean can no longer be rolled back:
    rolling a clean back needs the segment's old contents on disk, so a
@@ -160,6 +167,7 @@ let create engine ~raid () =
       o_seg = -1;
       o_fill = 0;
       o_buf = Bytes.make seg_bytes '\000';
+      o_dirty = 0;
       o_mark = -1;
     }
   in
@@ -169,10 +177,10 @@ let create engine ~raid () =
       engine;
       raid;
       seg_bytes;
-      segs = Hashtbl.create 256;
+      segs = Array.init 64 free_seg;
       next_seg = 0;
       free_list = [];
-      files = Hashtbl.create 64;
+      files = Fid_table.create 64;
       next_fid = 1;
       garbage = Garbage.create ();
       normal = mk_open Normal;
@@ -246,6 +254,11 @@ let joiner k =
   let release () = finish (Ok ()) in
   (spawn, finish, release)
 
+(* Zero what data was copied into: the rest of the buffer is zero. *)
+let clear_buffer os =
+  Bytes.fill os.o_buf 0 os.o_dirty '\000';
+  os.o_dirty <- 0
+
 let seal ?(flow = Sim.Trace.no_flow) t os ~spawn ~finish =
   let id = os.o_seg in
   let s = seg_record t id in
@@ -274,7 +287,7 @@ let seal ?(flow = Sim.Trace.no_flow) t os ~spawn ~finish =
   forget_before t (durable t);
   os.o_seg <- allocate_segment t s.s_kind;
   os.o_fill <- 0;
-  Bytes.fill os.o_buf 0 t.seg_bytes '\000'
+  clear_buffer os
 
 (* Add [x] to a segment's residents, with [live] more live bytes. *)
 let add_resident t s x ~live =
@@ -304,7 +317,9 @@ let append_raw t knd ~fid ~foff ?data ?(dataoff = 0)
     if os.o_fill = t.seg_bytes then seal ~flow t os ~spawn ~finish;
     let n = Stdlib.min (len - !written) (t.seg_bytes - os.o_fill) in
     (match data with
-    | Some src -> Bytes.blit src (dataoff + !written) os.o_buf os.o_fill n
+    | Some src ->
+        Bytes.blit src (dataoff + !written) os.o_buf os.o_fill n;
+        os.o_dirty <- os.o_fill + n
     | None -> ());
     let x =
       {
@@ -396,20 +411,20 @@ let create_file t ?(kind = Normal) () =
   let fid = t.next_fid in
   record t (fun () ->
       t.next_fid <- fid;
-      Hashtbl.remove t.files fid);
+      Fid_table.remove t.files fid);
   t.next_fid <- fid + 1;
   let p = { p_size = 0; p_extents = []; p_meta = None; p_kind = kind } in
-  Hashtbl.replace t.files fid p;
+  Fid_table.replace t.files fid p;
   (* The pnode itself is data in the log. *)
   let _spawn, _finish, release = joiner (fun _ -> ()) in
   append_meta t fid p ~spawn:_spawn ~finish:_finish;
   release ();
   fid
 
-let file_exists t fid = Hashtbl.mem t.files fid
+let file_exists t fid = Fid_table.mem t.files fid
 
 let file_size t fid =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | Some p -> p.p_size
   | None -> raise Not_found
 
@@ -422,7 +437,7 @@ let insert_sorted extents x =
   go extents
 
 let write t fid ~off ?data ?(flow = Sim.Trace.no_flow) ~len k =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | None -> k (Error `No_such_file)
   | Some p ->
       flow_step t flow "pfs.log";
@@ -439,7 +454,7 @@ let write t fid ~off ?data ?(flow = Sim.Trace.no_flow) ~len k =
       release ()
 
 let peek t fid ~off ~len =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | None -> None
   | Some p when not (Raid.stores_data t.raid) -> ignore p; None
   | Some p ->
@@ -469,7 +484,7 @@ let peek t fid ~off ~len =
       if !ok then Some out else None
 
 let delete t fid ~k =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | None -> k (Error `No_such_file)
   | Some p ->
       begin_op t;
@@ -479,8 +494,8 @@ let delete t fid ~k =
       (match p.p_meta with
       | Some m when not m.x_dead -> kill_range t m ~from:0 ~len:m.x_len
       | Some _ | None -> ());
-      record t (fun () -> Hashtbl.replace t.files fid p);
-      Hashtbl.remove t.files fid;
+      record t (fun () -> Fid_table.replace t.files fid p);
+      Fid_table.remove t.files fid;
       (* A delete appends nothing, but counts as a normal-log record: a
          crash rolls it back until the normal segment seals or a
          checkpoint is taken. *)
@@ -488,7 +503,7 @@ let delete t fid ~k =
       k (Ok ())
 
 let read_flow t fid ~off ~len ~flow ~k =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | None -> k (Error `No_such_file)
   | Some p ->
       flow_step t flow "pfs.log";
@@ -583,7 +598,7 @@ let clean_segment t id ~k =
               (* A pnode record: re-append it for its owner, if the
                  file still exists. *)
               let owner = -1 - x.x_fid in
-              match Hashtbl.find_opt t.files owner with
+              match Fid_table.find_opt t.files owner with
               | Some p ->
                   save_pnode t p;
                   let created =
@@ -597,7 +612,7 @@ let clean_segment t id ~k =
               | None -> ()
             end
             else begin
-              match Hashtbl.find_opt t.files x.x_fid with
+              match Fid_table.find_opt t.files x.x_fid with
               | None -> ()
               | Some p ->
                   save_pnode t p;
@@ -683,7 +698,7 @@ let crash_and_recover t ~k =
       end;
       os.o_fill <- 0;
       os.o_mark <- -1;
-      Bytes.fill os.o_buf 0 t.seg_bytes '\000')
+      clear_buffer os)
     [ t.continuous; t.normal ];
   t.normal.o_seg <- allocate_segment t Normal;
   t.continuous.o_seg <- allocate_segment t Continuous;
@@ -693,19 +708,18 @@ let crash_and_recover t ~k =
   Raid.read_segment t.raid ~seg:0 ~k:(fun _ -> k ~lost_bytes:lost)
 
 let file_extents t fid =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | None -> raise Not_found
   | Some p ->
       List.map (fun x -> (x.x_foff, x.x_seg, x.x_soff, x.x_len)) p.p_extents
 
 let file_sealed t fid =
-  match Hashtbl.find_opt t.files fid with
+  match Fid_table.find_opt t.files fid with
   | None -> raise Not_found
   | Some p ->
       List.for_all (fun x -> (seg_record t x.x_seg).s_state = Sealed) p.p_extents
 
-let live_bytes t =
-  Hashtbl.fold (fun _ s acc -> acc + s.s_live) t.segs 0
+let live_bytes t = Array.fold_left (fun acc s -> acc + s.s_live) 0 t.segs
 
 let garbage_bytes_created t = t.garbage_created
 let metadata_writes t = t.meta_writes

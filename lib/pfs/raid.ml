@@ -41,7 +41,7 @@ let create engine ?(data_disks = 4) ?(store_data = false) ~segment_bytes () =
   }
 
 let segment_bytes t = t.seg_bytes
-let stores_data t = t.store <> None
+let stores_data t = match t.store with Some _ -> true | None -> false
 let data_disks t = t.n_data
 let disks t = Array.to_list t.all_disks
 
@@ -120,7 +120,9 @@ let write_segment t ~seg ?data ?(flow = Sim.Trace.no_flow) k =
 let reconstruct t store seg cells =
   (* Rebuild at most one missing chunk from the XOR of the others. *)
   let missing = ref [] in
-  Array.iteri (fun i c -> if c = None then missing := i :: !missing) cells;
+  Array.iteri
+    (fun i c -> match c with None -> missing := i :: !missing | Some _ -> ())
+    cells;
   match !missing with
   | [] -> true
   | [ i ] ->

@@ -426,6 +426,97 @@ let log_tests =
           (Printf.sprintf "%.0f -> %.0f words per file" small big)
           true
           (big <= 1.25 *. small));
+    Alcotest.test_case "a sealed segment reads zero past its written bytes"
+      `Quick (fun () ->
+        let e, raid, log = rig () in
+        let sync () =
+          Pfs.Log.sync log ~k:(fun _ -> ());
+          Sim.Engine.run e
+        in
+        (* [fid]'s one extent and zeros everywhere else: the pnode
+           records around it carry no data. *)
+        let check_segment what fid data =
+          let seg, soff =
+            match Pfs.Log.file_extents log fid with
+            | [ (_, seg, soff, _) ] -> (seg, soff)
+            | _ -> Alcotest.fail "one extent expected"
+          in
+          let expected = Bytes.make seg_64k '\000' in
+          Bytes.blit data 0 expected soff (Bytes.length data);
+          let check how =
+            match Pfs.Raid.peek_segment raid ~seg with
+            | None -> Alcotest.failf "%s, %s: segment unreadable" what how
+            | Some got ->
+                let first_diff = ref (-1) in
+                Bytes.iteri
+                  (fun i c ->
+                    if !first_diff < 0 && c <> Bytes.get expected i then
+                      first_diff := i)
+                  got;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s, %s: first wrong byte" what how)
+                  (-1) !first_diff
+          in
+          check "intact";
+          Pfs.Raid.fail_disk raid 0;
+          check "rebuilt from parity";
+          Pfs.Raid.repair_disk raid 0
+        in
+        let short = pattern 100 7 in
+        (* Seal a segment full of non-zero bytes (after the 64-byte
+           pnode record of the create), then seal a short extent into
+           the next one. *)
+        let full = Pfs.Log.create_file log () in
+        write_ok e log full ~off:0 (Bytes.make (seg_64k - 64) '\xff');
+        let a = Pfs.Log.create_file log () in
+        write_ok e log a ~off:0 short;
+        sync ();
+        check_segment "after a seal" a short;
+        (* Lose a partly filled open segment, then seal a short extent
+           into the buffer it used. *)
+        let lost = Pfs.Log.create_file log () in
+        write_ok e log lost ~off:0 (Bytes.make 30_000 '\xff');
+        Pfs.Log.crash_and_recover log ~k:(fun ~lost_bytes:_ -> ());
+        Sim.Engine.run e;
+        let b = Pfs.Log.create_file log () in
+        write_ok e log b ~off:0 short;
+        sync ();
+        check_segment "after a crash" b short);
+    Alcotest.test_case "write+sync cost stays flat as segments grow" `Quick
+      (fun () ->
+        (* Host time (best of 5) and minor words per 1 KB write and
+           sync on an array that stores no data.  A seal that clears
+           the whole segment buffer costs 16x more at 4 MB than at
+           256 KB. *)
+        let ops = 64 in
+        let cost segment_bytes =
+          let best = ref infinity and words = ref 0.0 in
+          for _ = 1 to 5 do
+            let e, _, log = rig ~store_data:false ~segment_bytes () in
+            let fid = Pfs.Log.create_file log () in
+            let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+            for _ = 1 to ops do
+              Pfs.Log.write log fid ~off:0 ~len:1000 (fun _ -> ());
+              Pfs.Log.sync log ~k:(fun _ -> ());
+              Sim.Engine.run e
+            done;
+            let dt = Unix.gettimeofday () -. t0 in
+            words := (Gc.minor_words () -. w0) /. Float.of_int ops;
+            best := Float.min !best (dt /. Float.of_int ops)
+          done;
+          (!best, !words)
+        in
+        let t_small, w_small = cost 262_144 and t_big, w_big = cost 4_194_304 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.1f -> %.1f us per write+sync" (t_small *. 1e6)
+             (t_big *. 1e6))
+          true
+          (t_big <= 2.0 *. t_small);
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f -> %.0f minor words per write+sync" w_small
+             w_big)
+          true
+          (w_big <= 1.25 *. w_small));
   ]
 
 let garbage_tests =
@@ -436,9 +527,10 @@ let garbage_tests =
         Pfs.Garbage.append g ~seg:2 ~off:0 ~len:20;
         Pfs.Garbage.set_marker g;
         Pfs.Garbage.append g ~seg:3 ~off:0 ~len:30;
-        let before = Pfs.Garbage.before_marker g in
-        Alcotest.(check int) "two entries" 2 (List.length before);
-        Pfs.Garbage.truncate_to_marker g;
+        let before = ref 0 in
+        Pfs.Garbage.iter_before_marker g (fun _ -> incr before);
+        Alcotest.(check int) "two entries" 2 !before;
+        Pfs.Garbage.truncate_to_marker g ~keep:(fun _ -> false);
         Alcotest.(check int) "one survives" 1 (Pfs.Garbage.count g);
         Alcotest.(check int) "its bytes" 30 (Pfs.Garbage.total_bytes g));
     Alcotest.test_case "file size reflects entry count" `Quick (fun () ->
@@ -447,6 +539,46 @@ let garbage_tests =
           Pfs.Garbage.append g ~seg:i ~off:0 ~len:1
         done;
         Alcotest.(check int) "16 bytes per entry" 1600 (Pfs.Garbage.file_bytes g));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make
+         ~name:"truncation keeps new entries, then the uncleaned ones"
+         ~count:300
+         ~print:(fun (pre, post, keep) ->
+           let show l =
+             String.concat ";"
+               (List.map (fun (s, o, l) -> Printf.sprintf "%d/%d/%d" s o l) l)
+           in
+           Printf.sprintf "pre [%s] post [%s] keep %x" (show pre) (show post)
+             keep)
+         QCheck2.Gen.(
+           let entry =
+             triple (int_range 0 31) (int_range 0 65_535) (int_range 0 4096)
+           in
+           triple
+             (list_size (int_range 0 200) entry)
+             (list_size (int_range 0 40) entry)
+             (int_bound 0xffff_ffff))
+         (fun (pre, post, keep) ->
+           let kept seg = (keep lsr seg) land 1 = 1 in
+           let g = Pfs.Garbage.create () in
+           let append (seg, off, len) = Pfs.Garbage.append g ~seg ~off ~len in
+           List.iter append pre;
+           Pfs.Garbage.set_marker g;
+           List.iter append post;
+           Pfs.Garbage.truncate_to_marker g ~keep:kept;
+           let expected =
+             post @ List.filter (fun (seg, _, _) -> kept seg) pre
+           in
+           let got = ref [] in
+           Pfs.Garbage.set_marker g;
+           Pfs.Garbage.iter_before_marker g (fun e ->
+               got :=
+                 (e.Pfs.Garbage.g_seg, e.Pfs.Garbage.g_off, e.Pfs.Garbage.g_len)
+                 :: !got);
+           List.rev !got = expected
+           && Pfs.Garbage.count g = List.length expected
+           && Pfs.Garbage.total_bytes g
+              = List.fold_left (fun acc (_, _, len) -> acc + len) 0 expected));
   ]
 
 (* Build a steady-state log: populate [files] files of [file_bytes],
@@ -560,6 +692,187 @@ let cleaner_tests =
         (* The overwrite's garbage survived the truncation. *)
         Alcotest.(check bool) "new garbage kept" true
           (Pfs.Garbage.count garbage > 0));
+    Alcotest.test_case
+      "a pass cleans the sealed segments with min_garbage, in order" `Quick
+      (fun () ->
+        let e, _, log = rig ~store_data:false () in
+        let min_garbage = 30_000 in
+        (* Seven sealed segments, each a file of [size] bytes and a
+           500-byte witness file; the seal tail makes the rest garbage.
+           The small files' segments hold more than [min_garbage]. *)
+        let witnesses =
+          List.map
+            (fun size ->
+              let f = Pfs.Log.create_file log () in
+              let w = Pfs.Log.create_file log () in
+              Pfs.Log.write log f ~off:0 ~len:size (fun _ -> ());
+              Pfs.Log.write log w ~off:0 ~len:500 (fun _ -> ());
+              Pfs.Log.sync log ~k:(fun _ -> ());
+              Sim.Engine.run e;
+              w)
+            [ 1_000; 40_000; 3_000; 50_000; 5_000; 45_000; 7_000 ]
+        in
+        (* The open continuous segment holds 30 000 bytes of garbage. *)
+        let c = Pfs.Log.create_file log ~kind:Pfs.Log.Continuous () in
+        Pfs.Log.write log c ~off:0 ~len:30_000 (fun _ -> ());
+        Pfs.Log.write log c ~off:0 ~len:30_000 (fun _ -> ());
+        Sim.Engine.run e;
+        (* The oracle: garbage bytes per segment, read from the file. *)
+        let g = Pfs.Log.garbage log in
+        let per_seg = Hashtbl.create 16 in
+        Pfs.Garbage.set_marker g;
+        Pfs.Garbage.iter_before_marker g (fun x ->
+            let seg = x.Pfs.Garbage.g_seg in
+            Hashtbl.replace per_seg seg
+              (x.Pfs.Garbage.g_len
+              + Option.value (Hashtbl.find_opt per_seg seg) ~default:0));
+        Pfs.Garbage.truncate_to_marker g ~keep:(fun _ -> true);
+        let over =
+          Hashtbl.fold
+            (fun seg bytes acc -> if bytes >= min_garbage then seg :: acc else acc)
+            per_seg []
+        in
+        let victims =
+          List.sort Int.compare (List.filter (Pfs.Log.segment_sealed log) over)
+        in
+        let spared =
+          List.filter (fun seg -> not (List.mem seg victims))
+            (List.init (Pfs.Log.total_segments log) Fun.id)
+          |> List.filter (Pfs.Log.segment_sealed log)
+        in
+        Alcotest.(check int) "four victims" 4 (List.length victims);
+        Alcotest.(check bool) "an open segment is over the bar" true
+          (List.exists (fun seg -> not (List.mem seg victims)) over);
+        Alcotest.(check int) "three sealed segments under the bar" 3
+          (List.length spared);
+        let witness_seg =
+          List.map
+            (fun w ->
+              match Pfs.Log.file_extents log w with
+              | [ (_, seg, _, _) ] -> (seg, w)
+              | _ -> Alcotest.fail "one extent per witness")
+            witnesses
+        in
+        let entries = Pfs.Garbage.count g
+        and bytes = Pfs.Garbage.total_bytes g in
+        let stats = ref None in
+        Pfs.Cleaner.run log ~min_garbage (fun st -> stats := Some st);
+        Sim.Engine.run e;
+        let st =
+          match !stats with Some st -> st | None -> Alcotest.fail "no stats"
+        in
+        let reclaimed =
+          List.fold_left (fun acc seg -> acc + Hashtbl.find per_seg seg) 0 victims
+        in
+        Alcotest.(check int) "segments cleaned" 4 st.Pfs.Cleaner.segments_cleaned;
+        Alcotest.(check int) "bytes reclaimed" reclaimed
+          st.Pfs.Cleaner.bytes_reclaimed;
+        Alcotest.(check int) "entries processed" entries
+          st.Pfs.Cleaner.entries_processed;
+        Alcotest.(check (list bool)) "victims freed" [ false; false; false; false ]
+          (List.map (Pfs.Log.segment_sealed log) victims);
+        Alcotest.(check (list bool)) "the rest stay sealed" [ true; true; true ]
+          (List.map (Pfs.Log.segment_sealed log) spared);
+        (* Only the victims' entries left the file. *)
+        Alcotest.(check int) "garbage left" (bytes - reclaimed)
+          (Pfs.Garbage.total_bytes g);
+        (* The victims' witnesses moved to one segment in ascending
+           victim order. *)
+        let moved =
+          List.map
+            (fun seg ->
+              match Pfs.Log.file_extents log (List.assoc seg witness_seg) with
+              | [ (_, seg, soff, _) ] -> (seg, soff)
+              | _ -> Alcotest.fail "one extent per witness")
+            victims
+        in
+        let dest = fst (List.hd moved) in
+        Alcotest.(check bool) "one destination" true
+          (List.for_all (fun (seg, _) -> seg = dest) moved);
+        let soffs = List.map snd moved in
+        Alcotest.(check (list int)) "moved in ascending victim order"
+          (List.sort Int.compare soffs) soffs);
+    Alcotest.test_case "a pass skips garbage of segments a crash rolled back"
+      `Quick (fun () ->
+        let e = Sim.Engine.create () in
+        let raid = Pfs.Raid.create e ~segment_bytes:16_384 () in
+        let log = Pfs.Log.create e ~raid () in
+        (* Buffered continuous data holds the recovery point while two
+           normal seals open segments 2 and 3, and an overwrite leaves
+           garbage in 3.  The crash rolls both openings back. *)
+        let c = Pfs.Log.create_file log ~kind:Pfs.Log.Continuous () in
+        Pfs.Log.write log c ~off:0 ~len:100 (fun _ -> ());
+        let f = Pfs.Log.create_file log () in
+        Pfs.Log.write log f ~off:0 ~len:40_000 (fun _ -> ());
+        Pfs.Log.write log f ~off:39_000 ~len:1000 (fun _ -> ());
+        Pfs.Log.crash_and_recover log ~k:(fun ~lost_bytes:_ -> ());
+        Sim.Engine.run e;
+        let g = Pfs.Log.garbage log in
+        let above () =
+          let n = ref 0 in
+          Pfs.Garbage.set_marker g;
+          Pfs.Garbage.iter_before_marker g (fun x ->
+              if x.Pfs.Garbage.g_seg >= Pfs.Log.total_segments log then incr n);
+          Pfs.Garbage.truncate_to_marker g ~keep:(fun _ -> true);
+          !n
+        in
+        let stale = above () in
+        Alcotest.(check bool) "garbage names a segment above the table" true
+          (stale > 0);
+        let finished = ref false in
+        Pfs.Cleaner.run log (fun _ -> finished := true);
+        Sim.Engine.run e;
+        Alcotest.(check bool) "pass completed" true !finished;
+        Alcotest.(check int) "those entries stay" stale (above ()));
+    Alcotest.test_case "pass cost per garbage entry stays flat as victims grow"
+      `Quick (fun () ->
+        (* Host time (best of 5) and minor words per garbage entry for
+           one pass over [victims] segments of 4 KB.  Each holds eight
+           384-byte files with their pnode records; seven are deleted,
+           so the pass moves one.  A pass that matches entries against
+           its victim list grows with it. *)
+        let cost victims =
+          let best = ref infinity and words = ref 0.0 in
+          for _ = 1 to 5 do
+            let e = Sim.Engine.create () in
+            let raid = Pfs.Raid.create e ~segment_bytes:4096 () in
+            let log = Pfs.Log.create e ~raid () in
+            let fids =
+              Array.init (8 * victims) (fun _ ->
+                  let fid = Pfs.Log.create_file log () in
+                  Pfs.Log.write log fid ~off:0 ~len:384 (fun _ -> ());
+                  fid)
+            in
+            Sim.Engine.run e;
+            Array.iteri
+              (fun i fid ->
+                if i mod 8 <> 0 then Pfs.Log.delete log fid ~k:(fun _ -> ()))
+              fids;
+            Sim.Engine.run e;
+            let entries = Pfs.Garbage.count (Pfs.Log.garbage log) in
+            let cleaned = ref 0 in
+            let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+            Pfs.Cleaner.run log (fun st ->
+                cleaned := st.Pfs.Cleaner.segments_cleaned);
+            Sim.Engine.run e;
+            let dt = Unix.gettimeofday () -. t0 in
+            Alcotest.(check int) "every segment is a victim" victims !cleaned;
+            let per = Float.of_int entries in
+            words := (Gc.minor_words () -. w0) /. per;
+            best := Float.min !best (dt /. per)
+          done;
+          (!best, !words)
+        in
+        let t_small, w_small = cost 32 and t_big, w_big = cost 1024 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.2f -> %.2f us per entry" (t_small *. 1e6)
+             (t_big *. 1e6))
+          true
+          (t_big <= 4.0 *. t_small);
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f -> %.0f minor words per entry" w_small w_big)
+          true
+          (w_big <= 1.25 *. w_small));
   ]
 
 let cache_tests =
