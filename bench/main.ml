@@ -49,12 +49,17 @@ let op_crc =
   let buf = Bytes.create 1024 in
   fun () -> ignore (Atm.Crc32.digest_bytes buf)
 
+(* A 1 KB payload written into its PDU in place, then checked in
+   place as the one train window a host receives. *)
 let op_aal5 =
   let payload = Bytes.create 1024 in
+  let r = Atm.Aal5.Reassembler.create () in
+  let ok _ _ _ = () and err _ = () in
   fun () ->
-    let cells = Atm.Aal5.segment ~vci:1 payload in
-    let r = Atm.Aal5.Reassembler.create () in
-    List.iter (fun c -> ignore (Atm.Aal5.Reassembler.push r c)) cells
+    let pdu =
+      Atm.Aal5.build 1024 (fun pdu -> Bytes.blit payload 0 pdu 0 1024)
+    in
+    Atm.Aal5.Reassembler.push_train r (Atm.Train.make ~vci:1 pdu) ~ok ~err
 
 let op_switch =
   let e = Sim.Engine.create () in
@@ -65,19 +70,21 @@ let op_switch =
   done;
   fun () -> ignore (Atm.Switch.route sw ~in_port:0 ~in_vci:500)
 
+(* A tile packet written into its PDU, then its trailer checked and
+   read where it lies. *)
 let op_tile =
-  let p =
-    {
-      Atm.Tile.x = 10;
-      y = 20;
-      frame = 3;
-      count = 8;
-      bytes_per_tile = 8;
-      captured_at = Sim.Time.us 1;
-      data = Bytes.create 64;
-    }
-  in
-  fun () -> ignore (Atm.Tile.unmarshal (Atm.Tile.marshal p))
+  let data = Bytes.create 64 in
+  let len = 64 + 20 in
+  fun () ->
+    let pdu =
+      Atm.Tile.pdu ~x:10 ~y:20 ~frame:3 ~count:8 ~bytes_per_tile:8
+        ~captured_at:(Sim.Time.us 1) (fun buf -> Bytes.blit data 0 buf 0 64)
+    in
+    if Atm.Tile.well_formed pdu 0 len then
+      ignore
+        (Atm.Tile.x pdu 0 len + Atm.Tile.y pdu 0 len + Atm.Tile.frame pdu 0 len
+        + Atm.Tile.count pdu 0 len
+        + Atm.Tile.bytes_per_tile pdu 0 len)
 
 let op_select =
   let domains =
@@ -189,9 +196,9 @@ let ops : (string * (unit -> unit)) list =
     ("engine: 1k timer events", op_engine);
     ("rng: int64", op_rng);
     ("crc32: 1KB", op_crc);
-    ("aal5: segment+reassemble 1KB", op_aal5);
+    ("aal5: build+check 1KB in place", op_aal5);
     ("switch: route lookup", op_switch);
-    ("tile: marshal+unmarshal", op_tile);
+    ("tile: write+read in place", op_tile);
     ("scheduler: atropos select (8 domains)", op_select);
     ("naming: resolve depth 4", op_resolve);
     ("naming: maillon invoke", op_maillon);
@@ -543,7 +550,7 @@ let atm_run ~trains ~frame_bytes ~frames () =
   Atm.Net.connect net ~queue_cells:q s2 b;
   let received = ref 0 in
   let cell_rx, train_rx =
-    Atm.Net.frame_rx_pair ~rx:(fun _ -> incr received) ()
+    Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> incr received) ()
   in
   let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx:cell_rx ~rx_train:train_rx in
   let payload = Bytes.make frame_bytes 'x' in
@@ -862,7 +869,7 @@ let cityscale_traffic ~offered ~duration () =
   let payload = Bytes.create frame_bytes in
   for i = 0 to offered - 1 do
     let src = hosts.(i mod nh) and dst = hosts.((i + (nh / 2) + 1) mod nh) in
-    let rx, rx_train = Atm.Net.frame_rx_pair ~rx:(fun _ -> ()) () in
+    let rx, rx_train = Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> ()) () in
     match
       Atm.Qos_mgr.request ~rx_train qm ~cls:Atm.Qos_mgr.Video ~bps:6_000_000
         ~src ~dst ~rx ()

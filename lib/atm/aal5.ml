@@ -3,23 +3,27 @@ let trailer_bytes = 8
 let frame_cells len =
   (len + trailer_bytes + Cell.payload_bytes - 1) / Cell.payload_bytes
 
-(* Build the CPCS-PDU for a payload: payload, zero padding, and the
-   8-byte trailer (UU=0, CPI=0, length, CRC).  The CRC covers the PDU
-   with the CRC field itself zeroed, which is how we verify it too.
-   Only the bytes after the payload are zero-filled: the payload blit
-   overwrites the rest. *)
-let build_pdu payload =
-  let len = Bytes.length payload in
-  if len > 0xffff then invalid_arg "Aal5.segment: payload too long";
+(* Build a CPCS-PDU in place: the caller writes the payload into
+   [0, len), then the bytes after it are zero-filled and the 8-byte
+   trailer (UU=0, CPI=0, length, CRC) is written.  The CRC covers the
+   PDU with the CRC field itself zeroed, which is how we verify it too.
+   Only the bytes after the payload are zero-filled: the caller's write
+   covers the rest. *)
+let build len write =
+  if len < 0 || len > 0xffff then invalid_arg "Aal5.build: payload length out of range";
   let ncells = frame_cells len in
   let pdu_len = ncells * Cell.payload_bytes in
   let pdu = Bytes.create pdu_len in
-  Bytes.blit payload 0 pdu 0 len;
+  write pdu;
   Bytes.fill pdu len (pdu_len - len) '\000';
   Util.put_u16 pdu (pdu_len - 6) len;
   let crc = Crc32.digest pdu ~pos:0 ~len:(pdu_len - 4) in
   Util.put_u32 pdu (pdu_len - 4) crc;
   pdu
+
+let build_pdu payload =
+  let len = Bytes.length payload in
+  build len (fun pdu -> Bytes.blit payload 0 pdu 0 len)
 
 let segment ~vci payload =
   let pdu = build_pdu payload in
@@ -52,9 +56,11 @@ let rec zeros b pos stop =
 module Framer = struct
   (* E15 and vod_flash resend two buffers per net, a request and a
      32 KB chunk; a third slot lets other payloads pass without evicting
-     them.  Every slot keeps a payload and its PDU alive, which a net
-     whose payloads are all fresh (video_cells) pays for in words
-     promoted at each minor collection, so the table stays this small. *)
+     them.  Every slot keeps a payload and its PDU alive until it is
+     evicted, which a net sending fresh payloads pays for in words
+     promoted at each minor collection, so the table stays this small.
+     A sender that writes each payload once builds its PDU in place
+     ([build]) and does not come here. *)
   let slots = 3
 
   (* Slot [i] holds a payload buffer (matched by identity), the PDU last
@@ -122,7 +128,7 @@ type error = Crc_mismatch | Length_mismatch | Too_long
 module Reassembler = struct
   type t = {
     max_frame : int;
-    mutable pdu : bytes;  (* accumulated payload bytes, [0, len) valid *)
+    mutable pdu : bytes;  (* accumulated PDU bytes, [0, len) valid *)
     mutable len : int;
     mutable cur_flow : int;  (* flow of the frame being accumulated *)
     mutable done_flow : int;  (* flow of the last completed frame *)
@@ -153,44 +159,45 @@ module Reassembler = struct
       t.pdu <- npdu
     end
 
-  (* Check the complete CPCS-PDU at [pdu.[pos, pos + pdu_len)] and copy
-     its payload out. *)
-  let check pdu ~pos ~len:pdu_len =
+  (* Check the complete CPCS-PDU at [pdu.[pos, pos + pdu_len)] and hand
+     its payload to [ok] where it lies. *)
+  let check pdu ~pos ~len:pdu_len ~ok ~err =
     let stored_crc = Util.get_u32 pdu (pos + pdu_len - 4) in
     let crc = Crc32.digest pdu ~pos ~len:(pdu_len - 4) in
-    if crc <> stored_crc then Error Crc_mismatch
+    if crc <> stored_crc then err Crc_mismatch
     else begin
       let len = Util.get_u16 pdu (pos + pdu_len - 6) in
       if frame_cells len * Cell.payload_bytes <> pdu_len then
-        Error Length_mismatch
-      else Ok (Bytes.sub pdu pos len)
+        err Length_mismatch
+      else ok pdu pos len
     end
 
-  let reassemble t =
-    let pdu = t.pdu and pdu_len = t.len in
+  (* The frame is complete: the state is reset before the callback
+     runs, and the view is of [t.pdu], which only a later push writes. *)
+  let reassemble t ~ok ~err =
+    let pdu_len = t.len in
     t.done_flow <- t.cur_flow;
     reset t;
-    check pdu ~pos:0 ~len:pdu_len
+    check t.pdu ~pos:0 ~len:pdu_len ~ok ~err
 
-  let push t (cell : Cell.t) =
+  let push t (cell : Cell.t) ~ok ~err =
     if t.len = 0 then t.cur_flow <- cell.flow;
     ensure t Cell.payload_bytes;
     Bytes.blit cell.buf cell.off t.pdu t.len Cell.payload_bytes;
     t.len <- t.len + Cell.payload_bytes;
-    if cell.last then Some (reassemble t)
+    if cell.last then reassemble t ~ok ~err
     else if t.len > t.max_frame then begin
       reset t;
-      Some (Error Too_long)
+      err Too_long
     end
-    else None
 
   (* One blit for a whole train window, or none when the window holds
      the rest of a frame by itself and nothing is pending: that window
      is checked in place on the train's PDU.  [push_train] behaves
      exactly as pushing the window's cells one by one: the (rare)
      overflow path, where [Too_long] fires partway through, falls back
-     to the per-cell loop and can yield more than one result. *)
-  let push_train t (train : Train.t) =
+     to the per-cell loop and can call back more than once. *)
+  let push_train t (train : Train.t) ~ok ~err =
     let n = Train.count train in
     let bytes_len = n * Cell.payload_bytes in
     let pos = Train.first train * Cell.payload_bytes in
@@ -200,23 +207,18 @@ module Reassembler = struct
     if t.len + overflow_span <= t.max_frame then begin
       if t.len = 0 && last then begin
         t.done_flow <- Train.flow train;
-        [ check (Train.buf train) ~pos ~len:bytes_len ]
+        check (Train.buf train) ~pos ~len:bytes_len ~ok ~err
       end
       else begin
         if t.len = 0 then t.cur_flow <- Train.flow train;
         ensure t bytes_len;
         Bytes.blit (Train.buf train) pos t.pdu t.len bytes_len;
         t.len <- t.len + bytes_len;
-        if last then [ reassemble t ] else []
+        if last then reassemble t ~ok ~err
       end
     end
-    else begin
-      let results = ref [] in
+    else
       for i = 0 to n - 1 do
-        match push t (Train.cell train i) with
-        | None -> ()
-        | Some r -> results := r :: !results
-      done;
-      List.rev !results
-    end
+        push t (Train.cell train i) ~ok ~err
+      done
 end

@@ -7,14 +7,25 @@
     the CRC gives us exactly that.
 
     Segmentation is zero-copy: the PDU is built once and cells (or one
-    {!Train.t}) are views into it.  A PDU is immutable once built: no
-    one writes it after framing, so every frame of one payload can
-    share one ({!Framer}), and a receiver checks a frame that arrives
-    whole in place on it. *)
+    {!Train.t}) are views into it.  A sender that makes its payload
+    writes it straight into the PDU ({!build}); one that resends a
+    buffer has it framed once ({!Framer}).  A PDU is immutable once
+    built: no one writes it after framing, so every frame of one
+    payload can share one, and a receiver checks a frame that arrives
+    whole in place on it.  Receivers get the checked payload as a view
+    ({!Reassembler}) and copy only what they keep. *)
 
 val frame_cells : int -> int
 (** [frame_cells len] is the number of cells needed for a [len]-byte
     payload. *)
+
+val build : int -> (bytes -> unit) -> bytes
+(** [build len write] is the PDU of a [len]-byte payload written in
+    place: it allocates the PDU, calls [write pdu], which must fill
+    [pdu.[0, len)], and then adds the zero padding, the length field
+    and the CRC.  The result is byte-identical to the PDU {!segment}
+    builds for the payload [write] wrote.  Raises [Invalid_argument]
+    unless [0 <= len <= 65535]. *)
 
 val segment : vci:int -> bytes -> Cell.t list
 (** Split a payload into cells — zero-copy views of one PDU buffer.
@@ -44,31 +55,48 @@ type error =
   | Length_mismatch
   | Too_long  (** reassembly buffer exceeded *)
 
-(** Per-VC reassembler.  Feed cells in order; a result is returned on
-    each end-of-frame cell. *)
+(** Per-VC reassembler.  Feed cells or train windows in order; each
+    completed frame is checked (CRC, then length) and handed over.
+
+    The one contract: a frame that passes both checks goes to
+    [ok buf off len], its payload being [buf.[off, off + len)]; one
+    that fails goes to [err].  The view is valid only until the
+    callback returns: it lies in the reassembler's own buffer, which
+    the next push overwrites, or in the sender's PDU, which other
+    frames share.  A receiver that keeps the bytes copies them inside
+    the callback, and no receiver writes them. *)
 module Reassembler : sig
   type t
 
   val create : ?max_frame:int -> unit -> t
 
-  val push : t -> Cell.t -> (bytes, error) result option
-  (** [push t cell] returns [Some result] when [cell] completes a frame,
-      [None] otherwise. *)
+  val push :
+    t ->
+    Cell.t ->
+    ok:(bytes -> int -> int -> unit) ->
+    err:(error -> unit) ->
+    unit
+  (** Accumulate one cell; calls back when the cell completes a frame,
+      or with [Too_long] when the frame outgrows [max_frame]. *)
 
-  val push_train : t -> Train.t -> (bytes, error) result list
+  val push_train :
+    t ->
+    Train.t ->
+    ok:(bytes -> int -> int -> unit) ->
+    err:(error -> unit) ->
+    unit
   (** Push a whole train window as one blit.  Equivalent to pushing its
-      cells in order; the list is almost always empty (mid-frame) or a
-      singleton (the window completes a frame), but the overflow path
-      can emit [Error Too_long] followed by the result of whatever
-      accumulates afterwards.  A window that ends a frame while nothing
-      is pending is checked in place on the train's PDU, with no blit:
-      the payload the receiver gets is the one copy made. *)
+      cells in order: it almost always calls back never (mid-frame) or
+      once (the window completes a frame), but the overflow path can
+      call [err Too_long] and then back again for whatever accumulates
+      afterwards.  A window that ends a frame while nothing is pending
+      is checked in place on the train's PDU, with no blit, and the
+      view handed to [ok] is of that PDU. *)
 
   val pending_cells : t -> int
 
   val last_flow : t -> int
   (** Flow id carried by the cells of the most recently completed
       frame ({!Sim.Trace.no_flow} if none, or untraced).  Valid until
-      the next frame completes — read it inside the delivery
-      callback. *)
+      the next frame completes — read it inside the callback. *)
 end

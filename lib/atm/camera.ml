@@ -64,10 +64,10 @@ let data_rate_bps t =
   let tiles = t.width / Tile.size * (t.height / Tile.size) in
   Float.of_int (tiles * t.bytes_per_tile * 8 * t.fps)
 
-(* Send a marshalled packet through the VC, paced so that the burst
-   never exceeds [pace_bps].  Returns nothing; accounting updated. *)
-let send_paced t payload =
-  let cells = Aal5.frame_cells (Bytes.length payload) in
+(* Send a packet's PDU through the VC, paced so that the burst never
+   exceeds [pace_bps].  Returns nothing; accounting updated. *)
+let send_paced t pdu =
+  let cells = Bytes.length pdu / Cell.payload_bytes in
   let tx_time =
     Sim.Time.of_sec_f
       (Float.of_int (cells * Cell.wire_bits) /. Float.of_int t.pace_bps)
@@ -92,11 +92,11 @@ let send_paced t payload =
     end
     else None
   in
-  if Sim.Time.(at <= now) then Net.send_frame ?flow t.vc payload
+  if Sim.Time.(at <= now) then Net.send_pdu ?flow t.vc pdu
   else
     ignore
       (Sim.Engine.schedule_at t.engine ~at (fun () ->
-           Net.send_frame ?flow t.vc payload))
+           Net.send_pdu ?flow t.vc pdu))
 
 (* Pixel content: a deterministic pattern so that tests can check what
    the display renders without shipping real video.  Byte [i] of a
@@ -115,29 +115,21 @@ let fill_tile_data t buf ~row ~first_tile ~count =
     i := !i + len
   done
 
-let packets_of_row t ~row ~captured_at =
+(* Release one row of tiles: each packet's pixels and trailer are
+   written straight into its PDU, which goes on the wire as it is. *)
+let release_row t ~row ~captured_at =
   let tiles_per_row = t.width / Tile.size in
-  let rec split first acc =
-    if first >= tiles_per_row then List.rev acc
-    else begin
+  let rec split first =
+    if first < tiles_per_row then begin
       let count = Stdlib.min t.max_packet_tiles (tiles_per_row - first) in
-      let data = Bytes.create (count * t.bytes_per_tile) in
-      fill_tile_data t data ~row ~first_tile:first ~count;
-      let packet =
-        {
-          Tile.x = first;
-          y = row;
-          frame = t.frame;
-          count;
-          bytes_per_tile = t.bytes_per_tile;
-          captured_at;
-          data;
-        }
-      in
-      split (first + count) (Tile.marshal packet :: acc)
+      send_paced t
+        (Tile.pdu ~x:first ~y:row ~frame:t.frame ~count
+           ~bytes_per_tile:t.bytes_per_tile ~captured_at (fun buf ->
+             fill_tile_data t buf ~row ~first_tile:first ~count));
+      split (first + count)
     end
   in
-  split 0 []
+  split 0
 
 let rec capture_frame t frame_start =
   if t.running then begin
@@ -152,8 +144,7 @@ let rec capture_frame t frame_start =
       in
       ignore
         (Sim.Engine.schedule_at t.engine ~at:release_at (fun () ->
-             if t.running then
-               List.iter (send_paced t) (packets_of_row t ~row ~captured_at)))
+             if t.running then release_row t ~row ~captured_at))
     done;
     ignore
       (Sim.Engine.schedule_at t.engine ~at:frame_end (fun () ->

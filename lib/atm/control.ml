@@ -53,6 +53,12 @@ module Merger = struct
 
   let create ~out () = { out; reassemblers = Hashtbl.create 8; forwarded = 0 }
 
+  (* A checked message is copied once, straight into the PDU that
+     carries it on. *)
+  let forward t buf off len =
+    t.forwarded <- t.forwarded + 1;
+    Net.send_pdu t.out (Aal5.build len (fun pdu -> Bytes.blit buf off pdu 0 len))
+
   let rx t (cell : Cell.t) =
     let reassembler =
       match Hashtbl.find_opt t.reassemblers cell.vci with
@@ -62,11 +68,7 @@ module Merger = struct
           Hashtbl.add t.reassemblers cell.vci r;
           r
     in
-    match Aal5.Reassembler.push reassembler cell with
-    | Some (Ok payload) ->
-        t.forwarded <- t.forwarded + 1;
-        Net.send_frame t.out payload
-    | Some (Error _) | None -> ()
+    Aal5.Reassembler.push reassembler cell ~ok:(forward t) ~err:ignore
 
   let forwarded t = t.forwarded
 end
@@ -114,16 +116,14 @@ module Playback = struct
     | _ -> ()
 
   let control_rx t (cell : Cell.t) =
-    match Aal5.Reassembler.push t.reassembler cell with
-    | Some (Ok payload) -> begin
-        match unmarshal payload with
+    Aal5.Reassembler.push t.reassembler cell ~err:ignore
+      ~ok:(fun buf off len ->
+        match unmarshal (Bytes.sub buf off len) with
         | Some (Sync { stream = id; unit_id; stamp }) ->
             let s = stream t id in
             Hashtbl.replace s.syncs unit_id stamp;
             try_match s unit_id
-        | Some (Start | Stop | Index_mark _) | None -> ()
-      end
-    | Some (Error _) | None -> ()
+        | Some (Start | Stop | Index_mark _) | None -> ())
 
   let data_event t ~stream:id ~unit_id =
     let s = stream t id in

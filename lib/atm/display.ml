@@ -17,6 +17,8 @@ type window = {
          belong to this window *)
   mutable verified_epoch : int;
   mutable checked : int;  (* tiles painted by the per-pixel loop *)
+  deliver : bytes -> int -> int -> unit;  (* the reassembler's callbacks *)
+  reject : Aal5.error -> unit;
 }
 
 type t = {
@@ -60,27 +62,6 @@ let tile_map ~width ~height =
   Bytes.make
     (Int.max 0 (width / Tile.size) * Int.max 0 (height / Tile.size))
     '\000'
-
-let add_window t ~vci ~x ~y ~width ~height =
-  t.next_z <- t.next_z + 1;
-  Hashtbl.replace t.windows vci
-    {
-      wx = x;
-      wy = y;
-      ww = width;
-      wh = height;
-      wz = t.next_z;
-      reassembler = Aal5.Reassembler.create ();
-      latency_us = Sim.Stats.Samples.create ();
-      blitted = 0;
-      clipped = 0;
-      occluded_px = 0;
-      frames_done = 0;
-      current_frame = -1;
-      verified = tile_map ~width ~height;
-      verified_epoch = t.epoch;
-      checked = 0;
-    }
 
 let window t vci =
   match Hashtbl.find_opt t.windows vci with
@@ -198,17 +179,25 @@ let paint_tile t w ~vci ~tile ~sx ~sy data off =
       Bytes.set w.verified tile '\001'
   end
 
-let render t vci w (p : Tile.packet) =
+(* Render the tile packet in [buf.[off, off + len)] where it lies:
+   the trailer is read in place and the tiles are painted from the
+   view.  Only an [on_blit] subscriber gets a copy. *)
+let render t vci w buf off len =
   let now = Sim.Engine.now t.engine in
-  let staging_us = Sim.Time.to_us_f (Sim.Time.sub now p.captured_at) in
+  let staging_us =
+    Sim.Time.to_us_f (Sim.Time.sub now (Tile.captured_at buf off len))
+  in
   Sim.Stats.Samples.add w.latency_us staging_us;
   Sim.Metrics.sample t.m_staging_win staging_us;
-  if p.frame <> w.current_frame then begin
+  let frame = Tile.frame buf off len in
+  if frame <> w.current_frame then begin
     if w.current_frame >= 0 then w.frames_done <- w.frames_done + 1;
-    w.current_frame <- p.frame
+    w.current_frame <- frame
   end;
-  for i = 0 to p.count - 1 do
-    let tile_px = (p.x + i) * Tile.size and tile_py = p.y * Tile.size in
+  let x = Tile.x buf off len and y = Tile.y buf off len in
+  let bytes_per_tile = Tile.bytes_per_tile buf off len in
+  for i = 0 to Tile.count buf off len - 1 do
+    let tile_px = (x + i) * Tile.size and tile_py = y * Tile.size in
     (* Clip against the window rectangle. *)
     if
       tile_px + Tile.size <= w.ww
@@ -218,56 +207,75 @@ let render t vci w (p : Tile.packet) =
       w.blitted <- w.blitted + 1;
       (* Raw tiles carry 64 bytes of pixels; compressed tiles are
          expanded notionally (we blit what data there is). *)
-      if p.bytes_per_tile = Tile.raw_bytes then
+      if bytes_per_tile = Tile.raw_bytes then
         paint_tile t w ~vci
-          ~tile:((p.y * (w.ww / Tile.size)) + p.x + i)
-          ~sx:(w.wx + tile_px) ~sy:(w.wy + tile_py) p.data
-          (i * p.bytes_per_tile)
+          ~tile:((y * (w.ww / Tile.size)) + x + i)
+          ~sx:(w.wx + tile_px) ~sy:(w.wy + tile_py) buf
+          (off + (i * bytes_per_tile))
     end
     else w.clipped <- w.clipped + 1
   done;
-  match t.on_blit with Some f -> f ~vci p | None -> ()
+  match t.on_blit with Some f -> f ~vci (Tile.copy buf off len) | None -> ()
 
-let handle_reassembly t vci w = function
-  | Error _ -> t.faulty <- t.faulty + 1
-  | Ok payload -> begin
-      (* The frame's causal flow ends here: reassembly completes at the
-         last cell's arrival and the blit happens in the same instant.
-         Faulty frames never end their flow — the audit reports them as
-         incomplete. *)
-      let tr = Sim.Engine.trace t.engine in
-      (if Sim.Trace.flows_on tr then
-         let flow = Aal5.Reassembler.last_flow w.reassembler in
-         if flow >= 0 then
-           Sim.Trace.flow_end tr
-             ~ts:(Sim.Engine.now t.engine)
-             ~sub:Sim.Subsystem.Atm ~cat:"video" ~flow "display");
-      match Tile.unmarshal payload with
-      | None -> t.faulty <- t.faulty + 1
-      | Some packet -> render t vci w packet
-    end
+(* A frame passed its CRC and length checks.  Its causal flow ends
+   here: reassembly completes at the last cell's arrival and the blit
+   happens in the same instant.  Faulty frames never end their flow —
+   the audit reports them as incomplete. *)
+let deliver t vci w buf off len =
+  let tr = Sim.Engine.trace t.engine in
+  (if Sim.Trace.flows_on tr then
+     let flow = Aal5.Reassembler.last_flow w.reassembler in
+     if flow >= 0 then
+       Sim.Trace.flow_end tr
+         ~ts:(Sim.Engine.now t.engine)
+         ~sub:Sim.Subsystem.Atm ~cat:"video" ~flow "display");
+  if Tile.well_formed buf off len then render t vci w buf off len
+  else t.faulty <- t.faulty + 1
+
+let add_window t ~vci ~x ~y ~width ~height =
+  t.next_z <- t.next_z + 1;
+  let reassembler = Aal5.Reassembler.create ()
+  and latency_us = Sim.Stats.Samples.create () in
+  let rec w =
+    {
+      wx = x;
+      wy = y;
+      ww = width;
+      wh = height;
+      wz = t.next_z;
+      reassembler;
+      latency_us;
+      blitted = 0;
+      clipped = 0;
+      occluded_px = 0;
+      frames_done = 0;
+      current_frame = -1;
+      verified = tile_map ~width ~height;
+      verified_epoch = t.epoch;
+      checked = 0;
+      deliver = (fun buf off len -> deliver t vci w buf off len);
+      reject = (fun _ -> t.faulty <- t.faulty + 1);
+    }
+  in
+  Hashtbl.replace t.windows vci w
 
 let cell_rx t (cell : Cell.t) =
   match Hashtbl.find_opt t.windows cell.vci with
   | None -> ()  (* no descriptor: the window manager has not granted access *)
-  | Some w -> begin
-      match Aal5.Reassembler.push w.reassembler cell with
-      | None -> ()
-      | Some r -> handle_reassembly t cell.vci w r
-    end
+  | Some w ->
+      Aal5.Reassembler.push w.reassembler cell ~ok:w.deliver ~err:w.reject
 
-(* The fast path: a whole train window lands in the reassembler as one
-   blit.  Completion instants match [cell_rx] — a frame finishes when
-   its last cell arrives, which is exactly when the train window
-   carrying that cell is delivered. *)
+(* The fast path: a whole train window lands in the reassembler with at
+   most one blit, and a frame that arrives as one window is painted
+   from the sender's PDU.  Completion instants match [cell_rx] — a
+   frame finishes when its last cell arrives, which is exactly when the
+   train window carrying that cell is delivered. *)
 let train_rx t (train : Train.t) =
-  let vci = train.Train.vci in
-  match Hashtbl.find_opt t.windows vci with
+  match Hashtbl.find_opt t.windows train.Train.vci with
   | None -> ()
   | Some w ->
-      List.iter
-        (fun r -> handle_reassembly t vci w r)
-        (Aal5.Reassembler.push_train w.reassembler train)
+      Aal5.Reassembler.push_train w.reassembler train ~ok:w.deliver
+        ~err:w.reject
 
 (* The window manager's whole-screen descriptor: it may write any
    pixel, for title bars and borders; what it paints is owned by VCI

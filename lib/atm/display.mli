@@ -38,12 +38,15 @@ val create :
 
 val cell_rx : t -> Cell.t -> unit
 (** The handler to pass as [rx] when opening a VC to the display;
-    reassembles AAL5 per VCI and decodes tile packets. *)
+    reassembles AAL5 per VCI and blits each checked tile packet from
+    where it lies, reading its trailer in place. *)
 
 val train_rx : t -> Train.t -> unit
-(** The handler to pass as [rx_train]: reassembles a whole train window
-    with a single blit.  Frame completion instants are identical to
-    feeding {!cell_rx} cell by cell. *)
+(** The handler to pass as [rx_train]: reassembles a train window with
+    at most one blit, and none when the window is a whole frame — its
+    tiles are then painted straight from the sender's PDU.  Frame
+    completion instants are identical to feeding {!cell_rx} cell by
+    cell. *)
 
 (** {1 Window management} *)
 
@@ -76,7 +79,9 @@ val window_count : t -> int
 
 val on_blit : t -> (vci:int -> Tile.packet -> unit) -> unit
 (** Callback on every rendered packet (after clipping); play-out
-    controllers use it as the data-arrival event source. *)
+    controllers use it as the data-arrival event source.  Each packet
+    is a copy made for the subscriber: without one, the display copies
+    no tile bytes but the ones it paints. *)
 
 val tiles_blitted : t -> vci:int -> int
 val tiles_clipped : t -> vci:int -> int

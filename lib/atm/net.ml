@@ -445,16 +445,17 @@ let send vc (cell : Cell.t) =
   cell.vci <- vc.src_vci;
   Link.send ~priority:(vc.reserved <> None) vc.first_link cell
 
-let send_frame ?flow vc payload =
+let send_pdu ?flow vc pdu =
   let priority = vc.reserved <> None in
-  let train =
-    Train.make ~vci:vc.src_vci ?flow (Aal5.Framer.pdu vc.vc_net.framer payload)
-  in
+  let train = Train.make ~vci:vc.src_vci ?flow pdu in
   if vc.vc_net.use_trains then Link.send_train ~priority vc.first_link train
   else
     for i = 0 to Train.count train - 1 do
       Link.send ~priority vc.first_link (Train.cell train i)
     done
+
+let send_frame ?flow vc payload =
+  send_pdu ?flow vc (Aal5.Framer.pdu vc.vc_net.framer payload)
 
 let vc_hops vc = vc.hops
 let vc_bandwidth_bps vc = Link.bandwidth_bps vc.first_link
@@ -464,26 +465,14 @@ let vc_dst_vci vc = vc.dst_vci
 let vc_path_links vc = vc.path_links
 let vc_live vc = vc.live
 
-let frame_rx_pair_flow ~rx ?(on_error = fun _ -> ()) () =
+let frame_rx ~rx ?(on_error = fun _ -> ()) () =
   let reassembler = Aal5.Reassembler.create () in
-  let handle = function
-    | Ok payload -> rx ~flow:(Aal5.Reassembler.last_flow reassembler) payload
-    | Error e -> on_error e
+  let ok buf off len =
+    rx ~flow:(Aal5.Reassembler.last_flow reassembler) buf off len
   in
-  let cell_fn cell =
-    match Aal5.Reassembler.push reassembler cell with
-    | None -> ()
-    | Some r -> handle r
-  in
-  let train_fn train =
-    List.iter handle (Aal5.Reassembler.push_train reassembler train)
-  in
-  (cell_fn, train_fn)
-
-let frame_rx_pair ~rx ?on_error () =
-  frame_rx_pair_flow ~rx:(fun ~flow:_ payload -> rx payload) ?on_error ()
-
-let frame_rx ~rx = fst (frame_rx_pair ~rx ())
+  ( (fun cell -> Aal5.Reassembler.push reassembler cell ~ok ~err:on_error),
+    fun train -> Aal5.Reassembler.push_train reassembler train ~ok ~err:on_error
+  )
 
 (* {1 Multi-server attach and frame pipes}
 
@@ -491,7 +480,8 @@ let frame_rx ~rx = fst (frame_rx_pair ~rx ())
    file-service experiments): [fan] attaches and links n named hosts
    in one deterministic sweep, [open_pipe] is open_vc with a shared
    AAL5 reassembler pre-wired on both the cell path and the train fast
-   path, so the caller deals in whole frames and flow ids. *)
+   path, so the caller deals in whole frames and flow ids.  The pipe
+   copies each checked payload out of its view for the caller to keep. *)
 
 let fan ?bandwidth_bps ?queue_cells t ~switch ~prefix ~n =
   if n < 1 then invalid_arg "Net.fan: n must be >= 1";
@@ -501,7 +491,9 @@ let fan ?bandwidth_bps ?queue_cells t ~switch ~prefix ~n =
       h)
 
 let open_pipe t ~src ~dst ~rx =
-  let cell_rx, train_rx = frame_rx_pair_flow ~rx () in
+  let cell_rx, train_rx =
+    frame_rx ~rx:(fun ~flow buf off len -> rx ~flow (Bytes.sub buf off len)) ()
+  in
   open_vc ~rx_train:train_rx t ~src ~dst ~rx:cell_rx
 
 let total_cells_dropped t =

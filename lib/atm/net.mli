@@ -87,16 +87,21 @@ val send : vc -> Cell.t -> unit
 (** Send one cell (the VCI field is overwritten). *)
 
 val send_frame : ?flow:int -> vc -> bytes -> unit
-(** AAL5-segment a payload and send all its cells — as one zero-copy
-    {!Train.t} on the fast path (the default), or cell by cell when the
-    train path is disabled with {!set_train_path}.  [flow] is stamped
-    on every cell of the frame; it is simulation metadata (no wire
-    bytes), so traced and untraced runs are timing-identical.
+(** AAL5-frame a payload and send its PDU with {!send_pdu}.  [flow] is
+    stamped on every cell of the frame; it is simulation metadata (no
+    wire bytes), so traced and untraced runs are timing-identical.
 
     Each payload buffer is framed once: the net keeps the PDUs it built
     for the payload buffers it sent most recently ({!Aal5.Framer}) and
     sends a resent buffer's PDU again once it has checked that the PDU
     still matches the payload.  The table belongs to this net alone. *)
+
+val send_pdu : ?flow:int -> vc -> bytes -> unit
+(** Send a built PDU ({!Aal5.build}) as it is: as one zero-copy
+    {!Train.t} on the fast path (the default), or cell by cell when the
+    train path is disabled with {!set_train_path}.  The cells are views
+    of the buffer, so nobody may write it once it is sent.  [flow] as
+    for {!send_frame}. *)
 
 val set_train_path : t -> bool -> unit
 (** Toggle the cell-train fast path (default [true]).  Off, every frame
@@ -129,29 +134,21 @@ val host_rx_capacity : t -> node_id -> int
     diagnostic for the churn tests: with VCI reuse it stays pinned
     across open/close cycles.  Raises [Invalid_argument] on a switch. *)
 
-val frame_rx_pair_flow :
-  rx:(flow:int -> bytes -> unit) ->
+val frame_rx :
+  rx:(flow:int -> bytes -> int -> int -> unit) ->
   ?on_error:(Aal5.error -> unit) ->
   unit ->
   (Cell.t -> unit) * (Train.t -> unit)
 (** A cell handler and a train handler sharing one AAL5 reassembler —
-    pass both to {!open_vc} so frames arriving as trains are
-    reassembled with a single blit.  [rx] receives each payload with
-    the causal flow id carried by the frame's cells
-    ({!Sim.Trace.no_flow} when the sender attached none).  Frames with
-    CRC or length errors go to [on_error] (default: ignored — the
-    paper's devices simply avoid rendering faulty tiles). *)
-
-val frame_rx_pair :
-  rx:(bytes -> unit) ->
-  ?on_error:(Aal5.error -> unit) ->
-  unit ->
-  (Cell.t -> unit) * (Train.t -> unit)
-(** {!frame_rx_pair_flow} for a receiver that ignores flow ids. *)
-
-val frame_rx : rx:(bytes -> unit) -> Cell.t -> unit
-(** The cell handler of a {!frame_rx_pair}, for a VC without the train
-    fast path; faulty frames are ignored. *)
+    pass both to {!open_vc} so frames arriving as trains are checked
+    with at most one blit.  [rx ~flow buf off len] receives each checked
+    payload as the view [buf.[off, off + len)] with the causal flow id
+    carried by the frame's cells ({!Sim.Trace.no_flow} when the sender
+    attached none).  The view is valid until [rx] returns, and [rx] must
+    not write it ({!Aal5.Reassembler}): a receiver that keeps the bytes
+    copies them there.  Frames with CRC or length errors go to
+    [on_error] (default: ignored — the paper's devices simply avoid
+    rendering faulty tiles). *)
 
 (** {1 Multi-server attach and frame pipes} *)
 
@@ -177,11 +174,11 @@ val open_pipe :
   vc
 (** {!open_vc} for callers that deal in whole AAL5 frames: a shared
     reassembler is pre-wired on both the per-cell path and the train
-    fast path ({!frame_rx_pair_flow}), and [rx] receives each frame's
-    payload with the causal flow id its cells carried
-    ({!Sim.Trace.no_flow} when the sender attached none).  Frames with
-    CRC or length errors are dropped silently, as the paper's devices
-    do. *)
+    fast path ({!frame_rx}), and [rx] receives each frame's payload
+    with the causal flow id its cells carried ({!Sim.Trace.no_flow}
+    when the sender attached none).  The payload is the receiver's own
+    copy, made out of the checked view.  Frames with CRC or length
+    errors are dropped silently, as the paper's devices do. *)
 
 (** {1 Clos / leaf-spine fabric generation} *)
 

@@ -12,9 +12,10 @@
 
 type frame = {
   buf : bytes;
-      (** the whole AAL5 PDU.  {!Net.send_frame} frames a payload once,
-          so every frame of one payload shares this buffer: it is
-          never written, by the network or by a receiver. *)
+      (** the whole AAL5 PDU, as {!Net.send_pdu} got it.
+          {!Net.send_frame} frames a payload once, so every frame of
+          one payload shares this buffer: it is never written, by the
+          network or by a receiver. *)
   flow : int;
       (** causal flow id carried by every cell of the frame
           ({!Sim.Trace.no_flow} when untraced) *)

@@ -130,28 +130,27 @@ let start_recorder t ~rate_bps =
           bytes = 0;
         }
 
+(* A recorder keeps a chunk's bytes only when the array stores data,
+   and copies them out of the view then. *)
 let recorder_data_rx r cell =
-  match Atm.Aal5.Reassembler.push r.data_reassembler cell with
-  | Some (Ok payload) ->
-      let len = Bytes.length payload in
+  Atm.Aal5.Reassembler.push r.data_reassembler cell ~err:ignore
+    ~ok:(fun buf off len ->
       let data =
-        if Pfs.Raid.stores_data (Pfs.Log.raid (log r.r_owner)) then Some payload
+        if Pfs.Raid.stores_data (Pfs.Log.raid (log r.r_owner)) then
+          Some (Bytes.sub buf off len)
         else None
       in
       r.bytes <- r.bytes + len;
-      Pfs.Stream.write_chunk r.recording ?data ~len (fun _ -> ())
-  | Some (Error _) | None -> ()
+      Pfs.Stream.write_chunk r.recording ?data ~len (fun _ -> ()))
 
 let recorder_control_rx r cell =
-  match Atm.Aal5.Reassembler.push r.ctl_reassembler cell with
-  | Some (Ok payload) -> begin
-      match Atm.Control.unmarshal payload with
+  Atm.Aal5.Reassembler.push r.ctl_reassembler cell ~err:ignore
+    ~ok:(fun buf off len ->
+      match Atm.Control.unmarshal (Bytes.sub buf off len) with
       | Some (Atm.Control.Sync { stamp; _ })
       | Some (Atm.Control.Index_mark { stamp; _ }) ->
           Pfs.Stream.index_mark r.recording ~stamp
-      | Some (Atm.Control.Start | Atm.Control.Stop) | None -> ()
-    end
-  | Some (Error _) | None -> ()
+      | Some (Atm.Control.Start | Atm.Control.Stop) | None -> ())
 
 let recorder_fid r = Pfs.Stream.recording_fid r.recording
 let recorder_bytes r = r.bytes

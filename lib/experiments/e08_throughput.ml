@@ -49,14 +49,14 @@ let networked_rate ctx ~segments =
   Atm.Net.connect net server client;
   let received = ref 0 in
   let finished = ref Sim.Time.zero in
-  let vc =
-    Atm.Net.open_vc net ~src:server ~dst:client
-      ~rx:
-        (Atm.Net.frame_rx
-           ~rx:(fun payload ->
-             received := !received + Bytes.length payload;
-             finished := Sim.Engine.now e))
+  let rx, rx_train =
+    Atm.Net.frame_rx
+      ~rx:(fun ~flow:_ _ _ len ->
+        received := !received + len;
+        finished := Sim.Engine.now e)
+      ()
   in
+  let vc = Atm.Net.open_vc net ~src:server ~dst:client ~rx ~rx_train in
   let raid = Pfs.Raid.create e ~segment_bytes:1_048_576 () in
   let chunk = 8192 in
   let frames_per_seg = 1_048_576 / chunk in

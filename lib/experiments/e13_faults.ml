@@ -33,10 +33,10 @@ let video_run ctx ~loss ~with_outages ~frames =
   Atm.Net.connect net cam sw;
   Atm.Net.connect net disp sw;
   let delivered = ref 0 in
-  let vc =
-    Atm.Net.open_vc net ~src:cam ~dst:disp
-      ~rx:(Atm.Net.frame_rx ~rx:(fun _ -> incr delivered))
+  let rx, rx_train =
+    Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> incr delivered) ()
   in
+  let vc = Atm.Net.open_vc net ~src:cam ~dst:disp ~rx ~rx_train in
   if loss > 0.0 then Atm.Net.inject_loss net ~rng:(Sim.Fault.rng fault) loss;
   let span = Sim.Time.mul frame_gap (frames + 2) in
   if with_outages then

@@ -87,7 +87,7 @@ let row ~offered ctx =
     let dst = if d >= src then d + 1 else d in
     let sink = ref (fun ~flow:_ -> ()) in
     let cell_rx, train_rx =
-      Atm.Net.frame_rx_pair_flow ~rx:(fun ~flow _payload -> !sink ~flow) ()
+      Atm.Net.frame_rx ~rx:(fun ~flow _ _ _ -> !sink ~flow) ()
     in
     match
       Atm.Qos_mgr.request qm ~cls:spec.sp_class ~bps:spec.sp_bps

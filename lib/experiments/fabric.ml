@@ -126,8 +126,8 @@ let execute ctx p =
         let vcs =
           Array.init p.streams_per_site (fun s ->
               let cell_rx, train_rx =
-                Atm.Net.frame_rx_pair
-                  ~rx:(fun _ ->
+                Atm.Net.frame_rx
+                  ~rx:(fun ~flow:_ _ _ _ ->
                     st.s_local <- st.s_local + 1;
                     st.s_digest <-
                       fold_digest st.s_digest
@@ -139,8 +139,8 @@ let execute ctx p =
                 ~rx_train:train_rx)
         in
         let cell_rx, train_rx =
-          Atm.Net.frame_rx_pair
-            ~rx:(fun _ ->
+          Atm.Net.frame_rx
+            ~rx:(fun ~flow:_ _ _ _ ->
               st.s_remote <- st.s_remote + 1;
               st.s_digest <-
                 fold_digest st.s_digest

@@ -227,12 +227,12 @@ let fabric ctx =
         let vcs =
           Array.init streams_per_site (fun _ ->
               let cell_rx, train_rx =
-                Atm.Net.frame_rx_pair ~rx:(fun _ -> ()) ()
+                Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> ()) ()
               in
               Atm.Net.open_vc net ~src:cam ~dst:disp ~rx:cell_rx
                 ~rx_train:train_rx)
         in
-        let cell_rx, train_rx = Atm.Net.frame_rx_pair ~rx:(fun _ -> ()) () in
+        let cell_rx, train_rx = Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> ()) () in
         ingress.(i) <-
           Some
             (Atm.Net.open_vc net ~src:gw ~dst:disp ~rx:cell_rx

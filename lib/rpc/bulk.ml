@@ -140,13 +140,18 @@ let establish net ~src ~dst ?(mtu = 8192) ?(window = 8)
     }
   in
   let data_cell_rx, data_train_rx =
-    Atm.Net.frame_rx_pair ~rx:(fun p -> receiver_rx receiver sender p) ()
+    Atm.Net.frame_rx
+      ~rx:(fun ~flow:_ buf off len ->
+        receiver_rx receiver sender (Bytes.sub buf off len))
+      ()
   in
   let data_vc =
     Atm.Net.open_vc net ~src ~dst ~rx:data_cell_rx ~rx_train:data_train_rx
   in
   let credit_cell_rx, credit_train_rx =
-    Atm.Net.frame_rx_pair ~rx:(fun p -> sender_rx sender p) ()
+    Atm.Net.frame_rx
+      ~rx:(fun ~flow:_ buf off len -> sender_rx sender (Bytes.sub buf off len))
+      ()
   in
   let credit_vc =
     Atm.Net.open_vc net ~src:dst ~dst:src ~rx:credit_cell_rx

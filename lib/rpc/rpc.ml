@@ -235,8 +235,9 @@ let connect net ~client ~server ?(retransmit = Sim.Time.ms 10) ?seed
   let rec conn =
     lazy
       (let req_cell_rx, req_train_rx =
-         Atm.Net.frame_rx_pair_flow
-           ~rx:(fun ~flow p -> server_rx ~flow (Lazy.force conn) p)
+         Atm.Net.frame_rx
+           ~rx:(fun ~flow buf off len ->
+             server_rx ~flow (Lazy.force conn) (Bytes.sub buf off len))
            ()
        in
        let req_vc =
@@ -244,7 +245,10 @@ let connect net ~client ~server ?(retransmit = Sim.Time.ms 10) ?seed
            ~rx_train:req_train_rx
        in
        let rep_cell_rx, rep_train_rx =
-         Atm.Net.frame_rx_pair ~rx:(fun p -> client_rx (Lazy.force conn) p) ()
+         Atm.Net.frame_rx
+           ~rx:(fun ~flow:_ buf off len ->
+             client_rx (Lazy.force conn) (Bytes.sub buf off len))
+           ()
        in
        let rep_vc =
          Atm.Net.open_vc net ~src:server.host ~dst:client.host ~rx:rep_cell_rx

@@ -50,7 +50,11 @@ let rollback_tests =
         let vc =
           Atm.Net.open_vc net ~reserve_bps:10_000_000 ~src:a ~dst:b
             ~rx:
-              (Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)))
+              (fst
+                 (Atm.Net.frame_rx
+                    ~rx:(fun ~flow:_ buf off len ->
+                      got := Some (Bytes.sub_string buf off len))
+                    ()))
         in
         Alcotest.(check int) "hops" 3 (Atm.Net.vc_hops vc);
         Alcotest.(check int) "reservation held" 10_000_000
@@ -110,7 +114,11 @@ let transparency_tests =
         let vc =
           Atm.Net.open_vc net ~src:a ~dst:b
             ~rx:
-              (Atm.Net.frame_rx ~rx:(fun p -> got := Some (Bytes.to_string p)))
+              (fst
+                 (Atm.Net.frame_rx
+                    ~rx:(fun ~flow:_ buf off len ->
+                      got := Some (Bytes.sub_string buf off len))
+                    ()))
         in
         Alcotest.(check int) "switch path, not the host shortcut" 5
           (Atm.Net.vc_hops vc);

@@ -2,6 +2,14 @@
 
 let ms = Sim.Time.ms
 
+(* A tile packet's frame as one train, built by the writer the camera
+   uses. *)
+let tile_train ~vci (p : Atm.Tile.packet) =
+  Atm.Train.make ~vci
+    (Atm.Tile.pdu ~x:p.x ~y:p.y ~frame:p.frame ~count:p.count
+       ~bytes_per_tile:p.bytes_per_tile ~captured_at:p.captured_at (fun buf ->
+         Bytes.blit p.data 0 buf 0 (Bytes.length p.data)))
+
 let site_rig () =
   let e = Sim.Engine.create () in
   let site = Pegasus.Site.create e in
@@ -394,8 +402,7 @@ let wm_tests =
               data = Bytes.make Atm.Tile.raw_bytes 'v';
             }
           in
-          List.iter (fun c -> Atm.Display.cell_rx display c)
-            (Atm.Aal5.segment ~vci:7 (Atm.Tile.marshal p))
+          Atm.Display.train_rx display (tile_train ~vci:7 p)
         in
         packet ();
         Alcotest.(check int) "blitted" 1 (Atm.Display.tiles_blitted display ~vci:7);
@@ -461,8 +468,7 @@ let wm_tests =
               data = Bytes.make Atm.Tile.raw_bytes 'v';
             }
           in
-          List.iter (Atm.Display.cell_rx display)
-            (Atm.Aal5.segment ~vci:2 (Atm.Tile.marshal p))
+          Atm.Display.train_rx display (tile_train ~vci:2 p)
         in
         let geometry = Alcotest.(pair (pair int int) (pair int int)) in
         let geometry_of w =

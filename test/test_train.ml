@@ -11,6 +11,19 @@ let segment_train ~vci ?flow payload =
   Atm.Train.make ~vci ?flow
     (Atm.Aal5.Framer.pdu (Atm.Aal5.Framer.create ()) payload)
 
+(* The reassembler's callbacks as a list of results: each view is
+   copied inside its callback, as a receiver that keeps the bytes
+   does. *)
+let collect push =
+  let res = ref [] in
+  push
+    ~ok:(fun buf off len -> res := Ok (Bytes.sub buf off len) :: !res)
+    ~err:(fun e -> res := Error e :: !res);
+  List.rev !res
+
+let push_train r train = collect (Atm.Aal5.Reassembler.push_train r train)
+let push_cell r cell = collect (Atm.Aal5.Reassembler.push r cell)
+
 (* {1 Zero-copy segmentation / reassembly} *)
 
 let train_aal5_tests =
@@ -20,7 +33,7 @@ let train_aal5_tests =
         let payload = Bytes.init 1000 (fun i -> Char.chr (i land 0xff)) in
         let train = segment_train ~vci:7 payload in
         let r = Atm.Aal5.Reassembler.create () in
-        match Atm.Aal5.Reassembler.push_train r train with
+        match push_train r train with
         | [ Ok b ] -> Alcotest.(check bytes) "payload" payload b
         | _ -> Alcotest.fail "expected exactly one completed frame");
     Alcotest.test_case "cells are views into one PDU buffer" `Quick (fun () ->
@@ -49,8 +62,8 @@ let train_aal5_tests =
           let head = Atm.Train.sub train ~first:0 ~count:split in
           let tail = Atm.Train.sub train ~first:split ~count:(n - split) in
           let r = Atm.Aal5.Reassembler.create () in
-          let r1 = Atm.Aal5.Reassembler.push_train r head in
-          let r2 = Atm.Aal5.Reassembler.push_train r tail in
+          let r1 = push_train r head in
+          let r2 = push_train r tail in
           let results = r1 @ r2 in
           match results with
           | [ Ok b ] -> Alcotest.(check bytes) "payload" payload b
@@ -60,7 +73,7 @@ let train_aal5_tests =
         let train = segment_train ~vci:1 (Bytes.of_string "corrupt me") in
         Bytes.set (Atm.Train.buf train) 3 'X';
         let r = Atm.Aal5.Reassembler.create () in
-        match Atm.Aal5.Reassembler.push_train r train with
+        match push_train r train with
         | [ Error Atm.Aal5.Crc_mismatch ] -> ()
         | _ -> Alcotest.fail "expected Crc_mismatch");
     Alcotest.test_case "oversized train reports Too_long like per-cell" `Quick
@@ -70,18 +83,14 @@ let train_aal5_tests =
         let pdu = Bytes.create (5 * Atm.Cell.payload_bytes) in
         let mk () = Atm.Train.make ~vci:1 (Bytes.copy pdu) in
         let by_train =
-          Atm.Aal5.Reassembler.push_train
-            (Atm.Aal5.Reassembler.create ~max_frame:96 ())
-            (mk ())
+          push_train (Atm.Aal5.Reassembler.create ~max_frame:96 ()) (mk ())
         in
         let by_cell =
           let r = Atm.Aal5.Reassembler.create ~max_frame:96 () in
           let train = mk () in
           List.concat
             (List.init (Atm.Train.count train) (fun i ->
-                 match Atm.Aal5.Reassembler.push r (Atm.Train.cell train i) with
-                 | None -> []
-                 | Some res -> [ res ]))
+                 push_cell r (Atm.Train.cell train i)))
         in
         Alcotest.(check int) "same result count" (List.length by_cell)
           (List.length by_train);
@@ -144,19 +153,17 @@ let train_aal5_tests =
             let next = segment_train ~vci:1 ~flow:9 payload in
             let by_train =
               let r = Atm.Aal5.Reassembler.create ~max_frame () in
-              let res = Atm.Aal5.Reassembler.push_train r train in
+              let res = push_train r train in
               let flow = Atm.Aal5.Reassembler.last_flow r in
               let pending = Atm.Aal5.Reassembler.pending_cells r in
-              (res, flow, pending, Atm.Aal5.Reassembler.push_train r next)
+              (res, flow, pending, push_train r next)
             in
             let by_cell =
               let r = Atm.Aal5.Reassembler.create ~max_frame () in
               let push t =
                 List.concat
                   (List.init (Atm.Train.count t) (fun i ->
-                       match Atm.Aal5.Reassembler.push r (Atm.Train.cell t i) with
-                       | None -> []
-                       | Some res -> [ res ]))
+                       push_cell r (Atm.Train.cell t i)))
               in
               let res = push train in
               let flow = Atm.Aal5.Reassembler.last_flow r in
@@ -196,7 +203,9 @@ let bulk_rig () =
   Atm.Net.connect net ~queue_cells:(cells + 64) a s;
   Atm.Net.connect net ~queue_cells:(cells + 64) s b;
   let received = ref 0 in
-  let rx, rx_train = Atm.Net.frame_rx_pair ~rx:(fun _ -> incr received) () in
+  let rx, rx_train =
+    Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> incr received) ()
+  in
   let vc = Atm.Net.open_vc net ~src:a ~dst:b ~rx ~rx_train in
   let payload = Bytes.make frame_bytes 'x' in
   let period = Sim.Time.ns ((cells * 4240) + 20_000) in
@@ -289,11 +298,12 @@ let link_tests =
     Alcotest.test_case "a 32 KB frame costs at most 5 000 major words" `Quick
       (fun () ->
         (* After a warm-up frame has built the PDU, a frame of the same
-           payload allocates directly in the major heap only the
-           receiver's copy (4 098 words): the switch gets the cells'
-           arrival instants as runs, and a window's runs are a few
-           words.  A PDU built per send, or an array of one int per
-           cell at any hop, adds hundreds to thousands of words.
+           payload allocates nothing directly in the major heap: the
+           receiver reads the checked payload where it lands, the
+           switch gets the cells' arrival instants as runs, and a
+           window's runs are a few words.  A receiver's copy (4 098
+           words), a PDU built per send, or an array of one int per
+           cell at any hop (684) would show at once.
            [Gc.counters] reads this domain's live counters;
            [Gc.quick_stat]'s copy is sampled and can lag a major slice
            behind. *)
@@ -311,8 +321,8 @@ let link_tests =
         let per_frame = (direct () -. w0) /. Float.of_int frames in
         Alcotest.(check int) "every frame arrived" (frames + 1) !received;
         Alcotest.(check bool)
-          (Printf.sprintf "%.0f major words per frame, at most 4 300" per_frame)
-          true (per_frame <= 4300.0));
+          (Printf.sprintf "%.0f major words per frame, at most 300" per_frame)
+          true (per_frame <= 300.0));
     Alcotest.test_case "a receiver reading the counters counts each cell once"
       `Quick (fun () ->
         (* Two 10-cell frames offered at t=0.  When each frame arrives,
@@ -465,8 +475,8 @@ let frame_rig ?(trains = true) () =
   Atm.Net.connect net s b;
   let got = ref [] and pdus = ref [] in
   let rx, rx_train =
-    Atm.Net.frame_rx_pair
-      ~rx:(fun p -> got := Ok p :: !got)
+    Atm.Net.frame_rx
+      ~rx:(fun ~flow:_ buf off len -> got := Ok (Bytes.sub buf off len) :: !got)
       ~on_error:(fun err -> got := Error err :: !got)
       ()
   in
@@ -511,10 +521,10 @@ let run_split ~share ~seed =
   let frames = ref [] in
   let vc name ?reserve_bps src =
     let rx, rx_train =
-      Atm.Net.frame_rx_pair
-        ~rx:(fun p ->
+      Atm.Net.frame_rx
+        ~rx:(fun ~flow:_ buf off len ->
           frames :=
-            (name, Sim.Engine.now e, Bytes.length p, Atm.Crc32.digest_bytes p)
+            (name, Sim.Engine.now e, len, Atm.Crc32.digest buf ~pos:off ~len)
             :: !frames)
         ~on_error:(fun _ -> frames := (name, Sim.Engine.now e, -1, 0) :: !frames)
         ()
@@ -719,8 +729,8 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
   Atm.Net.connect net s2 d;
   let frames = ref [] and errors = ref 0 in
   let sink name =
-    Atm.Net.frame_rx_pair_flow
-      ~rx:(fun ~flow p ->
+    Atm.Net.frame_rx
+      ~rx:(fun ~flow buf off len ->
         if flow >= 0 && Sim.Trace.flows_on trace then
           Sim.Trace.flow_end trace
             ~ts:(Sim.Engine.now e)
@@ -728,8 +738,8 @@ let run_differential ?(flows = false) ?(payloads = Fresh) ~trains ~seed () =
         frames :=
           ( name,
             Sim.Time.to_ns (Sim.Engine.now e),
-            Bytes.length p,
-            Atm.Crc32.digest_bytes p )
+            len,
+            Atm.Crc32.digest buf ~pos:off ~len )
           :: !frames)
       ~on_error:(fun err ->
         incr errors;
