@@ -396,12 +396,39 @@ let bench_dist_observe ~exact =
   ( (if exact then "dist_observe_exact" else "dist_observe"),
     Sim.Json.Obj (throughput_json ~ops total) )
 
+(* A link books a window's queue delays a run at a time
+   ({!Sim.Metrics.observe_run}), not a cell at a time, so per-sample
+   [observe] is not what a real run pays.  Ungated rows for the train
+   path's two shapes: [vod_flash]'s 32 KB frames, 684 cells from delay 0
+   at the 4 240 ns cell time, and [video_cells]' 20-cell tile packets on
+   a host link, alternately. *)
+let bench_dist_observe_run () =
+  let m = Sim.Metrics.create () in
+  let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "bench.run" in
+  let runs = 200_000 in
+  let cell_ns = 4_240 in
+  let total =
+    best_of_3 (fun () ->
+        for i = 1 to runs do
+          let count = if i land 1 = 0 then 684 else 20 in
+          Sim.Metrics.observe_run d ~first:0 ~step:cell_ns ~count
+        done)
+  in
+  let cells = (runs / 2 * 684) + ((runs + 1) / 2 * 20) in
+  ( "dist_observe_run",
+    Sim.Json.Obj
+      [
+        ("runs", Sim.Json.Int runs);
+        ("cells", Sim.Json.Int cells);
+        ("ns_per_run", Sim.Json.Float (total /. Float.of_int runs));
+        ("ns_per_cell", Sim.Json.Float (total /. Float.of_int cells));
+      ] )
+
 (* [live] events that reschedule themselves on firing, with
-   nanosecond-granularity delays over a ~1ms window from a
-   preallocated table (so the call sites box no Int64 either): a
-   population that stays at [live] and dispersed in time, the way a
-   simulation's timers are, rather than flooding a handful of
-   instants. *)
+   nanosecond-granularity delays over a ~1ms window from a precomputed
+   table (so the call sites hash nothing): a population that stays at
+   [live] and dispersed in time, the way a simulation's timers are,
+   rather than flooding a handful of instants. *)
 let spread_delay i = Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF))
 
 let self_rescheduling live =
@@ -482,7 +509,11 @@ let run_engine_bench path =
   Format.printf "@.Part 4: engine/metrics hot-path benchmark@.@.";
   let engine_parts = [ bench_schedule_fire (); bench_schedule_cancel () ] in
   let metric_parts =
-    [ bench_dist_observe ~exact:false; bench_dist_observe ~exact:true ]
+    [
+      bench_dist_observe ~exact:false;
+      bench_dist_observe ~exact:true;
+      bench_dist_observe_run ();
+    ]
   in
   (* The million-event engine serves both the steady-state check and
      the deepest row, so the part fills it once. *)
@@ -500,8 +531,15 @@ let run_engine_bench path =
     (fun (name, j) ->
       match j with
       | Sim.Json.Obj fields -> (
-          match List.assoc "ns_per_op" fields with
-          | Sim.Json.Float ns -> Printf.printf "%-28s %10.1f ns/op\n" name ns
+          let ns key =
+            match List.assoc_opt key fields with
+            | Some (Sim.Json.Float ns) -> Some ns
+            | _ -> None
+          in
+          match (ns "ns_per_op", ns "ns_per_run", ns "ns_per_cell") with
+          | Some op, _, _ -> Printf.printf "%-28s %10.1f ns/op\n" name op
+          | None, Some run, Some cell ->
+              Printf.printf "%-28s %10.1f ns/run %7.2f ns/cell\n" name run cell
           | _ -> ())
       | _ -> ())
     (engine_parts @ metric_parts);

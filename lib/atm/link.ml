@@ -45,9 +45,7 @@ type t = {
   engine : Sim.Engine.t;
   bandwidth_bps : int;
   cell_time : Sim.Time.t;
-  cell_time_ns : int;
   prop : Sim.Time.t;
-  prop_ns : int;
   queue_cells : int;
   q_lim : int;  (* a best-effort cell is queued iff horizon - offer <= q_lim *)
   rx : Cell.t -> unit;
@@ -75,19 +73,16 @@ let create engine ?(bandwidth_bps = 100_000_000) ?(prop = Sim.Time.us 5)
   if queue_cells < 1 then invalid_arg "Link.create: queue_cells < 1";
   let metrics = Sim.Engine.metrics engine in
   let cell_time = Cell.tx_time ~bandwidth_bps in
-  let cell_time_ns = Sim.Time.to_ns cell_time in
   {
     engine;
     bandwidth_bps;
     cell_time;
-    cell_time_ns;
     prop;
-    prop_ns = Sim.Time.to_ns prop;
     queue_cells;
     (* The queue holds [ceil ((horizon - offer) / cell_time)] cells, and
        that is below [queue_cells] exactly when [horizon - offer <=
        (queue_cells - 1) * cell_time]: one compare, no division. *)
-    q_lim = (queue_cells - 1) * cell_time_ns;
+    q_lim = (queue_cells - 1) * Sim.Time.to_ns cell_time;
     rx;
     rx_train;
     next_free = Sim.Time.zero;
@@ -158,7 +153,7 @@ let last_sent_end t ot now =
     let b = 5 * !r in
     let m = upto a.(b) a.(b + 1) a.(b + 4) now in
     if m > 0 && a.(b + 2) >= 0 then
-      found := a.(b + 2) + ((m - 1) * a.(b + 3)) + t.cell_time_ns
+      found := a.(b + 2) + ((m - 1) * a.(b + 3)) + Sim.Time.to_ns t.cell_time
     else decr r
   done;
   !found
@@ -192,7 +187,9 @@ let queue_depth t =
   let now = now_ns t in
   let nf = virtual_horizon t ~prio:false now in
   if nf <= now then 0
-  else (nf - now + t.cell_time_ns - 1) / t.cell_time_ns
+  else
+    let ctn = Sim.Time.to_ns t.cell_time in
+    (nf - now + ctn - 1) / ctn
 
 (* Reserved cells are scheduled against their own horizon and suffer at
    most one cell time of non-preemptive interference from whatever is
@@ -533,7 +530,7 @@ and process_upto t ot w =
    cell times apart and the backlog [rf - o] changes by [2 ctn - d] a
    cell; ahead of it a cell starts a cell time after its offer. *)
 let analyze_reserved t ot o0 d count rf =
-  let ctn = t.cell_time_ns in
+  let ctn = Sim.Time.to_ns t.cell_time in
   let rf = ref rf and i = ref 0 in
   while !i < count do
     let o = o0 + (!i * d) and left = count - !i in
@@ -562,7 +559,7 @@ let analyze_reserved t ot o0 d count rf =
    on an idle line a cell starts at its offer.  [rf] does not move
    here, so it can be the [max] for one cell only. *)
 let analyze_best_effort t ot o0 d count nf =
-  let ctn = t.cell_time_ns and lim = t.q_lim in
+  let ctn = Sim.Time.to_ns t.cell_time and lim = t.q_lim in
   let rf = Sim.Time.to_ns t.res_next_free in
   let nf = ref nf and i = ref 0 in
   while !i < count do
@@ -652,7 +649,7 @@ let send_train ?(priority = false) ?offers t train =
           o
   end
   else begin
-    let lat = t.cell_time_ns + t.prop_ns in
+    let lat = Sim.Time.(to_ns (add t.cell_time t.prop)) in
     let continuation =
       (* A chunk continuing the newest open window's frame (switches
          hand a frame over in wire-rate chunks): extend that window in

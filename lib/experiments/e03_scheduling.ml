@@ -58,7 +58,8 @@ let scenario ctx ~policy ~duration =
     (* Jobs that never even completed within the run count against the
        scheduler too. *)
     let expected =
-      Int64.to_int (Int64.div duration (Nemesis.Domain.params d).Nemesis.Domain.period)
+      Sim.Time.to_ns duration
+      / Sim.Time.to_ns (Nemesis.Domain.params d).Nemesis.Domain.period
     in
     let not_done = Stdlib.max 0 (expected - done_) in
     100.0 *. Float.of_int (missed + not_done) /. Float.of_int (Stdlib.max 1 expected)

@@ -11,7 +11,7 @@ type sched_state = {
   mutable release : Sim.Time.t;
   mutable deadline : Sim.Time.t;
   mutable remain : Sim.Time.t;
-  mutable rr_last : Sim.Time.t;
+  mutable rr_last : int;
 }
 
 type t = {
@@ -42,7 +42,7 @@ let create ~name ?(mode = Informed) ?(period = Sim.Time.ms 40)
         release = Sim.Time.zero;
         deadline = Sim.Time.zero;
         remain = Sim.Time.zero;
-        rr_last = Sim.Time.zero;
+        rr_last = 0;
       };
     jobs = [];
     current_job = None;
@@ -98,7 +98,7 @@ let has_work t = t.jobs <> []
 let earliest_job_deadline t =
   List.fold_left
     (fun acc j -> Sim.Time.min acc (Job.deadline_key j))
-    Int64.max_int t.jobs
+    (Sim.Time.ns max_int) t.jobs
 
 let set_activation_handler t f = t.handler <- Some f
 

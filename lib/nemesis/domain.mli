@@ -33,7 +33,7 @@ type sched_state = {
   mutable release : Sim.Time.t;  (** start of the next allocation period *)
   mutable deadline : Sim.Time.t;  (** end of the current period *)
   mutable remain : Sim.Time.t;  (** allocation left in this period *)
-  mutable rr_last : Sim.Time.t;  (** round-robin recency *)
+  mutable rr_last : int;  (** round-robin recency *)
 }
 
 type t

@@ -20,6 +20,6 @@ let make ?(label = "") ?deadline ?on_complete ?(flow = Sim.Trace.no_flow) ~work
     on_complete;
   }
 
-let far_future = Int64.max_int
+let far_future = Sim.Time.ns max_int
 
 let deadline_key t = match t.deadline with Some d -> d | None -> far_future

@@ -95,7 +95,7 @@ let rec kick t =
 
 and charge_segment t p at =
   let elapsed = Sim.Time.sub at p.p_seg_start in
-  if elapsed > 0L then begin
+  if Sim.Time.(elapsed > zero) then begin
     Domain.charge p.p_dom elapsed;
     t.policy.Policy.charge p.p_dom ~amount:elapsed;
     (match Domain.current p.p_dom with
@@ -261,7 +261,7 @@ and complete t p j =
   let at = now t in
   charge_segment t p at;
   p.p_completion_ev <- None;
-  assert (j.Job.remaining = 0L);
+  assert (j.Job.remaining = Sim.Time.zero);
   Domain.remove_job p.p_dom j;
   Domain.note_job_done p.p_dom j ~now:at;
   (let tr = Sim.Engine.trace t.engine in

@@ -26,7 +26,7 @@ let refresh_allocations domains ~now =
 let next_release domains =
   List.fold_left
     (fun acc d -> Sim.Time.min acc (Domain.sched d).Domain.release)
-    Int64.max_int domains
+    (Sim.Time.ns max_int) domains
 
 (* How long a slack grant runs before the decision is revisited. *)
 let slack_quantum = Sim.Time.ms 1
@@ -34,13 +34,13 @@ let slack_quantum = Sim.Time.ms 1
 let atropos ?(slack = `Round_robin) () =
   (* Selection sequence for round-robin fairness of slack: using a
      counter rather than the clock makes ties impossible. *)
-  let seq = ref 0L in
+  let seq = ref 0 in
   let select ~domains ~now =
     refresh_allocations domains ~now;
     let ready = runnable domains in
     let horizon = next_release domains in
     let guaranteed =
-      List.filter (fun d -> (Domain.sched d).Domain.remain > 0L) ready
+      List.filter (fun d -> Sim.Time.(Domain.(sched d).remain > zero)) ready
     in
     match guaranteed with
     | _ :: _ ->
@@ -76,9 +76,8 @@ let atropos ?(slack = `Round_robin) () =
                       List.fold_left
                         (fun acc d ->
                           if
-                            Sim.Time.(
-                              (Domain.sched d).Domain.rr_last
-                              < (Domain.sched acc).Domain.rr_last)
+                            (Domain.sched d).Domain.rr_last
+                            < (Domain.sched acc).Domain.rr_last
                           then d
                           else acc)
                         (List.hd extras) (List.tl extras)
@@ -99,7 +98,7 @@ let atropos ?(slack = `Round_robin) () =
                         (fun acc d -> if score d < score acc then d else acc)
                         (List.hd extras) (List.tl extras)
                 in
-                seq := Int64.add !seq 1L;
+                incr seq;
                 (Domain.sched best).Domain.rr_last <- !seq;
                 let window_end =
                   Sim.Time.min (Sim.Time.add now slack_quantum) horizon
@@ -116,7 +115,7 @@ let atropos ?(slack = `Round_robin) () =
     if runnable domains = [] then None
     else begin
       let r = next_release domains in
-      if Sim.Time.(r > now) && r <> Int64.max_int then Some r else None
+      if Sim.Time.(r > now) && r <> Sim.Time.ns max_int then Some r else None
     end
   in
   { policy_name = "atropos"; select; charge; next_wake }
@@ -163,19 +162,17 @@ let fixed_priority () =
   simple_policy "fixed-priority" pick ~quantum:(Sim.Time.ms 10)
 
 let round_robin () =
-  let seq = ref 0L in
+  let seq = ref 0 in
   let pick ready ~now:_ =
     let best =
       List.fold_left
         (fun acc d ->
-          if
-            Sim.Time.(
-              (Domain.sched d).Domain.rr_last < (Domain.sched acc).Domain.rr_last)
+          if (Domain.sched d).Domain.rr_last < (Domain.sched acc).Domain.rr_last
           then d
           else acc)
         (List.hd ready) (List.tl ready)
     in
-    seq := Int64.add !seq 1L;
+    incr seq;
     (Domain.sched best).Domain.rr_last <- !seq;
     best
   in

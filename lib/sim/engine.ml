@@ -15,10 +15,6 @@
    - Cancellation is a tombstone: the slot word flips to [Cancelled]
      and the queue entry is discarded when the queue delivers it.
 
-   - The clock is kept as a native [int] of nanoseconds ({!Time.t} is
-     a boxed [int64]; converting on entry and exit keeps Int64 boxing
-     off the per-event path).
-
    - The [queue_depth] gauge is sampled every [depth_sample_mask + 1]
      schedule/cancel/fire transitions (and at the end of every {!run})
      through the gauge's flat float cell rather than boxed-float
@@ -44,7 +40,7 @@ let max_slots = 1 lsl slot_bits
 type event_id = int
 
 type t = {
-  mutable clock_ns : int;
+  mutable clock : Time.t;
   q : Calendar.t;
   mutable next_id : int;
   mutable live : int;
@@ -78,7 +74,7 @@ let create ?(trace = Trace.create ~enabled:false ())
       ~help:"scheduled, uncancelled events (sampled)" "engine.queue_depth"
   in
   {
-    clock_ns = 0;
+    clock = Time.zero;
     q = Calendar.create ();
     next_id = 0;
     live = 0;
@@ -100,7 +96,7 @@ let create ?(trace = Trace.create ~enabled:false ())
     depth_cell = Metrics.cell m_queue_depth;
   }
 
-let now t = Time.ns t.clock_ns
+let now t = t.clock
 let trace t = t.trace
 let metrics t = t.metrics
 
@@ -156,15 +152,15 @@ let free_slot t slot w =
 (* ------------------------------------------------------------------ *)
 (* Scheduling. *)
 
-let schedule_ns ~daemon t ~at_ns f =
-  if at_ns < t.clock_ns then
+let schedule_at ?(daemon = false) t ~at f =
+  if Time.(at < t.clock) then
     invalid_arg
-      (Format.asprintf "Engine.schedule_at: %a is before now (%a)" Time.pp
-         (Time.ns at_ns) Time.pp (Time.ns t.clock_ns));
-  if at_ns > Calendar.max_key then
+      (Format.asprintf "Engine.schedule_at: %a is before now (%a)" Time.pp at
+         Time.pp t.clock);
+  if Time.to_ns at > Calendar.max_key then
     invalid_arg
       (Format.asprintf "Engine.schedule_at: %a is beyond the 2^61 ns horizon"
-         Time.pp (Time.ns at_ns));
+         Time.pp at);
   let slot = alloc_slot t in
   let w = t.a_word.(slot) in
   (* [w] is a freed word: state 0, daemon clear, generation intact. *)
@@ -173,20 +169,14 @@ let schedule_ns ~daemon t ~at_ns f =
   t.a_fn.(slot) <- f;
   let seq = t.next_id in
   t.next_id <- t.next_id + 1;
-  Calendar.push_ns t.q ~key:at_ns ~seq slot;
+  Calendar.push_ns t.q ~key:(Time.to_ns at) ~seq slot;
   t.live <- t.live + 1;
   if not daemon then t.live_user <- t.live_user + 1;
   sample_depth t;
   ((w asr gen_shift) lsl slot_bits) lor slot
 
-let schedule_at ?(daemon = false) t ~at f =
-  let at_ns = Time.to_ns at in
-  if Time.ns at_ns <> at then
-    invalid_arg "Engine.schedule_at: time exceeds native int range";
-  schedule_ns ~daemon t ~at_ns f
-
-let schedule ?(daemon = false) t ~delay f =
-  schedule_ns ~daemon t ~at_ns:(t.clock_ns + Time.to_ns delay) f
+let schedule ?daemon t ~delay f =
+  schedule_at ?daemon t ~at:(Time.add t.clock delay) f
 
 let cancel t h =
   let slot = h land slot_mask in
@@ -208,7 +198,7 @@ let cancel t h =
 let pending t = t.live
 let pending_user t = t.live_user
 
-let next_at_ns t = Calendar.min_key_ns t.q
+let next_at t = Time.ns (Calendar.min_key_ns t.q)
 
 (* ------------------------------------------------------------------ *)
 (* Execution. *)
@@ -222,7 +212,7 @@ let next_at_ns t = Calendar.min_key_ns t.q
 let exec_min t =
   let at = Calendar.min_key_ns t.q in
   let slot = Calendar.pop_min t.q in
-  t.clock_ns <- at;
+  t.clock <- Time.ns at;
   let w = t.a_word.(slot) in
   let fn = t.a_fn.(slot) in
   free_slot t slot w;
@@ -243,10 +233,11 @@ let step t =
     true
   end
 
-(* The loop proper, over native ints only ([has_until] instead of an
+(* The loop proper, over immediates only ([has_until] instead of an
    option, [max_int] as "no budget") so {!Shard}'s epoch loop can run
-   it without boxing anything per epoch. *)
-let run_ns t ~until_ns ~has_until ~max_ev =
+   it without allocating anything per epoch. *)
+let run_loop t ~until ~has_until ~max_ev =
+  let until_ns = Time.to_ns until in
   let fired = ref 0 in
   let continue = ref true in
   while !continue do
@@ -265,19 +256,18 @@ let run_ns t ~until_ns ~has_until ~max_ev =
   flush_depth t;
   (* Advance the clock to [until] only when the run stopped for lack
      of earlier events, not when it was cut short by [max_ev]. *)
-  if has_until && t.clock_ns < until_ns then begin
+  if has_until && Time.(t.clock < until) then begin
     let nk = Calendar.min_key_ns t.q in
-    if nk > until_ns then t.clock_ns <- until_ns
+    if nk > until_ns then t.clock <- until
   end
 
 let run ?until ?max_events t =
-  let has_until = until <> None in
-  let until_ns = match until with Some u -> Time.to_ns u | None -> max_int in
   let max_ev = match max_events with Some m -> m | None -> max_int in
-  run_ns t ~until_ns ~has_until ~max_ev
+  match until with
+  | Some until -> run_loop t ~until ~has_until:true ~max_ev
+  | None -> run_loop t ~until:(Time.ns max_int) ~has_until:false ~max_ev
 
-let run_until_ns t until_ns =
-  run_ns t ~until_ns ~has_until:true ~max_ev:max_int
+let run_until t until = run_loop t ~until ~has_until:true ~max_ev:max_int
 
 let every ?daemon t ~period f =
   if Time.(period <= Time.zero) then

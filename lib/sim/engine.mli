@@ -5,10 +5,10 @@
     same instant run in scheduling order, so runs are deterministic.
 
     Event bookkeeping lives in a preallocated int arena and the clock
-    is a native [int] of nanoseconds internally, so the steady-state
-    schedule/fire path allocates nothing on the minor heap — the
-    property [bench/main.ml]'s [engine.steady_state] benchmark asserts
-    with a [Gc.minor_words] delta.
+    is an immediate {!Time.t}, so the steady-state schedule/fire path
+    allocates nothing on the minor heap — the property
+    [bench/main.ml]'s [engine.steady_state] benchmark asserts with a
+    [Gc.minor_words] delta.
 
     An engine holds no process-wide state: it records into the trace
     and registry it was created with, so engines built on different
@@ -73,13 +73,13 @@ val pending : t -> int
 val pending_user : t -> int
 (** Like {!pending}, counting only non-daemon events. *)
 
-val next_at_ns : t -> int
-(** Instant in integer nanoseconds of the earliest entry still in the
-    queue, [max_int] when the queue is empty.  Cancelled-but-undelivered
-    events are included, so this is a lower bound on the next instant
-    at which anything can actually fire — exactly what a conservative
-    parallel runner needs (see {!Shard}).  Never allocates — {!Shard}'s
-    epoch loop publishes this every epoch for every shard. *)
+val next_at : t -> Time.t
+(** Instant of the earliest entry still in the queue, [max_int] ns when
+    the queue is empty.  Cancelled-but-undelivered events are included,
+    so this is a lower bound on the next instant at which anything can
+    actually fire — exactly what a conservative parallel runner needs
+    (see {!Shard}).  Never allocates — {!Shard}'s epoch loop publishes
+    this every epoch for every shard. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Run events in timestamp order until the queue empties, simulated
@@ -88,9 +88,9 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     Without [until], the run also stops once only daemon events
     remain. *)
 
-val run_until_ns : t -> int -> unit
-(** [run ~until] with the bound already in integer nanoseconds and no
-    event budget.  Allocation-free entry point for {!Shard}'s
+val run_until : t -> Time.t -> unit
+(** [run_until t u] is [run ~until:u t] without the optional argument's
+    [Some] block: the allocation-free entry point for {!Shard}'s
     per-epoch calls. *)
 
 val step : t -> bool

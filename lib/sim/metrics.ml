@@ -338,6 +338,53 @@ let[@inline] observe d x =
   let h = d.d_hist in
   Array.unsafe_set h b (Array.unsafe_get h b + 1)
 
+(* The histogram counts of the [count] samples [lo + j * step], [step >
+   0], walked in ascending order one octave at a time (below 128, the
+   one-value buckets count as one octave): one [msb] and one division
+   find the octave's samples.  Where [step] is at least the octave's
+   bucket width [w], no two samples share a bucket and each takes one
+   add.  Where it is not, each bucket takes one add: after the octave's
+   first bucket, which takes one more division, a bucket whose first
+   sample lies [off < step] past its lowest value holds [q + 1] samples
+   if [off < r] and [q] otherwise, where [w = q * step + r], and the
+   next bucket's offset follows by the same remainder.  The counts are
+   exactly those of [count] {!bucket} lookups. *)
+let hist_run (h : int array) ~lo ~step ~count =
+  let x = ref lo and left = ref count in
+  while !left > 0 do
+    let x0 = !x in
+    let sh = bucket_shift x0 in
+    (* The octave ends at [2^(sh + 7)]: at 128 when [sh = 0]. *)
+    let n = Int.min !left ((((1 lsl (sh + 7)) - 1 - x0) / step) + 1) in
+    let w = 1 lsl sh in
+    if step >= w then
+      for j = 0 to n - 1 do
+        let b = bucket_at (x0 + (j * step)) sh in
+        Array.unsafe_set h b (Array.unsafe_get h b + 1)
+      done
+    else begin
+      let q = w / step in
+      let r = w - (q * step) in
+      let b = ref (bucket_at x0 sh) and rest = ref n in
+      (* The current bucket's samples, and where the next bucket's
+         first sample lies past its lowest value. *)
+      let first_off = x0 land (w - 1) in
+      let k = ref (((w - 1 - first_off) / step) + 1) in
+      let off = ref (first_off + (!k * step) - w) in
+      while !rest > 0 do
+        let here = Int.min !k !rest in
+        Array.unsafe_set h !b (Array.unsafe_get h !b + here);
+        rest := !rest - here;
+        b := !b + 1;
+        let o = !off in
+        k := if o < r then q + 1 else q;
+        off := if o < r then o + step - r else o - r
+      done
+    end;
+    x := x0 + (n * step);
+    left := !left - n
+  done
+
 (* [count] samples [first + j * step].  The moments come in closed form
    when every sample is below 2^31 ns, the run has at most 2^20 of them
    and [count * max^2] fits in an int: then each total, and each of the
@@ -373,27 +420,11 @@ let observe_run d ~first ~step ~count =
     d.d_n <- d.d_n + (count - !j);
     let top = bucket hi in
     if top >= Array.length d.d_hist then grow_hist d top;
-    let h = d.d_hist in
     if step = 0 then begin
-      let b = bucket first in
+      let h = d.d_hist and b = bucket first in
       h.(b) <- h.(b) + count
     end
-    else begin
-      (* One add per bucket: the run stays [k] samples in the bucket of
-         [x], whose lowest value is [lo]. *)
-      let j = ref 0 in
-      while !j < count do
-        let x = first + (!j * step) in
-        let sh = bucket_shift x in
-        let lo = (x lsr sh) lsl sh in
-        let room = if step > 0 then lo + (1 lsl sh) - 1 - x else x - lo in
-        let stride = Int.abs step in
-        let k = if room < stride then 1 else Int.min ((room / stride) + 1) (count - !j) in
-        let b = bucket_at x sh in
-        h.(b) <- h.(b) + k;
-        j := !j + k
-      done
-    end
+    else hist_run d.d_hist ~lo ~step:(Int.abs step) ~count
   end
 
 let observed d = d.d_n

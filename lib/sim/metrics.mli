@@ -99,13 +99,15 @@ val observe : dist -> int -> unit
 
 val observe_run : dist -> first:int -> step:int -> count:int -> unit
 (** Record the [count] durations [first + j * step] ns, [j] in
-    [\[0, count)]: the same dist as [count] calls of {!observe}, in
-    O(buckets the run crosses) rather than O(count).  The sum and sum
-    of squares come in closed form, min and max from the run's ends,
-    and the histogram takes one add per bucket; samples are stored raw
-    one by one only while the dist holds fewer than its raw cap (all
-    of them with [~exact_dists:true]).  [count <= 0] records nothing.
-    Raises [Invalid_argument] when a sample would be negative. *)
+    [\[0, count)]: the same dist as [count] calls of {!observe}.  The
+    sum and sum of squares come in closed form, min and max from the
+    run's ends, and the histogram is walked in ascending order one
+    octave at a time, with one division per octave and then one add
+    per sample or per bucket, whichever is fewer; samples are stored
+    raw one by one only while the dist holds fewer than its raw cap
+    (all of them with [~exact_dists:true]).  [count <= 0] records
+    nothing.  Raises [Invalid_argument] when a sample would be
+    negative. *)
 
 val observed : dist -> int
 (** Number of observations recorded. *)

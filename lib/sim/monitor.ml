@@ -156,7 +156,7 @@ let aggregate e j =
             Array.blit b.fb_data 0 scratch !pos b.fb_len;
             pos := !pos + b.fb_len
           done;
-          Array.sort Float.compare scratch;
+          Stats.sort_floats scratch !total;
           Some (Stats.percentile ~n:!total (Array.get scratch) 99.0)
         end
 

@@ -34,26 +34,25 @@
    epoch barrier and drains strictly after it, and the barrier publishes
    the writes, so no per-message synchronisation is needed. *)
 
-type msg = { msg_at : int; msg_seq : int; msg_fn : unit -> unit }
+type msg = { msg_at : Time.t; msg_seq : int; msg_fn : unit -> unit }
 
 type t = {
   ctx : Ctx.t;
   kids : Ctx.t array;  (* one child context per shard *)
   engines : Engine.t array;
   lookahead : Time.t;
-  lookahead_ns : int;
   boxes : msg Mailbox.t array array;  (* boxes.(src).(dst) *)
   seqs : int array array;  (* per-(src,dst) push counters, producer-owned *)
   (* Published per-shard state: written only by the owning worker in the
      drain phase, read by every worker after the barrier. *)
-  next_at_ns : int array;  (* max_int when the queue is empty *)
+  next_at : Time.t array;  (* [no_event] when the queue is empty *)
   user_live : int array;
   delivered : int array;  (* cross-shard messages scheduled, per dst *)
   mutable epochs : int;
   mutable ran : bool;
 }
 
-let no_event = max_int
+let no_event = Time.ns max_int
 
 let create ?(lookahead = Time.us 1) ~shards:n ctx =
   if n < 1 then invalid_arg "Shard.create: shards < 1";
@@ -65,11 +64,10 @@ let create ?(lookahead = Time.us 1) ~shards:n ctx =
     kids;
     engines = Array.map Ctx.engine kids;
     lookahead;
-    lookahead_ns = Time.to_ns lookahead;
     boxes =
       Array.init n (fun _ -> Array.init n (fun _ -> Mailbox.create ()));
     seqs = Array.init n (fun _ -> Array.make n 0);
-    next_at_ns = Array.make n no_event;
+    next_at = Array.make n no_event;
     user_live = Array.make n 0;
     delivered = Array.make n 0;
     epochs = 0;
@@ -100,7 +98,7 @@ let post t ~src ~dst ~at fn =
          at Time.pp now Time.pp t.lookahead);
   let seq = t.seqs.(src).(dst) in
   t.seqs.(src).(dst) <- seq + 1;
-  Mailbox.push t.boxes.(src).(dst) { msg_at = Time.to_ns at; msg_seq = seq; msg_fn = fn }
+  Mailbox.push t.boxes.(src).(dst) { msg_at = at; msg_seq = seq; msg_fn = fn }
 
 (* Drain every inbox of shard [dst] and schedule the messages in
    deterministic (timestamp, source, sequence) order, recording each
@@ -123,7 +121,7 @@ let drain_nonempty t dst =
   let msgs =
     List.sort
       (fun (a1, s1, q1, _) (a2, s2, q2, _) ->
-        if a1 <> a2 then compare a1 a2
+        if a1 <> a2 then Time.compare a1 a2
         else if s1 <> s2 then compare s1 s2
         else compare q1 q2)
       !acc
@@ -131,12 +129,12 @@ let drain_nonempty t dst =
   let e = t.engines.(dst) in
   let tr = Engine.trace e in
   List.iter
-    (fun (at_ns, src, _, fn) ->
+    (fun (at, src, _, fn) ->
       if Trace.enabled tr then
-        Trace.instant tr ~ts:(Time.ns at_ns) ~sub:Subsystem.Sim ~cat:"shard"
+        Trace.instant tr ~ts:at ~sub:Subsystem.Sim ~cat:"shard"
           ~args:[ ("src", Trace.Int src) ]
           "shard.deliver";
-      ignore (Engine.schedule_at e ~at:(Time.ns at_ns) fn))
+      ignore (Engine.schedule_at e ~at fn))
     msgs;
   t.delivered.(dst) <- t.delivered.(dst) + List.length msgs
 
@@ -156,9 +154,9 @@ let publish t s =
      flush it here so nothing observes a stale value across an epoch
      boundary (monitor windows roll on barrier-aligned instants). *)
   Engine.flush_gauges t.engines.(s);
-  (* [Engine.next_at_ns] uses the same [max_int] empty-queue sentinel
-     as [no_event], and neither side boxes anything. *)
-  t.next_at_ns.(s) <- Engine.next_at_ns t.engines.(s);
+  (* [Engine.next_at] uses the same [max_int] ns empty-queue sentinel
+     as [no_event], and neither side allocates anything. *)
+  t.next_at.(s) <- Engine.next_at t.engines.(s);
   t.user_live.(s) <- Engine.pending_user t.engines.(s)
 
 (* Single-shard mode delegates to the plain engine loop, so an
@@ -178,7 +176,6 @@ let run_epochs ?until t =
   if n = 1 then run_single t ?until ()
   else begin
     let workers = Stdlib.min (Ctx.domains t.ctx) n in
-    let until_ns = Option.map Time.to_ns until in
     (* Messages posted during setup enter the first epoch. *)
     for d = 0 to n - 1 do
       drain t d;
@@ -189,10 +186,10 @@ let run_epochs ?until t =
         while !continue do
           (* Every worker computes the epoch identically from the
              state published at the last barrier. *)
-          let t_min = Array.fold_left Stdlib.min no_event t.next_at_ns in
+          let t_min = Array.fold_left Time.min no_event t.next_at in
           let finished =
-            match until_ns with
-            | Some u -> t_min > u
+            match until with
+            | Some u -> Time.(t_min > u)
             | None ->
                 t_min = no_event
                 || Array.fold_left ( + ) 0 t.user_live = 0
@@ -201,14 +198,14 @@ let run_epochs ?until t =
           else begin
             if worker = 0 then t.epochs <- t.epochs + 1;
             let horizon =
-              let h = t_min + t.lookahead_ns in
-              match until_ns with
-              | Some u -> Stdlib.min h (u + 1)
+              let h = Time.add t_min t.lookahead in
+              match until with
+              | Some u -> Time.min h (Time.add u (Time.ns 1))
               | None -> h
             in
             let s = ref worker in
             while !s < n do
-              Engine.run_until_ns t.engines.(!s) (horizon - 1);
+              Engine.run_until t.engines.(!s) (Time.sub horizon (Time.ns 1));
               s := !s + workers
             done;
             sync ();

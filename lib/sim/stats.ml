@@ -5,6 +5,80 @@ let percentile ~n at q =
   let frac = rank -. Float.of_int lo in
   at lo +. (frac *. (at hi -. at lo))
 
+(* A monomorphic, iterative port of [Array.sort]'s ternary heap sort
+   over the floats in [\[0, len)]: it makes the same [Float.compare]
+   calls and the same moves, so its result is bit-identical to
+   [Array.sort Float.compare] on that prefix, ties of [0.0] with [-0.0]
+   and of NaN payloads included.  The floats stay unboxed in the flat
+   array and in local variables: no closure, no float argument and no
+   copy, so it allocates nothing. *)
+
+(* The child of heap node [i] (children [3i + 1 .. 3i + 3] below [l])
+   holding the greatest value, the first of equals; -1 when [i] has no
+   child. *)
+let[@inline] max_son (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x =
+      if
+        Float.compare (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1))
+        < 0
+      then i31 + 1
+      else i31
+    in
+    if Float.compare (Array.unsafe_get a x) (Array.unsafe_get a (i31 + 2)) < 0
+    then i31 + 2
+    else x
+  end
+  else if
+    i31 + 1 < l
+    && Float.compare (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1)) < 0
+  then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let sort_floats (a : float array) len =
+  if len < 0 || len > Array.length a then invalid_arg "Stats.sort_floats";
+  (* Build the heap: sift each inner node's value down. *)
+  for top = ((len + 1) / 3) - 1 downto 0 do
+    let e = Array.unsafe_get a top in
+    let i = ref top and j = ref (max_son a len top) in
+    while !j >= 0 && Float.compare (Array.unsafe_get a !j) e > 0 do
+      Array.unsafe_set a !i (Array.unsafe_get a !j);
+      i := !j;
+      j := max_son a len !i
+    done;
+    Array.unsafe_set a !i e
+  done;
+  (* Move the maximum to the end: pull the greatest sons up along one
+     path to a leaf, then sift the displaced last value up from there. *)
+  for l = len - 1 downto 2 do
+    let e = Array.unsafe_get a l in
+    Array.unsafe_set a l (Array.unsafe_get a 0);
+    let i = ref 0 and j = ref (max_son a l 0) in
+    while !j >= 0 do
+      Array.unsafe_set a !i (Array.unsafe_get a !j);
+      i := !j;
+      j := max_son a l !i
+    done;
+    let go = ref true in
+    while !go do
+      let father = (!i - 1) / 3 in
+      if Float.compare (Array.unsafe_get a father) e < 0 then begin
+        Array.unsafe_set a !i (Array.unsafe_get a father);
+        i := father;
+        if father = 0 then go := false
+      end
+      else go := false
+    done;
+    Array.unsafe_set a !i e
+  done;
+  if len > 1 then begin
+    let e = Array.unsafe_get a 1 in
+    Array.unsafe_set a 1 (Array.unsafe_get a 0);
+    Array.unsafe_set a 0 e
+  end
+
 module Summary = struct
   (* The two running floats live in a [floatarray], not in mutable
      float fields: in a record that also holds the int count, each float
@@ -56,9 +130,7 @@ module Samples = struct
 
   let ensure_sorted t =
     if not t.sorted then begin
-      let sub = Array.sub t.data 0 t.len in
-      Array.sort Float.compare sub;
-      Array.blit sub 0 t.data 0 t.len;
+      sort_floats t.data t.len;
       t.sorted <- true
     end
 

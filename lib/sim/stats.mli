@@ -7,6 +7,15 @@ val percentile : n:int -> (int -> float) -> float -> float
     statistics either side of it.  {!Samples.percentile}, the metrics
     dists and the SLO monitor's windows all use it. *)
 
+val sort_floats : float array -> int -> unit
+(** [sort_floats a len] sorts [a]'s first [len] floats in place, in
+    {!Float.compare} order, leaving the rest of [a] alone.  It is
+    [Array.sort Float.compare]'s heap sort with the same comparisons and
+    moves, so the result is bit-identical to it, ties between [0.0] and
+    [-0.0] or between NaNs of different payloads included; unlike it,
+    it allocates nothing.  Raises [Invalid_argument] unless
+    [0 <= len <= Array.length a]. *)
+
 (** Streaming standard deviation (Welford). *)
 module Summary : sig
   type t
@@ -16,7 +25,8 @@ module Summary : sig
   val stddev : t -> float
 end
 
-(** Sample store with exact percentiles (sorts lazily on query). *)
+(** Sample store with exact percentiles (sorts lazily and in place, with
+    {!sort_floats}, on query). *)
 module Samples : sig
   type t
 

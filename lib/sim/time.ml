@@ -1,30 +1,36 @@
-type t = int64
+type t = int
 
-let zero = 0L
-let ns n = Int64.of_int n
-let us n = Int64.of_int (n * 1_000)
-let ms n = Int64.of_int (n * 1_000_000)
-let sec n = Int64.of_int (n * 1_000_000_000)
-let of_sec_f s = Int64.of_float (s *. 1e9)
-let add = Int64.add
-let sub = Int64.sub
-let mul t n = Int64.mul t (Int64.of_int n)
-let div t n = Int64.div t (Int64.of_int n)
-let min a b = if Int64.compare a b <= 0 then a else b
-let max a b = if Int64.compare a b >= 0 then a else b
-let compare = Int64.compare
-let ( < ) a b = Int64.compare a b < 0
-let ( <= ) a b = Int64.compare a b <= 0
-let ( > ) a b = Int64.compare a b > 0
-let ( >= ) a b = Int64.compare a b >= 0
-let to_ns = Int64.to_int
-let to_us_f t = Int64.to_float t /. 1e3
-let to_ms_f t = Int64.to_float t /. 1e6
-let to_sec_f t = Int64.to_float t /. 1e9
+let zero = 0
+
+external ns : int -> t = "%identity"
+
+let us n = n * 1_000
+let ms n = n * 1_000_000
+let sec n = n * 1_000_000_000
+let of_sec_f s = Float.to_int (s *. 1e9)
+
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+
+let mul t n = t * n
+let div t n = t / n
+let min (a : t) b = if a <= b then a else b
+let max (a : t) b = if a >= b then a else b
+let compare = Int.compare
+let ( < ) (a : t) b = a < b
+let ( <= ) (a : t) b = a <= b
+let ( > ) (a : t) b = a > b
+let ( >= ) (a : t) b = a >= b
+
+external to_ns : t -> int = "%identity"
+
+let to_us_f t = Float.of_int t /. 1e3
+let to_ms_f t = Float.of_int t /. 1e6
+let to_sec_f t = Float.of_int t /. 1e9
 
 let pp fmt t =
-  let f = Int64.to_float t in
-  if Stdlib.( < ) f 1e3 then Format.fprintf fmt "%Ldns" t
+  let f = Float.of_int t in
+  if Stdlib.( < ) f 1e3 then Format.fprintf fmt "%dns" t
   else if Stdlib.( < ) f 1e6 then Format.fprintf fmt "%.2fus" (f /. 1e3)
   else if Stdlib.( < ) f 1e9 then Format.fprintf fmt "%.3fms" (f /. 1e6)
   else Format.fprintf fmt "%.3fs" (f /. 1e9)

@@ -1,17 +1,21 @@
 (** Simulated time.
 
     Time is a count of nanoseconds since the start of the simulation,
-    held in an [int64].  2^63 ns is almost three centuries, so overflow
-    is not a practical concern.  All of the simulator, the ATM network,
-    the Nemesis kernel and the file-server models share this clock. *)
+    held in an immediate [int]: storing, comparing or adding times
+    allocates nothing.  The type is private, so a time stays distinct
+    from a bare int: [(t :> int)] reads its nanoseconds, and only this
+    module's constructors make one.  2^62 ns is about 146 years, so
+    overflow is not a practical concern.  All of the simulator, the
+    ATM network, the Nemesis kernel and the file-server models share
+    this clock. *)
 
-type t = int64
+type t = private int
 
 val zero : t
 
 (** {1 Constructors} *)
 
-val ns : int -> t
+external ns : int -> t = "%identity"
 (** [ns n] is [n] nanoseconds. *)
 
 val us : int -> t
@@ -28,8 +32,8 @@ val of_sec_f : float -> t
 
 (** {1 Arithmetic} *)
 
-val add : t -> t -> t
-val sub : t -> t -> t
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
 val mul : t -> int -> t
 val div : t -> int -> t
 val min : t -> t -> t
@@ -42,7 +46,7 @@ val ( >= ) : t -> t -> bool
 
 (** {1 Conversions} *)
 
-val to_ns : t -> int
+external to_ns : t -> int = "%identity"
 val to_us_f : t -> float
 val to_ms_f : t -> float
 val to_sec_f : t -> float

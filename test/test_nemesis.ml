@@ -2,6 +2,7 @@
 
 let ms = Sim.Time.ms
 let us = Sim.Time.us
+let time = Alcotest.testable Sim.Time.pp ( = )
 
 let rig ?(policy = Nemesis.Policy.atropos ()) ?(ctx = us 10) () =
   let e = Sim.Engine.create () in
@@ -23,9 +24,9 @@ let kernel_tests =
         Nemesis.Kernel.submit k d
           (job e ~work:(ms 1) ~on_complete:(fun () -> done_at := Sim.Engine.now e));
         Sim.Engine.run e ~until:(ms 100);
-        Alcotest.(check int64) "completion" (Sim.Time.add (ms 1) (us 10)) !done_at;
+        Alcotest.check time "completion" (Sim.Time.add (ms 1) (us 10)) !done_at;
         Alcotest.(check int) "completed" 1 (Nemesis.Domain.jobs_completed d);
-        Alcotest.(check int64) "charged" (Sim.Time.add (ms 1) (us 10))
+        Alcotest.check time "charged" (Sim.Time.add (ms 1) (us 10))
           (Nemesis.Domain.cpu_used d));
     Alcotest.test_case "sequential jobs in one domain do not re-pay the switch"
       `Quick (fun () ->
@@ -39,7 +40,7 @@ let kernel_tests =
         Nemesis.Kernel.submit k d
           (job e ~work:(ms 1) ~on_complete:(fun () -> done_at := Sim.Engine.now e));
         Sim.Engine.run e ~until:(ms 100);
-        Alcotest.(check int64) "second completion" (Sim.Time.add (ms 2) (us 10))
+        Alcotest.check time "second completion" (Sim.Time.add (ms 2) (us 10))
           !done_at;
         Alcotest.(check int) "switches" 1 (Nemesis.Kernel.context_switches k));
     Alcotest.test_case "idle time is accounted" `Quick (fun () ->
@@ -136,7 +137,7 @@ let baseline_tests =
         Nemesis.Kernel.submit k hi (job e ~work:(Sim.Time.sec 1));
         Nemesis.Kernel.submit k lo (job e ~work:(Sim.Time.sec 1));
         Sim.Engine.run e ~until:(ms 200);
-        Alcotest.(check int64) "low got nothing" Sim.Time.zero
+        Alcotest.check time "low got nothing" Sim.Time.zero
           (Nemesis.Domain.cpu_used lo);
         Alcotest.(check bool) "high got everything" true
           (Sim.Time.to_ms_f (Nemesis.Domain.cpu_used hi) > 199.0));
@@ -513,8 +514,8 @@ let vm_tests =
       (fun () ->
         let hit = Nemesis.Vm.load_cost ~relocs:10_000 ~cache_hit:true in
         let miss = Nemesis.Vm.load_cost ~relocs:10_000 ~cache_hit:false in
-        Alcotest.(check int64) "hit is the map cost" (us 50) hit;
-        Alcotest.(check int64) "miss adds relocs" (Sim.Time.add (us 50) (ms 1))
+        Alcotest.check time "hit is the map cost" (us 50) hit;
+        Alcotest.check time "miss adds relocs" (Sim.Time.add (us 50) (ms 1))
           miss);
   ]
 
@@ -530,7 +531,7 @@ let qos_tests =
         Sim.Engine.run e ~until:(ms 50);
         Alcotest.(check (float 0.01)) "granted" 0.4 (Nemesis.Qos.granted q ~domain:d);
         (* slice = 40% of 10ms period *)
-        Alcotest.(check int64) "slice applied" (ms 4)
+        Alcotest.check time "slice applied" (ms 4)
           (Nemesis.Domain.params d).Nemesis.Domain.slice);
     Alcotest.test_case "overload scales grants proportionally" `Quick (fun () ->
         let e, k = rig () in

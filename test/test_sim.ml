@@ -1,21 +1,23 @@
 (* Tests for the discrete-event substrate. *)
 
+let time = Alcotest.testable Sim.Time.pp ( = )
+
 let time_tests =
   [
     Alcotest.test_case "unit constructors compose" `Quick (fun () ->
-        Alcotest.(check int64) "1us" (Sim.Time.us 1) (Sim.Time.ns 1000);
-        Alcotest.(check int64) "1ms" (Sim.Time.ms 1) (Sim.Time.us 1000);
-        Alcotest.(check int64) "1s" (Sim.Time.sec 1) (Sim.Time.ms 1000));
+        Alcotest.check time "1us" (Sim.Time.us 1) (Sim.Time.ns 1000);
+        Alcotest.check time "1ms" (Sim.Time.ms 1) (Sim.Time.us 1000);
+        Alcotest.check time "1s" (Sim.Time.sec 1) (Sim.Time.ms 1000));
     Alcotest.test_case "of_sec_f round-trips" `Quick (fun () ->
         Alcotest.(check (float 1e-9))
           "1.5s" 1.5
           (Sim.Time.to_sec_f (Sim.Time.of_sec_f 1.5)));
     Alcotest.test_case "arithmetic" `Quick (fun () ->
         let a = Sim.Time.ms 3 and b = Sim.Time.ms 1 in
-        Alcotest.(check int64) "add" (Sim.Time.ms 4) (Sim.Time.add a b);
-        Alcotest.(check int64) "sub" (Sim.Time.ms 2) (Sim.Time.sub a b);
-        Alcotest.(check int64) "mul" (Sim.Time.ms 9) (Sim.Time.mul a 3);
-        Alcotest.(check int64) "div" (Sim.Time.ms 1) (Sim.Time.div a 3);
+        Alcotest.check time "add" (Sim.Time.ms 4) (Sim.Time.add a b);
+        Alcotest.check time "sub" (Sim.Time.ms 2) (Sim.Time.sub a b);
+        Alcotest.check time "mul" (Sim.Time.ms 9) (Sim.Time.mul a 3);
+        Alcotest.check time "div" (Sim.Time.ms 1) (Sim.Time.div a 3);
         Alcotest.(check bool) "lt" true Sim.Time.(b < a));
     Alcotest.test_case "pp picks sensible units" `Quick (fun () ->
         let s t = Format.asprintf "%a" Sim.Time.pp t in
@@ -574,7 +576,7 @@ let engine_tests =
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 3) (fun () -> log := 3 :: !log));
         Sim.Engine.run e;
         Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
-        Alcotest.(check int64) "clock" (Sim.Time.ms 3) (Sim.Engine.now e));
+        Alcotest.check time "clock" (Sim.Time.ms 3) (Sim.Engine.now e));
     Alcotest.test_case "same-instant events run FIFO" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let log = ref [] in
@@ -608,7 +610,7 @@ let engine_tests =
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 10) (fun () -> incr fired));
         Sim.Engine.run e ~until:(Sim.Time.ms 5);
         Alcotest.(check int) "one fired" 1 !fired;
-        Alcotest.(check int64) "clock at until" (Sim.Time.ms 5) (Sim.Engine.now e);
+        Alcotest.check time "clock at until" (Sim.Time.ms 5) (Sim.Engine.now e);
         Sim.Engine.run e;
         Alcotest.(check int) "both fired" 2 !fired);
     Alcotest.test_case "schedule_at in the past is rejected" `Quick (fun () ->
@@ -639,7 +641,7 @@ let engine_tests =
             !n < 5);
         Sim.Engine.run e;
         Alcotest.(check int) "five ticks" 5 !n;
-        Alcotest.(check int64) "clock" (Sim.Time.ms 5) (Sim.Engine.now e));
+        Alcotest.check time "clock" (Sim.Time.ms 5) (Sim.Engine.now e));
     Alcotest.test_case "max_events bounds a run" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let n = ref 0 in
@@ -797,7 +799,7 @@ let engine_tests =
         in
         Alcotest.(check (list int))
           "firing order" (List.map snd expected) (List.rev !log);
-        Alcotest.(check int64) "clock at the last event"
+        Alcotest.check time "clock at the last event"
           (Sim.Time.us (fst (List.nth expected (List.length expected - 1))))
           (Sim.Engine.now e));
   ]
@@ -931,9 +933,16 @@ let sample_ns i =
   | 2 -> 830_000
   | _ -> 3_000_000_000
 
+(* Minor-heap and major-heap words [f ()] allocates. *)
+let words_of f =
+  let m0 = Gc.minor_words () and (_, _, j0) = Gc.counters () in
+  f ();
+  let m1 = Gc.minor_words () and (_, _, j1) = Gc.counters () in
+  (m1 -. m0, j1 -. j0)
+
 (* The per-cell instruments: every cell a link sends books a queue-delay
    sample through [Metrics.observe].  At millions of cells a run, a
-   boxed float or int64 per call is most of the simulator's garbage. *)
+   boxed float or time per call is most of the simulator's garbage. *)
 let alloc_tests =
   let zero name f =
     Alcotest.test_case (name ^ " allocates nothing") `Quick (fun () ->
@@ -956,6 +965,36 @@ let alloc_tests =
          Sim.Metrics.observe d (sample_ns i)
        done;
        fun i -> Sim.Metrics.observe d (sample_ns i));
+    (* Every component reads the clock and stamps, compares and adds
+       times per cell or event: a boxed time would be a block each. *)
+    zero "Engine.now and Time arithmetic"
+      (let e = Sim.Engine.create () in
+       ignore (Sim.Engine.schedule e ~delay:(Sim.Time.us 3) (fun () -> ()));
+       Sim.Engine.run e;
+       let latest = ref Sim.Time.zero in
+       fun i ->
+         let now = Sim.Engine.now e in
+         let t = Sim.Time.(add (mul now (i land 7)) (div (ns i) 3)) in
+         latest := Sim.Time.max !latest (Sim.Time.sub t now);
+         if Sim.Time.(!latest < zero) then Alcotest.fail "negative time");
+    Alcotest.test_case "sorting 100 000 samples allocates nothing" `Quick
+      (fun () ->
+        (* The query that sorts against the same query on the sorted
+           store, which only boxes the float it returns.  Sorting a copy
+           through a comparison closure allocated 108 minor words a
+           sample in the dev profile, and the copy 100 000 major words. *)
+        let s = Sim.Stats.Samples.create () in
+        let r = Sim.Rng.create ~seed:9L () in
+        for _ = 1 to 100_000 do
+          Sim.Stats.Samples.add s (Sim.Rng.float r)
+        done;
+        let query () = ignore (Sim.Stats.Samples.max s) in
+        let sort_minor, sort_major = words_of query in
+        let read_minor, read_major = words_of query in
+        Alcotest.(check (float 0.0)) "minor words of the sort" 0.0
+          (sort_minor -. read_minor);
+        Alcotest.(check (float 0.0)) "major words of the sort" 0.0
+          (sort_major -. read_major));
   ]
 
 let stats_tests =
@@ -1018,6 +1057,103 @@ let stats_tests =
         ignore (Sim.Stats.Samples.percentile s 50.0);
         Sim.Stats.Samples.add s 0.0;
         Alcotest.(check (float 1e-9)) "min" 0.0 (Sim.Stats.Samples.min s));
+    (* [sort_floats] replaces [Array.sort Float.compare]: the same
+       comparisons and moves, so the same bits wherever the order has
+       ties ([0.0] and [-0.0], NaNs of any payload). *)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"the in-place sort reads as Array.sort's"
+         ~count:300
+         QCheck2.Gen.(
+           let special =
+             oneofl
+               [
+                 0.0; -0.0; infinity; neg_infinity; Float.nan;
+                 Int64.float_of_bits 0x7ff8_0000_0000_0001L;
+                 Int64.float_of_bits 0xfff8_0000_0000_0000L;
+                 Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+                 Int64.float_of_bits 0xfff4_dead_beef_0000L;
+                 Float.min_float; -.Float.max_float;
+               ]
+           in
+           let value =
+             frequency
+               [
+                 (3, special);
+                 (4, map Float.of_int (int_range (-5) 5));
+                 (3, float);
+               ]
+           in
+           pair (list_size (int_range 0 2_000) value) (int_range 0 8))
+         (fun (values, pad) ->
+           let bits = Int64.bits_of_float in
+           let same_bits x y = Int64.equal (bits x) (bits y) in
+           let n = List.length values in
+           let want = Array.of_list values in
+           Array.sort Float.compare want;
+           (* The kernel sorts a prefix in place and leaves the rest. *)
+           let tail = Array.init pad (fun i -> Float.of_int (-i)) in
+           let a = Array.append (Array.of_list values) tail in
+           Sim.Stats.sort_floats a n;
+           let prefix_ok = Array.for_all2 same_bits want (Array.sub a 0 n) in
+           let rest_ok = Array.for_all2 same_bits tail (Array.sub a n pad) in
+           (* And the store's statistics read the same bits. *)
+           let stats_ok =
+             n = 0
+             ||
+             let s = Sim.Stats.Samples.create () in
+             List.iter (Sim.Stats.Samples.add s) values;
+             List.for_all
+               (fun q ->
+                 same_bits
+                   (Sim.Stats.percentile ~n (Array.get want) q)
+                   (Sim.Stats.Samples.percentile s q))
+               [ 0.0; 50.0; 95.0; 99.0; 100.0 ]
+             && same_bits want.(0) (Sim.Stats.Samples.min s)
+             && same_bits want.(n - 1) (Sim.Stats.Samples.max s)
+           in
+           prefix_ok && rest_ok && stats_ok));
+    Alcotest.test_case "sort cost per n log n stays flat from 1 000 to 100 000"
+      `Quick (fun () ->
+        (* Host time per n log2 n, best of 5 repetitions that alternate
+           the sizes.  A repetition sorts a copy of each of the 100 000
+           values' chunks of n: at 1 000 that is 100 different inputs,
+           since sorting one input over and over trains the branch
+           predictor on its comparisons (random input then read half
+           its cost). *)
+        let cost input =
+          let src = Array.init 100_000 input and a = Array.make 100_000 0.0 in
+          let once n =
+            let t0 = Unix.gettimeofday () in
+            for k = 0 to (100_000 / n) - 1 do
+              Array.blit src (k * n) a 0 n;
+              Sim.Stats.sort_floats a n
+            done;
+            let nf = Float.of_int n in
+            (Unix.gettimeofday () -. t0) /. (100_000.0 *. Float.log2 nf)
+          in
+          let small = ref infinity and big = ref infinity in
+          for _ = 1 to 5 do
+            small := Float.min !small (once 1_000);
+            big := Float.min !big (once 100_000)
+          done;
+          (!small, !big)
+        in
+        List.iter
+          (fun (name, input) ->
+            let small, big = cost input in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %.2f -> %.2f ns per n log n" name
+                 (small *. 1e9) (big *. 1e9))
+              true
+              (big <= 3.0 *. small))
+          [
+            ("sorted", Float.of_int);
+            ("reversed", fun i -> Float.of_int (-i));
+            ("all equal", fun _ -> 1.0);
+            ( "random",
+              let r = Sim.Rng.create ~seed:3L () in
+              fun _ -> Sim.Rng.float r );
+          ]);
   ]
 
 (* A bare instant in the [Sim] lane, and the names a sink retains. *)
@@ -1070,7 +1206,7 @@ let trace_tests =
             Alcotest.(check bool) "a span is a complete event" true
               (s.Sim.Trace.ev_phase = Sim.Trace.Complete);
             Alcotest.(check string) "span name" "pfs.read" s.Sim.Trace.ev_name;
-            Alcotest.(check int64) "span dur" (Sim.Time.us 15)
+            Alcotest.check time "span dur" (Sim.Time.us 15)
               (Option.get s.Sim.Trace.ev_dur);
             Alcotest.(check int) "span args merged" 2
               (List.length s.Sim.Trace.ev_args)
@@ -1856,11 +1992,14 @@ let metrics_tests =
 
 let dist_run_tests =
   [
-    (* [observe_run] books a run of a link window in closed form; it
-       must leave exactly the dist that the run's samples, observed one
-       by one, leave.  Runs start from edge cases (crossing 2^31 ns or
-       bucket edges, or the 1 024 raw samples partway or at their end)
-       or at random, with a step that is negative, zero or positive.
+    (* [observe_run] books a run of a link window in closed form and
+       its histogram one octave at a time; it must leave exactly the
+       dist that the run's samples, observed one by one, leave.  Runs
+       start from edge cases (crossing 2^31 ns or bucket edges, the
+       1 024 raw samples partway or at their end, or the train path's
+       shapes) or at random: up to 65 536 samples from below 128 to
+       2^40 ns, with a step that is zero or, in either sign, from 1 ns
+       to past the widest bucket the run reaches.
        Before the run the dist takes [lo] samples of 0 and [hi] of
        2^44 ns, which moves the ranks p50/p95/p99 read to other samples
        of the run, so that a sample booked in the wrong bucket shows;
@@ -1885,22 +2024,30 @@ let dist_run_tests =
                  (0, 4_240, 2_048, 1_023, 0);
                  (1_000, 1, 24, 1_000, 0);
                  (4_000, -3, 100, 924, 0);
+                 (* A first value below 128 climbing through 11 octaves,
+                    and a run descending through 17 from 2^40. *)
+                 (5, 3, 65_536, 0, 0);
+                 ((1 lsl 40) + 12_345, -16_777_259, 65_536, 0, 0);
+                 (* vod_flash's 32 KB frames: 684 cells from delay 0 at
+                    the 4 240 ns cell time, into buckets wider than the
+                    step; video_cells' 20-cell runs on a host link. *)
+                 (0, 4_240, 684, 0, 0);
+                 (0, 4_240, 684, 2_000, 2_000);
+                 (0, 4_240, 20, 0, 0);
+                 (84_800, 4_240, 20, 1_010, 0);
                ]
            in
            let random =
              let* first =
-               oneof [ int_range 0 300; int_range 0 5_000_000; int_range 0 (1 lsl 40) ]
+               oneof [ int_range 0 127; int_range 0 5_000_000; int_range 0 (1 lsl 40) ]
              in
-             let* count = int_range 1 3_000 in
+             let* count = oneof [ int_range 1 3_000; int_range 1 65_536 ] in
+             (* A magnitude spread evenly over the powers of two, so that
+                steps narrower and wider than the buckets both come up. *)
              let* step =
-               oneof
-                 [
-                   return 0;
-                   int_range 1 4;
-                   int_range (-4) (-1);
-                   int_range 1 5_000;
-                   int_range (-5_000) (-1);
-                 ]
+               let* bits = int_range 0 42 in
+               let* mag = int_range 1 (1 lsl bits) in
+               oneofl [ 0; mag; -mag ]
              in
              (* Keep every sample at least 0. *)
              let step = Int.max step (-(first / Int.max 1 (count - 1))) in
@@ -1909,6 +2056,10 @@ let dist_run_tests =
            in
            pair bool (oneof [ edge; random ]))
          (fun (exact, (first, step, count, lo, hi)) ->
+           (* An exact dist reads its percentiles from the raw samples,
+              not the histogram, and sorts them all per snapshot: long
+              runs check the sampled dist only. *)
+           let exact = exact && count <= 3_000 in
            let dump f =
              let registry () = Sim.Metrics.create ~exact_dists:exact () in
              let m = registry () in
@@ -1949,7 +2100,7 @@ let daemon_tests =
         (* The run stops at the last user event; the daemon fired only
            while user work remained. *)
         Alcotest.(check int) "three ticks" 3 !ticks;
-        Alcotest.(check int64) "stopped at 35ms" (Sim.Time.ms 35)
+        Alcotest.check time "stopped at 35ms" (Sim.Time.ms 35)
           (Sim.Engine.now e));
     Alcotest.test_case "daemons do fire under a time bound" `Quick (fun () ->
         let e = Sim.Engine.create () in
@@ -1966,7 +2117,7 @@ let daemon_tests =
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 2) (fun () -> ()));
         ignore (Sim.Engine.cancel e id);
         Sim.Engine.run e;
-        Alcotest.(check int64) "user event still ran" (Sim.Time.ms 2)
+        Alcotest.check time "user event still ran" (Sim.Time.ms 2)
           (Sim.Engine.now e));
   ]
 

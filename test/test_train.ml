@@ -4,6 +4,7 @@
    move as trains (one event per hop) or cell by cell. *)
 
 let us = Sim.Time.us
+let time = Alcotest.testable Sim.Time.pp ( = )
 let ms = Sim.Time.ms
 
 (* A payload framed as one train, the way [Net.send_frame] frames it. *)
@@ -236,7 +237,7 @@ let link_tests =
         let expect = Sim.Time.add (Sim.Time.ns (n * 4240)) (us 5) in
         Alcotest.(check int) "all cells" n (List.length !got);
         List.iter
-          (fun (at, _) -> Alcotest.(check int64) "arrival" expect at)
+          (fun (at, _) -> Alcotest.check time "arrival" expect at)
           !got);
     Alcotest.test_case "queue_depth integer math at slot boundaries" `Quick
       (fun () ->
