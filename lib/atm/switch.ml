@@ -10,6 +10,8 @@ type pend = { pa : Cell_times.t; pun : bool }
 type t = {
   engine : Sim.Engine.t;
   name : string;
+  hop : string;  (* the flow-step name, built once so every step passes
+                    the same string to the trace's interner *)
   nports : int;
   outputs : Link.t option array;
   table : (int * int, port * int * bool) Hashtbl.t;  (* ..., priority *)
@@ -29,6 +31,7 @@ let create engine ~name ~ports =
   {
     engine;
     name;
+    hop = "sw:" ^ name;
     nports = ports;
     outputs = Array.make ports None;
     table = Hashtbl.create 64;
@@ -96,8 +99,7 @@ let input t in_port (cell : Cell.t) =
           if cell.last && Sim.Trace.flows_on tr && cell.flow >= 0 then
             Sim.Trace.flow_step tr
               ~ts:(Sim.Engine.now t.engine)
-              ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:cell.flow
-              ("sw:" ^ t.name);
+              ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:cell.flow t.hop;
           cell.vci <- out_vci;
           let forward () = Link.send ~priority link cell in
           ignore (Sim.Engine.schedule t.engine ~delay:fabric_delay forward)
@@ -158,8 +160,7 @@ let input_train t in_port (train : Train.t) ~arrivals =
       then
         Sim.Trace.flow_step tr
           ~ts:(Sim.Time.ns (Cell_times.last arrivals))
-          ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train)
-          ("sw:" ^ t.name);
+          ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train) t.hop;
       train.Train.vci <- out_vci;
       note_pending t arrivals false;
       (* Commit downstream immediately with the (future) fabric-shifted

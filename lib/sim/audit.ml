@@ -52,20 +52,23 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Construction. *)
+(* Construction.
 
-type acc = {
-  mutable fa_events : Trace.event list;  (* newest first *)
-  mutable fa_started : bool;
-  mutable fa_ended : bool;
-}
+   The audit reads the trace's columns, never its records.  Two passes
+   over the flow events make a counting sort: the first gives each flow
+   a dense index in first-appearance order, the second places each
+   event's ts, name id, phase and args id in its flow's run, in record
+   order.  A stable insertion sort then puts each flow in ts order.
+   Stages are keyed by name id (a sink interns equal names to one id).
+   Every float is summed in the order this report has always used, so
+   reports stay byte-identical: float addition is not associative. *)
+
+module Itbl = Hashtbl.Make (Int)
 
 let arg_stream args =
   match List.assoc_opt "stream" args with
   | Some (Trace.Str s) -> Some s
   | _ -> None
-
-let ns ev = Time.to_ns ev.Trace.ev_ts
 
 let capture tr =
   Trace.set_capacity tr None;
@@ -73,195 +76,243 @@ let capture tr =
   Trace.set_flows tr true;
   Trace.set_cell_detail tr false
 
+(* A stage of one stream, found by its name id. *)
+type stage_acc = {
+  sa_name : int;
+  sa_samples : Stats.Samples.t;
+  mutable sa_total : float;
+  mutable sa_misses : int;
+}
+
+(* Event codes in the grouped key: [name lsl 2 lor code]. *)
+let start_code = 0
+let step_code = 1
+let end_code = 2
+
 let of_trace ?deadline_ns tr =
-  let events = Trace.events tr in
-  (* Group flow events by id, preserving trace (time) order. *)
-  let flows : (int, acc) Hashtbl.t = Hashtbl.create 256 in
-  let order = ref [] in
-  let orphans = ref 0 in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.ev_phase with
-      | Trace.Instant | Trace.Complete -> ()
-      | Trace.Flow_start | Trace.Flow_step | Trace.Flow_end ->
-          let a =
-            match Hashtbl.find_opt flows e.ev_flow with
-            | Some a -> a
-            | None ->
-                let a =
-                  { fa_events = []; fa_started = false; fa_ended = false }
-                in
-                Hashtbl.add flows e.ev_flow a;
-                order := e.ev_flow :: !order;
-                a
-          in
-          a.fa_events <- e :: a.fa_events;
-          (match e.ev_phase with
-          | Trace.Flow_start -> a.fa_started <- true
-          | Trace.Flow_end -> a.fa_ended <- true
-          | _ -> ()))
-    events;
+  (* Pass 1: a dense index per flow, in first-appearance order, for
+     each flow event in record order. *)
+  let dense = Itbl.create 256 in
+  let ev_flow = Array.make (Trace.length tr) 0 in
+  let n = ref 0 in
+  Trace.iter_flow_events tr (fun ~ts:_ ~flow ~phase:_ ~name:_ ~args:_ ->
+      let f =
+        match Itbl.find dense flow with
+        | f -> f
+        | exception Not_found ->
+            let f = Itbl.length dense in
+            Itbl.add dense flow f;
+            f
+      in
+      ev_flow.(!n) <- f;
+      incr n);
+  let n = !n and nf = Itbl.length dense in
+  let fl_id = Array.make nf 0 in
+  Itbl.iter (fun id f -> fl_id.(f) <- id) dense;
+  (* A counting sort: flow [f]'s events go to [fl_off.(f)] and on, in
+     record order. *)
+  let fl_off = Array.make (nf + 1) 0 in
+  for k = 0 to n - 1 do
+    let f = ev_flow.(k) in
+    fl_off.(f + 1) <- fl_off.(f + 1) + 1
+  done;
+  for f = 1 to nf do
+    fl_off.(f) <- fl_off.(f) + fl_off.(f - 1)
+  done;
+  let next = Array.sub fl_off 0 nf in
+  let g_ts = Array.make n 0
+  and g_key = Array.make n 0
+  and g_args = Array.make n 0 in
+  let fl_start = Array.make nf false and fl_end = Array.make nf false in
+  let k = ref 0 and max_name = ref 0 in
+  (* Pass 2: place each event's ts, name, phase and args. *)
+  Trace.iter_flow_events tr (fun ~ts ~flow:_ ~phase ~name ~args ->
+      let f = ev_flow.(!k) in
+      incr k;
+      let p = next.(f) in
+      next.(f) <- p + 1;
+      let code =
+        match phase with
+        | Trace.Flow_start ->
+            fl_start.(f) <- true;
+            start_code
+        | Trace.Flow_end ->
+            fl_end.(f) <- true;
+            end_code
+        | Trace.Flow_step | Trace.Instant | Trace.Complete -> step_code
+      in
+      g_ts.(p) <- ts;
+      g_key.(p) <- (name lsl 2) lor code;
+      g_args.(p) <- args;
+      if name > !max_name then max_name := name);
+  (* Train-path hops are committed ahead of time with future
+     timestamps, so record order within a flow is not guaranteed to be
+     ts order.  The few events recorded early move back; ties keep
+     record order. *)
+  for f = 0 to nf - 1 do
+    let lo = fl_off.(f) in
+    for i = lo + 1 to fl_off.(f + 1) - 1 do
+      let ts = g_ts.(i) and key = g_key.(i) and args = g_args.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && g_ts.(!j) > ts do
+        g_ts.(!j + 1) <- g_ts.(!j);
+        g_key.(!j + 1) <- g_key.(!j);
+        g_args.(!j + 1) <- g_args.(!j);
+        decr j
+      done;
+      g_ts.(!j + 1) <- ts;
+      g_key.(!j + 1) <- key;
+      g_args.(!j + 1) <- args
+    done
+  done;
+  (* The position of a flow's first start in ts order: it opens the
+     flow's clock and owns no interval. *)
+  let start_of f =
+    let rec go i =
+      if g_key.(i) land 3 = start_code then i else go (i + 1)
+    in
+    go fl_off.(f)
+  in
   (* Partition flows into streams keyed by the start event's "stream"
      arg (or its name).  Flows without a start only contribute to the
      orphan count. *)
-  let streams : (string, (int * Trace.event list) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let stream_order = ref [] in
-  let complete = ref 0 and incomplete = ref 0 in
-  List.iter
-    (fun id ->
-      let a = Hashtbl.find flows id in
-      (* Train-path hops are committed ahead of time with future
-         timestamps, so record order within a flow is not guaranteed to
-         be ts order; normalise. *)
-      let evs =
-        List.stable_sort
-          (fun (x : Trace.event) y -> compare (ns x) (ns y))
-          (List.rev a.fa_events)
+  let streams : (string, int list ref) Hashtbl.t = Hashtbl.create 16 in
+  let complete = ref 0 and incomplete = ref 0 and orphans = ref 0 in
+  for f = 0 to nf - 1 do
+    if not fl_start.(f) then orphans := !orphans + fl_off.(f + 1) - fl_off.(f)
+    else begin
+      if fl_end.(f) then incr complete else incr incomplete;
+      let s = start_of f in
+      let label =
+        match arg_stream (Trace.args_of_id tr g_args.(s)) with
+        | Some l -> l
+        | None -> Trace.name_of_id tr (g_key.(s) lsr 2)
       in
-      if not a.fa_started then orphans := !orphans + List.length evs
-      else begin
-        if a.fa_ended then incr complete else incr incomplete;
-        let start =
-          List.find (fun e -> e.Trace.ev_phase = Trace.Flow_start) evs
-        in
-        let label =
-          match arg_stream start.Trace.ev_args with
-          | Some s -> s
-          | None -> start.Trace.ev_name
-        in
-        let bucket =
-          match Hashtbl.find_opt streams label with
-          | Some r -> r
-          | None ->
-              let r = ref [] in
-              Hashtbl.add streams label r;
-              stream_order := label :: !stream_order;
-              r
-        in
-        bucket := (id, evs) :: !bucket
-      end)
-    (List.rev !order);
-  let labels = List.sort String.compare (List.rev !stream_order) in
+      match Hashtbl.find_opt streams label with
+      | Some r -> r := f :: !r
+      | None -> Hashtbl.add streams label (ref [ f ])
+    end
+  done;
+  let labels =
+    List.sort String.compare (Hashtbl.fold (fun l _ acc -> l :: acc) streams [])
+  in
+  let no_stage =
+    {
+      sa_name = -1;
+      sa_samples = Stats.Samples.create ();
+      sa_total = 0.0;
+      sa_misses = 0;
+    }
+  in
+  let stage_of_name = Array.make (!max_name + 1) no_stage in
   let mk_stream label =
     let flows = List.rev !(Hashtbl.find streams label) in
-    (* Completed flows ordered by (start ts, id) for jitter. *)
+    (* Completed flows ordered by (first ts, id) for jitter. *)
+    let first_ts f = g_ts.(fl_off.(f)) in
     let done_flows =
-      List.filter
-        (fun (_, evs) ->
-          List.exists
-            (fun e -> e.Trace.ev_phase = Trace.Flow_end)
-            evs)
-        flows
+      Array.of_list
+        (List.sort
+           (fun a b ->
+             let c = Int.compare (first_ts a) (first_ts b) in
+             if c <> 0 then c else Int.compare fl_id.(a) fl_id.(b))
+           (List.filter (fun f -> fl_end.(f)) flows))
     in
-    let done_flows =
-      List.stable_sort
-        (fun (ia, a) (ib, b) ->
-          let c = compare (ns (List.hd a)) (ns (List.hd b)) in
-          if c <> 0 then c else compare ia ib)
-        done_flows
-    in
-    let n_done = List.length done_flows in
+    let n_done = Array.length done_flows in
     let n_incomplete = List.length flows - n_done in
-    (* Stage samples, in first-appearance order. *)
-    let stage_order = ref [] in
-    let stage_samples : (string, Stats.Samples.t) Hashtbl.t =
-      Hashtbl.create 16
+    (* Stages, newest first; [stage_of_name] finds them until the
+       stream is done. *)
+    let found = ref [] in
+    let stage name =
+      let a = stage_of_name.(name) in
+      if a != no_stage then a
+      else begin
+        let a =
+          {
+            sa_name = name;
+            sa_samples = Stats.Samples.create ();
+            sa_total = 0.0;
+            sa_misses = 0;
+          }
+        in
+        stage_of_name.(name) <- a;
+        found := a :: !found;
+        a
+      end
     in
-    let stage_total : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
-    let samples_for name =
-      match Hashtbl.find_opt stage_samples name with
-      | Some s -> s
-      | None ->
-          let s = Stats.Samples.create () in
-          Hashtbl.add stage_samples name s;
-          Hashtbl.add stage_total name (ref 0.0);
-          stage_order := name :: !stage_order;
-          s
-    in
+    (* The interval ending at each event but the start is charged to
+       that event's stage: [d] is its length. *)
     let e2e = Stats.Samples.create () in
     let total_e2e = ref 0.0 and total_attr = ref 0.0 in
-    (* Per-flow interval lists, kept for miss attribution. *)
-    let flow_intervals =
-      List.map
-        (fun (_, evs) ->
-          let start =
-            List.find (fun e -> e.Trace.ev_phase = Trace.Flow_start) evs
-          in
-          let t0 = ns start in
-          let prev = ref t0 in
-          let intervals =
-            List.filter_map
-              (fun e ->
-                if e == start then None
-                else begin
-                  let d = float_of_int (ns e - !prev) in
-                  prev := ns e;
-                  let s = samples_for e.Trace.ev_name in
-                  Stats.Samples.add s d;
-                  let tot = Hashtbl.find stage_total e.Trace.ev_name in
-                  tot := !tot +. d;
-                  Some (e.Trace.ev_name, d)
-                end)
-              evs
-          in
-          let latency = float_of_int (!prev - t0) in
-          Stats.Samples.add e2e latency;
-          total_e2e := !total_e2e +. latency;
-          total_attr :=
-            !total_attr +. List.fold_left (fun a (_, d) -> a +. d) 0.0 intervals;
-          (intervals, latency))
-        done_flows
-    in
+    let latencies = Array.make n_done 0.0 in
+    for j = 0 to n_done - 1 do
+      let f = done_flows.(j) in
+      let s = start_of f in
+      let t0 = g_ts.(s) in
+      let prev = ref t0 and attr = ref 0.0 in
+      for i = fl_off.(f) to fl_off.(f + 1) - 1 do
+        if i <> s then begin
+          let d = float_of_int (g_ts.(i) - !prev) in
+          prev := g_ts.(i);
+          let a = stage (g_key.(i) lsr 2) in
+          Stats.Samples.add a.sa_samples d;
+          a.sa_total <- a.sa_total +. d;
+          attr := !attr +. d
+        end
+      done;
+      let latency = float_of_int (!prev - t0) in
+      Stats.Samples.add e2e latency;
+      total_e2e := !total_e2e +. latency;
+      total_attr := !total_attr +. !attr;
+      latencies.(j) <- latency
+    done;
     (* Deadline misses: attributed to the stage that ate the most slack
-       relative to its stream-median duration. *)
-    let stage_misses : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
+       relative to its stream-median duration (the first on a tie). *)
     let misses = ref 0 in
     (match deadline_ns with
     | None -> ()
     | Some dl ->
         let dl = float_of_int dl in
-        List.iter
-          (fun (intervals, latency) ->
-            if latency > dl then begin
-              incr misses;
-              let worst = ref None in
-              List.iter
-                (fun (name, d) ->
-                  let med =
-                    Stats.Samples.percentile
-                      (Hashtbl.find stage_samples name)
-                      50.0
-                  in
-                  let slack = d -. med in
-                  match !worst with
-                  | Some (_, s) when s >= slack -> ()
-                  | _ -> worst := Some (name, slack))
-                intervals;
-              match !worst with
-              | None -> ()
-              | Some (name, _) ->
-                  let r =
-                    match Hashtbl.find_opt stage_misses name with
-                    | Some r -> r
-                    | None ->
-                        let r = ref 0 in
-                        Hashtbl.add stage_misses name r;
-                        r
-                  in
-                  incr r
-            end)
-          flow_intervals);
+        for j = 0 to n_done - 1 do
+          if latencies.(j) > dl then begin
+            incr misses;
+            let f = done_flows.(j) in
+            let s = start_of f in
+            let prev = ref g_ts.(s) in
+            let worst = ref no_stage and worst_slack = ref 0.0 in
+            for i = fl_off.(f) to fl_off.(f + 1) - 1 do
+              if i <> s then begin
+                let d = float_of_int (g_ts.(i) - !prev) in
+                prev := g_ts.(i);
+                let a = stage_of_name.(g_key.(i) lsr 2) in
+                let slack = d -. Stats.Samples.percentile a.sa_samples 50.0 in
+                if !worst == no_stage || not (!worst_slack >= slack) then begin
+                  worst := a;
+                  worst_slack := slack
+                end
+              end
+            done;
+            if !worst != no_stage then
+              !worst.sa_misses <- !worst.sa_misses + 1
+          end
+        done);
+    let found = List.rev !found in
+    List.iter (fun a -> stage_of_name.(a.sa_name) <- no_stage) found;
+    (* Summed in the order a string-keyed Hashtbl of the stage totals,
+       filled in first-appearance order, folds them: the order this
+       report has always used. *)
     let grand_total =
-      Hashtbl.fold (fun _ tot acc -> acc +. !tot) stage_total 0.0
+      let totals = Hashtbl.create 16 in
+      List.iter
+        (fun a -> Hashtbl.add totals (Trace.name_of_id tr a.sa_name) a.sa_total)
+        found;
+      Hashtbl.fold (fun _ tot acc -> acc +. tot) totals 0.0
     in
     let stages =
-      List.rev_map
-        (fun name ->
-          let s = Hashtbl.find stage_samples name in
+      List.map
+        (fun a ->
+          let s = a.sa_samples in
           {
-            sg_name = name;
+            sg_name = Trace.name_of_id tr a.sa_name;
             sg_count = Stats.Samples.count s;
             sg_p50_ns = Stats.Samples.percentile s 50.0;
             sg_p95_ns = Stats.Samples.percentile s 95.0;
@@ -269,15 +320,10 @@ let of_trace ?deadline_ns tr =
             sg_mean_ns = Stats.Samples.mean s;
             sg_max_ns = Stats.Samples.max s;
             sg_share =
-              (if grand_total > 0.0 then
-                 !(Hashtbl.find stage_total name) /. grand_total
-               else 0.0);
-            sg_misses =
-              (match Hashtbl.find_opt stage_misses name with
-              | Some r -> !r
-              | None -> 0);
+              (if grand_total > 0.0 then a.sa_total /. grand_total else 0.0);
+            sg_misses = a.sa_misses;
           })
-        !stage_order
+        found
     in
     let critical =
       List.fold_left
@@ -287,14 +333,14 @@ let of_trace ?deadline_ns tr =
           | _ -> Some sg)
         None stages
     in
-    (* Inter-flow jitter over consecutive end-to-end latencies. *)
+    (* Inter-flow jitter over consecutive end-to-end latencies, summed
+       newest delta first. *)
     let jitter_mean, jitter_max =
-      let rec deltas acc = function
-        | (_, a) :: ((_, b) :: _ as rest) ->
-            deltas (Float.abs (b -. a) :: acc) rest
-        | _ -> acc
-      in
-      match deltas [] flow_intervals with
+      let ds = ref [] in
+      for j = 1 to n_done - 1 do
+        ds := Float.abs (latencies.(j) -. latencies.(j - 1)) :: !ds
+      done;
+      match !ds with
       | [] -> (0.0, 0.0)
       | ds ->
           let n = float_of_int (List.length ds) in

@@ -17,6 +17,219 @@ type event = {
   ev_args : (string * arg) list;
 }
 
+(* ------------------------------------------------------------------ *)
+(* The store.
+
+   An event is four native ints in a [Bytes] chunk: its ts, its flow,
+   its duration (-1 for an instant or a flow event) and one packed
+   word holding its phase, its subsystem and the interned ids of its
+   cat, name and args.  Chunks hold no pointer, so the GC never scans
+   them, and a sink's heap blocks are its chunks plus its distinct
+   strings and arg lists, however many events it holds.  A chunk of
+   [chunk_slots] events is allocated when the first event lands in it
+   and never copied: a store that grows adds a chunk. *)
+
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let slot_bytes = 32
+let chunk_shift = 10
+let chunk_slots = 1 lsl chunk_shift
+let ts_ = 0
+let flow_ = 8
+let dur_ = 16
+let packed_ = 24
+
+(* The packed word, low bits first: phase (3 bits), subsystem (5), cat
+   id (10), name id (21), args id (23): 62 bits, so it stays
+   non-negative. *)
+let sub_shift = 3
+let cat_shift = 8
+let name_shift = 18
+let args_shift = 39
+let sub_limit = 1 lsl 5
+let cat_limit = 1 lsl 10
+let name_limit = 1 lsl 21
+let args_limit = 1 lsl 23
+
+let too_many what limit =
+  failwith
+    (Printf.sprintf "Trace: more than %d distinct %s in one sink" limit what)
+
+let grow a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (Stdlib.max 8 (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+module Stbl = Hashtbl.Make (String)
+
+(* A per-sink string table.  Record sites mostly pass the same literal
+   again and again, so a one-entry cache answers a string physically
+   equal to the last one looked up without hashing it.  [last] starts
+   as a fresh string that no caller can hold, so the cache never
+   answers before its first lookup. *)
+type strings = {
+  s_ids : int Stbl.t;
+  mutable s_of : string array;  (* id -> string *)
+  mutable s_n : int;
+  mutable last : string;
+  mutable last_id : int;
+  s_what : string;
+  s_limit : int;
+}
+
+let strings what limit =
+  {
+    s_ids = Stbl.create 16;
+    s_of = [||];
+    s_n = 0;
+    last = String.make 1 ' ';
+    last_id = 0;
+    s_what = what;
+    s_limit = limit;
+  }
+
+let intern_slow s str =
+  let id =
+    match Stbl.find s.s_ids str with
+    | id -> id
+    | exception Not_found ->
+        let id = s.s_n in
+        if id >= s.s_limit then too_many s.s_what s.s_limit;
+        s.s_of <- grow s.s_of id str;
+        s.s_of.(id) <- str;
+        s.s_n <- id + 1;
+        Stbl.add s.s_ids str id;
+        id
+  in
+  s.last <- str;
+  s.last_id <- id;
+  id
+
+let[@inline] intern s str =
+  if str == s.last then s.last_id else intern_slow s str
+
+(* Arg lists are interned by content, floats by their bits: [0.0] and
+   [-0.0], or two NaN payloads, are different args and stay so. *)
+let arg_equal a b =
+  match (a, b) with
+  | Str x, Str y -> String.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Bool x, Bool y -> Bool.equal x y
+  | (Str _ | Int _ | Float _ | Bool _), _ -> false
+
+module Atbl = Hashtbl.Make (struct
+  type t = (string * arg) list
+
+  let rec equal a b =
+    a == b
+    ||
+    match (a, b) with
+    | (k, x) :: a, (k', y) :: b ->
+        String.equal k k' && arg_equal x y && equal a b
+    | _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
+(* Everything a sink interns, created with its first record.  Args id 0
+   is [[]]; subsystem codes 0-5 are the named layers and 6 on the
+   [Other _] ones, in first-appearance order. *)
+type dict = {
+  cats : strings;
+  names : strings;
+  arg_ids : int Atbl.t;
+  mutable arg_lists : (string * arg) list array;  (* id -> args *)
+  mutable n_args : int;
+  mutable last_args : (string * arg) list;
+  mutable last_args_id : int;
+  mutable others : Subsystem.t array;
+  mutable n_others : int;
+}
+
+let new_dict () =
+  {
+    cats = strings "cats" cat_limit;
+    names = strings "names" name_limit;
+    arg_ids = Atbl.create 16;
+    arg_lists = Array.make 8 [];
+    n_args = 1;
+    (* A fresh list, for the same reason as [strings]'s [last]. *)
+    last_args = [ (String.make 1 ' ', Bool false) ];
+    last_args_id = 0;
+    others = [||];
+    n_others = 0;
+  }
+
+let args_slow d args =
+  let id =
+    match Atbl.find d.arg_ids args with
+    | id -> id
+    | exception Not_found ->
+        let id = d.n_args in
+        if id >= args_limit then too_many "arg lists" args_limit;
+        d.arg_lists <- grow d.arg_lists id args;
+        d.arg_lists.(id) <- args;
+        d.n_args <- id + 1;
+        Atbl.add d.arg_ids args id;
+        id
+  in
+  d.last_args <- args;
+  d.last_args_id <- id;
+  id
+
+let[@inline] args_id d = function
+  | [] -> 0
+  | args -> if args == d.last_args then d.last_args_id else args_slow d args
+
+let other_code d s =
+  let rec find i =
+    if i = d.n_others then begin
+      if 6 + i >= sub_limit then too_many "Other subsystems" (sub_limit - 6);
+      d.others <- grow d.others i (Subsystem.Other s);
+      d.others.(i) <- Subsystem.Other s;
+      d.n_others <- i + 1;
+      6 + i
+    end
+    else
+      match d.others.(i) with
+      | Subsystem.Other s' when String.equal s s' -> 6 + i
+      | _ -> find (i + 1)
+  in
+  find 0
+
+let sub_code d : Subsystem.t -> int = function
+  | Sim -> 0
+  | Atm -> 1
+  | Nemesis -> 2
+  | Pfs -> 3
+  | Rpc -> 4
+  | Naming -> 5
+  | Other s -> other_code d s
+
+let sub_of d : int -> Subsystem.t = function
+  | 0 -> Sim
+  | 1 -> Atm
+  | 2 -> Nemesis
+  | 3 -> Pfs
+  | 4 -> Rpc
+  | 5 -> Naming
+  | c -> d.others.(c - 6)
+
+(* A phase's code is its index here; flow phases are the codes from
+   [flow_start_] on. *)
+let phases = [| Instant; Complete; Flow_start; Flow_step; Flow_end |]
+let instant_ = 0
+let complete_ = 1
+let flow_start_ = 2
+let flow_step_ = 3
+let flow_end_ = 4
+
 type t = {
   mutable cap : int option;  (* None = unbounded *)
   mutable enabled : bool;
@@ -25,10 +238,12 @@ type t = {
   mutable f_on : bool;  (* enabled && flows, precomputed *)
   mutable c_on : bool;  (* enabled && cells, precomputed *)
   mutable next_flow : int;
-  mutable entries : event option array;
+  mutable chunks : Bytes.t array;  (* the first [n_chunks] are in use *)
+  mutable n_chunks : int;
   mutable head : int;  (* next write position (bounded mode) *)
   mutable count : int;
   mutable dropped : int;
+  mutable dict : dict option;  (* None until the first record *)
 }
 
 let no_flow = -1
@@ -44,9 +259,10 @@ type span =
       sp_args : (string * arg) list;
     }
 
+(* Nothing is allocated for the store here: a sink that never records
+   (every disabled one) costs its record alone. *)
 let create ?(capacity = 4096) ?(unbounded = false) ?(enabled = true) () =
   let cap = if unbounded then None else Some capacity in
-  let initial = match cap with Some c -> c | None -> 64 in
   {
     cap;
     enabled;
@@ -55,10 +271,12 @@ let create ?(capacity = 4096) ?(unbounded = false) ?(enabled = true) () =
     f_on = false;
     c_on = enabled;
     next_flow = 1;
-    entries = Array.make (Stdlib.max 1 initial) None;
+    chunks = [||];
+    n_chunks = 0;
     head = 0;
     count = 0;
     dropped = 0;
+    dict = None;
   }
 
 let refresh t =
@@ -89,83 +307,91 @@ let alloc_flow t =
 let length t = t.count
 let dropped t = t.dropped
 
-(* Resizing mid-run restarts the sink: the new ring starts empty and
+(* Resizing mid-run restarts the sink: the new store starts empty and
    the drop counter restarts at zero, so post-resize statistics are
    about the new capacity only. *)
 let set_capacity t cap =
   t.cap <- cap;
-  let size = match cap with Some c -> Stdlib.max 1 c | None -> 64 in
-  t.entries <- Array.make size None;
+  t.chunks <- [||];
+  t.n_chunks <- 0;
   t.head <- 0;
   t.count <- 0;
-  t.dropped <- 0
+  t.dropped <- 0;
+  t.dict <- None
 
-let push t ev =
-  if t.enabled then begin
+(* Positions are first reached in increasing order in both modes, so
+   the chunk a new position needs is always the next one.  A ring's
+   last chunk holds only the slots its capacity reaches. *)
+let add_chunk t =
+  let ci = t.n_chunks in
+  let slots =
+    match t.cap with
+    | Some c -> Stdlib.min chunk_slots (c - (ci * chunk_slots))
+    | None -> chunk_slots
+  in
+  let b = Bytes.create (slots * slot_bytes) in
+  t.chunks <- grow t.chunks ci Bytes.empty;
+  t.chunks.(ci) <- b;
+  t.n_chunks <- ci + 1;
+  b
+
+let push t ts flow dur packed =
+  let pos =
     match t.cap with
     | Some c ->
+        let p = t.head in
         if t.count = c then t.dropped <- t.dropped + 1
         else t.count <- t.count + 1;
-        t.entries.(t.head) <- Some ev;
-        t.head <- (t.head + 1) mod c
+        t.head <- (if p + 1 = c then 0 else p + 1);
+        p
     | None ->
-        if t.count = Array.length t.entries then begin
-          let bigger = Array.make (2 * t.count) None in
-          Array.blit t.entries 0 bigger 0 t.count;
-          t.entries <- bigger
-        end;
-        t.entries.(t.count) <- Some ev;
-        t.count <- t.count + 1
-  end
+        let p = t.count in
+        t.count <- p + 1;
+        p
+  in
+  let ci = pos lsr chunk_shift in
+  let b = if ci < t.n_chunks then t.chunks.(ci) else add_chunk t in
+  let off = (pos land (chunk_slots - 1)) * slot_bytes in
+  set64 b (off + ts_) (Int64.of_int ts);
+  set64 b (off + flow_) (Int64.of_int flow);
+  set64 b (off + dur_) (Int64.of_int dur);
+  set64 b (off + packed_) (Int64.of_int packed)
+
+let dict t =
+  match t.dict with
+  | Some d -> d
+  | None ->
+      let d = new_dict () in
+      t.dict <- Some d;
+      d
+
+let record t phase ~ts ~dur ~sub ~cat ~flow ~args name =
+  let d = dict t in
+  push t (Time.to_ns ts) flow dur
+    (phase
+    lor (sub_code d sub lsl sub_shift)
+    lor (intern d.cats cat lsl cat_shift)
+    lor (intern d.names name lsl name_shift)
+    lor (args_id d args lsl args_shift))
 
 let instant t ~ts ~sub ?(cat = "") ?(flow = no_flow) ?(args = []) name =
-  push t
-    {
-      ev_ts = ts;
-      ev_dur = None;
-      ev_phase = Instant;
-      ev_sub = sub;
-      ev_cat = cat;
-      ev_name = name;
-      ev_flow = flow;
-      ev_args = args;
-    }
+  if t.enabled then record t instant_ ~ts ~dur:(-1) ~sub ~cat ~flow ~args name
 
-let complete t ~ts ~dur ~sub ?(cat = "") ?(flow = no_flow) ?(args = []) name =
-  push t
-    {
-      ev_ts = ts;
-      ev_dur = Some dur;
-      ev_phase = Complete;
-      ev_sub = sub;
-      ev_cat = cat;
-      ev_name = name;
-      ev_flow = flow;
-      ev_args = args;
-    }
+let complete t ~ts ~dur ~sub ~cat ~flow ~args name =
+  if t.enabled then
+    record t complete_ ~ts ~dur:(Time.to_ns dur) ~sub ~cat ~flow ~args name
 
 let flow_event t phase ~ts ~sub ~cat ~flow ~args name =
-  if t.f_on then
-    push t
-      {
-        ev_ts = ts;
-        ev_dur = None;
-        ev_phase = phase;
-        ev_sub = sub;
-        ev_cat = cat;
-        ev_name = name;
-        ev_flow = flow;
-        ev_args = args;
-      }
+  if t.f_on then record t phase ~ts ~dur:(-1) ~sub ~cat ~flow ~args name
 
 let flow_start t ~ts ~sub ?(cat = "flow") ?(args = []) ~flow name =
-  flow_event t Flow_start ~ts ~sub ~cat ~flow ~args name
+  flow_event t flow_start_ ~ts ~sub ~cat ~flow ~args name
 
 let flow_step t ~ts ~sub ?(cat = "flow") ?(args = []) ~flow name =
-  flow_event t Flow_step ~ts ~sub ~cat ~flow ~args name
+  flow_event t flow_step_ ~ts ~sub ~cat ~flow ~args name
 
 let flow_end t ~ts ~sub ?(cat = "flow") ~flow name =
-  flow_event t Flow_end ~ts ~sub ~cat ~flow ~args:[] name
+  flow_event t flow_end_ ~ts ~sub ~cat ~flow ~args:[] name
 
 let span_begin t ~ts ~sub ?(cat = "") ?(flow = no_flow) ?(args = []) name =
   if not t.enabled then Null_span
@@ -197,31 +423,109 @@ let like t =
   set_cell_detail l t.cells;
   l
 
-let events t =
-  let result = ref [] in
-  let len = Array.length t.entries in
-  for i = 0 to t.count - 1 do
-    let idx =
-      match t.cap with
-      | Some _ -> (t.head - 1 - i + (2 * len)) mod len
-      | None -> t.count - 1 - i
-    in
-    match t.entries.(idx) with
-    | Some e -> result := e :: !result
-    | None -> ()
-  done;
-  !result
+(* ------------------------------------------------------------------ *)
+(* Reading the store. *)
 
-(* Replaying [src] through [push] keeps [into]'s ring semantics: a
-   bounded parent retains the newest events and counts the rest as
-   dropped. *)
+(* The position of the [i]th oldest retained event. *)
+let slot t i =
+  match t.cap with
+  | Some c ->
+      let p = t.head - t.count + i in
+      if p < 0 then p + c else p
+  | None -> i
+
+let[@inline] word t pos field =
+  Int64.to_int
+    (get64
+       t.chunks.(pos lsr chunk_shift)
+       (((pos land (chunk_slots - 1)) * slot_bytes) + field))
+
+let event_at t d pos =
+  let packed = word t pos packed_ and dur = word t pos dur_ in
+  {
+    ev_ts = Time.ns (word t pos ts_);
+    ev_dur = (if dur < 0 then None else Some (Time.ns dur));
+    ev_phase = phases.(packed land 7);
+    ev_sub = sub_of d ((packed lsr sub_shift) land (sub_limit - 1));
+    ev_cat = d.cats.s_of.((packed lsr cat_shift) land (cat_limit - 1));
+    ev_name = d.names.s_of.((packed lsr name_shift) land (name_limit - 1));
+    ev_flow = word t pos flow_;
+    ev_args = d.arg_lists.(packed lsr args_shift);
+  }
+
+let events t =
+  match t.dict with
+  | None -> []
+  | Some d ->
+      let acc = ref [] in
+      for i = t.count - 1 downto 0 do
+        acc := event_at t d (slot t i) :: !acc
+      done;
+      !acc
+
+let iter_flow_events t f =
+  for i = 0 to t.count - 1 do
+    let pos = slot t i in
+    let packed = word t pos packed_ in
+    let ph = packed land 7 in
+    if ph >= flow_start_ then
+      f ~ts:(word t pos ts_) ~flow:(word t pos flow_) ~phase:phases.(ph)
+        ~name:((packed lsr name_shift) land (name_limit - 1))
+        ~args:(packed lsr args_shift)
+  done
+
+let name_of_id t id =
+  match t.dict with
+  | Some d when id >= 0 && id < d.names.s_n -> d.names.s_of.(id)
+  | _ -> invalid_arg "Trace.name_of_id"
+
+let args_of_id t id =
+  match t.dict with
+  | Some d when id >= 0 && id < d.n_args -> d.arg_lists.(id)
+  | _ -> invalid_arg "Trace.args_of_id"
+
+(* Copies [src]'s slots, shifting flow ids and mapping its interned ids
+   to [into]'s through one table per kind, each entry filled on first
+   use.  Pushing keeps [into]'s ring semantics: a bounded parent retains
+   the newest events and counts the rest as dropped. *)
 let merge ~into src =
   let shift = into.next_flow - 1 in
-  List.iter
-    (fun e ->
-      push into
-        (if e.ev_flow < 0 then e else { e with ev_flow = e.ev_flow + shift }))
-    (events src);
+  (match src.dict with
+  | Some sd when into.enabled ->
+      let d = dict into in
+      let cats = Array.make sd.cats.s_n (-1)
+      and names = Array.make sd.names.s_n (-1)
+      and args = Array.make sd.n_args (-1)
+      and subs = Array.make (6 + sd.n_others) (-1) in
+      let map table id to_into =
+        let m = table.(id) in
+        if m >= 0 then m
+        else begin
+          let m = to_into id in
+          table.(id) <- m;
+          m
+        end
+      in
+      let cat id = intern d.cats sd.cats.s_of.(id)
+      and name id = intern d.names sd.names.s_of.(id)
+      and arg id = args_id d sd.arg_lists.(id)
+      and sub c = sub_code d (sub_of sd c) in
+      for i = 0 to src.count - 1 do
+        let pos = slot src i in
+        let packed = word src pos packed_ and flow = word src pos flow_ in
+        push into (word src pos ts_)
+          (if flow < 0 then flow else flow + shift)
+          (word src pos dur_)
+          (packed land 7
+          lor (map subs ((packed lsr sub_shift) land (sub_limit - 1)) sub
+              lsl sub_shift)
+          lor (map cats ((packed lsr cat_shift) land (cat_limit - 1)) cat
+              lsl cat_shift)
+          lor (map names ((packed lsr name_shift) land (name_limit - 1)) name
+              lsl name_shift)
+          lor (map args (packed lsr args_shift) arg lsl args_shift))
+      done
+  | _ -> ());
   into.dropped <- into.dropped + src.dropped;
   into.next_flow <- into.next_flow + src.next_flow - 1
 

@@ -9,6 +9,22 @@
     normally a run's {!Ctx}, which hands it to every engine the run
     builds; there is no process-wide one.
 
+    {b The store.}  A sink keeps each event as four ints in flat
+    [Bytes] chunks: its timestamp, its flow id, its duration (or none)
+    and one packed word holding its phase, its subsystem and the ids
+    of its category, name and argument list.  Categories, names, arg
+    lists and [Other] subsystems are interned per sink, arg lists by
+    content with floats compared by their bits (so [-0.0] and NaN
+    payloads come back as recorded).  The chunks hold no pointer, so
+    the GC never scans them: a sink holds O(distinct strings and arg
+    lists) heap blocks, not a few per event.  Nothing is allocated
+    before the first record, and a growing store adds a chunk without
+    copying the ones it has.  {!events}, the exporters and {!merge}
+    rebuild records on demand; {!Audit} reads the columns directly
+    ({!iter_flow_events}).  One sink holds at most 1 024 distinct
+    categories, 2{^21} names, 2{^23} arg lists and 26 [Other]
+    subsystems; a record past a limit raises [Failure].
+
     {b Causal flows.}  A flow is a single request travelling through
     the system — one video frame from camera to display, one RPC from
     client to file server and back.  Producers allocate a flow id with
@@ -67,7 +83,7 @@ val enabled : t -> bool
 
 val set_capacity : t -> int option -> unit
 (** Resize to a ring of the given size, or unbounded for [None].
-    Clears recorded events {e and} resets the drop counter to zero —
+    Clears recorded events, interned strings {e and} the drop counter —
     resizing mid-run restarts the sink, so post-resize statistics
     describe the new capacity only.  Safe while recording is active;
     the next {!events} call sees only events recorded after the
@@ -161,7 +177,8 @@ val flow_end :
 (** {1 Inspection} *)
 
 val events : t -> event list
-(** Retained events, oldest first. *)
+(** Retained events, oldest first, each record built from the store on
+    demand: a fresh list on every call. *)
 
 val length : t -> int
 
@@ -171,11 +188,32 @@ val dropped : t -> int
 
 val merge : into:t -> t -> unit
 (** Append [src]'s retained events to [into], as if they had been
-    recorded there after everything [into] already holds.  Flow ids
+    recorded there after everything [into] already holds: its slots
+    are copied, with its interned ids mapped to [into]'s.  Flow ids
     are shifted past the ones [into] has allocated and [into]'s flow
     counter moves past [src]'s, so ids stay unique; [src]'s drop count
     adds to [into]'s.  Events pass through [into]'s ring and are kept
     only while [into] is enabled. *)
+
+(** {1 Columns}
+
+    The store read in place, without building records: what {!Audit}
+    reads. *)
+
+val iter_flow_events :
+  t ->
+  (ts:int -> flow:int -> phase:phase -> name:int -> args:int -> unit) ->
+  unit
+(** [iter_flow_events t f] calls [f] on each retained flow event
+    ([Flow_start], [Flow_step] or [Flow_end]), oldest first, with its
+    timestamp in ns and the ids of its name and arg list.  Equal ids
+    mean equal names (or arg lists) within one sink. *)
+
+val name_of_id : t -> int -> string
+(** The name an id from {!iter_flow_events} stands for. *)
+
+val args_of_id : t -> int -> (string * arg) list
+(** The arg list an id from {!iter_flow_events} stands for. *)
 
 (** {1 Export} *)
 

@@ -995,6 +995,18 @@ let alloc_tests =
           (sort_minor -. read_minor);
         Alcotest.(check (float 0.0)) "major words of the sort" 0.0
           (sort_major -. read_major));
+    (* Past the ring's chunks, which it allocates as it first fills. *)
+    zero "Trace.flow_step with a constant name"
+      (let tr = Sim.Trace.create ~capacity:4_096 () in
+       Sim.Trace.set_flows tr true;
+       let record i =
+         Sim.Trace.flow_step tr ~ts:(Sim.Time.ns i) ~sub:Sim.Subsystem.Atm
+           ~cat:"hop" ~flow:i "sw:s1"
+       in
+       for i = 1 to 4_096 do
+         record i
+       done;
+       record);
   ]
 
 let stats_tests =
@@ -1156,6 +1168,343 @@ let stats_tests =
           ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The flat sink against a list model: every record a sink takes, as a
+   list of event records with the ring's drop rule.                     *)
+
+module Tr = Sim.Trace
+
+type rec_op = {
+  r_ts : int;
+  r_sub : Sim.Subsystem.t;
+  r_cat : string;
+  r_flow : int;
+  r_args : (string * Tr.arg) list;
+  r_name : string;
+}
+
+type trace_op =
+  | Op_instant of rec_op
+  | Op_span of rec_op * int * (string * Tr.arg) list  (* end ts, end args *)
+  | Op_flow of Tr.phase * rec_op
+  | Op_resize of int option
+  | Op_alloc
+  | Op_enable of bool
+  | Op_flows of bool
+
+type model = {
+  mutable m_cap : int option;
+  mutable m_on : bool;
+  mutable m_flows : bool;
+  mutable m_evs : Tr.event list;  (* oldest first *)
+  mutable m_dropped : int;
+  mutable m_next : int;
+}
+
+let model_push m e =
+  if m.m_on then begin
+    m.m_evs <- m.m_evs @ [ e ];
+    match m.m_cap with
+    | Some c when List.length m.m_evs > c ->
+        m.m_evs <- List.tl m.m_evs;
+        m.m_dropped <- m.m_dropped + 1
+    | _ -> ()
+  end
+
+let model_event phase ?dur ?(args = []) r =
+  {
+    Tr.ev_ts = Sim.Time.ns r.r_ts;
+    ev_dur = Option.map Sim.Time.ns dur;
+    ev_phase = phase;
+    ev_sub = r.r_sub;
+    ev_cat = r.r_cat;
+    ev_name = r.r_name;
+    ev_flow = r.r_flow;
+    ev_args = args;
+  }
+
+let apply_op tr m op =
+  match op with
+  | Op_instant r ->
+      Tr.instant tr ~ts:(Sim.Time.ns r.r_ts) ~sub:r.r_sub ~cat:r.r_cat
+        ~flow:r.r_flow ~args:r.r_args r.r_name;
+      model_push m (model_event Tr.Instant ~args:r.r_args r)
+  | Op_span (r, te, extra) ->
+      Tr.span_end tr ~ts:(Sim.Time.ns te) ~args:extra
+        (Tr.span_begin tr ~ts:(Sim.Time.ns r.r_ts) ~sub:r.r_sub ~cat:r.r_cat
+           ~flow:r.r_flow ~args:r.r_args r.r_name);
+      model_push m
+        (model_event Tr.Complete
+           ~dur:(Stdlib.max 0 (te - r.r_ts))
+           ~args:(r.r_args @ extra) r)
+  | Op_flow (phase, r) ->
+      let ts = Sim.Time.ns r.r_ts and flow = r.r_flow in
+      (match phase with
+      | Tr.Flow_start ->
+          Tr.flow_start tr ~ts ~sub:r.r_sub ~cat:r.r_cat ~args:r.r_args ~flow
+            r.r_name
+      | Tr.Flow_step ->
+          Tr.flow_step tr ~ts ~sub:r.r_sub ~cat:r.r_cat ~args:r.r_args ~flow
+            r.r_name
+      | _ -> Tr.flow_end tr ~ts ~sub:r.r_sub ~cat:r.r_cat ~flow r.r_name);
+      if m.m_flows then
+        model_push m
+          (model_event phase
+             ~args:(if phase = Tr.Flow_end then [] else r.r_args)
+             r)
+  | Op_resize cap ->
+      Tr.set_capacity tr cap;
+      m.m_cap <- cap;
+      m.m_evs <- [];
+      m.m_dropped <- 0
+  | Op_alloc ->
+      ignore (Tr.alloc_flow tr);
+      m.m_next <- m.m_next + 1
+  | Op_enable b ->
+      Tr.enable tr b;
+      m.m_on <- b
+  | Op_flows b ->
+      Tr.set_flows tr b;
+      m.m_flows <- b
+
+let model_merge ~into src =
+  let shift = into.m_next - 1 in
+  List.iter
+    (fun (e : Tr.event) ->
+      model_push into
+        (if e.ev_flow < 0 then e else { e with ev_flow = e.ev_flow + shift }))
+    src.m_evs;
+  into.m_dropped <- into.m_dropped + src.m_dropped;
+  into.m_next <- into.m_next + src.m_next - 1
+
+(* An event as a string, floats by their bits and [Other] subsystems
+   told apart from the named layers. *)
+let canon_event (e : Tr.event) =
+  let arg = function
+    | Tr.Str s -> Printf.sprintf "S%S" s
+    | Tr.Int i -> Printf.sprintf "I%d" i
+    | Tr.Float f -> Printf.sprintf "F%Lx" (Int64.bits_of_float f)
+    | Tr.Bool b -> Printf.sprintf "B%b" b
+  in
+  Printf.sprintf "%d %s %s %s %S %S %d [%s]"
+    (Sim.Time.to_ns e.ev_ts)
+    (match e.ev_dur with
+    | None -> "-"
+    | Some d -> string_of_int (Sim.Time.to_ns d))
+    (match e.ev_phase with
+    | Tr.Instant -> "I"
+    | Tr.Complete -> "X"
+    | Tr.Flow_start -> "s"
+    | Tr.Flow_step -> "t"
+    | Tr.Flow_end -> "f")
+    (match e.ev_sub with
+    | Sim.Subsystem.Other s -> "Other " ^ s
+    | s -> Sim.Subsystem.to_string s)
+    e.ev_cat e.ev_name e.ev_flow
+    (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ arg v) e.ev_args))
+
+(* What [Trace.to_jsonl] must print for the model's events. *)
+let model_jsonl m =
+  let buf = Buffer.create 256 in
+  let arg = function
+    | Tr.Str s -> Sim.Json.String s
+    | Tr.Int i -> Sim.Json.Int i
+    | Tr.Float f -> Sim.Json.Float f
+    | Tr.Bool b -> Sim.Json.Bool b
+  in
+  List.iter
+    (fun (e : Tr.event) ->
+      Sim.Json.to_buffer buf
+        (Sim.Json.Obj
+           ([
+              ("ts_ns", Sim.Json.Int (Sim.Time.to_ns e.ev_ts));
+              ( "ph",
+                Sim.Json.String
+                  (match e.ev_phase with
+                  | Tr.Instant -> "I"
+                  | Tr.Complete -> "X"
+                  | Tr.Flow_start -> "s"
+                  | Tr.Flow_step -> "t"
+                  | Tr.Flow_end -> "f") );
+              ("sub", Sim.Json.String (Sim.Subsystem.to_string e.ev_sub));
+              ("cat", Sim.Json.String e.ev_cat);
+              ("name", Sim.Json.String e.ev_name);
+            ]
+           @ (if e.ev_flow >= 0 then [ ("flow", Sim.Json.Int e.ev_flow) ]
+              else [])
+           @ (match e.ev_dur with
+             | Some d -> [ ("dur_ns", Sim.Json.Int (Sim.Time.to_ns d)) ]
+             | None -> [])
+           @ [
+               ( "args",
+                 Sim.Json.Obj (List.map (fun (k, v) -> (k, arg v)) e.ev_args)
+               );
+             ]));
+      Buffer.add_char buf '\n')
+    m.m_evs;
+  Sim.Json.to_buffer buf
+    (Sim.Json.Obj
+       [
+         ("meta", Sim.Json.String "dropped");
+         ("dropped", Sim.Json.Int m.m_dropped);
+       ]);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+(* Names and subsystems come from small pools (literals, so a record
+   site's string is physically the same each time) plus fresh strings
+   equal to pool members and new ones; floats include both zeros and
+   NaNs of several payloads. *)
+let gen_trace_op =
+  let open QCheck2.Gen in
+  let fresh pool = map (fun s -> s ^ "") (oneofl pool) in
+  let name =
+    oneof
+      [
+        oneofl [ "hop"; "sw:a"; "a"; "" ];
+        fresh [ "hop"; "a" ];
+        map (fun i -> "n" ^ string_of_int i) (int_bound 8);
+      ]
+  in
+  let cat = oneof [ oneofl [ ""; "hop"; "flow" ]; fresh [ "hop" ] ] in
+  let sub =
+    oneof
+      [
+        oneofl
+          Sim.Subsystem.[ Atm; Nemesis; Pfs; Rpc; Naming; Sim; Other "x" ];
+        map (fun s -> Sim.Subsystem.Other s) (fresh [ "x"; "atm"; "y" ]);
+      ]
+  in
+  let float_arg =
+    oneofl
+      [
+        0.0;
+        -0.0;
+        Float.nan;
+        Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+        Int64.float_of_bits 0xFFF8_0000_0000_0000L;
+        Int64.float_of_bits 0x7FF8_0000_0000_DEADL;
+        1.5;
+        Float.infinity;
+      ]
+  in
+  let arg =
+    oneof
+      [
+        map
+          (fun s -> Tr.Str s)
+          (oneof [ oneofl [ "x"; "y"; "" ]; fresh [ "x" ] ]);
+        map (fun i -> Tr.Int i) (int_range (-3) 3);
+        map (fun b -> Tr.Bool b) bool;
+        map (fun f -> Tr.Float f) float_arg;
+      ]
+  in
+  (* Single-float lists collide often, so an interner that compared
+     floats by value would hand [-0.0] the id of [0.0]. *)
+  let args =
+    oneof
+      [
+        return [];
+        return [ ("stream", Tr.Str "s") ];
+        map (fun f -> [ ("v", Tr.Float f) ]) float_arg;
+        list_size (int_bound 3) (pair (oneofl [ "stream"; "k"; "" ]) arg);
+      ]
+  in
+  let mostly_true = frequency [ (3, return true); (1, return false) ] in
+  let rec_op =
+    map
+      (fun ((r_ts, r_sub, r_cat), (r_flow, r_args, r_name)) ->
+        { r_ts; r_sub; r_cat; r_flow; r_args; r_name })
+      (pair
+         (triple (int_bound 1_000) sub cat)
+         (triple (int_range (-2) 12) args name))
+  in
+  frequency
+    [
+      (6, map (fun r -> Op_instant r) rec_op);
+      ( 3,
+        map3
+          (fun r te extra -> Op_span (r, te, extra))
+          rec_op (int_bound 1_000) args );
+      ( 8,
+        map2
+          (fun ph r -> Op_flow (ph, r))
+          (oneofl Tr.[ Flow_start; Flow_step; Flow_end ])
+          rec_op );
+      ( 1,
+        map
+          (fun c -> Op_resize c)
+          (oneof [ return None; map Option.some (int_range 1 8) ]) );
+      (1, return Op_alloc);
+      (1, map (fun b -> Op_enable b) mostly_true);
+      (1, map (fun b -> Op_flows b) mostly_true);
+    ]
+
+(* A sink: a ring of capacity 1-8 or unbounded, enabled or not, flows
+   on or off. *)
+let gen_sink =
+  QCheck2.Gen.(
+    triple
+      (oneof [ return None; map Option.some (int_range 1 8) ])
+      (frequency [ (4, return true); (1, return false) ])
+      bool)
+
+let make_sink (cap, on, flows) =
+  let tr =
+    match cap with
+    | Some capacity -> Tr.create ~capacity ~enabled:on ()
+    | None -> Tr.create ~unbounded:true ~enabled:on ()
+  in
+  Tr.set_flows tr flows;
+  ( tr,
+    {
+      m_cap = cap;
+      m_on = on;
+      m_flows = flows;
+      m_evs = [];
+      m_dropped = 0;
+      m_next = 1;
+    } )
+
+let check_sink what tr m =
+  let got = List.map canon_event (Tr.events tr)
+  and want = List.map canon_event m.m_evs in
+  if got <> want then
+    QCheck2.Test.fail_reportf "%s: events@.%s@.model@.%s" what
+      (String.concat "\n" got) (String.concat "\n" want);
+  if Tr.length tr <> List.length m.m_evs || Tr.dropped tr <> m.m_dropped then
+    QCheck2.Test.fail_reportf "%s: length %d dropped %d, model %d and %d" what
+      (Tr.length tr) (Tr.dropped tr) (List.length m.m_evs) m.m_dropped;
+  let jsonl = Tr.to_jsonl tr and want_jsonl = model_jsonl m in
+  if jsonl <> want_jsonl then
+    QCheck2.Test.fail_reportf "%s: jsonl@.%s@.model@.%s" what jsonl want_jsonl
+
+(* A parent records, a child records and merges into it, the parent
+   records again; both are checked against their models. *)
+let trace_model_property =
+  QCheck2.Test.make ~name:"the flat sink records what a list model records"
+    ~count:500
+    QCheck2.Gen.(
+      pair (pair gen_sink gen_sink)
+        (triple
+           (list_size (int_bound 40) gen_trace_op)
+           (list_size (int_bound 40) gen_trace_op)
+           (pair bool (list_size (int_bound 20) gen_trace_op))))
+    (fun ((parent, child), (pre, kid_ops, (merge, post))) ->
+      let tr, m = make_sink parent in
+      List.iter (apply_op tr m) pre;
+      check_sink "before the merge" tr m;
+      let kid, km = make_sink child in
+      List.iter (apply_op kid km) kid_ops;
+      check_sink "child" kid km;
+      if merge then begin
+        Tr.merge ~into:tr kid;
+        model_merge ~into:m km
+      end;
+      List.iter (apply_op tr m) post;
+      check_sink "after the merge" tr m;
+      Tr.alloc_flow tr = m.m_next)
+
 (* A bare instant in the [Sim] lane, and the names a sink retains. *)
 let note tr ts name = Sim.Trace.instant tr ~ts ~sub:Sim.Subsystem.Sim name
 let names tr = List.map (fun e -> e.Sim.Trace.ev_name) (Sim.Trace.events tr)
@@ -1314,6 +1663,35 @@ let trace_tests =
              (Sim.Trace.events parent));
         Alcotest.(check int) "next id follows the merged ones" 4
           (Sim.Trace.alloc_flow parent));
+    QCheck_alcotest.to_alcotest trace_model_property;
+    Alcotest.test_case "100 000 flow events add under one live block per 100"
+      `Quick (fun () ->
+        (* The store is flat: what a sink keeps per event is four ints in
+           a chunk, not a record with its option and its args.  With a
+           boxed record per event this test read 199 998 blocks. *)
+        let names = Array.init 16 (fun i -> "hop" ^ string_of_int i)
+        and args =
+          Array.init 16 (fun i ->
+              [ ("stream", Sim.Trace.Str ("s" ^ string_of_int i)) ])
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_blocks
+        in
+        let tr = Sim.Trace.create ~unbounded:true () in
+        Sim.Trace.set_flows tr true;
+        let before = live () in
+        for i = 0 to 99_999 do
+          Sim.Trace.flow_step tr ~ts:(Sim.Time.ns i) ~sub:Sim.Subsystem.Atm
+            ~cat:"hop" ~args:args.(i land 15) ~flow:(i land 1023)
+            names.((i lsr 4) land 15)
+        done;
+        let added = live () - before in
+        Printf.printf "live blocks added by 100 000 events: %d\n" added;
+        Alcotest.(check int) "all retained" 100_000 (Sim.Trace.length tr);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d live blocks < 1 000" added)
+          true (added < 1_000));
   ]
 
 (* Minimal substring check, enough to validate exported JSON content
@@ -1499,6 +1877,197 @@ let audit_capture () =
     ~cat:"hop" ~flow:9999 "stray";
   tr
 
+(* ------------------------------------------------------------------ *)
+(* The columnar audit against the list-based one it replaced.          *)
+
+(* A report as a string, floats by their bits. *)
+let canon_report (r : Sim.Audit.report) =
+  let f x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let stage (sg : Sim.Audit.stage) =
+    Printf.sprintf
+      "  %S n=%d p50=%s p95=%s p99=%s mean=%s max=%s share=%s miss=%d"
+      sg.sg_name sg.sg_count (f sg.sg_p50_ns) (f sg.sg_p95_ns)
+      (f sg.sg_p99_ns) (f sg.sg_mean_ns) (f sg.sg_max_ns) (f sg.sg_share)
+      sg.sg_misses
+  in
+  let stream (st : Sim.Audit.stream) =
+    Printf.sprintf
+      "%S flows=%d inc=%d e2e=%s/%s/%s/%s/%s jitter=%s/%s attr=%s miss=%d \
+       critical=%s"
+      st.st_label st.st_flows st.st_incomplete (f st.st_e2e_p50_ns)
+      (f st.st_e2e_p95_ns) (f st.st_e2e_p99_ns) (f st.st_e2e_mean_ns)
+      (f st.st_e2e_max_ns) (f st.st_jitter_mean_ns) (f st.st_jitter_max_ns)
+      (f st.st_attributed) st.st_misses
+      (Option.value st.st_critical ~default:"-")
+    :: List.map stage st.st_stages
+  in
+  String.concat "\n"
+    (Printf.sprintf "flows=%d inc=%d orphans=%d deadline=%s" r.rp_flows
+       r.rp_incomplete r.rp_orphan_events
+       (match r.rp_deadline_ns with Some d -> string_of_int d | None -> "-")
+    :: List.concat_map stream r.rp_streams)
+
+(* A random flow capture: several streams, labelled by a "stream" arg,
+   a non-string one or the start's name; flows missing their start or
+   end, flows with two starts and steps of flows that never start; ts
+   ties; events recorded ahead of their ts, as the train path records
+   hops; instants in between; sometimes a ring that has dropped the
+   oldest events.  One capture in four counts time in units of 2^47 + 1
+   ns, so that float sums round and their order shows. *)
+let random_flow_capture seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let unit = if int 4 = 0 then (1 lsl 47) + 1 else 1 in
+  let tr =
+    if int 4 = 0 then Sim.Trace.create ~capacity:(1 + int 150) ()
+    else Sim.Trace.create ~unbounded:true ()
+  in
+  Sim.Trace.set_flows tr true;
+  let events = ref [] in
+  (* An event at [ts], recorded in [ts] order or up to 30 ns early. *)
+  let at ts f =
+    let key = if int 5 = 0 then ts - int 30 else ts in
+    events := (key, fun () -> f (Sim.Time.ns (ts * unit))) :: !events
+  in
+  let sub = Sim.Subsystem.Atm in
+  for _ = 1 to int 40 do
+    let flow =
+      if int 10 = 0 then 1000 + int 3 else Sim.Trace.alloc_flow tr
+    in
+    let t0 = int 200 in
+    let args =
+      pick
+        [|
+          [ ("stream", Sim.Trace.Str "s0") ];
+          [ ("stream", Sim.Trace.Str "s1") ];
+          [ ("k", Sim.Trace.Int 1); ("stream", Sim.Trace.Str "s2") ];
+          [ ("stream", Sim.Trace.Int 3) ];
+          [];
+        |]
+    in
+    let start = pick [| "start"; "cam"; "rpc" |] in
+    if int 8 > 0 then
+      at t0 (fun ts -> Sim.Trace.flow_start tr ~ts ~sub ~args ~flow start);
+    if int 10 = 0 then
+      at (t0 + int 20) (fun ts ->
+          Sim.Trace.flow_start tr ~ts ~sub ~args ~flow start);
+    let t = ref t0 in
+    for _ = 1 to int 7 do
+      t := !t + int 4;
+      let name = pick [| "net"; "sw:a"; "disk"; "display"; "cpu" |] in
+      at !t (fun ts -> Sim.Trace.flow_step tr ~ts ~sub ~flow name)
+    done;
+    if int 5 > 0 then
+      at (!t + int 10) (fun ts ->
+          Sim.Trace.flow_end tr ~ts ~sub ~flow (pick [| "done"; "display" |]))
+  done;
+  for _ = 1 to int 5 do
+    let flow = 5000 + int 3 in
+    at (int 300) (fun ts -> Sim.Trace.flow_step tr ~ts ~sub ~flow "stray")
+  done;
+  for _ = 1 to int 10 do
+    at (int 300) (fun ts -> Sim.Trace.instant tr ~ts ~sub "noise")
+  done;
+  List.iter
+    (fun (_, record) -> record ())
+    (List.stable_sort
+       (fun (a, _) (b, _) -> Int.compare a b)
+       (List.rev !events));
+  tr
+
+let audit_property =
+  QCheck2.Test.make ~name:"the columnar audit equals the list-based one"
+    ~count:500
+    QCheck2.Gen.(pair int (option (int_bound 400)))
+    (fun (seed, deadline_ns) ->
+      let tr = random_flow_capture seed in
+      let got = canon_report (Sim.Audit.of_trace ?deadline_ns tr)
+      and want = canon_report (Audit_oracle.of_trace ?deadline_ns tr) in
+      if got <> want then
+        QCheck2.Test.fail_reportf "seed %d:@.%s@.oracle:@.%s" seed got want;
+      true)
+
+(* The capture bench/main.ml's audit_build times: start, 8 hops and
+   end per flow, 4 streams. *)
+let hop_capture flows =
+  let tr = Sim.Trace.create ~unbounded:true () in
+  Sim.Trace.set_flows tr true;
+  let streams =
+    Array.init 4 (fun i ->
+        [ ("stream", Sim.Trace.Str ("s" ^ string_of_int i)) ])
+  and hops = Array.init 9 (fun h -> "hop" ^ string_of_int h) in
+  for f = 1 to flows do
+    let flow = Sim.Trace.alloc_flow tr and t0 = f * 1000 in
+    Sim.Trace.flow_start tr ~ts:(Sim.Time.ns t0) ~sub:Sim.Subsystem.Atm
+      ~args:streams.(f land 3) ~flow "start";
+    for h = 1 to 8 do
+      Sim.Trace.flow_step tr
+        ~ts:(Sim.Time.ns (t0 + (h * 10)))
+        ~sub:Sim.Subsystem.Atm ~flow hops.(h)
+    done;
+    Sim.Trace.flow_end tr
+      ~ts:(Sim.Time.ns (t0 + 1000))
+      ~sub:Sim.Subsystem.Atm ~flow "end"
+  done;
+  tr
+
+(* Host ns per event of [Audit.of_trace] on [tr], best of 5, each
+   sample [reps] reports long. *)
+let audit_ns_per_event tr ~reps =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (Sim.Audit.of_trace tr))
+    done;
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best *. 1e9 /. Float.of_int (reps * Sim.Trace.length tr)
+
+(* MD5s of [pegasus_cli audit SCEN], [--json], [--deadline-us D] and
+   both, recorded with the list-based audit (Audit_oracle). *)
+let pinned_audits =
+  [
+    ( "video",
+      Experiments.Audit_scenarios.video,
+      500,
+      [
+        "67224d760bdb330a48fa1ccf70ba0055";
+        "e3ddd21d0e5e829e2906a17ef8920be2";
+        "dd676eb4e9f2f3e9aa21173014c8338b";
+        "c694083780a2f1a573fc1c5fc446db0e";
+      ] );
+    ( "av",
+      Experiments.Audit_scenarios.av,
+      1000,
+      [
+        "c334b2d1aea9d733452fa8f462ca1b4a";
+        "943e4ac1094459d22a10c3c90291aa9e";
+        "3dde4885b7293cf57dcb8eced8a17ca1";
+        "a6307c84dfc554e93cfb580f0e56f949";
+      ] );
+    ( "pfs",
+      Experiments.Audit_scenarios.pfs,
+      5000,
+      [
+        "f26d0ff30abd9a723725ae5603425a0f";
+        "14da726600ece0445efb46035cbb9963";
+        "1d5c4994d30f319f936cc5e14c42ce53";
+        "85a298f602fa1b39f7c44dc9a198ed31";
+      ] );
+    ( "video-pfs",
+      Experiments.Audit_scenarios.video_pfs,
+      500,
+      [
+        "a4edcd5915ee3bba6d4de1b073ee52c2";
+        "43a7b189570cf1159917a72a2312c8f6";
+        "ca68dbf957db406545a6586e492e6a9a";
+        "ab076d7b8f215b5249f809acc28dd55d";
+      ] );
+  ]
+
 let audit_tests =
   [
     Alcotest.test_case "streams, stages and exhaustive attribution" `Quick
@@ -1580,6 +2149,38 @@ let audit_tests =
         Alcotest.(check string) "table identical" t1 t2;
         Alcotest.(check bool) "json carries the schema tag" true
           (contains j1 "\"schema\":\"pegasus-audit/1\""));
+    QCheck_alcotest.to_alcotest audit_property;
+    Alcotest.test_case "audit cost per event stays flat from 1 000 to 100 000"
+      `Quick (fun () ->
+        let small = audit_ns_per_event (hop_capture 100) ~reps:100
+        and large = audit_ns_per_event (hop_capture 10_000) ~reps:1 in
+        Printf.printf "audit ns per event: %.1f at 1 000, %.1f at 100 000\n"
+          small large;
+        Alcotest.(check bool)
+          (Printf.sprintf "%.1f ns <= 3 x %.1f ns" large small)
+          true
+          (large <= 3.0 *. small));
+    Alcotest.test_case "the four audit scenarios' reports are pinned" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, run, deadline_us, digests) ->
+            let tr = Sim.Trace.create () in
+            Sim.Audit.capture tr;
+            run (Sim.Ctx.engine (Sim.Ctx.create ~trace:tr ()));
+            let render deadline_ns =
+              let r = Sim.Audit.of_trace ?deadline_ns tr in
+              [
+                Format.asprintf "%a" Sim.Audit.pp r;
+                Sim.Json.to_string (Sim.Audit.to_json r);
+              ]
+            in
+            Alcotest.(check (list string))
+              (name ^ ": text, json, then both with a deadline")
+              digests
+              (List.map
+                 (fun s -> Digest.to_hex (Digest.string s))
+                 (render None @ render (Some (deadline_us * 1_000)))))
+          pinned_audits);
   ]
 
 (* One field of the named metric in a registry snapshot. *)
