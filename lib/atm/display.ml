@@ -17,6 +17,7 @@ type window = {
          belong to this window *)
   mutable verified_epoch : int;
   mutable checked : int;  (* tiles painted by the per-pixel loop *)
+  code : int;  (* the owner code of this window's VCI *)
   deliver : bytes -> int -> int -> unit;  (* the reassembler's callbacks *)
   reject : Aal5.error -> unit;
 }
@@ -26,8 +27,10 @@ type t = {
   screen_w : int;
   screen_h : int;
   framebuffer : bytes;
-  owners : int array;  (* per-pixel VCI of the window that painted it *)
+  owners : bytes;  (* per-pixel 16-bit owner code, native-endian *)
   windows : (int, window) Hashtbl.t;
+  codes : (int, int) Hashtbl.t;  (* VCI -> owner code, kept for good *)
+  mutable vcis : int array;  (* owner code -> VCI *)
   mutable epoch : int;
       (* moves whenever a pixel changes hands, voiding every verified tile *)
   mutable next_z : int;
@@ -36,14 +39,24 @@ type t = {
   m_staging_win : Sim.Metrics.observer;
 }
 
+(* Owner codes: [unowned], [decorated], then one per VCI that has had a
+   window, in the order they first got one.  Codes are never reused, so
+   pixels of a removed window keep its code. *)
+let unowned = 0
+let decorated = 1
+let max_code = 0xffff
+
 let create engine ?(screen_width = 1280) ?(screen_height = 1024) () =
   {
     engine;
     screen_w = screen_width;
     screen_h = screen_height;
     framebuffer = Bytes.make (screen_width * screen_height) '\000';
-    owners = Array.make (screen_width * screen_height) (-1);
+    owners = Bytes.make (2 * screen_width * screen_height) '\000';
     windows = Hashtbl.create 16;
+    codes = Hashtbl.create 16;
+    (* The two reserved codes map to negative VCIs, which no window has. *)
+    vcis = [| -1; -2 |];
     epoch = 0;
     next_z = 0;
     faulty = 0;
@@ -103,40 +116,45 @@ let on_blit t f = t.on_blit <- Some f
    counted but not painted; since video repaints every frame, a raised
    window repairs itself within one frame time.  [blit_tile] tests the
    first two cases inline and asks [may_paint_over] only about a pixel
-   that another window owns; a yes hands the pixel over, so it moves
-   the epoch. *)
+   that [decorate] or another VCI owns; a yes hands the pixel over, so
+   it moves the epoch. *)
 let may_paint_over t w ~owner =
   let yes =
-    match Hashtbl.find_opt t.windows owner with
+    match Hashtbl.find_opt t.windows t.vcis.(owner) with
     | Some other -> other.wz <= w.wz
     | None -> true
   in
   if yes then t.epoch <- t.epoch + 1;
   yes
 
-let blit_tile t w ~vci ~sx ~sy data off =
+external get16u : bytes -> int -> int = "%caml_bytes_get16u"
+external set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let blit_tile t w ~sx ~sy data off =
   (* Copy an 8x8 tile whose top-left lands at screen (sx, sy); the
      caller has already checked the window clip.  Each tile line is
      clipped once against the screen and the source data, so the pixel
      loop indexes without bounds checks. *)
   let x0 = Int.max 0 (-sx) and x1 = Int.min Tile.size (t.screen_w - sx) in
+  let code = w.code in
   for line = 0 to Tile.size - 1 do
     let y = sy + line and src = off + (line * Tile.size) in
     let x_end = Int.min x1 (Bytes.length data - src) in
     if y >= 0 && y < t.screen_h && src >= 0 then
       for px = x0 to x_end - 1 do
         let idx = (y * t.screen_w) + sx + px in
-        let owner = Array.unsafe_get t.owners idx in
-        if owner = -1 || owner = vci || may_paint_over t w ~owner then begin
-          Array.unsafe_set t.owners idx vci;
+        let owner = get16u t.owners (2 * idx) in
+        if
+          owner = unowned || owner = code || may_paint_over t w ~owner
+        then begin
+          set16u t.owners (2 * idx) code;
           Bytes.unsafe_set t.framebuffer idx (Bytes.unsafe_get data (src + px))
         end
         else w.occluded_px <- w.occluded_px + 1
       done
   done
-
-external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
-external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* A tile line is 8 one-byte pixels, one 64-bit word.  The accesses are
    unchecked: the caller has checked that the tile lies wholly on screen
@@ -157,7 +175,7 @@ let copy_tile t ~sx ~sy data off =
    only through [move_window] and [resize_window], which clear the map.
    A tile whose own loop moved the epoch stays unmarked: at the epoch
    the map is stamped with, it was not yet wholly [w]'s. *)
-let paint_tile t w ~vci ~tile ~sx ~sy data off =
+let paint_tile t w ~tile ~sx ~sy data off =
   if w.verified_epoch <> t.epoch then begin
     Bytes.fill w.verified 0 (Bytes.length w.verified) '\000';
     w.verified_epoch <- t.epoch
@@ -174,7 +192,7 @@ let paint_tile t w ~vci ~tile ~sx ~sy data off =
   else begin
     let epoch = t.epoch and occluded = w.occluded_px in
     w.checked <- w.checked + 1;
-    blit_tile t w ~vci ~sx ~sy data off;
+    blit_tile t w ~sx ~sy data off;
     if whole && t.epoch = epoch && w.occluded_px = occluded then
       Bytes.set w.verified tile '\001'
   end
@@ -208,7 +226,7 @@ let render t vci w buf off len =
       (* Raw tiles carry 64 bytes of pixels; compressed tiles are
          expanded notionally (we blit what data there is). *)
       if bytes_per_tile = Tile.raw_bytes then
-        paint_tile t w ~vci
+        paint_tile t w
           ~tile:((y * (w.ww / Tile.size)) + x + i)
           ~sx:(w.wx + tile_px) ~sy:(w.wy + tile_py) buf
           (off + (i * bytes_per_tile))
@@ -232,7 +250,26 @@ let deliver t vci w buf off len =
   if Tile.well_formed buf off len then render t vci w buf off len
   else t.faulty <- t.faulty + 1
 
+(* The owner code of [vci], given at its first window. *)
+let code_of t vci =
+  match Hashtbl.find_opt t.codes vci with
+  | Some code -> code
+  | None ->
+      let code = 2 + Hashtbl.length t.codes in
+      if code > max_code then
+        invalid_arg "Display.add_window: more than 65534 VCIs";
+      if code = Array.length t.vcis then begin
+        let vcis = Array.make (2 * code) (-1) in
+        Array.blit t.vcis 0 vcis 0 code;
+        t.vcis <- vcis
+      end;
+      t.vcis.(code) <- vci;
+      Hashtbl.add t.codes vci code;
+      code
+
 let add_window t ~vci ~x ~y ~width ~height =
+  if vci < 0 then invalid_arg "Display.add_window: negative VCI";
+  let code = code_of t vci in
   t.next_z <- t.next_z + 1;
   let reassembler = Aal5.Reassembler.create ()
   and latency_us = Sim.Stats.Samples.create () in
@@ -253,6 +290,7 @@ let add_window t ~vci ~x ~y ~width ~height =
       verified = tile_map ~width ~height;
       verified_epoch = t.epoch;
       checked = 0;
+      code;
       deliver = (fun buf off len -> deliver t vci w buf off len);
       reject = (fun _ -> t.faulty <- t.faulty + 1);
     }
@@ -278,8 +316,8 @@ let train_rx t (train : Train.t) =
         ~err:w.reject
 
 (* The window manager's whole-screen descriptor: it may write any
-   pixel, for title bars and borders; what it paints is owned by VCI
-   -2, which any window may later paint over. *)
+   pixel, for title bars and borders; what it paints is owned by
+   [decorated], which any window may later paint over. *)
 let decorate t ~x ~y ~width ~height ~value =
   t.epoch <- t.epoch + 1;
   for dy = 0 to height - 1 do
@@ -289,7 +327,7 @@ let decorate t ~x ~y ~width ~height ~value =
         let px = x + dx in
         if px >= 0 && px < t.screen_w then begin
           let idx = (py * t.screen_w) + px in
-          t.owners.(idx) <- -2;
+          Bytes.set_uint16_ne t.owners (2 * idx) decorated;
           Bytes.set t.framebuffer idx (Char.chr (value land 0xff))
         end
       done

@@ -11,13 +11,20 @@
     are unified: anything that can emit tile packets can paint a
     window.
 
-    {b Ownership.}  Every pixel records the VCI of the window that last
-    painted it ([-1] before any, [-2] for {!decorate}).  A window may
-    paint a pixel that is unowned, its own, painted by {!decorate},
-    owned by a window stacked at or below it, or owned by a VCI that
-    has no window; any other pixel is occluded: counted, not painted.
-    Pixels of a removed window keep its VCI, so a window later added on
-    that VCI owns them at once.
+    {b Ownership.}  Every pixel records who last painted it as a 16-bit
+    owner code: 0 before anyone, 1 for {!decorate}, and from 2 on the
+    code of the VCI of the window that painted it.
+    A VCI gets its code, the next unused one, from its first
+    {!add_window} and keeps it for the display's life; codes are never
+    reused, and the display keeps a table from code back to VCI.  So
+    one display accepts windows on at most 65 534 distinct VCIs, of
+    any non-negative value.  A window may paint a pixel that is
+    unowned, its own, painted by {!decorate}, owned by a window stacked
+    at or below it, or owned by a VCI that has no window; any other
+    pixel is occluded: counted, not painted.  Pixels of a removed
+    window keep its VCI's code, so a window later added on that VCI
+    owns them at once.  A display holds three bytes a pixel: the
+    framebuffer byte and the code.
 
     {b Verified tiles.}  The display keeps an ownership epoch that
     moves whenever a pixel passes from one owner to another and on
@@ -54,7 +61,9 @@ val add_window :
   t -> vci:int -> x:int -> y:int -> width:int -> height:int -> unit
 (** Map the stream arriving on [vci] to a window at screen position
     (x, y) clipped to [width] x [height] pixels.  Replaces any previous
-    descriptor for that VCI. *)
+    descriptor for that VCI.  Raises [Invalid_argument], changing
+    nothing, on a negative [vci] and on a VCI that would be the
+    65 535th distinct one to get a window. *)
 
 val move_window : t -> vci:int -> x:int -> y:int -> unit
 val resize_window : t -> vci:int -> width:int -> height:int -> unit

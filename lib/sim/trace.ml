@@ -259,9 +259,13 @@ type span =
       sp_args : (string * arg) list;
     }
 
+let check_capacity what c =
+  if c < 1 then invalid_arg (Printf.sprintf "Trace.%s: capacity %d < 1" what c)
+
 (* Nothing is allocated for the store here: a sink that never records
    (every disabled one) costs its record alone. *)
 let create ?(capacity = 4096) ?(unbounded = false) ?(enabled = true) () =
+  check_capacity "create" capacity;
   let cap = if unbounded then None else Some capacity in
   {
     cap;
@@ -311,6 +315,7 @@ let dropped t = t.dropped
    the drop counter restarts at zero, so post-resize statistics are
    about the new capacity only. *)
 let set_capacity t cap =
+  Option.iter (check_capacity "set_capacity") cap;
   t.cap <- cap;
   t.chunks <- [||];
   t.n_chunks <- 0;
@@ -530,7 +535,14 @@ let merge ~into src =
   into.next_flow <- into.next_flow + src.next_flow - 1
 
 (* ------------------------------------------------------------------ *)
-(* Exporters. *)
+(* Exporters.
+
+   Both formats go through [export], which renders one event at a time
+   into one buffer and hands the buffer to [emit] each time it passes
+   [flush_bytes], and once at the end: a file is written as it is
+   rendered, and neither the events nor the text are ever held whole. *)
+
+let flush_bytes = 65_536
 
 let json_of_arg = function
   | Str s -> Json.String s
@@ -541,91 +553,102 @@ let json_of_arg = function
 let json_of_args args =
   Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) args)
 
+let[@inline] sub_code_at t pos =
+  (word t pos packed_ lsr sub_shift) land (sub_limit - 1)
+
+(* The subsystems that have events, in name order, from one pass over
+   the slots' subsystem codes.  Names are unique unless a named layer
+   and an [Other] of its name both occur: the lane exported is then the
+   one [List.sort_uniq] keeps from every event's subsystem, oldest
+   first, so only then is that list built. *)
+let lanes t =
+  match t.dict with
+  | None -> []
+  | Some d ->
+      let seen = Array.make sub_limit false in
+      for i = 0 to t.count - 1 do
+        seen.(sub_code_at t (slot t i)) <- true
+      done;
+      let subs = ref [] in
+      for c = sub_limit - 1 downto 0 do
+        if seen.(c) then subs := sub_of d c :: !subs
+      done;
+      let lanes = List.sort_uniq Subsystem.compare !subs in
+      if List.compare_lengths lanes !subs = 0 then lanes
+      else
+        List.sort_uniq Subsystem.compare
+          (List.init t.count (fun i -> sub_of d (sub_code_at t (slot t i))))
+
 (* Chrome trace_event format (the JSON object flavour), loadable in
    about:tracing and https://ui.perfetto.dev.  Timestamps are in
    microseconds; each subsystem renders as its own named thread lane,
    and flow events render as arrows between the slices they bind to. *)
-let to_chrome t =
-  let evs = events t in
-  let lanes =
-    List.sort_uniq Subsystem.compare (List.map (fun e -> e.ev_sub) evs)
-  in
-  let process_meta =
-    Json.Obj
-      [
-        ("name", Json.String "process_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.String "pegasus") ]);
-      ]
-  in
-  let thread_meta sub =
-    Json.Obj
-      [
-        ("name", Json.String "thread_name");
-        ("ph", Json.String "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int (Subsystem.lane sub));
-        ("args", Json.Obj [ ("name", Json.String (Subsystem.to_string sub)) ]);
-      ]
-  in
-  (* Final metadata record carrying the ring's drop counter, so a
-     truncated trace is detectable from inside the event stream. *)
-  let dropped_meta =
-    Json.Obj
-      [
-        ("name", Json.String "trace_dropped");
-        ("ph", Json.String "M");
-        ("pid", Json.Int 1);
-        ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("dropped", Json.Int t.dropped) ]);
-      ]
-  in
-  let event e =
-    let base =
-      [
-        ("name", Json.String e.ev_name);
-        ("cat", Json.String (if e.ev_cat = "" then "default" else e.ev_cat));
-        ("ts", Json.Float (Time.to_us_f e.ev_ts));
-        ("pid", Json.Int 1);
-        ("tid", Json.Int (Subsystem.lane e.ev_sub));
-        ( "args",
-          json_of_args
-            ((("subsystem", Str (Subsystem.to_string e.ev_sub))
-             :: (if e.ev_flow >= 0 then [ ("flow", Int e.ev_flow) ] else []))
-            @ e.ev_args) );
-      ]
-    in
-    match e.ev_phase with
-    | Instant ->
-        Json.Obj (("ph", Json.String "i") :: ("s", Json.String "t") :: base)
-    | Complete ->
-        let dur = match e.ev_dur with Some d -> d | None -> Time.zero in
-        Json.Obj
-          (("ph", Json.String "X")
-          :: ("dur", Json.Float (Time.to_us_f dur))
-          :: base)
-    | Flow_start ->
-        Json.Obj (("ph", Json.String "s") :: ("id", Json.Int e.ev_flow) :: base)
-    | Flow_step ->
-        Json.Obj (("ph", Json.String "t") :: ("id", Json.Int e.ev_flow) :: base)
-    | Flow_end ->
-        Json.Obj
-          (("ph", Json.String "f")
-          :: ("bp", Json.String "e")
-          :: ("id", Json.Int e.ev_flow)
-          :: base)
-  in
+let process_meta =
   Json.Obj
     [
-      ( "traceEvents",
-        Json.List
-          ((process_meta :: List.map thread_meta lanes)
-          @ List.map event evs @ [ dropped_meta ]) );
-      ("displayTimeUnit", Json.String "ns");
-      ("otherData", Json.Obj [ ("dropped", Json.Int t.dropped) ]);
+      ("name", Json.String "process_name");
+      ("ph", Json.String "M");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int 0);
+      ("args", Json.Obj [ ("name", Json.String "pegasus") ]);
     ]
+
+let thread_meta sub =
+  Json.Obj
+    [
+      ("name", Json.String "thread_name");
+      ("ph", Json.String "M");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int (Subsystem.lane sub));
+      ("args", Json.Obj [ ("name", Json.String (Subsystem.to_string sub)) ]);
+    ]
+
+(* Final metadata record carrying the ring's drop counter, so a
+   truncated trace is detectable from inside the event stream. *)
+let dropped_meta dropped =
+  Json.Obj
+    [
+      ("name", Json.String "trace_dropped");
+      ("ph", Json.String "M");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int 0);
+      ("args", Json.Obj [ ("dropped", Json.Int dropped) ]);
+    ]
+
+let chrome_event e =
+  let base =
+    [
+      ("name", Json.String e.ev_name);
+      ("cat", Json.String (if e.ev_cat = "" then "default" else e.ev_cat));
+      ("ts", Json.Float (Time.to_us_f e.ev_ts));
+      ("pid", Json.Int 1);
+      ("tid", Json.Int (Subsystem.lane e.ev_sub));
+      ( "args",
+        json_of_args
+          ((("subsystem", Str (Subsystem.to_string e.ev_sub))
+           :: (if e.ev_flow >= 0 then [ ("flow", Int e.ev_flow) ] else []))
+          @ e.ev_args) );
+    ]
+  in
+  match e.ev_phase with
+  | Instant ->
+      Json.Obj (("ph", Json.String "i") :: ("s", Json.String "t") :: base)
+  | Complete ->
+      let dur = match e.ev_dur with Some d -> d | None -> Time.zero in
+      Json.Obj
+        (("ph", Json.String "X")
+        :: ("dur", Json.Float (Time.to_us_f dur))
+        :: base)
+  | Flow_start ->
+      Json.Obj (("ph", Json.String "s") :: ("id", Json.Int e.ev_flow) :: base)
+  | Flow_step ->
+      Json.Obj (("ph", Json.String "t") :: ("id", Json.Int e.ev_flow) :: base)
+  | Flow_end ->
+      Json.Obj
+        (("ph", Json.String "f")
+        :: ("bp", Json.String "e")
+        :: ("id", Json.Int e.ev_flow)
+        :: base)
 
 let ph_string = function
   | Instant -> "I"
@@ -634,7 +657,7 @@ let ph_string = function
   | Flow_step -> "t"
   | Flow_end -> "f"
 
-let json_of_event e =
+let jsonl_event e =
   Json.Obj
     ([
        ("ts_ns", Json.Int (Time.to_ns e.ev_ts));
@@ -649,25 +672,65 @@ let json_of_event e =
       | None -> [])
     @ [ ("args", json_of_args e.ev_args) ])
 
-let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Json.to_buffer buf (json_of_event e);
-      Buffer.add_char buf '\n')
-    (events t);
-  (* Footer line: the drop counter, so consumers of a truncated ring
-     know how much is missing. *)
-  Json.to_buffer buf
-    (Json.Obj
-       [ ("meta", Json.String "dropped"); ("dropped", Json.Int t.dropped) ]);
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let export t ~chrome emit =
+  let buf = Buffer.create (2 * flush_bytes) in
+  let put j =
+    Json.to_buffer buf j;
+    if Buffer.length buf >= flush_bytes then begin
+      emit buf;
+      Buffer.clear buf
+    end
+  in
+  let each_event f =
+    match t.dict with
+    | None -> ()
+    | Some d ->
+        for i = 0 to t.count - 1 do
+          f (event_at t d (slot t i))
+        done
+  in
+  if chrome then begin
+    Buffer.add_string buf "{\"traceEvents\":[";
+    put process_meta;
+    List.iter
+      (fun sub ->
+        Buffer.add_char buf ',';
+        put (thread_meta sub))
+      (lanes t);
+    each_event (fun e ->
+        Buffer.add_char buf ',';
+        put (chrome_event e));
+    Buffer.add_char buf ',';
+    put (dropped_meta t.dropped);
+    Buffer.add_string buf "],\"displayTimeUnit\":\"ns\",\"otherData\":";
+    put (Json.Obj [ ("dropped", Json.Int t.dropped) ]);
+    Buffer.add_string buf "}\n"
+  end
+  else begin
+    each_event (fun e ->
+        put (jsonl_event e);
+        Buffer.add_char buf '\n');
+    (* Footer line: the drop counter, so consumers of a truncated ring
+       know how much is missing. *)
+    put
+      (Json.Obj
+         [ ("meta", Json.String "dropped"); ("dropped", Json.Int t.dropped) ]);
+    Buffer.add_char buf '\n'
+  end;
+  emit buf
 
-let write_chrome t path = Json.to_file path (to_chrome t)
+let export_string t ~chrome =
+  let out = Buffer.create 4096 in
+  export t ~chrome (Buffer.add_buffer out);
+  Buffer.contents out
 
-let write_jsonl t path =
+let export_file t ~chrome path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
+    (fun () -> export t ~chrome (Buffer.output_buffer oc))
+
+let to_chrome t = export_string t ~chrome:true
+let to_jsonl t = export_string t ~chrome:false
+let write_chrome t path = export_file t ~chrome:true path
+let write_jsonl t path = export_file t ~chrome:false path

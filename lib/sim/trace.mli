@@ -71,7 +71,8 @@ type span
 val create : ?capacity:int -> ?unbounded:bool -> ?enabled:bool -> unit -> t
 (** Ring of [capacity] (default 4096) entries, or an unbounded sink
     when [unbounded] is set.  Flow recording starts off; cell detail
-    starts on. *)
+    starts on.  Raises [Invalid_argument] on a [capacity] below 1,
+    given or not [unbounded]. *)
 
 val like : t -> t
 (** A fresh, empty sink with [t]'s settings: enabled or not, ring
@@ -87,7 +88,8 @@ val set_capacity : t -> int option -> unit
     resizing mid-run restarts the sink, so post-resize statistics
     describe the new capacity only.  Safe while recording is active;
     the next {!events} call sees only events recorded after the
-    resize. *)
+    resize.  Raises [Invalid_argument], changing nothing, on a ring
+    size below 1. *)
 
 (** {1 Flow ids} *)
 
@@ -215,14 +217,21 @@ val name_of_id : t -> int -> string
 val args_of_id : t -> int -> (string * arg) list
 (** The arg list an id from {!iter_flow_events} stands for. *)
 
-(** {1 Export} *)
+(** {1 Export}
 
-val to_chrome : t -> Json.t
-(** Chrome [trace_event] JSON: [process_name]/[thread_name] metadata
-    events name the process and one lane per subsystem, flow events
-    carry phases [s]/[t]/[f] with their id, timestamps are in
-    microseconds, and the drop count appears both under ["otherData"]
-    and as a final [trace_dropped] metadata record. *)
+    One writer serves both formats, in memory and to a file: it renders
+    one event at a time, rebuilt from the store, into one buffer that
+    it passes on every 64 KB.  Exporting holds neither all the events
+    as records nor the whole text, so writing a file needs little
+    memory beyond the store's. *)
+
+val to_chrome : t -> string
+(** Chrome [trace_event] JSON, ending in a newline: [process_name]/
+    [thread_name] metadata events name the process and one lane per
+    subsystem, flow events carry phases [s]/[t]/[f] with their id,
+    timestamps are in microseconds, and the drop count appears both
+    under ["otherData"] and as a final [trace_dropped] metadata
+    record. *)
 
 val to_jsonl : t -> string
 (** One JSON object per line, oldest first, terminated by a footer
@@ -230,4 +239,7 @@ val to_jsonl : t -> string
     counter. *)
 
 val write_chrome : t -> string -> unit
+(** Write {!to_chrome}'s text to a file, creating or truncating it. *)
+
 val write_jsonl : t -> string -> unit
+(** Write {!to_jsonl}'s text to a file, creating or truncating it. *)

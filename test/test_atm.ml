@@ -1084,6 +1084,25 @@ let paint_window d m ~frame (vci, (wx, wy, ww, wh)) =
     model_render d m ~vci ~wx ~wy ~ww ~wh p
   done
 
+(* After each event, [frames] steady frames of every window in
+   [windows] (VCI -> geometry), alternating the paint order, each
+   checked against the model. *)
+let paint_after_events d m windows ~frames events =
+  let frame = ref 0 in
+  List.iter
+    (fun (event, change) ->
+      change ();
+      for _ = 1 to frames do
+        let order = List.sort compare (List.of_seq (Hashtbl.to_seq windows)) in
+        let order = if !frame mod 2 = 0 then order else List.rev order in
+        List.iter (paint_window d m ~frame:!frame) order;
+        check_model d m
+          ~what:(Printf.sprintf "frame %d after %s" !frame event)
+          (List.map fst order);
+        incr frame
+      done)
+    events
+
 let blit_differential_tests =
   [
     Alcotest.test_case "line-clipped blit equals the per-pixel reference" `Quick
@@ -1215,23 +1234,7 @@ let blit_differential_tests =
             ("grow 2", fun () -> resize 2 ~width:40 ~height:32);
           ]
         in
-        let frame = ref 0 in
-        List.iter
-          (fun (event, change) ->
-            change ();
-            (* Steady frames after the event, alternating paint order. *)
-            for _ = 1 to 3 do
-              let order =
-                List.sort compare (List.of_seq (Hashtbl.to_seq windows))
-              in
-              let order = if !frame mod 2 = 0 then order else List.rev order in
-              List.iter (paint_window d m ~frame:!frame) order;
-              check_model d m
-                ~what:(Printf.sprintf "frame %d after %s" !frame event)
-                (List.map fst order);
-              incr frame
-            done)
-          events;
+        paint_after_events d m windows ~frames:3 events;
         (* Not vacuous: every window copied some tiles whole. *)
         Hashtbl.iter
           (fun vci _ ->
@@ -1298,6 +1301,145 @@ let blit_differential_tests =
         done);
   ]
 
+(* The owner map holds 16-bit codes, one per VCI that has had a window,
+   while the model keeps each pixel's VCI in an int. *)
+let owner_code_tests =
+  [
+    Alcotest.test_case "VCIs 0, 65 535 and 2^40 clip like the reference"
+      `Quick (fun () ->
+        let sw = 64 and sh = 48 in
+        let e = Sim.Engine.create () in
+        let d = Atm.Display.create e ~screen_width:sw ~screen_height:sh () in
+        let m = model_create ~sw ~sh in
+        let lo = 0 and mid = 65_535 and hi = 1 lsl 40 in
+        (* Three overlapping windows, the newest on top, and a title bar
+           across all three. *)
+        let windows =
+          Hashtbl.of_seq
+            (List.to_seq
+               [
+                 (lo, (-5, -3, 40, 32));
+                 (mid, (14, 10, 40, 32));
+                 (hi, (27, 19, 40, 32));
+               ])
+        in
+        List.iter
+          (fun vci ->
+            let x, y, width, height = Hashtbl.find windows vci in
+            Atm.Display.add_window d ~vci ~x ~y ~width ~height)
+          [ lo; mid; hi ];
+        Atm.Display.decorate d ~x:10 ~y:16 ~width:40 ~height:4 ~value:0xEE;
+        model_decorate m ~x:10 ~y:16 ~width:40 ~height:4 ~value:0xEE;
+        let events =
+          [
+            ("nothing", fun () -> ());
+            ("raise 0", fun () -> Atm.Display.raise_window d ~vci:lo);
+            ("lower 2^40", fun () -> Atm.Display.lower_window d ~vci:hi);
+            (* The removed window's pixels keep its code: nobody paints
+               on 65 535, so the others may take them over... *)
+            ( "remove 65 535",
+              fun () ->
+                Atm.Display.remove_window d ~vci:mid;
+                Hashtbl.remove windows mid );
+            (* ... and the window re-added on it, on top, owns the ones
+               they left at once: the others are occluded there. *)
+            ( "re-add 65 535",
+              fun () ->
+                Atm.Display.add_window d ~vci:mid ~x:14 ~y:10 ~width:40
+                  ~height:32;
+                Hashtbl.replace windows mid (14, 10, 40, 32);
+                Hashtbl.remove m.ms_occluded mid );
+            ( "decorate",
+              fun () ->
+                Atm.Display.decorate d ~x:0 ~y:24 ~width:64 ~height:3
+                  ~value:0x11;
+                model_decorate m ~x:0 ~y:24 ~width:64 ~height:3 ~value:0x11 );
+            ("lower 65 535", fun () -> Atm.Display.lower_window d ~vci:mid);
+            ("raise 65 535", fun () -> Atm.Display.raise_window d ~vci:mid);
+            (* A window on a new VCI, on top where 65 535 was, does not
+               inherit its pixels: 0, painted first, takes them. *)
+            ( "swap 65 535 for 7",
+              fun () ->
+                Atm.Display.remove_window d ~vci:mid;
+                Hashtbl.remove windows mid;
+                Atm.Display.add_window d ~vci:7 ~x:14 ~y:10 ~width:24
+                  ~height:24;
+                Hashtbl.replace windows 7 (14, 10, 24, 24) );
+            ("raise 2^40", fun () -> Atm.Display.raise_window d ~vci:hi);
+          ]
+        in
+        paint_after_events d m windows ~frames:2 events;
+        (* Not vacuous: every window lost pixels to another. *)
+        List.iter
+          (fun vci ->
+            Alcotest.(check bool)
+              (Printf.sprintf "window %d was occluded" vci)
+              true
+              (Atm.Display.pixels_occluded d ~vci > 0))
+          [ lo; 7; hi ];
+        (* Hand-overs move the verified-tile epoch exactly as they did
+           with int owners: these counts were read from that display. *)
+        List.iter
+          (fun (vci, want) ->
+            Alcotest.(check int)
+              (Printf.sprintf "tiles checked on %d" vci)
+              want
+              (Atm.Display.tiles_checked d ~vci))
+          [ (lo, 346); (7, 27); (hi, 384) ]);
+    Alcotest.test_case "add_window refuses a negative VCI" `Quick (fun () ->
+        let e = Sim.Engine.create () in
+        let d = Atm.Display.create e ~screen_width:64 ~screen_height:48 () in
+        List.iter
+          (fun vci ->
+            match
+              Atm.Display.add_window d ~vci ~x:0 ~y:0 ~width:8 ~height:8
+            with
+            | () -> Alcotest.failf "VCI %d accepted" vci
+            | exception Invalid_argument _ -> ())
+          [ -1; -2; min_int ];
+        Alcotest.(check int) "no window" 0 (Atm.Display.window_count d));
+    Alcotest.test_case "a display takes 65 534 distinct VCIs, not 65 535"
+      `Quick (fun () ->
+        let e = Sim.Engine.create () in
+        let d = Atm.Display.create e ~screen_width:16 ~screen_height:16 () in
+        let add vci =
+          Atm.Display.add_window d ~vci ~x:0 ~y:0 ~width:8 ~height:8
+        in
+        (* Every VCI keeps its code after its window goes. *)
+        for i = 0 to 65_533 do
+          add (3 * i);
+          Atm.Display.remove_window d ~vci:(3 * i)
+        done;
+        (match add 1 with
+        | () -> Alcotest.fail "a 65 535th VCI accepted"
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check int) "the refused VCI has no window" 0
+          (Atm.Display.window_count d);
+        (* A VCI that has a code may come back. *)
+        add (3 * 65_533);
+        Alcotest.(check int) "re-added" 1 (Atm.Display.window_count d));
+    Alcotest.test_case "a 640x480 display holds 3 bytes a pixel" `Quick
+      (fun () ->
+        let e = Sim.Engine.create () in
+        let major () =
+          let _, _, w = Gc.counters () in
+          w
+        in
+        (* Nothing left in the minor heap to promote meanwhile. *)
+        Gc.minor ();
+        let before = major () in
+        let d = Atm.Display.create e ~screen_width:640 ~screen_height:480 () in
+        let bytes = (major () -. before) *. 8.0 in
+        ignore (Sys.opaque_identity d);
+        let pixels = 640 * 480 in
+        Printf.printf "%.0f bytes, %.3f a pixel\n" bytes
+          (bytes /. Float.of_int pixels);
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f bytes <= 3 a pixel + 16 KB" bytes)
+          true
+          (bytes <= Float.of_int ((3 * pixels) + 16_384)));
+  ]
+
 let conservation_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -1349,5 +1491,6 @@ let () =
       ("reservation", reservation_tests);
       ("stacking", stacking_tests);
       ("blit", blit_differential_tests);
+      ("owners", owner_code_tests);
       ("conservation", conservation_tests);
     ]

@@ -1303,15 +1303,85 @@ let canon_event (e : Tr.event) =
     e.ev_cat e.ev_name e.ev_flow
     (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ arg v) e.ev_args))
 
-(* What [Trace.to_jsonl] must print for the model's events. *)
-let model_jsonl m =
-  let buf = Buffer.create 256 in
-  let arg = function
-    | Tr.Str s -> Sim.Json.String s
-    | Tr.Int i -> Sim.Json.Int i
-    | Tr.Float f -> Sim.Json.Float f
-    | Tr.Bool b -> Sim.Json.Bool b
+(* The exporters as they were before they streamed: each builds the
+   whole [Json.t] tree (Chrome) or text (JSONL) of an event list at
+   once.  The streamed exporters must print exactly these bytes. *)
+let tree_json_of_args args =
+  Sim.Json.Obj
+    (List.map
+       (fun (k, v) ->
+         ( k,
+           match v with
+           | Tr.Str s -> Sim.Json.String s
+           | Tr.Int i -> Sim.Json.Int i
+           | Tr.Float f -> Sim.Json.Float f
+           | Tr.Bool b -> Sim.Json.Bool b ))
+       args)
+
+let tree_chrome (evs : Tr.event list) ~dropped =
+  let lanes =
+    List.sort_uniq Sim.Subsystem.compare
+      (List.map (fun (e : Tr.event) -> e.ev_sub) evs)
   in
+  let meta name tid args =
+    Sim.Json.Obj
+      [
+        ("name", Sim.Json.String name);
+        ("ph", Sim.Json.String "M");
+        ("pid", Sim.Json.Int 1);
+        ("tid", Sim.Json.Int tid);
+        ("args", Sim.Json.Obj args);
+      ]
+  in
+  let process_meta =
+    meta "process_name" 0 [ ("name", Sim.Json.String "pegasus") ]
+  and thread_meta sub =
+    meta "thread_name" (Sim.Subsystem.lane sub)
+      [ ("name", Sim.Json.String (Sim.Subsystem.to_string sub)) ]
+  and dropped_meta =
+    meta "trace_dropped" 0 [ ("dropped", Sim.Json.Int dropped) ]
+  in
+  let event (e : Tr.event) =
+    let base =
+      [
+        ("name", Sim.Json.String e.ev_name);
+        ( "cat",
+          Sim.Json.String (if e.ev_cat = "" then "default" else e.ev_cat) );
+        ("ts", Sim.Json.Float (Sim.Time.to_us_f e.ev_ts));
+        ("pid", Sim.Json.Int 1);
+        ("tid", Sim.Json.Int (Sim.Subsystem.lane e.ev_sub));
+        ( "args",
+          tree_json_of_args
+            ((("subsystem", Tr.Str (Sim.Subsystem.to_string e.ev_sub))
+             :: (if e.ev_flow >= 0 then [ ("flow", Tr.Int e.ev_flow) ] else []))
+            @ e.ev_args) );
+      ]
+    in
+    let ph p rest = Sim.Json.Obj ((("ph", Sim.Json.String p) :: rest) @ base) in
+    match e.ev_phase with
+    | Tr.Instant -> ph "i" [ ("s", Sim.Json.String "t") ]
+    | Tr.Complete ->
+        let dur = Option.value ~default:Sim.Time.zero e.ev_dur in
+        ph "X" [ ("dur", Sim.Json.Float (Sim.Time.to_us_f dur)) ]
+    | Tr.Flow_start -> ph "s" [ ("id", Sim.Json.Int e.ev_flow) ]
+    | Tr.Flow_step -> ph "t" [ ("id", Sim.Json.Int e.ev_flow) ]
+    | Tr.Flow_end ->
+        ph "f" [ ("bp", Sim.Json.String "e"); ("id", Sim.Json.Int e.ev_flow) ]
+  in
+  Sim.Json.to_string
+    (Sim.Json.Obj
+       [
+         ( "traceEvents",
+           Sim.Json.List
+             ((process_meta :: List.map thread_meta lanes)
+             @ List.map event evs @ [ dropped_meta ]) );
+         ("displayTimeUnit", Sim.Json.String "ns");
+         ("otherData", Sim.Json.Obj [ ("dropped", Sim.Json.Int dropped) ]);
+       ])
+  ^ "\n"
+
+let tree_jsonl (evs : Tr.event list) ~dropped =
+  let buf = Buffer.create 256 in
   List.iter
     (fun (e : Tr.event) ->
       Sim.Json.to_buffer buf
@@ -1335,18 +1405,14 @@ let model_jsonl m =
            @ (match e.ev_dur with
              | Some d -> [ ("dur_ns", Sim.Json.Int (Sim.Time.to_ns d)) ]
              | None -> [])
-           @ [
-               ( "args",
-                 Sim.Json.Obj (List.map (fun (k, v) -> (k, arg v)) e.ev_args)
-               );
-             ]));
+           @ [ ("args", tree_json_of_args e.ev_args) ]));
       Buffer.add_char buf '\n')
-    m.m_evs;
+    evs;
   Sim.Json.to_buffer buf
     (Sim.Json.Obj
        [
          ("meta", Sim.Json.String "dropped");
-         ("dropped", Sim.Json.Int m.m_dropped);
+         ("dropped", Sim.Json.Int dropped);
        ]);
   Buffer.add_char buf '\n';
   Buffer.contents buf
@@ -1475,9 +1541,15 @@ let check_sink what tr m =
   if Tr.length tr <> List.length m.m_evs || Tr.dropped tr <> m.m_dropped then
     QCheck2.Test.fail_reportf "%s: length %d dropped %d, model %d and %d" what
       (Tr.length tr) (Tr.dropped tr) (List.length m.m_evs) m.m_dropped;
-  let jsonl = Tr.to_jsonl tr and want_jsonl = model_jsonl m in
-  if jsonl <> want_jsonl then
-    QCheck2.Test.fail_reportf "%s: jsonl@.%s@.model@.%s" what jsonl want_jsonl
+  List.iter
+    (fun (format, got, tree) ->
+      let want = tree m.m_evs ~dropped:m.m_dropped in
+      if got <> want then
+        QCheck2.Test.fail_reportf "%s: %s@.%s@.model@.%s" what format got want)
+    [
+      ("jsonl", Tr.to_jsonl tr, tree_jsonl);
+      ("chrome", Tr.to_chrome tr, tree_chrome);
+    ]
 
 (* A parent records, a child records and merges into it, the parent
    records again; both are checked against their models. *)
@@ -1504,6 +1576,44 @@ let trace_model_property =
       List.iter (apply_op tr m) post;
       check_sink "after the merge" tr m;
       Tr.alloc_flow tr = m.m_next)
+
+(* Both files, written through the streamed exporter, against the tree
+   exporters over the same events. *)
+let check_files what tr =
+  let read path =
+    In_channel.with_open_bin path (fun ic -> In_channel.input_all ic)
+  in
+  let path = Filename.temp_file "trace" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.for_all
+        (fun (format, write, tree) ->
+          write tr path;
+          let got = read path
+          and want = tree (Tr.events tr) ~dropped:(Tr.dropped tr) in
+          got = want
+          || QCheck2.Test.fail_reportf "%s: %s file@.%s@.tree@.%s" what format
+               got want)
+        [
+          ("chrome", Tr.write_chrome, tree_chrome);
+          ("jsonl", Tr.write_jsonl, tree_jsonl);
+        ])
+
+let export_file_property =
+  QCheck2.Test.make ~name:"exported files equal the tree exporters' bytes"
+    ~count:200
+    QCheck2.Gen.(
+      triple gen_sink gen_sink (list_size (int_bound 60) gen_trace_op))
+    (fun (parent, child, ops) ->
+      let tr, m = make_sink parent and kid, km = make_sink child in
+      (* Every third op goes to the child. *)
+      List.iteri
+        (fun i op ->
+          if i mod 3 = 0 then apply_op kid km op else apply_op tr m op)
+        ops;
+      Tr.merge ~into:tr kid;
+      check_files "child" kid && check_files "merged" tr)
 
 (* A bare instant in the [Sim] lane, and the names a sink retains. *)
 let note tr ts name = Sim.Trace.instant tr ~ts ~sub:Sim.Subsystem.Sim name
@@ -1692,6 +1802,31 @@ let trace_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%d live blocks < 1 000" added)
           true (added < 1_000));
+    Alcotest.test_case "a ring below one slot is refused at the call" `Quick
+      (fun () ->
+        let refused what f =
+          match f () with
+          | _ -> Alcotest.failf "%s accepted" what
+          | exception Invalid_argument _ -> ()
+        in
+        List.iter
+          (fun c ->
+            refused (Printf.sprintf "create ~capacity:%d" c) (fun () ->
+                Sim.Trace.create ~capacity:c ());
+            refused (Printf.sprintf "create ~capacity:%d ~unbounded" c)
+              (fun () -> Sim.Trace.create ~capacity:c ~unbounded:true ());
+            (* A refused resize leaves the sink as it was. *)
+            let tr = Sim.Trace.create ~capacity:2 () in
+            note tr (Sim.Time.ms 1) "a";
+            refused (Printf.sprintf "set_capacity (Some %d)" c) (fun () ->
+                Sim.Trace.set_capacity tr (Some c));
+            note tr (Sim.Time.ms 2) "b";
+            note tr (Sim.Time.ms 3) "c";
+            Alcotest.(check (list string))
+              (Printf.sprintf "after set_capacity (Some %d)" c)
+              [ "b"; "c" ] (names tr);
+            Alcotest.(check int) "still a ring of 2" 1 (Sim.Trace.dropped tr))
+          [ 0; -1; min_int ]);
   ]
 
 (* Minimal substring check, enough to validate exported JSON content
@@ -1714,7 +1849,7 @@ let export_tests =
         Sim.Trace.span_end tr ~ts:(Sim.Time.us 14)
           (Sim.Trace.span_begin tr ~ts:(Sim.Time.us 10) ~sub:Sim.Subsystem.Atm
              "tx");
-        let json = Sim.Json.to_string (Sim.Trace.to_chrome tr) in
+        let json = Sim.Trace.to_chrome tr in
         List.iter
           (fun needle ->
             Alcotest.(check bool) ("contains " ^ needle) true
@@ -1758,7 +1893,7 @@ let export_tests =
           ~cat:"hop" ~flow:f "sw:s1";
         Sim.Trace.flow_end tr ~ts:(Sim.Time.us 3) ~sub:Sim.Subsystem.Atm
           ~cat:"hop" ~flow:f "sink";
-        let json = Sim.Json.to_string (Sim.Trace.to_chrome tr) in
+        let json = Sim.Trace.to_chrome tr in
         List.iter
           (fun needle ->
             Alcotest.(check bool) ("contains " ^ needle) true
@@ -1779,7 +1914,7 @@ let export_tests =
             (Printf.sprintf "e%d" i)
         done;
         Alcotest.(check int) "three dropped" 3 (Sim.Trace.dropped tr);
-        let chrome = Sim.Json.to_string (Sim.Trace.to_chrome tr) in
+        let chrome = Sim.Trace.to_chrome tr in
         List.iter
           (fun needle ->
             Alcotest.(check bool) ("chrome contains " ^ needle) true
@@ -1830,6 +1965,42 @@ let export_tests =
         Alcotest.(check string) "rendering"
           "{\"s\":\"tab\\tnl\\n\\\"q\\\"\",\"i\":-3,\"f\":2.5,\"whole\":7.0,\"nan\":null,\"l\":[true,null]}"
           (Sim.Json.to_string j));
+    QCheck_alcotest.to_alcotest export_file_property;
+    Alcotest.test_case "a large export streams in pieces, byte-identical"
+      `Quick (fun () ->
+        (* Several flushes of the writer's buffer, in both formats, from a
+           wrapped ring. *)
+        let tr = Sim.Trace.create ~capacity:30_000 () in
+        Sim.Trace.set_flows tr true;
+        for i = 0 to 39_999 do
+          let ts = Sim.Time.ns (i * 7) in
+          match i mod 4 with
+          | 0 ->
+              Sim.Trace.instant tr ~ts ~sub:Sim.Subsystem.Atm ~cat:"tx"
+                ~args:[ ("i", Sim.Trace.Int i) ]
+                (Printf.sprintf "cell%d" (i mod 50))
+          | 1 ->
+              Sim.Trace.span_end tr
+                ~ts:(Sim.Time.ns ((i * 7) + 1234))
+                (Sim.Trace.span_begin tr ~ts ~sub:Sim.Subsystem.Pfs "write")
+          | 2 ->
+              Sim.Trace.flow_start tr ~ts ~sub:Sim.Subsystem.Rpc
+                ~args:[ ("stream", Sim.Trace.Str "s\"q") ]
+                ~flow:i "call"
+          | _ ->
+              Sim.Trace.flow_end tr ~ts ~sub:Sim.Subsystem.Nemesis ~flow:(i - 1)
+                "reply"
+        done;
+        let chrome = Sim.Trace.to_chrome tr in
+        Alcotest.(check bool) "more than one buffer" true
+          (String.length chrome > 4 * 65_536);
+        Alcotest.(check bool) "chrome equals the tree export" true
+          (chrome
+          = tree_chrome (Sim.Trace.events tr) ~dropped:(Sim.Trace.dropped tr));
+        Alcotest.(check bool) "jsonl equals the tree export" true
+          (Sim.Trace.to_jsonl tr
+          = tree_jsonl (Sim.Trace.events tr) ~dropped:(Sim.Trace.dropped tr));
+        Alcotest.(check bool) "files too" true (check_files "large" tr));
   ]
 
 (* ------------------------------------------------------------------ *)
