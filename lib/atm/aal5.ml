@@ -153,7 +153,7 @@ module Reassembler = struct
   let ensure t extra =
     let needed = t.len + extra in
     if needed > Bytes.length t.pdu then begin
-      let ncap = Stdlib.max needed (2 * Bytes.length t.pdu) in
+      let ncap = Int.max needed (2 * Bytes.length t.pdu) in
       let npdu = Bytes.create ncap in
       Bytes.blit t.pdu 0 npdu 0 t.len;
       t.pdu <- npdu

@@ -34,7 +34,7 @@ let create engine ~vc ?(width = 640) ?(height = 480) ?(fps = 25) ?(mode = Raw)
     | Raw -> Tile.raw_bytes
     | Jpeg { ratio } ->
         if ratio < 1.0 then invalid_arg "Camera.create: JPEG ratio < 1";
-        Stdlib.max 2 (Float.to_int (Float.of_int Tile.raw_bytes /. ratio))
+        Int.max 2 (Float.to_int (Float.of_int Tile.raw_bytes /. ratio))
   in
   {
     engine;
@@ -121,7 +121,7 @@ let release_row t ~row ~captured_at =
   let tiles_per_row = t.width / Tile.size in
   let rec split first =
     if first < tiles_per_row then begin
-      let count = Stdlib.min t.max_packet_tiles (tiles_per_row - first) in
+      let count = Int.min t.max_packet_tiles (tiles_per_row - first) in
       send_paced t
         (Tile.pdu ~x:first ~y:row ~frame:t.frame ~count
            ~bytes_per_tile:t.bytes_per_tile ~captured_at (fun buf ->

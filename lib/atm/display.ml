@@ -28,8 +28,8 @@ type t = {
   screen_h : int;
   framebuffer : bytes;
   owners : bytes;  (* per-pixel 16-bit owner code, native-endian *)
-  windows : (int, window) Hashtbl.t;
-  codes : (int, int) Hashtbl.t;  (* VCI -> owner code, kept for good *)
+  windows : window Sim.Int_table.t;  (* by VCI *)
+  codes : int Sim.Int_table.t;  (* VCI -> owner code, kept for good *)
   mutable vcis : int array;  (* owner code -> VCI *)
   mutable epoch : int;
       (* moves whenever a pixel changes hands, voiding every verified tile *)
@@ -53,8 +53,8 @@ let create engine ?(screen_width = 1280) ?(screen_height = 1024) () =
     screen_h = screen_height;
     framebuffer = Bytes.make (screen_width * screen_height) '\000';
     owners = Bytes.make (2 * screen_width * screen_height) '\000';
-    windows = Hashtbl.create 16;
-    codes = Hashtbl.create 16;
+    windows = Sim.Int_table.create 16;
+    codes = Sim.Int_table.create 16;
     (* The two reserved codes map to negative VCIs, which no window has. *)
     vcis = [| -1; -2 |];
     epoch = 0;
@@ -77,9 +77,9 @@ let tile_map ~width ~height =
     '\000'
 
 let window t vci =
-  match Hashtbl.find_opt t.windows vci with
-  | Some w -> w
-  | None -> invalid_arg "Display: no window for VCI"
+  match Sim.Int_table.find t.windows vci with
+  | w -> w
+  | exception Not_found -> invalid_arg "Display: no window for VCI"
 
 let move_window t ~vci ~x ~y =
   let w = window t vci in
@@ -93,7 +93,7 @@ let resize_window t ~vci ~width ~height =
   w.wh <- height;
   w.verified <- tile_map ~width ~height
 
-let remove_window t ~vci = Hashtbl.remove t.windows vci
+let remove_window t ~vci = Sim.Int_table.remove t.windows vci
 
 let raise_window t ~vci =
   let w = window t vci in
@@ -103,12 +103,12 @@ let raise_window t ~vci =
 let lower_window t ~vci =
   let w = window t vci in
   let lowest =
-    Hashtbl.fold (fun _ w' acc -> Stdlib.min acc w'.wz) t.windows w.wz
+    Sim.Int_table.fold (fun _ w' acc -> Int.min acc w'.wz) t.windows w.wz
   in
   w.wz <- lowest - 1
 
 let z_order t ~vci = (window t vci).wz
-let window_count t = Hashtbl.length t.windows
+let window_count t = Sim.Int_table.length t.windows
 let on_blit t f = t.on_blit <- Some f
 
 (* A pixel may be painted when unowned, owned by this window, or owned
@@ -120,9 +120,9 @@ let on_blit t f = t.on_blit <- Some f
    it moves the epoch. *)
 let may_paint_over t w ~owner =
   let yes =
-    match Hashtbl.find_opt t.windows t.vcis.(owner) with
-    | Some other -> other.wz <= w.wz
-    | None -> true
+    match Sim.Int_table.find t.windows t.vcis.(owner) with
+    | other -> other.wz <= w.wz
+    | exception Not_found -> true
   in
   if yes then t.epoch <- t.epoch + 1;
   yes
@@ -252,10 +252,10 @@ let deliver t vci w buf off len =
 
 (* The owner code of [vci], given at its first window. *)
 let code_of t vci =
-  match Hashtbl.find_opt t.codes vci with
-  | Some code -> code
-  | None ->
-      let code = 2 + Hashtbl.length t.codes in
+  match Sim.Int_table.find t.codes vci with
+  | code -> code
+  | exception Not_found ->
+      let code = 2 + Sim.Int_table.length t.codes in
       if code > max_code then
         invalid_arg "Display.add_window: more than 65534 VCIs";
       if code = Array.length t.vcis then begin
@@ -264,7 +264,7 @@ let code_of t vci =
         t.vcis <- vcis
       end;
       t.vcis.(code) <- vci;
-      Hashtbl.add t.codes vci code;
+      Sim.Int_table.add t.codes vci code;
       code
 
 let add_window t ~vci ~x ~y ~width ~height =
@@ -295,13 +295,13 @@ let add_window t ~vci ~x ~y ~width ~height =
       reject = (fun _ -> t.faulty <- t.faulty + 1);
     }
   in
-  Hashtbl.replace t.windows vci w
+  Sim.Int_table.replace t.windows vci w
 
 let cell_rx t (cell : Cell.t) =
-  match Hashtbl.find_opt t.windows cell.vci with
-  | None -> ()  (* no descriptor: the window manager has not granted access *)
-  | Some w ->
-      Aal5.Reassembler.push w.reassembler cell ~ok:w.deliver ~err:w.reject
+  match Sim.Int_table.find t.windows cell.vci with
+  | exception Not_found ->
+      ()  (* no descriptor: the window manager has not granted access *)
+  | w -> Aal5.Reassembler.push w.reassembler cell ~ok:w.deliver ~err:w.reject
 
 (* The fast path: a whole train window lands in the reassembler with at
    most one blit, and a frame that arrives as one window is painted
@@ -309,9 +309,9 @@ let cell_rx t (cell : Cell.t) =
    frame finishes when its last cell arrives, which is exactly when the
    train window carrying that cell is delivered. *)
 let train_rx t (train : Train.t) =
-  match Hashtbl.find_opt t.windows train.Train.vci with
-  | None -> ()
-  | Some w ->
+  match Sim.Int_table.find t.windows train.Train.vci with
+  | exception Not_found -> ()
+  | w ->
       Aal5.Reassembler.push_train w.reassembler train ~ok:w.deliver
         ~err:w.reject
 

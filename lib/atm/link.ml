@@ -38,7 +38,7 @@ type otrain = {
   mutable ot_done : int;  (* cells already processed *)
   mutable ot_r : int;  (* the run holding cell [ot_done] (see [sync]) *)
   mutable ot_r0 : int;  (* the index of run [ot_r]'s first cell *)
-  mutable ot_ev : Sim.Engine.event_id option;
+  mutable ot_ev : Sim.Engine.event_id;  (* [Sim.Engine.no_event]: none *)
 }
 
 type t = {
@@ -206,11 +206,10 @@ let lose t cell ~why =
       why
 
 let cancel_ev t ot =
-  match ot.ot_ev with
-  | Some ev ->
-      ignore (Sim.Engine.cancel t.engine ev);
-      ot.ot_ev <- None
-  | None -> ()
+  if ot.ot_ev != Sim.Engine.no_event then begin
+    ignore (Sim.Engine.cancel t.engine ot.ot_ev);
+    ot.ot_ev <- Sim.Engine.no_event
+  end
 
 (* Append [n] cells offered from [o] at step [od] and starting from [s]
    at step [sd] ([s = -1]: dropped).  Cells that carry on the last run's
@@ -300,7 +299,9 @@ let book_delays t ~first ~step ~count =
    run [r0] and span [pieces] runs. *)
 let arrivals ot r0 k0 pieces count =
   let a = ot.ot_runs in
-  (* A literal is allocated inline; [Array.make] is a C call. *)
+  (* A literal of at most four constants is allocated inline; a longer
+     one is a copy of a static array, a [caml_obj_dup] C call, and
+     [Array.make] is a C call too. *)
   let out = if pieces = 1 then [| 0; 0; 0 |] else Array.make (3 * pieces) 0 in
   let left = ref count in
   for p = 0 to pieces - 1 do
@@ -431,10 +432,9 @@ and reschedule t ot =
      frame, so late processing is externally invisible. *)
   let at = Sim.Time.max (Sim.Time.ns (next_event_ns t ot)) (Sim.Engine.now t.engine) in
   ot.ot_ev <-
-    Some
-      (Sim.Engine.schedule_at t.engine ~at (fun () ->
-           ot.ot_ev <- None;
-           fire t ot))
+    Sim.Engine.schedule_at t.engine ~at (fun () ->
+        ot.ot_ev <- Sim.Engine.no_event;
+        fire t ot)
 
 (* A receiver that re-entered the link during [process_upto] may have
    closed the window already ([flush] drops a window it empties), or
@@ -679,24 +679,26 @@ let send_train ?(priority = false) ?offers t train =
         let h0 =
           Sim.Time.to_ns (if priority then t.res_next_free else t.next_free)
         in
+        (* Room for two runs, allocated inline: the elements are a
+           variable, not constants ([arrivals] says why).  [push]
+           grows it. *)
+        let z = 0 in
         let ot =
           {
             ot_train = train;
             ot_prio = priority;
-            (* Room for two runs, as a literal ([arrivals] says why);
-               [push] grows it. *)
-            ot_runs = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |];
+            ot_runs = [| z; z; z; z; z; z; z; z; z; z |];
             ot_nr = 0;
             (* Room for the frame's remaining cells, so continuation
                chunks can extend the window. *)
-            ot_cap = Stdlib.max n (Train.total train - Train.first train);
+            ot_cap = Int.max n (Train.total train - Train.first train);
             ot_h0 = h0;
             ot_lat = lat;
             ot_n = n;
             ot_done = 0;
             ot_r = 0;
             ot_r0 = 0;
-            ot_ev = None;
+            ot_ev = Sim.Engine.no_event;
           }
         in
         analyze t ot ~priority ~now offers n;
@@ -711,7 +713,7 @@ let reserve t ~bps =
     true
   end
 
-let release t ~bps = t.reserved_bps <- Stdlib.max 0 (t.reserved_bps - bps)
+let release t ~bps = t.reserved_bps <- Int.max 0 (t.reserved_bps - bps)
 let reserved_bps t = t.reserved_bps
 
 let bandwidth_bps t = t.bandwidth_bps

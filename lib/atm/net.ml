@@ -126,7 +126,7 @@ let slot arr vci = if vci >= 0 && vci < Array.length arr then arr.(vci) else Non
 let grown arr vci =
   if vci < Array.length arr then arr
   else begin
-    let narr = Array.make (Stdlib.max (vci + 1) (2 * Array.length arr)) None in
+    let narr = Array.make (Int.max (vci + 1) (2 * Array.length arr)) None in
     Array.blit arr 0 narr 0 (Array.length arr);
     narr
   end

@@ -7,17 +7,28 @@ type port = int
    instants at this input port. *)
 type pend = { pa : Cell_times.t; pun : bool }
 
+type entry = { out_port : port; out_vci : int; priority : bool }
+
 type t = {
   engine : Sim.Engine.t;
   name : string;
   hop : string;  (* the flow-step name, built once so every step passes
                     the same string to the trace's interner *)
   nports : int;
+  max_vci : int;  (* the largest VCI whose key does not overflow *)
   outputs : Link.t option array;
-  table : (int * int, port * int * bool) Hashtbl.t;  (* ..., priority *)
+  table : entry Sim.Int_table.t;  (* by [key] *)
   mutable switched : int;
   mutable unroutable : int;
+  (* Every burst with a cell still to arrive, and some with none: a
+     burst is dropped only when the list is pruned, which happens when
+     it has doubled since the last prune and when an accessor reads it.
+     A burst with no cell to come counts nothing, so the accessors read
+     the same either way, and a train costs O(1) amortized however many
+     bursts are in flight. *)
   mutable pending : pend list;
+  mutable pending_len : int;
+  mutable prune_at : int;
   m_switched : Sim.Metrics.counter;
   m_unroutable : Sim.Metrics.counter;
 }
@@ -26,6 +37,9 @@ type t = {
    cell-pipelined fabric. *)
 let fabric_delay = Sim.Time.ns 4240
 
+(* The least length at which [pending] is pruned. *)
+let min_pending = 8
+
 let create engine ~name ~ports =
   let metrics = Sim.Engine.metrics engine in
   {
@@ -33,11 +47,14 @@ let create engine ~name ~ports =
     name;
     hop = "sw:" ^ name;
     nports = ports;
+    max_vci = (max_int - ports) / Int.max 1 ports;
     outputs = Array.make ports None;
-    table = Hashtbl.create 64;
+    table = Sim.Int_table.create 64;
     switched = 0;
     unroutable = 0;
     pending = [];
+    pending_len = 0;
+    prune_at = min_pending;
     m_switched =
       Sim.Metrics.counter metrics ~sub:Sim.Subsystem.Atm
         ~help:"cells forwarded across all switch fabrics"
@@ -56,17 +73,28 @@ let attach_output t port link =
   | Some _ -> invalid_arg "Switch.attach_output: port already attached"
   | None -> t.outputs.(port) <- Some link
 
-let add_route ?(priority = false) t ~in_port ~in_vci ~out_port ~out_vci =
-  if Hashtbl.mem t.table (in_port, in_vci) then
-    invalid_arg "Switch.add_route: route exists";
-  Hashtbl.add t.table (in_port, in_vci) (out_port, out_vci, priority)
+(* The one int that keys (in_port, in_vci) in the table, or -1 when no
+   route can have them: [in_vci * nports + in_port] is a different int
+   for every port in [\[0, nports)] and VCI in [\[0, max_vci\]]. *)
+let key t in_port in_vci =
+  if in_port >= 0 && in_port < t.nports && in_vci >= 0 && in_vci <= t.max_vci
+  then (in_vci * t.nports) + in_port
+  else -1
 
-let remove_route t ~in_port ~in_vci = Hashtbl.remove t.table (in_port, in_vci)
+let add_route ?(priority = false) t ~in_port ~in_vci ~out_port ~out_vci =
+  let k = key t in_port in_vci in
+  if k < 0 then invalid_arg "Switch.add_route: bad port or VCI";
+  if Sim.Int_table.mem t.table k then
+    invalid_arg "Switch.add_route: route exists";
+  Sim.Int_table.add t.table k { out_port; out_vci; priority }
+
+let remove_route t ~in_port ~in_vci =
+  Sim.Int_table.remove t.table (key t in_port in_vci)
 
 let route t ~in_port ~in_vci =
-  match Hashtbl.find_opt t.table (in_port, in_vci) with
-  | Some (out_port, out_vci, _) -> Some (out_port, out_vci)
-  | None -> None
+  match Sim.Int_table.find t.table (key t in_port in_vci) with
+  | r -> Some (r.out_port, r.out_vci)
+  | exception Not_found -> None
 
 let drop_unroutable t in_port (cell : Cell.t) =
   t.unroutable <- t.unroutable + 1;
@@ -85,9 +113,9 @@ let drop_unroutable t in_port (cell : Cell.t) =
       "cell_unroutable"
 
 let input t in_port (cell : Cell.t) =
-  match Hashtbl.find_opt t.table (in_port, cell.vci) with
-  | None -> drop_unroutable t in_port cell
-  | Some (out_port, out_vci, priority) -> begin
+  match Sim.Int_table.find t.table (key t in_port cell.vci) with
+  | exception Not_found -> drop_unroutable t in_port cell
+  | { out_port; out_vci; priority } -> begin
       match t.outputs.(out_port) with
       | None -> drop_unroutable t in_port cell
       | Some link ->
@@ -109,7 +137,9 @@ let now_ns t = Sim.Time.to_ns (Sim.Engine.now t.engine)
 
 let prune_pending t =
   let now = now_ns t in
-  t.pending <- List.filter (fun p -> Cell_times.last p.pa > now) t.pending
+  t.pending <- List.filter (fun p -> Cell_times.last p.pa > now) t.pending;
+  t.pending_len <- List.length t.pending;
+  t.prune_at <- Int.max min_pending (2 * t.pending_len)
 
 (* Cells counted at handover whose arrival has not happened yet. *)
 let future_cells t pred =
@@ -119,9 +149,18 @@ let future_cells t pred =
     0 t.pending
 
 let note_pending t pa pun =
-  prune_pending t;
-  if Cell_times.last pa > now_ns t then
-    t.pending <- { pa; pun } :: t.pending
+  if Cell_times.last pa > now_ns t then begin
+    t.pending <- { pa; pun } :: t.pending;
+    t.pending_len <- t.pending_len + 1;
+    if t.pending_len >= t.prune_at then prune_pending t
+  end
+
+(* The train path only runs without cell-detail tracing, so counting
+   the burst is all the per-cell path would have done. *)
+let drop_train t n arrivals =
+  t.unroutable <- t.unroutable + n;
+  Sim.Metrics.incr ~by:n t.m_unroutable;
+  note_pending t arrivals true
 
 (* The train fast path: one routing lookup for a whole burst, and no
    fabric-transit event at all.  [arrivals] (each cell's arrival at this
@@ -130,46 +169,37 @@ let note_pending t pa pun =
    preserved exactly, at a cost that follows the arrivals' runs. *)
 let input_train t in_port (train : Train.t) ~arrivals =
   let n = Train.count train in
-  let out =
-    match Hashtbl.find_opt t.table (in_port, train.Train.vci) with
-    | None -> None
-    | Some (out_port, out_vci, priority) -> begin
-        match t.outputs.(out_port) with
-        | None -> None
-        | Some link -> Some (link, out_vci, priority)
-      end
-  in
-  match out with
-  | None ->
-      (* The train path only runs without cell-detail tracing, so
-         counting the burst is all the per-cell path would have done. *)
-      t.unroutable <- t.unroutable + n;
-      Sim.Metrics.incr ~by:n t.m_unroutable;
-      note_pending t arrivals true
-  | Some (link, out_vci, priority) ->
-      t.switched <- t.switched + n;
-      Sim.Metrics.incr ~by:n t.m_switched;
-      (* Same causal hop as the per-cell path: stamped with the last
-         cell's (possibly future) arrival at this input, so the audit
-         sees identical stage boundaries whichever path ran. *)
-      let tr = Sim.Engine.trace t.engine in
-      if
-        Train.contains_last train
-        && Sim.Trace.flows_on tr
-        && Train.flow train >= 0
-      then
-        Sim.Trace.flow_step tr
-          ~ts:(Sim.Time.ns (Cell_times.last arrivals))
-          ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train) t.hop;
-      train.Train.vci <- out_vci;
-      note_pending t arrivals false;
-      (* Commit downstream immediately with the (future) fabric-shifted
-         instants as virtual offers: the output link reveals each cell
-         only once its offer passes, so no fabric-transit event per
-         burst is needed at all. *)
-      Link.send_train ~priority
-        ~offers:(Cell_times.shift arrivals (Sim.Time.to_ns fabric_delay))
-        link train
+  match Sim.Int_table.find t.table (key t in_port train.Train.vci) with
+  | exception Not_found -> drop_train t n arrivals
+  | { out_port; out_vci; priority } -> begin
+      match t.outputs.(out_port) with
+      | None -> drop_train t n arrivals
+      | Some link ->
+          t.switched <- t.switched + n;
+          Sim.Metrics.incr ~by:n t.m_switched;
+          (* Same causal hop as the per-cell path: stamped with the last
+             cell's (possibly future) arrival at this input, so the audit
+             sees identical stage boundaries whichever path ran. *)
+          let tr = Sim.Engine.trace t.engine in
+          if
+            Train.contains_last train
+            && Sim.Trace.flows_on tr
+            && Train.flow train >= 0
+          then
+            Sim.Trace.flow_step tr
+              ~ts:(Sim.Time.ns (Cell_times.last arrivals))
+              ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:(Train.flow train)
+              t.hop;
+          train.Train.vci <- out_vci;
+          note_pending t arrivals false;
+          (* Commit downstream immediately with the (future)
+             fabric-shifted instants as virtual offers: the output link
+             reveals each cell only once its offer passes, so no
+             fabric-transit event per burst is needed at all. *)
+          Link.send_train ~priority
+            ~offers:(Cell_times.shift arrivals (Sim.Time.to_ns fabric_delay))
+            link train
+    end
 
 let cells_switched t =
   prune_pending t;

@@ -30,7 +30,10 @@ val add_route :
 (** Install a routing-table entry.  [priority] marks the VC as
     bandwidth-reserved: its cells are forwarded onto the output link
     with priority.  Raises [Invalid_argument] if the (in_port, in_vci)
-    pair is already routed. *)
+    pair is already routed, if [in_port] is not in [\[0, ports t)], or
+    if [in_vci] is negative or above [(max_int - ports t) / ports t]:
+    the table keys each pair by one int, [in_vci * ports t + in_port],
+    so a lookup costs no allocation and no generic hash. *)
 
 val remove_route : t -> in_port:port -> in_vci:int -> unit
 

@@ -42,12 +42,7 @@ type open_seg = {
   mutable o_mark : int;
 }
 
-module Fid_table = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash (fid : int) = fid
-end)
+module Fid_table = Sim.Int_table
 
 type t = {
   engine : Sim.Engine.t;

@@ -63,8 +63,6 @@ type report = {
    Every float is summed in the order this report has always used, so
    reports stay byte-identical: float addition is not associative. *)
 
-module Itbl = Hashtbl.Make (Int)
-
 let arg_stream args =
   match List.assoc_opt "stream" args with
   | Some (Trace.Str s) -> Some s
@@ -92,23 +90,23 @@ let end_code = 2
 let of_trace ?deadline_ns tr =
   (* Pass 1: a dense index per flow, in first-appearance order, for
      each flow event in record order. *)
-  let dense = Itbl.create 256 in
+  let dense = Int_table.create 256 in
   let ev_flow = Array.make (Trace.length tr) 0 in
   let n = ref 0 in
   Trace.iter_flow_events tr (fun ~ts:_ ~flow ~phase:_ ~name:_ ~args:_ ->
       let f =
-        match Itbl.find dense flow with
+        match Int_table.find dense flow with
         | f -> f
         | exception Not_found ->
-            let f = Itbl.length dense in
-            Itbl.add dense flow f;
+            let f = Int_table.length dense in
+            Int_table.add dense flow f;
             f
       in
       ev_flow.(!n) <- f;
       incr n);
-  let n = !n and nf = Itbl.length dense in
+  let n = !n and nf = Int_table.length dense in
   let fl_id = Array.make nf 0 in
-  Itbl.iter (fun id f -> fl_id.(f) <- id) dense;
+  Int_table.iter (fun id f -> fl_id.(f) <- id) dense;
   (* A counting sort: flow [f]'s events go to [fl_off.(f)] and on, in
      record order. *)
   let fl_off = Array.make (nf + 1) 0 in

@@ -208,7 +208,7 @@ let scan_sorted t ~hi ~b =
    plain walk is cheaper than maintaining order. *)
 let sort_threshold = 32
 
-let[@inline] entry_lt pool a b =
+let[@inline] entry_lt (pool : int array) a b =
   let ka = pool.(a) and kb = pool.(b) in
   ka < kb || (ka = kb && pool.(a + 1) < pool.(b + 1))
 
@@ -226,7 +226,7 @@ let run_width = 16
    [buf[d+lo, d+hi)]: the two halves of one scratch array addressed by
    base offset, so alternating passes swap offsets instead of
    allocating a second array. *)
-let merge pool buf ~s ~d lo mid hi =
+let merge (pool : int array) buf ~s ~d lo mid hi =
   let i = ref lo and j = ref mid and k = ref lo in
   while !i < mid && !j < hi do
     if entry_lt pool buf.(s + !j) buf.(s + !i) then begin
@@ -252,10 +252,10 @@ let merge pool buf ~s ~d lo mid hi =
 
 (* Sort [buf[0, n)], using [buf[n, 2n)] as scratch.  Returns the base
    offset (0 or n) the sorted ids ended up at. *)
-let msort pool buf n =
+let msort (pool : int array) buf n =
   let lo = ref 0 in
   while !lo < n do
-    let hi = Stdlib.min n (!lo + run_width) in
+    let hi = Int.min n (!lo + run_width) in
     for i = !lo + 1 to hi - 1 do
       let x = buf.(i) in
       let j = ref (i - 1) in
@@ -271,8 +271,8 @@ let msort pool buf n =
   while !w < n do
     let lo = ref 0 in
     while !lo < n do
-      let mid = Stdlib.min n (!lo + !w) in
-      let hi = Stdlib.min n (!lo + (2 * !w)) in
+      let mid = Int.min n (!lo + !w) in
+      let hi = Int.min n (!lo + (2 * !w)) in
       merge pool buf ~s:!s ~d:!d !lo mid hi;
       lo := hi
     done;
@@ -288,7 +288,7 @@ let sort_bucket t b =
   (* [sbuf] holds the chain ids in its first half and merge scratch in
      its second; both halves must fit. *)
   (if Array.length t.sbuf < 2 * n then begin
-     let cap = ref (Stdlib.max 128 (2 * Array.length t.sbuf)) in
+     let cap = ref (Int.max 128 (2 * Array.length t.sbuf)) in
      while !cap < 2 * n do
        cap := !cap * 2
      done;
@@ -374,7 +374,7 @@ let next_pow2 n =
    ns, twice the mean gap when [count] gaps cover [span]: that ratio
    rounded up, computed without overflowing for any key span. *)
 let shift_for ~span ~count =
-  let q = Stdlib.min (span / count) (1 lsl max_shift) in
+  let q = Int.min (span / count) (1 lsl max_shift) in
   let w = (2 * q) + (((2 * (span mod count)) + count - 1) / count) in
   let rec go s = if s >= max_shift || 1 lsl s >= w then s else go (s + 1) in
   go 0

@@ -39,6 +39,10 @@ let max_slots = 1 lsl slot_bits
 
 type event_id = int
 
+(* A live handle's generation is never negative, so no slot word
+   matches this one. *)
+let no_event = -1
+
 type t = {
   mutable clock : Time.t;
   q : Calendar.t;

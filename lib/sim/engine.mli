@@ -25,6 +25,11 @@ type event_id
     reuse fails {!cancel} harmlessly — no lookup tables sit on the
     event hot path, and handles never keep callbacks alive. *)
 
+val no_event : event_id
+(** A handle that names no event, for a field that holds one pending
+    event or none without an [option] block: {!cancel} returns [false]
+    on it. *)
+
 val create : ?trace:Trace.t -> ?metrics:Metrics.t -> unit -> t
 (** A fresh engine at time zero, its events held in a {!Calendar}
     queue.

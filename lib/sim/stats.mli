@@ -9,12 +9,14 @@ val percentile : n:int -> (int -> float) -> float -> float
 
 val sort_floats : float array -> int -> unit
 (** [sort_floats a len] sorts [a]'s first [len] floats in place, in
-    {!Float.compare} order, leaving the rest of [a] alone.  It is
-    [Array.sort Float.compare]'s heap sort with the same comparisons and
-    moves, so the result is bit-identical to it, ties between [0.0] and
-    [-0.0] or between NaNs of different payloads included; unlike it,
-    it allocates nothing.  Raises [Invalid_argument] unless
-    [0 <= len <= Array.length a]. *)
+    {!Float.compare} order, leaving the rest of [a] alone.  The result
+    is bit-identical to [Array.sort Float.compare]'s, ties between
+    [0.0] and [-0.0] or between NaNs of different payloads included;
+    unlike it, it allocates nothing.  When the prefix holds no NaN and
+    not both zeros, tied floats have equal bits and it runs an
+    introsort, O(n log n) on every input; otherwise it runs
+    [Array.sort]'s heap sort with the same comparisons and moves.
+    Raises [Invalid_argument] unless [0 <= len <= Array.length a]. *)
 
 (** Streaming standard deviation (Welford). *)
 module Summary : sig

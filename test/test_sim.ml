@@ -1009,6 +1009,28 @@ let alloc_tests =
        record);
   ]
 
+(* Adversarial orders for the sort, each as the [i]th of [n] values.
+   Musser's median-of-three killer drives a median-of-three quicksort
+   quadratic; [sort_floats] reaches its depth-limit heap sort on it
+   from 100 values on, and on the organ pipe from 1 000. *)
+let sort_shapes =
+  let killer n =
+    let k = n / 2 in
+    fun i ->
+      if i >= 2 * k then Float.of_int i
+      else if i >= k then Float.of_int (2 * (i - k + 1))
+      else if i mod 2 = 0 then Float.of_int (i + 1)
+      else Float.of_int (k + i)
+  in
+  [
+    ("sorted", fun _ i -> Float.of_int i);
+    ("reversed", fun n i -> Float.of_int (n - i));
+    ("organ pipe", fun n i -> Float.of_int (Int.min i (n - i)));
+    ("all equal", fun _ _ -> 1.0);
+    ("few distinct", fun _ i -> Float.of_int (i * 7_919 mod 5));
+    ("median-of-three killer", killer);
+  ]
+
 let stats_tests =
   [
     Alcotest.test_case "empty samples: every statistic raises" `Quick (fun () ->
@@ -1095,7 +1117,27 @@ let stats_tests =
                  (3, float);
                ]
            in
-           pair (list_size (int_range 0 2_000) value) (int_range 0 8))
+           (* An adversarial order, scaled, and with at most one special
+              value planted in it.  A NaN, or a zero of the sign the
+              shape does not hold, sends the sort to its tie-exact heap
+              sort; anything else keeps the introsort. *)
+           let shaped =
+             map
+               (fun (((_, shape), n), (scale, plant)) ->
+                 List.init n (fun i ->
+                     match plant with
+                     | Some (at, x) when at mod Int.max 1 n = i -> x
+                     | _ -> scale *. shape n i))
+               (pair
+                  (pair (oneofl sort_shapes) (int_range 0 2_000))
+                  (pair
+                     (oneofl [ 1.0; -1.0; 0.5 ])
+                     (option (pair nat special))))
+           in
+           pair
+             (frequency
+                [ (1, list_size (int_range 0 2_000) value); (1, shaped) ])
+             (int_range 0 8))
          (fun (values, pad) ->
            let bits = Int64.bits_of_float in
            let same_bits x y = Int64.equal (bits x) (bits y) in
@@ -1166,6 +1208,60 @@ let stats_tests =
               let r = Sim.Rng.create ~seed:3L () in
               fun _ -> Sim.Rng.float r );
           ]);
+    Alcotest.test_case
+      "a median-of-three killer sorts within 5x of random values" `Quick
+      (fun () ->
+        (* Host time for 100 000 values, best of 5.  The depth limit
+           hands the killer's deep ranges to the heap sort, at about
+           twice the cost of random values; without it the quicksort
+           went quadratic, at 130 times. *)
+        let n = 100_000 in
+        let best input =
+          let src = Array.init n input and a = Array.make n 0.0 in
+          let t = ref infinity in
+          for _ = 1 to 5 do
+            Array.blit src 0 a 0 n;
+            let t0 = Unix.gettimeofday () in
+            Sim.Stats.sort_floats a n;
+            t := Float.min !t (Unix.gettimeofday () -. t0)
+          done;
+          !t
+        in
+        let killer = best (List.assoc "median-of-three killer" sort_shapes n)
+        and random =
+          best
+            (let r = Sim.Rng.create ~seed:3L () in
+             fun _ -> Sim.Rng.float r)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "killer %.1f ms, random %.1f ms" (killer *. 1e3)
+             (random *. 1e3))
+          true
+          (killer <= 5.0 *. random));
+    Alcotest.test_case "100 000 adversarial values read as Array.sort's"
+      `Quick (fun () ->
+        (* Large enough that the killer and the organ pipe reach the
+           depth-limit heap sort, on both signs. *)
+        List.iter
+          (fun (name, shape) ->
+            List.iter
+              (fun scale ->
+                let a =
+                  Array.init 100_000 (fun i -> scale *. shape 100_000 i)
+                in
+                let want = Array.copy a in
+                Array.sort Float.compare want;
+                Sim.Stats.sort_floats a 100_000;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s x %g" name scale)
+                  true
+                  (Array.for_all2
+                     (fun x y ->
+                       Int64.equal (Int64.bits_of_float x)
+                         (Int64.bits_of_float y))
+                     want a))
+              [ 1.0; -1.0 ])
+          sort_shapes);
   ]
 
 (* ------------------------------------------------------------------ *)
