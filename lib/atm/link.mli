@@ -91,8 +91,7 @@ val prop : t -> Sim.Time.t
 val set_down : t -> bool -> unit
 
 val set_loss : t -> (unit -> bool) option -> unit
-(** Install a per-cell loss decision stream (e.g. {!Sim.Fault.bernoulli});
-    [None] clears it. *)
+(** Install a per-cell loss decision stream; [None] clears it. *)
 
 val set_loss_rate : t -> rng:Sim.Rng.t -> float -> unit
 (** Convenience: Bernoulli loss at the given rate from a stream split

@@ -458,7 +458,6 @@ let send_frame ?flow vc payload =
   send_pdu ?flow vc (Aal5.Framer.pdu vc.vc_net.framer payload)
 
 let vc_hops vc = vc.hops
-let vc_bandwidth_bps vc = Link.bandwidth_bps vc.first_link
 let vc_reserved vc = vc.reserved
 let vc_src_vci vc = vc.src_vci
 let vc_dst_vci vc = vc.dst_vci

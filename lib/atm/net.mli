@@ -115,9 +115,6 @@ val vc_src_vci : vc -> int
 
 val vc_reserved : vc -> int option
 
-val vc_bandwidth_bps : vc -> int
-(** Line rate of the VC's first link (for sender-side pacing). *)
-
 val vc_dst_vci : vc -> int
 (** The VCI under which cells arrive at the destination — the display
     device, for instance, uses it to index window descriptors. *)

@@ -29,7 +29,6 @@ type row_result = {
 }
 
 val results : Sim.Ctx.t -> row_result array
-(** The raw sweep, in row order (clients major, placement minor) —
-    what the benchmark harness consumes. *)
+(** The raw sweep, in row order (clients major, placement minor). *)
 
 val run : Sim.Ctx.t -> Table.t

@@ -1,6 +1,5 @@
 (** Sharded multi-site fabric — the conservative-parallel-simulation
-    showcase rig behind [pegasus_cli run PAR] and the BENCH_parallel
-    benchmark.
+    showcase rig behind [pegasus_cli run PAR].
 
     [sites] campus networks (switch + camera/display/gateway hosts, 10
     Gbit/s links) are joined in a ring of long-haul trunks; each site is

@@ -1,5 +1,5 @@
-(** Index of every experiment: id → runner.  The bench binary and the
-    CLI iterate this. *)
+(** Index of every experiment: id → runner.  The CLI and the tests
+    iterate this. *)
 
 type entry = {
   e_id : string;

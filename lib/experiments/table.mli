@@ -1,7 +1,7 @@
 (** Result tables for the paper-claim experiments.
 
-    Every experiment produces one of these; the bench binary and the
-    CLI print them, and EXPERIMENTS.md records them. *)
+    Every experiment produces one of these; the CLI prints them, and
+    EXPERIMENTS.md records them. *)
 
 type t = {
   id : string;  (** e.g. "E1" *)

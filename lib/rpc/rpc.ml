@@ -1,5 +1,4 @@
 module Wire = Wire
-module Bulk = Bulk
 
 type error =
   | Timed_out

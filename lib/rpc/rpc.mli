@@ -7,7 +7,6 @@
     answered from a reply cache, never re-executed. *)
 
 module Wire : module type of Wire
-module Bulk : module type of Bulk
 
 type endpoint
 

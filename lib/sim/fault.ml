@@ -27,14 +27,6 @@ let mark t name =
     Trace.instant tr ~ts:(Engine.now t.engine) ~sub:Subsystem.Sim ~cat:"fault"
       name
 
-let bernoulli t ~p =
-  if p <= 0.0 then fun () -> false
-  else if p >= 1.0 then fun () -> true
-  else begin
-    let stream = Rng.split t.rng in
-    fun () -> Rng.float stream < p
-  end
-
 let window t ~at ~duration ~down ~up =
   let at = Time.max at (Engine.now t.engine) in
   ignore

@@ -2,10 +2,10 @@
 
     A fault plan owns a seeded RNG and schedules failure transitions
     against an engine: one-shot failure windows and renewal-process
-    link outages, plus Bernoulli decision streams for per-cell loss.
-    Everything is driven by the plan's {!Rng}, so a run is reproducible
-    from the seed, and two runs with the same seed inject byte-identical
-    fault sequences.
+    link outages; per-cell loss draws from the plan's {!rng} (through
+    [Atm.Net.inject_loss]).  Everything is driven by the plan's {!Rng},
+    so a run is reproducible from the seed, and two runs with the same
+    seed inject byte-identical fault sequences.
 
     The plan knows nothing about the components it breaks: callers pass
     closures ([down]/[up]) that flip the actual switches —
@@ -25,11 +25,6 @@ val rng : t -> Rng.t
 
 val events_injected : t -> int
 (** Fault transitions fired so far (downs and ups). *)
-
-val bernoulli : t -> p:float -> unit -> bool
-(** [bernoulli t ~p] is a deterministic decision stream: each call is
-    [true] with probability [p], drawn from a stream split off the
-    plan's RNG.  Suitable for per-cell loss ({!Atm.Link.set_loss}). *)
 
 val window :
   t -> at:Time.t -> duration:Time.t -> down:(unit -> unit) ->

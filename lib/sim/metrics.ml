@@ -201,9 +201,9 @@ let get g = Float.Array.get g.g_cell 0
 let cell g = g.g_cell
 
 (* The disabled path is the contract: one load, one branch, no call —
-   cheap enough to leave in every hot loop (CI gates it via
-   BENCH_monitor.json).  The enabled path fans the sample out to every
-   attached sink. *)
+   cheap enough to leave in every hot loop ([Pfs.Directory] samples on
+   every read, monitored or not).  The enabled path fans the sample out
+   to every attached sink. *)
 let[@inline] sample o v =
   if o.o_on then begin
     o.o_count <- o.o_count + 1;

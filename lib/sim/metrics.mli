@@ -27,8 +27,7 @@
     process-wide one.  Parallel pieces of a run count into registries
     of their own and {!merge} back in a fixed order.  A snapshot of the
     whole registry dumps as deterministic JSON (sorted by subsystem
-    then name), which is what [pegasus_cli --metrics-out] and the
-    benchmark harness emit. *)
+    then name), which is what [pegasus_cli --metrics-out] emits. *)
 
 type t
 

@@ -2,8 +2,6 @@
 
 exception Barrier_poisoned
 
-let recommended_workers () = Domain.recommended_domain_count ()
-
 (* Classic phase-counting barrier.  [poisoned] releases blocked waiters
    when a sibling worker dies, so a crash surfaces as an exception on
    every domain instead of a deadlock. *)

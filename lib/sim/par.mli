@@ -5,9 +5,6 @@
     simulation state; determinism is the caller's job (see {!Shard} and
     {!Ctx.map}). *)
 
-val recommended_workers : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val run : workers:int -> (worker:int -> sync:(unit -> unit) -> unit) -> unit
 (** [run ~workers f] executes [f ~worker ~sync] once per worker, with
     [worker] in [0 .. workers-1]; worker 0 runs on the calling domain.

@@ -85,6 +85,23 @@ let crc_tests =
         List.iter
           (fun k -> check ~pos:0 ~len:((48 * k) - 4))
           (List.init 64 succ @ [ 683; 1366 ]));
+    Alcotest.test_case "the fold runs exactly where the CPU has it" `Quick
+      (fun () ->
+        (* A fold compiled out or never chosen would still pass every
+           digest test above, on the table loop. *)
+        match
+          In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
+        with
+        | exception Sys_error _ -> Alcotest.skip ()
+        | cpuinfo ->
+            let words =
+              String.map (function '\t' | '\n' -> ' ' | c -> c) cpuinfo
+              |> String.split_on_char ' '
+            in
+            let has flag = List.mem flag words in
+            Alcotest.(check string) "kernel"
+              (if has "pclmulqdq" && has "sse4_1" then "clmul" else "table")
+              Atm.Crc32.kernel);
   ]
 
 let util_tests =

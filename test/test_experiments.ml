@@ -247,6 +247,34 @@ let shape_tests =
             ("E13", Experiments.E13_faults.run);
             ("E14", Experiments.E14_cityscale.run);
           ]);
+    Alcotest.test_case "E15: at the peak, replication wins reads and tail"
+      `Quick (fun () ->
+        let t = table "E15" in
+        let rows = t.Experiments.Table.rows in
+        let peak =
+          List.fold_left
+            (fun acc r -> Float.max acc (number (List.hd r)))
+            0.0 rows
+        in
+        let at placement =
+          match
+            List.find_opt
+              (fun r -> number (List.hd r) = peak && List.nth r 1 = placement)
+              rows
+          with
+          | Some r -> (number (List.nth r 2), time_us (List.nth r 5))
+          | None -> Alcotest.failf "no %s row at %.0f clients" placement peak
+        in
+        let static_reads, static_p99 = at "static"
+        and repl_reads, repl_p99 = at "replicate" in
+        Alcotest.(check bool)
+          (Printf.sprintf "reads/s %.0f >= 1.2 x %.0f" repl_reads static_reads)
+          true
+          (repl_reads >= 1.2 *. static_reads);
+        Alcotest.(check bool)
+          (Printf.sprintf "p99 %.0f us >= 2 x %.0f us" static_p99 repl_p99)
+          true
+          (static_p99 >= 2.0 *. repl_p99));
   ]
 
 let () =

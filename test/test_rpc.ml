@@ -265,92 +265,10 @@ let recovery_tests =
           (Rpc.retransmissions conn >= 1));
   ]
 
-let bulk_rig ?mtu ?window ?consume_rate_bps ?prop () =
-  let e = Sim.Engine.create () in
-  let net = Atm.Net.create e in
-  let a = Atm.Net.add_host net ~name:"src" in
-  let b = Atm.Net.add_host net ~name:"dst" in
-  Atm.Net.connect net ?prop a b;
-  let chunks = ref [] in
-  let sender, receiver =
-    Rpc.Bulk.establish net ~src:a ~dst:b ?mtu ?window ?consume_rate_bps
-      ~on_data:(fun b -> chunks := Bytes.to_string b :: !chunks)
-      ()
-  in
-  (e, sender, receiver, chunks)
-
-let bulk_tests =
-  [
-    Alcotest.test_case "bytes arrive complete and in order" `Quick (fun () ->
-        let e, sender, receiver, chunks = bulk_rig ~mtu:100 () in
-        let message = String.init 1050 (fun i -> Char.chr (i land 0xff)) in
-        Rpc.Bulk.send sender (Bytes.of_string message);
-        let finished = ref false in
-        Rpc.Bulk.finish sender ~on_done:(fun () -> finished := true);
-        Sim.Engine.run e;
-        Alcotest.(check bool) "finished" true !finished;
-        Alcotest.(check int) "all delivered" 1050
-          (Rpc.Bulk.bytes_delivered receiver);
-        Alcotest.(check string) "reassembled" message
-          (String.concat "" (List.rev !chunks));
-        Alcotest.(check int) "credits restored" 8
-          (Rpc.Bulk.credits_available sender));
-    Alcotest.test_case "a slow consumer throttles the sender" `Quick (fun () ->
-        (* 8 Mbit/s consumer against a 100 Mbit/s line: delivery takes
-           ~ bytes*8/8e6 seconds, not line time. *)
-        let e, sender, receiver, _ =
-          bulk_rig ~consume_rate_bps:8_000_000 ()
-        in
-        let total = 1_000_000 in
-        Rpc.Bulk.send sender (Bytes.create total);
-        let done_at = ref Sim.Time.zero in
-        Rpc.Bulk.finish sender ~on_done:(fun () -> done_at := Sim.Engine.now e);
-        Sim.Engine.run e;
-        let secs = Sim.Time.to_sec_f !done_at in
-        Alcotest.(check int) "delivered" total (Rpc.Bulk.bytes_delivered receiver);
-        Alcotest.(check bool)
-          (Printf.sprintf "paced to the consumer (%.2fs)" secs)
-          true
-          (secs > 0.9 && secs < 1.3));
-    Alcotest.test_case "in-flight frames never exceed the window" `Quick
-      (fun () ->
-        let e, sender, _, _ = bulk_rig ~window:4 ~consume_rate_bps:1_000_000 () in
-        Rpc.Bulk.send sender (Bytes.create 200_000);
-        let violations = ref 0 in
-        Sim.Engine.every e ~period:(Sim.Time.ms 1) (fun () ->
-            if Rpc.Bulk.frames_in_flight sender > 4 then incr violations;
-            Rpc.Bulk.frames_in_flight sender > 0 || Rpc.Bulk.credits_available sender < 4);
-        Rpc.Bulk.finish sender ~on_done:(fun () -> ());
-        Sim.Engine.run e ~until:(Sim.Time.sec 3);
-        Alcotest.(check int) "window respected" 0 !violations);
-    Alcotest.test_case "throughput follows the window law" `Quick (fun () ->
-        (* Across a 2ms-propagation path the pipe is deep: a window of
-           one drains between credits (throughput ~ mtu/rtt), a wide
-           window fills the line. *)
-        let run window =
-          let e, sender, receiver, _ =
-            bulk_rig ~window ~prop:(Sim.Time.ms 2) ()
-          in
-          Rpc.Bulk.send sender (Bytes.create 500_000);
-          let done_at = ref Sim.Time.zero in
-          Rpc.Bulk.finish sender ~on_done:(fun () -> done_at := Sim.Engine.now e);
-          Sim.Engine.run e;
-          ignore receiver;
-          Float.of_int 500_000 /. Sim.Time.to_sec_f !done_at
-        in
-        let narrow = run 1 and wide = run 16 in
-        Alcotest.(check bool)
-          (Printf.sprintf "wide %.1f MB/s >> narrow %.1f MB/s" (wide /. 1e6)
-             (narrow /. 1e6))
-          true
-          (wide > narrow *. 3.0));
-  ]
-
 let () =
   Alcotest.run "rpc"
     [
       ("wire", wire_tests);
       ("calls", call_tests);
       ("recovery", recovery_tests);
-      ("bulk", bulk_tests);
     ]

@@ -516,25 +516,6 @@ let fault_tests =
         Alcotest.(check bool) "sequences nonempty" true (seq_a <> []);
         Alcotest.(check bool) "sequences identical" true (seq_a = seq_b);
         Alcotest.(check int) "counters identical" count_a count_b);
-    Alcotest.test_case "bernoulli stream is deterministic and near p" `Quick
-      (fun () ->
-        let draws seed =
-          let e = Sim.Engine.create () in
-          let f = Sim.Fault.create ~seed e in
-          let decide = Sim.Fault.bernoulli f ~p:0.3 in
-          List.init 1000 (fun _ -> decide ())
-        in
-        let a = draws 5L and b = draws 5L in
-        Alcotest.(check bool) "same stream" true (a = b);
-        let trues = List.length (List.filter Fun.id a) in
-        Alcotest.(check bool) "rate near 0.3" true (trues > 200 && trues < 400);
-        Alcotest.(check bool) "p=0 never fires" true
-          (not
-             (List.exists Fun.id
-                (let e = Sim.Engine.create () in
-                 let f = Sim.Fault.create e in
-                 let d = Sim.Fault.bernoulli f ~p:0.0 in
-                 List.init 100 (fun _ -> d ())))));
     Alcotest.test_case "window takes a component down and back up" `Quick
       (fun () ->
         let e = Sim.Engine.create () in
@@ -1007,6 +988,33 @@ let alloc_tests =
          record i
        done;
        record);
+    (* The arena engine's contract: once its arena and calendar have
+       settled, scheduling and firing an event allocates nothing.  No
+       run holds more than about 10 250 live events. *)
+    Alcotest.test_case
+      "schedule and fire at 10 000 live events allocates nothing" `Quick
+      (fun () ->
+        let e = Sim.Engine.create () in
+        let spread i = Sim.Time.ns (1 + (i * 2654435761 land 0xFFFFF)) in
+        let delays = Array.init 1024 spread and k = ref 0 in
+        let rec self () =
+          k := (!k + 1) land 1023;
+          ignore (Sim.Engine.schedule e ~delay:delays.(!k) self)
+        in
+        for i = 1 to 10_000 do
+          ignore (Sim.Engine.schedule e ~delay:(spread i) self)
+        done;
+        Sim.Engine.run e ~max_events:100_000;
+        let minor, _ =
+          words_of (fun () -> Sim.Engine.run e ~max_events:200_000)
+        in
+        Alcotest.(check (float 0.001)) "minor words per event" 0.0
+          (minor /. 200_000.0));
+    (* An unmonitored observer: one load and one branch. *)
+    zero "Metrics.sample with no sink"
+      (let m = Sim.Metrics.create () in
+       let o = Sim.Metrics.observer m ~sub:Sim.Subsystem.Pfs "alloc.win_us" in
+       fun i -> Sim.Metrics.sample o (sample i));
   ]
 
 (* Adversarial orders for the sort, each as the [i]th of [n] values.
@@ -2255,8 +2263,8 @@ let audit_property =
         QCheck2.Test.fail_reportf "seed %d:@.%s@.oracle:@.%s" seed got want;
       true)
 
-(* The capture bench/main.ml's audit_build times: start, 8 hops and
-   end per flow, 4 streams. *)
+(* A capture in the shape the audit scenarios produce: start, 8 hops
+   and end per flow, 4 streams. *)
 let hop_capture flows =
   let tr = Sim.Trace.create ~unbounded:true () in
   Sim.Trace.set_flows tr true;
