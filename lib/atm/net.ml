@@ -36,6 +36,22 @@ type node = {
    space is finite, and exhausting it mid-signalling must roll back. *)
 type vci_pool = { mutable vp_next : int; mutable vp_free : int list }
 
+(* The receive buffers [open_pipe] lends, one per payload length.  The
+   pipes of E15 and vod_flash carry two lengths, 64-byte requests and
+   32 KB chunks; the spare slots let a few more lengths (a message's
+   shorter last chunk) pass without evicting those.  Slot [i] holds a
+   buffer of its own length and when it was last lent; a length no
+   slot has replaces the least recently lent one.  Initial slots hold
+   [Bytes.empty], the buffer of an empty payload. *)
+let rx_slots = 4
+
+type rx_bufs = {
+  bufs : bytes array;
+  lent_at : int array;
+  mutable clock : int;
+  mutable lent : bool;  (* a buffer is with a receiver now *)
+}
+
 type t = {
   engine : Sim.Engine.t;
   mutable nodes : node array;
@@ -47,6 +63,7 @@ type t = {
   mutable all_switches : Switch.t list;
   mutable use_trains : bool;
   framer : Aal5.Framer.t;  (* the PDUs [send_frame] built lately *)
+  rx_bufs : rx_bufs;  (* the payload buffers [open_pipe] lends *)
 }
 
 let create ?(vci_limit = 65_535) engine =
@@ -62,6 +79,13 @@ let create ?(vci_limit = 65_535) engine =
     all_switches = [];
     use_trains = true;
     framer = Aal5.Framer.create ();
+    rx_bufs =
+      {
+        bufs = Array.make rx_slots Bytes.empty;
+        lent_at = Array.make rx_slots 0;
+        clock = 0;
+        lent = false;
+      };
   }
 
 let set_train_path t on = t.use_trains <- on
@@ -289,6 +313,7 @@ type vc = {
   dst_vci : int;
   hops : int;
   mutable reserved : int option;  (* bps reserved on every link of the path *)
+  priority : bool;  (* opened with a reservation: cells travel first *)
   path_links : Link.t list;
   (* per-hop VCI allocations (receiving node, receiving port, vci) *)
   allocs : (node_id * int * int) array;
@@ -329,7 +354,7 @@ let open_vc ?reserve_bps ?rx_train ?(path_sel = 0) t ~src ~dst ~rx =
                 end
           in
           admit [] links);
-      let priority = reserve_bps <> None in
+      let priority = Option.is_some reserve_bps in
       (* Allocate a VCI per hop (at the receiving side) and install the
          switch routes as we go: the cell enters node path_arr.(i).dst
          with vcis.(i) and must leave via edge path_arr.(i+1).  Any
@@ -382,6 +407,7 @@ let open_vc ?reserve_bps ?rx_train ?(path_sel = 0) t ~src ~dst ~rx =
         dst_vci;
         hops = n;
         reserved = reserve_bps;
+        priority;
         path_links = links;
         allocs =
           Array.mapi (fun i e -> (e.dst, e.in_port, vcis.(i))) path_arr;
@@ -443,10 +469,10 @@ let vc_adjust_reservation vc ~bps =
 
 let send vc (cell : Cell.t) =
   cell.vci <- vc.src_vci;
-  Link.send ~priority:(vc.reserved <> None) vc.first_link cell
+  Link.send ~priority:vc.priority vc.first_link cell
 
 let send_pdu ?flow vc pdu =
-  let priority = vc.reserved <> None in
+  let priority = vc.priority in
   let train = Train.make ~vci:vc.src_vci ?flow pdu in
   if vc.vc_net.use_trains then Link.send_train ~priority vc.first_link train
   else
@@ -480,7 +506,10 @@ let frame_rx ~rx ?(on_error = fun _ -> ()) () =
    in one deterministic sweep, [open_pipe] is open_vc with a shared
    AAL5 reassembler pre-wired on both the cell path and the train fast
    path, so the caller deals in whole frames and flow ids.  The pipe
-   copies each checked payload out of its view for the caller to keep. *)
+   copies each checked payload out of its view into the net's receive
+   buffer of that length and lends it to the caller until [rx] returns,
+   the term a view has: a caller that keeps the bytes copies them.  So
+   a frame allocates nothing once its length has a buffer. *)
 
 let fan ?bandwidth_bps ?queue_cells t ~switch ~prefix ~n =
   if n < 1 then invalid_arg "Net.fan: n must be >= 1";
@@ -489,9 +518,49 @@ let fan ?bandwidth_bps ?queue_cells t ~switch ~prefix ~n =
       connect t ?bandwidth_bps ?queue_cells switch h;
       h)
 
+let rec rx_slot r len i =
+  if i = rx_slots || Bytes.length r.bufs.(i) = len then i
+  else rx_slot r len (i + 1)
+
+let rec least_lent r best i =
+  if i = rx_slots then best
+  else
+    least_lent r (if r.lent_at.(i) < r.lent_at.(best) then i else best) (i + 1)
+
+let rx_buffer r len =
+  r.clock <- r.clock + 1;
+  let i = rx_slot r len 0 in
+  let i =
+    if i < rx_slots then i
+    else begin
+      let i = least_lent r 0 1 in
+      r.bufs.(i) <- Bytes.create len;
+      i
+    end
+  in
+  r.lent_at.(i) <- r.clock;
+  r.bufs.(i)
+
+(* Deliveries come from link events and no callback may [run] the
+   engine, so no run delivers a frame while [rx] holds a buffer.  A
+   callback that [step]s the engine can; the frame it takes then gets a
+   fresh copy, not the buffer its outer receiver is still reading.  (So
+   do the frames after an [rx] that raised: slower, never wrong.) *)
+let lend r rx ~flow buf off len =
+  if r.lent then rx ~flow (Bytes.sub buf off len)
+  else begin
+    let b = rx_buffer r len in
+    Bytes.blit buf off b 0 len;
+    r.lent <- true;
+    rx ~flow b;
+    r.lent <- false
+  end
+
 let open_pipe t ~src ~dst ~rx =
   let cell_rx, train_rx =
-    frame_rx ~rx:(fun ~flow buf off len -> rx ~flow (Bytes.sub buf off len)) ()
+    frame_rx
+      ~rx:(fun ~flow buf off len -> lend t.rx_bufs rx ~flow buf off len)
+      ()
   in
   open_vc ~rx_train:train_rx t ~src ~dst ~rx:cell_rx
 
@@ -599,7 +668,7 @@ let partition t ~parts =
     assign
   end
 
-let cut_lookahead t ~assign =
+let cut_lookahead t ~(assign : int array) =
   if Array.length assign <> t.node_count then
     invalid_arg "Net.cut_lookahead: assignment size mismatch";
   let best = ref None in

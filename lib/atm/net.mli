@@ -173,9 +173,13 @@ val open_pipe :
     reassembler is pre-wired on both the per-cell path and the train
     fast path ({!frame_rx}), and [rx] receives each frame's payload
     with the causal flow id its cells carried ({!Sim.Trace.no_flow}
-    when the sender attached none).  The payload is the receiver's own
-    copy, made out of the checked view.  Frames with CRC or length
-    errors are dropped silently, as the paper's devices do. *)
+    when the sender attached none).  The payload is lent, not given:
+    the pipe copies the checked view into the receive buffer the net
+    keeps for that payload length and lends it to [rx] until [rx]
+    returns.  The next frame of that length overwrites it, so a
+    receiver that keeps the bytes copies them inside [rx]; whatever
+    [rx] writes there changes no other delivery.  Frames with CRC or
+    length errors are dropped silently, as the paper's devices do. *)
 
 (** {1 Clos / leaf-spine fabric generation} *)
 

@@ -313,7 +313,7 @@ let maybe_adjust t gfid fe =
     let live = List.length fe.f_replicas in
     let inflight = List.length fe.f_copying in
     let target =
-      Stdlib.min t.cfg.max_replicas
+      Int.min t.cfg.max_replicas
         (int_of_float (fe.f_rate /. t.cfg.per_replica_rate))
     in
     if target > live + inflight then begin
@@ -427,7 +427,7 @@ let replica_read t sv rep ~off ~len ~flow ~k =
   List.iter
     (fun (foff, rseg, soff, xlen) ->
       if foff < off + len && foff + xlen > off then begin
-        let lo = Stdlib.max off foff and hi = Stdlib.min (off + len) (foff + xlen) in
+        let lo = Int.max off foff and hi = Int.min (off + len) (foff + xlen) in
         let delta = lo - foff and n = hi - lo in
         incr outstanding;
         if stores then

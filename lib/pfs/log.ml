@@ -33,7 +33,10 @@ type pnode = {
 (* [o_mark] is the undo position at which the operation that wrote the
    segment's first record (or, in the normal log, a delete) began; -1
    while there is none.  [o_dirty] ends the prefix of [o_buf] that data
-   was copied into: past it the buffer still reads zero. *)
+   was copied into: past it the buffer still reads zero.  Only a log
+   over an array that stores data reads [o_buf] back (a seal writes it,
+   [peek] and [read] copy from it), so only such a log has one of a
+   segment's size; any other holds [Bytes.empty] and copies nothing. *)
 type open_seg = {
   mutable o_seg : int;
   mutable o_fill : int;
@@ -48,6 +51,7 @@ type t = {
   engine : Sim.Engine.t;
   raid : Raid.t;
   seg_bytes : int;
+  stores : bool;  (* [Raid.stores_data raid]: data is copied into [o_buf] *)
   (* Indexed by segment id.  Ids are dense, so the table only grows;
      every slot holds a record, free until a segment opens there. *)
   mutable segs : seg array;
@@ -87,14 +91,14 @@ let begin_op t = t.op_start <- position t
    sealed segment. *)
 let recovery_point t =
   let earliest os acc =
-    if os.o_mark >= 0 then Stdlib.min os.o_mark acc else acc
+    if os.o_mark >= 0 then Int.min os.o_mark acc else acc
   in
   earliest t.normal (earliest t.continuous (position t))
 
 (* No change before this position can be rolled back any more: the
    recovery point, but never past the start of the operation in
    progress. *)
-let durable t = Stdlib.min (recovery_point t) t.op_start
+let durable t = Int.min (recovery_point t) t.op_start
 
 (* Drop the inverses older than position [r].  The list is cut only when
    that frees at least half of it, so trimming costs O(1) per change. *)
@@ -118,7 +122,7 @@ let seg_record t id =
   if id >= n then
     t.segs <-
       Array.init
-        (Stdlib.max (id + 1) (2 * n))
+        (Int.max (id + 1) (2 * n))
         (fun i -> if i < n then t.segs.(i) else free_seg i);
   t.segs.(id)
 
@@ -155,13 +159,13 @@ let allocate_segment t knd =
 
 let create engine ~raid () =
   let seg_bytes = Raid.segment_bytes raid in
-  let mk_open knd =
+  let stores = Raid.stores_data raid in
+  let mk_open () =
     (* placeholder; real segment assigned below *)
-    ignore knd;
     {
       o_seg = -1;
       o_fill = 0;
-      o_buf = Bytes.make seg_bytes '\000';
+      o_buf = (if stores then Bytes.make seg_bytes '\000' else Bytes.empty);
       o_dirty = 0;
       o_mark = -1;
     }
@@ -172,14 +176,15 @@ let create engine ~raid () =
       engine;
       raid;
       seg_bytes;
+      stores;
       segs = Array.init 64 free_seg;
       next_seg = 0;
       free_list = [];
       files = Fid_table.create 64;
       next_fid = 1;
       garbage = Garbage.create ();
-      normal = mk_open Normal;
-      continuous = mk_open Continuous;
+      normal = mk_open ();
+      continuous = mk_open ();
       garbage_created = 0;
       meta_writes = 0;
       undo = [];
@@ -269,9 +274,7 @@ let seal ?(flow = Sim.Trace.no_flow) t os ~spawn ~finish =
       ~args:
         [ ("seg", Sim.Trace.Int id); ("live_bytes", Sim.Trace.Int s.s_live) ]
       "segment_sealed";
-  let data =
-    if Raid.stores_data t.raid then Some (Bytes.copy os.o_buf) else None
-  in
+  let data = if t.stores then Some (Bytes.copy os.o_buf) else None in
   spawn ();
   Raid.write_segment t.raid ~seg:id ?data ~flow (fun r ->
       finish (r :> (unit, error) result));
@@ -310,12 +313,12 @@ let append_raw t knd ~fid ~foff ?data ?(dataoff = 0)
   let written = ref 0 in
   while !written < len do
     if os.o_fill = t.seg_bytes then seal ~flow t os ~spawn ~finish;
-    let n = Stdlib.min (len - !written) (t.seg_bytes - os.o_fill) in
+    let n = Int.min (len - !written) (t.seg_bytes - os.o_fill) in
     (match data with
-    | Some src ->
+    | Some src when t.stores ->
         Bytes.blit src (dataoff + !written) os.o_buf os.o_fill n;
         os.o_dirty <- os.o_fill + n
-    | None -> ());
+    | Some _ | None -> ());
     let x =
       {
         x_fid = fid;
@@ -370,7 +373,7 @@ let punch t p ~lo ~hi =
     let x_end = x.x_foff + x.x_len in
     if x_end <= lo || x.x_foff >= hi then [ x ]
     else begin
-      let olo = Stdlib.max lo x.x_foff and ohi = Stdlib.min hi x_end in
+      let olo = Int.max lo x.x_foff and ohi = Int.min hi x_end in
       kill_range t x ~from:(olo - x.x_foff) ~len:(ohi - olo);
       (* Surviving live bytes move to the kept pieces. *)
       let pieces = ref [] in
@@ -444,22 +447,22 @@ let write t fid ~off ?data ?(flow = Sim.Trace.no_flow) ~len k =
         append_raw t p.p_kind ~fid ~foff:off ?data ~flow ~len ~spawn ~finish ()
       in
       List.iter (fun x -> p.p_extents <- insert_sorted p.p_extents x) created;
-      p.p_size <- Stdlib.max p.p_size (off + len);
+      p.p_size <- Int.max p.p_size (off + len);
       append_meta ~flow t fid p ~spawn ~finish;
       release ()
 
 let peek t fid ~off ~len =
   match Fid_table.find_opt t.files fid with
   | None -> None
-  | Some p when not (Raid.stores_data t.raid) -> ignore p; None
+  | Some _ when not t.stores -> None
   | Some p ->
       let out = Bytes.make len '\000' in
       let ok = ref true in
       List.iter
         (fun x ->
           if x.x_foff < off + len && x.x_foff + x.x_len > off then begin
-            let lo = Stdlib.max off x.x_foff
-            and hi = Stdlib.min (off + len) (x.x_foff + x.x_len) in
+            let lo = Int.max off x.x_foff
+            and hi = Int.min (off + len) (x.x_foff + x.x_len) in
             let delta = lo - x.x_foff and n = hi - lo in
             let s = seg_record t x.x_seg in
             match s.s_state with
@@ -502,8 +505,7 @@ let read_flow t fid ~off ~len ~flow ~k =
   | None -> k (Error `No_such_file)
   | Some p ->
       flow_step t flow "pfs.log";
-      let stores = Raid.stores_data t.raid in
-      let out = if stores then Some (Bytes.make len '\000') else None in
+      let out = if t.stores then Some (Bytes.make len '\000') else None in
       let spawn, finish, release =
         joiner (fun r ->
             match r with Ok () -> k (Ok out) | Error e -> k (Error e))
@@ -515,8 +517,8 @@ let read_flow t fid ~off ~len ~flow ~k =
       in
       let cache_hit = ref false in
       let handle x =
-        let lo = Stdlib.max off x.x_foff
-        and hi = Stdlib.min (off + len) (x.x_foff + x.x_len) in
+        let lo = Int.max off x.x_foff
+        and hi = Int.min (off + len) (x.x_foff + x.x_len) in
         let delta = lo - x.x_foff and n = hi - lo in
         let s = seg_record t x.x_seg in
         match s.s_state with
@@ -530,7 +532,7 @@ let read_flow t fid ~off ~len ~flow ~k =
             | Some _ | None -> ())
         | Sealed ->
             spawn ();
-            if stores then
+            if t.stores then
               Raid.read_segment_flow t.raid ~seg:x.x_seg ~flow ~k:(fun r ->
                   (match (r, out) with
                   | Ok (Some segdata), Some buf ->

@@ -230,13 +230,13 @@ let read_extent_flow t ~seg ~off ~len ~flow ~k =
     List.filter (fun d -> d >= first && d <= last) (indices t.n_data)
   in
   let byte_count d =
-    let lo = Stdlib.max off (d * t.chunk)
-    and hi = Stdlib.min (off + len) ((d + 1) * t.chunk) in
+    let lo = Int.max off (d * t.chunk)
+    and hi = Int.min (off + len) ((d + 1) * t.chunk) in
     hi - lo
   in
   (* Only the first touched disk starts inside its chunk; every later
      disk reads from the start of the chunk. *)
-  let disk_off d = Stdlib.max off (d * t.chunk) - (d * t.chunk) in
+  let disk_off d = Int.max off (d * t.chunk) - (d * t.chunk) in
   fan_out t touched
     (fun d disk cb ->
       Disk.read_flow disk ~flow

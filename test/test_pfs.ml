@@ -296,6 +296,11 @@ let log_tests =
         let fid = Pfs.Log.create_file log () in
         let data = pattern 10_000 3 in
         write_ok e log fid ~off:0 data;
+        (* Nothing is sealed: both reads copy out of the open buffer. *)
+        Alcotest.(check bool) "still open" false (Pfs.Log.file_sealed log fid);
+        (match Pfs.Log.peek log fid ~off:0 ~len:10_000 with
+        | Some b -> Alcotest.(check bytes) "peek" data b
+        | None -> Alcotest.fail "peek failed");
         Alcotest.(check bytes) "round trip" data (read_back e log fid ~off:0 ~len:10_000);
         Alcotest.(check int) "size" 10_000 (Pfs.Log.file_size log fid));
     Alcotest.test_case "files spanning many segments read back intact" `Quick
@@ -518,6 +523,66 @@ let log_tests =
              w_big)
           true
           (w_big <= 1.25 *. w_small));
+    Alcotest.test_case "a log that stores no data holds no segment buffer"
+      `Quick (fun () ->
+        (* Bytes allocated by [Log.create] over a 256 KB-segment array.
+           Only a log whose array stores data reads its two open-segment
+           buffers back; with both, a log reads 524 288 bytes more.
+           Minor words from [Gc.minor_words], major and promoted ones
+           from [Gc.counters] (their live, unsampled copy). *)
+        let allocated store_data =
+          let e = Sim.Engine.create () in
+          let raid = Pfs.Raid.create e ~store_data ~segment_bytes:262_144 () in
+          let words () =
+            let _, promoted, major = Gc.counters () in
+            Gc.minor_words () +. major -. promoted
+          in
+          let w0 = words () in
+          let log = Pfs.Log.create e ~raid () in
+          let bytes = (words () -. w0) *. 8.0 in
+          ignore (Sys.opaque_identity log);
+          Printf.printf "store_data %b: %.0f bytes\n" store_data bytes;
+          bytes
+        in
+        let without = allocated false in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f bytes without stored data, under 16 KB" without)
+          true (without < 16_384.0);
+        let with_data = allocated true in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f bytes with stored data, both buffers" with_data)
+          true
+          (with_data >= 2.0 *. 262_144.0));
+    Alcotest.test_case "data given to a log that stores none changes nothing"
+      `Quick (fun () ->
+        (* The same writes with and without bytes, across a seal, on an
+           array that stores no data: the same extents, accounting and
+           simulated time, and reads that return no bytes. *)
+        let run ~with_data =
+          let e, _, log = rig ~store_data:false () in
+          let fid = Pfs.Log.create_file log () in
+          List.iter
+            (fun (off, len) ->
+              let data = if with_data then Some (pattern len off) else None in
+              Pfs.Log.write log fid ~off ?data ~len (fun _ -> ());
+              Sim.Engine.run e)
+            [ (0, 100_000); (5_000, 2_000); (90_000, 40_000) ];
+          let read = ref None in
+          Pfs.Log.read log fid ~off:0 ~len:130_000 ~k:(fun r -> read := Some r);
+          Sim.Engine.run e;
+          Alcotest.(check bool) "read returns no bytes" true
+            (match !read with Some (Ok None) -> true | _ -> false);
+          Alcotest.(check bool) "peek returns none" true
+            (Pfs.Log.peek log fid ~off:0 ~len:100 = None);
+          ( Pfs.Log.file_extents log fid,
+            Pfs.Log.file_size log fid,
+            Pfs.Log.live_bytes log,
+            Pfs.Log.garbage_bytes_created log,
+            Pfs.Log.total_segments log,
+            Sim.Time.to_ns (Sim.Engine.now e) )
+        in
+        Alcotest.(check bool) "identical" true
+          (run ~with_data:true = run ~with_data:false));
   ]
 
 let garbage_tests =
