@@ -3,14 +3,14 @@
    holds no lazily written state for domains to race on.  The range
    check below is the only guard on the C kernel's unchecked loads; it
    is written so that no sum can overflow. *)
-external init : unit -> bool = "pegasus_crc32_init"
+external init : unit -> int = "pegasus_crc32_init"
 
 external crc32 :
   bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
   = "pegasus_crc32_byte" "pegasus_crc32"
   [@@noalloc]
 
-let kernel = if init () then "clmul" else "table"
+let kernel = match init () with 2 -> "vpclmul" | 1 -> "clmul" | _ -> "table"
 
 let digest b ~pos ~len =
   if pos < 0 || len < 0 || len > Bytes.length b - pos then

@@ -50,6 +50,7 @@ type t = {
   mutable live : int;
   mutable live_user : int;
   mutable depth_ops : int;
+  mutable running : bool;  (* inside {!run_loop} *)
   (* Arena: a_word.(s) packs state/daemon/generation, a_fn.(s) is the
      callback.  [free] is a stack of recyclable slots; every slot is
      either live in the queue or on the stack, so the stack never
@@ -84,6 +85,7 @@ let create ?(trace = Trace.create ~enabled:false ())
     live = 0;
     live_user = 0;
     depth_ops = 0;
+    running = false;
     a_word = [||];
     a_fn = [||];
     free = [||];
@@ -239,24 +241,35 @@ let step t =
 
 (* The loop proper, over immediates only ([has_until] instead of an
    option, [max_int] as "no budget") so {!Shard}'s epoch loop can run
-   it without allocating anything per epoch. *)
+   it without allocating anything per epoch.  A callback that ran the
+   loop again would fire events while its own caller still assumes one
+   event at a time, so the loop refuses to nest.  [running] drops when
+   a callback's exception leaves the loop, so the engine stays
+   runnable; the handler allocates nothing. *)
 let run_loop t ~until ~has_until ~max_ev =
+  if t.running then invalid_arg "Engine.run: called from inside a callback";
+  t.running <- true;
   let until_ns = Time.to_ns until in
   let fired = ref 0 in
   let continue = ref true in
-  while !continue do
-    if !fired >= max_ev then continue := false
-      (* Without a time bound, daemon events (periodic managers and
-         the like) do not keep the run alive: stop once only daemons
-         remain. *)
-    else if (not has_until) && t.live_user = 0 then continue := false
-    else begin
-      let at = Calendar.min_key_ns t.q in
-      if at = max_int then continue := false
-      else if has_until && at > until_ns then continue := false
-      else if exec_min t then incr fired
-    end
-  done;
+  (try
+     while !continue do
+       if !fired >= max_ev then continue := false
+         (* Without a time bound, daemon events (periodic managers and
+            the like) do not keep the run alive: stop once only daemons
+            remain. *)
+       else if (not has_until) && t.live_user = 0 then continue := false
+       else begin
+         let at = Calendar.min_key_ns t.q in
+         if at = max_int then continue := false
+         else if has_until && at > until_ns then continue := false
+         else if exec_min t then incr fired
+       end
+     done
+   with e ->
+     t.running <- false;
+     raise e);
+  t.running <- false;
   flush_depth t;
   (* Advance the clock to [until] only when the run stopped for lack
      of earlier events, not when it was cut short by [max_ev]. *)

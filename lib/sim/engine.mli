@@ -13,8 +13,9 @@
     An engine holds no process-wide state: it records into the trace
     and registry it was created with, so engines built on different
     contexts ({!Ctx}) may run at once on different domains.  A callback
-    may schedule further events and cancel pending ones, but must not
-    call {!run} reentrantly. *)
+    may schedule further events, cancel pending ones and {!step}, but
+    {!run} and {!run_until} raise [Invalid_argument] when a callback
+    calls them. *)
 
 type t
 
@@ -91,7 +92,9 @@ val run : ?until:Time.t -> ?max_events:int -> t -> unit
     time would pass [until], or [max_events] callbacks have run.
     When stopped by [until], the clock is advanced to exactly [until].
     Without [until], the run also stops once only daemon events
-    remain. *)
+    remain.  An exception a callback raises leaves the run and the
+    engine stays runnable.  Raises [Invalid_argument] when called from
+    inside a callback of the same engine's run. *)
 
 val run_until : t -> Time.t -> unit
 (** [run_until t u] is [run ~until:u t] without the optional argument's

@@ -31,7 +31,8 @@ type time_unit = Us | Ms
    [d_raw_cap] samples are also kept raw, so a dist that never outgrows
    them reports exact percentiles.  Every field an observation writes
    is an int or an element of an int array: it stores no pointer, so it
-   needs no write barrier, and it divides nothing. *)
+   needs no write barrier, and it divides nothing.  A run of samples
+   waits in [d_pend] before its histogram walk ({!pend_run}). *)
 type dist = {
   d_sub : Subsystem.t;
   d_name : string;
@@ -47,7 +48,9 @@ type dist = {
   mutable d_max : int;
   mutable d_raw : int array;  (* [0, d_n) in use while [d_n <= d_raw_cap] *)
   mutable d_sorted : bool;  (* the raw samples in use are sorted *)
-  mutable d_hist : int array;  (* counts by {!bucket} *)
+  mutable d_hist : int array;  (* counts by {!bucket}, less [d_pend]'s *)
+  d_pend : int array;  (* [lo; step; count; weight] per pending run *)
+  mutable d_npend : int;  (* pending runs in [d_pend] *)
 }
 
 (* A windowed observer is a sample fan-out point: components call
@@ -79,6 +82,7 @@ let create ?(exact_dists = false) () =
   { tbl = Hashtbl.create 64; exact_dists }
 
 let raw_cap = 1024
+let pend_slots = 8
 
 let clear_dist d =
   d.d_n <- 0;
@@ -89,7 +93,8 @@ let clear_dist d =
   d.d_min <- max_int;
   d.d_max <- min_int;
   d.d_sorted <- true;
-  Array.fill d.d_hist 0 (Array.length d.d_hist) 0
+  Array.fill d.d_hist 0 (Array.length d.d_hist) 0;
+  d.d_npend <- 0
 
 (* Zero every registered metric in place.  Handles alias the registry
    entries, so handles obtained before the reset keep working and their
@@ -165,6 +170,8 @@ let dist t ~sub ?(help = "") ?(unit = Us) name =
             d_raw = [||];
             d_sorted = true;
             d_hist = [||];
+            d_pend = Array.make (4 * pend_slots) 0;
+            d_npend = 0;
           }
         in
         Dist d)
@@ -348,8 +355,9 @@ let[@inline] observe d x =
    sample lies [off < step] past its lowest value holds [q + 1] samples
    if [off < r] and [q] otherwise, where [w = q * step + r], and the
    next bucket's offset follows by the same remainder.  The counts are
-   exactly those of [count] {!bucket} lookups. *)
-let hist_run (h : int array) ~lo ~step ~count =
+   exactly those of [count] {!bucket} lookups, each added [weight]
+   times. *)
+let hist_run (h : int array) ~lo ~step ~count ~weight =
   let x = ref lo and left = ref count in
   while !left > 0 do
     let x0 = !x in
@@ -360,7 +368,7 @@ let hist_run (h : int array) ~lo ~step ~count =
     if step >= w then
       for j = 0 to n - 1 do
         let b = bucket_at (x0 + (j * step)) sh in
-        Array.unsafe_set h b (Array.unsafe_get h b + 1)
+        Array.unsafe_set h b (Array.unsafe_get h b + weight)
       done
     else begin
       let q = w / step in
@@ -373,7 +381,7 @@ let hist_run (h : int array) ~lo ~step ~count =
       let off = ref (first_off + (!k * step) - w) in
       while !rest > 0 do
         let here = Int.min !k !rest in
-        Array.unsafe_set h !b (Array.unsafe_get h !b + here);
+        Array.unsafe_set h !b (Array.unsafe_get h !b + (here * weight));
         rest := !rest - here;
         b := !b + 1;
         let o = !off in
@@ -384,6 +392,45 @@ let hist_run (h : int array) ~lo ~step ~count =
     x := x0 + (n * step);
     left := !left - n
   done
+
+(* Walk every pending run into the histogram.  Nothing reads [d_hist]
+   without calling this first. *)
+let flush_runs d =
+  let p = d.d_pend in
+  for i = 0 to d.d_npend - 1 do
+    let o = 4 * i in
+    hist_run d.d_hist ~lo:p.(o) ~step:p.(o + 1) ~count:p.(o + 2)
+      ~weight:p.(o + 3)
+  done;
+  d.d_npend <- 0
+
+(* Defer the histogram walk of the run [lo + j * step], [step > 0].  An
+   idle link offered a whole frame books the same delay run for every
+   frame of that length, so a dist sees few distinct runs: a run equal
+   to a pending one adds 1 to its weight, and only a new run that finds
+   every slot taken walks the pending ones first.  Histogram adds
+   commute, so the counts read after {!flush_runs} are those of eager
+   walks.  A loop, not a local recursive function, so that a run
+   allocates no closure. *)
+let pend_run d ~lo ~step ~count =
+  let p = d.d_pend and used = 4 * d.d_npend in
+  let o = ref 0 in
+  while
+    !o < used
+    && not (p.(!o) = lo && p.(!o + 1) = step && p.(!o + 2) = count)
+  do
+    o := !o + 4
+  done;
+  if !o < used then p.(!o + 3) <- p.(!o + 3) + 1
+  else begin
+    if d.d_npend = pend_slots then flush_runs d;
+    let o = 4 * d.d_npend in
+    p.(o) <- lo;
+    p.(o + 1) <- step;
+    p.(o + 2) <- count;
+    p.(o + 3) <- 1;
+    d.d_npend <- d.d_npend + 1
+  end
 
 (* [count] samples [first + j * step].  The moments come in closed form
    when every sample is below 2^31 ns, the run has at most 2^20 of them
@@ -424,7 +471,7 @@ let observe_run d ~first ~step ~count =
       let h = d.d_hist and b = bucket first in
       h.(b) <- h.(b) + count
     end
-    else hist_run d.d_hist ~lo ~step:(Int.abs step) ~count
+    else pend_run d ~lo ~step:(Int.abs step) ~count
   end
 
 let observed d = d.d_n
@@ -501,6 +548,7 @@ let order_stat d k =
     Float.of_int d.d_raw.(k)
   end
   else begin
+    flush_runs d;
     let rec find b seen =
       let seen = seen + d.d_hist.(b) in
       if seen > k then b else find (b + 1) seen
@@ -523,6 +571,8 @@ let merge_dist p d =
     invalid_arg
       (Printf.sprintf "Metrics.merge: %s/%s mixes exact and sampled dists"
          (Subsystem.to_string d.d_sub) d.d_name);
+  flush_runs p;
+  flush_runs d;
   if p.d_n + d.d_n <= p.d_raw_cap then
     for i = 0 to d.d_n - 1 do
       p.d_n <- p.d_n + 1;
@@ -561,7 +611,9 @@ let merge ~into src = Hashtbl.iter (fun _ m -> merge_metric into m) src.tbl
 
 let sorted_metrics t =
   Hashtbl.fold (fun key m acc -> (key, m) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun ((sa, na), _) ((sb, nb), _) ->
+         let c = String.compare sa sb in
+         if c <> 0 then c else String.compare na nb)
   |> List.map snd
 
 let json_of_metric m =

@@ -104,9 +104,14 @@ val observe_run : dist -> first:int -> step:int -> count:int -> unit
     octave at a time, with one division per octave and then one add
     per sample or per bucket, whichever is fewer; samples are stored
     raw one by one only while the dist holds fewer than its raw cap
-    (all of them with [~exact_dists:true]).  [count <= 0] records
-    nothing.  Raises [Invalid_argument] when a sample would be
-    negative. *)
+    (all of them with [~exact_dists:true]).  The walk of a run with
+    [step <> 0] waits until something reads the histogram (a
+    percentile past the raw samples, or {!merge}): the dist keeps up to
+    8 distinct pending runs, a run equal to a pending one adds 1 to its
+    weight without allocating, and a ninth distinct run walks the
+    pending ones first.  Adds commute, so every read is that of eager
+    walks.  [count <= 0] records nothing.  Raises [Invalid_argument]
+    when a sample would be negative. *)
 
 val observed : dist -> int
 (** Number of observations recorded. *)

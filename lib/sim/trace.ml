@@ -59,24 +59,28 @@ let too_many what limit =
 let grow a n fill =
   if n < Array.length a then a
   else begin
-    let b = Array.make (Stdlib.max 8 (2 * n)) fill in
+    let b = Array.make (Int.max 8 (2 * n)) fill in
     Array.blit a 0 b 0 n;
     b
   end
 
 module Stbl = Hashtbl.Make (String)
 
-(* A per-sink string table.  Record sites mostly pass the same literal
-   again and again, so a one-entry cache answers a string physically
-   equal to the last one looked up without hashing it.  [last] starts
+(* A per-sink string table.  Record sites pass the same few literals
+   again and again, often in turn, so a cache of the last [seen_slots]
+   strings looked up answers a string physically equal to one of them
+   without hashing it; a miss takes the oldest slot.  The slots start
    as a fresh string that no caller can hold, so the cache never
-   answers before its first lookup. *)
+   answers for a string before its first lookup. *)
+let seen_slots = 8
+
 type strings = {
   s_ids : int Stbl.t;
   mutable s_of : string array;  (* id -> string *)
   mutable s_n : int;
-  mutable last : string;
-  mutable last_id : int;
+  seen : string array;
+  seen_id : int array;
+  mutable seen_next : int;  (* the slot the next miss takes *)
   s_what : string;
   s_limit : int;
 }
@@ -86,8 +90,9 @@ let strings what limit =
     s_ids = Stbl.create 16;
     s_of = [||];
     s_n = 0;
-    last = String.make 1 ' ';
-    last_id = 0;
+    seen = Array.make seen_slots (String.make 1 ' ');
+    seen_id = Array.make seen_slots 0;
+    seen_next = 0;
     s_what = what;
     s_limit = limit;
   }
@@ -105,12 +110,18 @@ let intern_slow s str =
         Stbl.add s.s_ids str id;
         id
   in
-  s.last <- str;
-  s.last_id <- id;
+  let i = s.seen_next in
+  s.seen.(i) <- str;
+  s.seen_id.(i) <- id;
+  s.seen_next <- (i + 1) land (seen_slots - 1);
   id
 
-let[@inline] intern s str =
-  if str == s.last then s.last_id else intern_slow s str
+let rec intern_from s str i =
+  if i = seen_slots then intern_slow s str
+  else if Array.unsafe_get s.seen i == str then Array.unsafe_get s.seen_id i
+  else intern_from s str (i + 1)
+
+let[@inline] intern s str = intern_from s str 0
 
 (* Arg lists are interned by content, floats by their bits: [0.0] and
    [-0.0], or two NaN payloads, are different args and stay so. *)
@@ -221,9 +232,16 @@ let sub_of d : int -> Subsystem.t = function
   | 5 -> Naming
   | c -> d.others.(c - 6)
 
-(* A phase's code is its index here; flow phases are the codes from
-   [flow_start_] on. *)
-let phases = [| Instant; Complete; Flow_start; Flow_step; Flow_end |]
+(* A phase's code; flow phases are the codes from [flow_start_] on.  A
+   match, not an array: an array literal compiles to a [caml_obj_dup]
+   copy of a static block. *)
+let phase_of_code = function
+  | 0 -> Instant
+  | 1 -> Complete
+  | 2 -> Flow_start
+  | 3 -> Flow_step
+  | _ -> Flow_end
+
 let instant_ = 0
 let complete_ = 1
 let flow_start_ = 2
@@ -331,7 +349,7 @@ let add_chunk t =
   let ci = t.n_chunks in
   let slots =
     match t.cap with
-    | Some c -> Stdlib.min chunk_slots (c - (ci * chunk_slots))
+    | Some c -> Int.min chunk_slots (c - (ci * chunk_slots))
     | None -> chunk_slots
   in
   let b = Bytes.create (slots * slot_bytes) in
@@ -450,7 +468,7 @@ let event_at t d pos =
   {
     ev_ts = Time.ns (word t pos ts_);
     ev_dur = (if dur < 0 then None else Some (Time.ns dur));
-    ev_phase = phases.(packed land 7);
+    ev_phase = phase_of_code (packed land 7);
     ev_sub = sub_of d ((packed lsr sub_shift) land (sub_limit - 1));
     ev_cat = d.cats.s_of.((packed lsr cat_shift) land (cat_limit - 1));
     ev_name = d.names.s_of.((packed lsr name_shift) land (name_limit - 1));
@@ -474,7 +492,7 @@ let iter_flow_events t f =
     let packed = word t pos packed_ in
     let ph = packed land 7 in
     if ph >= flow_start_ then
-      f ~ts:(word t pos ts_) ~flow:(word t pos flow_) ~phase:phases.(ph)
+      f ~ts:(word t pos ts_) ~flow:(word t pos flow_) ~phase:(phase_of_code ph)
         ~name:((packed lsr name_shift) land (name_limit - 1))
         ~args:(packed lsr args_shift)
   done

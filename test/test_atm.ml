@@ -5,14 +5,19 @@ let us = Sim.Time.us
 let time = Alcotest.testable Sim.Time.pp ( = )
 
 (* The textbook CRC-32, one byte per step and one bit per inner step:
-   the oracle for the folding and table kernels behind [Atm.Crc32]. *)
+   the oracle for the folding and table kernels behind [Atm.Crc32].
+   [crc_byte] advances the register past one byte. *)
+let crc_byte c byte =
+  let c = ref (c lxor byte) in
+  for _ = 1 to 8 do
+    c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+  done;
+  !c
+
 let crc_reference b ~pos ~len =
   let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    c := !c lxor Char.code (Bytes.get b i);
-    for _ = 1 to 8 do
-      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done
+    c := crc_byte !c (Char.code (Bytes.get b i))
   done;
   !c lxor 0xFFFFFFFF
 
@@ -63,32 +68,38 @@ let crc_tests =
         | exception Invalid_argument _ -> ()
         | crc -> Alcotest.failf "digest returned %#x" crc);
     Alcotest.test_case "fold boundaries match the reference" `Quick (fun () ->
-        (* Every length 0-256 at every pos 0-15 crosses the 64-byte
-           entry to the fold, each 16-byte single fold and every 0-15
+        (* Every length 0-1 100 at every pos 0-15 crosses the 64-byte
+           entry to the 128-bit fold and the 256-byte entry to the
+           512-bit one, up to four 256-byte blocks, every
+           count of 64-byte and 16-byte folds after them, and every 0-15
            byte tail; then every AAL5 CRC length (48k - 4 bytes) up to
            64 cells, plus the two largest frame sizes. *)
         let b =
           Bytes.init ((48 * 1366) + 16) (fun i ->
               Char.chr (((i * 7919) lxor (i lsr 5)) land 0xff))
         in
-        let check ~pos ~len =
+        let check ~pos ~len want =
           Alcotest.(check int)
             (Printf.sprintf "pos %d len %d" pos len)
-            (crc_reference b ~pos ~len)
+            want
             (Atm.Crc32.digest b ~pos ~len)
         in
-        for len = 0 to 256 do
-          for pos = 0 to 15 do
-            check ~pos ~len
+        for pos = 0 to 15 do
+          let c = ref 0xFFFFFFFF in
+          for len = 0 to 1_100 do
+            check ~pos ~len (!c lxor 0xFFFFFFFF);
+            c := crc_byte !c (Char.code (Bytes.get b (pos + len)))
           done
         done;
         List.iter
-          (fun k -> check ~pos:0 ~len:((48 * k) - 4))
+          (fun k ->
+            let len = (48 * k) - 4 in
+            check ~pos:0 ~len (crc_reference b ~pos:0 ~len))
           (List.init 64 succ @ [ 683; 1366 ]));
     Alcotest.test_case "the fold runs exactly where the CPU has it" `Quick
       (fun () ->
         (* A fold compiled out or never chosen would still pass every
-           digest test above, on the table loop. *)
+           digest test above, on a narrower fold or the table loop. *)
         match
           In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
         with
@@ -100,7 +111,9 @@ let crc_tests =
             in
             let has flag = List.mem flag words in
             Alcotest.(check string) "kernel"
-              (if has "pclmulqdq" && has "sse4_1" then "clmul" else "table")
+              (if not (has "pclmulqdq" && has "sse4_1") then "table"
+               else if has "avx512f" && has "vpclmulqdq" then "vpclmul"
+               else "clmul")
               Atm.Crc32.kernel);
   ]
 

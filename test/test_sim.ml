@@ -783,6 +783,60 @@ let engine_tests =
         Alcotest.check time "clock at the last event"
           (Sim.Time.us (fst (List.nth expected (List.length expected - 1))))
           (Sim.Engine.now e));
+    Alcotest.test_case "a callback that runs the engine is refused" `Quick
+      (fun () ->
+        (* A nested run would fire the events after it while the
+           callback's caller still assumes one event at a time. *)
+        let e = Sim.Engine.create () in
+        let fired = ref [] in
+        let refused = ref 0 in
+        let nest name run =
+          ignore
+            (Sim.Engine.schedule e ~delay:(Sim.Time.us 1) (fun () ->
+                 fired := name :: !fired;
+                 match run () with
+                 | () -> ()
+                 | exception Invalid_argument msg ->
+                     Alcotest.(check string) "message"
+                       "Engine.run: called from inside a callback" msg;
+                     incr refused))
+        in
+        nest "run" (fun () -> Sim.Engine.run e);
+        nest "run ~until" (fun () -> Sim.Engine.run e ~until:(Sim.Time.ms 1));
+        nest "run_until" (fun () -> Sim.Engine.run_until e (Sim.Time.ms 1));
+        ignore
+          (Sim.Engine.schedule e ~delay:(Sim.Time.us 2) (fun () ->
+               fired := "last" :: !fired));
+        Sim.Engine.run e;
+        Alcotest.(check int) "every nested run refused" 3 !refused;
+        Alcotest.(check (list string))
+          "the outer run fired each event once, in order"
+          [ "run"; "run ~until"; "run_until"; "last" ]
+          (List.rev !fired);
+        Alcotest.(check int) "nothing left" 0 (Sim.Engine.pending e));
+    Alcotest.test_case "an exception from a callback leaves the engine runnable"
+      `Quick (fun () ->
+        let e = Sim.Engine.create () in
+        let fired = ref 0 in
+        ignore
+          (Sim.Engine.schedule e ~delay:(Sim.Time.us 1) (fun () ->
+               failwith "callback"));
+        ignore
+          (Sim.Engine.schedule e ~delay:(Sim.Time.us 2) (fun () -> incr fired));
+        Alcotest.check_raises "escapes the run" (Failure "callback") (fun () ->
+            Sim.Engine.run e);
+        Alcotest.check time "stopped at the raising event" (Sim.Time.us 1)
+          (Sim.Engine.now e);
+        Sim.Engine.run e;
+        Alcotest.(check int) "the next run fires the rest" 1 !fired;
+        (* A callback may still step the engine. *)
+        ignore
+          (Sim.Engine.schedule e ~delay:(Sim.Time.us 1) (fun () ->
+               ignore (Sim.Engine.step e)));
+        ignore
+          (Sim.Engine.schedule e ~delay:(Sim.Time.us 2) (fun () -> incr fired));
+        Sim.Engine.run e;
+        Alcotest.(check int) "stepped from inside a callback" 2 !fired);
   ]
 
 let rng_tests =
@@ -1010,6 +1064,25 @@ let alloc_tests =
         in
         Alcotest.(check (float 0.001)) "minor words per event" 0.0
           (minor /. 200_000.0));
+    (* A link books a 32 KB frame's 684 queue delays as one run; an
+       idle link books the same run for every such frame, and the dist
+       adds its weight in a pending table, which allocates nothing. *)
+    Alcotest.test_case "10 000 repeats of a 684-cell run allocate nothing"
+      `Quick (fun () ->
+        let m = Sim.Metrics.create () in
+        let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "alloc.run_us" in
+        let book () =
+          Sim.Metrics.observe_run d ~first:0 ~step:4_240 ~count:684;
+          Sim.Metrics.observe_run d ~first:0 ~step:4_240 ~count:2
+        in
+        for _ = 1 to 10 do
+          book ()
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          book ()
+        done;
+        Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. w0));
     (* An unmonitored observer: one load and one branch. *)
     zero "Metrics.sample with no sink"
       (let m = Sim.Metrics.create () in
@@ -1931,6 +2004,40 @@ let trace_tests =
               [ "b"; "c" ] (names tr);
             Alcotest.(check int) "still a ring of 2" 1 (Sim.Trace.dropped tr))
           [ 0; -1; min_int ]);
+    Alcotest.test_case "equal names get one id however they are built"
+      `Quick (fun () ->
+        (* The interner answers a string physically equal to one of the
+           last few it saw without hashing it.  Twelve names in turn,
+           more than it keeps, each recorded as a fresh string and
+           followed by a literal, with a fresh cat each time: equal
+           strings must still share an id, and distinct ones not. *)
+        let tr = Tr.create ~unbounded:true () in
+        Tr.set_flows tr true;
+        for round = 0 to 2 do
+          for k = 0 to 11 do
+            let ts = Sim.Time.ns ((round * 12) + k) in
+            Tr.flow_step tr ~ts ~sub:Sim.Subsystem.Atm ~cat:("h" ^ "op")
+              ~flow:k ("stage" ^ string_of_int k);
+            Tr.flow_step tr ~ts ~sub:Sim.Subsystem.Atm ~cat:"hop" ~flow:k
+              "sw:s1"
+          done
+        done;
+        let ids = Hashtbl.create 16 in
+        Tr.iter_flow_events tr (fun ~ts:_ ~flow:_ ~phase:_ ~name ~args:_ ->
+            let s = Tr.name_of_id tr name in
+            match Hashtbl.find_opt ids s with
+            | Some id -> Alcotest.(check int) s id name
+            | None -> Hashtbl.add ids s name);
+        Alcotest.(check int) "names" 13 (Hashtbl.length ids);
+        Alcotest.(check int) "distinct ids" 13
+          (List.length
+             (List.sort_uniq Int.compare
+                (Hashtbl.fold (fun _ id acc -> id :: acc) ids [])));
+        let evs = Tr.events tr in
+        Alcotest.(check string) "jsonl" (tree_jsonl evs ~dropped:0)
+          (Tr.to_jsonl tr);
+        Alcotest.(check string) "chrome" (tree_chrome evs ~dropped:0)
+          (Tr.to_chrome tr));
   ]
 
 (* Minimal substring check, enough to validate exported JSON content
@@ -2960,6 +3067,71 @@ let dist_run_tests =
                  done)
            in
            by_run = one_by_one));
+    (* A dist walks a run's histogram counts only when something reads
+       them, and a run equal to a pending one only adds to its weight.
+       Runs drawn from a pool of up to 14 shapes, more than the 8 the
+       dist keeps pending, mixed with single observes and step-0 runs,
+       must read the same as their samples observed one by one at every
+       read: snapshots taken mid-stream, after a reset, and of a parent
+       that holds pending runs of its own and merges the dist in. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"pending runs read as single observes"
+         ~count:200
+         QCheck2.Gen.(
+           let shape =
+             let* count = int_range 1 700 and* first = int_range 0 200_000 in
+             let* step = oneof [ int_range 1 10_000; int_range (-300) (-1) ] in
+             (* Keep every sample at least 0; a clamped step may be 0. *)
+             let step = Int.max step (-(first / Int.max 1 (count - 1))) in
+             return (first, step, count)
+           in
+           let* pool = array_size (int_range 1 14) shape in
+           let op =
+             frequency
+               [
+                 (10, map (fun i -> `Run pool.(i mod Array.length pool)) nat);
+                 (2, map (fun x -> `Observe x) (int_range 0 1_000_000));
+                 ( 1,
+                   map2
+                     (fun x count -> `Run (x, 0, count))
+                     (int_range 0 1_000_000) (int_range 1 50) );
+                 (2, return `Snapshot);
+                 (1, return `Merge);
+                 (1, return `Reset);
+               ]
+           in
+           pair
+             (frequency [ (1, return true); (4, return false) ])
+             (list_size (int_range 1 60) op))
+         (fun (exact, ops) ->
+           let reads ~by_run =
+             let book d (first, step, count) =
+               if by_run then Sim.Metrics.observe_run d ~first ~step ~count
+               else
+                 for j = 0 to count - 1 do
+                   Sim.Metrics.observe d (first + (j * step))
+                 done
+             in
+             let registry () = Sim.Metrics.create ~exact_dists:exact () in
+             let dist m = Sim.Metrics.dist m ~sub:Sim.Subsystem.Atm "run" in
+             let m = registry () in
+             let d = dist m in
+             let read m = Sim.Json.to_string (Sim.Metrics.snapshot m) in
+             let step = function
+               | `Run run -> book d run; None
+               | `Observe x -> Sim.Metrics.observe d x; None
+               | `Snapshot -> Some (read m)
+               | `Reset -> Sim.Metrics.reset m; None
+               | `Merge ->
+                   let parent = registry () in
+                   List.iter (book (dist parent))
+                     [ (0, 4_240, 684); (0, 4_240, 684); (7, 3, 500) ];
+                   Sim.Metrics.merge ~into:parent m;
+                   Some (read parent)
+             in
+             List.filter_map step ops @ [ read m ]
+           in
+           reads ~by_run:true = reads ~by_run:false));
   ]
 
 let daemon_tests =
