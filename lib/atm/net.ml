@@ -45,12 +45,7 @@ type vci_pool = { mutable vp_next : int; mutable vp_free : int list }
    [Bytes.empty], the buffer of an empty payload. *)
 let rx_slots = 4
 
-type rx_bufs = {
-  bufs : bytes array;
-  lent_at : int array;
-  mutable clock : int;
-  mutable lent : bool;  (* a buffer is with a receiver now *)
-}
+type rx_bufs = { bufs : bytes array; lent_at : int array; mutable clock : int }
 
 type t = {
   engine : Sim.Engine.t;
@@ -84,7 +79,6 @@ let create ?(vci_limit = 65_535) engine =
         bufs = Array.make rx_slots Bytes.empty;
         lent_at = Array.make rx_slots 0;
         clock = 0;
-        lent = false;
       };
   }
 
@@ -541,20 +535,13 @@ let rx_buffer r len =
   r.lent_at.(i) <- r.clock;
   r.bufs.(i)
 
-(* Deliveries come from link events and no callback may [run] the
-   engine, so no run delivers a frame while [rx] holds a buffer.  A
-   callback that [step]s the engine can; the frame it takes then gets a
-   fresh copy, not the buffer its outer receiver is still reading.  (So
-   do the frames after an [rx] that raised: slower, never wrong.) *)
+(* Deliveries come from link events, and no callback can fire an event
+   ({!Sim.Engine.run} refuses to nest), so no frame arrives while [rx]
+   still holds the buffer it was lent. *)
 let lend r rx ~flow buf off len =
-  if r.lent then rx ~flow (Bytes.sub buf off len)
-  else begin
-    let b = rx_buffer r len in
-    Bytes.blit buf off b 0 len;
-    r.lent <- true;
-    rx ~flow b;
-    r.lent <- false
-  end
+  let b = rx_buffer r len in
+  Bytes.blit buf off b 0 len;
+  rx ~flow b
 
 let open_pipe t ~src ~dst ~rx =
   let cell_rx, train_rx =

@@ -42,22 +42,22 @@ let default_params =
     seed = 1;
   }
 
+type rig = {
+  shard : Sim.Shard.t;
+  nets : Atm.Net.t array;
+  local_frames : int array;
+  remote_frames : int array;
+  digests : int array;  (* per-site fold over (arrival, stream, origin) *)
+}
+
 type outcome = {
   p : params;
   local_frames : int array;  (* per site *)
   remote_frames : int array;
-  digests : int array;  (* per-site fold over (arrival, stream, origin) *)
+  digests : int array;
   epochs : int;
   messages : int;
-  overflows : int;
   lookahead : Sim.Time.t;
-}
-
-(* One site's mutable receive-side state. *)
-type site = {
-  mutable s_local : int;
-  mutable s_remote : int;
-  mutable s_digest : int;
 }
 
 let fold_digest d ~ns ~stream ~origin =
@@ -99,11 +99,20 @@ let blueprint p =
   in
   (assign, lookahead)
 
-let execute ctx p =
+let build ctx p =
   if p.sites < 1 then invalid_arg "Fabric: sites < 1";
   let _assign, lookahead = blueprint p in
   let shard = Sim.Shard.create ~lookahead ~shards:p.sites ctx in
-  let states = Array.init p.sites (fun _ -> { s_local = 0; s_remote = 0; s_digest = 0 }) in
+  let local_frames = Array.make p.sites 0
+  and remote_frames = Array.make p.sites 0
+  and digests = Array.make p.sites 0 in
+  let arrive counts e i ~stream ~origin =
+    counts.(i) <- counts.(i) + 1;
+    digests.(i) <-
+      fold_digest digests.(i)
+        ~ns:(Sim.Time.to_ns (Sim.Engine.now e))
+        ~stream ~origin
+  in
   let period_ns = 1_000_000_000 / p.fps in
   let payload = Bytes.make p.frame_bytes 'x' in
   (* Remote-ingress VC per site, filled in during the site builds below;
@@ -122,17 +131,12 @@ let execute ctx p =
         Atm.Net.connect net ~bandwidth_bps:10_000_000_000 ~queue_cells:q disp
           sw;
         Atm.Net.connect net ~bandwidth_bps:10_000_000_000 ~queue_cells:q gw sw;
-        let st = states.(i) in
         let vcs =
           Array.init p.streams_per_site (fun s ->
               let cell_rx, train_rx =
                 Atm.Net.frame_rx
                   ~rx:(fun ~flow:_ _ _ _ ->
-                    st.s_local <- st.s_local + 1;
-                    st.s_digest <-
-                      fold_digest st.s_digest
-                        ~ns:(Sim.Time.to_ns (Sim.Engine.now e))
-                        ~stream:s ~origin:i)
+                    arrive local_frames e i ~stream:s ~origin:i)
                   ()
               in
               Atm.Net.open_vc net ~src:cam ~dst:disp ~rx:cell_rx
@@ -141,24 +145,21 @@ let execute ctx p =
         let cell_rx, train_rx =
           Atm.Net.frame_rx
             ~rx:(fun ~flow:_ _ _ _ ->
-              st.s_remote <- st.s_remote + 1;
-              st.s_digest <-
-                fold_digest st.s_digest
-                  ~ns:(Sim.Time.to_ns (Sim.Engine.now e))
-                  ~stream:(-1)
-                  ~origin:((i + p.sites - 1) mod p.sites))
+              arrive remote_frames e i ~stream:(-1)
+                ~origin:((i + p.sites - 1) mod p.sites))
             ()
         in
         ingress.(i) <-
           Some
             (Atm.Net.open_vc net ~src:gw ~dst:disp ~rx:cell_rx
                ~rx_train:train_rx);
-        (e, vcs))
+        (net, vcs))
   in
   (* Sources: every stream paces frames at [fps], staggered by a
      seed-mixed deterministic phase so sites do not fire in lockstep. *)
   Array.iteri
-    (fun i (e, vcs) ->
+    (fun i (net, vcs) ->
+      let e = Atm.Net.engine net in
       Array.iteri
         (fun s vc ->
           let phase =
@@ -182,16 +183,25 @@ let execute ctx p =
           ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns phase) tick))
         vcs)
     sites_built;
-  Sim.Shard.run ~until:p.duration shard;
+  {
+    shard;
+    nets = Array.map fst sites_built;
+    local_frames;
+    remote_frames;
+    digests;
+  }
+
+let execute ctx p =
+  let r = build ctx p in
+  Sim.Shard.run ~until:p.duration r.shard;
   {
     p;
-    local_frames = Array.map (fun s -> s.s_local) states;
-    remote_frames = Array.map (fun s -> s.s_remote) states;
-    digests = Array.map (fun s -> s.s_digest) states;
-    epochs = Sim.Shard.epochs shard;
-    messages = Sim.Shard.messages shard;
-    overflows = Sim.Shard.overflows shard;
-    lookahead = Sim.Shard.lookahead shard;
+    local_frames = r.local_frames;
+    remote_frames = r.remote_frames;
+    digests = r.digests;
+    epochs = Sim.Shard.epochs r.shard;
+    messages = Sim.Shard.messages r.shard;
+    lookahead = Sim.Shard.lookahead r.shard;
   }
 
 let run ?seed ctx =
@@ -228,10 +238,9 @@ let run ?seed ctx =
           (Sim.Time.to_ms_f p.duration)
           p.seed;
         Printf.sprintf
-          "%d frames total; %d epochs, %d cross-shard messages, %d mailbox \
-           spills; lookahead %.1f us (= trunk propagation, from \
-           Net.cut_lookahead)."
-          total_frames o.epochs o.messages o.overflows
+          "%d frames total; %d epochs, %d cross-shard messages; lookahead \
+           %.1f us (= trunk propagation, from Net.cut_lookahead)."
+          total_frames o.epochs o.messages
           (Sim.Time.to_us_f o.lookahead);
         "The digest folds every arrival instant: equality of this table \
          across --domains values is event-order equality of the runs.";

@@ -24,6 +24,21 @@ type params = {
 
 val default_params : params
 
+type rig = {
+  shard : Sim.Shard.t;  (** one shard per site, not yet run *)
+  nets : Atm.Net.t array;  (** site [i]'s net, on [Sim.Shard.engine shard i] *)
+  local_frames : int array;  (** per site, counted as the shard runs *)
+  remote_frames : int array;
+  digests : int array;
+}
+
+val build : Sim.Ctx.t -> params -> rig
+(** Build the fabric, one shard per site on a child of the context, its
+    lookahead derived from the blueprint and every source scheduled,
+    but run nothing: a caller may attach monitors or faults to a site's
+    engine and net before {!Sim.Shard.run}.  Raises [Invalid_argument]
+    when [sites < 1]. *)
+
 type outcome = {
   p : params;
   local_frames : int array;
@@ -31,15 +46,13 @@ type outcome = {
   digests : int array;
   epochs : int;
   messages : int;
-  overflows : int;
   lookahead : Sim.Time.t;
 }
 
 val execute : Sim.Ctx.t -> params -> outcome
-(** Build and run the fabric on the context's domain budget, one shard
-    per site on a child of the context.  The outcome, and what the
-    context records, are independent of the domain count; only
-    wall-clock time varies. *)
+(** {!build} the fabric and run it for [duration] on the context's
+    domain budget.  The outcome, and what the context records, are
+    independent of the domain count; only wall-clock time varies. *)
 
 val run : ?seed:int -> Sim.Ctx.t -> Table.t
 (** The registry's [PAR] entry: run with default parameters ([seed]

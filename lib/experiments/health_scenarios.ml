@@ -192,80 +192,34 @@ let pfs ctx =
   Sim.Monitor.report ~name:"pfs" [ m ]
 
 (* ------------------------------------------------------------------ *)
-(* Sharded fabric: a small 4-site ring modelled on {!Fabric}, one
+(* Sharded fabric: PAR's rig ({!Fabric.build}) cut to 4 sites, one
    monitor per shard, merged in shard order.  The trunk propagation
    delay is the conservative lookahead; 10 ms roll windows land on
    epoch boundaries, and {!Sim.Shard} flushes sampled gauges at every
-   barrier, so the merged report is byte-identical at --domains 1/2/4. *)
+   barrier, so the merged report is byte-identical at --domains 1/2/4.
+   Seed 0 gives each source the phase [(i * 131_071 + s * 7_919) mod
+   period]. *)
 
 let fabric ctx =
-  let duration = Sim.Time.ms 130 in
-  let sites = 4 in
-  let streams_per_site = 8 in
-  let frame_bytes = 8_192 in
-  let fps = 100 in
-  let trunk_prop = Sim.Time.ms 2 in
-  let shard = Sim.Shard.create ~lookahead:trunk_prop ~shards:sites ctx in
-  let payload = Bytes.make frame_bytes 'x' in
-  let period_ns = 1_000_000_000 / fps in
-  let ingress = Array.make sites None in
-  let nets = Array.make sites None in
-  let sites_built =
-    Array.init sites (fun i ->
-        let e = Sim.Shard.engine shard i in
-        let net = Atm.Net.create e in
-        nets.(i) <- Some net;
-        let sw = Atm.Net.add_switch net ~name:"sw" ~ports:8 in
-        let cam = Atm.Net.add_host net ~name:"cam" in
-        let disp = Atm.Net.add_host net ~name:"disp" in
-        let gw = Atm.Net.add_host net ~name:"gw" in
-        let q = Atm.Aal5.frame_cells frame_bytes + 64 in
-        Atm.Net.connect net ~bandwidth_bps:10_000_000_000 ~queue_cells:q cam sw;
-        Atm.Net.connect net ~bandwidth_bps:10_000_000_000 ~queue_cells:q disp
-          sw;
-        Atm.Net.connect net ~bandwidth_bps:10_000_000_000 ~queue_cells:q gw sw;
-        let vcs =
-          Array.init streams_per_site (fun _ ->
-              let cell_rx, train_rx =
-                Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> ()) ()
-              in
-              Atm.Net.open_vc net ~src:cam ~dst:disp ~rx:cell_rx
-                ~rx_train:train_rx)
-        in
-        let cell_rx, train_rx = Atm.Net.frame_rx ~rx:(fun ~flow:_ _ _ _ -> ()) () in
-        ingress.(i) <-
-          Some
-            (Atm.Net.open_vc net ~src:gw ~dst:disp ~rx:cell_rx
-               ~rx_train:train_rx);
-        (e, vcs))
+  let p =
+    {
+      Fabric.sites = 4;
+      streams_per_site = 8;
+      frame_bytes = 8_192;
+      fps = 100;
+      cross_every = 4;
+      trunk_prop = Sim.Time.ms 2;
+      duration = Sim.Time.ms 130;
+      seed = 0;
+    }
   in
-  Array.iteri
-    (fun i (e, vcs) ->
-      Array.iteri
-        (fun s vc ->
-          let phase = ((i * 131_071) + (s * 7_919)) mod period_ns in
-          let frame = ref 0 in
-          let rec tick () =
-            Atm.Net.send_frame vc payload;
-            (if s = 0 && !frame mod 4 = 0 then
-               let dst = (i + 1) mod sites in
-               let at = Sim.Time.add (Sim.Engine.now e) trunk_prop in
-               let data = Bytes.copy payload in
-               Sim.Shard.post shard ~src:i ~dst ~at (fun () ->
-                   match ingress.(dst) with
-                   | Some gvc -> Atm.Net.send_frame gvc data
-                   | None -> assert false));
-            incr frame;
-            ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns period_ns) tick)
-          in
-          ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ns phase) tick))
-        vcs)
-    sites_built;
+  let rig = Fabric.build ctx p in
   (* One monitor per shard: a source reaching across shards would race
      under parallel domains. *)
   let monitors =
     Array.mapi
-      (fun i (e, _) ->
+      (fun i net ->
+        let e = Atm.Net.engine net in
         let m = Sim.Monitor.create e in
         let reg = Sim.Engine.metrics e in
         let atm = Sim.Subsystem.Atm in
@@ -295,12 +249,12 @@ let fabric ctx =
              (Sim.Metrics.gauge reg ~sub:Sim.Subsystem.Sim
                 "engine.queue_depth"));
         m)
-      sites_built
+      rig.nets
   in
   (* The disruption: 10% wire loss at site 0 from 30 ms to 70 ms; its
      cell-loss objective fires at 50 ms and resolves at 110 ms. *)
-  (let e0 = Sim.Shard.engine shard 0 in
-   let net0 = match nets.(0) with Some n -> n | None -> assert false in
+  (let net0 = rig.nets.(0) in
+   let e0 = Atm.Net.engine net0 in
    let rng = Sim.Rng.create ~seed:7L () in
    ignore
      (Sim.Engine.schedule_at e0 ~at:(Sim.Time.ms 30) (fun () ->
@@ -308,7 +262,7 @@ let fabric ctx =
    ignore
      (Sim.Engine.schedule_at e0 ~at:(Sim.Time.ms 70) (fun () ->
           Atm.Net.clear_faults net0)));
-  Sim.Shard.run ~until:duration shard;
+  Sim.Shard.run ~until:p.duration rig.shard;
   Sim.Monitor.report ~name:"fabric" (Array.to_list monitors)
 
 (* ------------------------------------------------------------------ *)

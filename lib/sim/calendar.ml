@@ -606,21 +606,3 @@ let min_seq_ns t =
     t.epool.(t.cmin_e + 1)
   end
 
-let clear t =
-  t.shift <- initial_shift;
-  t.mask <- initial_buckets - 1;
-  t.bk <- empty_buckets initial_buckets;
-  t.epool <- [||];
-  t.efree <- -1;
-  t.ecap <- 0;
-  t.len <- 0;
-  t.cur_div <- 0;
-  t.cmin_e <- -1;
-  t.cmin_p <- -1;
-  t.cmin_b <- 0;
-  t.sbuf <- [||];
-  t.grow_at <- 2 * initial_buckets;
-  t.shrink_at <- 0;
-  t.pops <- 0;
-  t.work <- 0;
-  t.work_before <- 0

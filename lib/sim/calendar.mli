@@ -42,8 +42,6 @@ val pop_min : t -> int
     value.  Raises [Invalid_argument] when empty.  Never allocates in
     steady state. *)
 
-val clear : t -> unit
-
 val work : t -> int
 (** Buckets visited, chain entries walked and entries sorted by every
     search for the minimum so far: the queue's own cost count, which

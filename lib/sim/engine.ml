@@ -232,13 +232,6 @@ let exec_min t =
   end
   else false
 
-let step t =
-  if Calendar.min_key_ns t.q = max_int then false
-  else begin
-    ignore (exec_min t);
-    true
-  end
-
 (* The loop proper, over immediates only ([has_until] instead of an
    option, [max_int] as "no budget") so {!Shard}'s epoch loop can run
    it without allocating anything per epoch.  A callback that ran the

@@ -13,9 +13,9 @@
     An engine holds no process-wide state: it records into the trace
     and registry it was created with, so engines built on different
     contexts ({!Ctx}) may run at once on different domains.  A callback
-    may schedule further events, cancel pending ones and {!step}, but
-    {!run} and {!run_until} raise [Invalid_argument] when a callback
-    calls them. *)
+    may schedule further events and cancel pending ones, but it never
+    fires one: {!run} and {!run_until} raise [Invalid_argument] when a
+    callback calls them. *)
 
 type t
 
@@ -101,18 +101,12 @@ val run_until : t -> Time.t -> unit
     [Some] block: the allocation-free entry point for {!Shard}'s
     per-epoch calls. *)
 
-val step : t -> bool
-(** Run a single event.  Returns [false] when the queue is empty.
-    Like {!run}'s inner loop, the queue-depth gauge is sampled, not
-    flushed per call — read it after a {!run}, or via {!pending}, for
-    an exact value. *)
-
 val flush_gauges : t -> unit
 (** Write every sampled gauge (currently the queue-depth gauge) with
     its exact current value.  {!run} does this when it returns;
     {!Shard} calls it at every epoch barrier so the every-256-
-    transitions sampling in {!step}'s loop can never leave a stale
-    gauge visible across a shard boundary. *)
+    transitions sampling inside a run can never leave a stale gauge
+    visible across a shard boundary. *)
 
 val every : ?daemon:bool -> t -> period:Time.t -> (unit -> bool) -> unit
 (** [every t ~period f] calls [f] periodically (first call one period

@@ -84,32 +84,6 @@ let create ?(exact_dists = false) () =
 let raw_cap = 1024
 let pend_slots = 8
 
-let clear_dist d =
-  d.d_n <- 0;
-  d.d_sum_hi <- 0;
-  d.d_sum_lo <- 0;
-  d.d_sq_hi <- 0;
-  d.d_sq_lo <- 0;
-  d.d_min <- max_int;
-  d.d_max <- min_int;
-  d.d_sorted <- true;
-  Array.fill d.d_hist 0 (Array.length d.d_hist) 0;
-  d.d_npend <- 0
-
-(* Zero every registered metric in place.  Handles alias the registry
-   entries, so handles obtained before the reset keep working and their
-   updates stay visible in snapshots — the old behaviour (dropping the
-   table entries) silently disconnected every live handle. *)
-let reset t =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> c.c_value <- 0
-      | Gauge g -> Float.Array.set g.g_cell 0 0.0
-      | Dist d -> clear_dist d
-      | Obs o -> o.o_count <- 0)
-    t.tbl
-
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"

@@ -53,13 +53,6 @@ val create : ?exact_dists:bool -> unit -> t
     this registry keep all its samples raw, not only the first
     1 024. *)
 
-val reset : t -> unit
-(** Zero every registered metric in place: counters to 0, gauges to
-    0.0, distributions emptied.  Handles alias the registry entries
-    rather than copying them, so handles obtained before the reset
-    remain connected — updates made through them stay visible in later
-    snapshots. *)
-
 (** {1 Registration (get-or-create)}
 
     Re-registering the same [(subsystem, name)] returns the existing

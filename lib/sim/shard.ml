@@ -1,9 +1,9 @@
 (* Conservative parallel discrete-event simulation over engine shards.
 
    Each shard owns a private {!Engine.t} (its own heap, clock, trace and
-   metrics), and shards exchange timestamped callbacks through
-   per-(src,dst) {!Mailbox.t}s.  Synchronisation is barrier-epoch
-   conservative PDES: with [L] the minimum cross-shard latency
+   metrics), and shards exchange timestamped callbacks through one inbox
+   per (src, dst) pair.  Synchronisation is barrier-epoch conservative
+   PDES: with [L] the minimum cross-shard latency
    (lookahead), any message created by an event at time [t] carries a
    timestamp [>= t + L], so once every shard's earliest queue entry is
    known to be [>= t_min], every event strictly below [t_min + L] can be
@@ -14,8 +14,8 @@
      2. runs every shard's engine up to [horizon - 1ns] (an event
         scheduled exactly at the horizon must wait for the next epoch:
         a message can still arrive at that instant),
-     3. meets at a barrier, then drains each shard's inbound mailboxes,
-        sorting messages by [(timestamp, source shard, sequence)] so
+     3. meets at a barrier, then drains each shard's inboxes, ordering
+        messages by [(timestamp, source shard, post order)] so
         delivery order — and hence the destination engine's own
         scheduling order — is a pure function of the simulation,
      4. publishes each shard's earliest-event time and meets at the
@@ -30,19 +30,19 @@
    when the run ends, so what the context records does not depend on
    the worker count either.
 
-   Mailboxes are plain SPSC rings: pushes happen strictly before the
-   epoch barrier and drains strictly after it, and the barrier publishes
+   An inbox is a plain list, newest first: only shard [src]'s worker
+   conses onto it, strictly before the epoch barrier, and only shard
+   [dst]'s worker takes it, strictly after it.  The barrier publishes
    the writes, so no per-message synchronisation is needed. *)
 
-type msg = { msg_at : Time.t; msg_seq : int; msg_fn : unit -> unit }
+type msg = { msg_at : Time.t; msg_src : int; msg_fn : unit -> unit }
 
 type t = {
   ctx : Ctx.t;
   kids : Ctx.t array;  (* one child context per shard *)
   engines : Engine.t array;
   lookahead : Time.t;
-  boxes : msg Mailbox.t array array;  (* boxes.(src).(dst) *)
-  seqs : int array array;  (* per-(src,dst) push counters, producer-owned *)
+  boxes : msg list array array;  (* boxes.(src).(dst), newest first *)
   (* Published per-shard state: written only by the owning worker in the
      drain phase, read by every worker after the barrier. *)
   next_at : Time.t array;  (* [no_event] when the queue is empty *)
@@ -64,9 +64,7 @@ let create ?(lookahead = Time.us 1) ~shards:n ctx =
     kids;
     engines = Array.map Ctx.engine kids;
     lookahead;
-    boxes =
-      Array.init n (fun _ -> Array.init n (fun _ -> Mailbox.create ()));
-    seqs = Array.init n (fun _ -> Array.make n 0);
+    boxes = Array.make_matrix n n [];
     next_at = Array.make n no_event;
     user_live = Array.make n 0;
     delivered = Array.make n 0;
@@ -80,12 +78,6 @@ let epochs t = t.epochs
 
 let messages t = Array.fold_left ( + ) 0 t.delivered
 
-let overflows t =
-  Array.fold_left
-    (fun acc row ->
-      Array.fold_left (fun acc box -> acc + Mailbox.overflows box) acc row)
-    0 t.boxes
-
 let post t ~src ~dst ~at fn =
   let n = Array.length t.engines in
   if src < 0 || src >= n || dst < 0 || dst >= n then
@@ -96,45 +88,33 @@ let post t ~src ~dst ~at fn =
       (Format.asprintf
          "Shard.post: %a is under the lookahead horizon (now %a + %a)" Time.pp
          at Time.pp now Time.pp t.lookahead);
-  let seq = t.seqs.(src).(dst) in
-  t.seqs.(src).(dst) <- seq + 1;
-  Mailbox.push t.boxes.(src).(dst) { msg_at = at; msg_seq = seq; msg_fn = fn }
+  t.boxes.(src).(dst) <-
+    { msg_at = at; msg_src = src; msg_fn = fn } :: t.boxes.(src).(dst)
 
-(* Drain every inbox of shard [dst] and schedule the messages in
-   deterministic (timestamp, source, sequence) order, recording each
-   delivery on [dst]'s trace.  Runs on the worker that owns [dst],
-   strictly after the epoch barrier. *)
+(* Take every inbox of shard [dst] and schedule the messages in the
+   deterministic order (timestamp, source, post order), recording each
+   delivery on [dst]'s trace: the inboxes, each reversed to oldest
+   first, are laid end to end in source order, and a stable sort by
+   timestamp keeps that order among ties.  Runs on the worker that owns
+   [dst], strictly after the epoch barrier. *)
 let drain_nonempty t dst =
-  let n = Array.length t.engines in
-  let acc = ref [] in
-  for src = 0 to n - 1 do
-    let box = t.boxes.(src).(dst) in
-    let rec take () =
-      match Mailbox.pop box with
-      | Some m ->
-          acc := (m.msg_at, src, m.msg_seq, m.msg_fn) :: !acc;
-          take ()
-      | None -> ()
-    in
-    take ()
+  let msgs = ref [] in
+  for src = Array.length t.engines - 1 downto 0 do
+    msgs := List.rev_append t.boxes.(src).(dst) !msgs;
+    t.boxes.(src).(dst) <- []
   done;
   let msgs =
-    List.sort
-      (fun (a1, s1, q1, _) (a2, s2, q2, _) ->
-        if a1 <> a2 then Time.compare a1 a2
-        else if s1 <> s2 then compare s1 s2
-        else compare q1 q2)
-      !acc
+    List.stable_sort (fun a b -> Time.compare a.msg_at b.msg_at) !msgs
   in
   let e = t.engines.(dst) in
   let tr = Engine.trace e in
   List.iter
-    (fun (at, src, _, fn) ->
+    (fun m ->
       if Trace.enabled tr then
-        Trace.instant tr ~ts:at ~sub:Subsystem.Sim ~cat:"shard"
-          ~args:[ ("src", Trace.Int src) ]
+        Trace.instant tr ~ts:m.msg_at ~sub:Subsystem.Sim ~cat:"shard"
+          ~args:[ ("src", Trace.Int m.msg_src) ]
           "shard.deliver";
-      ignore (Engine.schedule_at e ~at fn))
+      ignore (Engine.schedule_at e ~at:m.msg_at m.msg_fn))
     msgs;
   t.delivered.(dst) <- t.delivered.(dst) + List.length msgs
 
@@ -145,7 +125,8 @@ let drain t dst =
   let n = Array.length t.engines in
   let rec any_pending src =
     src < n
-    && ((not (Mailbox.is_empty t.boxes.(src).(dst))) || any_pending (src + 1))
+    &&
+    match t.boxes.(src).(dst) with [] -> any_pending (src + 1) | _ -> true
   in
   if any_pending 0 then drain_nonempty t dst
 
@@ -162,12 +143,12 @@ let publish t s =
 (* Single-shard mode delegates to the plain engine loop, so an
    unsharded scenario wrapped in a 1-shard runner is byte-identical to
    calling {!Engine.run} directly.  Self-posted messages are delivered
-   by draining around the run until the box empties. *)
+   by draining around the run until the inbox empties. *)
 let run_single t ?until () =
   let rec go () =
     drain t 0;
     Engine.run ?until t.engines.(0);
-    if not (Mailbox.is_empty t.boxes.(0).(0)) then go ()
+    match t.boxes.(0).(0) with [] -> () | _ -> go ()
   in
   go ()
 

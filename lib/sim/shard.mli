@@ -8,7 +8,7 @@
     a shard, components schedule on the shard's engine exactly as in a
     sequential simulation; interactions that cross shards go through
     {!post}, which carries a callback to another shard's engine through
-    a bounded SPSC {!Mailbox}.
+    the inbox of that (source, destination) pair.
 
     Execution is barrier-epoch conservative PDES.  The [lookahead] is
     the minimum simulated latency of any cross-shard interaction —
@@ -19,8 +19,8 @@
     under [now + lookahead], no shard can ever receive a message for an
     instant it has already passed.
 
-    Same-instant cross-shard ties are broken by [(source shard,
-    sequence)], so the whole simulation — results, merged metrics and
+    Same-instant cross-shard ties are broken by [(source shard, post
+    order)], so the whole simulation — results, merged metrics and
     merged trace — is a pure function of its inputs, byte-identical
     whatever domain budget the context carries. *)
 
@@ -46,7 +46,7 @@ val post : t -> src:int -> dst:int -> at:Time.t -> (unit -> unit) -> unit
     [at >= now(src) + lookahead] — the conservative contract.
     Messages never outrun the lookahead horizon, so the callback is
     scheduled before [dst] reaches [at]; ties at one instant order by
-    [(src, posting sequence)] after all local events already queued.
+    [(src, post order)] after all local events already queued.
     While [dst]'s trace is enabled, each delivery records a
     ["shard.deliver"] instant there at [at]. *)
 
@@ -70,8 +70,3 @@ val epochs : t -> int
 
 val messages : t -> int
 (** Cross-shard messages delivered so far. *)
-
-val overflows : t -> int
-(** Mailbox pushes that missed the bounded fast path and spilled (see
-    {!Mailbox.overflows}); messages are never lost, this is a sizing
-    signal. *)

@@ -1,4 +1,4 @@
-type t = Atm | Nemesis | Pfs | Rpc | Naming | Sim | Other of string
+type t = Atm | Nemesis | Pfs | Rpc | Naming | Sim
 
 let to_string = function
   | Atm -> "atm"
@@ -7,7 +7,6 @@ let to_string = function
   | Rpc -> "rpc"
   | Naming -> "naming"
   | Sim -> "sim"
-  | Other s -> s
 
 let compare a b = String.compare (to_string a) (to_string b)
 
@@ -19,4 +18,12 @@ let lane = function
   | Pfs -> 3
   | Rpc -> 4
   | Naming -> 5
-  | Other _ -> 6
+
+let of_lane = function
+  | 0 -> Sim
+  | 1 -> Atm
+  | 2 -> Nemesis
+  | 3 -> Pfs
+  | 4 -> Rpc
+  | 5 -> Naming
+  | _ -> invalid_arg "Subsystem.of_lane"

@@ -40,14 +40,14 @@ let flow_ = 8
 let dur_ = 16
 let packed_ = 24
 
-(* The packed word, low bits first: phase (3 bits), subsystem (5), cat
-   id (10), name id (21), args id (23): 62 bits, so it stays
-   non-negative. *)
+(* The packed word, low bits first: phase (3 bits), subsystem (3, its
+   {!Subsystem.lane}), cat id (10), name id (21), args id (23): 60
+   bits, so it stays non-negative. *)
 let sub_shift = 3
-let cat_shift = 8
-let name_shift = 18
-let args_shift = 39
-let sub_limit = 1 lsl 5
+let cat_shift = 6
+let name_shift = 16
+let args_shift = 37
+let sub_limit = 1 lsl 3
 let cat_limit = 1 lsl 10
 let name_limit = 1 lsl 21
 let args_limit = 1 lsl 23
@@ -149,8 +149,7 @@ module Atbl = Hashtbl.Make (struct
 end)
 
 (* Everything a sink interns, created with its first record.  Args id 0
-   is [[]]; subsystem codes 0-5 are the named layers and 6 on the
-   [Other _] ones, in first-appearance order. *)
+   is [[]]. *)
 type dict = {
   cats : strings;
   names : strings;
@@ -159,8 +158,6 @@ type dict = {
   mutable n_args : int;
   mutable last_args : (string * arg) list;
   mutable last_args_id : int;
-  mutable others : Subsystem.t array;
-  mutable n_others : int;
 }
 
 let new_dict () =
@@ -173,8 +170,6 @@ let new_dict () =
     (* A fresh list, for the same reason as [strings]'s [last]. *)
     last_args = [ (String.make 1 ' ', Bool false) ];
     last_args_id = 0;
-    others = [||];
-    n_others = 0;
   }
 
 let args_slow d args =
@@ -197,40 +192,6 @@ let args_slow d args =
 let[@inline] args_id d = function
   | [] -> 0
   | args -> if args == d.last_args then d.last_args_id else args_slow d args
-
-let other_code d s =
-  let rec find i =
-    if i = d.n_others then begin
-      if 6 + i >= sub_limit then too_many "Other subsystems" (sub_limit - 6);
-      d.others <- grow d.others i (Subsystem.Other s);
-      d.others.(i) <- Subsystem.Other s;
-      d.n_others <- i + 1;
-      6 + i
-    end
-    else
-      match d.others.(i) with
-      | Subsystem.Other s' when String.equal s s' -> 6 + i
-      | _ -> find (i + 1)
-  in
-  find 0
-
-let sub_code d : Subsystem.t -> int = function
-  | Sim -> 0
-  | Atm -> 1
-  | Nemesis -> 2
-  | Pfs -> 3
-  | Rpc -> 4
-  | Naming -> 5
-  | Other s -> other_code d s
-
-let sub_of d : int -> Subsystem.t = function
-  | 0 -> Sim
-  | 1 -> Atm
-  | 2 -> Nemesis
-  | 3 -> Pfs
-  | 4 -> Rpc
-  | 5 -> Naming
-  | c -> d.others.(c - 6)
 
 (* A phase's code; flow phases are the codes from [flow_start_] on.  A
    match, not an array: an array literal compiles to a [caml_obj_dup]
@@ -392,7 +353,7 @@ let record t phase ~ts ~dur ~sub ~cat ~flow ~args name =
   let d = dict t in
   push t (Time.to_ns ts) flow dur
     (phase
-    lor (sub_code d sub lsl sub_shift)
+    lor (Subsystem.lane sub lsl sub_shift)
     lor (intern d.cats cat lsl cat_shift)
     lor (intern d.names name lsl name_shift)
     lor (args_id d args lsl args_shift))
@@ -469,7 +430,7 @@ let event_at t d pos =
     ev_ts = Time.ns (word t pos ts_);
     ev_dur = (if dur < 0 then None else Some (Time.ns dur));
     ev_phase = phase_of_code (packed land 7);
-    ev_sub = sub_of d ((packed lsr sub_shift) land (sub_limit - 1));
+    ev_sub = Subsystem.of_lane ((packed lsr sub_shift) land (sub_limit - 1));
     ev_cat = d.cats.s_of.((packed lsr cat_shift) land (cat_limit - 1));
     ev_name = d.names.s_of.((packed lsr name_shift) land (name_limit - 1));
     ev_flow = word t pos flow_;
@@ -509,8 +470,10 @@ let args_of_id t id =
 
 (* Copies [src]'s slots, shifting flow ids and mapping its interned ids
    to [into]'s through one table per kind, each entry filled on first
-   use.  Pushing keeps [into]'s ring semantics: a bounded parent retains
-   the newest events and counts the rest as dropped. *)
+   use; the phase and subsystem bits mean the same in every sink, so
+   they are copied as they are.  Pushing keeps [into]'s ring semantics:
+   a bounded parent retains the newest events and counts the rest as
+   dropped. *)
 let merge ~into src =
   let shift = into.next_flow - 1 in
   (match src.dict with
@@ -518,8 +481,7 @@ let merge ~into src =
       let d = dict into in
       let cats = Array.make sd.cats.s_n (-1)
       and names = Array.make sd.names.s_n (-1)
-      and args = Array.make sd.n_args (-1)
-      and subs = Array.make (6 + sd.n_others) (-1) in
+      and args = Array.make sd.n_args (-1) in
       let map table id to_into =
         let m = table.(id) in
         if m >= 0 then m
@@ -531,17 +493,14 @@ let merge ~into src =
       in
       let cat id = intern d.cats sd.cats.s_of.(id)
       and name id = intern d.names sd.names.s_of.(id)
-      and arg id = args_id d sd.arg_lists.(id)
-      and sub c = sub_code d (sub_of sd c) in
+      and arg id = args_id d sd.arg_lists.(id) in
       for i = 0 to src.count - 1 do
         let pos = slot src i in
         let packed = word src pos packed_ and flow = word src pos flow_ in
         push into (word src pos ts_)
           (if flow < 0 then flow else flow + shift)
           (word src pos dur_)
-          (packed land 7
-          lor (map subs ((packed lsr sub_shift) land (sub_limit - 1)) sub
-              lsl sub_shift)
+          (packed land ((1 lsl cat_shift) - 1)
           lor (map cats ((packed lsr cat_shift) land (cat_limit - 1)) cat
               lsl cat_shift)
           lor (map names ((packed lsr name_shift) land (name_limit - 1)) name
@@ -575,27 +534,17 @@ let[@inline] sub_code_at t pos =
   (word t pos packed_ lsr sub_shift) land (sub_limit - 1)
 
 (* The subsystems that have events, in name order, from one pass over
-   the slots' subsystem codes.  Names are unique unless a named layer
-   and an [Other] of its name both occur: the lane exported is then the
-   one [List.sort_uniq] keeps from every event's subsystem, oldest
-   first, so only then is that list built. *)
+   the slots' subsystem codes. *)
 let lanes t =
-  match t.dict with
-  | None -> []
-  | Some d ->
-      let seen = Array.make sub_limit false in
-      for i = 0 to t.count - 1 do
-        seen.(sub_code_at t (slot t i)) <- true
-      done;
-      let subs = ref [] in
-      for c = sub_limit - 1 downto 0 do
-        if seen.(c) then subs := sub_of d c :: !subs
-      done;
-      let lanes = List.sort_uniq Subsystem.compare !subs in
-      if List.compare_lengths lanes !subs = 0 then lanes
-      else
-        List.sort_uniq Subsystem.compare
-          (List.init t.count (fun i -> sub_of d (sub_code_at t (slot t i))))
+  let seen = Array.make sub_limit false in
+  for i = 0 to t.count - 1 do
+    seen.(sub_code_at t (slot t i)) <- true
+  done;
+  let subs = ref [] in
+  for c = sub_limit - 1 downto 0 do
+    if seen.(c) then subs := Subsystem.of_lane c :: !subs
+  done;
+  List.sort Subsystem.compare !subs
 
 (* Chrome trace_event format (the JSON object flavour), loadable in
    about:tracing and https://ui.perfetto.dev.  Timestamps are in

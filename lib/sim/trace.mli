@@ -12,18 +12,18 @@
     {b The store.}  A sink keeps each event as four ints in flat
     [Bytes] chunks: its timestamp, its flow id, its duration (or none)
     and one packed word holding its phase, its subsystem and the ids
-    of its category, name and argument list.  Categories, names, arg
-    lists and [Other] subsystems are interned per sink, arg lists by
-    content with floats compared by their bits (so [-0.0] and NaN
-    payloads come back as recorded).  The chunks hold no pointer, so
-    the GC never scans them: a sink holds O(distinct strings and arg
-    lists) heap blocks, not a few per event.  Nothing is allocated
-    before the first record, and a growing store adds a chunk without
-    copying the ones it has.  {!events}, the exporters and {!merge}
+    of its category, name and argument list; the subsystem is stored as
+    its {!Subsystem.lane}.  Categories, names and arg lists are interned
+    per sink, arg lists by content with floats compared by their bits
+    (so [-0.0] and NaN payloads come back as recorded).  The chunks hold
+    no pointer, so the GC never scans them: a sink holds O(distinct
+    strings and arg lists) heap blocks, not a few per event.  Nothing is
+    allocated before the first record, and a growing store adds a chunk
+    without copying the ones it has.  {!events}, the exporters and {!merge}
     rebuild records on demand; {!Audit} reads the columns directly
     ({!iter_flow_events}).  One sink holds at most 1 024 distinct
-    categories, 2{^21} names, 2{^23} arg lists and 26 [Other]
-    subsystems; a record past a limit raises [Failure].
+    categories, 2{^21} names and 2{^23} arg lists; a record past a
+    limit raises [Failure].
 
     {b Causal flows.}  A flow is a single request travelling through
     the system — one video frame from camera to display, one RPC from

@@ -1,67 +1,12 @@
-(* The sharded parallel runner: mailbox FIFO across the spill path,
-   epoch-barrier lookahead arithmetic (the event exactly at the horizon
-   is the interesting one), the conservative [post] contract, and the
-   differential property the whole design exists for — multi-seed
-   scenarios are byte-identical at every domain count. *)
+(* The sharded parallel runner: epoch-barrier lookahead arithmetic (the
+   event exactly at the horizon is the interesting one), the
+   conservative [post] contract, delivery order however many messages
+   one epoch carries, and the differential property the whole design
+   exists for — multi-seed scenarios are byte-identical at every domain
+   count. *)
 
 let us = Sim.Time.us
 let ms = Sim.Time.ms
-
-(* {1 Mailbox} *)
-
-let mailbox_tests =
-  [
-    Alcotest.test_case "FIFO within the ring" `Quick (fun () ->
-        let m = Sim.Mailbox.create ~capacity:8 () in
-        for i = 0 to 5 do
-          Sim.Mailbox.push m i
-        done;
-        Alcotest.(check int) "length" 6 (Sim.Mailbox.length m);
-        for i = 0 to 5 do
-          Alcotest.(check (option int)) "pop" (Some i) (Sim.Mailbox.pop m)
-        done;
-        Alcotest.(check bool) "empty" true (Sim.Mailbox.is_empty m);
-        Alcotest.(check (option int)) "drained" None (Sim.Mailbox.pop m));
-    Alcotest.test_case "wraparound keeps order" `Quick (fun () ->
-        let m = Sim.Mailbox.create ~capacity:4 () in
-        (* Interleave pushes and pops so head/tail lap the ring. *)
-        let next = ref 0 and expect = ref 0 in
-        for _round = 1 to 10 do
-          for _ = 1 to 3 do
-            Sim.Mailbox.push m !next;
-            incr next
-          done;
-          for _ = 1 to 3 do
-            Alcotest.(check (option int)) "pop" (Some !expect)
-              (Sim.Mailbox.pop m);
-            incr expect
-          done
-        done;
-        Alcotest.(check int) "no spill needed" 0 (Sim.Mailbox.overflows m));
-    Alcotest.test_case "overflow spills without losing order" `Quick (fun () ->
-        let m = Sim.Mailbox.create ~capacity:4 () in
-        for i = 0 to 19 do
-          Sim.Mailbox.push m i
-        done;
-        Alcotest.(check int) "length counts spill" 20 (Sim.Mailbox.length m);
-        Alcotest.(check bool) "spilled" true (Sim.Mailbox.overflows m > 0);
-        (* Drain below ring capacity, push more (these must queue behind
-           the spill, not jump into the freed ring slots), drain all. *)
-        for i = 0 to 9 do
-          Alcotest.(check (option int)) "pop" (Some i) (Sim.Mailbox.pop m)
-        done;
-        for i = 20 to 24 do
-          Sim.Mailbox.push m i
-        done;
-        for i = 10 to 24 do
-          Alcotest.(check (option int)) "pop after refill" (Some i)
-            (Sim.Mailbox.pop m)
-        done;
-        Alcotest.(check bool) "empty" true (Sim.Mailbox.is_empty m));
-    Alcotest.test_case "capacity rounds up to a power of two" `Quick (fun () ->
-        let m = Sim.Mailbox.create ~capacity:5 () in
-        Alcotest.(check int) "capacity" 8 (Sim.Mailbox.capacity m));
-  ]
 
 (* {1 Par} *)
 
@@ -156,6 +101,47 @@ let shard_unit_tests =
         Sim.Shard.run t;
         Alcotest.(check (list string))
           "delivery order" [ "1a"; "1b"; "2a"; "2b" ] (List.rev !log));
+    Alcotest.test_case "many messages in one epoch arrive once, in order"
+      `Quick (fun () ->
+        (* In the first epoch shard 1 posts 5 000 messages to shard 0 and
+           shard 2 posts 50 more at instants shard 1 also uses.  Each
+           must arrive exactly once, ordered by (instant, source, post
+           order), at every domain count. *)
+        let lookahead = ms 1 in
+        let instant k = Sim.Time.add lookahead (us (k mod 7)) in
+        let counts = [ (1, 5_000); (2, 50) ] in
+        let deliveries domains =
+          let t =
+            Sim.Shard.create ~lookahead ~shards:3 (Sim.Ctx.create ~domains ())
+          in
+          let e0 = Sim.Shard.engine t 0 in
+          let log = ref [] in
+          List.iter
+            (fun (src, n) ->
+              ignore
+                (Sim.Engine.schedule (Sim.Shard.engine t src)
+                   ~delay:Sim.Time.zero (fun () ->
+                     for k = 0 to n - 1 do
+                       Sim.Shard.post t ~src ~dst:0 ~at:(instant k) (fun () ->
+                           log :=
+                             (Sim.Time.to_ns (Sim.Engine.now e0), src, k)
+                             :: !log)
+                     done)))
+            counts;
+          Sim.Shard.run t;
+          Alcotest.(check int) "messages" 5_050 (Sim.Shard.messages t);
+          List.rev !log
+        in
+        let expected =
+          List.sort compare
+            (List.concat_map
+               (fun (src, n) ->
+                 List.init n (fun k -> (Sim.Time.to_ns (instant k), src, k)))
+               counts)
+        in
+        let triple = Alcotest.(list (triple int int int)) in
+        Alcotest.check triple "domains 1" expected (deliveries 1);
+        Alcotest.check triple "domains 2" expected (deliveries 2));
     Alcotest.test_case "until is inclusive and aligns every clock" `Quick
       (fun () ->
         let t =
@@ -266,7 +252,6 @@ let differential_tests =
 let () =
   Alcotest.run "shard"
     [
-      ("mailbox", mailbox_tests);
       ("par", par_tests);
       ("shard", shard_unit_tests);
       ("differential", differential_tests);

@@ -190,19 +190,6 @@ let heap_tests =
            done;
            Sim.Engine.run e;
            List.rev !log = List.init n Fun.id));
-    Alcotest.test_case "clear empties and the heap stays usable" `Quick
-      (fun () ->
-        let c = Sim.Calendar.create () in
-        for i = 1 to 10 do
-          Sim.Calendar.push_ns c ~key:i ~seq:i i
-        done;
-        Sim.Calendar.clear c;
-        Alcotest.(check int) "empty" 0 (Sim.Calendar.length c);
-        Alcotest.(check bool) "pop none" true (pop_ns c = None);
-        Sim.Calendar.push_ns c ~key:3 ~seq:0 42;
-        match pop_ns c with
-        | Some (3, 0, 42) -> ()
-        | _ -> Alcotest.fail "queue unusable after clear");
     Alcotest.test_case "out-of-range key is rejected" `Quick (fun () ->
         (* The engine checks the queue's 2^61 ns bound before it takes
            an arena slot, so a rejected call leaks nothing. *)
@@ -430,19 +417,27 @@ let calendar_tests =
         Alcotest.check_raises "beyond 2^61"
           (Invalid_argument "Calendar.push_ns: key out of range") (fun () ->
             Sim.Calendar.push_ns c ~key:((1 lsl 61) + 1) ~seq:0 0));
-    Alcotest.test_case "clear empties and the queue stays usable" `Quick
+    Alcotest.test_case "a drained queue reads empty and stays usable" `Quick
       (fun () ->
+        (* Pops are the only way back to empty: a drained queue must
+           read as one, refuse a further pop and still take a key
+           behind the ones it popped. *)
         let c = Sim.Calendar.create () in
         for i = 1 to 10 do
-          Sim.Calendar.push_ns c ~key:i ~seq:i i
+          Sim.Calendar.push_ns c ~key:(i * 1_000) ~seq:i i
         done;
-        Sim.Calendar.clear c;
-        Alcotest.(check int) "empty" 0 (Sim.Calendar.length c);
-        Alcotest.(check bool) "pop none" true (pop_ns c = None);
+        for i = 1 to 10 do
+          Alcotest.(check int) "pop in key order" i (Sim.Calendar.pop_min c)
+        done;
+        Alcotest.(check bool) "empty" true (Sim.Calendar.is_empty c);
+        Alcotest.(check int) "empty key" max_int (Sim.Calendar.min_key_ns c);
+        Alcotest.check_raises "pop on empty"
+          (Invalid_argument "Calendar.pop_min: empty") (fun () ->
+            ignore (Sim.Calendar.pop_min c));
         Sim.Calendar.push_ns c ~key:3 ~seq:0 42;
         match pop_ns c with
         | Some (3, 0, 42) -> ()
-        | _ -> Alcotest.fail "calendar unusable after clear");
+        | _ -> Alcotest.fail "queue unusable after draining");
     Alcotest.test_case "a dense front behind far-future entries stays cheap"
       `Quick (fun () ->
         (* A few timers ~17 minutes out and a thousand events that keep
@@ -631,15 +626,6 @@ let engine_tests =
         done;
         Sim.Engine.run e ~max_events:3;
         Alcotest.(check int) "three" 3 !n);
-    Alcotest.test_case "step runs exactly one event" `Quick (fun () ->
-        let e = Sim.Engine.create () in
-        let n = ref 0 in
-        ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 1) (fun () -> incr n));
-        ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 2) (fun () -> incr n));
-        Alcotest.(check bool) "stepped" true (Sim.Engine.step e);
-        Alcotest.(check int) "one" 1 !n;
-        Sim.Engine.run e;
-        Alcotest.(check bool) "exhausted" false (Sim.Engine.step e));
     Alcotest.test_case "cancel reports whether it took effect" `Quick (fun () ->
         let e = Sim.Engine.create () in
         let id = Sim.Engine.schedule e ~delay:(Sim.Time.ms 1) (fun () -> ()) in
@@ -738,22 +724,26 @@ let engine_tests =
         Alcotest.(check int) "new event untouched" 1 (Sim.Engine.pending e);
         Sim.Engine.run e;
         Alcotest.(check bool) "new event fired" true !fired);
-    Alcotest.test_case "step samples rather than flushes the depth gauge"
+    Alcotest.test_case "a run samples the depth gauge and flushes it on return"
       `Quick (fun () ->
-        (* Regression: [step] used to write the gauge (boxing a float)
-           after every event while [run] sampled 1-in-256; both now go
-           through the same sampler. *)
+        (* Inside a run the gauge is written every 256 transitions, not
+           per event (which would box a float each time); [run] writes
+           the exact depth when it returns. *)
         let m = Sim.Metrics.create () in
         let e = Sim.Engine.create ~metrics:m () in
         let depth = Sim.Metrics.gauge m ~sub:Sim.Subsystem.Sim "engine.queue_depth" in
-        ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 1) (fun () -> ()));
+        let inside = ref (-1.0) in
+        ignore
+          (Sim.Engine.schedule e ~delay:(Sim.Time.ms 1) (fun () ->
+               inside := Sim.Metrics.get depth));
         ignore (Sim.Engine.schedule e ~delay:(Sim.Time.ms 2) (fun () -> ()));
-        Alcotest.(check bool) "stepped" true (Sim.Engine.step e);
+        Sim.Engine.run e ~max_events:1;
+        Alcotest.(check (float 1e-9)) "gauge not written per event" 0.0 !inside;
         Alcotest.(check int) "one left" 1 (Sim.Engine.pending e);
-        Alcotest.(check (float 1e-9)) "gauge not flushed per step" 0.0
+        Alcotest.(check (float 1e-9)) "flushed on return" 1.0
           (Sim.Metrics.get depth);
         Sim.Engine.run e;
-        Alcotest.(check (float 1e-9)) "run still flushes" 0.0
+        Alcotest.(check (float 1e-9)) "flushed again" 0.0
           (Sim.Metrics.get depth));
     Alcotest.test_case "queue modes fire in identical order" `Quick (fun () ->
         (* Scrambled delays, same-instant ties and mid-run
@@ -828,15 +818,7 @@ let engine_tests =
         Alcotest.check time "stopped at the raising event" (Sim.Time.us 1)
           (Sim.Engine.now e);
         Sim.Engine.run e;
-        Alcotest.(check int) "the next run fires the rest" 1 !fired;
-        (* A callback may still step the engine. *)
-        ignore
-          (Sim.Engine.schedule e ~delay:(Sim.Time.us 1) (fun () ->
-               ignore (Sim.Engine.step e)));
-        ignore
-          (Sim.Engine.schedule e ~delay:(Sim.Time.us 2) (fun () -> incr fired));
-        Sim.Engine.run e;
-        Alcotest.(check int) "stepped from inside a callback" 2 !fired);
+        Alcotest.(check int) "the next run fires the rest" 1 !fired);
   ]
 
 let rng_tests =
@@ -1454,8 +1436,7 @@ let model_merge ~into src =
   into.m_dropped <- into.m_dropped + src.m_dropped;
   into.m_next <- into.m_next + src.m_next - 1
 
-(* An event as a string, floats by their bits and [Other] subsystems
-   told apart from the named layers. *)
+(* An event as a string, floats by their bits. *)
 let canon_event (e : Tr.event) =
   let arg = function
     | Tr.Str s -> Printf.sprintf "S%S" s
@@ -1474,9 +1455,7 @@ let canon_event (e : Tr.event) =
     | Tr.Flow_start -> "s"
     | Tr.Flow_step -> "t"
     | Tr.Flow_end -> "f")
-    (match e.ev_sub with
-    | Sim.Subsystem.Other s -> "Other " ^ s
-    | s -> Sim.Subsystem.to_string s)
+    (Sim.Subsystem.to_string e.ev_sub)
     e.ev_cat e.ev_name e.ev_flow
     (String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ arg v) e.ev_args))
 
@@ -1610,14 +1589,7 @@ let gen_trace_op =
       ]
   in
   let cat = oneof [ oneofl [ ""; "hop"; "flow" ]; fresh [ "hop" ] ] in
-  let sub =
-    oneof
-      [
-        oneofl
-          Sim.Subsystem.[ Atm; Nemesis; Pfs; Rpc; Naming; Sim; Other "x" ];
-        map (fun s -> Sim.Subsystem.Other s) (fresh [ "x"; "atm"; "y" ]);
-      ]
-  in
+  let sub = oneofl Sim.Subsystem.[ Atm; Nemesis; Pfs; Rpc; Naming; Sim ] in
   let float_arg =
     oneofl
       [
@@ -2663,22 +2635,16 @@ let metrics_tests =
         in
         Alcotest.(check int) "fired" 2 (Sim.Metrics.value fired);
         Alcotest.(check int) "cancelled" 1 (Sim.Metrics.value cancelled));
-    Alcotest.test_case "reset zeroes in place and keeps handles connected"
-      `Quick (fun () ->
+    Alcotest.test_case "a snapshot leaves its handles connected" `Quick
+      (fun () ->
+        (* A snapshot reads the registry without consuming it: updates
+           through the handles taken before it land in the next one. *)
         let m = Sim.Metrics.create () in
         let c = Sim.Metrics.counter m ~sub:Sim.Subsystem.Atm "cells" in
-        let g = Sim.Metrics.gauge m ~sub:Sim.Subsystem.Sim "depth" in
         let d = Sim.Metrics.dist m ~sub:Sim.Subsystem.Rpc "lat" in
         Sim.Metrics.incr ~by:9 c;
-        Sim.Metrics.set g 2.5;
-        Sim.Metrics.observe d 1_000;
-        Sim.Metrics.reset m;
-        Alcotest.(check int) "counter zeroed" 0 (Sim.Metrics.value c);
-        Alcotest.(check (float 1e-9)) "gauge zeroed" 0.0 (Sim.Metrics.get g);
-        Alcotest.(check int) "dist emptied" 0 (Sim.Metrics.observed d);
-        (* Post-reset updates through the pre-reset handles must land in
-           future snapshots — they used to vanish because reset dropped
-           the registry entries the handles aliased. *)
+        Sim.Metrics.observe d 42_000;
+        ignore (Sim.Metrics.snapshot m);
         Sim.Metrics.incr ~by:3 c;
         Sim.Metrics.observe d 42_000;
         let json = Sim.Json.to_string (Sim.Metrics.snapshot m) in
@@ -2686,7 +2652,7 @@ let metrics_tests =
           (fun needle ->
             Alcotest.(check bool) ("contains " ^ needle) true
               (contains json needle))
-          [ "\"value\":3"; "\"count\":1"; "\"p50\":42.0" ]);
+          [ "\"value\":12"; "\"count\":2"; "\"p50\":42.0" ]);
     Alcotest.test_case "dists are reservoir-bounded by default, exact on demand"
       `Quick (fun () ->
         let bounded = Sim.Metrics.create () in
@@ -3072,8 +3038,8 @@ let dist_run_tests =
        Runs drawn from a pool of up to 14 shapes, more than the 8 the
        dist keeps pending, mixed with single observes and step-0 runs,
        must read the same as their samples observed one by one at every
-       read: snapshots taken mid-stream, after a reset, and of a parent
-       that holds pending runs of its own and merges the dist in. *)
+       read: snapshots taken mid-stream and of a parent that holds
+       pending runs of its own and merges the dist in. *)
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"pending runs read as single observes"
          ~count:200
@@ -3097,7 +3063,6 @@ let dist_run_tests =
                      (int_range 0 1_000_000) (int_range 1 50) );
                  (2, return `Snapshot);
                  (1, return `Merge);
-                 (1, return `Reset);
                ]
            in
            pair
@@ -3121,7 +3086,6 @@ let dist_run_tests =
                | `Run run -> book d run; None
                | `Observe x -> Sim.Metrics.observe d x; None
                | `Snapshot -> Some (read m)
-               | `Reset -> Sim.Metrics.reset m; None
                | `Merge ->
                    let parent = registry () in
                    List.iter (book (dist parent))
