@@ -41,7 +41,7 @@ let serve_pfs t =
           let fid = decode_u32 payload 0
           and off = decode_u32 payload 1
           and len = decode_u32 payload 2 in
-          Pfs.Log.read_flow t.log fid ~off ~len ~flow ~k:(function
+          Pfs.Log.read ~flow t.log fid ~off ~len ~k:(function
             | Ok (Some data) -> reply (Ok data)
             | Ok None -> reply (Ok (Bytes.make len '\000'))
             | Error `No_such_file -> reply (Error "no such file")

@@ -45,30 +45,27 @@ let video_slos m e =
   let win = Sim.Time.ms 20 in
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"p99 capture-to-blit staging latency" ~unit_:"us"
-       ~window:win ~fast_windows:1 ~slow_windows:3 ~fire_after:2
-       ~resolve_after:2 ~hysteresis:0.8 ~sub:atm ~threshold:2000.0
-       "video.staging_p99_us")
+       ~window:win ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8 ~sub:atm
+       ~threshold:2000.0 "video.staging_p99_us")
     (Sim.Monitor.windowed
        (Sim.Metrics.observer reg ~sub:atm "display.staging_win_us"));
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"p99 link queueing delay" ~unit_:"us" ~window:win
-       ~fast_windows:1 ~slow_windows:3 ~fire_after:2 ~resolve_after:2
-       ~hysteresis:0.8 ~sub:atm ~threshold:1000.0 "video.queue_delay_p99_us")
+       ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8 ~sub:atm
+       ~threshold:1000.0 "video.queue_delay_p99_us")
     (Sim.Monitor.windowed
        (Sim.Metrics.observer reg ~sub:atm "link.queue_delay_win_us"));
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"wire cells lost per cell sent" ~unit_:"ratio"
-       ~window:win ~fast_windows:1 ~slow_windows:3 ~fire_after:2
-       ~resolve_after:2 ~hysteresis:0.5 ~sub:atm ~threshold:0.01
-       "video.cell_loss")
+       ~window:win ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.5 ~sub:atm
+       ~threshold:0.01 "video.cell_loss")
     (Sim.Monitor.counter_ratio
        ~num:(Sim.Metrics.counter reg ~sub:atm "link.cells_lost")
        ~den:(Sim.Metrics.counter reg ~sub:atm "link.cells_sent"));
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"engine event-queue depth" ~unit_:"events" ~window:win
-       ~fast_windows:1 ~slow_windows:3 ~fire_after:2 ~resolve_after:2
-       ~hysteresis:0.8 ~sub:Sim.Subsystem.Sim ~threshold:5000.0
-       "video.queue_depth")
+       ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8 ~sub:Sim.Subsystem.Sim
+       ~threshold:5000.0 "video.queue_depth")
     (Sim.Monitor.gauge_level
        (Sim.Metrics.gauge reg ~sub:Sim.Subsystem.Sim "engine.queue_depth"))
 
@@ -156,35 +153,31 @@ let pfs ctx =
   let win = Sim.Time.ms 25 in
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"p99 directory read latency" ~unit_:"us" ~window:win
-       ~fast_windows:1 ~slow_windows:3 ~fire_after:2 ~resolve_after:2
-       ~hysteresis:0.8 ~sub:Sim.Subsystem.Pfs ~threshold:50000.0
-       "pfs.dir_read_p99_us")
+       ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8 ~sub:Sim.Subsystem.Pfs
+       ~threshold:50000.0 "pfs.dir_read_p99_us")
     (Sim.Monitor.windowed
        (Sim.Metrics.observer reg ~sub:Sim.Subsystem.Pfs
           "dir.read_latency_win_us"));
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"p99 replica copy lag" ~unit_:"us" ~window:win
-       ~fast_windows:1 ~slow_windows:3 ~fire_after:2 ~resolve_after:2
-       ~hysteresis:0.8 ~sub:Sim.Subsystem.Pfs ~threshold:100000.0
-       "pfs.replica_lag_p99_us")
+       ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8 ~sub:Sim.Subsystem.Pfs
+       ~threshold:100000.0 "pfs.replica_lag_p99_us")
     (Sim.Monitor.windowed
        (Sim.Metrics.observer reg ~sub:Sim.Subsystem.Pfs "dir.copy_lag_win_us"));
   (* 40/s over a 50 ms fast span means two retransmissions: a single
      straggler (a reply overlapping a segment seal, say) never pends,
      only the storm does. *)
   Sim.Monitor.register m
-    (Sim.Slo.make ~help:"RPC retransmissions per second" ~unit_:"/s"
-       ~window:win ~fast_windows:2 ~slow_windows:4 ~fire_after:2
-       ~resolve_after:2 ~hysteresis:0.5 ~sub:Sim.Subsystem.Rpc ~threshold:40.0
-       "pfs.rpc_retransmit_rate")
+    (Sim.Slo.make ~help:"RPC retransmissions per second" ~unit_:"/s" ~window:win
+       ~fast_windows:2 ~slow_windows:4 ~hysteresis:0.5 ~sub:Sim.Subsystem.Rpc
+       ~threshold:40.0 "pfs.rpc_retransmit_rate")
     (Sim.Monitor.counter_rate
        (Sim.Metrics.counter reg ~sub:Sim.Subsystem.Rpc
           "client.retransmissions"));
   Sim.Monitor.register m
     (Sim.Slo.make ~help:"kernel deadline misses per second" ~unit_:"/s"
-       ~window:win ~fast_windows:2 ~slow_windows:4 ~fire_after:2
-       ~resolve_after:2 ~hysteresis:0.5 ~sub:Sim.Subsystem.Nemesis
-       ~threshold:100.0 "pfs.deadline_miss_rate")
+       ~window:win ~fast_windows:2 ~slow_windows:4 ~hysteresis:0.5
+       ~sub:Sim.Subsystem.Nemesis ~threshold:100.0 "pfs.deadline_miss_rate")
     (Sim.Monitor.counter_rate
        (Sim.Metrics.counter reg ~sub:Sim.Subsystem.Nemesis
           "kernel.deadline_misses"));
@@ -226,24 +219,21 @@ let fabric ctx =
         let win = Sim.Time.ms 10 in
         Sim.Monitor.register m
           (Sim.Slo.make ~help:"wire cells lost per cell sent" ~unit_:"ratio"
-             ~window:win ~fast_windows:1 ~slow_windows:3 ~fire_after:2
-             ~resolve_after:2 ~hysteresis:0.5 ~sub:atm ~threshold:0.01
-             (Printf.sprintf "site%d.cell_loss" i))
+             ~window:win ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.5
+             ~sub:atm ~threshold:0.01 (Printf.sprintf "site%d.cell_loss" i))
           (Sim.Monitor.counter_ratio
              ~num:(Sim.Metrics.counter reg ~sub:atm "link.cells_lost")
              ~den:(Sim.Metrics.counter reg ~sub:atm "link.cells_sent"));
         Sim.Monitor.register m
-          (Sim.Slo.make ~help:"p99 link queueing delay" ~unit_:"us"
-             ~window:win ~fast_windows:1 ~slow_windows:3 ~fire_after:2
-             ~resolve_after:2 ~hysteresis:0.8 ~sub:atm ~threshold:1000.0
-             (Printf.sprintf "site%d.queue_delay_p99_us" i))
+          (Sim.Slo.make ~help:"p99 link queueing delay" ~unit_:"us" ~window:win
+             ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8 ~sub:atm
+             ~threshold:1000.0 (Printf.sprintf "site%d.queue_delay_p99_us" i))
           (Sim.Monitor.windowed
              (Sim.Metrics.observer reg ~sub:atm "link.queue_delay_win_us"));
         Sim.Monitor.register m
           (Sim.Slo.make ~help:"engine event-queue depth" ~unit_:"events"
-             ~window:win ~fast_windows:1 ~slow_windows:3 ~fire_after:2
-             ~resolve_after:2 ~hysteresis:0.8 ~sub:Sim.Subsystem.Sim
-             ~threshold:50000.0
+             ~window:win ~fast_windows:1 ~slow_windows:3 ~hysteresis:0.8
+             ~sub:Sim.Subsystem.Sim ~threshold:50000.0
              (Printf.sprintf "site%d.queue_depth" i))
           (Sim.Monitor.gauge_level
              (Sim.Metrics.gauge reg ~sub:Sim.Subsystem.Sim

@@ -12,10 +12,6 @@ type t = {
   work : Sim.Time.t;  (** total CPU needed *)
   deadline : Sim.Time.t option;  (** absolute; [None] = best effort *)
   created : Sim.Time.t;
-  flow : int;
-      (** causal flow this job belongs to ({!Sim.Trace.no_flow} when
-          untraced): the kernel records a ["cpu.run"] flow step at the
-          job's completion instant *)
   mutable remaining : Sim.Time.t;
   on_complete : (unit -> unit) option;
 }
@@ -24,7 +20,6 @@ val make :
   ?label:string ->
   ?deadline:Sim.Time.t ->
   ?on_complete:(unit -> unit) ->
-  ?flow:int ->
   work:Sim.Time.t ->
   created:Sim.Time.t ->
   unit ->

@@ -264,10 +264,6 @@ and complete t p j =
   assert (j.Job.remaining = Sim.Time.zero);
   Domain.remove_job p.p_dom j;
   Domain.note_job_done p.p_dom j ~now:at;
-  (let tr = Sim.Engine.trace t.engine in
-   if Sim.Trace.flows_on tr && j.Job.flow >= 0 then
-     Sim.Trace.flow_step tr ~ts:at ~sub:Sim.Subsystem.Nemesis ~cat:"sched"
-       ~flow:j.Job.flow "cpu.run");
   (match j.Job.deadline with
   | Some d when Sim.Time.(at > d) ->
       Sim.Metrics.incr t.m_deadline_misses;
@@ -276,7 +272,6 @@ and complete t p j =
       let tr = Sim.Engine.trace t.engine in
       if Sim.Trace.enabled tr then
         Sim.Trace.instant tr ~ts:at ~sub:Sim.Subsystem.Nemesis ~cat:"sched"
-          ~flow:j.Job.flow
           ~args:
             [
               ("domain", Sim.Trace.Str (Domain.name p.p_dom));

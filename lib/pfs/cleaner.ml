@@ -85,7 +85,7 @@ let run log ?(min_garbage = 1) k =
   (* Only sealed segments can be cleaned; garbage sitting in an open
      segment is collected once that segment seals.  A segment with no
      garbage is never a victim. *)
-  let min_garbage = Stdlib.max 1 min_garbage in
+  let min_garbage = Int.max 1 min_garbage in
   let victim = Array.make n_segs false in
   let victims = ref [] and reclaimable = ref 0 in
   for seg = n_segs - 1 downto 0 do

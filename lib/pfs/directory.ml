@@ -409,13 +409,15 @@ let flow_step t flow name =
 
 (* Serve a read from the replica copy on [sv]: timing against this
    server's array, bytes from the copied segments when the array
-   stores data.  Mirrors {!Log.read_flow}'s shape, including holes
-   reading as zeros. *)
+   stores data, holes reading as zeros.  Each copied extent is read
+   with {!Raid.read_range}, as {!Log.read} reads a sealed one. *)
 let replica_read t sv rep ~off ~len ~flow ~k =
   flow_step t flow "pfs.replica";
   let raid = Log.raid sv.sv_log in
-  let stores = Raid.stores_data raid in
-  let out = if stores then Some (Bytes.make len '\000') else None in
+  let out =
+    if Raid.stores_data raid then Some (Bytes.make len '\000') else None
+  in
+  let buf = Option.value out ~default:Bytes.empty in
   let outstanding = ref 1 in
   let failed = ref false in
   let finish r =
@@ -430,18 +432,8 @@ let replica_read t sv rep ~off ~len ~flow ~k =
         let lo = Int.max off foff and hi = Int.min (off + len) (foff + xlen) in
         let delta = lo - foff and n = hi - lo in
         incr outstanding;
-        if stores then
-          Raid.read_segment_flow raid ~seg:rseg ~flow ~k:(fun r ->
-              (match (r, out) with
-              | Ok (Some segdata), Some buf ->
-                  Bytes.blit segdata (soff + delta) buf (lo - off) n
-              | (Ok _ | Error _), _ -> ());
-              match r with
-              | Ok _ -> finish (Ok ())
-              | Error `Lost -> finish (Error `Lost))
-        else
-          Raid.read_extent_flow raid ~seg:rseg ~off:(soff + delta) ~len:n ~flow
-            ~k:finish
+        Raid.read_range ~flow raid ~seg:rseg ~off:(soff + delta) ~len:n
+          ~into:buf ~at:(lo - off) ~k:finish
       end)
     rep.rp_extents;
   finish (Ok ())
@@ -452,7 +444,7 @@ let home_read t sv fe ~gfid ~off ~len ~flow ~k =
   match sv.sv_cache with
   | None ->
       t.n_home <- t.n_home + 1;
-      Log.read_flow sv.sv_log fe.f_lfid ~off ~len ~flow ~k
+      Log.read ~flow sv.sv_log fe.f_lfid ~off ~len ~k
   | Some cache ->
       let bs = t.cfg.cache_block_bytes in
       let first = off / bs and last = (off + len - 1) / bs in
@@ -468,7 +460,7 @@ let home_read t sv fe ~gfid ~off ~len ~flow ~k =
       end
       else begin
         t.n_home <- t.n_home + 1;
-        Log.read_flow sv.sv_log fe.f_lfid ~off ~len ~flow ~k
+        Log.read ~flow sv.sv_log fe.f_lfid ~off ~len ~k
       end
 
 (* Rotation with load bias: scan the candidate ring starting at the
@@ -520,13 +512,13 @@ let read t ?(client = 0) ?(flow = Sim.Trace.no_flow) gfid ~off ~len ~k =
                 Sim.Metrics.incr t.m_replica_reads;
                 replica_read t sv rep ~off ~len ~flow ~k:serve_k
             | Some _ | None ->
-                (* The replica vanished between routing and arrival
-                   (write raced the request): fall back to the home
-                   shard's copy, still on this server's... no — the
-                   home shard holds the truth; serve from there. *)
+                (* The replica vanished between routing and arrival (a
+                   write raced the request): read the home shard's log,
+                   which holds the current bytes, though the request
+                   and its reply stay charged to this server. *)
                 t.n_home <- t.n_home + 1;
                 let home = t.servers.(fe.f_home) in
-                Log.read_flow home.sv_log fe.f_lfid ~off ~len ~flow ~k:serve_k)
+                Log.read ~flow home.sv_log fe.f_lfid ~off ~len ~k:serve_k)
 
 (* {1 Statistics} *)
 

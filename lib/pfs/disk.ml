@@ -77,16 +77,14 @@ let submit t ~flow ~off ~len ~k =
            if t.is_failed then k (Error `Failed) else k (Ok ())))
   end
 
-let read_flow t ~flow ~off ~len ~k =
+let read ?(flow = Sim.Trace.no_flow) t ~off ~len ~k =
   t.n_reads <- t.n_reads + 1;
   submit t ~flow ~off ~len ~k
 
-let write_flow t ~flow ~off ~len ~k =
+let write ?(flow = Sim.Trace.no_flow) t ~off ~len ~k =
   t.n_writes <- t.n_writes + 1;
   t.wbytes <- t.wbytes + len;
   submit t ~flow ~off ~len ~k
-
-let write t ~off ~len ~k = write_flow t ~flow:Sim.Trace.no_flow ~off ~len ~k
 
 let fail t = t.is_failed <- true
 let repair t = t.is_failed <- false

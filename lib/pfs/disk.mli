@@ -1,9 +1,9 @@
 (** A magnetic disk of the early-90s "high-performance" class.
 
     Timing only — contents live in the layers above.  Operations queue
-    FIFO; each pays a seek (zero when sequential with the previous
-    operation), half a rotation, and the transfer at the sustained
-    media rate.  The defaults are sized so that reading or writing
+    FIFO; each pays the transfer at the sustained media rate, and one
+    that does not start where the previous one ended also pays a seek
+    and half a rotation.  The defaults are sized so that reading or writing
     whole megabyte extents keeps seek overhead under ten per cent and
     delivers at least five megabytes per second, the figures the paper
     quotes: a 6 MB/s media rate, 2–12 ms seeks, 7200 rpm (4.17 ms half
@@ -15,29 +15,28 @@ type error = [ `Failed ]
 
 val create : Sim.Engine.t -> name:string -> t
 
+val read :
+  ?flow:int ->
+  t ->
+  off:int ->
+  len:int ->
+  k:((unit, error) result -> unit) ->
+  unit
+(** Queue a read of [len] bytes at byte offset [off]; [k] runs at
+    completion time, or immediately with [Error `Failed] if the disk
+    has failed.  When [flow] (default {!Sim.Trace.no_flow}) names a
+    causal flow and flow tracing is on ({!Sim.Trace.flows_on}), a
+    ["pfs.disk"] flow step is recorded at the operation's completion
+    instant. *)
+
 val write :
-  t -> off:int -> len:int -> k:((unit, error) result -> unit) -> unit
-
-val read_flow :
+  ?flow:int ->
   t ->
-  flow:int ->
   off:int ->
   len:int ->
   k:((unit, error) result -> unit) ->
   unit
-(** Queue a read of [len] bytes at byte offset [off], carrying a causal
-    flow id ({!Sim.Trace.no_flow} for none); [k] runs at completion
-    time, or immediately with [Error `Failed] if the disk has failed.
-    When flow tracing is on ({!Sim.Trace.flows_on}), a ["pfs.disk"]
-    flow step is recorded at the operation's completion instant. *)
-
-val write_flow :
-  t ->
-  flow:int ->
-  off:int ->
-  len:int ->
-  k:((unit, error) result -> unit) ->
-  unit
+(** Queue a write; otherwise as {!read}. *)
 
 val fail : t -> unit
 (** The disk stops answering (head crash).  Queued operations complete

@@ -400,9 +400,7 @@ let append_meta ?(flow = Sim.Trace.no_flow) t fid p ~spawn ~finish =
   in
   t.meta_writes <- t.meta_writes + 1;
   Sim.Metrics.incr t.m_meta_writes;
-  match created with
-  | [ m ] -> p.p_meta <- Some m
-  | ms -> p.p_meta <- (match ms with m :: _ -> Some m | [] -> None)
+  p.p_meta <- (match created with m :: _ -> Some m | [] -> None)
 
 let create_file t ?(kind = Normal) () =
   begin_op t;
@@ -500,12 +498,13 @@ let delete t fid ~k =
       if t.normal.o_mark < 0 then t.normal.o_mark <- t.op_start;
       k (Ok ())
 
-let read_flow t fid ~off ~len ~flow ~k =
+let read ?(flow = Sim.Trace.no_flow) t fid ~off ~len ~k =
   match Fid_table.find_opt t.files fid with
   | None -> k (Error `No_such_file)
   | Some p ->
       flow_step t flow "pfs.log";
       let out = if t.stores then Some (Bytes.make len '\000') else None in
+      let buf = Option.value out ~default:Bytes.empty in
       let spawn, finish, release =
         joiner (fun r ->
             match r with Ok () -> k (Ok out) | Error e -> k (Error e))
@@ -526,24 +525,12 @@ let read_flow t fid ~off ~len ~flow ~k =
             (* Data still in the open segment buffer: a memory copy. *)
             cache_hit := true;
             let os = open_seg_for t s.s_kind in
-            (match out with
-            | Some buf when os.o_seg = x.x_seg ->
-                Bytes.blit os.o_buf (x.x_soff + delta) buf (lo - off) n
-            | Some _ | None -> ())
+            if t.stores && os.o_seg = x.x_seg then
+              Bytes.blit os.o_buf (x.x_soff + delta) buf (lo - off) n
         | Sealed ->
             spawn ();
-            if t.stores then
-              Raid.read_segment_flow t.raid ~seg:x.x_seg ~flow ~k:(fun r ->
-                  (match (r, out) with
-                  | Ok (Some segdata), Some buf ->
-                      Bytes.blit segdata (x.x_soff + delta) buf (lo - off) n
-                  | (Ok _ | Error _), _ -> ());
-                  match r with
-                  | Ok _ -> finish (Ok ())
-                  | Error `Lost -> finish (Error `Lost))
-            else
-              Raid.read_extent_flow t.raid ~seg:x.x_seg ~off:(x.x_soff + delta)
-                ~len:n ~flow ~k:(fun r -> finish (r :> (unit, error) result))
+            Raid.read_range ~flow t.raid ~seg:x.x_seg ~off:(x.x_soff + delta)
+              ~len:n ~into:buf ~at:(lo - off) ~k:finish
         | Free -> ()  (* cannot happen: live extents pin their segment *)
       in
       List.iter handle overlapping;
@@ -551,9 +538,6 @@ let read_flow t fid ~off ~len ~flow ~k =
          an open segment buffer — the cache-hit side of the split. *)
       if !cache_hit then flow_step t flow "pfs.cache";
       release ()
-
-let read t fid ~off ~len ~k =
-  read_flow t fid ~off ~len ~flow:Sim.Trace.no_flow ~k
 
 let sync t ~k =
   begin_op t;
@@ -613,20 +597,10 @@ let clean_segment t id ~k =
               | None -> ()
               | Some p ->
                   save_pnode t p;
-                  let data =
-                    match segdata with
-                    | Some bytes -> Some bytes
-                    | None -> None
-                  in
                   let created =
-                    match data with
-                    | Some bytes ->
-                        append_raw t p.p_kind ~fid:x.x_fid ~foff:x.x_foff
-                          ~data:bytes ~dataoff:x.x_soff ~len:x.x_len ~spawn
-                          ~finish ()
-                    | None ->
-                        append_raw t p.p_kind ~fid:x.x_fid ~foff:x.x_foff
-                          ~len:x.x_len ~spawn ~finish ()
+                    append_raw t p.p_kind ~fid:x.x_fid ~foff:x.x_foff
+                      ?data:segdata ~dataoff:x.x_soff ~len:x.x_len ~spawn
+                      ~finish ()
                   in
                   (* Swap the mapping: drop the old extent, insert the
                      replacements. *)
@@ -660,7 +634,9 @@ let checkpoint t ~k =
       match r with
       | Error _ as e -> k e
       | Ok () ->
-          (* one checkpoint-region write: a pnode-map-sized extent *)
+          (* The checkpoint region's I/O is modelled as a zero-length
+             read at the start of segment 0: the first data disk pays one
+             positioning, and nothing is transferred or written. *)
           Raid.read_extent t.raid ~seg:0 ~off:0 ~len:0 ~k:(fun _ ->
               k (Ok ())));
   (* The segments are sealed and the checkpoint region records the pnode

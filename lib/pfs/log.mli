@@ -55,6 +55,7 @@ val write :
     through any seal into the RAID and disk layers. *)
 
 val read :
+  ?flow:int ->
   t ->
   fid ->
   off:int ->
@@ -62,20 +63,12 @@ val read :
   k:((bytes option, error) result -> unit) ->
   unit
 (** Read back a range.  Bytes are returned when the RAID stores data
-    ([Some], holes reading as zeros); timing is exercised either way. *)
-
-val read_flow :
-  t ->
-  fid ->
-  off:int ->
-  len:int ->
-  flow:int ->
-  k:((bytes option, error) result -> unit) ->
-  unit
-(** Like {!read}, carrying a causal flow id ({!Sim.Trace.no_flow} for
-    none): ["pfs.log"] at entry, one ["pfs.cache"] step when any byte
-    is served from an open segment buffer, and ["pfs.raid"] /
-    ["pfs.disk"] steps from the layers below for sealed extents. *)
+    ([Some], holes reading as zeros); timing is exercised either way.
+    Each sealed extent is read with {!Raid.read_range}.  When [flow]
+    (default {!Sim.Trace.no_flow}) names a causal flow, the read records
+    ["pfs.log"] at entry, one ["pfs.cache"] step when any byte is
+    served from an open segment buffer, and ["pfs.raid"] / ["pfs.disk"]
+    steps from the layers below for sealed extents. *)
 
 val peek : t -> fid -> off:int -> len:int -> bytes option
 (** Read a range without disk activity or simulated time — the path a
@@ -110,9 +103,11 @@ val sync : t -> k:((unit, error) result -> unit) -> unit
     to those changes, not to the size of the file system. *)
 
 val checkpoint : t -> k:((unit, error) result -> unit) -> unit
-(** Seal the open segments and write the checkpoint region (one extra
-    I/O).  The region records the pnode map, so every operation before
-    the checkpoint survives a crash, deletes included. *)
+(** Seal the open segments and take a checkpoint of the pnode map, so
+    every operation before it survives a crash, deletes included.  The
+    checkpoint region's I/O is modelled as one zero-length read at the
+    start of segment 0: one positioning of the first data disk, with
+    nothing transferred or written. *)
 
 val crash_and_recover : t -> k:(lost_bytes:int -> unit) -> unit
 (** Lose the open segment buffers, roll the mapping back to the

@@ -112,7 +112,7 @@ let write_segment t ~seg ?data ?(flow = Sim.Trace.no_flow) k =
   let off = seg * t.chunk in
   fan_out t
     (indices (t.n_data + 1))
-    (fun _ d cb -> Disk.write_flow d ~flow ~off ~len:t.chunk ~k:cb)
+    (fun _ d cb -> Disk.write ~flow d ~off ~len:t.chunk ~k:cb)
     ~k:(fun failures ->
       flow_join t flow;
       if failures > 1 then k (Error `Lost) else k (Ok ()))
@@ -135,7 +135,10 @@ let reconstruct t store seg cells =
       true
   | _ :: _ :: _ -> false
 
-let read_segment_flow t ~seg ~flow ~k =
+(* The segment and extent reads, carrying a causal flow into the
+   component disks: {!read_range} is the one exported reader that takes
+   a flow. *)
+let segment ~flow t ~seg ~k =
   let off = seg * t.chunk in
   let deliver () =
     match t.store with
@@ -185,7 +188,7 @@ let read_segment_flow t ~seg ~flow ~k =
         Sim.Metrics.incr t.m_degraded
       end;
       fan_out t targets
-        (fun _ d cb -> Disk.read_flow d ~flow ~off ~len:t.chunk ~k:cb)
+        (fun _ d cb -> Disk.read ~flow d ~off ~len:t.chunk ~k:cb)
         ~k:(fun failures ->
           flow_join t flow;
           if failures = 0 then deliver ()
@@ -198,7 +201,7 @@ let read_segment_flow t ~seg ~flow ~k =
   in
   attempt ~retries_left:1
 
-let read_segment t ~seg ~k = read_segment_flow t ~seg ~flow:Sim.Trace.no_flow ~k
+let read_segment t ~seg ~k = segment ~flow:Sim.Trace.no_flow t ~seg ~k
 
 let peek_segment t ~seg =
   match t.store with
@@ -222,7 +225,7 @@ let peek_segment t ~seg =
           end
     end
 
-let read_extent_flow t ~seg ~off ~len ~flow ~k =
+let extent ~flow t ~seg ~off ~len ~k =
   if off < 0 || len < 0 || off + len > t.seg_bytes then
     invalid_arg "Raid.read_extent: out of segment";
   let first = off / t.chunk and last = (off + len - 1) / t.chunk in
@@ -239,7 +242,7 @@ let read_extent_flow t ~seg ~off ~len ~flow ~k =
   let disk_off d = Int.max off (d * t.chunk) - (d * t.chunk) in
   fan_out t touched
     (fun d disk cb ->
-      Disk.read_flow disk ~flow
+      Disk.read ~flow disk
         ~off:((seg * t.chunk) + disk_off d)
         ~len:(byte_count d) ~k:cb)
     ~k:(fun failures ->
@@ -247,7 +250,18 @@ let read_extent_flow t ~seg ~off ~len ~flow ~k =
       if failures > 0 then k (Error `Lost) else k (Ok ()))
 
 let read_extent t ~seg ~off ~len ~k =
-  read_extent_flow t ~seg ~off ~len ~flow:Sim.Trace.no_flow ~k
+  extent ~flow:Sim.Trace.no_flow t ~seg ~off ~len ~k
+
+let read_range ?(flow = Sim.Trace.no_flow) t ~seg ~off ~len ~into ~at ~k =
+  match t.store with
+  | None -> extent ~flow t ~seg ~off ~len ~k
+  | Some _ ->
+      segment ~flow t ~seg ~k:(function
+        | Ok (Some data) ->
+            Bytes.blit data off into at len;
+            k (Ok ())
+        | Ok None -> k (Ok ())
+        | Error `Lost -> k (Error `Lost))
 
 let fail_disk t i = Disk.fail t.all_disks.(i)
 let repair_disk t i = Disk.repair t.all_disks.(i)

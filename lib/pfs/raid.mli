@@ -48,15 +48,6 @@ val read_segment :
 (** Read a whole segment.  Returns the stored bytes when available —
     reconstructing a failed disk's chunk from parity if needed. *)
 
-val read_segment_flow :
-  t ->
-  seg:int ->
-  flow:int ->
-  k:((bytes option, error) result -> unit) ->
-  unit
-(** Like {!read_segment}, carrying a causal flow id
-    ({!Sim.Trace.no_flow} for none) into the component disks. *)
-
 val peek_segment : t -> seg:int -> bytes option
 (** The stored contents of a segment, without any disk activity or
     simulated time — the buffer-cache hit path.  [None] when the array
@@ -68,15 +59,22 @@ val read_extent :
 (** Timing-only partial read touching just the disks whose chunks
     intersect [off, off+len). *)
 
-val read_extent_flow :
+val read_range :
+  ?flow:int ->
   t ->
   seg:int ->
   off:int ->
   len:int ->
-  flow:int ->
+  into:bytes ->
+  at:int ->
   k:((unit, error) result -> unit) ->
   unit
-(** Like {!read_extent}, carrying a causal flow id. *)
+(** Read [off, off+len) of a sealed segment, the way a file read does.
+    When the array stores data it reads the whole segment
+    ({!read_segment}) and copies the range into [into] at [at]; when it
+    does not, it reads only the range ({!read_extent}) and leaves
+    [into] alone.  When [flow] names a causal flow, each disk touched
+    records a ["pfs.disk"] step and the join records ["pfs.raid"]. *)
 
 val fail_disk : t -> int -> unit
 (** 0 .. data_disks-1 are data disks; [data_disks] is the parity disk. *)

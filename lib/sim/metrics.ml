@@ -28,7 +28,7 @@ type time_unit = Us | Ms
    that, each octave [\[2^e, 2^(e+1))] splits into 64 buckets, so a
    bucket is at most 1/64 of its lower bound wide ({!bucket}).  The
    histogram array grows to cover the highest bucket seen.  The first
-   [d_raw_cap] samples are also kept raw, so a dist that never outgrows
+   [raw_cap] samples are also kept raw, so a dist that never outgrows
    them reports exact percentiles.  Every field an observation writes
    is an int or an element of an int array: it stores no pointer, so it
    needs no write barrier, and it divides nothing.  A run of samples
@@ -38,7 +38,6 @@ type dist = {
   d_name : string;
   d_help : string;
   d_unit : time_unit;
-  d_raw_cap : int;
   mutable d_n : int;
   mutable d_sum_hi : int;
   mutable d_sum_lo : int;
@@ -46,7 +45,7 @@ type dist = {
   mutable d_sq_lo : int;
   mutable d_min : int;
   mutable d_max : int;
-  mutable d_raw : int array;  (* [0, d_n) in use while [d_n <= d_raw_cap] *)
+  mutable d_raw : int array;  (* [0, d_n) in use while [d_n <= raw_cap] *)
   mutable d_sorted : bool;  (* the raw samples in use are sorted *)
   mutable d_hist : int array;  (* counts by {!bucket}, less [d_pend]'s *)
   d_pend : int array;  (* [lo; step; count; weight] per pending run *)
@@ -76,10 +75,9 @@ type metric =
   | Dist of dist
   | Obs of observer
 
-type t = { tbl : (string * string, metric) Hashtbl.t; exact_dists : bool }
+type t = { tbl : (string * string, metric) Hashtbl.t }
 
-let create ?(exact_dists = false) () =
-  { tbl = Hashtbl.create 64; exact_dists }
+let create () = { tbl = Hashtbl.create 64 }
 
 let raw_cap = 1024
 let pend_slots = 8
@@ -133,7 +131,6 @@ let dist t ~sub ?(help = "") ?(unit = Us) name =
             d_name = name;
             d_help = help;
             d_unit = unit;
-            d_raw_cap = (if t.exact_dists then max_int else raw_cap);
             d_n = 0;
             d_sum_hi = 0;
             d_sum_lo = 0;
@@ -238,8 +235,9 @@ let moments_wide d x =
 
 (* Raw samples and histogram counts live in blocks of at least 320
    words, which OCaml allocates straight in the major heap: a dist's
-   first samples add nothing to a run's minor-heap words.  A block grows
-   by a plain int copy; [Array.blit] would call [caml_modify] per
+   first samples add nothing to a run's minor-heap words.  The raw
+   block is [raw_cap] words from the first sample on; a histogram grows
+   by a plain int copy, since [Array.blit] would call [caml_modify] per
    element of a major-heap block. *)
 let grown (a : int array) len =
   let b = Array.make len 0 in
@@ -250,8 +248,7 @@ let grown (a : int array) len =
 
 let keep_raw d x =
   let i = d.d_n - 1 in
-  if i = Array.length d.d_raw then
-    d.d_raw <- grown d.d_raw (Int.max raw_cap (2 * i));
+  if i = Array.length d.d_raw then d.d_raw <- Array.make raw_cap 0;
   Array.unsafe_set d.d_raw i x;
   d.d_sorted <- false
 
@@ -313,7 +310,7 @@ let[@inline] observe d x =
   d.d_n <- n;
   if x < d.d_min then d.d_min <- x;
   if x > d.d_max then d.d_max <- x;
-  if n <= d.d_raw_cap then keep_raw d x;
+  if n <= raw_cap then keep_raw d x;
   let b = bucket x in
   if b >= Array.length d.d_hist then grow_hist d b;
   let h = d.d_hist in
@@ -433,7 +430,7 @@ let observe_run d ~first ~step ~count =
     if lo < d.d_min then d.d_min <- lo;
     if hi > d.d_max then d.d_max <- hi;
     let j = ref 0 in
-    while !j < count && d.d_n < d.d_raw_cap do
+    while !j < count && d.d_n < raw_cap do
       d.d_n <- d.d_n + 1;
       keep_raw d (first + (!j * step));
       j := !j + 1
@@ -512,7 +509,7 @@ let stddev d =
    them all, else the midpoint of its histogram bucket, kept within
    [\[min, max\]]. *)
 let order_stat d k =
-  if d.d_n <= d.d_raw_cap then begin
+  if d.d_n <= raw_cap then begin
     if not d.d_sorted then begin
       let used = Array.sub d.d_raw 0 d.d_n in
       Array.sort Int.compare used;
@@ -541,13 +538,9 @@ let percentile d q =
 (* Every part of a dist merges by addition, min or max, so merging the
    same children in any order gives the same dist. *)
 let merge_dist p d =
-  if p.d_raw_cap <> d.d_raw_cap then
-    invalid_arg
-      (Printf.sprintf "Metrics.merge: %s/%s mixes exact and sampled dists"
-         (Subsystem.to_string d.d_sub) d.d_name);
   flush_runs p;
   flush_runs d;
-  if p.d_n + d.d_n <= p.d_raw_cap then
+  if p.d_n + d.d_n <= raw_cap then
     for i = 0 to d.d_n - 1 do
       p.d_n <- p.d_n + 1;
       keep_raw p d.d_raw.(i)

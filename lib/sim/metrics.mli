@@ -18,9 +18,7 @@
     and is within 1/128 of the exact order statistics.  Memory is
     bounded by the octaves of ns the samples reach (64 counts each, at
     most 3 648 counts in all), not by their number, and nothing in a
-    dist depends on the order of its samples.  Pass [~exact_dists:true] to {!create} to keep every
-    sample raw instead (exact percentiles, O(n) memory) — intended for
-    tests and regression baselines.
+    dist depends on the order of its samples.
 
     A registry belongs to whoever created it — normally a run's {!Ctx},
     which hands it to every engine the run builds; there is no
@@ -48,10 +46,7 @@ type observer
     about SLO windows, and without any cost to runs that don't
     monitor. *)
 
-val create : ?exact_dists:bool -> unit -> t
-(** [exact_dists] (default [false]) makes every dist registered in
-    this registry keep all its samples raw, not only the first
-    1 024. *)
+val create : unit -> t
 
 (** {1 Registration (get-or-create)}
 
@@ -96,14 +91,13 @@ val observe_run : dist -> first:int -> step:int -> count:int -> unit
     run's ends, and the histogram is walked in ascending order one
     octave at a time, with one division per octave and then one add
     per sample or per bucket, whichever is fewer; samples are stored
-    raw one by one only while the dist holds fewer than its raw cap
-    (all of them with [~exact_dists:true]).  The walk of a run with
-    [step <> 0] waits until something reads the histogram (a
-    percentile past the raw samples, or {!merge}): the dist keeps up to
-    8 distinct pending runs, a run equal to a pending one adds 1 to its
-    weight without allocating, and a ninth distinct run walks the
-    pending ones first.  Adds commute, so every read is that of eager
-    walks.  [count <= 0] records nothing.  Raises [Invalid_argument]
+    raw one by one only while the dist holds fewer than 1 024.  The
+    walk of a run with [step <> 0] waits until something reads the
+    histogram (a percentile past the raw samples, or {!merge}): the
+    dist keeps up to 8 distinct pending runs, a run equal to a pending
+    one adds 1 to its weight without allocating, and a ninth distinct
+    run walks the pending ones first.  Adds commute, so every read is
+    that of eager walks.  [count <= 0] records nothing.  Raises [Invalid_argument]
     when a sample would be negative. *)
 
 val observed : dist -> int
@@ -131,8 +125,7 @@ val merge : into:t -> t -> unit
     their moments and histograms and take the lower min and higher
     max, and their raw samples concatenate while the total still fits.
     So merging the same sources in any order gives byte-identical
-    snapshots.  Raises [Invalid_argument] on a kind mismatch, or when
-    one side keeps exact dists and the other does not. *)
+    snapshots.  Raises [Invalid_argument] on a kind mismatch. *)
 
 (** {1 Snapshots} *)
 

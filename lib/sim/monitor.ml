@@ -7,9 +7,9 @@
    (last [fast_windows]) and slow (last [slow_windows]) — and a
    three-state machine advances:
 
-     Ok --breach--> Pending --fire_after consecutive--> Firing
+     Ok --breach--> Pending --2 consecutive breaches--> Firing
      Pending --clean roll--> Ok            (silent: never fired)
-     Firing --slow recovered resolve_after times--> Ok  ("resolved")
+     Firing --slow recovered 2 rolls running--> Ok  ("resolved")
 
    Determinism: rolls are ordinary engine events at instants that are a
    pure function of the window length (absolute multiples), sources
@@ -33,6 +33,10 @@ let state_string = function
   | Firing -> "firing"
 
 type transition = { tr_at : Time.t; tr_event : string; tr_value : float }
+
+(* Consecutive breaching rolls that fire an alert, and consecutive
+   recovered rolls that resolve a firing one. *)
+let streak = 2
 
 (* A growable flat float buffer for windowed samples; slots swap with
    the live accumulation buffer at each roll, so steady state does not
@@ -132,14 +136,11 @@ let aggregate e j =
         done;
         if !den <= 0.0 then None else Some (!num /. !den)
     | Level _ ->
-        (* The worst sample over the span: max for a Below objective,
-           min for an Above one. *)
+        (* The worst sample over the span: its max. *)
         let worst = ref e.win_num.((e.head - 1 + k) mod k) in
         for i = 2 to j do
           let v = e.win_num.((e.head - i + k) mod k) in
-          match e.slo.Slo.comparator with
-          | Slo.Below -> if v > !worst then worst := v
-          | Slo.Above -> if v < !worst then worst := v
+          if v > !worst then worst := v
         done;
         Some !worst
     | Windowed _ ->
@@ -183,10 +184,9 @@ let record t e event value =
       ("slo_" ^ event)
 
 let track_worst e v =
-  match (e.worst, e.slo.Slo.comparator) with
-  | None, _ -> e.worst <- Some v
-  | Some w, Slo.Below -> if v > w then e.worst <- Some v
-  | Some w, Slo.Above -> if v < w then e.worst <- Some v
+  match e.worst with
+  | None -> e.worst <- Some v
+  | Some w -> if v > w then e.worst <- Some v
 
 let roll t e =
   let k = e.slo.Slo.slow_windows in
@@ -229,7 +229,7 @@ let roll t e =
           e.state <- Pending;
           record t e "pending" v
         end;
-        if e.consec_breach >= e.slo.Slo.fire_after then begin
+        if e.consec_breach >= streak then begin
           e.state <- Firing;
           e.fired <- e.fired + 1;
           e.consec_ok <- 0;
@@ -252,7 +252,7 @@ let roll t e =
       in
       if recovered then begin
         e.consec_ok <- e.consec_ok + 1;
-        if e.consec_ok >= e.slo.Slo.resolve_after then begin
+        if e.consec_ok >= streak then begin
           e.state <- Ok;
           e.resolved <- e.resolved + 1;
           e.consec_breach <- 0;
@@ -371,12 +371,9 @@ let pp fmt r =
   List.iter
     (fun a ->
       let s = a.r_slo in
-      fprintf fmt "@,%s/%s [%s %s %.2f%s]: %s@,"
+      fprintf fmt "@,%s/%s [below <= %.2f%s]: %s@,"
         (Subsystem.to_string s.Slo.sub)
-        s.Slo.name
-        (Slo.comparator_string s.Slo.comparator)
-        (match s.Slo.comparator with Slo.Below -> "<=" | Slo.Above -> ">=")
-        s.Slo.threshold s.Slo.unit_
+        s.Slo.name s.Slo.threshold s.Slo.unit_
         (String.uppercase_ascii (state_string a.r_state));
       fprintf fmt "  rolls %d  breaches %d  fired %d  resolved %d  last %s  worst %s@,"
         a.r_rolls a.r_breaches a.r_fired a.r_resolved
@@ -420,8 +417,7 @@ let to_json r =
                  [
                    ("slo", Json.String s.Slo.name);
                    ("subsystem", Json.String (Subsystem.to_string s.Slo.sub));
-                   ( "comparator",
-                     Json.String (Slo.comparator_string s.Slo.comparator) );
+                   ("comparator", Json.String "below");
                    ("threshold", json_val s.Slo.threshold);
                    ("unit", Json.String s.Slo.unit_);
                    ("window_ns", Json.Int (Time.to_ns s.Slo.window));

@@ -9,9 +9,9 @@
     {v Ok -> Pending -> Firing -> (resolved) Ok v}
 
     The {e fast} aggregate (last [fast_windows] sub-windows) fires the
-    alert after [fire_after] consecutive breaching rolls; the {e slow}
-    aggregate (last [slow_windows]) must recover past the hysteresis
-    threshold for [resolve_after] consecutive rolls before the alert
+    alert after 2 consecutive rolls above the threshold; the {e slow}
+    aggregate (last [slow_windows]) must recover to the hysteresis
+    threshold or below for 2 consecutive rolls before the alert
     resolves.  A pending alert that sees one clean roll clears
     silently.  Every transition is emitted as a [Trace.instant]
     (category ["health"], names [slo_pending]/[slo_firing]/
@@ -39,8 +39,8 @@ type source =
           the span — e.g. cells lost per cell sent.  A span with zero
           denominator has no data and is healthy. *)
   | Level of (unit -> float)
-      (** sampled once per roll; aggregated as the worst sample over
-          the span (max for [Below], min for [Above]) *)
+      (** sampled once per roll; aggregated as the worst (highest)
+          sample over the span *)
   | Windowed of Metrics.observer
       (** every {!Metrics.sample} lands in the current sub-window;
           evaluated as the 99th percentile of the span's samples *)

@@ -6,73 +6,50 @@
    spec pure data means the same objective can be evaluated against
    different rigs, printed in reports, and compared across runs. *)
 
-type comparator = Below | Above
-
 type t = {
   name : string;
   sub : Subsystem.t;
   help : string;
   unit_ : string;
-  comparator : comparator;
   threshold : float;
   window : Time.t;
   fast_windows : int;
   slow_windows : int;
-  fire_after : int;
-  resolve_after : int;
   hysteresis : float;
 }
 
-let make ?(help = "") ?(unit_ = "") ?(comparator = Below)
-    ?(window = Time.ms 100) ?(fast_windows = 1) ?(slow_windows = 5)
-    ?(fire_after = 2) ?(resolve_after = 2) ?hysteresis ~sub ~threshold name =
+let make ?(help = "") ?(unit_ = "") ?(window = Time.ms 100)
+    ?(fast_windows = 1) ?(slow_windows = 5) ?(hysteresis = 1.0) ~sub ~threshold
+    name =
   if name = "" then invalid_arg "Slo.make: empty name";
   if Time.(window <= Time.zero) then
     invalid_arg "Slo.make: window must be positive";
   if fast_windows < 1 then invalid_arg "Slo.make: fast_windows < 1";
   if slow_windows < fast_windows then
     invalid_arg "Slo.make: slow_windows < fast_windows";
-  if fire_after < 1 then invalid_arg "Slo.make: fire_after < 1";
-  if resolve_after < 1 then invalid_arg "Slo.make: resolve_after < 1";
-  let hysteresis = Option.value hysteresis ~default:1.0 in
   if hysteresis <= 0.0 then invalid_arg "Slo.make: hysteresis <= 0";
   (* The resolve threshold ([hysteresis * threshold]) must sit on the
      healthy side of the fire threshold, or an alert could resolve
      while still in breach. *)
-  (match comparator with
-  | Below ->
-      if hysteresis > 1.0 then
-        invalid_arg "Slo.make: Below comparator needs hysteresis <= 1"
-  | Above ->
-      if hysteresis < 1.0 then
-        invalid_arg "Slo.make: Above comparator needs hysteresis >= 1");
+  if hysteresis > 1.0 then invalid_arg "Slo.make: hysteresis > 1";
   {
     name;
     sub;
     help;
     unit_;
-    comparator;
     threshold;
     window;
     fast_windows;
     slow_windows;
-    fire_after;
-    resolve_after;
     hysteresis;
   }
 
 (* The value a slow-window aggregate must reach before a firing alert
    may resolve.  With hysteresis 1.0 this is the fire threshold itself;
-   tighter hysteresis (e.g. 0.8 for Below) demands the signal recover
-   clear of the boundary, which is what stops flapping on a signal that
+   tighter hysteresis (e.g. 0.8) demands the signal recover clear of
+   the boundary, which is what stops flapping on a signal that
    rides the threshold. *)
 let resolve_threshold t = t.hysteresis *. t.threshold
 
-let violates t v =
-  match t.comparator with Below -> v > t.threshold | Above -> v < t.threshold
-
-let recovers t v =
-  let r = resolve_threshold t in
-  match t.comparator with Below -> v <= r | Above -> v >= r
-
-let comparator_string = function Below -> "below" | Above -> "above"
+let violates t v = v > t.threshold
+let recovers t v = v <= resolve_threshold t

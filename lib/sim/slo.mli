@@ -1,6 +1,6 @@
 (** Declarative service-level objectives.
 
-    An SLO names a signal, the side of a threshold it must stay on, and
+    An SLO names a signal, the threshold it must stay at or below, and
     the window geometry used to judge it online: the signal is
     accumulated into tumbling sub-windows of length [window], and two
     sliding aggregates are maintained over them — a {e fast} aggregate
@@ -15,48 +15,36 @@
     gauge level, a windowed latency percentile) happens in
     {!Monitor.register}. *)
 
-type comparator =
-  | Below  (** healthy while the signal stays at or below the threshold *)
-  | Above  (** healthy while the signal stays at or above the threshold *)
-
 type t = private {
   name : string;
   sub : Subsystem.t;
   help : string;
   unit_ : string;  (** render label for values, e.g. ["us"] or ["/s"] *)
-  comparator : comparator;
-  threshold : float;
+  threshold : float;  (** healthy while the signal stays at or below *)
   window : Time.t;  (** tumbling sub-window length *)
   fast_windows : int;  (** sub-windows in the firing aggregate *)
   slow_windows : int;  (** sub-windows in the resolving aggregate *)
-  fire_after : int;  (** consecutive breaching rolls before firing *)
-  resolve_after : int;  (** consecutive recovered rolls before resolving *)
   hysteresis : float;  (** resolve threshold = hysteresis * threshold *)
 }
 
 val make :
   ?help:string ->
   ?unit_:string ->
-  ?comparator:comparator ->
   ?window:Time.t ->
   ?fast_windows:int ->
   ?slow_windows:int ->
-  ?fire_after:int ->
-  ?resolve_after:int ->
   ?hysteresis:float ->
   sub:Subsystem.t ->
   threshold:float ->
   string ->
   t
-(** Defaults: [comparator = Below], [window = 100ms],
-    [fast_windows = 1], [slow_windows = 5], [fire_after = 2],
-    [resolve_after = 2], [hysteresis = 1.0].
+(** Defaults: [window = 100ms], [fast_windows = 1], [slow_windows = 5],
+    [hysteresis = 1.0].
 
     Raises [Invalid_argument] on an empty name, non-positive window,
-    [slow_windows < fast_windows], non-positive counts, or a
-    hysteresis that would put the resolve threshold on the unhealthy
-    side of the fire threshold ([> 1] for [Below], [< 1] for
-    [Above]). *)
+    [fast_windows < 1], [slow_windows < fast_windows], or a hysteresis
+    outside [(0, 1]], which would put the resolve threshold on the
+    unhealthy side of the fire threshold. *)
 
 val resolve_threshold : t -> float
 (** [hysteresis * threshold] — what the slow aggregate must reach
@@ -70,5 +58,3 @@ val violates : t -> float -> bool
 val recovers : t -> float -> bool
 (** Recovery test for the slow aggregate, against
     {!resolve_threshold} (inclusive). *)
-
-val comparator_string : comparator -> string

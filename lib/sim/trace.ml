@@ -358,8 +358,9 @@ let record t phase ~ts ~dur ~sub ~cat ~flow ~args name =
     lor (intern d.names name lsl name_shift)
     lor (args_id d args lsl args_shift))
 
-let instant t ~ts ~sub ?(cat = "") ?(flow = no_flow) ?(args = []) name =
-  if t.enabled then record t instant_ ~ts ~dur:(-1) ~sub ~cat ~flow ~args name
+let instant t ~ts ~sub ?(cat = "") ?(args = []) name =
+  if t.enabled then
+    record t instant_ ~ts ~dur:(-1) ~sub ~cat ~flow:no_flow ~args name
 
 let complete t ~ts ~dur ~sub ~cat ~flow ~args name =
   if t.enabled then

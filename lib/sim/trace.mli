@@ -125,11 +125,10 @@ val instant :
   ts:Time.t ->
   sub:Subsystem.t ->
   ?cat:string ->
-  ?flow:int ->
   ?args:(string * arg) list ->
   string ->
   unit
-(** A point event, optionally bound to a flow. *)
+(** A point event, bound to no flow. *)
 
 val span_begin :
   t ->

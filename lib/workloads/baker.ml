@@ -50,7 +50,7 @@ let draw_size t =
   (* Lognormal around the median with sigma ~ 1.2: a few bytes to a
      few hundred kilobytes, like the Sprite traces. *)
   let mu = log (Float.of_int t.size_median) in
-  Stdlib.max 64 (Float.to_int (Sim.Rng.lognormal t.rng ~mu ~sigma:1.2))
+  Int.max 64 (Float.to_int (Sim.Rng.lognormal t.rng ~mu ~sigma:1.2))
 
 let draw_lifetime t =
   if Sim.Rng.float t.rng < p_short then

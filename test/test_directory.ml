@@ -35,6 +35,21 @@ let dir_sync e dir =
   Sim.Engine.run e;
   Alcotest.(check bool) "sync completed" true !done_
 
+(* The steps a trace recorded for [flow], oldest first: name, instant
+   and disk. *)
+let flow_steps trace flow =
+  List.filter_map
+    (fun ev ->
+      if ev.Sim.Trace.ev_flow <> flow then None
+      else
+        let disk =
+          match List.assoc_opt "disk" ev.Sim.Trace.ev_args with
+          | Some (Sim.Trace.Str d) -> d
+          | _ -> ""
+        in
+        Some (ev.Sim.Trace.ev_name, ev.Sim.Trace.ev_ts, disk))
+    (Sim.Trace.events trace)
+
 (* Drive one hot file through a read storm and a cool-down, checking
    bytes on every read, and return a fingerprint of everything
    observable.  Used once for the behaviour assertions and twice for
@@ -239,6 +254,82 @@ let replication_tests =
           (Pfs.Directory.replications_discarded dir >= 1);
         Alcotest.(check bool) "the new version replicated afterwards" true
           (Pfs.Directory.replications_completed dir >= 1));
+    Alcotest.test_case "a traced replica read records each layer it crosses"
+      `Quick (fun () ->
+        let trace = Sim.Trace.create ~unbounded:true () in
+        Sim.Trace.set_flows trace true;
+        let e = Sim.Engine.create ~trace () in
+        (* Two shards whose arrays store no data, as the benchmark's do;
+           one read is enough to copy the file to the second. *)
+        let logs =
+          Array.init 2 (fun _ ->
+              Pfs.Log.create e
+                ~raid:(Pfs.Raid.create e ~segment_bytes:seg_64k ())
+                ())
+        in
+        let config =
+          {
+            Pfs.Directory.default_config with
+            per_replica_rate = 0.05;
+            max_replicas = 1;
+            ewma_tau = Sim.Time.sec 10;
+            review_period = ms 2;
+          }
+        in
+        let dir =
+          Pfs.Directory.create e ~logs
+            ~transport:(Pfs.Directory.loopback e)
+            ~config ()
+        in
+        let fid = Pfs.Directory.create_file dir () in
+        Pfs.Directory.write dir fid ~off:0 ~len:20_000 (fun _ -> ());
+        dir_sync e dir;
+        Pfs.Directory.read dir fid ~off:0 ~len:20_000 ~k:(fun _ -> ());
+        Sim.Engine.run e;
+        Alcotest.(check (list int)) "copied to the other shard" [ 1 ]
+          (Pfs.Directory.replicas_of dir fid);
+        (* Routing rotates over the home and the replica: of two reads,
+           one is served by each. *)
+        let traced_read () =
+          let flow = Sim.Trace.alloc_flow trace in
+          Pfs.Directory.read dir ~flow fid ~off:0 ~len:20_000 ~k:(fun _ -> ());
+          Sim.Engine.run e;
+          flow_steps trace flow
+        in
+        let reads = [ traced_read (); traced_read () ] in
+        let names steps = List.map (fun (n, _, _) -> n) steps in
+        let disks_then_raid = [ "pfs.disk"; "pfs.disk"; "pfs.raid" ] in
+        let served_by stage =
+          match
+            List.filter (fun steps -> List.mem stage (names steps)) reads
+          with
+          | [ steps ] -> steps
+          | l -> Alcotest.failf "%d reads reached %s" (List.length l) stage
+        in
+        Alcotest.(check (list string))
+          "the home read" ("dir.route" :: "pfs.log" :: disks_then_raid)
+          (names (served_by "pfs.log"));
+        match served_by "pfs.replica" with
+        | [
+         ("dir.route", t_route, _);
+         ("pfs.replica", t_replica, _);
+         ("pfs.disk", t_d1, d1);
+         ("pfs.disk", t_d2, d2);
+         ("pfs.raid", t_raid, _);
+        ] ->
+            Alcotest.(check bool) "the request crosses the transport" true
+              Sim.Time.(t_replica > t_route);
+            Alcotest.(check (list string))
+              "one step per disk the copied extent touches"
+              [ "data0"; "data1" ] (List.sort compare [ d1; d2 ]);
+            Alcotest.(check bool) "disks complete later" true
+              Sim.Time.(t_d1 > t_replica);
+            Alcotest.(check int) "raid step at the last disk"
+              (Sim.Time.to_ns (Sim.Time.max t_d1 t_d2))
+              (Sim.Time.to_ns t_raid)
+        | steps ->
+            Alcotest.failf "replica read steps: %s"
+              (String.concat ", " (names steps)));
   ]
 
 (* Model-based property: arbitrary write/read/sync/advance sequences

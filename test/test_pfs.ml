@@ -33,6 +33,21 @@ let read_back e log fid ~off ~len =
   | Some (Error _) -> Alcotest.fail "read failed"
   | None -> Alcotest.fail "read never completed"
 
+(* The steps a trace recorded for [flow], oldest first: name, instant
+   and disk. *)
+let flow_steps trace flow =
+  List.filter_map
+    (fun ev ->
+      if ev.Sim.Trace.ev_flow <> flow then None
+      else
+        let disk =
+          match List.assoc_opt "disk" ev.Sim.Trace.ev_args with
+          | Some (Sim.Trace.Str d) -> d
+          | _ -> ""
+        in
+        Some (ev.Sim.Trace.ev_name, ev.Sim.Trace.ev_ts, disk))
+    (Sim.Trace.events trace)
+
 let disk_tests =
   [
     Alcotest.test_case "sequential I/O avoids seeks" `Quick (fun () ->
@@ -52,7 +67,7 @@ let disk_tests =
         let d = Pfs.Disk.create e ~name:"d" in
         for i = 0 to 15 do
           let off = (i * 7919 * 65536) mod 1_000_000_000 in
-          Pfs.Disk.read_flow d ~flow:Sim.Trace.no_flow ~off ~len:4096
+          Pfs.Disk.read d ~off ~len:4096
             ~k:(fun _ -> ())
         done;
         Sim.Engine.run e;
@@ -90,12 +105,12 @@ let disk_tests =
         let d = Pfs.Disk.create e ~name:"d" in
         Pfs.Disk.fail d;
         let got = ref None in
-        Pfs.Disk.read_flow d ~flow:Sim.Trace.no_flow ~off:0 ~len:100
+        Pfs.Disk.read d ~off:0 ~len:100
           ~k:(fun r -> got := Some r);
         Sim.Engine.run e;
         Alcotest.(check bool) "error" true (!got = Some (Error `Failed));
         Pfs.Disk.repair d;
-        Pfs.Disk.read_flow d ~flow:Sim.Trace.no_flow ~off:0 ~len:100
+        Pfs.Disk.read d ~off:0 ~len:100
           ~k:(fun r -> got := Some r);
         Sim.Engine.run e;
         Alcotest.(check bool) "ok after repair" true (!got = Some (Ok ())));
@@ -583,6 +598,51 @@ let log_tests =
         in
         Alcotest.(check bool) "identical" true
           (run ~with_data:true = run ~with_data:false));
+    Alcotest.test_case "a traced read records each layer it crosses" `Quick
+      (fun () ->
+        (* An array that stores no data, as the benchmark's do: one
+           synced extent over the first two data disks' chunks, and one
+           still in the open segment buffer. *)
+        let trace = Sim.Trace.create ~unbounded:true () in
+        Sim.Trace.set_flows trace true;
+        let e = Sim.Engine.create ~trace () in
+        let raid =
+          Pfs.Raid.create e ~store_data:false ~segment_bytes:seg_64k ()
+        in
+        let log = Pfs.Log.create e ~raid () in
+        let fid = Pfs.Log.create_file log () in
+        Pfs.Log.write log fid ~off:0 ~len:20_000 (fun _ -> ());
+        Pfs.Log.sync log ~k:(fun _ -> ());
+        Sim.Engine.run e;
+        Pfs.Log.write log fid ~off:20_000 ~len:5_000 (fun _ -> ());
+        let t0 = Sim.Engine.now e in
+        let flow = Sim.Trace.alloc_flow trace in
+        let done_at = ref None in
+        Pfs.Log.read ~flow log fid ~off:0 ~len:25_000 ~k:(fun r ->
+            Alcotest.(check bool) "read ok, no bytes" true (r = Ok None);
+            done_at := Some (Sim.Engine.now e));
+        Sim.Engine.run e;
+        match flow_steps trace flow with
+        | [
+         ("pfs.log", t_log, _);
+         ("pfs.cache", t_cache, _);
+         ("pfs.disk", t_d1, d1);
+         ("pfs.disk", t_d2, d2);
+         ("pfs.raid", t_raid, _);
+        ] ->
+            Alcotest.check time "log step at the read" t0 t_log;
+            Alcotest.check time "cache step at the read" t0 t_cache;
+            Alcotest.(check (list string))
+              "one step per disk the sealed extent touches"
+              [ "data0"; "data1" ] (List.sort compare [ d1; d2 ]);
+            Alcotest.(check bool) "disks complete later" true
+              Sim.Time.(t_d1 > t0 && t_d2 >= t_d1);
+            Alcotest.check time "raid step at the last disk" t_d2 t_raid;
+            Alcotest.(check (option time)) "read completes there" (Some t_raid)
+              !done_at
+        | steps ->
+            Alcotest.failf "steps: %s"
+              (String.concat ", " (List.map (fun (n, _, _) -> n) steps)));
   ]
 
 let garbage_tests =
